@@ -315,7 +315,7 @@ func BenchmarkParallelScanAgg(b *testing.B) {
 	var golden *Result
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			db := Open(WithParallelism(workers), WithMorselRows(16*1024))
+			db := Open(WithTuning(Tuning{Parallelism: workers, MorselRows: 16 * 1024}))
 			if err := db.LoadTPCH(0.05); err != nil {
 				b.Fatal(err)
 			}

@@ -116,17 +116,15 @@ func chaosEqual(got, want []string) bool {
 // classified errors, and (d) leak neither goroutines nor epoch
 // readers. Run under -race at GOMAXPROCS 1 and 4 in CI.
 func TestChaosStorm(t *testing.T) {
-	// WithParallelism(4) forces the pooled scheduler even on a 1-CPU
-	// CI box (sched.dispatch is dead code on the serial path), and
+	// Parallelism 4 forces the pooled scheduler even on a 1-CPU CI box
+	// (sched.dispatch is dead code on the serial path), and
 	// AlwaysReuse forces the partial/overlapping reuse paths whose
 	// widened publications htcache.publish guards. The sharded config
 	// declares TPC-H partition keys so the orders-lineitem join leg is
 	// mis-partitioned and must exchange.
 	common := []hashstash.Option{
-		hashstash.WithParallelism(4),
+		hashstash.WithTuning(hashstash.Tuning{Parallelism: 4, CacheBudget: 96 << 10, ColdTierBudget: 1 << 20}),
 		hashstash.WithStrategy(hashstash.AlwaysReuse),
-		hashstash.WithCacheBudget(96 << 10),
-		hashstash.WithColdTierBudget(1 << 20),
 	}
 	configs := []struct {
 		name string
@@ -134,7 +132,7 @@ func TestChaosStorm(t *testing.T) {
 	}{
 		{"single-shard", common},
 		{"sharded", append([]hashstash.Option{
-			hashstash.WithShards(2),
+			hashstash.WithTuning(hashstash.Tuning{Shards: 2}),
 			hashstash.WithPartitionKey("customer", "c_custkey"),
 			hashstash.WithPartitionKey("orders", "o_custkey"),
 			hashstash.WithPartitionKey("lineitem", "l_orderkey"),

@@ -36,22 +36,19 @@ func main() {
 	)
 	flag.Parse()
 
-	opts := []hashstash.Option{
+	// The partition keys take effect only when -shards > 1; one shard
+	// loads every table whole.
+	db := hashstash.Open(
 		hashstash.WithTuning(hashstash.Tuning{
 			CacheBudget:    *budget,
 			ColdTierBudget: *cold,
 			Parallelism:    *parallel,
+			Shards:         *shards,
 		}),
 		hashstash.WithAblations(hashstash.Ablations{LRUEviction: *lru}),
-	}
-	if *shards > 1 {
-		opts = append(opts,
-			hashstash.WithTuning(hashstash.Tuning{Shards: *shards}),
-			hashstash.WithPartitionKey("customer", "c_custkey"),
-			hashstash.WithPartitionKey("orders", "o_custkey"),
-			hashstash.WithPartitionKey("lineitem", "l_orderkey"))
-	}
-	db := hashstash.Open(opts...)
+		hashstash.WithPartitionKey("customer", "c_custkey"),
+		hashstash.WithPartitionKey("orders", "o_custkey"),
+		hashstash.WithPartitionKey("lineitem", "l_orderkey"))
 	fmt.Printf("loading TPC-H SF=%.3f... ", *sf)
 	start := time.Now()
 	if err := db.LoadTPCH(*sf); err != nil {
@@ -79,10 +76,6 @@ func main() {
 			continue
 		case line == `\shards`:
 			counts := db.ShardQueryCounts()
-			if counts == nil {
-				fmt.Println("unsharded (run with -shards N)")
-				continue
-			}
 			for s, cs := range db.ShardCacheStats() {
 				fmt.Printf("shard %d: queries=%d cache entries=%d bytes=%d hits=%d\n",
 					s, counts[s], cs.Entries, cs.Bytes, cs.Hits)

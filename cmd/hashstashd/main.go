@@ -61,26 +61,23 @@ func main() {
 		sf          = flag.Float64("sf", 0.01, "TPC-H scale factor")
 		budget      = flag.Int64("cache", 0, "hash table cache budget in bytes (0 = unlimited)")
 		parallel    = flag.Int("parallel", 0, "execution worker-pool size (0 = all CPUs, 1 = serial)")
-		shards      = flag.Int("shards", 1, "shard count (>1 disables shared-plan batching)")
+		shards      = flag.Int("shards", 1, "shard count; >1 partitions customer/orders/lineitem on their keys and serves every query solo (shared plans need one shard)")
 	)
 	flag.Parse()
 
-	opts := []hashstash.Option{
+	// The partition keys take effect only when -shards > 1; one shard
+	// loads every table whole.
+	db := hashstash.Open(
 		hashstash.WithTuning(hashstash.Tuning{
 			CacheBudget:     *budget,
 			Parallelism:     *parallel,
+			Shards:          *shards,
 			SoftMemoryLimit: *memSoft,
 			HardMemoryLimit: *memHard,
 		}),
-	}
-	if *shards > 1 {
-		opts = append(opts,
-			hashstash.WithTuning(hashstash.Tuning{Shards: *shards}),
-			hashstash.WithPartitionKey("customer", "c_custkey"),
-			hashstash.WithPartitionKey("orders", "o_custkey"),
-			hashstash.WithPartitionKey("lineitem", "l_orderkey"))
-	}
-	db := hashstash.Open(opts...)
+		hashstash.WithPartitionKey("customer", "c_custkey"),
+		hashstash.WithPartitionKey("orders", "o_custkey"),
+		hashstash.WithPartitionKey("lineitem", "l_orderkey"))
 	fmt.Printf("loading TPC-H SF=%.3f... ", *sf)
 	start := time.Now()
 	if err := db.LoadTPCH(*sf); err != nil {

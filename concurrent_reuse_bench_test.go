@@ -15,7 +15,7 @@ import (
 
 func benchReuseDB(b *testing.B) *DB {
 	b.Helper()
-	db := Open(WithParallelism(1), WithStrategy(AlwaysReuse))
+	db := Open(WithTuning(Tuning{Parallelism: 1}), WithStrategy(AlwaysReuse))
 	if err := db.LoadTPCH(0.005); err != nil {
 		b.Fatal(err)
 	}

@@ -26,7 +26,7 @@ type BatchResult = shared.BatchResult
 // are *hashstasherr.ParseError, unresolvable references wrap
 // hashstasherr.ErrUnknownTable / ErrUnknownColumn.
 func (db *DB) Parse(sql string) (*Query, error) {
-	return sqlparser.Parse(sql, db.cat)
+	return sqlparser.Parse(sql, db.router.Catalog())
 }
 
 // ExecContext parses and runs one SQL query under a context:
@@ -69,8 +69,8 @@ func (db *DB) ExecBatchContext(ctx context.Context, sqls []string) ([]*Result, e
 
 // ExecParsedBatch runs a batch of already-parsed queries through the
 // query-batch interface, returning per-query results plus the merge
-// configuration. On engines without shared plans (the baselines, the
-// sharded router) every query runs solo and the groups are singletons.
+// configuration. On engines without shared plans (the baselines, a
+// multi-shard router) every query runs solo and the groups are singletons.
 func (db *DB) ExecParsedBatch(ctx context.Context, queries []*Query) (*BatchResult, error) {
 	if !db.SupportsSharedPlans() {
 		out := &BatchResult{Results: make([]*Result, len(queries)), Groups: make([][]int, len(queries))}
@@ -88,10 +88,10 @@ func (db *DB) ExecParsedBatch(ctx context.Context, queries []*Query) (*BatchResu
 }
 
 // SupportsSharedPlans reports whether ExecParsedBatch can merge
-// mergeable queries into shared plans (the HashStash engine without
-// sharding; the baselines and the sharded router run query-at-a-time).
+// mergeable queries into shared plans (the HashStash engine on one
+// shard; the baselines and a multi-shard router run query-at-a-time).
 func (db *DB) SupportsSharedPlans() bool {
-	return db.engine == EngineHashStash && db.router == nil
+	return db.engine == EngineHashStash && db.Shards() == 1
 }
 
 // BatchShape classifies a query for shared-plan admission: queries
@@ -102,18 +102,12 @@ func BatchShape(q *Query) (shape string, ok bool) {
 	return shared.ShapeKey(q)
 }
 
-// EstimateCost plans q (reuse-aware, against the current cache state)
-// and returns the optimizer's cost estimate in model nanoseconds
-// without executing. Serving admission uses it to judge whether a
-// query fits inside a deadline.
+// EstimateCost plans q (reuse-aware, against the current cache state
+// of the shard or shards it would run on) and returns the optimizer's
+// cost estimate in model nanoseconds without executing. Serving
+// admission uses it to judge whether a query fits inside a deadline.
 func (db *DB) EstimateCost(q *Query) (float64, error) {
-	reader := db.cache.EnterReader()
-	defer reader.Exit()
-	p, err := db.opt.PlanQuery(q)
-	if err != nil {
-		return 0, err
-	}
-	return p.EstimatedCost, nil
+	return db.router.EstimateCost(q)
 }
 
 // EstimateSharingGain models the saving (model ns) of executing k
@@ -145,16 +139,8 @@ func (db *DB) runContext(ctx context.Context, q *plan.Query) (res *Result, err e
 	if err := ctx.Err(); err != nil {
 		return nil, hashstasherr.Canceled(err)
 	}
-	if db.engine == EngineMaterialized {
-		// Queries only read base and materialized tables (the temp cache
-		// registry synchronizes internally), so they share the lock and
-		// run concurrently.
-		db.matMu.RLock()
-		defer db.matMu.RUnlock()
+	if db.mat != nil {
 		return db.mat.RunContext(ctx, q)
 	}
-	if db.router != nil {
-		return db.router.RunContext(ctx, q)
-	}
-	return db.opt.RunContext(ctx, q)
+	return db.router.RunContext(ctx, q)
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -203,19 +205,76 @@ func TestSessionPreparedCache(t *testing.T) {
 	}
 }
 
-// TestTuningMatchesDeprecatedOptions: the grouped options configure
-// the engine identically to the per-knob wrappers they replace.
-func TestTuningMatchesDeprecatedOptions(t *testing.T) {
-	grouped := openTPCH(t,
-		WithTuning(Tuning{CacheBudget: 1 << 20, Parallelism: 1, MorselRows: 512}),
-		WithAblations(Ablations{NoPartialReuse: true, NoWorkStealing: true}))
-	legacy := openTPCH(t,
-		WithCacheBudget(1<<20), WithParallelism(1), WithMorselRows(512),
-		WithoutPartialReuse(), WithoutWorkStealing())
-	wantG := canonical(mustExec(t, grouped, q3SQL))
-	wantL := canonical(mustExec(t, legacy, q3SQL))
-	if fmt.Sprint(wantG) != fmt.Sprint(wantL) {
-		t.Fatal("grouped vs legacy options diverged")
+// TestOptionComposition: partial Tuning/Ablations literals compose,
+// later options win on overlap, and zero fields leave what is there —
+// including the defaults when nothing set them.
+func TestOptionComposition(t *testing.T) {
+	cases := []struct {
+		name string
+		opts []Option
+		want config
+	}{
+		{"none", nil, config{}},
+		{"partial literals compose",
+			[]Option{
+				WithTuning(Tuning{CacheBudget: 1 << 20}),
+				WithTuning(Tuning{Shards: 2, MorselRows: 512}),
+				WithAblations(Ablations{NoPartialReuse: true}),
+				WithAblations(Ablations{NoWorkStealing: true}),
+			},
+			config{
+				tuning:    Tuning{CacheBudget: 1 << 20, Shards: 2, MorselRows: 512},
+				ablations: Ablations{NoPartialReuse: true, NoWorkStealing: true},
+			}},
+		{"later wins",
+			[]Option{
+				WithTuning(Tuning{CacheBudget: 1 << 20, Parallelism: 4}),
+				WithStrategy(AlwaysReuse),
+				WithPartitionKey("orders", "o_orderkey"),
+				WithTuning(Tuning{CacheBudget: 2 << 20}),
+				WithStrategy(NeverReuse),
+				WithPartitionKey("orders", "o_custkey"),
+				WithAblations(Ablations{Faults: "a"}),
+				WithAblations(Ablations{Faults: "b"}),
+			},
+			config{
+				tuning:    Tuning{CacheBudget: 2 << 20, Parallelism: 4},
+				ablations: Ablations{Faults: "b"},
+				strategy:  NeverReuse,
+				partKeys:  [][2]string{{"orders", "o_orderkey"}, {"orders", "o_custkey"}},
+			}},
+		{"zero fields leave earlier values",
+			[]Option{
+				WithTuning(Tuning{Parallelism: 3, ColdTierBudget: 7}),
+				WithAblations(Ablations{LRUEviction: true}),
+				WithTuning(Tuning{}),
+				WithAblations(Ablations{}),
+				WithTuning(Tuning{Parallelism: 0, RehashBudget: 9}),
+			},
+			config{
+				tuning:    Tuning{Parallelism: 3, ColdTierBudget: 7, RehashBudget: 9},
+				ablations: Ablations{LRUEviction: true},
+			}},
+	}
+	for _, tc := range cases {
+		var got config
+		for _, o := range tc.opts {
+			o(&got)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", tc.name, got, tc.want)
+		}
+	}
+
+	// The engine sees what the config says: the last partition key for a
+	// table is the one in force, and an unset Parallelism means all CPUs.
+	db := Open(WithTuning(Tuning{Shards: 2}),
+		WithPartitionKey("customer", "c_nationkey"), WithPartitionKey("customer", "c_custkey"))
+	if key, _ := db.router.PartitionKey("customer"); key != "c_custkey" {
+		t.Errorf("partition key in force = %q, want the later declaration", key)
+	}
+	if got, want := Open().router.Shard(0).Opt.Opts.Workers, runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("default workers = %d, want GOMAXPROCS %d", got, want)
 	}
 }
 

@@ -47,7 +47,7 @@ func TestConcurrentWideningGolden(t *testing.T) {
 	widening, readonly := wideningQueries()
 	all := append(append([]string{}, widening...), readonly...)
 
-	golden := openTPCH(t, WithParallelism(1))
+	golden := openTPCH(t, WithTuning(Tuning{Parallelism: 1}))
 	goldens := make(map[string][]string, len(all))
 	for _, q := range all {
 		res, err := golden.Exec(q)
@@ -57,7 +57,7 @@ func TestConcurrentWideningGolden(t *testing.T) {
 		goldens[q] = canonical(res)
 	}
 
-	db := openTPCH(t, WithParallelism(4), WithMorselRows(256), WithStrategy(AlwaysReuse))
+	db := openTPCH(t, WithTuning(Tuning{Parallelism: 4, MorselRows: 256}), WithStrategy(AlwaysReuse))
 	// Seed the cache with the narrowest version so round one already
 	// has something to widen.
 	if _, err := db.Exec(widening[0]); err != nil {
@@ -154,8 +154,8 @@ func TestConcurrentWideningGolden(t *testing.T) {
 // path (promotions, segment sharing, publication order).
 func TestWideningSequenceGolden(t *testing.T) {
 	widening, _ := wideningQueries()
-	golden := openTPCH(t, WithParallelism(1))
-	db := openTPCH(t, WithParallelism(1), WithStrategy(AlwaysReuse))
+	golden := openTPCH(t, WithTuning(Tuning{Parallelism: 1}))
+	db := openTPCH(t, WithTuning(Tuning{Parallelism: 1}), WithStrategy(AlwaysReuse))
 	for i, q := range widening {
 		want, err := golden.Exec(q)
 		if err != nil {

@@ -18,7 +18,7 @@ func main() {
 	// The cold tier is enabled up front so that when the budget tightens
 	// at the end of the demo, cold artifacts spill compactly instead of
 	// being dropped outright.
-	db := hashstash.Open(hashstash.WithColdTierBudget(64 << 20))
+	db := hashstash.Open(hashstash.WithTuning(hashstash.Tuning{ColdTierBudget: 64 << 20}))
 	if err := db.LoadTPCH(0.01); err != nil {
 		log.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 
 func main() {
 	// A deliberately small cache: a few hash tables at this scale.
-	db := hashstash.Open(hashstash.WithCacheBudget(2 << 20))
+	db := hashstash.Open(hashstash.WithTuning(hashstash.Tuning{CacheBudget: 2 << 20}))
 	if err := db.LoadTPCH(0.01); err != nil {
 		log.Fatal(err)
 	}

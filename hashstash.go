@@ -26,8 +26,8 @@
 // instead of executing in strict order. Pipeline breakers build
 // per-worker partial hash tables that are merged into one immutable
 // table at pipeline end, so probe pipelines — and cross-query reuse —
-// stay lock-free on the hot path. WithParallelism configures the pool;
-// the default uses every available CPU.
+// stay lock-free on the hot path. Tuning.Parallelism sizes the pool; the
+// default uses every available CPU.
 //
 // Exec is safe to call from many goroutines and queries never
 // serialize against each other: cached tables are immutable published
@@ -54,9 +54,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
 
-	"hashstash/hashstasherr"
 	"hashstash/internal/catalog"
 	"hashstash/internal/costmodel"
 	"hashstash/internal/exec"
@@ -113,205 +111,24 @@ const (
 	EngineNoReuse
 )
 
-// Option configures Open.
-type Option func(*config)
-
-type config struct {
-	budget          int64
-	strategy        Strategy
-	engine          Engine
-	calibration     *costmodel.Calibration
-	benefit         bool
-	partial         bool
-	overlapping     bool
-	parallelism     int
-	morselRows      int
-	serialPipelines bool
-	noSteal         bool
-	noBucketRehash  bool
-	rehashBudget    int
-	noSecondaryIdx  bool
-	indexBudget     int64
-	lruEviction     bool
-	coldBudget      int64
-	shards          int
-	partKeys        map[string]string
-	partOrder       []string
-	memSoft         int64
-	memHard         int64
-	faults          string
-}
-
-// WithCacheBudget bounds the hash-table cache (bytes); the garbage
-// collector evicts the worst benefit-per-byte artifacts beyond it
-// (least-recently-used under WithLRUEviction). 0 = unlimited.
-//
-// Deprecated: use WithTuning(Tuning{CacheBudget: bytes}).
-func WithCacheBudget(bytes int64) Option { return func(c *config) { c.budget = bytes } }
-
-// WithLRUEviction replaces the default benefit-per-byte eviction policy
-// with plain least-recently-used and disables the cold tier. Ablation
-// knob for measuring what benefit accounting buys on skewed workloads.
-//
-// Deprecated: use WithAblations(Ablations{LRUEviction: true}).
-func WithLRUEviction() Option { return func(c *config) { c.lruEviction = true } }
-
-// WithColdTierBudget bounds the compact cold tier (bytes): artifacts
-// evicted from the hot cache are demoted to a pointer-free spill format
-// with a bloom filter over their key contents, and revived — instead of
-// rebuilt — when the cost model says revival is cheaper. 0 disables the
-// cold tier (evictions discard artifacts outright). Only meaningful
-// under the default benefit-per-byte policy.
-//
-// Deprecated: use WithTuning(Tuning{ColdTierBudget: bytes}).
-func WithColdTierBudget(bytes int64) Option { return func(c *config) { c.coldBudget = bytes } }
-
-// WithStrategy selects the reuse decision strategy.
-func WithStrategy(s Strategy) Option { return func(c *config) { c.strategy = s } }
-
-// WithEngine selects the execution engine.
-func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
-
-// WithCalibration installs a host-specific cost calibration (see the
-// hscalibrate tool); the default is a generic x86 profile.
-func WithCalibration(cal *costmodel.Calibration) Option {
-	return func(c *config) { c.calibration = cal }
-}
-
-// WithoutBenefitOptimizations disables the Section 3.4 benefit-oriented
-// optimizations (for ablation studies).
-//
-// Deprecated: use WithAblations(Ablations{NoBenefitOptimizations: true}).
-func WithoutBenefitOptimizations() Option { return func(c *config) { c.benefit = false } }
-
-// WithoutPartialReuse disables partial reuse (ablation).
-//
-// Deprecated: use WithAblations(Ablations{NoPartialReuse: true}).
-func WithoutPartialReuse() Option { return func(c *config) { c.partial = false } }
-
-// WithoutOverlappingReuse disables overlapping reuse (ablation).
-//
-// Deprecated: use WithAblations(Ablations{NoOverlappingReuse: true}).
-func WithoutOverlappingReuse() Option { return func(c *config) { c.overlapping = false } }
-
-// WithParallelism sets the morsel-driven execution worker-pool size.
-// n <= 1 executes pipelines serially; the default is
-// runtime.GOMAXPROCS(0).
-//
-// Deprecated: use WithTuning(Tuning{Parallelism: n}).
-func WithParallelism(n int) Option { return func(c *config) { c.parallelism = n } }
-
-// WithMorselRows overrides the morsel granularity (rows per scan unit);
-// 0 uses the storage default (~64K rows, rebalanced per source so short
-// scans still split into stealable units). Mostly useful in tests and
-// benchmarks.
-//
-// Deprecated: use WithTuning(Tuning{MorselRows: rows}).
-func WithMorselRows(rows int) Option { return func(c *config) { c.morselRows = rows } }
-
-// WithoutInterPipelineParallelism restricts the scheduler to one
-// pipeline at a time in compile order (morsels of that pipeline still
-// run across the whole pool). The default lets independent pipelines —
-// build sides of different joins, per-query readouts of a shared batch
-// — execute concurrently under the dependency DAG. Ablation knob.
-//
-// Deprecated: use WithAblations(Ablations{NoInterPipelineParallelism: true}).
-func WithoutInterPipelineParallelism() Option {
-	return func(c *config) { c.serialPipelines = true }
-}
-
-// WithoutWorkStealing pins each worker to its seeded morsel partition
-// instead of stealing from drained victims' deques. Ablation knob for
-// measuring what stealing buys on skewed partitions.
-//
-// Deprecated: use WithAblations(Ablations{NoWorkStealing: true}).
-func WithoutWorkStealing() Option { return func(c *config) { c.noSteal = true } }
-
-// WithoutBucketRehash disables incremental bucket maintenance of
-// widened cached tables: delta-heavy and tombstone-heavy bucket chains
-// are no longer rewritten into table-owned arenas on widening and
-// publication, and deep segment chains fall back to the all-or-nothing
-// compaction clone. Ablation knob for measuring what incremental
-// rehash buys on reuse-heavy workloads.
-//
-// Deprecated: use WithAblations(Ablations{NoBucketRehash: true}).
-func WithoutBucketRehash() Option { return func(c *config) { c.noBucketRehash = true } }
-
-// WithRehashBudget caps the chain nodes each bucket-maintenance pass
-// may walk (the amortization grain of incremental rehash); 0 uses the
-// default (hashtable.DefaultRehashBudget). Mostly useful in tests and
-// benchmarks.
-//
-// Deprecated: use WithTuning(Tuning{RehashBudget: nodes}).
-func WithRehashBudget(nodes int) Option { return func(c *config) { c.rehashBudget = nodes } }
-
-// WithoutSecondaryIndexes disables the ordered secondary-index access
-// path: the optimizer neither builds indexes lazily nor drives scans
-// with cached ones, so every selection runs as a (possibly
-// storage-index-assisted) table scan. Ablation knob.
-//
-// Deprecated: use WithAblations(Ablations{NoSecondaryIndexes: true}).
-func WithoutSecondaryIndexes() Option { return func(c *config) { c.noSecondaryIdx = true } }
-
-// WithShards partitions the engine into n locality domains. Each shard
-// owns a catalog fragment, its own hash-table/index cache (benefit
-// accounting, eviction and index budgets are per shard) and its own
-// worker deques in the scheduler. Tables with a declared partition key
-// (WithPartitionKey / PartitionTable) split into per-shard fragments by
-// key hash; undeclared tables replicate. Queries whose partition-key
-// equality constraints pin every partitioned relation to one shard run
-// on that shard alone; everything else executes scatter-gather with
-// co-partitioned joins probing shard-locally and mismatched joins
-// repartitioned through a batched exchange. n <= 1 (the default) keeps
-// the single-domain engine. Sharding applies to EngineHashStash; the
-// baseline engines ignore it.
-//
-// Deprecated: use WithTuning(Tuning{Shards: n}).
-func WithShards(n int) Option { return func(c *config) { c.shards = n } }
-
-// WithPartitionKey declares, before data loads, that table is
-// hash-partitioned by column under WithShards. Tables without a
-// declared key are replicated to every shard.
-func WithPartitionKey(table, column string) Option {
-	return func(c *config) {
-		if c.partKeys == nil {
-			c.partKeys = make(map[string]string)
-		}
-		if _, dup := c.partKeys[table]; !dup {
-			c.partOrder = append(c.partOrder, table)
-		}
-		c.partKeys[table] = column
-	}
-}
-
-// WithIndexBuildBudget caps the total bytes of lazily built secondary
-// indexes kept live in the cache; a build that would exceed the budget
-// is skipped and the query scans instead. 0 = unlimited.
-//
-// Deprecated: use WithTuning(Tuning{IndexBuildBudget: bytes}).
-func WithIndexBuildBudget(bytes int64) Option { return func(c *config) { c.indexBudget = bytes } }
-
 // DB is a HashStash database instance. Exec and ExecBatch are safe for
 // concurrent use; schema changes — LoadTPCH, CreateTable, InsertRows,
 // BuildIndex — must not run concurrently with queries.
 type DB struct {
-	cat   *catalog.Catalog
-	cache *htcache.Cache
-	opt   *optimizer.Optimizer
-	batch *shared.Optimizer
-	mat   *matreuse.Engine
-	// matMu lets the materialized baseline's read-only queries run
-	// concurrently (read lock; its temp cache synchronizes internally).
-	// Nothing takes the write side today: schema changes keep the
-	// documented contract of never running concurrently with queries,
-	// on either engine.
-	matMu  sync.RWMutex
-	engine Engine
-	// router is the sharding layer (nil for the default single-domain
-	// engine). When set, cat/cache/opt alias shard 0 — the catalog view
-	// used for parsing — and every data/query path goes through the
-	// router.
+	// router is the engine: every data and query path goes through it.
+	// It holds one shard unless Tuning.Shards > 1, and a router of one
+	// routes every query straight to its only optimizer.
 	router *shard.Engine
+	// batch merges mergeable queries into shared plans over shard 0's
+	// optimizer; only a one-shard EngineHashStash database uses it.
+	batch *shared.Optimizer
+	// mat is the materialization-based reuse baseline, the reference
+	// the tests and experiments compare against; nil unless
+	// EngineMaterialized is selected. Its queries only read base and
+	// materialized tables (the temp cache synchronizes internally), so
+	// they run concurrently.
+	mat    *matreuse.Engine
+	engine Engine
 	// gov is the memory-pressure governor (nil unless Tuning sets a
 	// watermark). The serving front-end refreshes it at admission.
 	gov *memgov.Governor
@@ -319,127 +136,101 @@ type DB struct {
 
 // Open creates an empty database.
 func Open(opts ...Option) *DB {
-	cfg := &config{
-		strategy:    CostModel,
-		benefit:     true,
-		partial:     true,
-		overlapping: true,
-		parallelism: runtime.GOMAXPROCS(0),
-	}
+	var cfg config
 	for _, o := range opts {
-		o(cfg)
+		o(&cfg)
+	}
+	t, a := cfg.tuning, cfg.ablations
+	if t.Parallelism == 0 {
+		t.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	model := costmodel.NewModel(cfg.calibration)
 	strategy := cfg.strategy
 	if cfg.engine == EngineNoReuse {
 		strategy = NeverReuse
 	}
-	if spec := cfg.faults; spec != "" {
-		// Deterministic fault injection for resilience testing; a bad
-		// spec is a programming error in the test harness.
+	// Deterministic fault injection for resilience testing; a bad spec
+	// is a programming error in the test harness.
+	spec := a.Faults
+	if spec == "" {
+		spec = os.Getenv("HASHSTASH_FAULTS")
+	}
+	if spec != "" {
 		if err := faultinject.Arm(spec); err != nil {
 			panic(fmt.Sprintf("hashstash: bad fault spec %q: %v", spec, err))
 		}
-	} else if spec := os.Getenv("HASHSTASH_FAULTS"); spec != "" {
-		if err := faultinject.Arm(spec); err != nil {
-			panic(fmt.Sprintf("hashstash: bad HASHSTASH_FAULTS %q: %v", spec, err))
-		}
 	}
 	var gov *memgov.Governor
-	if cfg.memSoft > 0 || cfg.memHard > 0 {
-		gov = memgov.New(cfg.memSoft, cfg.memHard)
+	if t.SoftMemoryLimit > 0 || t.HardMemoryLimit > 0 {
+		gov = memgov.New(t.SoftMemoryLimit, t.HardMemoryLimit)
 	}
 
-	// newDomain builds one locality domain: a catalog plus a cache and
-	// optimizer configured for `workers` of the execution budget and
-	// `share` of the byte budgets.
-	newDomain := func(workers, share int) (*catalog.Catalog, *htcache.Cache, *optimizer.Optimizer) {
-		split := func(b int64) int64 {
-			if b <= 0 || share <= 1 {
-				return b
-			}
-			per := b / int64(share)
-			if per < 1 {
-				per = 1
-			}
-			return per
+	// Sharding applies to EngineHashStash; the baselines run one shard.
+	n := 1
+	if t.Shards > 1 && cfg.engine == EngineHashStash {
+		n = t.Shards
+	}
+	// Every shard gets an equal share of the worker pool and of the
+	// byte budgets (0 stays "unlimited").
+	split := func(b int64) int64 {
+		if b <= 0 {
+			return b
 		}
+		return max(1, b/int64(n))
+	}
+	par := exec.Parallelism{
+		Workers:         t.Parallelism,
+		MorselRows:      t.MorselRows,
+		SerialPipelines: a.NoInterPipelineParallelism,
+		NoSteal:         a.NoWorkStealing,
+	}
+	shardPar := par
+	shardPar.Workers = max(1, t.Parallelism/n)
+	shards := make([]*shard.Shard, n)
+	for s := range shards {
 		cat := catalog.New()
-		cache := htcache.New(split(cfg.budget))
-		opt := optimizer.New(cat, cache, model, optimizer.Options{
-			Strategy:           strategy,
-			BenefitOriented:    cfg.benefit,
-			EnablePartial:      cfg.partial,
-			EnableOverlapping:  cfg.overlapping,
-			Parallelism:        workers,
-			MorselRows:         cfg.morselRows,
-			SerialPipelines:    cfg.serialPipelines,
-			NoSteal:            cfg.noSteal,
-			NoBucketRehash:     cfg.noBucketRehash,
-			RehashBudget:       cfg.rehashBudget,
-			NoSecondaryIndexes: cfg.noSecondaryIdx,
-			IndexBuildBudget:   split(cfg.indexBudget),
-			MemGov:             gov,
-		})
-		gov.AddSource(cache)
-		cache.SetRehash(!cfg.noBucketRehash, cfg.rehashBudget)
-		if cfg.lruEviction {
+		cache := htcache.New(split(t.CacheBudget))
+		cache.SetRehash(!a.NoBucketRehash, t.RehashBudget)
+		if a.LRUEviction {
 			cache.SetPolicy(htcache.PolicyLRU)
 		}
-		if cfg.coldBudget > 0 {
-			cache.SetColdBudget(split(cfg.coldBudget))
+		if t.ColdTierBudget > 0 {
+			cache.SetColdBudget(split(t.ColdTierBudget))
 		}
-		return cat, cache, opt
-	}
-
-	var router *shard.Engine
-	if cfg.shards > 1 && cfg.engine == EngineHashStash {
-		perShard := cfg.parallelism / cfg.shards
-		if perShard < 1 {
-			perShard = 1
-		}
-		shards := make([]*shard.Shard, cfg.shards)
-		for s := range shards {
-			cat, cache, opt := newDomain(perShard, cfg.shards)
-			shards[s] = &shard.Shard{ID: s, Cat: cat, Cache: cache, Opt: opt}
-		}
-		router = shard.New(shards, model, exec.Parallelism{
-			Workers:         cfg.parallelism,
-			MorselRows:      cfg.morselRows,
-			SerialPipelines: cfg.serialPipelines,
-			NoSteal:         cfg.noSteal,
+		gov.AddSource(cache)
+		opt := optimizer.New(cat, cache, model, optimizer.Options{
+			Strategy:           strategy,
+			BenefitOriented:    !a.NoBenefitOptimizations,
+			EnablePartial:      !a.NoPartialReuse,
+			EnableOverlapping:  !a.NoOverlappingReuse,
+			Parallelism:        shardPar,
+			NoBucketRehash:     a.NoBucketRehash,
+			RehashBudget:       t.RehashBudget,
+			NoSecondaryIndexes: a.NoSecondaryIndexes,
+			IndexBuildBudget:   split(t.IndexBuildBudget),
+			MemGov:             gov,
 		})
-		for _, table := range cfg.partOrder {
-			router.DeclarePartitionKey(table, cfg.partKeys[table])
+		shards[s] = &shard.Shard{ID: s, Cat: cat, Cache: cache, Opt: opt}
+	}
+	router := shard.New(shards, model, par)
+	if n > 1 {
+		// A one-shard database declares no keys, so its loads register
+		// the caller's table as is instead of copying it into a fragment.
+		for _, kv := range cfg.partKeys {
+			router.DeclarePartitionKey(kv[0], kv[1])
 		}
 	}
 
-	var cat *catalog.Catalog
-	var cache *htcache.Cache
-	var opt *optimizer.Optimizer
-	if router != nil {
-		s0 := router.Shard(0)
-		cat, cache, opt = s0.Cat, s0.Cache, s0.Opt
-	} else {
-		cat, cache, opt = newDomain(cfg.parallelism, 1)
-	}
-	mat := matreuse.NewEngine(cat, cfg.budget)
-	mat.Par = exec.Parallelism{
-		Workers:         cfg.parallelism,
-		MorselRows:      cfg.morselRows,
-		SerialPipelines: cfg.serialPipelines,
-		NoSteal:         cfg.noSteal,
-	}
-	return &DB{
-		cat:    cat,
-		cache:  cache,
-		opt:    opt,
-		batch:  shared.New(opt),
-		mat:    mat,
-		engine: cfg.engine,
+	db := &DB{
 		router: router,
+		batch:  shared.New(shards[0].Opt),
+		engine: cfg.engine,
 		gov:    gov,
 	}
+	if cfg.engine == EngineMaterialized {
+		db.mat = matreuse.NewEngine(router.Catalog(), t.CacheBudget, par)
+	}
+	return db
 }
 
 // MemoryGovernor returns the memory-pressure governor, or nil when no
@@ -448,30 +239,21 @@ func Open(opts ...Option) *DB {
 // methods are nil-receiver-safe.
 func (db *DB) MemoryGovernor() *memgov.Governor { return db.gov }
 
-// Shards reports the number of shards (1 for the default engine).
-func (db *DB) Shards() int {
-	if db.router == nil {
-		return 1
-	}
-	return db.router.Shards()
-}
+// Shards reports the number of shards (1 unless Tuning.Shards > 1).
+func (db *DB) Shards() int { return db.router.Shards() }
 
 // PartitionTable hash-partitions (or re-keys) an already-loaded table
 // by column across the shards, invalidating cached artifacts over it.
-// Requires WithShards.
+// Requires Tuning.Shards > 1.
 func (db *DB) PartitionTable(table, column string) error {
-	if db.router == nil {
-		return fmt.Errorf("hashstash: PartitionTable requires WithShards")
+	if db.Shards() == 1 {
+		return fmt.Errorf("hashstash: PartitionTable requires Tuning.Shards > 1")
 	}
 	return db.router.Repartition(table, column)
 }
 
-// ShardCacheStats reports each shard's cache statistics (one entry for
-// the default single-domain engine).
+// ShardCacheStats reports each shard's cache statistics.
 func (db *DB) ShardCacheStats() []CacheStats {
-	if db.router == nil {
-		return []CacheStats{db.CacheStats()}
-	}
 	_, per := db.router.Stats()
 	return per
 }
@@ -479,12 +261,7 @@ func (db *DB) ShardCacheStats() []CacheStats {
 // ShardQueryCounts reports how many queries (or scatter legs) each
 // shard has executed — single-partition routing is observable here: a
 // partition-key point query increments exactly one shard's counter.
-func (db *DB) ShardQueryCounts() []int64 {
-	if db.router == nil {
-		return nil
-	}
-	return db.router.QueryCounts()
-}
+func (db *DB) ShardQueryCounts() []int64 { return db.router.QueryCounts() }
 
 // LoadTPCH generates and registers a TPC-H-style database at the given
 // scale factor (1.0 = the full TPC-H size; benchmarks typically use
@@ -495,20 +272,16 @@ func (db *DB) LoadTPCH(sf float64) error {
 		return err
 	}
 	for _, t := range data.Tables() {
-		if db.router != nil {
-			if err := db.router.LoadTable(t); err != nil {
-				return err
-			}
-			continue
+		if err := db.router.LoadTable(t); err != nil {
+			return err
 		}
-		db.cat.Register(t)
 	}
 	return nil
 }
 
 // CreateTable registers a new empty table with the given columns.
 func (db *DB) CreateTable(name string, cols map[string]Kind, order []string) error {
-	if db.cat.Table(name) != nil {
+	if db.router.Catalog().Table(name) != nil {
 		return fmt.Errorf("hashstash: table %q exists", name)
 	}
 	t := storage.NewTable(name)
@@ -519,51 +292,25 @@ func (db *DB) CreateTable(name string, cols map[string]Kind, order []string) err
 		}
 		t.AddColumn(storage.NewColumn(cn, kind))
 	}
-	if db.router != nil {
-		return db.router.LoadTable(t)
-	}
-	db.cat.Register(t)
-	return nil
+	return db.router.LoadTable(t)
 }
 
 // InsertRows appends rows (values in column order) and refreshes
-// statistics.
+// statistics. Rows of a partitioned table route to their hash shards;
+// only the shards that received rows drop their cached artifacts —
+// hash tables and secondary indexes alike — over the table.
 func (db *DB) InsertRows(table string, rows [][]Value) error {
-	if db.router != nil {
-		// Rows route to their hash shards; only the shards that actually
-		// received rows refresh statistics and invalidate cached
-		// artifacts over the table.
-		return db.router.InsertRows(table, rows)
-	}
-	t := db.cat.Table(table)
-	if t == nil {
-		return fmt.Errorf("hashstash: %w %q", hashstasherr.ErrUnknownTable, table)
-	}
-	for _, row := range rows {
-		t.AppendRow(row...)
-	}
-	db.cat.Register(t) // recompute statistics
-	// Cached artifacts over the table — hash tables and secondary
-	// indexes alike — describe its old contents; evict them.
-	db.cache.InvalidateTable(table)
-	return nil
+	return db.router.InsertRows(table, rows)
 }
 
 // BuildIndex creates a sorted secondary index on a column (selection
 // attributes benefit from one).
 func (db *DB) BuildIndex(table, column string) error {
-	if db.router != nil {
-		return db.router.BuildIndex(table, column)
-	}
-	t := db.cat.Table(table)
-	if t == nil {
-		return fmt.Errorf("hashstash: %w %q", hashstasherr.ErrUnknownTable, table)
-	}
-	return t.BuildIndexOn(column)
+	return db.router.BuildIndex(table, column)
 }
 
 // Tables lists the registered base tables.
-func (db *DB) Tables() []string { return db.cat.TableNames() }
+func (db *DB) Tables() []string { return db.router.Catalog().TableNames() }
 
 // Exec parses and runs one SQL query through the configured engine
 // (query-at-a-time interface). It is ExecContext under
@@ -581,35 +328,20 @@ func (db *DB) ExecBatch(sqls []string) ([]*Result, error) {
 	return db.ExecBatchContext(context.Background(), sqls)
 }
 
-// CacheStats reports hash-table cache statistics (temporary-table cache
-// statistics under EngineMaterialized).
+// CacheStats reports hash-table cache statistics summed over the
+// shards (temporary-table cache statistics under EngineMaterialized).
 func (db *DB) CacheStats() CacheStats {
-	if db.engine == EngineMaterialized {
+	if db.mat != nil {
 		return db.mat.Cache.Stats()
 	}
-	if db.router != nil {
-		total, _ := db.router.Stats()
-		return total
-	}
-	return db.cache.Stats()
+	total, _ := db.router.Stats()
+	return total
 }
 
 // ClearCache evicts every unpinned cached hash table.
-func (db *DB) ClearCache() {
-	if db.router != nil {
-		db.router.Clear()
-		return
-	}
-	db.cache.Clear()
-}
+func (db *DB) ClearCache() { db.router.Clear() }
 
 // SetCacheBudget adjusts the garbage collector's memory budget at
-// runtime and triggers collection immediately (split evenly across
-// shard caches under WithShards).
-func (db *DB) SetCacheBudget(bytes int64) {
-	if db.router != nil {
-		db.router.SetBudget(bytes)
-		return
-	}
-	db.cache.SetBudget(bytes)
-}
+// runtime and triggers collection immediately (split evenly across the
+// shard caches).
+func (db *DB) SetCacheBudget(bytes int64) { db.router.SetBudget(bytes) }

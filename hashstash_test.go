@@ -172,7 +172,7 @@ func TestCustomTable(t *testing.T) {
 }
 
 func TestCacheBudgetAndClear(t *testing.T) {
-	db := openTPCH(t, WithCacheBudget(1<<20))
+	db := openTPCH(t, WithTuning(Tuning{CacheBudget: 1 << 20}))
 	if _, err := db.Exec(q3SQL); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestStrategiesViaFacade(t *testing.T) {
 }
 
 func TestAblationOptions(t *testing.T) {
-	db := openTPCH(t, WithoutBenefitOptimizations(), WithoutPartialReuse(), WithoutOverlappingReuse())
+	db := openTPCH(t, WithAblations(Ablations{NoBenefitOptimizations: true, NoPartialReuse: true, NoOverlappingReuse: true}))
 	if _, err := db.Exec(q3SQL); err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ var rangeShapes = []string{
 // return exactly the rows a pure scan returns.
 func TestIndexRangeMatchesScan(t *testing.T) {
 	indexed := openTPCH(t)
-	scan := openTPCH(t, WithoutSecondaryIndexes())
+	scan := openTPCH(t, WithAblations(Ablations{NoSecondaryIndexes: true}))
 
 	runs := warmIndex(t, indexed, rangeShapes[0])
 	t.Logf("index built after %d runs", runs)
@@ -107,24 +107,24 @@ func TestCostModelFlipsAccessPath(t *testing.T) {
 	}
 }
 
-// TestWithoutSecondaryIndexes checks the ablation knob: no builds, no
+// TestNoSecondaryIndexes checks the ablation knob: no builds, no
 // probes, ever.
-func TestWithoutSecondaryIndexes(t *testing.T) {
-	db := openTPCH(t, WithoutSecondaryIndexes())
+func TestNoSecondaryIndexes(t *testing.T) {
+	db := openTPCH(t, WithAblations(Ablations{NoSecondaryIndexes: true}))
 	for i := 0; i < 40; i++ {
 		if _, err := db.Exec(rangeShapes[0]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if st := db.CacheStats().Index; st.Builds != 0 || st.RangeProbes != 0 {
-		t.Errorf("index activity under WithoutSecondaryIndexes: %+v", st)
+		t.Errorf("index activity under NoSecondaryIndexes: %+v", st)
 	}
 }
 
 // TestIndexBuildBudget checks that a budget too small for any tree
 // suppresses builds entirely.
 func TestIndexBuildBudget(t *testing.T) {
-	db := openTPCH(t, WithIndexBuildBudget(1))
+	db := openTPCH(t, WithTuning(Tuning{IndexBuildBudget: 1}))
 	for i := 0; i < 40; i++ {
 		if _, err := db.Exec(rangeShapes[0]); err != nil {
 			t.Fatal(err)
@@ -180,7 +180,7 @@ func TestInsertInvalidatesIndexes(t *testing.T) {
 // sort+truncate fallback must return identical rows in identical order.
 func TestOrderByLimit(t *testing.T) {
 	indexed := openTPCH(t)
-	fallback := openTPCH(t, WithoutSecondaryIndexes())
+	fallback := openTPCH(t, WithAblations(Ablations{NoSecondaryIndexes: true}))
 
 	// Warm a l_extendedprice index so the fast path is available.
 	warm := `SELECT l.l_orderkey, l.l_extendedprice FROM lineitem l
@@ -247,7 +247,7 @@ func TestOrderByLimitBatch(t *testing.T) {
 // the sort+truncate fallback — on every engine.
 func TestOrderByLimitFallback(t *testing.T) {
 	for _, engine := range []Engine{EngineHashStash, EngineMaterialized, EngineNoReuse} {
-		db := openTPCH(t, WithEngine(engine), WithoutSecondaryIndexes())
+		db := openTPCH(t, WithEngine(engine), WithAblations(Ablations{NoSecondaryIndexes: true}))
 		res, err := db.Exec(`SELECT l.l_orderkey, l.l_extendedprice FROM lineitem l
 		    WHERE l.l_shipdate >= DATE '1995-03-01'
 		    ORDER BY l.l_extendedprice DESC LIMIT 5`)

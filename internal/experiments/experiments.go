@@ -12,6 +12,7 @@ import (
 
 	"hashstash/internal/catalog"
 	"hashstash/internal/costmodel"
+	"hashstash/internal/exec"
 	"hashstash/internal/htcache"
 	"hashstash/internal/matreuse"
 	"hashstash/internal/optimizer"
@@ -103,7 +104,7 @@ func Exp1(env *Env, n int) (*Exp1Result, error) {
 			return nil, fmt.Errorf("no-reuse %v: %w", level, err)
 		}
 
-		mat := matreuse.NewEngine(env.Cat, 0)
+		mat := matreuse.NewEngine(env.Cat, 0, exec.Parallelism{})
 		tMat, err := runTrace(mat.Run, steps)
 		if err != nil {
 			return nil, fmt.Errorf("materialized %v: %w", level, err)

@@ -231,12 +231,12 @@ func (s *Snapshot) byteSize() int64 {
 
 // Stats summarizes cache state for experiments and monitoring.
 type Stats struct {
-	Entries     int
-	Bytes       int64
-	Hits        int64
-	Evictions   int64
-	Registered  int64
-	EvictedByes int64
+	Entries      int
+	Bytes        int64
+	Hits         int64
+	Evictions    int64
+	Registered   int64
+	EvictedBytes int64
 	// HitRatio is hits per registered element (the paper's Figure 7b
 	// reports the average reuse count per cached element).
 	HitRatio float64
@@ -1130,7 +1130,7 @@ func (c *Cache) Stats() Stats {
 		Hits:                c.hits,
 		Evictions:           c.evictions,
 		Registered:          c.registered,
-		EvictedByes:         c.evictedB,
+		EvictedBytes:        c.evictedB,
 		WidenPublished:      c.widenPub,
 		WidenLost:           c.widenLost,
 		Retired:             len(c.retired),
@@ -1208,7 +1208,7 @@ func (s Stats) Add(o Stats) Stats {
 	s.Hits += o.Hits
 	s.Evictions += o.Evictions
 	s.Registered += o.Registered
-	s.EvictedByes += o.EvictedByes
+	s.EvictedBytes += o.EvictedBytes
 	s.WidenPublished += o.WidenPublished
 	s.WidenLost += o.WidenLost
 	s.Retired += o.Retired

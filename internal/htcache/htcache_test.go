@@ -139,7 +139,7 @@ func TestGCEvictsLRU(t *testing.T) {
 	if c.Get(e1.ID) == nil || c.Get(e3.ID) == nil {
 		t.Error("wrong entry evicted")
 	}
-	if s := c.Stats(); s.Evictions != 1 || s.EvictedByes <= 0 {
+	if s := c.Stats(); s.Evictions != 1 || s.EvictedBytes <= 0 {
 		t.Errorf("stats = %+v", s)
 	}
 }

@@ -32,25 +32,25 @@ type Engine struct {
 	Cat   *catalog.Catalog
 	Cache *TempCache
 
-	// Par configures morsel-driven execution of the baseline's
-	// pipelines. The zero value runs serially; with workers the
-	// pipeline DAG orders spills before their re-scans (a temp-table
-	// consumer depends on its producer) while independent build sides
-	// run concurrently.
-	Par exec.Parallelism
-
-	// planner supplies join trees; it never reuses hash tables and its
-	// own cache stays empty.
+	// planner supplies join trees and carries the execution
+	// configuration (Opts.Parallelism); it never reuses hash tables and
+	// its own cache stays empty.
 	planner *optimizer.Optimizer
 }
 
 // NewEngine creates a baseline engine with the given temp-space budget
-// in bytes (0 = unlimited).
-func NewEngine(cat *catalog.Catalog, budget int64) *Engine {
+// in bytes (0 = unlimited). par configures morsel-driven execution of
+// the baseline's pipelines: the zero value runs serially; with workers
+// the pipeline DAG orders spills before their re-scans (a temp-table
+// consumer depends on its producer) while independent build sides run
+// concurrently.
+func NewEngine(cat *catalog.Catalog, budget int64, par exec.Parallelism) *Engine {
 	return &Engine{
-		Cat:     cat,
-		Cache:   NewTempCache(budget),
-		planner: optimizer.New(cat, htcache.New(0), nil, optimizer.Options{Strategy: optimizer.NeverReuse, BenefitOriented: true}),
+		Cat:   cat,
+		Cache: NewTempCache(budget),
+		planner: optimizer.New(cat, htcache.New(0), nil, optimizer.Options{
+			Strategy: optimizer.NeverReuse, BenefitOriented: true, Parallelism: par,
+		}),
 	}
 }
 
@@ -283,7 +283,7 @@ func (e *Engine) RunContext(ctx context.Context, q *plan.Query) (*optimizer.Resu
 	if compileErr != nil {
 		return nil, compileErr
 	}
-	par := e.Par
+	par := e.planner.Opts.Parallelism
 	par.Ctx = ctx
 	t0 := time.Now()
 	if err := exec.RunParallel(c.pipelines, par); err != nil {

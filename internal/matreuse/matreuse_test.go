@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hashstash/internal/catalog"
+	"hashstash/internal/exec"
 	"hashstash/internal/expr"
 	"hashstash/internal/htcache"
 	"hashstash/internal/optimizer"
@@ -27,7 +28,7 @@ func newEnv(t *testing.T) (*catalog.Catalog, *Engine, *optimizer.Optimizer) {
 		cat.Register(tbl)
 	}
 	ref := optimizer.New(cat, htcache.New(0), nil, optimizer.Options{Strategy: optimizer.NeverReuse})
-	return cat, NewEngine(cat, 0), ref
+	return cat, NewEngine(cat, 0, exec.Parallelism{}), ref
 }
 
 func ref(a, c string) storage.ColRef { return storage.ColRef{Table: a, Column: c} }

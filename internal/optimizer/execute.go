@@ -151,14 +151,7 @@ func (p *Prepared) Pipelines() []*exec.Pipeline { return p.compiled.Pipelines }
 
 // Parallelism is the execution configuration the optimizer would run
 // the pipelines under.
-func (p *Prepared) Parallelism() exec.Parallelism {
-	return exec.Parallelism{
-		Workers:         p.o.Opts.Parallelism,
-		MorselRows:      p.o.Opts.MorselRows,
-		SerialPipelines: p.o.Opts.SerialPipelines,
-		NoSteal:         p.o.Opts.NoSteal,
-	}
-}
+func (p *Prepared) Parallelism() exec.Parallelism { return p.o.Opts.Parallelism }
 
 // Finish completes a prepared query after its pipelines ran (runErr is
 // the runner's verdict): on success it publishes widened snapshots,

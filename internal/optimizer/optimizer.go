@@ -30,6 +30,7 @@ import (
 
 	"hashstash/internal/catalog"
 	"hashstash/internal/costmodel"
+	"hashstash/internal/exec"
 	"hashstash/internal/expr"
 	"hashstash/internal/hashtable"
 	"hashstash/internal/htcache"
@@ -80,18 +81,11 @@ type Options struct {
 	// materialization-based baseline's capability, used for ablations).
 	EnablePartial     bool
 	EnableOverlapping bool
-	// Parallelism is the worker-pool size for morsel-driven pipeline
-	// execution; values <= 1 execute pipelines serially.
-	Parallelism int
-	// MorselRows overrides the morsel granularity (<= 0 uses
-	// storage.DefaultMorselRows).
-	MorselRows int
-	// SerialPipelines disables inter-pipeline parallelism (the
-	// scheduler runs pipelines in strict compile order); ablation knob.
-	SerialPipelines bool
-	// NoSteal disables work stealing between worker deques; ablation
-	// knob.
-	NoSteal bool
+	// Parallelism is the scheduler configuration every run of this
+	// optimizer's pipelines starts from (worker-pool size, morsel
+	// granularity, the two scheduler ablation knobs). Ctx stays nil
+	// here; each run sets it on its own copy.
+	exec.Parallelism
 	// NoBucketRehash disables incremental bucket maintenance of widened
 	// tables, falling back to the all-or-nothing compaction clone at
 	// the segment-depth bound; ablation knob.

@@ -16,14 +16,9 @@ import (
 	"hashstash/internal/types"
 )
 
-// Run executes a query against the sharded engine: single-partition
-// queries go straight to their shard's optimizer, everything else runs
-// as scatter-gather.
-func (e *Engine) Run(q *plan.Query) (*optimizer.Result, error) {
-	return e.RunContext(context.Background(), q)
-}
-
-// RunContext is Run under a context: cancellation aborts the routed
+// RunContext executes a query: a single-partition query — every query,
+// on a router of one — goes straight to its shard's optimizer,
+// everything else runs as scatter-gather. Cancellation aborts the routed
 // shard's (or every scatter leg's) morsel dispatch.
 func (e *Engine) RunContext(ctx context.Context, q *plan.Query) (*optimizer.Result, error) {
 	if s, ok := e.routeShard(q); ok {
@@ -31,6 +26,38 @@ func (e *Engine) RunContext(ctx context.Context, q *plan.Query) (*optimizer.Resu
 		return e.shards[s].Opt.RunContext(ctx, q)
 	}
 	return e.scatter(ctx, q)
+}
+
+// EstimateCost plans q (reuse-aware, against the current cache state)
+// where RunContext would run it and returns the optimizer's estimate in
+// model nanoseconds without executing: a single-partition query is
+// planned on its shard, a scattering query on every shard — the legs run
+// concurrently, so the largest estimate is the query's.
+func (e *Engine) EstimateCost(q *plan.Query) (float64, error) {
+	shards := e.shards
+	if s, ok := e.routeShard(q); ok {
+		shards = shards[s : s+1]
+	}
+	var worst float64
+	for _, sh := range shards {
+		cost, err := sh.estimateCost(q)
+		if err != nil {
+			return 0, err
+		}
+		worst = max(worst, cost)
+	}
+	return worst, nil
+}
+
+// estimateCost plans q on this shard under the shard's epoch reader.
+func (s *Shard) estimateCost(q *plan.Query) (float64, error) {
+	reader := s.Cache.EnterReader()
+	defer reader.Exit()
+	p, err := s.Opt.PlanQuery(q)
+	if err != nil {
+		return 0, err
+	}
+	return p.EstimatedCost, nil
 }
 
 // scatter fans a query out to every shard and merges the legs. The

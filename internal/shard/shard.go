@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"hashstash/hashstasherr"
 	"hashstash/internal/catalog"
 	"hashstash/internal/costmodel"
 	"hashstash/internal/exec"
@@ -78,6 +79,19 @@ func (e *Engine) Shards() int { return len(e.shards) }
 
 // Shard returns shard s.
 func (e *Engine) Shard(s int) *Shard { return e.shards[s] }
+
+// Catalog returns the catalog queries are parsed against: shard 0's,
+// which sees every table's schema whatever its placement.
+func (e *Engine) Catalog() *catalog.Catalog { return e.shards[0].Cat }
+
+// table returns shard 0's placement of a table: the replica itself, or
+// fragment 0 of a partitioned table.
+func (e *Engine) table(name string) (*storage.Table, error) {
+	if t := e.shards[0].Cat.Table(name); t != nil {
+		return t, nil
+	}
+	return nil, fmt.Errorf("shard: %w %q", hashstasherr.ErrUnknownTable, name)
+}
 
 // DeclarePartitionKey records that table is hash-partitioned by column.
 // Declare before loading the table; declaring after load requires
@@ -141,9 +155,9 @@ func (e *Engine) Repartition(table, column string) error {
 // GatherTable reassembles the full row set of a table from its
 // placement (the replica, or the concatenation of every fragment).
 func (e *Engine) GatherTable(table string) (*storage.Table, error) {
-	t0 := e.shards[0].Cat.Table(table)
-	if t0 == nil {
-		return nil, fmt.Errorf("shard: unknown table %q", table)
+	t0, err := e.table(table)
+	if err != nil {
+		return nil, err
 	}
 	if _, ok := e.keys[table]; !ok {
 		return t0, nil
@@ -164,24 +178,20 @@ func (e *Engine) GatherTable(table string) (*storage.Table, error) {
 // cached artifacts over the table invalidated — an insert that lands
 // on two shards leaves the other shards' hash tables and indexes warm.
 func (e *Engine) InsertRows(table string, rows [][]types.Value) error {
+	t0, err := e.table(table)
+	if err != nil {
+		return err
+	}
 	key, partitioned := e.keys[table]
 	if !partitioned {
-		t := e.shards[0].Cat.Table(table)
-		if t == nil {
-			return fmt.Errorf("shard: unknown table %q", table)
-		}
 		for _, row := range rows {
-			t.AppendRow(row...)
+			t0.AppendRow(row...)
 		}
 		for _, sh := range e.shards {
-			sh.Cat.Register(t) // recompute statistics
+			sh.Cat.Register(t0) // recompute statistics
 			sh.Cache.InvalidateTable(table)
 		}
 		return nil
-	}
-	t0 := e.shards[0].Cat.Table(table)
-	if t0 == nil {
-		return fmt.Errorf("shard: unknown table %q", table)
 	}
 	ki := t0.ColumnIndex(key)
 	if ki < 0 {
@@ -206,27 +216,20 @@ func (e *Engine) InsertRows(table string, rows [][]types.Value) error {
 // BuildIndex builds a sorted storage index on every placement of the
 // column (each fragment indexes its own rows; a replica indexes once).
 func (e *Engine) BuildIndex(table, column string) error {
+	t0, err := e.table(table)
+	if err != nil {
+		return err
+	}
 	if _, partitioned := e.keys[table]; !partitioned {
-		t := e.shards[0].Cat.Table(table)
-		if t == nil {
-			return fmt.Errorf("shard: unknown table %q", table)
-		}
-		return t.BuildIndexOn(column)
+		return t0.BuildIndexOn(column)
 	}
 	for _, sh := range e.shards {
-		t := sh.Cat.Table(table)
-		if t == nil {
-			return fmt.Errorf("shard: unknown table %q", table)
-		}
-		if err := t.BuildIndexOn(column); err != nil {
+		if err := sh.Cat.Table(table).BuildIndexOn(column); err != nil {
 			return err
 		}
 	}
 	return nil
 }
-
-// TableNames lists the tables (shard 0 sees every placement).
-func (e *Engine) TableNames() []string { return e.shards[0].Cat.TableNames() }
 
 // QueryCounts snapshots the per-shard query counters.
 func (e *Engine) QueryCounts() []int64 {

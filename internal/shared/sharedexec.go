@@ -90,14 +90,10 @@ func (s *Optimizer) runSharedGroup(ctx context.Context, queries []*plan.Query, g
 	// sink merges per-worker partials), and the per-query readout
 	// pipelines — independent in the pipeline DAG — run concurrently
 	// once their grouping table's build finishes.
+	par := s.Single.Opts.Parallelism
+	par.Ctx = ctx
 	t0 := time.Now()
-	runErr := exec.RunParallel(g.pipelines, exec.Parallelism{
-		Workers:         s.Single.Opts.Parallelism,
-		MorselRows:      s.Single.Opts.MorselRows,
-		SerialPipelines: s.Single.Opts.SerialPipelines,
-		NoSteal:         s.Single.Opts.NoSteal,
-		Ctx:             ctx,
-	})
+	runErr := exec.RunParallel(g.pipelines, par)
 	elapsed := time.Since(t0)
 	if runErr != nil {
 		// A contained panic while the shared plan probed cached

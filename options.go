@@ -1,10 +1,51 @@
 package hashstash
 
-// Grouped configuration. The 20+ single-purpose With* options grew one
-// per PR; new code configures Open with two structs — Tuning (capacity
-// and execution sizing) and Ablations (paper-experiment feature
-// switches) — and the old options remain as thin deprecated wrappers.
-// See ARCHITECTURE.md for the migration table.
+import "hashstash/internal/costmodel"
+
+// Option configures Open.
+type Option func(*config)
+
+// config is what the options add up to: the two public structs held
+// whole, plus the choices that are not sizing or ablation switches.
+type config struct {
+	tuning      Tuning
+	ablations   Ablations
+	strategy    Strategy
+	engine      Engine
+	calibration *costmodel.Calibration
+	// partKeys are the declared (table, column) partition keys in
+	// declaration order; a later declaration for the same table wins.
+	partKeys [][2]string
+}
+
+// merge overwrites *dst with src unless src is the zero value — the
+// "set fields apply, unset fields leave what is there" rule of
+// WithTuning and WithAblations.
+func merge[T comparable](dst *T, src T) {
+	var zero T
+	if src != zero {
+		*dst = src
+	}
+}
+
+// WithStrategy selects the reuse decision strategy.
+func WithStrategy(s Strategy) Option { return func(c *config) { c.strategy = s } }
+
+// WithEngine selects the execution engine.
+func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
+
+// WithCalibration installs a host-specific cost calibration (see the
+// hscalibrate tool); the default is a generic x86 profile.
+func WithCalibration(cal *costmodel.Calibration) Option {
+	return func(c *config) { c.calibration = cal }
+}
+
+// WithPartitionKey declares, before data loads, that table is
+// hash-partitioned by column when Tuning.Shards > 1. Tables without a
+// declared key are replicated to every shard.
+func WithPartitionKey(table, column string) Option {
+	return func(c *config) { c.partKeys = append(c.partKeys, [2]string{table, column}) }
+}
 
 // Tuning groups the capacity and execution-sizing knobs. Zero values
 // leave the engine defaults untouched, so partial literals compose:
@@ -16,8 +57,11 @@ package hashstash
 type Tuning struct {
 	// CacheBudget bounds the hash-table cache in bytes (0 = unlimited).
 	CacheBudget int64
-	// ColdTierBudget bounds the compact cold tier in bytes (0 = cold
-	// tier disabled).
+	// ColdTierBudget bounds the compact cold tier in bytes: artifacts
+	// evicted from the hot cache are demoted to a pointer-free spill
+	// format and revived instead of rebuilt when the cost model says
+	// revival is cheaper. 0 disables the cold tier, as does
+	// Ablations.LRUEviction.
 	ColdTierBudget int64
 	// IndexBuildBudget caps the total bytes of lazily built secondary
 	// indexes (0 = unlimited).
@@ -30,8 +74,12 @@ type Tuning struct {
 	// RehashBudget caps chain nodes per bucket-maintenance pass (0 =
 	// hashtable default).
 	RehashBudget int
-	// Shards partitions the engine into n locality domains (<= 1 keeps
-	// the single-domain engine).
+	// Shards partitions the engine into n locality domains, each with
+	// its own catalog fragment, cache (an equal share of the byte
+	// budgets) and scheduler workers; <= 1 is one shard holding every
+	// table whole. Tables with a WithPartitionKey declaration split by
+	// key hash, the rest replicate. Applies to EngineHashStash; the
+	// baseline engines always run one shard.
 	Shards int
 	// SoftMemoryLimit is the memory governor's soft watermark (bytes):
 	// above it the engine sheds cache, vetoes new index builds and the
@@ -47,33 +95,16 @@ type Tuning struct {
 // other options; later options win on overlap.
 func WithTuning(t Tuning) Option {
 	return func(c *config) {
-		if t.CacheBudget != 0 {
-			c.budget = t.CacheBudget
-		}
-		if t.ColdTierBudget != 0 {
-			c.coldBudget = t.ColdTierBudget
-		}
-		if t.IndexBuildBudget != 0 {
-			c.indexBudget = t.IndexBuildBudget
-		}
-		if t.Parallelism != 0 {
-			c.parallelism = t.Parallelism
-		}
-		if t.MorselRows != 0 {
-			c.morselRows = t.MorselRows
-		}
-		if t.RehashBudget != 0 {
-			c.rehashBudget = t.RehashBudget
-		}
-		if t.Shards != 0 {
-			c.shards = t.Shards
-		}
-		if t.SoftMemoryLimit != 0 {
-			c.memSoft = t.SoftMemoryLimit
-		}
-		if t.HardMemoryLimit != 0 {
-			c.memHard = t.HardMemoryLimit
-		}
+		d := &c.tuning
+		merge(&d.CacheBudget, t.CacheBudget)
+		merge(&d.ColdTierBudget, t.ColdTierBudget)
+		merge(&d.IndexBuildBudget, t.IndexBuildBudget)
+		merge(&d.Parallelism, t.Parallelism)
+		merge(&d.MorselRows, t.MorselRows)
+		merge(&d.RehashBudget, t.RehashBudget)
+		merge(&d.Shards, t.Shards)
+		merge(&d.SoftMemoryLimit, t.SoftMemoryLimit)
+		merge(&d.HardMemoryLimit, t.HardMemoryLimit)
 	}
 }
 
@@ -116,32 +147,15 @@ type Ablations struct {
 // features enabled).
 func WithAblations(a Ablations) Option {
 	return func(c *config) {
-		if a.LRUEviction {
-			c.lruEviction = true
-		}
-		if a.NoBenefitOptimizations {
-			c.benefit = false
-		}
-		if a.NoPartialReuse {
-			c.partial = false
-		}
-		if a.NoOverlappingReuse {
-			c.overlapping = false
-		}
-		if a.NoInterPipelineParallelism {
-			c.serialPipelines = true
-		}
-		if a.NoWorkStealing {
-			c.noSteal = true
-		}
-		if a.NoBucketRehash {
-			c.noBucketRehash = true
-		}
-		if a.NoSecondaryIndexes {
-			c.noSecondaryIdx = true
-		}
-		if a.Faults != "" {
-			c.faults = a.Faults
-		}
+		d := &c.ablations
+		merge(&d.LRUEviction, a.LRUEviction)
+		merge(&d.NoBenefitOptimizations, a.NoBenefitOptimizations)
+		merge(&d.NoPartialReuse, a.NoPartialReuse)
+		merge(&d.NoOverlappingReuse, a.NoOverlappingReuse)
+		merge(&d.NoInterPipelineParallelism, a.NoInterPipelineParallelism)
+		merge(&d.NoWorkStealing, a.NoWorkStealing)
+		merge(&d.NoBucketRehash, a.NoBucketRehash)
+		merge(&d.NoSecondaryIndexes, a.NoSecondaryIndexes)
+		merge(&d.Faults, a.Faults)
 	}
 }

@@ -33,8 +33,8 @@ func parallelQueries() []string {
 // workers and a 4-worker pool over small morsels — and compares
 // canonicalized results query by query.
 func TestParallelExecMatchesSerial(t *testing.T) {
-	serial := openTPCH(t, WithParallelism(1))
-	parallel := openTPCH(t, WithParallelism(4), WithMorselRows(256))
+	serial := openTPCH(t, WithTuning(Tuning{Parallelism: 1}))
+	parallel := openTPCH(t, WithTuning(Tuning{Parallelism: 4, MorselRows: 256}))
 	for i, q := range parallelQueries() {
 		sres, err := serial.Exec(q)
 		if err != nil {
@@ -66,7 +66,7 @@ func TestConcurrentExecGolden(t *testing.T) {
 	queries := parallelQueries()
 
 	// Goldens from a fresh serial engine, one query at a time.
-	goldenDB := openTPCH(t, WithParallelism(1))
+	goldenDB := openTPCH(t, WithTuning(Tuning{Parallelism: 1}))
 	goldens := make([][]string, len(queries))
 	for i, q := range queries {
 		res, err := goldenDB.Exec(q)
@@ -76,7 +76,7 @@ func TestConcurrentExecGolden(t *testing.T) {
 		goldens[i] = canonical(res)
 	}
 
-	db := openTPCH(t, WithParallelism(4), WithMorselRows(256))
+	db := openTPCH(t, WithTuning(Tuning{Parallelism: 4, MorselRows: 256}))
 	const workers = 8
 	const rounds = 6
 	var wg sync.WaitGroup
@@ -123,7 +123,7 @@ func TestConcurrentExecGolden(t *testing.T) {
 // would crash or corrupt a probe).
 func TestConcurrentExecUnderGCPressure(t *testing.T) {
 	queries := parallelQueries()
-	db := openTPCH(t, WithParallelism(2), WithMorselRows(256), WithCacheBudget(64*1024))
+	db := openTPCH(t, WithTuning(Tuning{Parallelism: 2, MorselRows: 256, CacheBudget: 64 * 1024}))
 	var wg sync.WaitGroup
 	errCh := make(chan error, 8)
 	for w := 0; w < 8; w++ {
@@ -202,7 +202,7 @@ func TestConcurrentMaterializedBaseline(t *testing.T) {
 // tables, so they too run concurrently).
 func TestConcurrentExecBatch(t *testing.T) {
 	queries := parallelQueries()
-	db := openTPCH(t, WithParallelism(2), WithMorselRows(256))
+	db := openTPCH(t, WithTuning(Tuning{Parallelism: 2, MorselRows: 256}))
 	var wg sync.WaitGroup
 	errCh := make(chan error, 4)
 	for w := 0; w < 4; w++ {

@@ -41,8 +41,8 @@ func TestScheduledBatchMatchesSerial(t *testing.T) {
 		 FROM lineitem l WHERE l.l_shipdate >= DATE '1994-06-01'
 		 GROUP BY l.l_linenumber`,
 	}
-	serial := openTPCH(t, WithParallelism(1))
-	scheduled := openTPCH(t, WithParallelism(4), WithMorselRows(512))
+	serial := openTPCH(t, WithTuning(Tuning{Parallelism: 1}))
+	scheduled := openTPCH(t, WithTuning(Tuning{Parallelism: 4, MorselRows: 512}))
 	for round := 0; round < 2; round++ {
 		sres, err := serial.ExecBatch(batch)
 		if err != nil {
@@ -66,8 +66,8 @@ func TestScheduledBatchMatchesSerial(t *testing.T) {
 // temp tables (rebuild-from-spill pipelines).
 func TestScheduledMatreuseMatchesSerial(t *testing.T) {
 	queries := parallelQueries()
-	serial := openTPCH(t, WithEngine(EngineMaterialized), WithParallelism(1))
-	scheduled := openTPCH(t, WithEngine(EngineMaterialized), WithParallelism(4), WithMorselRows(512))
+	serial := openTPCH(t, WithEngine(EngineMaterialized), WithTuning(Tuning{Parallelism: 1}))
+	scheduled := openTPCH(t, WithEngine(EngineMaterialized), WithTuning(Tuning{Parallelism: 4, MorselRows: 512}))
 	for round := 0; round < 2; round++ {
 		for i, q := range queries {
 			sres, err := serial.Exec(q)
@@ -90,7 +90,7 @@ func TestScheduledMatreuseMatchesSerial(t *testing.T) {
 // no stealing — change scheduling, never results.
 func TestSchedulerKnobsGolden(t *testing.T) {
 	queries := parallelQueries()
-	golden := openTPCH(t, WithParallelism(1))
+	golden := openTPCH(t, WithTuning(Tuning{Parallelism: 1}))
 	goldens := make([]*Result, len(queries))
 	for i, q := range queries {
 		res, err := golden.Exec(q)
@@ -103,9 +103,9 @@ func TestSchedulerKnobsGolden(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"serialPipelines", []Option{WithParallelism(4), WithMorselRows(512), WithoutInterPipelineParallelism()}},
-		{"noSteal", []Option{WithParallelism(4), WithMorselRows(512), WithoutWorkStealing()}},
-		{"both", []Option{WithParallelism(4), WithMorselRows(512), WithoutInterPipelineParallelism(), WithoutWorkStealing()}},
+		{"serialPipelines", []Option{WithTuning(Tuning{Parallelism: 4, MorselRows: 512}), WithAblations(Ablations{NoInterPipelineParallelism: true})}},
+		{"noSteal", []Option{WithTuning(Tuning{Parallelism: 4, MorselRows: 512}), WithAblations(Ablations{NoWorkStealing: true})}},
+		{"both", []Option{WithTuning(Tuning{Parallelism: 4, MorselRows: 512}), WithAblations(Ablations{NoInterPipelineParallelism: true, NoWorkStealing: true})}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			db := openTPCH(t, tc.opts...)

@@ -37,10 +37,10 @@ func BenchmarkPartitionKernel(b *testing.B) {
 // customer key, lineitem on its own order key).
 func benchShardedDB(b *testing.B, shards, workers int) *DB {
 	b.Helper()
-	opts := []Option{WithParallelism(workers), WithMorselRows(16 * 1024)}
+	opts := []Option{WithTuning(Tuning{Parallelism: workers, MorselRows: 16 * 1024})}
 	if shards > 1 {
 		opts = append(opts,
-			WithShards(shards),
+			WithTuning(Tuning{Shards: shards}),
 			WithPartitionKey("customer", "c_custkey"),
 			WithPartitionKey("orders", "o_custkey"),
 			WithPartitionKey("lineitem", "l_orderkey"))

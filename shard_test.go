@@ -28,7 +28,7 @@ func tpchPartitionKeys() []Option {
 
 func openShardedTPCH(t *testing.T, shards int, opts ...Option) *DB {
 	t.Helper()
-	all := append([]Option{WithShards(shards)}, tpchPartitionKeys()...)
+	all := append([]Option{WithTuning(Tuning{Shards: shards})}, tpchPartitionKeys()...)
 	all = append(all, opts...)
 	return openTPCH(t, all...)
 }
@@ -237,7 +237,7 @@ func TestShardedRouting(t *testing.T) {
 // fragments received rows — the other shards' caches stay warm.
 func TestShardedInsertInvalidation(t *testing.T) {
 	const shards = 4
-	db := Open(WithShards(shards), WithPartitionKey("pt", "k"))
+	db := Open(WithTuning(Tuning{Shards: shards}), WithPartitionKey("pt", "k"))
 	if err := db.CreateTable("pt", map[string]Kind{"k": types.Int64, "g": types.Int64, "v": types.Float64}, []string{"k", "g", "v"}); err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestShardedConcurrentStorm(t *testing.T) {
 // TestShardedPostHocPartition: PartitionTable re-keys a loaded table;
 // queries still answer correctly and a point query routes afterwards.
 func TestShardedPostHocPartition(t *testing.T) {
-	db := Open(WithShards(4)) // no declared keys: everything replicated
+	db := Open(WithTuning(Tuning{Shards: 4})) // no declared keys: everything replicated
 	if err := db.LoadTPCH(0.002); err != nil {
 		t.Fatal(err)
 	}
@@ -396,12 +396,23 @@ func TestShardedPostHocPartition(t *testing.T) {
 	}
 	assertSameRows(t, "post-hoc", got, want)
 
-	// Unsharded DBs answer the shard observability calls harmlessly.
+	// A one-shard database is a router of one: the observability calls
+	// report its single shard, every query (an EngineMaterialized one
+	// aside) advances that shard's counter by one, and there is nothing
+	// to partition across.
 	un := openTPCH(t)
-	if un.Shards() != 1 || un.ShardQueryCounts() != nil || len(un.ShardCacheStats()) != 1 {
-		t.Fatal("unsharded shard-observability defaults wrong")
+	if un.Shards() != 1 || len(un.ShardCacheStats()) != 1 {
+		t.Fatal("one-shard shard-observability defaults wrong")
+	}
+	for i := int64(0); i < 3; i++ {
+		if c := un.ShardQueryCounts(); len(c) != 1 || c[0] != i {
+			t.Fatalf("one-shard query counts after %d queries: %v", i, c)
+		}
+		if _, err := un.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := un.PartitionTable("customer", "c_custkey"); err == nil {
-		t.Fatal("PartitionTable must require WithShards")
+		t.Fatal("PartitionTable must require more than one shard")
 	}
 }

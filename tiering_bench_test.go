@@ -85,9 +85,9 @@ func TestBenefitBeatsLRU(t *testing.T) {
 		}
 		return db
 	}
-	benefit := open(WithCacheBudget(budget), WithColdTierBudget(budget*4))
+	benefit := open(WithTuning(Tuning{CacheBudget: budget, ColdTierBudget: budget * 4}))
 	benefitCost := runSteps(t, benefit, steps)
-	lru := open(WithCacheBudget(budget), WithLRUEviction())
+	lru := open(WithTuning(Tuning{CacheBudget: budget}), WithAblations(Ablations{LRUEviction: true}))
 	lruCost := runSteps(t, lru, steps)
 
 	bs, ls := benefit.CacheStats(), lru.CacheStats()
@@ -158,8 +158,8 @@ func BenchmarkCacheTiering(b *testing.B) {
 		name string
 		opts []Option
 	}{
-		{"policy=benefit", []Option{WithCacheBudget(budget), WithColdTierBudget(budget * 4)}},
-		{"policy=lru", []Option{WithCacheBudget(budget), WithLRUEviction()}},
+		{"policy=benefit", []Option{WithTuning(Tuning{CacheBudget: budget, ColdTierBudget: budget * 4})}},
+		{"policy=lru", []Option{WithTuning(Tuning{CacheBudget: budget}), WithAblations(Ablations{LRUEviction: true})}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			var last CacheStats
