@@ -43,22 +43,35 @@ func NewBox(preds ...Pred) Box {
 }
 
 func (b Box) sort() {
-	sort.Slice(b, func(i, j int) bool {
-		if b[i].Col.Table != b[j].Col.Table {
-			return b[i].Col.Table < b[j].Col.Table
-		}
-		return b[i].Col.Column < b[j].Col.Column
-	})
+	sort.Slice(b, func(i, j int) bool { return compareCols(b[i].Col, b[j].Col) < 0 })
 }
 
 // Constraint returns the constraint on col and whether one exists.
 func (b Box) Constraint(col storage.ColRef) (Constraint, bool) {
-	for _, p := range b {
-		if p.Col == col {
-			return p.Con, true
-		}
+	if c := b.ConstraintRef(col); c != nil {
+		return *c, true
 	}
 	return Constraint{}, false
+}
+
+// ConstraintRef returns a pointer to the box's constraint on col, or nil
+// — Constraint without copying it. The pointee is the box's own.
+func (b Box) ConstraintRef(col storage.ColRef) *Constraint {
+	for i := range b {
+		if b[i].Col == col {
+			return &b[i].Con
+		}
+	}
+	return nil
+}
+
+// compareCols is the column order of normalized boxes (by table, then
+// column); Intersects' merge walk relies on it.
+func compareCols(a, b storage.ColRef) int {
+	if c := strings.Compare(a.Table, b.Table); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Column, b.Column)
 }
 
 // Columns returns the constrained column references in canonical order.
@@ -72,8 +85,8 @@ func (b Box) Columns() []storage.ColRef {
 
 // Empty reports whether the box matches no tuples.
 func (b Box) Empty() bool {
-	for _, p := range b {
-		if p.Con.Empty() {
+	for i := range b {
+		if b[i].Con.isEmpty() {
 			return true
 		}
 	}
@@ -89,7 +102,7 @@ func (b Box) Equal(o Box) bool {
 		return false
 	}
 	for i := range b {
-		if b[i].Col != o[i].Col || !b[i].Con.Equal(o[i].Con) {
+		if b[i].Col != o[i].Col || !b[i].Con.equal(&o[i].Con) {
 			return false
 		}
 	}
@@ -102,9 +115,10 @@ func (b Box) Covers(o Box) bool {
 	if o.Empty() {
 		return true
 	}
-	for _, p := range b {
-		oc, ok := o.Constraint(p.Col)
-		if !ok {
+	for i := range b {
+		p := &b[i]
+		oc := o.ConstraintRef(p.Col)
+		if oc == nil {
 			// b restricts a column o leaves free: b can only cover o if
 			// b's constraint is in fact the full domain.
 			if p.Con.IsFull() {
@@ -112,7 +126,7 @@ func (b Box) Covers(o Box) bool {
 			}
 			return false
 		}
-		if !p.Con.Covers(oc) {
+		if !p.Con.covers(oc) {
 			return false
 		}
 	}
@@ -127,8 +141,44 @@ func (b Box) Intersect(o Box) Box {
 	return NewBox(preds...)
 }
 
-// Intersects reports whether some tuple satisfies both boxes.
-func (b Box) Intersects(o Box) bool { return !b.Intersect(o).Empty() }
+// Intersects reports whether some tuple satisfies both boxes — exactly
+// !b.Intersect(o).Empty(), decided by a merge walk over the two
+// normalized (column-sorted) boxes that tests each shared column's
+// intersection in place instead of building the intersected box.
+func (b Box) Intersects(o Box) bool {
+	i, j := 0, 0
+	for i < len(b) && j < len(o) {
+		switch c := compareCols(b[i].Col, o[j].Col); {
+		case c < 0:
+			if b[i].Con.isEmpty() {
+				return false
+			}
+			i++
+		case c > 0:
+			if o[j].Con.isEmpty() {
+				return false
+			}
+			j++
+		default:
+			if !b[i].Con.overlaps(&o[j].Con) {
+				return false
+			}
+			i++
+			j++
+		}
+	}
+	for ; i < len(b); i++ {
+		if b[i].Con.isEmpty() {
+			return false
+		}
+	}
+	for ; j < len(o); j++ {
+		if o[j].Con.isEmpty() {
+			return false
+		}
+	}
+	return true
+}
 
 // Difference returns b \ o as a list of disjoint boxes, plus whether the
 // residual is expressible in the box algebra. The standard axis-sweep:
@@ -271,6 +321,14 @@ func Classify(candidate, request Box) Relation {
 		return RelOverlapping
 	}
 	return RelDisjoint
+}
+
+// Disjoint reports Classify(candidate, request) == RelDisjoint, testing
+// the usually decisive intersection first so a candidate that shares
+// tuples with the request costs one merge walk.
+func Disjoint(candidate, request Box) bool {
+	return !candidate.Intersects(request) && !candidate.Equal(request) &&
+		!candidate.Covers(request) && !request.Covers(candidate)
 }
 
 // String renders the box as a conjunction.

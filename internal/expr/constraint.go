@@ -10,6 +10,7 @@ package expr
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -152,7 +153,34 @@ func (iv Interval) Intersect(o Interval) Interval {
 }
 
 // Intersects reports whether iv ∩ o is non-empty.
-func (iv Interval) Intersects(o Interval) bool { return !iv.Intersect(o).Empty() }
+func (iv Interval) Intersects(o Interval) bool { return iv.overlaps(&o) }
+
+// overlaps is Intersects without building the intersection: it picks the
+// tighter bound on each side exactly as Intersect does and applies
+// Empty's test to the pair, referring to the operands' bounds in place.
+func (iv *Interval) overlaps(o *Interval) bool {
+	hasLo, lo, loIncl := iv.HasLo, &iv.Lo, iv.LoIncl
+	if o.HasLo {
+		if !hasLo {
+			hasLo, lo, loIncl = true, &o.Lo, o.LoIncl
+		} else if c := o.Lo.Compare(*lo); c > 0 || (c == 0 && !o.LoIncl) {
+			lo, loIncl = &o.Lo, o.LoIncl
+		}
+	}
+	hasHi, hi, hiIncl := iv.HasHi, &iv.Hi, iv.HiIncl
+	if o.HasHi {
+		if !hasHi {
+			hasHi, hi, hiIncl = true, &o.Hi, o.HiIncl
+		} else if c := o.Hi.Compare(*hi); c < 0 || (c == 0 && !o.HiIncl) {
+			hi, hiIncl = &o.Hi, o.HiIncl
+		}
+	}
+	if !hasLo || !hasHi {
+		return true
+	}
+	c := lo.Compare(*hi)
+	return c < 0 || (c == 0 && loIncl && hiIncl)
+}
 
 // Difference returns iv \ o as up to two disjoint intervals.
 func (iv Interval) Difference(o Interval) []Interval {
@@ -417,29 +445,27 @@ func (c Constraint) IsFull() bool {
 }
 
 // Equal reports set equality of two constraints over the same column.
-func (c Constraint) Equal(o Constraint) bool {
+func (c Constraint) Equal(o Constraint) bool { return c.equal(&o) }
+
+// equal is Equal on pointers (the box algebra's form: no copies).
+func (c *Constraint) equal(o *Constraint) bool {
 	if c.Kind != o.Kind {
 		return false
 	}
 	if c.Kind == types.String {
-		if len(c.Set) != len(o.Set) {
-			return false
-		}
-		for i := range c.Set {
-			if c.Set[i] != o.Set[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(c.Set, o.Set)
 	}
 	return c.Iv.Equal(o.Iv)
 }
 
 // Covers reports whether c ⊇ o as sets.
-func (c Constraint) Covers(o Constraint) bool {
+func (c Constraint) Covers(o Constraint) bool { return c.covers(&o) }
+
+// covers is Covers on pointers.
+func (c *Constraint) covers(o *Constraint) bool {
 	if c.Kind == types.String {
 		for _, s := range o.Set {
-			if !c.MatchString(s) {
+			if _, found := slices.BinarySearch(c.Set, s); !found {
 				return false
 			}
 		}
@@ -463,7 +489,29 @@ func (c Constraint) Intersect(o Constraint) Constraint {
 }
 
 // Intersects reports whether c ∩ o is non-empty.
-func (c Constraint) Intersects(o Constraint) bool { return !c.Intersect(o).Empty() }
+func (c Constraint) Intersects(o Constraint) bool { return c.overlaps(&o) }
+
+// overlaps is Intersects on pointers, without building the intersection:
+// c's kind decides the representation, exactly as in Intersect.
+func (c *Constraint) overlaps(o *Constraint) bool {
+	if c.Kind == types.String {
+		for _, s := range c.Set {
+			if _, found := slices.BinarySearch(o.Set, s); found {
+				return true
+			}
+		}
+		return false
+	}
+	return c.Iv.overlaps(&o.Iv)
+}
+
+// isEmpty is Empty on a pointer (no copy of the constraint).
+func (c *Constraint) isEmpty() bool {
+	if c.Kind == types.String {
+		return len(c.Set) == 0
+	}
+	return c.Iv.Empty()
+}
 
 // Difference returns c \ o as zero or more disjoint constraints.
 func (c Constraint) Difference(o Constraint) []Constraint {

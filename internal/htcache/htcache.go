@@ -34,7 +34,7 @@ package htcache
 import (
 	"fmt"
 	"math"
-	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -112,18 +112,35 @@ type Lineage struct {
 // StructKey returns the structural grouping key: everything that must
 // match exactly before predicate classification makes sense.
 func (l Lineage) StructKey() string {
+	n := len(l.JoinSig) + 8
+	for _, r := range l.KeyCols {
+		n += len(r.Table) + len(r.Column) + 2
+	}
+	for _, r := range l.GroupBy {
+		n += len(r.Table) + len(r.Column) + 2
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%s|", l.Kind, l.JoinSig)
-	for _, k := range l.KeyCols {
-		b.WriteString(k.String())
-		b.WriteByte(',')
-	}
+	b.Grow(n) // the key's one allocation
+	b.WriteString(strconv.Itoa(int(l.Kind)))
 	b.WriteByte('|')
-	for _, g := range l.GroupBy {
-		b.WriteString(g.String())
+	b.WriteString(l.JoinSig)
+	b.WriteByte('|')
+	writeRefs(&b, l.KeyCols)
+	b.WriteByte('|')
+	writeRefs(&b, l.GroupBy)
+	return b.String()
+}
+
+// writeRefs writes "ref," per column reference (ColRef.String form).
+func writeRefs(b *strings.Builder, refs []storage.ColRef) {
+	for _, r := range refs {
+		if r.Table != "" {
+			b.WriteString(r.Table)
+			b.WriteByte('.')
+		}
+		b.WriteString(r.Column)
 		b.WriteByte(',')
 	}
-	return b.String()
 }
 
 // Snapshot is one immutable published version of a cached table: a
@@ -167,6 +184,12 @@ func (s *Snapshot) Reclaimed() bool { return s.reclaimed.Load() }
 type Entry struct {
 	ID      int64
 	Lineage Lineage
+
+	// key is Lineage.StructKey(), computed once at registration; slot
+	// is where the candidate index holds the entry while it is hot
+	// (index.go). Both are guarded by the cache mutex.
+	key  string
+	slot slot
 
 	// cur is the atomically-published current snapshot.
 	cur atomic.Pointer[Snapshot]
@@ -312,7 +335,8 @@ type Cache struct {
 
 	mu         sync.RWMutex
 	entries    map[int64]*Entry
-	byStruct   map[string][]*Entry
+	byStruct   map[string]*bucket // hot entries by structural key, indexed (index.go)
+	byKind     map[kindSig][]*bucket
 	nextID     int64
 	clock      int64
 	hits       int64
@@ -360,6 +384,7 @@ type Cache struct {
 	policy       Policy
 	coldBudget   int64
 	cold         map[int64]*coldEntry
+	coldBy       map[string][]*coldEntry // cold entries by structural key
 	coldBytes    int64
 	pendingSpill int
 	hotBytes     int64
@@ -411,9 +436,11 @@ func New(budget int64) *Cache {
 	return &Cache{
 		Budget:   budget,
 		entries:  make(map[int64]*Entry),
-		byStruct: make(map[string][]*Entry),
+		byStruct: make(map[string]*bucket),
+		byKind:   make(map[kindSig][]*bucket),
 		readers:  make(map[*Reader]struct{}),
 		cold:     make(map[int64]*coldEntry),
+		coldBy:   make(map[string][]*coldEntry),
 		strikes:  make(map[string]*strikeRec),
 	}
 }
@@ -510,28 +537,36 @@ func (c *Cache) minReaderEpochLocked() int64 {
 // until Release — a table being built must not be evicted mid-query —
 // and stays invisible to Candidates until then (Release publishes it).
 func (c *Cache) Register(ht *hashtable.Table, lin Lineage) *Entry {
+	key := lin.StructKey()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	e := c.admitLocked(lin, key, &Snapshot{HT: ht, Filter: lin.Filter, Version: 1}, ht.ByteSize())
+	c.gcLocked()
+	return e
+}
+
+// admitLocked lists a new pinned, unready entry with its first snapshot
+// — the half of Register and RegisterIndex common to both kinds.
+func (c *Cache) admitLocked(lin Lineage, key string, snap *Snapshot, bytes int64) *Entry {
 	e := &Entry{
 		ID:       c.nextID,
 		Lineage:  lin,
+		key:      key,
 		LastUsed: c.tick(),
 		Pins:     1,
-		Bytes:    ht.ByteSize(),
+		Bytes:    bytes,
 	}
-	e.cur.Store(&Snapshot{HT: ht, Filter: lin.Filter, Version: 1})
+	e.cur.Store(snap)
 	c.nextID++
 	c.entries[e.ID] = e
-	key := lin.StructKey()
 	if _, struck := c.strikes[key]; struck {
 		// Struck lineage: the build proceeds (the query needs its own
 		// table) but the artifact will never publish — Release drops it.
 		e.quarantined = true
 	}
-	c.byStruct[key] = append(c.byStruct[key], e)
+	c.indexLocked(e)
 	c.hotBytes += e.Bytes
 	c.registered++
-	c.gcLocked()
 	return e
 }
 
@@ -556,26 +591,11 @@ func IndexLineage(col storage.ColRef) Lineage {
 // any other entry.
 func (c *Cache) RegisterIndex(tree *btree.Tree, col storage.ColRef) *Entry {
 	lin := IndexLineage(col)
+	key := lin.StructKey()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := &Entry{
-		ID:       c.nextID,
-		Lineage:  lin,
-		LastUsed: c.tick(),
-		Pins:     1,
-		Bytes:    tree.ByteSize(),
-	}
-	e.cur.Store(&Snapshot{Idx: tree, Filter: lin.Filter, Version: 1})
-	c.nextID++
-	c.entries[e.ID] = e
-	key := lin.StructKey()
-	if _, struck := c.strikes[key]; struck {
-		e.quarantined = true
-	}
-	c.byStruct[key] = append(c.byStruct[key], e)
-	c.hotBytes += e.Bytes
+	e := c.admitLocked(lin, key, &Snapshot{Idx: tree, Filter: lin.Filter, Version: 1}, tree.ByteSize())
 	c.idxBytes += e.Bytes
-	c.registered++
 	c.idxBuilds++
 	c.gcLocked()
 	return e
@@ -693,14 +713,14 @@ func (c *Cache) PublishWidened(e *Entry, prev *Snapshot, ht *hashtable.Table, fi
 	}
 	ht.Freeze()
 	next := &Snapshot{HT: ht, Filter: filter, Version: prev.Version + 1}
-	if !e.cur.CompareAndSwap(prev, next) {
-		c.mu.Lock()
-		c.widenLost++
-		c.mu.Unlock()
-		return false
-	}
+	// The swap happens under the lock so the candidate index re-keys the
+	// entry atomically with the filter change.
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if !e.cur.CompareAndSwap(prev, next) {
+		c.widenLost++
+		return false
+	}
 	c.widenPub++
 	ms := ht.MaintStats()
 	c.maint.RehashedBuckets += ms.RehashedBuckets
@@ -714,53 +734,17 @@ func (c *Cache) PublishWidened(e *Entry, prev *Snapshot, ht *hashtable.Table, fi
 		// reader, so the pending artifact was never spilled and the CAS
 		// above found prev intact). The widening proves the entry hot:
 		// relist it with the successor instead of letting it spill.
-		c.relistLocked(ce, e.cur.Load())
+		c.relistLocked(ce, next)
+	} else if _, hot := c.entries[e.ID]; hot {
+		b := c.byStruct[e.key]
+		b.unplace(e)
+		b.place(e) // re-key under the widened filter
 	}
 	c.setEntryBytesLocked(e, ht.ByteSize())
 	e.LastUsed = c.tick()
 	c.retireLocked(prev, e)
 	c.gcLocked()
 	return true
-}
-
-// Candidates returns published cached entries whose structure matches
-// the lineage probe (kind, join signature, key columns, group-by), most
-// recently used first. Predicate classification is the caller's job —
-// against a snapshot resolved once via Current.
-func (c *Cache) Candidates(probe Lineage) []*Entry {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	list := c.byStruct[probe.StructKey()]
-	out := make([]*Entry, 0, len(list))
-	for _, e := range list {
-		if e.ready {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].LastUsed > out[j].LastUsed })
-	return out
-}
-
-// CandidatesByKind returns all published entries of a kind over the
-// given join signature regardless of keys/grouping — used for the
-// aggregate "group-by subset" exact-reuse extension, where the cached
-// table's group-by may be a superset of the request's.
-func (c *Cache) CandidatesByKind(kind Kind, joinSig string) []*Entry {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []*Entry
-	for _, e := range c.entries {
-		if e.ready && e.Lineage.Kind == kind && e.Lineage.JoinSig == joinSig {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].LastUsed != out[j].LastUsed {
-			return out[i].LastUsed > out[j].LastUsed
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
 }
 
 // Pin marks an entry in use (reused by a plan) and counts the hit. A
@@ -828,11 +812,10 @@ func (c *Cache) Release(e *Entry) {
 func (c *Cache) Quarantine(e *Entry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := e.Lineage.StructKey()
-	rec := c.strikes[key]
+	rec := c.strikes[e.key]
 	if rec == nil {
 		rec = &strikeRec{tables: append([]string(nil), e.Lineage.Tables...)}
-		c.strikes[key] = rec
+		c.strikes[e.key] = rec
 	}
 	rec.count++
 	c.quarantines++
@@ -1068,7 +1051,7 @@ func (c *Cache) evict(e *Entry) {
 }
 
 // unlistLocked removes the entry from the hot registry (entries map,
-// structural index, byte counters) without touching its artifact —
+// candidate index, byte counters) without touching its artifact —
 // shared by eviction and by demotion to the cold tier.
 func (c *Cache) unlistLocked(e *Entry) {
 	delete(c.entries, e.ID)
@@ -1076,17 +1059,7 @@ func (c *Cache) unlistLocked(e *Entry) {
 	if e.Lineage.Kind == SecondaryIndex {
 		c.idxBytes -= e.Bytes
 	}
-	key := e.Lineage.StructKey()
-	list := c.byStruct[key]
-	for i, x := range list {
-		if x.ID == e.ID {
-			c.byStruct[key] = append(list[:i], list[i+1:]...)
-			break
-		}
-	}
-	if len(c.byStruct[key]) == 0 {
-		delete(c.byStruct, key)
-	}
+	c.unindexLocked(e)
 }
 
 // Evict removes a specific entry (used by tests and administrative

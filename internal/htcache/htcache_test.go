@@ -94,10 +94,13 @@ func TestCandidatesStructuralFiltering(t *testing.T) {
 	if got := c.Candidates(agg); len(got) != 1 || got[0] != e3 {
 		t.Errorf("agg candidates = %v", got)
 	}
-	if got := c.CandidatesByKind(Aggregate, "orders|"); len(got) != 1 || got[0] != e3 {
-		t.Errorf("by-kind candidates = %v", got)
+	// Roll-up lookup: e3 groups by a strict superset of nothing.
+	rollup := Lineage{Kind: Aggregate, JoinSig: "orders|"}
+	if got := c.RollupCandidates(rollup); len(got) != 1 || got[0] != e3 {
+		t.Errorf("roll-up candidates = %v", got)
 	}
-	if got := c.CandidatesByKind(SharedGrouping, "orders|"); len(got) != 0 {
+	rollup.Kind = SharedGrouping
+	if got := c.RollupCandidates(rollup); len(got) != 0 {
 		t.Errorf("unexpected shared candidates: %v", got)
 	}
 }

@@ -1,8 +1,9 @@
 package htcache
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"hashstash/internal/btree"
 	"hashstash/internal/expr"
@@ -156,6 +157,7 @@ type coldEntry struct {
 	e     *Entry
 	epoch int64 // demotion epoch; spill waits for readers before it
 	bytes int64 // what the cold tier currently accounts for this entry
+	at    int   // position in c.coldBy[e.key]
 
 	hot      *Snapshot
 	htSpill  *hashtable.Spill
@@ -188,8 +190,7 @@ func (c *Cache) demoteLocked(e *Entry) {
 		ce.rows = snap.Idx.Len()
 		ce.bloom = bloomFromTree(snap.Idx)
 	}
-	c.cold[e.ID] = ce
-	c.coldBytes += ce.bytes
+	c.listColdLocked(ce)
 	c.pendingSpill++
 	c.epoch++
 	c.demotions++
@@ -231,19 +232,45 @@ func (c *Cache) spillPendingLocked(minEpoch int64) {
 	}
 }
 
-// relistLocked returns a cold entry to the hot registry under the
-// given snapshot. Caller updates lifecycle counters.
-func (c *Cache) relistLocked(ce *coldEntry, snap *Snapshot) {
-	e := ce.e
-	delete(c.cold, e.ID)
+// listColdLocked enters a demoted entry in the cold tier and its
+// structural bucket.
+func (c *Cache) listColdLocked(ce *coldEntry) {
+	c.cold[ce.e.ID] = ce
+	c.coldBytes += ce.bytes
+	list := c.coldBy[ce.e.key]
+	ce.at = len(list)
+	c.coldBy[ce.e.key] = append(list, ce)
+}
+
+// unlistColdLocked takes an entry out of the cold tier and its bucket
+// (swap-removal via coldEntry.at).
+func (c *Cache) unlistColdLocked(ce *coldEntry) {
+	delete(c.cold, ce.e.ID)
 	c.coldBytes -= ce.bytes
 	if ce.hot != nil {
 		c.pendingSpill--
 	}
+	key := ce.e.key
+	list := c.coldBy[key]
+	last := list[len(list)-1]
+	list[ce.at] = last
+	last.at = ce.at
+	list[len(list)-1] = nil
+	if list = list[:len(list)-1]; len(list) > 0 {
+		c.coldBy[key] = list
+	} else {
+		delete(c.coldBy, key)
+	}
+}
+
+// relistLocked returns a cold entry to the hot registry under the
+// given snapshot. Caller updates lifecycle counters.
+func (c *Cache) relistLocked(ce *coldEntry, snap *Snapshot) {
+	e := ce.e
+	c.unlistColdLocked(ce)
 	e.Bytes = snap.byteSize()
 	c.entries[e.ID] = e
-	key := e.Lineage.StructKey()
-	c.byStruct[key] = append(c.byStruct[key], e)
+	c.indexLocked(e)
 	c.hotBytes += e.Bytes
 	if e.Lineage.Kind == SecondaryIndex {
 		c.idxBytes += e.Bytes
@@ -254,12 +281,10 @@ func (c *Cache) relistLocked(ce *coldEntry, snap *Snapshot) {
 // dropColdLocked removes a cold entry outright (cold-budget pressure,
 // invalidation, Clear, Abandon).
 func (c *Cache) dropColdLocked(ce *coldEntry) {
-	delete(c.cold, ce.e.ID)
-	c.coldBytes -= ce.bytes
 	if ce.hot != nil {
-		c.pendingSpill--
 		c.foldLocked(ce.hot)
 	}
+	c.unlistColdLocked(ce)
 	c.evictions++
 	c.evictedB += ce.bytes
 	c.coldEvict++
@@ -397,14 +422,12 @@ func (ca *ColdArtifact) NoteFalsePositive() { ca.c.bloomFP.Add(1) }
 // lineage probe, most recently used first. The cold counterpart of
 // Candidates; classification against Filter is the caller's job.
 func (c *Cache) ColdCandidates(probe Lineage) []*ColdArtifact {
+	key := probe.StructKey()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	key := probe.StructKey()
-	var out []*ColdArtifact
-	for _, ce := range c.cold {
-		if ce.e.Lineage.StructKey() != key {
-			continue
-		}
+	list := c.coldBy[key]
+	out := make([]*ColdArtifact, 0, len(list))
+	for _, ce := range list {
 		out = append(out, &ColdArtifact{
 			Entry:   ce.e,
 			Filter:  ce.filter,
@@ -417,12 +440,7 @@ func (c *Cache) ColdCandidates(probe Lineage) []*ColdArtifact {
 			c:       c,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Entry.LastUsed != out[j].Entry.LastUsed {
-			return out[i].Entry.LastUsed > out[j].Entry.LastUsed
-		}
-		return out[i].Entry.ID < out[j].Entry.ID
-	})
+	slices.SortFunc(out, func(a, b *ColdArtifact) int { return cmp.Compare(b.Entry.LastUsed, a.Entry.LastUsed) })
 	return out
 }
 

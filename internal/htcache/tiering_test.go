@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"hashstash/internal/expr"
 	"hashstash/internal/types"
 )
 
@@ -294,13 +295,42 @@ func stormOnce(t *testing.T) {
 		}(g)
 	}
 
-	// Registrar: replenishes the hot tier.
+	// Registrar: replenishes the hot tier, every other entry pinned to a
+	// partition key so the candidate index holds point slots.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			e := c.Register(makeHT(50+i%200), lin(int64(i)))
+			l := lin(int64(i))
+			if i%2 == 0 {
+				l.Filter = expr.NewBox(append(l.Filter, custPoint(int64(i%8)))...)
+			}
+			e := c.Register(makeHT(50+i%200), l)
 			c.Release(e)
+		}
+	}()
+
+	// Widener: re-keys point entries under ranges while point lookups
+	// run, and checks the index invariants as it goes.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters; i++ {
+			probe := lin(0)
+			probe.Filter = expr.NewBox(append(probe.Filter, custPoint(int64(i%8)))...)
+			for _, cand := range c.Candidates(probe) {
+				prev := cand.Current()
+				if prev.HT == nil {
+					continue
+				}
+				wider := expr.NewBox(append(lin(0).Filter, custRange(int64(i%8), int64(i%8+2)))...)
+				c.PublishWidened(cand, prev, makeHT(20), wider)
+				break
+			}
+			if err := checkRegistry(c); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 	}()
 
@@ -343,7 +373,11 @@ func stormOnce(t *testing.T) {
 
 	wg.Wait()
 
-	// Post-storm sanity: counters non-negative and consistent.
+	// Post-storm sanity: every hot entry in exactly one index slot,
+	// counters non-negative and consistent.
+	if err := checkRegistry(c); err != nil {
+		t.Fatal(err)
+	}
 	s := c.Stats()
 	if s.Tiering.ColdBytes < 0 || s.Bytes < 0 {
 		t.Fatalf("negative byte counters: %+v", s)

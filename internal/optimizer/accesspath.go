@@ -62,7 +62,9 @@ func (o *Optimizer) bestIndexCandidate(q *plan.Query, relIdx int, box expr.Box, 
 }
 
 // cachedIndexEntry resolves the ready cached index over a base column,
-// or nil. The snapshot is resolved once, like hash-table candidates.
+// or nil. The snapshot is resolved once, like hash-table candidates. The
+// probe carries no request box: an index covers its whole column, so no
+// request is ever disjoint from it.
 func (o *Optimizer) cachedIndexEntry(colBase storage.ColRef) (*htcache.Entry, *btree.Tree) {
 	for _, e := range o.Cache.Candidates(htcache.IndexLineage(colBase)) {
 		if snap := e.Current(); snap != nil && snap.Idx != nil {

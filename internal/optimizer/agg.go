@@ -120,23 +120,6 @@ func specsSubsetIdx(required, cached []expr.AggSpec) ([]int, bool) {
 	return idx, true
 }
 
-// refsSubset reports a ⊆ b.
-func refsSubset(a, b []storage.ColRef) bool {
-	for _, x := range a {
-		found := false
-		for _, y := range b {
-			if x == y {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
 // PlanQuery plans a full query: the SPJ part via Algorithm 1 plus, for
 // SPJA blocks, the reuse-aware aggregation decision.
 func (o *Optimizer) PlanQuery(q *plan.Query) (*Planned, error) {
@@ -166,7 +149,6 @@ func (o *Optimizer) planAggregate(q *plan.Query) (*Planned, error) {
 	groupBase := baseQualifyRefs(q, q.GroupBy)
 	reqFilter := q.BaseQualify(q.Filter)
 	fullMask := (1 << uint(len(q.Relations))) - 1
-	joinSig := q.JoinGraphSignature()
 
 	inputRows := o.maskRows(q, fullMask, q.Filter)
 	distinct := o.groupDistinct(q, inputRows)
@@ -174,9 +156,10 @@ func (o *Optimizer) planAggregate(q *plan.Query) (*Planned, error) {
 
 	probeLin := htcache.Lineage{
 		Kind:    htcache.Aggregate,
-		JoinSig: joinSig,
+		JoinSig: q.JoinGraphSignature(),
 		KeyCols: groupBase,
 		GroupBy: groupBase,
+		Filter:  probeBox(reqFilter),
 		QidCol:  -1,
 	}
 	o.historyNote(probeLin.StructKey())
@@ -217,10 +200,7 @@ func (o *Optimizer) planAggregate(q *plan.Query) (*Planned, error) {
 		}
 		// Superset-group-by candidates (RollUp): exact/subsuming filter,
 		// additive aggregates, post-aggregation on top.
-		for _, cand := range o.Cache.CandidatesByKind(htcache.Aggregate, joinSig) {
-			if len(cand.Lineage.GroupBy) <= len(groupBase) || !refsSubset(groupBase, cand.Lineage.GroupBy) {
-				continue
-			}
+		for _, cand := range o.Cache.RollupCandidates(probeLin) {
 			opt, ok := o.classifyRollupCandidate(q, cand, reqFilter, groupBase, specsBase, srcIdx, inputRows, distinct)
 			if !ok {
 				continue

@@ -27,6 +27,12 @@ type buildOption struct {
 	totalCost float64
 }
 
+// probeBox is the request box a cache lookup carries, so the cache
+// returns only candidates not provably disjoint from it. Tests swap in a
+// nil-returning func to force the full-bucket lookup and check that no
+// decision changes.
+var probeBox = func(req expr.Box) expr.Box { return req }
+
 // baseQualifyRefs translates alias-qualified refs to base-qualified.
 func baseQualifyRefs(q *plan.Query, refs []storage.ColRef) []storage.ColRef {
 	out := make([]storage.ColRef, len(refs))
@@ -246,6 +252,7 @@ func (o *Optimizer) joinBuildOptions(q *plan.Query, mask int, buildKeys []storag
 		Kind:    htcache.JoinBuild,
 		JoinSig: q.SubgraphSignature(mask),
 		KeyCols: keyBase,
+		Filter:  probeBox(reqFilter),
 		QidCol:  -1,
 	}
 	o.historyNote(probeLin.StructKey())

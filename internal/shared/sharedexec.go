@@ -322,12 +322,15 @@ func (g *groupExec) sharedLayout(n *optimizer.Node) (hashtable.Layout, error) {
 func (g *groupExec) obtainSharedJoinHT(n *optimizer.Node) (*hashtable.Table, []int, []storage.ColRef, int, error) {
 	cache := g.s.Single.Cache
 	keysBase := baseRefs(g.rep, n.BuildKeys)
+	relBoxes := g.relBoxes(n.BuildMask)
+	// A usable table covers every query's box (sharedCandidateUsable), so
+	// none is disjoint from the first one: a sound request box.
 	probeLin := htcache.Lineage{
 		Kind:    htcache.SharedJoinBuild,
 		JoinSig: g.rep.SubgraphSignature(n.BuildMask),
 		KeyCols: keysBase,
+		Filter:  relBoxes[0],
 	}
-	relBoxes := g.relBoxes(n.BuildMask)
 
 	var ht *hashtable.Table
 	qidCol := -1

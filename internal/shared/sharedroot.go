@@ -221,15 +221,18 @@ func (g *groupExec) createGroupingTable(ag *aggGroup) error {
 // structure whose content covers every query; on success it re-tags it.
 func (g *groupExec) tryReuseGrouping(ag *aggGroup) bool {
 	cache := g.s.Single.Cache
+	var boxes []expr.Box
+	for qi := range g.queries {
+		boxes = append(boxes, g.queryBoxBase(qi))
+	}
+	// A usable table covers every query's box, so none is disjoint from
+	// the first one: it is a sound request box for the lookup.
 	probeLin := htcache.Lineage{
 		Kind:    htcache.SharedGrouping,
 		JoinSig: g.rep.JoinGraphSignature(),
 		KeyCols: ag.keys,
 		GroupBy: ag.keys,
-	}
-	var boxes []expr.Box
-	for qi := range g.queries {
-		boxes = append(boxes, g.queryBoxBase(qi))
+		Filter:  boxes[0],
 	}
 	for _, cand := range cache.Candidates(probeLin) {
 		if cand.Lineage.QidCol < 0 {
