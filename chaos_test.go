@@ -116,8 +116,8 @@ func chaosEqual(got, want []string) bool {
 // classified errors, and (d) leak neither goroutines nor epoch
 // readers. Run under -race at GOMAXPROCS 1 and 4 in CI.
 func TestChaosStorm(t *testing.T) {
-	// Parallelism 4 forces the pooled scheduler even on a 1-CPU CI box
-	// (sched.dispatch is dead code on the serial path), and
+	// Parallelism 4 forces a worker pool and morsel splits even on a
+	// 1-CPU CI box, and
 	// AlwaysReuse forces the partial/overlapping reuse paths whose
 	// widened publications htcache.publish guards. The sharded config
 	// declares TPC-H partition keys so the orders-lineitem join leg is

@@ -13,7 +13,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
+	"strings"
 
 	"hashstash/internal/costmodel"
 	"hashstash/internal/experiments"
@@ -24,16 +27,19 @@ var validExps = map[string]bool{
 	"exp2b": true, "exp2c": true, "exp3": true, "exp4": true, "exp5": true, "ablation": true,
 }
 
+// expNames lists validExps sorted, for the usage and error messages.
+var expNames = strings.Join(slices.Sorted(maps.Keys(validExps)), ", ")
+
 func main() {
 	var (
-		exp  = flag.String("exp", "all", "experiment: fig3, exp1, exp2a, exp2b, exp2c, exp3, exp4, exp5, ablation, all")
+		exp  = flag.String("exp", "all", "experiment: "+expNames)
 		sf   = flag.Float64("sf", 0.02, "TPC-H scale factor")
 		n    = flag.Int("n", 64, "queries per workload")
 		full = flag.Bool("full", false, "fig3: extend the calibration grid to 1GB tables")
 	)
 	flag.Parse()
 	if !validExps[*exp] {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; valid: fig3, exp1, exp2a, exp2b, exp2c, exp3, exp4, exp5, all\n", *exp)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; valid: %s\n", *exp, expNames)
 		os.Exit(2)
 	}
 

@@ -220,11 +220,11 @@ func TestOptionComposition(t *testing.T) {
 				WithTuning(Tuning{CacheBudget: 1 << 20}),
 				WithTuning(Tuning{Shards: 2, MorselRows: 512}),
 				WithAblations(Ablations{NoPartialReuse: true}),
-				WithAblations(Ablations{NoWorkStealing: true}),
+				WithAblations(Ablations{NoBucketRehash: true}),
 			},
 			config{
 				tuning:    Tuning{CacheBudget: 1 << 20, Shards: 2, MorselRows: 512},
-				ablations: Ablations{NoPartialReuse: true, NoWorkStealing: true},
+				ablations: Ablations{NoPartialReuse: true, NoBucketRehash: true},
 			}},
 		{"later wins",
 			[]Option{

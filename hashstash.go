@@ -17,17 +17,15 @@
 //
 // Query pipelines execute with morsel-driven parallelism: every scan is
 // split into independent morsels (row ranges of a base table, an index
-// run or a cached hash table's entry arena, ~64K rows each) that are
-// range-partitioned across per-worker deques of a work-stealing
-// scheduler — workers pop their own deque LIFO and steal FIFO from
-// victims when they drain. Pipelines form a dependency DAG (a probe
-// depends on its build sink, a temp-table consumer on its producer) and
-// independent pipelines' morsels enter the scheduler concurrently
-// instead of executing in strict order. Pipeline breakers build
-// per-worker partial hash tables that are merged into one immutable
-// table at pipeline end, so probe pipelines — and cross-query reuse —
-// stay lock-free on the hot path. Tuning.Parallelism sizes the pool; the
-// default uses every available CPU.
+// run or a cached hash table's entry arena, ~64K rows each) that go
+// into one FIFO queue every worker pops. A query's pipelines run in
+// compile order — a probe after its build sink, a temp-table consumer
+// after its producer — while the legs of a sharded query run
+// concurrently. Pipeline breakers build per-worker partial hash tables
+// that are merged into one immutable table at pipeline end, so probe
+// pipelines — and cross-query reuse — stay lock-free on the hot path.
+// Tuning.Parallelism sizes the pool; the default uses every available
+// CPU, and one worker streams each pipeline whole into its sink.
 //
 // Exec is safe to call from many goroutines and queries never
 // serialize against each other: cached tables are immutable published
@@ -178,12 +176,7 @@ func Open(opts ...Option) *DB {
 		}
 		return max(1, b/int64(n))
 	}
-	par := exec.Parallelism{
-		Workers:         t.Parallelism,
-		MorselRows:      t.MorselRows,
-		SerialPipelines: a.NoInterPipelineParallelism,
-		NoSteal:         a.NoWorkStealing,
-	}
+	par := exec.Parallelism{Workers: t.Parallelism, MorselRows: t.MorselRows}
 	shardPar := par
 	shardPar.Workers = max(1, t.Parallelism/n)
 	shards := make([]*shard.Shard, n)

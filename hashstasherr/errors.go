@@ -111,7 +111,7 @@ func Canceled(cause error) error {
 // matchable through the recover.
 type InternalError struct {
 	// Op labels the containment boundary that caught the panic
-	// ("sched.worker", "exec.serial", "shard.scatter", ...).
+	// ("sched.run", "sched.worker", "optimizer.plan", ...).
 	Op string
 	// Panic is the recovered value.
 	Panic interface{}

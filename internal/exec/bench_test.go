@@ -174,38 +174,30 @@ func schedAggPipeline(b *testing.B, tbl *storage.Table) *Pipeline {
 }
 
 // BenchmarkSchedScanAgg measures one scan-aggregate pipeline through
-// the work-stealing scheduler: 4 workers over fine morsels, with and
-// without stealing (the deque/steal machinery is the cost under test;
-// on a 1-CPU runner the gate is alloc stability, not speedup).
+// the morsel scheduler: 4 workers popping fine morsels from the shared
+// queue, partial tables merged at the end (the queue and merge are the
+// cost under test; on a 1-CPU runner the gate is alloc stability, not
+// speedup).
 func BenchmarkSchedScanAgg(b *testing.B) {
 	tbl := schedBenchTable(256 * 1024)
-	for _, bc := range []struct {
-		name string
-		par  Parallelism
-	}{
-		{"steal", Parallelism{Workers: 4, MorselRows: 8 * 1024}},
-		{"nosteal", Parallelism{Workers: 4, MorselRows: 8 * 1024, NoSteal: true}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				p := schedAggPipeline(b, tbl)
-				b.StartTimer()
-				if err := RunParallel([]*Pipeline{p}, bc.par); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.SetBytes(int64(tbl.NumRows()))
-		})
+	par := Parallelism{Workers: 4, MorselRows: 8 * 1024}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p := schedAggPipeline(b, tbl)
+		b.StartTimer()
+		if err := RunParallel([]*Pipeline{p}, par); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.SetBytes(int64(tbl.NumRows()))
 }
 
-// BenchmarkSchedPipelineDAG measures inter-pipeline parallelism: four
-// independent scan-aggregations each feeding a dependent hash-table
-// readout — eight pipelines whose DAG lets the four spines run
-// concurrently, against the strict-order ablation.
-func BenchmarkSchedPipelineDAG(b *testing.B) {
+// BenchmarkSchedPipelineChain measures one query chain of eight
+// pipelines in compile order: four scan-aggregations, then a readout of
+// each aggregation table.
+func BenchmarkSchedPipelineChain(b *testing.B) {
 	tbl := schedBenchTable(64 * 1024)
 	mk := func() []*Pipeline {
 		var pipelines []*Pipeline
@@ -222,26 +214,18 @@ func BenchmarkSchedPipelineDAG(b *testing.B) {
 		}
 		return append(pipelines, readouts...)
 	}
-	for _, bc := range []struct {
-		name string
-		par  Parallelism
-	}{
-		{"dag", Parallelism{Workers: 4, MorselRows: 8 * 1024}},
-		{"strict", Parallelism{Workers: 4, MorselRows: 8 * 1024, SerialPipelines: true}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				pipelines := mk()
-				b.StartTimer()
-				if err := RunParallel(pipelines, bc.par); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.SetBytes(int64(tbl.NumRows()) * 4)
-		})
+	par := Parallelism{Workers: 4, MorselRows: 8 * 1024}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		pipelines := mk()
+		b.StartTimer()
+		if err := RunParallel(pipelines, par); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.SetBytes(int64(tbl.NumRows()) * 4)
 }
 
 // BenchmarkBuildAgg measures one batch being consumed by a hash

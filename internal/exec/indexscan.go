@@ -14,7 +14,7 @@ import (
 // the index permutation, and iteration materializes those row ids with
 // the vectorized gather kernels, applying the box's remaining
 // predicates as a residual filter. Like TableScan it splits into
-// morsels for the work-stealing scheduler; unlike TableScan it touches
+// morsels for the morsel scheduler; unlike TableScan it touches
 // only the matching rows.
 type IndexScan struct {
 	Table *storage.Table
@@ -127,7 +127,8 @@ func (s *IndexScan) Next(out *storage.Batch) bool {
 // Morsels implements MorselSource: every resolved leaf run is chunked
 // into independent position ranges that share the read-only tree and
 // residual matcher. Total row count across runs sets the granularity,
-// so highly selective probes still split into stealable units.
+// so highly selective probes still split into several morsels per
+// worker.
 func (s *IndexScan) Morsels(rows, workers int) []Source {
 	total := 0
 	for _, r := range s.runs {

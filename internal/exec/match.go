@@ -4,8 +4,8 @@
 // sinks that materialize the extendible hash tables the rest of the
 // system caches and reuses.
 //
-// Pipelines execute serially (Run) or with morsel-driven parallelism
-// (RunParallel): sources split into independent morsels consumed by a
+// A query's pipelines run in compile order through RunParallel: at two
+// or more workers sources split into independent morsels consumed by a
 // worker pool, and pipeline-breaker sinks build per-worker partial hash
 // tables merged at pipeline end, keeping probes lock-free.
 package exec

@@ -20,8 +20,7 @@ func (p *plainSource) Next(out *storage.Batch) bool { return p.src.Next(out) }
 func (p *plainSource) Schema() storage.Schema       { return p.src.Schema() }
 
 // gateSink wraps a sink, recording Finish — and has no parallel merge
-// strategy, so its pipeline runs as one serial task. It forwards the
-// wrapped sink's resource writes so DAG edges survive the wrapping.
+// strategy, so its pipeline runs as one whole-pipeline task.
 type gateSink struct {
 	sink     Sink
 	finished atomic.Bool
@@ -29,17 +28,9 @@ type gateSink struct {
 
 func (g *gateSink) Consume(b *storage.Batch) { g.sink.Consume(b) }
 func (g *gateSink) Finish()                  { g.sink.Finish(); g.finished.Store(true) }
-func (g *gateSink) PipelineWrites() []any {
-	if w, ok := g.sink.(ResourceWriter); ok {
-		return w.PipelineWrites()
-	}
-	return nil
-}
 
 // checkedProbe fails the run if a probe batch flows before the build
-// sink finished — the DAG-edge correctness property. PipelineReads is
-// promoted from the embedded Probe, so the scheduler sees the same
-// dependency a bare probe would induce.
+// sink finished — the chain-order correctness property.
 type checkedProbe struct {
 	*Probe
 	built     *atomic.Bool
@@ -53,8 +44,8 @@ func (c *checkedProbe) Apply(in, out *storage.Batch) {
 	c.Probe.Apply(in, out)
 }
 
-// tagJoinLayout is the b_tag -> b_val build layout used by the DAG
-// tests.
+// tagJoinLayout is the b_tag -> b_val build layout used by the
+// ordering tests.
 func tagJoinLayout() hashtable.Layout {
 	return hashtable.Layout{
 		Cols: []storage.ColMeta{
@@ -65,75 +56,9 @@ func tagJoinLayout() hashtable.Layout {
 	}
 }
 
-// TestPipelineDeps checks the resource-conflict edges directly.
-func TestPipelineDeps(t *testing.T) {
-	tbl := bigTable(t, 1_000, 10, false)
-	ht := hashtable.New(tagJoinLayout())
-
-	bsrc, err := NewTableScan(tbl, "b", nil, []string{"b_tag", "b_val"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bsink, err := NewBuildHT(ht, bsrc.Schema(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	build := &Pipeline{Source: bsrc, Sink: bsink}
-
-	// An unrelated pipeline: scan into a fresh collect.
-	osrc, err := NewTableScan(tbl, "b", nil, []string{"b_key"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := &Pipeline{Source: osrc, Sink: NewCollect(osrc.Schema())}
-
-	// Probe pipeline reading ht.
-	psrc, err := NewTableScan(tbl, "b", []expr.Box{keyBox(0, 6)}, []string{"b_key", "b_tag"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe, err := NewProbe(ht, []storage.ColRef{{Table: "b", Column: "b_tag"}}, []int{1}, nil, nil, psrc.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	probeP := &Pipeline{Source: psrc, Transforms: []Transform{probe}, Sink: NewCollect(probe.OutSchema())}
-
-	// A second writer of the same table (residual widening shape).
-	rsrc, err := NewTableScan(tbl, "b", []expr.Box{keyBox(7, 13)}, []string{"b_tag", "b_val"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rsink, err := NewBuildHT(ht, rsrc.Schema(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	residual := &Pipeline{Source: rsrc, Sink: rsink}
-
-	// HTScan reader of the same table.
-	hsrc, err := NewHTScan(ht, []int{0, 1}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	htRead := &Pipeline{Source: hsrc, Sink: NewCollect(hsrc.Schema())}
-
-	deps := pipelineDeps([]*Pipeline{build, other, probeP, residual, htRead})
-	want := [][]int{
-		nil,    // build: no deps
-		nil,    // other: independent
-		{0},    // probe reads ht written by build
-		{0, 2}, // residual: write-write with build, write-after-read with probe
-		{0, 3}, // HT scan reads ht: after both writers; no edge to the probe (two readers don't conflict)
-	}
-	for i := range want {
-		if fmt.Sprint(deps[i]) != fmt.Sprint(want[i]) {
-			t.Fatalf("pipeline %d deps = %v, want %v (all: %v)", i, deps[i], want[i], deps)
-		}
-	}
-}
-
 // TestProbeNeverStartsBeforeBuildFinishes runs the join shape under a
-// worker storm and asserts the DAG held: no probe batch flowed before
-// the build sink's Finish.
+// worker storm and asserts compile order held: no probe batch flowed
+// before the build sink's Finish.
 func TestProbeNeverStartsBeforeBuildFinishes(t *testing.T) {
 	tbl := bigTable(t, 60_000, 11, false)
 
@@ -151,7 +76,7 @@ func TestProbeNeverStartsBeforeBuildFinishes(t *testing.T) {
 		build := &Pipeline{Source: bsrc, Sink: gate}
 
 		// Probe side: a handful of rows — the property under test is the
-		// DAG edge (the probe job must not be seeded until the build
+		// chain order (the probe job must not be seeded until the build
 		// finishes), not probe throughput, and each row fans out to
 		// thousands of matches anyway.
 		psrc, err := NewTableScan(tbl, "b", []expr.Box{keyBox(0, 6)}, []string{"b_key", "b_tag"})
@@ -177,18 +102,14 @@ func TestProbeNeverStartsBeforeBuildFinishes(t *testing.T) {
 	}
 
 	serial := run(Parallelism{Workers: 1})
-	for _, par := range []Parallelism{
-		{Workers: 8, MorselRows: 2048},
-		{Workers: 8, MorselRows: 2048, NoSteal: true},
-		{Workers: 8, MorselRows: 2048, SerialPipelines: true},
-	} {
-		assertSameRows(t, serial, run(par))
+	for _, workers := range []int{2, 8} {
+		assertSameRows(t, serial, run(Parallelism{Workers: workers, MorselRows: 2048}))
 	}
 }
 
-// TestRunParallelSerialFallbacks covers every path that must degrade to
-// a single serial task: an unsplittable source, a sink without a merge
-// strategy, and Workers <= 1 — each among other scheduled pipelines.
+// TestRunParallelSerialFallbacks covers every path that must run a
+// pipeline as a single whole-pipeline task: an unsplittable source, a
+// sink without a merge strategy, and Workers <= 1.
 func TestRunParallelSerialFallbacks(t *testing.T) {
 	tbl := bigTable(t, 20_000, 13, false)
 
@@ -221,7 +142,7 @@ func TestRunParallelSerialFallbacks(t *testing.T) {
 			t.Fatal("fallback pipeline never finished its sink")
 		}
 		assertSameRows(t, serial.Rows, collect.Rows)
-		// Serial fallback preserves scan order exactly.
+		// A whole-pipeline task preserves scan order exactly.
 		for i := range collect.Rows {
 			if collect.Rows[i][0].I != serial.Rows[i][0].I {
 				t.Fatalf("row %d out of order: %v vs %v", i, collect.Rows[i][0], serial.Rows[i][0])
@@ -277,7 +198,9 @@ func TestMultiSinkSpineParallel(t *testing.T) {
 // TestTempTableConsumerOrdering: a pipeline scanning a temp table the
 // previous pipeline spills (the materialized baseline's
 // readout-from-spill shape) must wait for the spill — expressed here
-// through an HTScan-over-build chain plus temp concatenation.
+// through an HTScan-over-build chain plus temp concatenation. The
+// re-scan counts its morsels when its turn comes, so it must see every
+// spilled row.
 func TestTempTableConsumerOrdering(t *testing.T) {
 	tbl := bigTable(t, 30_000, 17, false)
 
@@ -291,14 +214,13 @@ func TestTempTableConsumerOrdering(t *testing.T) {
 		}
 		temp := NewTempTable("agg_spill", hsrc.Schema())
 		spill := &Pipeline{Source: hsrc, Sink: temp}
-		// Pipeline 3: re-scan the spilled table into the final collect
-		// (an unsplittable source reading pipeline 2's output).
+		// Pipeline 3: re-scan the spilled table into the final collect.
 		resrc, err := NewTableScan(temp.Table, "m", nil, []string{"b_grp", "sum_val", "cnt"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		collect := NewCollect(resrc.Schema())
-		final := &Pipeline{Source: &tempTableReader{TableScan: resrc, table: temp.Table}, Sink: collect}
+		final := &Pipeline{Source: resrc, Sink: collect}
 		if err := RunParallel([]*Pipeline{aggP, spill, final}, par); err != nil {
 			t.Fatal(err)
 		}
@@ -310,20 +232,10 @@ func TestTempTableConsumerOrdering(t *testing.T) {
 	assertSameRows(t, serial, parallel)
 }
 
-// tempTableReader marks a table scan as reading another pipeline's
-// spill (base-table scans normally have no producers, so the read set
-// is empty by default).
-type tempTableReader struct {
-	*TableScan
-	table *storage.Table
-}
-
-func (r *tempTableReader) PipelineReads() []any { return []any{r.table} }
-
-// TestExecStealStorm floods the scheduler with many small pipelines and
-// fine morsels under -race: independent aggregations with dependent
-// readouts, all sharing the pool.
-func TestExecStealStorm(t *testing.T) {
+// TestExecMorselStorm floods the scheduler with many small pipelines and
+// fine morsels under -race: aggregations followed by their readouts,
+// all sharing the pool.
+func TestExecMorselStorm(t *testing.T) {
 	tbl := bigTable(t, 50_000, 29, false)
 	var pipelines []*Pipeline
 	var hts []*hashtable.Table

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"hashstash/hashstasherr"
 	"hashstash/internal/exec/sched"
 	"hashstash/internal/expr"
 	"hashstash/internal/hashtable"
@@ -14,19 +13,17 @@ import (
 
 // Morsel-driven parallel execution: a pipeline's source is split into
 // independent morsel-sized sub-sources that become the tasks of one
-// scheduler job. The scheduler range-partitions each job's morsels
-// across per-worker deques (LIFO local pop, FIFO steal — see
-// exec/sched), replacing the old single shared atomic dispenser.
-// Per-worker sinks build private partial hash tables that are merged
-// into the pipeline's real sink when the job's last morsel drains, so
-// the published table is immutable and later probes stay lock-free.
+// scheduler job, and every worker pops those tasks from one shared FIFO
+// queue (see exec/sched). Per-worker sinks build private partial hash
+// tables that are merged into the pipeline's real sink when the job's
+// last morsel drains, so the published table is immutable and later
+// probes stay lock-free.
 //
-// Pipelines no longer execute in strict compile order: resource
-// conflicts (a probe on its build sink, a temp-table consumer on its
-// producer, two residual inputs widening one table) become DAG edges
-// between jobs, and everything the DAG leaves unordered — build sides
-// of different joins, per-query readouts of a shared batch — runs
-// concurrently.
+// A query's pipelines form one chain and run in compile order — the
+// next pipeline is prepared only after the previous one's sink merged —
+// because compile order already puts every build before its probes and
+// every temp-table producer before its consumers. The legs of a
+// scatter-gather query are separate chains of the same run.
 
 // MorselSource is a Source that can split itself into independent
 // sub-sources over disjoint row ranges.
@@ -36,152 +33,66 @@ type MorselSource interface {
 	// rows rows each (rows <= 0 uses storage.DefaultMorselRows),
 	// re-balanced for a pool of workers via
 	// storage.BalancedMorselRows so short scans still split into
-	// stealable units. It returns nil when the source cannot be split;
-	// the runner then falls back to serial execution, which surfaces
-	// any underlying error.
+	// several morsels per worker. It returns nil when the source cannot
+	// be split; the runner then runs the pipeline as one task, which
+	// surfaces any underlying error.
 	Morsels(rows, workers int) []Source
 }
 
 // Parallelism configures the parallel runner.
 type Parallelism struct {
-	// Workers is the worker-pool size; values <= 1 run serially.
+	// Workers is the worker-pool size; values <= 1 run every pipeline
+	// whole on the calling goroutine.
 	Workers int
 	// MorselRows is the morsel granularity (<= 0 uses
 	// storage.DefaultMorselRows, rebalanced per source for the pool).
 	MorselRows int
-	// SerialPipelines disables inter-pipeline parallelism: pipelines
-	// enter the scheduler one at a time in compile order (morsels of
-	// one pipeline still run across the pool). Ablation knob.
-	SerialPipelines bool
-	// NoSteal disables work stealing between the per-worker deques.
-	// Ablation knob.
-	NoSteal bool
 	// Ctx aborts the run on cancellation or deadline expiry: in-flight
 	// morsels finish, queued ones are skipped, and the runner returns
 	// an error wrapping hashstasherr.ErrCanceled. Nil never cancels.
 	Ctx context.Context
 }
 
-// RunParallel executes pipelines on the work-stealing scheduler,
-// honoring the resource-dependency DAG between them. Pipelines whose
-// source cannot be split or whose sink has no parallel merge strategy
-// run as single serial tasks — still scheduled, still ordered by their
-// DAG edges.
+// RunParallel executes one query's pipelines as one chain of the
+// morsel scheduler: in compile order, each pipeline's morsels spread
+// across the pool.
 func RunParallel(pipelines []*Pipeline, par Parallelism) error {
-	if par.Workers <= 1 || len(pipelines) == 0 {
-		return runSerialCtx(pipelines, par.Ctx)
-	}
-	deps := pipelineDeps(pipelines)
-	jobs := make([]*sched.Job, len(pipelines))
-	for i, p := range pipelines {
-		jobs[i] = p.job(par)
-		jobs[i].Deps = deps[i]
-		if par.SerialPipelines && i > 0 {
-			// Strict compile order: chain every job to its predecessor
-			// (subsumes the resource edges).
-			jobs[i].Deps = []int{i - 1}
-		}
-	}
-	return sched.Run(jobs, sched.Options{Workers: par.Workers, NoSteal: par.NoSteal, Ctx: par.Ctx})
+	return RunSharded([][]*Pipeline{pipelines}, par)
 }
 
-// runSerialCtx is the serial pipeline loop with cancellation checked
-// between pipelines (each pipeline is the abort grain when there is no
-// scheduler to skip morsels).
-func runSerialCtx(pipelines []*Pipeline, ctx context.Context) error {
-	for _, p := range pipelines {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return hashstasherr.Canceled(err)
-			}
-		}
-		if err := runPipelineSafe(p); err != nil {
-			return err
+// RunSharded executes several legs' pipelines — one per shard of a
+// scatter-gather query — as one scheduler run: each leg is its own
+// chain in compile order, and the legs run concurrently over the shared
+// queue of a pool of par.Workers.
+func RunSharded(legs [][]*Pipeline, par Parallelism) error {
+	chains := make([][]*sched.Job, len(legs))
+	for i, ps := range legs {
+		chains[i] = make([]*sched.Job, len(ps))
+		for k, p := range ps {
+			chains[i][k] = p.job(par)
 		}
 	}
-	return nil
-}
-
-// RunSharded executes several shards' pipeline sets as one scheduler
-// run: shard s's jobs form their own dependency DAG (offset into the
-// combined job list) and are seeded into worker group s, so every
-// shard's morsels execute on the shard's own workers — its locality
-// domain — and an idle worker steals shard-local victims before
-// crossing into another shard. par.Workers is the total pool budget,
-// split evenly across shards (minimum one worker per shard; a budget
-// of <= 1 runs the shards serially in order).
-func RunSharded(shards [][]*Pipeline, par Parallelism) error {
-	n := 0
-	for _, ps := range shards {
-		n += len(ps)
-	}
-	if n == 0 {
-		return nil
-	}
-	if par.Workers <= 1 || len(shards) == 1 {
-		if len(shards) == 1 {
-			return RunParallel(shards[0], par)
-		}
-		for _, ps := range shards {
-			if err := runSerialCtx(ps, par.Ctx); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	wps := par.Workers / len(shards)
-	if wps < 1 {
-		wps = 1
-	}
-	total := wps * len(shards)
-	groups := make([]int, 0, total)
-	for s := range shards {
-		for w := 0; w < wps; w++ {
-			groups = append(groups, s)
-		}
-	}
-	// Per-worker sink partials index by the global worker id, so jobs
-	// are lowered against the combined pool size.
-	spar := par
-	spar.Workers = total
-	jobs := make([]*sched.Job, 0, n)
-	base := 0
-	for s, ps := range shards {
-		deps := pipelineDeps(ps)
-		for i, p := range ps {
-			j := p.job(spar)
-			j.Group = s
-			if par.SerialPipelines && i > 0 {
-				// Strict compile order within the shard (cross-shard
-				// legs still run concurrently).
-				j.Deps = []int{base + i - 1}
-			} else {
-				for _, d := range deps[i] {
-					j.Deps = append(j.Deps, base+d)
-				}
-			}
-			jobs = append(jobs, j)
-		}
-		base += len(ps)
-	}
-	return sched.Run(jobs, sched.Options{Workers: total, NoSteal: par.NoSteal, WorkerGroup: groups, Ctx: par.Ctx})
+	return sched.Run(chains, sched.Options{Workers: par.Workers, Ctx: par.Ctx})
 }
 
 // job lowers one pipeline into a scheduler job. The split decision is
-// deferred to the job's Prepare hook — it runs when every dependency
-// has finished, which is the earliest moment a source over
-// dependency-built state (an HTScan of a hash table the previous
-// pipeline builds, a scan of a freshly spilled temp table) can count
-// its morsels. Splittable sources with mergeable sinks become one task
-// per morsel streaming into per-worker sinks; everything else becomes
-// a single task running the pipeline serially (unsplittable source,
-// single morsel, or a sink with no parallel merge strategy).
+// deferred to the job's Prepare hook — it runs after the previous
+// pipeline finished, which is the earliest moment a source over
+// state built by it (an HTScan of a hash table the previous pipeline
+// builds, a scan of a freshly spilled temp table) can count its
+// morsels. With two or more workers, splittable sources with mergeable
+// sinks become one task per morsel streaming into per-worker sinks;
+// everything else becomes a single task streaming the whole pipeline
+// straight into its sink (one worker, unsplittable source, single
+// morsel, or a sink with no parallel merge strategy).
 func (p *Pipeline) job(par Parallelism) *sched.Job {
 	return &sched.Job{
-		Label: fmt.Sprintf("pipeline(%T->%T)", p.Source, p.Sink),
 		Prepare: func(j *sched.Job) error {
 			j.NTasks = 1
 			j.Run = func(int, int) error { return p.Run() }
+			if par.Workers < 2 {
+				return nil
+			}
 			ms, ok := p.Source.(MorselSource)
 			if !ok {
 				return nil

@@ -162,7 +162,7 @@ func identityColsTest(n int) []int {
 func TestParallelScanAggMatchesSerial(t *testing.T) {
 	tbl := bigTable(t, 50_000, 37, false)
 	serialP, serialHT := scanAggPipeline(t, tbl, nil)
-	if err := Run([]*Pipeline{serialP}); err != nil {
+	if err := RunParallel([]*Pipeline{serialP}, Parallelism{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	parP, parHT := scanAggPipeline(t, tbl, nil)
@@ -241,7 +241,7 @@ func TestParallelBuildProbeMatchesSerial(t *testing.T) {
 func TestParallelHTScan(t *testing.T) {
 	tbl := bigTable(t, 30_000, 5000, false)
 	p, ht := scanAggPipeline(t, tbl, nil)
-	if err := Run([]*Pipeline{p}); err != nil {
+	if err := RunParallel([]*Pipeline{p}, Parallelism{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	serial := htRows(t, ht)

@@ -3,7 +3,6 @@ package exec
 import (
 	"sync/atomic"
 
-	"hashstash/hashstasherr"
 	"hashstash/internal/faultinject"
 	"hashstash/internal/storage"
 )
@@ -38,13 +37,13 @@ func (p *Pipeline) newBatches() []*storage.Batch {
 }
 
 // stream drains one source through the transform chain into sink,
-// reusing the per-stage batches. It is the shared inner loop of the
-// serial runner (whole source, pipeline sink) and the parallel runner
+// reusing the per-stage batches. It is the shared inner loop of a
+// whole-pipeline task (whole source, pipeline sink) and a morsel task
 // (one morsel, per-worker sink).
 func (p *Pipeline) stream(src Source, batches []*storage.Batch, sink Sink) error {
-	// The highest-frequency fault point: one hit per morsel (parallel)
-	// or per pipeline (serial), where the chaos suite simulates
-	// operator panics.
+	// The highest-frequency fault point: one hit per morsel (split
+	// pipelines) or per pipeline (whole), where the chaos suite
+	// simulates operator panics.
 	if err := faultinject.Inject(faultinject.ExecMorsel); err != nil {
 		return err
 	}
@@ -100,28 +99,4 @@ func (p *Pipeline) OutSchema() storage.Schema {
 		return p.Transforms[len(p.Transforms)-1].OutSchema()
 	}
 	return p.Source.Schema()
-}
-
-// Run executes pipelines serially in order (build sides before probes;
-// the planner orders them by dependency). Equivalent to RunParallel
-// with one worker.
-func Run(pipelines []*Pipeline) error {
-	for _, p := range pipelines {
-		if err := runPipelineSafe(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runPipelineSafe is the serial-path panic boundary, mirroring the
-// scheduler's per-hook recover: an operator panic fails the pipeline's
-// query with a typed InternalError instead of unwinding the caller.
-func runPipelineSafe(p *Pipeline) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = hashstasherr.Internal("exec.serial", r)
-		}
-	}()
-	return p.Run()
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -33,9 +34,7 @@ func TestCancelStopsDispatch(t *testing.T) {
 	}
 
 	go func() {
-		// Wait until every worker is parked inside a task, cancel, give
-		// the context watcher time to register the failure (it is the
-		// only runnable goroutine selecting on ctx.Done), then release
+		// Wait until every worker is inside a task, cancel, then release
 		// the workers.
 		for i := 0; i < workers; i++ {
 			<-running
@@ -45,7 +44,7 @@ func TestCancelStopsDispatch(t *testing.T) {
 		close(release)
 	}()
 
-	err := Run([]*Job{job}, Options{Workers: workers, Ctx: ctx})
+	err := Run([][]*Job{{job}}, Options{Workers: workers, Ctx: ctx})
 	if err == nil {
 		t.Fatal("Run returned nil after cancellation")
 	}
@@ -62,7 +61,7 @@ func TestCancelStopsDispatch(t *testing.T) {
 	}
 }
 
-// TestCancelSerial: the serial path observes a pre-canceled context
+// TestCancelSerial: the one-worker path observes a pre-canceled context
 // before dispatching any task.
 func TestCancelSerial(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -72,11 +71,91 @@ func TestCancelSerial(t *testing.T) {
 		NTasks: 8,
 		Run:    func(w, i int) error { ran.Add(1); return nil },
 	}
-	err := Run([]*Job{job}, Options{Workers: 1, Ctx: ctx})
+	err := Run([][]*Job{{job}}, Options{Workers: 1, Ctx: ctx})
 	if !errors.Is(err, hashstasherr.ErrCanceled) {
 		t.Fatalf("serial run under canceled ctx returned %v", err)
 	}
 	if ran.Load() != 0 {
 		t.Fatalf("%d tasks ran under a pre-canceled context", ran.Load())
+	}
+}
+
+// TestSingleWorkerInline: Workers 1 runs every chain on the calling
+// goroutine — no goroutine exists during or after the run that did not
+// exist before it, even when the context is canceled mid-run — and
+// still stops between tasks once the context is canceled.
+func TestSingleWorkerInline(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	before := runtime.NumGoroutine()
+	var ran, extra atomic.Int64
+	job := func() *Job {
+		return &Job{
+			NTasks: 8,
+			Run: func(w, i int) error {
+				if n := runtime.NumGoroutine(); n > before {
+					extra.Store(int64(n - before))
+				}
+				if ran.Add(1) == 3 {
+					cancel()
+				}
+				return nil
+			},
+		}
+	}
+	err := Run([][]*Job{{job(), job()}, {job()}}, Options{Workers: 1, Ctx: ctx})
+	if !errors.Is(err, hashstasherr.ErrCanceled) {
+		t.Fatalf("got %v, want ErrCanceled", err)
+	}
+	if got := ran.Load(); got != 3 {
+		t.Fatalf("%d tasks ran, want 3 (the cancel lands between tasks)", got)
+	}
+	if n := extra.Load(); n != 0 {
+		t.Fatalf("%d goroutines started during a one-worker run", n)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines left after a one-worker run, %d before", n, before)
+	}
+}
+
+// TestCancelWakesParkedWorkers: with one long task in flight and the
+// rest of the pool parked on an empty queue, canceling the context
+// makes the parked workers exit while that task is still running.
+func TestCancelWakesParkedWorkers(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	const workers = 4
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var stuck atomic.Bool
+	before := runtime.NumGoroutine()
+	job := &Job{
+		NTasks: 1,
+		Run: func(w, i int) error {
+			// Once every parked worker has exited, what remains is the
+			// waiting caller (counted in before) and the worker running
+			// this task.
+			target := before + 1
+			// Give the rest of the pool time to find the queue empty and
+			// park; only the cancellation can wake it now.
+			time.Sleep(50 * time.Millisecond)
+			cancel()
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > target {
+				if time.Now().After(deadline) {
+					stuck.Store(true)
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			return nil
+		},
+	}
+	err := Run([][]*Job{{job}}, Options{Workers: workers, Ctx: ctx})
+	if !errors.Is(err, hashstasherr.ErrCanceled) {
+		t.Fatalf("got %v, want ErrCanceled", err)
+	}
+	if stuck.Load() {
+		t.Fatal("parked workers did not wake on cancellation")
 	}
 }

@@ -13,7 +13,7 @@ import (
 // is contained by the scheduler: Run returns a typed InternalError
 // carrying the panic value and stack, workers survive to drain the
 // remaining work, and the process never sees the panic. Exercised on
-// both the pooled and serial paths.
+// one worker and on a pool.
 func TestPanicIsolation(t *testing.T) {
 	hooks := []struct {
 		name string
@@ -21,7 +21,6 @@ func TestPanicIsolation(t *testing.T) {
 	}{
 		{"run", func() *Job {
 			return &Job{
-				Label:  "boom",
 				NTasks: 4,
 				Run: func(worker, task int) error {
 					if task == 2 {
@@ -33,7 +32,6 @@ func TestPanicIsolation(t *testing.T) {
 		}},
 		{"prepare", func() *Job {
 			return &Job{
-				Label:   "boom",
 				NTasks:  1,
 				Prepare: func(j *Job) error { panic("prepare bug") },
 				Run:     func(worker, task int) error { return nil },
@@ -41,7 +39,6 @@ func TestPanicIsolation(t *testing.T) {
 		}},
 		{"finish", func() *Job {
 			return &Job{
-				Label:  "boom",
 				NTasks: 1,
 				Run:    func(worker, task int) error { return nil },
 				Finish: func() error { panic("finish bug") },
@@ -52,18 +49,14 @@ func TestPanicIsolation(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			t.Run(h.name, func(t *testing.T) {
 				var healthy atomic.Int64
-				jobs := []*Job{
-					h.job(),
-					{
-						Label:  "bystander",
-						NTasks: 8,
-						Run: func(worker, task int) error {
-							healthy.Add(1)
-							return nil
-						},
+				bystander := &Job{
+					NTasks: 8,
+					Run: func(worker, task int) error {
+						healthy.Add(1)
+						return nil
 					},
 				}
-				err := Run(jobs, Options{Workers: workers})
+				err := Run([][]*Job{{h.job()}, {bystander}}, Options{Workers: workers})
 				if err == nil {
 					t.Fatal("panicking job reported no error")
 				}
@@ -87,8 +80,7 @@ func TestPanicIsolation(t *testing.T) {
 // no double-fail crash).
 func TestPanicFirstErrorWins(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	jobs := []*Job{{
-		Label:  "stormy",
+	jobs := [][]*Job{{{
 		NTasks: 64,
 		Run: func(worker, task int) error {
 			if task%3 == 0 {
@@ -96,7 +88,7 @@ func TestPanicFirstErrorWins(t *testing.T) {
 			}
 			return nil
 		},
-	}}
+	}}}
 	err := Run(jobs, Options{Workers: 4})
 	if !errors.Is(err, hashstasherr.ErrInternal) {
 		t.Fatalf("err = %v, want ErrInternal", err)

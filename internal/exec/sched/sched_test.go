@@ -3,9 +3,10 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"math/rand"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestJobCompletesAllTasks: every task of a single job runs exactly
@@ -24,7 +25,7 @@ func TestJobCompletesAllTasks(t *testing.T) {
 				},
 				Finish: func() error { finished.Add(1); return nil },
 			}
-			if err := Run([]*Job{job}, Options{Workers: workers}); err != nil {
+			if err := Run([][]*Job{{job}}, Options{Workers: workers}); err != nil {
 				t.Fatal(err)
 			}
 			for i := range ran {
@@ -39,29 +40,19 @@ func TestJobCompletesAllTasks(t *testing.T) {
 	}
 }
 
-// TestDependencyOrder: a dependent job's tasks must observe every
-// dependency task and its Finish hook as completed.
+// TestDependencyOrder: a later job of a chain observes every earlier
+// job's tasks and Finish hook as completed.
 func TestDependencyOrder(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			var depDone, depFinished atomic.Bool
+			var depFinished atomic.Bool
 			var violations atomic.Int64
 			dep := &Job{
-				Label:  "dep",
 				NTasks: 50,
-				Run: func(w, i int) error {
-					if i == 49 {
-						depDone.Store(true)
-					}
-					return nil
-				},
+				Run:    func(w, i int) error { return nil },
 				Finish: func() error { depFinished.Store(true); return nil },
 			}
-			// The last dep task index isn't necessarily the last to run,
-			// so the dependent only checks the Finish flag — the real
-			// ordering guarantee.
 			cons := &Job{
-				Label:  "consumer",
 				NTasks: 50,
 				Run: func(w, i int) error {
 					if !depFinished.Load() {
@@ -69,123 +60,117 @@ func TestDependencyOrder(t *testing.T) {
 					}
 					return nil
 				},
-				Deps: []int{0},
 			}
-			if err := Run([]*Job{dep, cons}, Options{Workers: workers}); err != nil {
+			if err := Run([][]*Job{{dep, cons}}, Options{Workers: workers}); err != nil {
 				t.Fatal(err)
 			}
 			if v := violations.Load(); v != 0 {
-				t.Fatalf("%d consumer tasks ran before the dependency finished", v)
+				t.Fatalf("%d consumer tasks ran before the previous job finished", v)
 			}
 		})
 	}
 }
 
-// TestDiamondDAG: two independent middle jobs run between a shared
-// producer and a shared consumer.
-func TestDiamondDAG(t *testing.T) {
-	var order sync.Map
-	var clock atomic.Int64
-	stamp := func(label string) func() error {
-		return func() error {
-			order.Store(label, clock.Add(1))
-			return nil
+// TestChainOrder: over 64 chains of random length and width sharing
+// one pool, no job is prepared before its predecessor's Finish, every
+// task runs exactly once, and every Finish runs exactly once after its
+// job's last task. Meant for -race.
+func TestChainOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	const nChains = 64
+	type jobState struct {
+		ran, finished atomic.Int64
+		prepared      atomic.Bool
+		tasks         int
+	}
+	var violations atomic.Int64
+	states := make([][]*jobState, nChains)
+	chains := make([][]*Job, nChains)
+	for c := range chains {
+		n := rng.Intn(6)
+		states[c] = make([]*jobState, n)
+		chains[c] = make([]*Job, n)
+		for k := 0; k < n; k++ {
+			st := &jobState{tasks: rng.Intn(24)}
+			states[c][k] = st
+			var prev *jobState
+			if k > 0 {
+				prev = states[c][k-1]
+			}
+			chains[c][k] = &Job{
+				Prepare: func(j *Job) error {
+					if prev != nil && prev.finished.Load() != 1 {
+						violations.Add(1)
+					}
+					st.prepared.Store(true)
+					j.NTasks = st.tasks
+					j.Run = func(w, i int) error {
+						if !st.prepared.Load() || st.finished.Load() != 0 {
+							violations.Add(1)
+						}
+						st.ran.Add(1)
+						return nil
+					}
+					return nil
+				},
+				Finish: func() error {
+					if st.ran.Load() != int64(st.tasks) {
+						violations.Add(1)
+					}
+					st.finished.Add(1)
+					return nil
+				},
+			}
 		}
 	}
-	mk := func(label string, deps ...int) *Job {
-		return &Job{
-			Label:  label,
-			NTasks: 8,
-			Run:    func(w, i int) error { return nil },
-			Finish: stamp(label),
-			Deps:   deps,
-		}
-	}
-	jobs := []*Job{mk("src"), mk("left", 0), mk("right", 0), mk("sink", 1, 2)}
-	if err := Run(jobs, Options{Workers: 4}); err != nil {
+	if err := Run(chains, Options{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
-	get := func(label string) int64 {
-		v, ok := order.Load(label)
-		if !ok {
-			t.Fatalf("job %s never finished", label)
-		}
-		return v.(int64)
+	if v := violations.Load(); v != 0 {
+		t.Fatalf("%d chain-order violations", v)
 	}
-	if get("src") > get("left") || get("src") > get("right") {
-		t.Fatal("source finished after a middle job")
-	}
-	if get("sink") < get("left") || get("sink") < get("right") {
-		t.Fatal("sink finished before a middle job")
-	}
-}
-
-// TestStealStorm floods many tiny tasks through a deliberately skewed
-// seed (all tasks of each job land in few chunks) and checks, under
-// -race, that stealing spreads them without dropping or duplicating
-// any.
-func TestStealStorm(t *testing.T) {
-	const jobs, tasks = 20, 257
-	counts := make([][]atomic.Int64, jobs)
-	js := make([]*Job, jobs)
-	var total atomic.Int64
-	for j := range js {
-		counts[j] = make([]atomic.Int64, tasks)
-		j := j
-		js[j] = &Job{
-			Label:  fmt.Sprintf("storm%d", j),
-			NTasks: tasks,
-			Run: func(w, i int) error {
-				counts[j][i].Add(1)
-				total.Add(1)
-				return nil
-			},
-		}
-		if j > 0 && j%5 == 0 {
-			// A sprinkle of edges so readiness changes mid-storm.
-			js[j].Deps = []int{j - 1}
-		}
-	}
-	if err := Run(js, Options{Workers: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if got := total.Load(); got != jobs*tasks {
-		t.Fatalf("ran %d tasks, want %d", got, jobs*tasks)
-	}
-	for j := range counts {
-		for i := range counts[j] {
-			if got := counts[j][i].Load(); got != 1 {
-				t.Fatalf("job %d task %d ran %d times", j, i, got)
+	for c := range states {
+		for k, st := range states[c] {
+			if st.ran.Load() != int64(st.tasks) || st.finished.Load() != 1 {
+				t.Fatalf("chain %d job %d: ran %d/%d tasks, finished %d times",
+					c, k, st.ran.Load(), st.tasks, st.finished.Load())
 			}
 		}
 	}
 }
 
-// TestNoSteal: with stealing disabled everything still completes (the
-// seeding partitions cover every worker).
-func TestNoSteal(t *testing.T) {
-	var total atomic.Int64
-	job := &Job{
-		NTasks: 64,
-		Run:    func(w, i int) error { total.Add(1); return nil },
+// TestChainsOverlap: two chains' tasks run at the same time on a pool
+// of two — each task waits for the other to arrive, which only a
+// concurrent schedule lets happen before the timeout.
+func TestChainsOverlap(t *testing.T) {
+	arrived := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	meet := func(me int) *Job {
+		return &Job{
+			NTasks: 1,
+			Run: func(w, i int) error {
+				close(arrived[me])
+				select {
+				case <-arrived[1-me]:
+					return nil
+				case <-time.After(5 * time.Second):
+					return fmt.Errorf("chain %d never overlapped with chain %d", me, 1-me)
+				}
+			},
+		}
 	}
-	if err := Run([]*Job{job}, Options{Workers: 4, NoSteal: true}); err != nil {
+	if err := Run([][]*Job{{meet(0)}, {meet(1)}}, Options{Workers: 2}); err != nil {
 		t.Fatal(err)
-	}
-	if total.Load() != 64 {
-		t.Fatalf("ran %d tasks, want 64", total.Load())
 	}
 }
 
-// TestErrorPropagation: the first task error surfaces and dependents
-// never start.
+// TestErrorPropagation: the first task error surfaces and later jobs of
+// the chain never start.
 func TestErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			var depStarted atomic.Bool
+			var laterStarted atomic.Bool
 			fail := &Job{
-				Label:  "fail",
 				NTasks: 16,
 				Run: func(w, i int) error {
 					if i == 7 {
@@ -195,17 +180,15 @@ func TestErrorPropagation(t *testing.T) {
 				},
 			}
 			after := &Job{
-				Label:  "after",
 				NTasks: 4,
-				Run:    func(w, i int) error { depStarted.Store(true); return nil },
-				Deps:   []int{0},
+				Run:    func(w, i int) error { laterStarted.Store(true); return nil },
 			}
-			err := Run([]*Job{fail, after}, Options{Workers: workers})
+			err := Run([][]*Job{{fail, after}}, Options{Workers: workers})
 			if !errors.Is(err, boom) {
 				t.Fatalf("got %v, want boom", err)
 			}
-			if depStarted.Load() {
-				t.Fatal("dependent ran after its dependency failed")
+			if laterStarted.Load() {
+				t.Fatal("a later job ran after its predecessor failed")
 			}
 		})
 	}
@@ -219,51 +202,29 @@ func TestFinishError(t *testing.T) {
 		Run:    func(w, i int) error { return nil },
 		Finish: func() error { return boom },
 	}
-	if err := Run([]*Job{job}, Options{Workers: 4}); !errors.Is(err, boom) {
+	if err := Run([][]*Job{{job}}, Options{Workers: 4}); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want merge failure", err)
 	}
 }
 
-// TestZeroTaskJob: jobs without tasks still run Finish and release
-// dependents — and a dependent released while the startup seeding loop
-// is still walking the job list must be seeded exactly once (its tasks
-// and Finish must not run twice).
+// TestZeroTaskJob: jobs without tasks still run Finish and hand over to
+// the next job of their chain, whose tasks and Finish run exactly once.
 func TestZeroTaskJob(t *testing.T) {
 	var finished, after, afterFinished atomic.Int64
-	jobs := []*Job{
-		{Label: "empty", NTasks: 0, Finish: func() error { finished.Add(1); return nil }},
+	chain := []*Job{
+		{NTasks: 0, Finish: func() error { finished.Add(1); return nil }},
 		{
-			Label:  "after",
 			NTasks: 1,
 			Run:    func(w, i int) error { after.Add(1); return nil },
 			Finish: func() error { afterFinished.Add(1); return nil },
-			Deps:   []int{0},
 		},
 	}
-	if err := Run(jobs, Options{Workers: 4}); err != nil {
+	if err := Run([][]*Job{chain}, Options{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if finished.Load() != 1 || after.Load() != 1 || afterFinished.Load() != 1 {
 		t.Fatalf("finished=%d after=%d afterFinished=%d, want 1/1/1",
 			finished.Load(), after.Load(), afterFinished.Load())
-	}
-}
-
-// TestCycleDetected: dependency cycles are rejected up front.
-func TestCycleDetected(t *testing.T) {
-	jobs := []*Job{
-		{Label: "a", NTasks: 1, Run: func(w, i int) error { return nil }, Deps: []int{1}},
-		{Label: "b", NTasks: 1, Run: func(w, i int) error { return nil }, Deps: []int{0}},
-	}
-	if err := Run(jobs, Options{Workers: 4}); err == nil {
-		t.Fatal("cycle not detected")
-	}
-	if err := Run(jobs, Options{Workers: 1}); err == nil {
-		t.Fatal("cycle not detected on the serial path")
-	}
-	self := []*Job{{Label: "self", NTasks: 1, Run: func(w, i int) error { return nil }, Deps: []int{0}}}
-	if err := Run(self, Options{Workers: 4}); err == nil {
-		t.Fatal("self-dependency not detected")
 	}
 }
 
@@ -281,7 +242,7 @@ func TestWorkerIndexInRange(t *testing.T) {
 			return nil
 		},
 	}
-	if err := Run([]*Job{job}, Options{Workers: workers}); err != nil {
+	if err := Run([][]*Job{{job}}, Options{Workers: workers}); err != nil {
 		t.Fatal(err)
 	}
 	if bad.Load() != 0 {

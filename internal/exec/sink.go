@@ -111,10 +111,6 @@ func (s *BuildHT) Consume(b *storage.Batch) {
 // Finish implements Sink.
 func (s *BuildHT) Finish() {}
 
-// PipelineWrites implements ResourceWriter: probes and scans of the
-// built table must wait for this sink.
-func (s *BuildHT) PipelineWrites() []any { return []any{s.HT} }
-
 // Inserted reports how many rows the sink added (the actual build cost
 // driver in the cost-model accuracy experiment).
 func (s *BuildHT) Inserted() int64 { return s.inserted }
@@ -320,11 +316,6 @@ func identityBits(a AggCell) uint64 {
 // Finish implements Sink.
 func (s *AggHT) Finish() {}
 
-// PipelineWrites implements ResourceWriter: readouts of the
-// aggregation table must wait for this sink, and several residual
-// inputs folding into one widened table serialize on it.
-func (s *AggHT) PipelineWrites() []any { return []any{s.HT} }
-
 // Inserted reports the number of new groups created.
 func (s *AggHT) Inserted() int64 { return s.inserted }
 
@@ -408,10 +399,6 @@ func (s *TempTable) Consume(b *storage.Batch) {
 // Finish implements Sink.
 func (s *TempTable) Finish() { s.bytes = s.Table.ByteSize() }
 
-// PipelineWrites implements ResourceWriter: scans of the materialized
-// table (the baseline's readout-from-spill) must wait for this sink.
-func (s *TempTable) PipelineWrites() []any { return []any{s.Table} }
-
 // ByteSize reports the materialized size.
 func (s *TempTable) ByteSize() int64 { return s.bytes }
 
@@ -433,16 +420,4 @@ func (s *Multi) Finish() {
 	for _, sink := range s.Sinks {
 		sink.Finish()
 	}
-}
-
-// PipelineWrites implements ResourceWriter: the union of the fanned-out
-// sinks' writes.
-func (s *Multi) PipelineWrites() []any {
-	var out []any
-	for _, sink := range s.Sinks {
-		if w, ok := sink.(ResourceWriter); ok {
-			out = append(out, w.PipelineWrites()...)
-		}
-	}
-	return out
 }

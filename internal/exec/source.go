@@ -152,8 +152,8 @@ func (s *TableScan) advanceBox() error {
 // Morsels implements MorselSource: every box's scan unit (index row-id
 // run or full table range) is chunked into independent row ranges that
 // share the box's read-only residual matcher. The granularity is
-// rebalanced per box so even short residual scans split into stealable
-// units. It returns nil when box resolution fails; the runner's serial
+// rebalanced per box so even short residual scans split into several
+// morsels per worker. It returns nil when box resolution fails; the runner's serial
 // fallback then surfaces the error.
 func (s *TableScan) Morsels(rows, workers int) []Source {
 	var out []Source
@@ -472,7 +472,7 @@ func (s *HTScan) FilteredOut() int64 { return atomic.LoadInt64(&s.filtered) }
 // Morsels implements MorselSource: the hash table's entry arena is
 // chunked into independent ranges. The table is immutable while being
 // scanned — builds into it are earlier pipelines of the same query
-// (ordered before this one by the pipeline DAG), and cross-query
+// (finished before this one starts, in compile order), and cross-query
 // readers hold frozen snapshots that widening queries never mutate
 // (copy-on-write) — so morsels share it lock-free.
 func (s *HTScan) Morsels(rows, workers int) []Source {
@@ -483,10 +483,6 @@ func (s *HTScan) Morsels(rows, workers int) []Source {
 	}
 	return out
 }
-
-// PipelineReads implements ResourceReader: the scanned hash table is
-// produced by whichever earlier pipeline builds it.
-func (s *HTScan) PipelineReads() []any { return []any{s.HT} }
 
 // htScanMorsel scans one entry range of a hash table.
 type htScanMorsel struct {

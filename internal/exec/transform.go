@@ -355,12 +355,6 @@ func (p *Probe) filterPairs(sel, ents []int32) ([]int32, []int32, int64) {
 	return sel, ents, filtered
 }
 
-// PipelineReads implements ResourceReader: a probe must never start
-// before the pipeline building its hash table finishes — the DAG edge
-// this read induces is what orders probe pipelines after their build
-// sinks once pipelines no longer execute in strict compile order.
-func (p *Probe) PipelineReads() []any { return []any{p.HT} }
-
 // Matches reports the number of join matches produced; morsel workers
 // update the counter atomically.
 func (p *Probe) Matches() int64 { return atomic.LoadInt64(&p.matches) }

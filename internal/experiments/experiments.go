@@ -2,7 +2,7 @@
 // evaluation (Section 6). Each experiment returns a structured result
 // with a Format method that prints the same rows/series the paper
 // reports; cmd/hsbench drives them and bench_test.go wraps them as Go
-// benchmarks. EXPERIMENTS.md records paper-vs-measured shapes.
+// benchmarks.
 package experiments
 
 import (

@@ -45,8 +45,8 @@ const (
 	// HTCacheRevive fires in the cold-tier revival path before the
 	// rebuilt artifact republishes.
 	HTCacheRevive = "htcache.revive"
-	// SchedDispatch fires when the scheduler spreads a job's tasks to
-	// the worker deques.
+	// SchedDispatch fires when the scheduler seeds a job's tasks into
+	// the shared morsel queue.
 	SchedDispatch = "sched.dispatch"
 	// ExecMorsel fires at the head of every morsel/pipeline stream —
 	// the highest-frequency point, used to simulate operator panics.

@@ -40,10 +40,10 @@ type Engine struct {
 
 // NewEngine creates a baseline engine with the given temp-space budget
 // in bytes (0 = unlimited). par configures morsel-driven execution of
-// the baseline's pipelines: the zero value runs serially; with workers
-// the pipeline DAG orders spills before their re-scans (a temp-table
-// consumer depends on its producer) while independent build sides run
-// concurrently.
+// the baseline's pipelines: the zero value runs every pipeline whole on
+// the calling goroutine; with workers each pipeline's morsels spread
+// across the pool. Either way pipelines run in compile order, so a
+// spill finishes before its re-scan starts.
 func NewEngine(cat *catalog.Catalog, budget int64, par exec.Parallelism) *Engine {
 	return &Engine{
 		Cat:   cat,
@@ -209,11 +209,6 @@ func newTempScan(e *TempEntry, filter expr.Box) (*tempScan, error) {
 
 func (s *tempScan) Schema() storage.Schema { return s.entry.Schema }
 func (s *tempScan) Open() error            { s.pos = 0; return nil }
-
-// PipelineReads implements exec.ResourceReader: a fresh aggregation
-// spills its readout to a temp table and re-reads it in the same plan,
-// so the scan must wait for the spill pipeline's sink.
-func (s *tempScan) PipelineReads() []any { return []any{s.entry.Table} }
 
 // Next is batch-at-a-time: the post-filter refines a selection vector
 // with one typed kernel per constrained column (bounds hoisted, no

@@ -101,7 +101,7 @@ func (p *Prepared) finishSafe(runErr error, execTime time.Duration) (res *Result
 // Prepared is a planned and compiled query whose pipelines have not run
 // yet. The sharded scatter-gather executor uses the split form: it
 // Prepares one sub-query per shard, fans every shard's pipelines into a
-// single scheduler run (shard-grouped worker deques), then Finishes
+// single scheduler run (one chain per shard), then Finishes
 // each to publish snapshots and collect results. The prepared query
 // holds an epoch reader on its optimizer's cache until Finish or Abort.
 type Prepared struct {
@@ -346,7 +346,7 @@ func (o *Optimizer) MeasureSubPlan(q *plan.Query, node *Node) (time.Duration, er
 	collect := exec.NewCollect(schema)
 	c.out.Pipelines = append(c.out.Pipelines, &exec.Pipeline{Source: src, Transforms: tfs, Sink: collect})
 	t0 := time.Now()
-	if err := exec.Run(c.out.Pipelines); err != nil {
+	if err := exec.RunParallel(c.out.Pipelines, exec.Parallelism{Workers: 1}); err != nil {
 		return 0, err
 	}
 	return time.Since(t0), nil

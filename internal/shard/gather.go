@@ -66,9 +66,8 @@ func (s *Shard) estimateCost(q *plan.Query) (float64, error) {
 // aggregates are rewritten to additive partials over the full group-by
 // key, and ORDER BY/LIMIT stay per-shard only when the merge can
 // exploit them (top-k legs feeding a k-way merge). All shards' compiled
-// pipelines run under one scheduler invocation with shard-affine worker
-// groups; work stealing crosses shards only when a group's deques run
-// dry.
+// pipelines run under one scheduler invocation, one chain per leg,
+// their morsels sharing one queue.
 func (e *Engine) scatter(ctx context.Context, q *plan.Query) (*optimizer.Result, error) {
 	pl := e.planExchanges(q)
 	qr, temps, err := e.applyExchanges(q, pl)

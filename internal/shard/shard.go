@@ -2,9 +2,8 @@
 // shards. Each shard is a self-contained slice of the system — its own
 // catalog fragment, its own hash-table/index cache with benefit
 // accounting, its own optimizer (reuse history, ski-rental index
-// accumulator) and its own worker deques in the scheduler — so the
-// paper's reuse machinery composes per locality domain instead of
-// contending on one global pool.
+// accumulator) — so the paper's reuse machinery composes per shard
+// instead of contending on one global cache.
 //
 // Tables declare at most one partition key. Declared tables are split
 // into per-shard fragments by partition-key hash (storage.Partitioner);
@@ -13,13 +12,13 @@
 // partition-key equality constraints pin every partitioned relation to
 // one shard straight to that shard's optimizer; everything else
 // compiles to a scatter-gather plan — one per-shard sub-plan, fanned
-// out as shard-grouped jobs of a single scheduler run, gathered by a
-// merge matched to the query shape (partial-aggregate fold, sorted
-// k-way merge for ORDER BY ... LIMIT, plain concatenation). Joins
-// whose sides are co-partitioned on the join columns probe shard-
-// locally; mismatched joins move the cheaper side through a batched
-// exchange (repartition when that aligns the join, broadcast
-// otherwise), priced by the cost model.
+// out as one chain of jobs per shard in a single scheduler run,
+// gathered by a merge matched to the query shape (partial-aggregate
+// fold, sorted k-way merge for ORDER BY ... LIMIT, plain
+// concatenation). Joins whose sides are co-partitioned on the join
+// columns probe shard-locally; mismatched joins move the cheaper side
+// through a batched exchange (repartition when that aligns the join,
+// broadcast otherwise), priced by the cost model.
 package shard
 
 import (
@@ -36,8 +35,8 @@ import (
 	"hashstash/internal/types"
 )
 
-// Shard is one locality domain: a catalog fragment plus the shard's
-// private cache and optimizer.
+// Shard is one partition of the engine: a catalog fragment plus the
+// shard's private cache and optimizer.
 type Shard struct {
 	ID    int
 	Cat   *catalog.Catalog
@@ -54,8 +53,8 @@ type Shard struct {
 type Engine struct {
 	shards []*Shard
 	model  *costmodel.Model
-	// par is the total execution budget of one scatter-gather run,
-	// split into per-shard worker groups by exec.RunSharded.
+	// par is the execution budget of one scatter-gather run: one pool
+	// whose workers serve every leg's chain.
 	par exec.Parallelism
 	// keys maps table name → declared partition-key column. Undeclared
 	// tables are replicated.

@@ -88,8 +88,8 @@ func (s *Optimizer) runSharedGroup(ctx context.Context, queries []*plan.Query, g
 	// both private) tables, so no cross-query coordination is needed.
 	// Multi-sink grouping spines split like ordinary scans (every child
 	// sink merges per-worker partials), and the per-query readout
-	// pipelines — independent in the pipeline DAG — run concurrently
-	// once their grouping table's build finishes.
+	// pipelines follow in compile order, after their grouping table's
+	// build finished.
 	par := s.Single.Opts.Parallelism
 	par.Ctx = ctx
 	t0 := time.Now()

@@ -49,20 +49,21 @@ func (t *Table) Morsels(size int) []Morsel {
 // itself.
 const MinMorselRows = 1024
 
-// stealFactor is the target number of morsels per worker when
-// balancing: enough slack that a worker finishing early always finds
-// victims with stealable tails, few enough that locality survives.
-const stealFactor = 4
+// morselsPerWorker is the target number of morsels per worker when
+// balancing: enough that the workers pulling from the shared queue
+// finish a pipeline at about the same time, few enough that per-morsel
+// overhead stays negligible.
+const morselsPerWorker = 4
 
-// BalancedMorselRows is the work-stealing partitioning hint: the
+// BalancedMorselRows is the load-balancing partitioning hint: the
 // configured morsel size when [0, n) already yields enough morsels to
-// balance a pool of workers, otherwise a finer granularity targeting
-// stealFactor morsels per worker. The automatic shrink floors at
+// keep a pool of workers busy, otherwise a finer granularity targeting
+// morselsPerWorker morsels per worker. The automatic shrink floors at
 // MinMorselRows; an explicitly smaller configured size is respected
 // (tests and benchmarks force fine morsels that way). Sources pass
 // their row counts through this before chunking so short scans — a
-// selective residual box, a small index run — still split into
-// stealable units instead of one morsel per core.
+// selective residual box, a small index run — still split into several
+// morsels per worker instead of one morsel per core.
 func BalancedMorselRows(n, size, workers int) int {
 	if size <= 0 {
 		size = DefaultMorselRows
@@ -70,7 +71,7 @@ func BalancedMorselRows(n, size, workers int) int {
 	if workers <= 1 || n <= 0 {
 		return size
 	}
-	if target := n / (stealFactor * workers); target < size {
+	if target := n / (morselsPerWorker * workers); target < size {
 		if target < MinMorselRows {
 			target = MinMorselRows
 		}

@@ -74,12 +74,14 @@ type Tuning struct {
 	// RehashBudget caps chain nodes per bucket-maintenance pass (0 =
 	// hashtable default).
 	RehashBudget int
-	// Shards partitions the engine into n locality domains, each with
-	// its own catalog fragment, cache (an equal share of the byte
-	// budgets) and scheduler workers; <= 1 is one shard holding every
-	// table whole. Tables with a WithPartitionKey declaration split by
-	// key hash, the rest replicate. Applies to EngineHashStash; the
-	// baseline engines always run one shard.
+	// Shards partitions the engine into n shards, each with its own
+	// catalog fragment, cache (an equal share of the byte budgets) and
+	// optimizer. A query routed to one shard runs on Parallelism/n
+	// workers; the legs of a scatter-gather query share one pool of
+	// Parallelism workers. <= 1 is one shard holding every table whole.
+	// Tables with a WithPartitionKey declaration split by key hash, the
+	// rest replicate. Applies to EngineHashStash; the baseline engines
+	// always run one shard.
 	Shards int
 	// SoftMemoryLimit is the memory governor's soft watermark (bytes):
 	// above it the engine sheds cache, vetoes new index builds and the
@@ -122,11 +124,6 @@ type Ablations struct {
 	NoPartialReuse bool
 	// NoOverlappingReuse disables overlapping reuse.
 	NoOverlappingReuse bool
-	// NoInterPipelineParallelism restricts the scheduler to one
-	// pipeline at a time in compile order.
-	NoInterPipelineParallelism bool
-	// NoWorkStealing pins each worker to its seeded morsel partition.
-	NoWorkStealing bool
 	// NoBucketRehash disables incremental bucket maintenance of widened
 	// cached tables.
 	NoBucketRehash bool
@@ -152,8 +149,6 @@ func WithAblations(a Ablations) Option {
 		merge(&d.NoBenefitOptimizations, a.NoBenefitOptimizations)
 		merge(&d.NoPartialReuse, a.NoPartialReuse)
 		merge(&d.NoOverlappingReuse, a.NoOverlappingReuse)
-		merge(&d.NoInterPipelineParallelism, a.NoInterPipelineParallelism)
-		merge(&d.NoWorkStealing, a.NoWorkStealing)
 		merge(&d.NoBucketRehash, a.NoBucketRehash)
 		merge(&d.NoSecondaryIndexes, a.NoSecondaryIndexes)
 		merge(&d.Faults, a.Faults)

@@ -24,8 +24,8 @@ func assertGolden(t *testing.T, label string, got, want *Result) {
 // TestScheduledBatchMatchesSerial runs the same query batch — mergeable
 // lineitem aggregates over two group-by key sets, so the shared plan's
 // grouping spine fans one scan out to several grouping tables — under
-// the serial runner and the work-stealing scheduler, twice each so the
-// second batch re-tags and reuses the cached grouping tables.
+// one worker and a pool of four, twice each so the second batch
+// re-tags and reuses the cached grouping tables.
 func TestScheduledBatchMatchesSerial(t *testing.T) {
 	batch := []string{
 		`SELECT l.l_returnflag, COUNT(*) AS n, SUM(l.l_quantity) AS q
@@ -61,9 +61,9 @@ func TestScheduledBatchMatchesSerial(t *testing.T) {
 // TestScheduledMatreuseMatchesSerial drives the materialized baseline
 // through the scheduler: join builds spill per-worker temp partials
 // that merge at pipeline end, and the aggregate path's
-// readout-from-spill waits on its producer through a pipeline DAG edge
-// instead of implicit ordering. The second round reuses materialized
-// temp tables (rebuild-from-spill pipelines).
+// readout-from-spill runs after its producer in compile order. The
+// second round reuses materialized temp tables (rebuild-from-spill
+// pipelines).
 func TestScheduledMatreuseMatchesSerial(t *testing.T) {
 	queries := parallelQueries()
 	serial := openTPCH(t, WithEngine(EngineMaterialized), WithTuning(Tuning{Parallelism: 1}))
@@ -86,8 +86,9 @@ func TestScheduledMatreuseMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSchedulerKnobsGolden: the ablation knobs — strict pipeline order,
-// no stealing — change scheduling, never results.
+// TestSchedulerKnobsGolden: the sizing knobs that change how pipelines
+// are scheduled — pool size, and one query chain vs one chain per
+// scatter leg — change scheduling, never results.
 func TestSchedulerKnobsGolden(t *testing.T) {
 	queries := parallelQueries()
 	golden := openTPCH(t, WithTuning(Tuning{Parallelism: 1}))
@@ -101,14 +102,20 @@ func TestSchedulerKnobsGolden(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		opts []Option
+		db   func(t *testing.T) *DB
 	}{
-		{"serialPipelines", []Option{WithTuning(Tuning{Parallelism: 4, MorselRows: 512}), WithAblations(Ablations{NoInterPipelineParallelism: true})}},
-		{"noSteal", []Option{WithTuning(Tuning{Parallelism: 4, MorselRows: 512}), WithAblations(Ablations{NoWorkStealing: true})}},
-		{"both", []Option{WithTuning(Tuning{Parallelism: 4, MorselRows: 512}), WithAblations(Ablations{NoInterPipelineParallelism: true, NoWorkStealing: true})}},
+		{"parallelism=4", func(t *testing.T) *DB {
+			return openTPCH(t, WithTuning(Tuning{Parallelism: 4, MorselRows: 512}))
+		}},
+		{"shards=2", func(t *testing.T) *DB {
+			return openShardedTPCH(t, 2, WithTuning(Tuning{Parallelism: 4, MorselRows: 512}))
+		}},
+		{"shards=2,parallelism=1", func(t *testing.T) *DB {
+			return openShardedTPCH(t, 2, WithTuning(Tuning{Parallelism: 1}))
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			db := openTPCH(t, tc.opts...)
+			db := tc.db(t)
 			for i, q := range queries {
 				res, err := db.Exec(q)
 				if err != nil {
