@@ -210,7 +210,7 @@ func BenchmarkSchedPipelineChain(b *testing.B) {
 				b.Fatal(err)
 			}
 			pipelines = append(pipelines, p)
-			readouts = append(readouts, &Pipeline{Source: src, Sink: NewCollect(src.Schema())})
+			readouts = append(readouts, &Pipeline{Source: src, Sink: NewCollect(src.Schema(), nil, Order{})})
 		}
 		return append(pipelines, readouts...)
 	}

@@ -48,7 +48,7 @@ func runToCollect(t *testing.T, src Source, transforms ...Transform) *Collect {
 	if len(transforms) > 0 {
 		schema = transforms[len(transforms)-1].OutSchema()
 	}
-	sink := NewCollect(schema)
+	sink := NewCollect(schema, nil, Order{})
 	p := &Pipeline{Source: src, Transforms: transforms, Sink: sink}
 	if err := p.Run(); err != nil {
 		t.Fatal(err)
@@ -428,7 +428,7 @@ func TestTempTableAndMultiSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	temp := NewTempTable("tmp1", src.Schema())
-	collect := NewCollect(src.Schema())
+	collect := NewCollect(src.Schema(), nil, Order{})
 	p := &Pipeline{Source: src, Sink: &Multi{Sinks: []Sink{temp, collect}}}
 	if err := p.Run(); err != nil {
 		t.Fatal(err)

@@ -89,7 +89,7 @@ func TestProbeNeverStartsBeforeBuildFinishes(t *testing.T) {
 		}
 		var violation atomic.Bool
 		checked := &checkedProbe{Probe: probe, built: &gate.finished, violation: &violation}
-		collect := NewCollect(probe.OutSchema())
+		collect := NewCollect(probe.OutSchema(), nil, Order{})
 		probeP := &Pipeline{Source: psrc, Transforms: []Transform{checked}, Sink: collect}
 
 		if err := RunParallel([]*Pipeline{build, probeP}, par); err != nil {
@@ -123,7 +123,7 @@ func TestRunParallelSerialFallbacks(t *testing.T) {
 	serial := runToCollect(t, mkScan())
 
 	t.Run("unsplittableSource", func(t *testing.T) {
-		collect := NewCollect(mkScan().Schema())
+		collect := NewCollect(mkScan().Schema(), nil, Order{})
 		p := &Pipeline{Source: &plainSource{src: mkScan()}, Sink: collect}
 		if err := RunParallel([]*Pipeline{p}, Parallelism{Workers: 4, MorselRows: 1024}); err != nil {
 			t.Fatal(err)
@@ -132,7 +132,7 @@ func TestRunParallelSerialFallbacks(t *testing.T) {
 	})
 
 	t.Run("noMergeSink", func(t *testing.T) {
-		collect := NewCollect(mkScan().Schema())
+		collect := NewCollect(mkScan().Schema(), nil, Order{})
 		gate := &gateSink{sink: collect}
 		p := &Pipeline{Source: mkScan(), Sink: gate}
 		if err := RunParallel([]*Pipeline{p}, Parallelism{Workers: 4, MorselRows: 1024}); err != nil {
@@ -151,7 +151,7 @@ func TestRunParallelSerialFallbacks(t *testing.T) {
 	})
 
 	t.Run("singleWorker", func(t *testing.T) {
-		collect := NewCollect(mkScan().Schema())
+		collect := NewCollect(mkScan().Schema(), nil, Order{})
 		p := &Pipeline{Source: mkScan(), Sink: collect}
 		if err := RunParallel([]*Pipeline{p}, Parallelism{Workers: 1}); err != nil {
 			t.Fatal(err)
@@ -219,7 +219,7 @@ func TestTempTableConsumerOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		collect := NewCollect(resrc.Schema())
+		collect := NewCollect(resrc.Schema(), nil, Order{})
 		final := &Pipeline{Source: resrc, Sink: collect}
 		if err := RunParallel([]*Pipeline{aggP, spill, final}, par); err != nil {
 			t.Fatal(err)
@@ -250,7 +250,7 @@ func TestExecMorselStorm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		collect := NewCollect(src.Schema())
+		collect := NewCollect(src.Schema(), nil, Order{})
 		pipelines = append(pipelines, &Pipeline{Source: src, Sink: collect})
 		collects = append(collects, collect)
 	}

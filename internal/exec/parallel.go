@@ -272,9 +272,11 @@ func mergeAggBits(a AggCell, dst, src uint64) uint64 {
 	panic("exec: cannot merge aggregate")
 }
 
-// parallelCollect accumulates rows per worker and concatenates them at
-// merge. Row order is worker-dependent (SQL result sets are unordered;
-// tests compare sorted rows).
+// parallelCollect gives each worker a private Collect and concatenates
+// their batch lists at merge; the target's Finish then orders and
+// boxes. Arrival order is worker-dependent (SQL result sets are
+// unordered; tests compare sorted rows), so rows tied on an ORDER BY key
+// may come out in another order than on one worker.
 type parallelCollect struct {
 	target *Collect
 	parts  []*Collect
@@ -283,7 +285,7 @@ type parallelCollect struct {
 func newParallelCollect(t *Collect, nw int) *parallelCollect {
 	pc := &parallelCollect{target: t, parts: make([]*Collect, nw)}
 	for w := range pc.parts {
-		pc.parts[w] = NewCollect(t.Schema)
+		pc.parts[w] = NewCollect(t.Schema, t.cols, Order{})
 	}
 	return pc
 }
@@ -292,7 +294,8 @@ func (pc *parallelCollect) worker(w int) Sink { return pc.parts[w] }
 
 func (pc *parallelCollect) merge() {
 	for _, part := range pc.parts {
-		pc.target.Rows = append(pc.target.Rows, part.Rows...)
+		pc.target.batches = append(pc.target.batches, part.batches...)
+		pc.target.n += part.n
 	}
 }
 

@@ -220,7 +220,7 @@ func TestParallelBuildProbeMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		collect := NewCollect(probe.OutSchema())
+		collect := NewCollect(probe.OutSchema(), nil, Order{})
 		probeP := &Pipeline{Source: psrc, Transforms: []Transform{probe}, Sink: collect}
 		if err := RunParallel([]*Pipeline{build, probeP}, par); err != nil {
 			t.Fatal(err)
@@ -250,7 +250,7 @@ func TestParallelHTScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	collect := NewCollect(src.Schema())
+	collect := NewCollect(src.Schema(), nil, Order{})
 	scanP := &Pipeline{Source: src, Sink: collect}
 	if err := RunParallel([]*Pipeline{scanP}, Parallelism{Workers: 4, MorselRows: 512}); err != nil {
 		t.Fatal(err)

@@ -322,54 +322,118 @@ func (s *AggHT) Inserted() int64 { return s.inserted }
 // Updated reports the number of in-place aggregate updates.
 func (s *AggHT) Updated() int64 { return s.updated }
 
-// Collect accumulates result rows.
+// Order is the ORDER BY / LIMIT a Collect applies when it finishes. The
+// zero Order keeps every row in arrival order.
+type Order struct {
+	// Sort orders the rows by collected column Col, descending when
+	// Desc; equal keys keep arrival order (a stable sort).
+	Sort bool
+	Col  int
+	Desc bool
+	// Limit > 0 keeps only the first Limit rows.
+	Limit int
+}
+
+// Collect accumulates result rows as typed copies of the batches it
+// consumes and, at Finish, orders and cuts them per its Order and boxes
+// only the surviving rows into Rows — the public API's row-major shape.
 type Collect struct {
 	Schema storage.Schema
-	Rows   [][]types.Value
+	Order  Order
+	// Rows is the result, valid after Finish.
+	Rows [][]types.Value
+
+	// cols is the input column each collected column copies; nil
+	// copies every input column in order.
+	cols []int
+	// batches holds one exact-size copy of each consumed batch's
+	// collected columns, in arrival order; row ids count through them.
+	batches [][]storage.Vec
+	n       int
 }
 
-// NewCollect returns a collect sink for the schema.
-func NewCollect(schema storage.Schema) *Collect { return &Collect{Schema: schema} }
+// NewCollect returns a collect sink whose columns, described by schema,
+// copy input columns cols — the query's final projection, applied as
+// the rows are collected so that it needs no batch of its own. Nil cols
+// collects every input column.
+func NewCollect(schema storage.Schema, cols []int, order Order) *Collect {
+	return &Collect{Schema: schema, Order: order, cols: cols}
+}
 
-// Consume implements Sink. Result rows are row-major boxed values (the
-// public API's shape); the kind dispatch is hoisted to one typed
-// column-filling loop per column.
+// Consume implements Sink: one bulk typed copy per collected column. A
+// copy sized to the batch, rather than appends to growing columns,
+// allocates each collected value once and makes the per-worker merge a
+// list concat.
 func (s *Collect) Consume(b *storage.Batch) {
-	n := b.Len()
-	if n == 0 {
-		return
+	copied := make([]storage.Vec, len(s.Schema))
+	for c := range copied {
+		v := b.Cols[c]
+		if s.cols != nil {
+			v = b.Cols[s.cols[c]]
+		}
+		copied[c].Kind = v.Kind
+		copied[c].AppendRange(v, 0, v.Len())
 	}
-	base := len(s.Rows)
-	// One backing array for the batch's rows keeps the allocation count
-	// per batch, not per row.
-	cells := make([]types.Value, n*len(b.Cols))
-	for i := 0; i < n; i++ {
-		s.Rows = append(s.Rows, cells[i*len(b.Cols):(i+1)*len(b.Cols):(i+1)*len(b.Cols)])
-	}
-	for c, vec := range b.Cols {
-		switch vec.Kind {
-		case types.Int64:
-			for i, v := range vec.Ints[:n] {
-				s.Rows[base+i][c] = types.NewInt(v)
-			}
-		case types.Date:
-			for i, v := range vec.Ints[:n] {
-				s.Rows[base+i][c] = types.NewDate(v)
-			}
-		case types.Float64:
-			for i, v := range vec.Floats[:n] {
-				s.Rows[base+i][c] = types.NewFloat(v)
-			}
-		case types.String:
-			for i, v := range vec.Strs[:n] {
-				s.Rows[base+i][c] = types.NewString(v)
+	s.batches = append(s.batches, copied)
+	s.n += b.Len()
+}
+
+// Finish implements Sink. Without ORDER BY the first rows box straight
+// from the batches. With it, the columns concatenate and a typed
+// permutation (a bounded heap under a LIMIT) picks the surviving rows
+// in order. Either way the boxed rows take two exact-size allocations.
+func (s *Collect) Finish() {
+	o := s.Order
+	if !o.Sort {
+		m := s.n
+		if o.Limit > 0 && o.Limit < m {
+			m = o.Limit
+		}
+		s.Rows = newRows(m, len(s.Schema))
+		i := 0
+		for _, batch := range s.batches {
+			for r := 0; i < m && r < batch[0].Len(); r++ {
+				boxRow(s.Rows[i], batch, r)
+				i++
 			}
 		}
+		return
+	}
+	flat := make([]storage.Vec, len(s.Schema))
+	for c, m := range s.Schema {
+		flat[c].Kind = m.Kind
+		flat[c].Grow(s.n)
+		for _, batch := range s.batches {
+			flat[c].AppendRange(&batch[c], 0, batch[c].Len())
+		}
+	}
+	perm := storage.OrderPerm(s.n, o.Limit, flat[o.Col].RowOrder(o.Desc))
+	s.Rows = newRows(len(perm), len(s.Schema))
+	for i, r := range perm {
+		boxRow(s.Rows[i], flat, int(r))
 	}
 }
 
-// Finish implements Sink.
-func (s *Collect) Finish() {}
+// newRows returns m rows of w cells backed by one cell array; nil when
+// m is 0.
+func newRows(m, w int) [][]types.Value {
+	if m == 0 {
+		return nil
+	}
+	cells := make([]types.Value, m*w)
+	rows := make([][]types.Value, m)
+	for i := range rows {
+		rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
+	}
+	return rows
+}
+
+// boxRow boxes row r of the columns into dst.
+func boxRow(dst []types.Value, cols []storage.Vec, r int) {
+	for c := range cols {
+		dst[c] = cols[c].Value(r)
+	}
+}
 
 // TempTable materializes batches into a fresh storage table — the
 // materialization-based reuse baseline's extra spill. Column names are

@@ -33,8 +33,7 @@ func (c *matCompiler) compileSPJRoot(root *optimizer.Node) error {
 	if err != nil {
 		return err
 	}
-	tfs = append(tfs, proj)
-	collect := exec.NewCollect(proj.OutSchema())
+	collect := exec.NewCollect(proj.OutSchema(), proj.Cols, exec.Order{})
 	c.pipelines = append(c.pipelines, &exec.Pipeline{Source: src, Transforms: tfs, Sink: collect})
 	c.out = collect
 	c.columns = names
@@ -273,8 +272,7 @@ func (c *matCompiler) readoutFromTemp(entry *TempEntry, agg *optimizer.AggChoice
 	if err != nil {
 		return err
 	}
-	tfs = append(tfs, proj)
-	collect := exec.NewCollect(proj.OutSchema())
+	collect := exec.NewCollect(proj.OutSchema(), proj.Cols, exec.Order{})
 	c.pipelines = append(c.pipelines, &exec.Pipeline{Source: src, Transforms: tfs, Sink: collect})
 	c.out = collect
 	c.columns = names

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 
 	"hashstash/internal/exec"
 	"hashstash/internal/expr"
@@ -20,10 +21,6 @@ type Compiled struct {
 	pinned        []*htcache.Entry
 	created       []*htcache.Entry
 	filterUpdates []filterUpdate
-	// ordered marks plans whose pipelines already emit rows in ORDER BY
-	// order, truncated to LIMIT (the bounded index-order scan); the
-	// executor's sort+truncate fallback is skipped.
-	ordered bool
 }
 
 // filterUpdate records one copy-on-write widening performed by the
@@ -379,9 +376,10 @@ func (c *compiler) compileSPJRoot(root *Node) error {
 	var src exec.Source
 	var tfs []exec.Transform
 	var schema storage.Schema
+	ordered := false
 	if ord := c.tryOrderedSource(root); ord != nil {
 		src, schema = ord, ord.Schema()
-		c.out.ordered = true
+		ordered = true
 	} else {
 		var err error
 		src, tfs, schema, err = c.compileStream(root)
@@ -409,12 +407,29 @@ func (c *compiler) compileSPJRoot(root *Node) error {
 	if err != nil {
 		return err
 	}
-	tfs = append(tfs, proj)
-	collect := exec.NewCollect(proj.OutSchema())
+	// The bounded index-order scan already emits the rows in ORDER BY
+	// order, cut to the LIMIT.
+	var order exec.Order
+	if !ordered {
+		order = c.resultOrder(names)
+	}
+	collect := exec.NewCollect(proj.OutSchema(), proj.Cols, order)
 	c.out.Pipelines = append(c.out.Pipelines, &exec.Pipeline{Source: src, Transforms: tfs, Sink: collect})
 	c.out.Out = collect
 	c.out.Columns = names
 	return nil
+}
+
+// resultOrder is the query's ORDER BY / LIMIT over its result columns.
+// An ORDER BY column that is not selected orders nothing.
+func (c *compiler) resultOrder(names []string) exec.Order {
+	order := exec.Order{Limit: c.q.Limit}
+	if ob := c.q.OrderBy; ob != nil {
+		if i := slices.Index(names, ob.Col.String()); i >= 0 {
+			order.Sort, order.Col, order.Desc = true, i, ob.Desc
+		}
+	}
+	return order
 }
 
 // aggCellRef names the hash-table cell of a base-qualified spec.
@@ -706,8 +721,7 @@ func (c *compiler) compileReadout(ht *hashtable.Table, agg *AggChoice, specIdx [
 	if err != nil {
 		return err
 	}
-	tfs = append(tfs, proj)
-	collect := exec.NewCollect(proj.OutSchema())
+	collect := exec.NewCollect(proj.OutSchema(), proj.Cols, c.resultOrder(names))
 	c.out.Pipelines = append(c.out.Pipelines, &exec.Pipeline{Source: src, Transforms: tfs, Sink: collect})
 	c.out.Out = collect
 	c.out.Columns = names

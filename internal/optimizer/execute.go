@@ -4,13 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"hashstash/hashstasherr"
 	"hashstash/internal/exec"
 	"hashstash/internal/htcache"
 	"hashstash/internal/plan"
+	"hashstash/internal/storage"
 	"hashstash/internal/types"
 )
 
@@ -106,7 +107,6 @@ func (p *Prepared) finishSafe(runErr error, execTime time.Duration) (res *Result
 // holds an epoch reader on its optimizer's cache until Finish or Abort.
 type Prepared struct {
 	o        *Optimizer
-	q        *plan.Query
 	planned  *Planned
 	compiled *Compiled
 	reader   *htcache.Reader
@@ -141,7 +141,7 @@ func (o *Optimizer) Prepare(q *plan.Query) (p *Prepared, err error) {
 		return nil, err
 	}
 	return &Prepared{
-		o: o, q: q, planned: planned, compiled: compiled,
+		o: o, planned: planned, compiled: compiled,
 		reader: reader, planTime: time.Since(t0),
 	}, nil
 }
@@ -203,13 +203,9 @@ func (p *Prepared) Finish(runErr error, execTime time.Duration) (*Result, error)
 		rowsIn += in
 		rowsOut += out
 	}
-	rows := compiled.Out.Rows
-	if !compiled.ordered {
-		rows = OrderAndLimit(rows, compiled.Columns, p.q)
-	}
 	return &Result{
 		Columns:       compiled.Columns,
-		Rows:          rows,
+		Rows:          compiled.Out.Rows,
 		PlanTime:      p.planTime,
 		ExecTime:      execTime,
 		RowsIn:        rowsIn,
@@ -230,34 +226,37 @@ func (p *Prepared) Abort() {
 	p.reader.Exit()
 }
 
-// OrderAndLimit is the fallback for ORDER BY / LIMIT queries whose plan
-// did not use the bounded index-order scan: a stable sort over the
-// collected rows, then truncation. The materialized baseline shares it.
+// OrderAndLimit applies a query's ORDER BY / LIMIT to rows that are
+// already boxed — the shard aggregate merge and the materialized
+// baseline. It picks rows with the same permutation selector the
+// result collector uses: the first Limit rows of a stable sort.
 func OrderAndLimit(rows [][]types.Value, columns []string, q *plan.Query) [][]types.Value {
+	idx := -1
 	if q.OrderBy != nil {
-		idx := -1
-		want := q.OrderBy.Col.String()
-		for i, c := range columns {
-			if c == want {
-				idx = i
-				break
-			}
-		}
-		if idx >= 0 {
-			desc := q.OrderBy.Desc
-			sort.SliceStable(rows, func(i, j int) bool {
-				c := rows[i][idx].Compare(rows[j][idx])
-				if desc {
-					return c > 0
-				}
-				return c < 0
-			})
-		}
+		idx = slices.Index(columns, q.OrderBy.Col.String())
 	}
-	if q.Limit > 0 && len(rows) > q.Limit {
-		rows = rows[:q.Limit]
+	if idx < 0 {
+		if q.Limit > 0 && len(rows) > q.Limit {
+			rows = rows[:q.Limit]
+		}
+		return rows
 	}
-	return rows
+	desc := q.OrderBy.Desc
+	perm := storage.OrderPerm(len(rows), q.Limit, func(a, b int32) int {
+		c := rows[a][idx].Compare(rows[b][idx])
+		if desc {
+			c = -c
+		}
+		if c != 0 {
+			return c
+		}
+		return int(a) - int(b)
+	})
+	out := make([][]types.Value, len(perm))
+	for i, r := range perm {
+		out[i] = rows[r]
+	}
+	return out
 }
 
 // discard unwinds a compiled plan that will not publish its tables —
@@ -343,7 +342,7 @@ func (o *Optimizer) MeasureSubPlan(q *plan.Query, node *Node) (time.Duration, er
 	if err != nil {
 		return 0, err
 	}
-	collect := exec.NewCollect(schema)
+	collect := exec.NewCollect(schema, nil, exec.Order{})
 	c.out.Pipelines = append(c.out.Pipelines, &exec.Pipeline{Source: src, Transforms: tfs, Sink: collect})
 	t0 := time.Now()
 	if err := exec.RunParallel(c.out.Pipelines, exec.Parallelism{Workers: 1}); err != nil {

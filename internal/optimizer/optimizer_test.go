@@ -3,6 +3,7 @@ package optimizer
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -493,5 +494,35 @@ func TestGCDuringWorkloadKeepsResultsCorrect(t *testing.T) {
 	}
 	if opt.Cache.Stats().Evictions == 0 {
 		t.Error("expected evictions under a 64KB budget")
+	}
+}
+
+// TestOrderAndLimitMatchesStableSort: the boxed ORDER BY / LIMIT (shard
+// aggregate merge, materialized baseline) returns the prefix of a
+// stable sort, ties in input order.
+func TestOrderAndLimitMatchesStableSort(t *testing.T) {
+	rows := make([][]types.Value, 200)
+	for i := range rows {
+		rows[i] = []types.Value{types.NewInt(int64(i)), types.NewFloat(float64(i*7%5) / 2)}
+	}
+	columns := []string{"k", "v"}
+	for _, desc := range []bool{false, true} {
+		want := slices.Clone(rows)
+		slices.SortStableFunc(want, func(a, b []types.Value) int {
+			if desc {
+				return b[1].Compare(a[1])
+			}
+			return a[1].Compare(b[1])
+		})
+		for _, limit := range []int{0, 1, 37, 199, 200, 201} {
+			q := &plan.Query{OrderBy: &plan.OrderSpec{Col: storage.ColRef{Column: "v"}, Desc: desc}, Limit: limit}
+			cut := want
+			if limit > 0 && limit < len(want) {
+				cut = want[:limit]
+			}
+			if got := OrderAndLimit(slices.Clone(rows), columns, q); fmt.Sprint(got) != fmt.Sprint(cut) {
+				t.Fatalf("desc=%v limit=%d: got %v, want %v", desc, limit, got, cut)
+			}
+		}
 	}
 }

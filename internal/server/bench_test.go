@@ -2,11 +2,13 @@ package server
 
 import (
 	"context"
+	"math/rand/v2"
 	"sync"
 	"testing"
 	"time"
 
 	"hashstash"
+	"hashstash/internal/types"
 	"hashstash/internal/workload"
 )
 
@@ -67,3 +69,25 @@ func benchServe(b *testing.B, disableBatching bool) {
 
 func BenchmarkServeSimilarBatched(b *testing.B) { benchServe(b, false) }
 func BenchmarkServeSimilarSolo(b *testing.B)    { benchServe(b, true) }
+
+// BenchmarkEncodeResult encodes one export-sized answer — 2,333 rows of
+// (int64, float64), the size of a 1 % lineitem range scan at SF 0.05 —
+// into a pooled response buffer, as POST /query does. Once the pool
+// holds a grown buffer, an encode allocates nothing.
+func BenchmarkEncodeResult(b *testing.B) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	res := &hashstash.Result{Columns: []string{"l.l_orderkey", "l.l_extendedprice"}}
+	for i := 0; i < 2333; i++ {
+		res.Rows = append(res.Rows, []hashstash.Value{
+			types.NewInt(rng.Int64N(300_000)),
+			types.NewFloat(float64(rng.IntN(10_000_000)) / 100),
+		})
+	}
+	info := QueryInfo{Mode: "bypass-shape"}
+	b.ReportAllocs()
+	for b.Loop() {
+		buf := getBuf()
+		*buf = appendResult(*buf, res, info, false)
+		putBuf(buf)
+	}
+}

@@ -11,7 +11,6 @@ import (
 	"hashstash"
 	"hashstash/hashstasherr"
 	"hashstash/internal/memgov"
-	"hashstash/internal/types"
 )
 
 // queryRequest is the POST /query body.
@@ -19,14 +18,6 @@ type queryRequest struct {
 	SQL       string `json:"sql"`
 	Tenant    string `json:"tenant,omitempty"`
 	TimeoutMS int64  `json:"timeout_ms,omitempty"`
-}
-
-// queryResponse is the POST /query success body.
-type queryResponse struct {
-	Columns []string        `json:"columns"`
-	Rows    [][]interface{} `json:"rows"`
-	Batched bool            `json:"batched"`
-	Mode    string          `json:"mode"`
 }
 
 // errorResponse is any error body.
@@ -54,22 +45,6 @@ func StatusFor(err error) int {
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusInternalServerError
-	}
-}
-
-// jsonCell converts one engine value to its JSON representation.
-func jsonCell(v hashstash.Value) interface{} {
-	switch v.Kind {
-	case types.Int64:
-		return v.I
-	case types.Float64:
-		return v.F
-	case types.String:
-		return v.S
-	default:
-		// Dates (and any future kinds) render through their canonical
-		// string form.
-		return v.String()
 	}
 }
 
@@ -174,20 +149,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, StatusFor(err), errorResponse{Error: err.Error()})
 		return
 	}
-	resp := queryResponse{
-		Columns: res.Columns,
-		Rows:    make([][]interface{}, len(res.Rows)),
-		Batched: info.Batched,
-		Mode:    info.Mode,
-	}
-	for i, row := range res.Rows {
-		cells := make([]interface{}, len(row))
-		for j, v := range row {
-			cells[j] = jsonCell(v)
-		}
-		resp.Rows[i] = cells
-	}
-	writeJSON(w, http.StatusOK, resp)
+	buf := getBuf()
+	defer putBuf(buf)
+	*buf = appendResult(*buf, res, info, false)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(*buf)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(*buf) // a failed write means the client went away
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

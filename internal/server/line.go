@@ -62,13 +62,12 @@ func (s *Server) untrackConn(conn net.Conn) {
 	s.connMu.Unlock()
 }
 
-// lineResponse is one line-protocol result.
-type lineResponse struct {
-	Columns []string        `json:"columns,omitempty"`
-	Rows    [][]interface{} `json:"rows,omitempty"`
-	Batched bool            `json:"batched"`
-	Mode    string          `json:"mode,omitempty"`
-	Error   string          `json:"error,omitempty"`
+// lineError is a failed statement's line; a successful one is written
+// by appendResult with the same batched and mode fields.
+type lineError struct {
+	Batched bool   `json:"batched"`
+	Mode    string `json:"mode,omitempty"`
+	Error   string `json:"error"`
 }
 
 // errTrackingReader records the first read error so serveConn can
@@ -124,21 +123,14 @@ func (s *Server) serveConn(conn net.Conn) {
 			_ = enc.Encode(s.Stats())
 		default:
 			res, info, err := s.Execute(context.Background(), tenant, line)
-			resp := lineResponse{Mode: info.Mode, Batched: info.Batched}
 			if err != nil {
-				resp.Error = err.Error()
+				_ = enc.Encode(lineError{Batched: info.Batched, Mode: info.Mode, Error: err.Error()})
 			} else {
-				resp.Columns = res.Columns
-				resp.Rows = make([][]interface{}, len(res.Rows))
-				for i, row := range res.Rows {
-					cells := make([]interface{}, len(row))
-					for j, v := range row {
-						cells[j] = jsonCell(v)
-					}
-					resp.Rows[i] = cells
-				}
+				buf := getBuf()
+				*buf = appendResult(*buf, res, info, true)
+				_, _ = out.Write(*buf) // a failed write fails the Flush below
+				putBuf(buf)
 			}
-			_ = enc.Encode(resp)
 		}
 		if s.cfg.WriteTimeout > 0 {
 			_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))

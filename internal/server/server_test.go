@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -145,11 +146,13 @@ func TestServerBackpressure(t *testing.T) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var overloads, ok int
+	var returned atomic.Int64
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			_, _, err := srv.Execute(context.Background(), "", similarSQL(0))
+			returned.Add(1)
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
@@ -163,10 +166,12 @@ func TestServerBackpressure(t *testing.T) {
 		}()
 	}
 
-	// Wait for the queue to fill (the excess callers bounce), then
-	// Close: it flushes the queued group so the waiters return.
+	// Wait until every caller is either queued or has returned (the
+	// excess callers bounce), then Close: it flushes the queued group so
+	// the waiters return. Closing earlier would refuse a late caller as
+	// shutting down.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().Overloads == 0 && time.Now().Before(deadline) {
+	for returned.Load()+srv.Stats().QueueDepth < clients && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	srv.Close()
@@ -430,7 +435,10 @@ func TestServerLineProtocol(t *testing.T) {
 		t.Fatalf("HELLO reply %q", got)
 	}
 	oneLine := strings.Join(strings.Fields(similarSQL(0)), " ")
-	var qr lineResponse
+	var qr struct {
+		Rows  [][]interface{} `json:"rows"`
+		Error string          `json:"error"`
+	}
 	if err := json.Unmarshal([]byte(send(oneLine)), &qr); err != nil {
 		t.Fatal(err)
 	}
@@ -450,6 +458,68 @@ func TestServerLineProtocol(t *testing.T) {
 	if _, err := rd.ReadString('\n'); err == nil {
 		t.Fatal("connection stayed open after QUIT")
 	}
+}
+
+// TestServerNonFiniteResult: a float aggregate that overflows to ±Inf
+// (l_discount is 0 on some rows) still answers on both protocols — a
+// 200 with a parseable body over HTTP, a result line over the line
+// protocol — with the cell as null.
+func TestServerNonFiniteResult(t *testing.T) {
+	const sql = "SELECT SUM(l.l_extendedprice / l.l_discount) FROM lineitem l"
+	db := openTPCH(t)
+	srv := New(db, Config{DefaultTimeout: 60 * time.Second})
+	defer srv.Close()
+	type answer struct {
+		Rows  [][]interface{} `json:"rows"`
+		Error string          `json:"error"`
+	}
+	checkNull := func(proto string, a answer) {
+		t.Helper()
+		if a.Error != "" || len(a.Rows) != 1 || len(a.Rows[0]) != 1 || a.Rows[0][0] != nil {
+			t.Fatalf("%s answer %+v, want one null cell", proto, a)
+		}
+	}
+
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(fmt.Sprintf(`{"sql": %q}`, sql)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	var a answer
+	if err := json.NewDecoder(resp.Body).Decode(&a); err != nil {
+		t.Fatalf("HTTP body: %v", err)
+	}
+	checkNull("HTTP", a)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() { _ = srv.ServeLine(ln) }()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprintln(conn, sql); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	line, err := bufio.NewReader(conn).ReadBytes('\n')
+	if err != nil {
+		t.Fatalf("no result line: %v", err)
+	}
+	a = answer{}
+	if err := json.Unmarshal(line, &a); err != nil {
+		t.Fatalf("line %q: %v", line, err)
+	}
+	checkNull("line", a)
 }
 
 // TestServerOpenLoopWorkload: replaying a generated open-loop arrival

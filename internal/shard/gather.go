@@ -183,8 +183,8 @@ func mergeConcat(q *plan.Query, legs []*optimizer.Result) *optimizer.Result {
 }
 
 // mergeOrdered k-way merges legs that are each already sorted on the
-// ORDER BY column (their own OrderAndLimit ran, so with LIMIT k each
-// leg is a top-k superset of its contribution) and truncates to the
+// ORDER BY column (each leg's collector ordered it, so with LIMIT k
+// each leg is a top-k superset of its contribution) and truncates to the
 // global limit.
 func mergeOrdered(q *plan.Query, legs []*optimizer.Result) *optimizer.Result {
 	out := &optimizer.Result{Columns: legs[0].Columns}

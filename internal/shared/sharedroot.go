@@ -441,8 +441,7 @@ func (g *groupExec) compileQueryReadout(ag *aggGroup, qi int) error {
 	if err != nil {
 		return err
 	}
-	ftfs = append(ftfs, proj)
-	collect := exec.NewCollect(proj.OutSchema())
+	collect := exec.NewCollect(proj.OutSchema(), proj.Cols, exec.Order{})
 	g.pipelines = append(g.pipelines, &exec.Pipeline{Source: fsrc, Transforms: ftfs, Sink: collect})
 	g.collects[qi] = collect
 	g.columns[qi] = names
@@ -474,7 +473,7 @@ func (g *groupExec) compileSPJBatch(tree *optimizer.Node) error {
 	if err != nil {
 		return err
 	}
-	collect := exec.NewCollect(schema)
+	collect := exec.NewCollect(schema, nil, exec.Order{})
 	g.pipelines = append(g.pipelines, &exec.Pipeline{Source: src, Transforms: tfs, Sink: collect})
 	g.spineOut = collect
 	g.columns = make([][]string, len(g.queries))

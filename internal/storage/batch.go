@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 
 	"hashstash/internal/types"
 )
@@ -146,6 +147,57 @@ func (v *Vec) AppendRepeat(val types.Value, n int) {
 		for i := 0; i < n; i++ {
 			v.Strs = append(v.Strs, val.S)
 		}
+	}
+}
+
+// Grow makes room for n more rows without reallocating.
+func (v *Vec) Grow(n int) {
+	switch v.Kind {
+	case types.Int64, types.Date:
+		v.Ints = slices.Grow(v.Ints, n)
+	case types.Float64:
+		v.Floats = slices.Grow(v.Floats, n)
+	case types.String:
+		v.Strs = slices.Grow(v.Strs, n)
+	}
+}
+
+// RowOrder returns a total order over the vector's row ids: by value,
+// descending when desc, ties to the lower row id — the order a stable
+// sort leaves rows in. Values compare like types.Value.Compare (so a
+// NaN ties with everything and falls back to its row id).
+func (v *Vec) RowOrder(desc bool) func(a, b int32) int {
+	switch v.Kind {
+	case types.Int64, types.Date:
+		return rowOrder(v.Ints, desc)
+	case types.Float64:
+		return rowOrder(v.Floats, desc)
+	case types.String:
+		return rowOrder(v.Strs, desc)
+	}
+	panic("storage: bad vec kind")
+}
+
+func rowOrder[T int64 | float64 | string](keys []T, desc bool) func(a, b int32) int {
+	if desc {
+		return func(a, b int32) int {
+			switch x, y := keys[a], keys[b]; {
+			case x > y:
+				return -1
+			case x < y:
+				return 1
+			}
+			return int(a) - int(b)
+		}
+	}
+	return func(a, b int32) int {
+		switch x, y := keys[a], keys[b]; {
+		case x < y:
+			return -1
+		case x > y:
+			return 1
+		}
+		return int(a) - int(b)
 	}
 }
 

@@ -11,6 +11,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"hashstash/internal/types"
@@ -96,30 +97,61 @@ func (c *Column) Value(i int) types.Value {
 	panic("storage: bad column kind")
 }
 
-// less orders two rows of the column; used by index construction.
-func (c *Column) less(i, j int32) bool {
-	switch c.Kind {
-	case types.Int64, types.Date:
-		return c.Ints[i] < c.Ints[j]
-	case types.Float64:
-		return c.Floats[i] < c.Floats[j]
-	case types.String:
-		return c.Strs[i] < c.Strs[j]
+// OrderPerm returns row ids 0..n-1 sorted by order, which must be a
+// total order over row ids (as RowOrder's are), cut to the first limit
+// ids when 0 < limit < n. A cut keeps a bounded max-heap of the best
+// limit rows — O(n log limit) comparisons, limit ids of memory — and,
+// because order is total, returns exactly the full sort's prefix.
+func OrderPerm(n, limit int, order func(a, b int32) int) []int32 {
+	if limit <= 0 || limit >= n {
+		perm := make([]int32, n)
+		for i := range perm {
+			perm[i] = int32(i)
+		}
+		slices.SortFunc(perm, order)
+		return perm
 	}
-	return false
+	heap := make([]int32, limit) // heap[0] is the worst row kept
+	for i := range heap {
+		heap[i] = int32(i)
+	}
+	for i := limit/2 - 1; i >= 0; i-- {
+		siftDown(heap, i, order)
+	}
+	for r := int32(limit); r < int32(n); r++ {
+		if order(r, heap[0]) < 0 {
+			heap[0] = r
+			siftDown(heap, 0, order)
+		}
+	}
+	slices.SortFunc(heap, order)
+	return heap
 }
 
-// SortedPerm returns the row ids of the column ordered by value. The
-// sort is stable, so rows with equal keys stay in row-id order — range
-// lookups over the permutation return runs that scan the base table
-// mostly forward.
-func SortedPerm(col *Column) []int32 {
-	perm := make([]int32, col.Len())
-	for i := range perm {
-		perm[i] = int32(i)
+// siftDown restores the max-heap property below position i.
+func siftDown(heap []int32, i int, order func(a, b int32) int) {
+	for {
+		worst, l := i, 2*i+1
+		if l < len(heap) && order(heap[l], heap[worst]) > 0 {
+			worst = l
+		}
+		if r := l + 1; r < len(heap) && order(heap[r], heap[worst]) > 0 {
+			worst = r
+		}
+		if worst == i {
+			return
+		}
+		heap[i], heap[worst] = heap[worst], heap[i]
+		i = worst
 	}
-	sort.SliceStable(perm, func(a, b int) bool { return col.less(perm[a], perm[b]) })
-	return perm
+}
+
+// SortedPerm returns the row ids of the column ordered by value, equal
+// keys in row-id order — range lookups over the permutation return runs
+// that scan the base table mostly forward.
+func SortedPerm(col *Column) []int32 {
+	v := col.view()
+	return OrderPerm(col.Len(), 0, v.RowOrder(false))
 }
 
 // Index is a sorted secondary index: Perm lists all row ids of the table

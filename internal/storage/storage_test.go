@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -209,6 +211,84 @@ func TestIndexPermIsSorted(t *testing.T) {
 	})
 	if !sorted {
 		t.Error("index permutation is not sorted by value")
+	}
+}
+
+// randDupColumn draws n values of the kind from a domain of distinct
+// values, so small domains give heavy ties.
+func randDupColumn(r *rand.Rand, kind types.Kind, n, distinct int) *Column {
+	c := NewColumn("c", kind)
+	for i := 0; i < n; i++ {
+		d := r.Intn(distinct)
+		switch kind {
+		case types.Int64, types.Date:
+			c.Ints = append(c.Ints, int64(d)-int64(distinct)/2)
+		case types.Float64:
+			c.Floats = append(c.Floats, float64(d)/4-1)
+		case types.String:
+			c.Strs = append(c.Strs, fmt.Sprintf("s%03d", d))
+		}
+	}
+	return c
+}
+
+// stableOrder is the reference order: a stable sort of the row ids by
+// value, descending when desc.
+func stableOrder(col *Column, desc bool) []int32 {
+	perm := make([]int32, col.Len())
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortStableFunc(perm, func(a, b int32) int {
+		c := col.Value(int(a)).Compare(col.Value(int(b)))
+		if desc {
+			return -c
+		}
+		return c
+	})
+	return perm
+}
+
+var sortKinds = []types.Kind{types.Int64, types.Date, types.Float64, types.String}
+
+// TestSortedPermMatchesStableSort: the index permutation is exactly the
+// stable sort's, ties in row-id order, on every kind.
+func TestSortedPermMatchesStableSort(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for _, kind := range sortKinds {
+		for _, distinct := range []int{1, 3, 50, 5000} {
+			col := randDupColumn(r, kind, 2000, distinct)
+			if got, want := SortedPerm(col), stableOrder(col, false); !slices.Equal(got, want) {
+				t.Fatalf("%v over %d distinct values: permutation differs from the stable sort", kind, distinct)
+			}
+		}
+	}
+}
+
+// TestOrderPermTopK: a cut permutation is the stable sort's prefix in
+// both directions, under heavy ties, at every boundary of k.
+func TestOrderPermTopK(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	for _, kind := range sortKinds {
+		for _, n := range []int{1, 2, 7, 300} {
+			for _, distinct := range []int{1, 4, 1000} {
+				col := randDupColumn(r, kind, n, distinct)
+				for _, desc := range []bool{false, true} {
+					want := stableOrder(col, desc)
+					v := col.view()
+					for _, k := range []int{1, n - 1, n, n + 1} {
+						got := OrderPerm(n, k, v.RowOrder(desc))
+						cut := want
+						if k > 0 && k < n {
+							cut = want[:k]
+						}
+						if !slices.Equal(got, cut) {
+							t.Fatalf("%v n=%d distinct=%d desc=%v k=%d: got %v, want %v", kind, n, distinct, desc, k, got, cut)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

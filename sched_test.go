@@ -2,6 +2,7 @@ package hashstash
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -83,6 +84,70 @@ func TestScheduledMatreuseMatchesSerial(t *testing.T) {
 	}
 	if scheduled.CacheStats().Hits == 0 {
 		t.Error("scheduled baseline never reused a materialized table")
+	}
+}
+
+// TestCollectOrderGolden: results assembled by the collector — plain
+// selections, ORDER BY with and without LIMIT, ties on the order
+// column, an ordered aggregate — agree between one worker and a pool of
+// four: the same row multiset, and the same order-column sequence for
+// ordered queries (rows tied on the key may arrive in another order,
+// so under a LIMIT the tied rows at the cut may differ). Secondary
+// indexes are off so no query takes the index-order scan.
+func TestCollectOrderGolden(t *testing.T) {
+	queries := []string{
+		`SELECT l.l_orderkey, l.l_extendedprice FROM lineitem l
+		 WHERE l.l_shipdate >= DATE '1995-03-01'`,
+		`SELECT l.l_orderkey, l.l_extendedprice FROM lineitem l
+		 WHERE l.l_shipdate >= DATE '1995-03-01'
+		 ORDER BY l.l_extendedprice DESC LIMIT 25`,
+		`SELECT l.l_orderkey, l.l_quantity FROM lineitem l
+		 WHERE l.l_shipdate >= DATE '1994-01-01'
+		 ORDER BY l.l_quantity LIMIT 300`,
+		`SELECT l.l_orderkey, l.l_shipdate FROM lineitem l
+		 WHERE l.l_shipdate < DATE '1993-06-01'
+		 ORDER BY l.l_shipdate DESC`,
+		`SELECT l.l_returnflag, SUM(l.l_quantity) AS q FROM lineitem l
+		 GROUP BY l.l_returnflag ORDER BY l.l_returnflag DESC LIMIT 2`,
+	}
+	noIndex := WithAblations(Ablations{NoSecondaryIndexes: true})
+	serial := openTPCH(t, noIndex, WithTuning(Tuning{Parallelism: 1}))
+	parallel := openTPCH(t, noIndex, WithTuning(Tuning{Parallelism: 4, MorselRows: 512}))
+	for i, sql := range queries {
+		want, err := serial.Exec(sql)
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		got, err := parallel.Exec(sql)
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		label := fmt.Sprintf("query %d", i)
+		q, err := serial.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.Limit == 0 || q.OrderBy == nil {
+			assertGolden(t, label, got, want)
+		}
+		if q.OrderBy == nil {
+			continue
+		}
+		col := slices.Index(want.Columns, q.OrderBy.Col.String())
+		if len(got.Rows) != len(want.Rows) || col < 0 {
+			t.Fatalf("%s: %d rows, want %d (order column %d)", label, len(got.Rows), len(want.Rows), col)
+		}
+		for r := range want.Rows {
+			if got.Rows[r][col].Compare(want.Rows[r][col]) != 0 {
+				t.Fatalf("%s row %d: order key %v, want %v", label, r, got.Rows[r][col], want.Rows[r][col])
+			}
+			if r == 0 {
+				continue
+			}
+			if c := want.Rows[r-1][col].Compare(want.Rows[r][col]); q.OrderBy.Desc && c < 0 || !q.OrderBy.Desc && c > 0 {
+				t.Fatalf("%s row %d: out of order", label, r)
+			}
+		}
 	}
 }
 
