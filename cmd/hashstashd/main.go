@@ -1,7 +1,9 @@
 // Command hashstashd is the HashStash server: it loads a TPC-H
 // instance and serves SQL over HTTP/JSON and a keep-alive line
-// protocol, batching concurrently arriving queries of one shape
-// through shared plans (see internal/server).
+// protocol. Queries of one shape that arrive while that shape is
+// already running queue behind it and dispatch together as one shared
+// plan when it ends; a query whose shape is idle runs at once (see
+// internal/server).
 //
 //	$ hashstashd -sf 0.01 -listen :8080 -line-listen :8081
 //	$ curl -s localhost:8080/query -d '{"sql":"SELECT ... "}'
@@ -11,14 +13,13 @@
 //
 //	-listen        HTTP address (default :8080)
 //	-line-listen   line-protocol address (empty = disabled)
-//	-batch-window  shared-plan batch window (default 2ms)
 //	-max-queue     admission-queue bound (default 256)
 //	-max-batch     queries per dispatched group (default 32)
 //	-timeout       default per-query timeout (default 10s)
 //	-tenant-share  fraction of the queue one tenant may hold (default 0.5)
 //	-no-batching   serve every query solo (ablation)
 //	-mem-soft      soft memory watermark in bytes (0 = off): shed cache,
-//	               veto index builds, shrink batch windows
+//	               veto index builds
 //	-mem-hard      hard memory watermark in bytes (0 = off): refuse
 //	               admission with 429 + Retry-After
 //	-drain         graceful-shutdown drain bound (default 10s)
@@ -49,7 +50,6 @@ func main() {
 	var (
 		listen      = flag.String("listen", ":8080", "HTTP listen address")
 		lineListen  = flag.String("line-listen", "", "line-protocol listen address (empty = disabled)")
-		batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "shared-plan batch window")
 		maxQueue    = flag.Int("max-queue", 256, "admission queue bound")
 		maxBatch    = flag.Int("max-batch", 32, "maximum queries per dispatched group")
 		timeout     = flag.Duration("timeout", 10*time.Second, "default per-query timeout")
@@ -87,7 +87,6 @@ func main() {
 	fmt.Printf("done in %v\n", time.Since(start).Round(time.Millisecond))
 
 	srv := server.New(db, server.Config{
-		BatchWindow:     *batchWindow,
 		MaxQueue:        *maxQueue,
 		MaxBatch:        *maxBatch,
 		DefaultTimeout:  *timeout,

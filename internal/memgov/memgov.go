@@ -5,8 +5,8 @@
 //
 //	level   condition            measures
 //	OK      footprint < soft     none
-//	Soft    soft <= fp < hard    shed cache down to soft, shrink batch
-//	                             windows, veto new index builds
+//	Soft    soft <= fp < hard    shed cache down to soft, veto new
+//	                             index builds
 //	Hard    hard <= fp           all of the above, plus admission
 //	                             returns ErrOverloaded with Retry-After
 //
@@ -28,7 +28,7 @@ type Level int32
 const (
 	// OK: below the soft watermark; no measures active.
 	OK Level = iota
-	// Soft: shedding, shrunken batch windows, index builds vetoed.
+	// Soft: shedding, index builds vetoed.
 	Soft
 	// Hard: admission refused with Retry-After.
 	Hard
@@ -228,9 +228,9 @@ func (g *Governor) Stats() Stats {
 func (g *Governor) Measures() []string {
 	switch g.Level() {
 	case Soft:
-		return []string{"cache-shedding", "batch-window-shrunk", "index-builds-vetoed"}
+		return []string{"cache-shedding", "index-builds-vetoed"}
 	case Hard:
-		return []string{"cache-shedding", "batch-window-shrunk", "index-builds-vetoed", "admission-rejected"}
+		return []string{"cache-shedding", "index-builds-vetoed", "admission-rejected"}
 	default:
 		return nil
 	}

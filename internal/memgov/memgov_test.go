@@ -162,7 +162,7 @@ func TestStatsCounters(t *testing.T) {
 	if s.SoftLimit != 1000 || s.HardLimit != 2000 || s.Footprint != 2500 {
 		t.Fatalf("limits/footprint = %+v", s)
 	}
-	if len(g.Measures()) != 4 {
+	if len(g.Measures()) != 3 {
 		t.Fatalf("Measures at Hard = %v", g.Measures())
 	}
 }

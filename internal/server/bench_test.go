@@ -27,7 +27,6 @@ func benchServe(b *testing.B, disableBatching bool) {
 		b.Fatal(err)
 	}
 	srv := New(db, Config{
-		BatchWindow:     2 * time.Millisecond,
 		MaxBatch:        32,
 		MaxQueue:        1024,
 		DefaultTimeout:  60 * time.Second,
@@ -65,6 +64,8 @@ func benchServe(b *testing.B, disableBatching bool) {
 		b.Fatal(err)
 	default:
 	}
+	st := srv.Stats()
+	b.Logf("%d queries: %d batched, %d plans executed", st.TotalQueries, st.BatchedQueries, st.PlansExecuted)
 }
 
 func BenchmarkServeSimilarBatched(b *testing.B) { benchServe(b, false) }

@@ -19,12 +19,20 @@ import (
 	"hashstash/internal/testutil"
 )
 
-// stubSource is an unsheddable memory source with a settable
-// footprint, for forcing governor levels in tests.
-type stubSource struct{ fp atomic.Int64 }
+// stubSource is a memory source with a settable footprint that sheds
+// down to a settable floor, for forcing governor levels in tests.
+type stubSource struct{ fp, floor atomic.Int64 }
 
 func (s *stubSource) FootprintBytes() int64 { return s.fp.Load() }
-func (s *stubSource) Shed(int64) int64      { return 0 }
+
+func (s *stubSource) Shed(n int64) int64 {
+	freed := min(n, s.fp.Load()-s.floor.Load())
+	if freed <= 0 {
+		return 0
+	}
+	s.fp.Add(-freed)
+	return freed
+}
 
 // TestLineHalfOpenClient: a client that connects and then stops
 // sending is reaped by the read deadline instead of pinning its
@@ -75,7 +83,7 @@ func TestLineHalfOpenClient(t *testing.T) {
 func TestServerShutdownDuringStorm(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	db := openTPCH(t)
-	srv := New(db, Config{BatchWindow: 20 * time.Millisecond, DefaultTimeout: 30 * time.Second})
+	srv := New(db, Config{DefaultTimeout: 30 * time.Second})
 
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -154,6 +162,65 @@ func TestServerShutdownDuringStorm(t *testing.T) {
 	_ = srv.Stats()
 }
 
+// TestServerShutdownDrainsQueued: Shutdown with a running shape and
+// queued members waits for the running execution to end, then serves
+// every queued member before it returns, and leaks no goroutines.
+func TestServerShutdownDrainsQueued(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	db := openTPCH(t)
+	srv := New(db, Config{MaxBatch: 4, DefaultTimeout: 30 * time.Second})
+
+	shape := busyShape(t, srv, similarSQL(0))
+	const k = 6
+	var wg sync.WaitGroup
+	var returned, completed atomic.Int64
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer returned.Add(1)
+			if _, _, err := srv.Execute(context.Background(), "", similarSQL(i)); err != nil {
+				t.Errorf("queued query %d: %v", i, err)
+				return
+			}
+			completed.Add(1)
+		}(i)
+	}
+	waitSettled(t, srv, &returned, k)
+
+	drained := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		defer cancel()
+		drained <- srv.Shutdown(ctx)
+	}()
+	for closed := false; !closed; time.Sleep(time.Millisecond) {
+		srv.mu.Lock()
+		closed = srv.closed
+		srv.mu.Unlock()
+	}
+	select {
+	case err := <-drained:
+		t.Fatalf("Shutdown returned with %d queries queued: %v", srv.Stats().QueueDepth, err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if _, _, err := srv.Execute(context.Background(), "", similarSQL(0)); !errors.Is(err, hashstasherr.ErrShuttingDown) {
+		t.Fatalf("admission while draining = %v", err)
+	}
+
+	srv.release(shape) // the running execution ends
+	if err := <-drained; err != nil {
+		t.Fatalf("Shutdown did not drain: %v", err)
+	}
+	wg.Wait()
+	if completed.Load() != k {
+		t.Fatalf("%d of %d queued queries served", completed.Load(), k)
+	}
+	if st := srv.Stats(); st.QueueDepth != 0 || st.Batches != 2 {
+		t.Fatalf("after drain: %+v, want empty queue and 2 groups", st)
+	}
+}
+
 // TestCircuitBreaker: consecutive shared-plan failures open a shape's
 // breaker (queries bypass batching), the open interval backs off, and
 // a successful half-open trial closes it again.
@@ -167,8 +234,8 @@ func TestCircuitBreaker(t *testing.T) {
 	srv.mu.Unlock()
 
 	// Two failures: under threshold, still closed.
-	srv.noteShared(shape, true, true)
-	srv.noteShared(shape, true, true)
+	srv.noteShared(shape, true)
+	srv.noteShared(shape, true)
 	srv.mu.Lock()
 	open := !srv.shapes[shape].openUntil.IsZero()
 	srv.mu.Unlock()
@@ -177,7 +244,7 @@ func TestCircuitBreaker(t *testing.T) {
 	}
 
 	// Third failure trips it.
-	srv.noteShared(shape, true, true)
+	srv.noteShared(shape, true)
 	srv.mu.Lock()
 	sq := srv.shapes[shape]
 	open = !sq.openUntil.IsZero()
@@ -191,7 +258,7 @@ func TestCircuitBreaker(t *testing.T) {
 	}
 
 	// A failed half-open trial re-opens with doubled backoff.
-	srv.noteShared(shape, true, true)
+	srv.noteShared(shape, true)
 	srv.mu.Lock()
 	secondBackoff := sq.backoff
 	srv.mu.Unlock()
@@ -200,7 +267,7 @@ func TestCircuitBreaker(t *testing.T) {
 	}
 
 	// A successful trial closes and resets.
-	srv.noteShared(shape, false, true)
+	srv.noteShared(shape, false)
 	srv.mu.Lock()
 	open = !sq.openUntil.IsZero()
 	streak := sq.failStreak
@@ -214,8 +281,9 @@ func TestCircuitBreaker(t *testing.T) {
 }
 
 // TestGovernorAdmission: the memory governor's grades act at
-// admission — Hard refuses with 429 + Retry-After, Soft serves with a
-// shrunken window, and /healthz reports each state.
+// admission — Hard refuses with 429 + Retry-After, Soft serves while
+// shedding cache and vetoing index builds, and /healthz reports each
+// state.
 func TestGovernorAdmission(t *testing.T) {
 	db := openTPCH(t)
 	gov := memgov.New(1000, 2000)
@@ -247,7 +315,9 @@ func TestGovernorAdmission(t *testing.T) {
 		t.Fatalf("healthz at OK = %d %s", code, body)
 	}
 
-	// Hard: refused with Retry-After; healthz 503/overloaded.
+	// Hard: refused with Retry-After; healthz 503/overloaded. Nothing
+	// is sheddable, so the grade stays Hard.
+	src.floor.Store(5000)
 	src.fp.Store(5000)
 	_, _, err := srv.Execute(context.Background(), "", similarSQL(1))
 	if !errors.Is(err, hashstasherr.ErrOverloaded) {
@@ -279,15 +349,27 @@ func TestGovernorAdmission(t *testing.T) {
 		t.Fatal("MemRejects not counted")
 	}
 
-	// Soft: serves with shrunken window; healthz 200/degraded.
+	// Soft: admission sheds what it can (1500 down to the 1200 floor,
+	// still above the 1000 watermark) and serves; index builds are
+	// vetoed; healthz 200/degraded lists both measures.
+	src.floor.Store(1200)
 	src.fp.Store(1500)
 	if _, _, err := srv.Execute(context.Background(), "", similarSQL(2)); err != nil {
 		t.Fatalf("Execute at Soft: %v", err)
 	}
-	if srv.Stats().WindowShrinks == 0 {
-		t.Fatal("WindowShrinks not counted at Soft")
+	if shed := gov.Stats().ShedBytes; shed != 300 {
+		t.Fatalf("ShedBytes at Soft = %d, want 300", shed)
 	}
-	if code, body := healthz(); code != http.StatusOK || !strings.Contains(body, "degraded") {
+	if gov.AllowIndexBuild() || gov.Stats().VetoedBuilds == 0 {
+		t.Fatal("index build not vetoed at Soft")
+	}
+	code, body := healthz()
+	if code != http.StatusOK || !strings.Contains(body, "degraded") {
 		t.Fatalf("healthz at Soft = %d %s", code, body)
+	}
+	for _, m := range []string{"cache-shedding", "index-builds-vetoed"} {
+		if !strings.Contains(body, m) {
+			t.Fatalf("healthz at Soft lacks measure %q: %s", m, body)
+		}
 	}
 }

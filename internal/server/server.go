@@ -1,27 +1,26 @@
 // Package server is the HashStash serving front-end: a network-facing
 // layer over DB that turns the paper's offline shared-work experiments
-// into an online policy. Concurrently arriving queries enter an
-// admission queue keyed by batchable shape (same table/join spine, per
-// the shared-plan classifier); queries of one shape collect inside a
-// tunable batch window and dispatch as one shared batch plan, with
-// per-query results demultiplexed back to their callers.
+// into an online policy. Queries are keyed by batchable shape (same
+// table/join spine, per the shared-plan classifier) and batched by
+// coincidence, group-commit style: a query whose shape is idle runs at
+// once on its caller's goroutine; one that arrives while its shape is
+// running queues behind it, and when the running execution ends, what
+// queued meanwhile (up to MaxBatch) dispatches as one shared batch
+// plan, with per-query results demultiplexed back to their callers. No
+// query waits on a clock, and the busier a shape, the bigger its
+// groups.
 //
 // Policy:
 //
-//   - Window sizing. Each shape tracks an EWMA of its arrival rate.
-//     A query only waits when the rate predicts at least one companion
-//     inside the window (expected = rate × window ≥ 1) — a cold or
-//     slow shape dispatches solo immediately, paying zero added
-//     latency. A full group (MaxBatch) dispatches before the window
-//     elapses.
-//   - Benefit gating. Waiting must pay: the shared-plan cost model
+//   - Benefit gating. Queueing must pay: the shared-plan cost model
 //     (DB.EstimateSharingGain, internal/costmodel-backed) must predict
 //     a positive saving for merging queries of the shape; shapes whose
 //     modeled sharing never pays bypass the queue permanently.
-//   - Deadline degradation. A query whose deadline cannot absorb the
-//     batch window plus its estimated run time skips the queue and
-//     runs solo — degradation, not an error. Queued groups also
-//     dispatch early when the tightest member's slack runs out.
+//   - Circuit breaking. A shape whose shared plans keep failing
+//     bypasses the queue until its breaker's open interval elapses.
+//   - Deadline degradation. A query that would queue but whose
+//     deadline cannot absorb the running group plus its own run skips
+//     the queue and runs solo — degradation, not an error.
 //   - Fair admission with backpressure. The queue is bounded
 //     (MaxQueue) and no tenant may hold more than TenantShare of it;
 //     admission past either bound fails fast with
@@ -44,15 +43,12 @@ import (
 
 // Config tunes the serving policy. Zero values take the defaults.
 type Config struct {
-	// BatchWindow is how long the first query of a shape may wait for
-	// companions before its group dispatches. Default 2ms.
-	BatchWindow time.Duration
 	// MaxQueue bounds the total queries queued across all shapes;
 	// admission beyond it fails with ErrOverloaded. Default 256.
 	MaxQueue int
 	// MaxBatch caps one dispatched group (clamped to the 64-query
-	// shared-plan tag limit). A full group dispatches immediately.
-	// Default 32.
+	// shared-plan tag limit); a longer queue dispatches as consecutive
+	// groups. Default 32.
 	MaxBatch int
 	// DefaultTimeout applies to queries whose context carries no
 	// deadline. Default 10s.
@@ -87,9 +83,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 256
 	}
@@ -131,8 +124,8 @@ type Stats struct {
 	// BatchedQueries counts queries that executed inside a multi-query
 	// shared plan.
 	BatchedQueries int64
-	// SoloQueries counts queries that executed alone (bypass, windowed
-	// groups of one, and degraded queries).
+	// SoloQueries counts queries that executed alone (idle-shape runs,
+	// groups of one, bypassed and degraded queries).
 	SoloQueries int64
 	// Batches counts dispatched multi-query groups.
 	Batches int64
@@ -142,10 +135,10 @@ type Stats struct {
 	// it stays below TotalQueries, the point of the exercise.
 	PlansExecuted int64
 	// DegradedDeadline counts queries that skipped the queue because
-	// their deadline could not absorb the window.
+	// their deadline could not absorb the wait.
 	DegradedDeadline int64
-	// RateBypass counts queries that skipped the queue because the
-	// arrival rate predicted no companion.
+	// RateBypass counts queries that found their shape idle and ran at
+	// once.
 	RateBypass int64
 	// NoGainBypass counts queries whose shape's modeled sharing never
 	// pays.
@@ -157,9 +150,6 @@ type Stats struct {
 	BatchFallbacks int64
 	// QueueDepth is the current number of queued queries.
 	QueueDepth int64
-	// WindowShrinks counts admissions whose batch window was shrunk by
-	// memory pressure (governor at Soft).
-	WindowShrinks int64
 	// MemRejects counts admissions refused by the memory governor at
 	// the hard watermark.
 	MemRejects int64
@@ -181,9 +171,10 @@ type Stats struct {
 type QueryInfo struct {
 	// Batched reports execution inside a multi-query shared plan.
 	Batched bool
-	// Mode is the admission outcome: "batched", "solo" (windowed group
-	// of one), "bypass-shape", "bypass-off", "bypass-rate",
-	// "bypass-gain", "degraded-deadline", or "fallback".
+	// Mode is the admission outcome: "batched", "solo" (the shape was
+	// idle, or the query's group had one member), "bypass-shape",
+	// "bypass-off", "bypass-gain", "bypass-breaker",
+	// "degraded-deadline", "fallback", or "canceled".
 	Mode string
 }
 
@@ -199,33 +190,27 @@ type pending struct {
 	done     chan struct{}
 }
 
-// shapeQueue collects one shape's in-flight queries and its arrival
-// model.
+// shapeQueue is one shape's admission state.
 type shapeQueue struct {
+	// running is set while an execution of the shape is in flight (an
+	// idle-shape run on its caller's goroutine, or a dispatched group).
+	// Arrivals meanwhile queue in pending; release hands them the shape
+	// when the execution ends. pending is never non-empty on an idle
+	// shape.
+	running bool
 	pending []*pending
-	// gen invalidates a stale window timer: it increments per dispatch
-	// so a timer armed for a previous group never fires a new one
-	// early.
-	gen uint64
-	// dispatchBy is the earliest member's slack bound (the moment the
-	// group must go even if the window has not elapsed).
-	dispatchBy time.Time
-	// rate is the EWMA arrival rate (arrivals/sec); last is the
-	// previous arrival.
-	rate float64
-	last time.Time
 	// gain memoizes the shape's modeled-sharing verdict and solo cost
 	// estimate (model ns), computed on first arrival.
 	gainChecked bool
 	gainOK      bool
 	estCost     float64
 	// Circuit breaker: failStreak consecutive shared-plan failures trip
-	// it (openUntil in the future); after the open interval one
-	// half-open trial group (trialOpen) probes recovery — success
-	// closes the breaker, failure re-opens it with doubled backoff.
+	// it (openUntil in the future); after the open interval the next
+	// group probes recovery — success closes the breaker, failure
+	// re-opens it with doubled backoff. A shape's groups run one at a
+	// time, so only one probe is ever in flight.
 	failStreak int
 	openUntil  time.Time
-	trialOpen  bool
 	backoff    time.Duration
 }
 
@@ -238,12 +223,12 @@ type Server struct {
 	canBatch bool
 
 	mu           sync.Mutex
-	cond         *sync.Cond // signals inflight/active changes for Shutdown
+	cond         *sync.Cond // signals inflight/active/queued drops for Shutdown
 	shapes       map[string]*shapeQueue
 	queued       int
 	tenantQueued map[string]int
 	inflight     int // dispatched groups still executing
-	active       int // solo executions on caller goroutines
+	active       int // executions on caller goroutines
 	closed       bool
 
 	// connMu guards the live line-protocol connections; Shutdown closes
@@ -265,16 +250,12 @@ type Server struct {
 	noGainBypass     atomic.Int64
 	overloads        atomic.Int64
 	batchFallbacks   atomic.Int64
-	windowShrinks    atomic.Int64
 	memRejects       atomic.Int64
 	breakerTrips     atomic.Int64
 	breakerBypassed  atomic.Int64
 	breakerResets    atomic.Int64
 	shutdownRejects  atomic.Int64
 }
-
-// ewmaAlpha weights the newest inter-arrival observation.
-const ewmaAlpha = 0.3
 
 // New wraps a database in a serving front-end.
 func New(db *hashstash.DB, cfg Config) *Server {
@@ -322,7 +303,6 @@ func (s *Server) Stats() Stats {
 		Overloads:        s.overloads.Load(),
 		BatchFallbacks:   s.batchFallbacks.Load(),
 		QueueDepth:       int64(depth),
-		WindowShrinks:    s.windowShrinks.Load(),
 		MemRejects:       s.memRejects.Load(),
 		BreakerTrips:     s.breakerTrips.Load(),
 		BreakerBypassed:  s.breakerBypassed.Load(),
@@ -344,10 +324,11 @@ func (s *Server) session(tenant string) *hashstash.Session {
 	return sess
 }
 
-// Execute runs one SQL statement for a tenant through the admission
-// queue. It blocks until the query's group dispatches and executes (or
-// the query bypasses the queue), honoring ctx: cancellation while
-// still queued withdraws the query and returns an error wrapping
+// Execute runs one SQL statement for a tenant through admission. A
+// query that finds its shape idle (or bypasses the queue) runs at once
+// on the calling goroutine; one that queues blocks until its group
+// dispatches and executes, honoring ctx: cancellation while still
+// queued withdraws the query and returns an error wrapping
 // hashstasherr.ErrCanceled; admission past the queue bounds returns
 // one wrapping hashstasherr.ErrOverloaded.
 func (s *Server) Execute(ctx context.Context, tenant, sql string) (*hashstash.Result, QueryInfo, error) {
@@ -364,20 +345,13 @@ func (s *Server) Execute(ctx context.Context, tenant, sql string) (*hashstash.Re
 	s.total.Add(1)
 
 	// Memory-pressure governance at admission: Hard refuses with a
-	// computed Retry-After (retriable), Soft shrinks this query's batch
-	// window so groups dispatch sooner and queue memory drains.
-	window := s.cfg.BatchWindow
-	if gov := s.governor(); gov != nil {
-		switch gov.Refresh() {
-		case memgov.Hard:
-			gov.NoteReject()
-			s.memRejects.Add(1)
-			s.overloads.Add(1)
-			return nil, QueryInfo{}, hashstasherr.Overloaded("memory pressure", gov.RetryAfter())
-		case memgov.Soft:
-			window /= 4
-			s.windowShrinks.Add(1)
-		}
+	// computed Retry-After (retriable). Refresh itself sheds cache at
+	// Soft, and the engine vetoes index builds there.
+	if gov := s.governor(); gov.Refresh() == memgov.Hard {
+		gov.NoteReject()
+		s.memRejects.Add(1)
+		s.overloads.Add(1)
+		return nil, QueryInfo{}, hashstasherr.Overloaded("memory pressure", gov.RetryAfter())
 	}
 
 	if _, hasDL := ctx.Deadline(); !hasDL {
@@ -395,12 +369,17 @@ func (s *Server) Execute(ctx context.Context, tenant, sql string) (*hashstash.Re
 		return s.solo(ctx, q, QueryInfo{Mode: "bypass-shape"})
 	}
 
-	p, info, admitErr := s.admit(ctx, q, tenant, shape, deadline, window)
-	if admitErr != nil {
-		return nil, info, admitErr
+	p, info, err := s.admit(q, tenant, shape, deadline)
+	if err != nil {
+		return nil, info, err
 	}
 	if p == nil {
-		// Bypassed the queue (rate, gain or deadline policy): solo now.
+		if info.Mode == "solo" {
+			// The shape was idle and this query now holds it: whatever
+			// queues behind it dispatches when it ends, error or panic
+			// included.
+			defer s.release(shape)
+		}
 		return s.solo(ctx, q, info)
 	}
 
@@ -408,11 +387,9 @@ func (s *Server) Execute(ctx context.Context, tenant, sql string) (*hashstash.Re
 	case <-p.done:
 		return p.res, s.infoOf(p), p.err
 	case <-ctx.Done():
-		if s.withdraw(shape, p) {
-			return nil, QueryInfo{Mode: "canceled"}, hashstasherr.Canceled(ctx.Err())
-		}
-		// Already dispatched: the group runs to its own deadline; this
-		// caller stops waiting for the demux.
+		// A query already dispatched stays in its group, which runs to
+		// its own deadline; this caller just stops waiting for the demux.
+		s.withdraw(shape, p)
 		return nil, QueryInfo{Mode: "canceled"}, hashstasherr.Canceled(ctx.Err())
 	}
 }
@@ -435,7 +412,7 @@ func (s *Server) solo(ctx context.Context, q *hashstash.Query, info QueryInfo) (
 	switch info.Mode {
 	case "degraded-deadline":
 		s.degradedDeadline.Add(1)
-	case "bypass-rate":
+	case "solo":
 		s.rateBypass.Add(1)
 	case "bypass-gain":
 		s.noGainBypass.Add(1)
@@ -505,17 +482,18 @@ func (s *Server) shape(key string) *shapeQueue {
 	return sq
 }
 
-// admit applies the window policy and either enqueues the query
-// (returning its pending handle), tells the caller to run solo
-// (nil pending, info says why), or refuses with a retriable error.
-func (s *Server) admit(ctx context.Context, q *hashstash.Query, tenant, shape string, deadline time.Time, window time.Duration) (*pending, QueryInfo, error) {
+// admit applies the admission policy. It returns the query's pending
+// handle when it queued behind a running execution of its shape, or a
+// nil handle when it runs at once: Mode "solo" when it found its shape
+// idle and now holds it (the caller must release the shape), otherwise
+// the bypass reason. Refusals are retriable errors.
+func (s *Server) admit(q *hashstash.Query, tenant, shape string, deadline time.Time) (*pending, QueryInfo, error) {
 	gainOK, estCost := s.shapeGate(shape, q)
-	estDur := time.Duration(estCost)
 	now := time.Now()
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		s.shutdownRejects.Add(1)
 		return nil, QueryInfo{}, fmt.Errorf("admission refused: %w", hashstasherr.ErrShuttingDown)
 	}
@@ -523,43 +501,22 @@ func (s *Server) admit(ctx context.Context, q *hashstash.Query, tenant, shape st
 
 	// Circuit breaker: a shape whose shared plans keep failing bypasses
 	// batching entirely (solo execution still serves the query) until
-	// the open interval elapses; then exactly one trial group probes
-	// recovery (half-open).
-	if s.cfg.BreakerThreshold > 0 && !sq.openUntil.IsZero() {
-		if now.Before(sq.openUntil) || sq.trialOpen {
-			s.mu.Unlock()
-			return nil, QueryInfo{Mode: "bypass-breaker"}, nil
-		}
-		sq.trialOpen = true
+	// the open interval elapses; the next group then probes recovery.
+	if now.Before(sq.openUntil) {
+		return nil, QueryInfo{Mode: "bypass-breaker"}, nil
 	}
-
-	// Arrival-rate EWMA: the observation is the inverse inter-arrival
-	// gap of this shape.
-	if !sq.last.IsZero() {
-		dt := now.Sub(sq.last).Seconds()
-		if dt <= 0 {
-			dt = 1e-9
-		}
-		sq.rate = (1-ewmaAlpha)*sq.rate + ewmaAlpha*(1/dt)
-	}
-	sq.last = now
-
 	if !gainOK {
-		s.mu.Unlock()
 		return nil, QueryInfo{Mode: "bypass-gain"}, nil
 	}
-	// Deadline gate: waiting out the window plus (twice, for safety)
-	// the modeled run time must fit the caller's budget. Degradation,
-	// not an error.
-	if !deadline.IsZero() && deadline.Sub(now) < window+2*estDur {
-		s.mu.Unlock()
-		return nil, QueryInfo{Mode: "degraded-deadline"}, nil
+	if !sq.running {
+		sq.running = true
+		return nil, QueryInfo{Mode: "solo"}, nil
 	}
-	// Rate gate: only wait when the model expects a companion inside
-	// the window. Joining an already-forming group always pays.
-	if len(sq.pending) == 0 && sq.rate*window.Seconds() < 1 {
-		s.mu.Unlock()
-		return nil, QueryInfo{Mode: "bypass-rate"}, nil
+	// Deadline gate: a queued query waits out the running group, then
+	// runs its own, each bounded by the modeled run time with 2x safety.
+	// A budget that cannot absorb that degrades to solo, not an error.
+	if deadline.Sub(now) < 4*time.Duration(estCost) {
+		return nil, QueryInfo{Mode: "degraded-deadline"}, nil
 	}
 
 	// Bounded queue with per-tenant fair shares.
@@ -568,111 +525,67 @@ func (s *Server) admit(ctx context.Context, q *hashstash.Query, tenant, shape st
 		tenantCap = 1
 	}
 	if s.queued >= s.cfg.MaxQueue || s.tenantQueued[tenant] >= tenantCap {
-		s.mu.Unlock()
 		s.overloads.Add(1)
 		return nil, QueryInfo{}, fmt.Errorf("admission queue full: %w", hashstasherr.ErrOverloaded)
 	}
-
 	p := &pending{q: q, tenant: tenant, deadline: deadline, done: make(chan struct{})}
 	sq.pending = append(sq.pending, p)
 	s.queued++
 	s.tenantQueued[tenant]++
-
-	// The group must dispatch before its tightest member runs out of
-	// slack (deadline minus modeled run time, with the same 2x safety).
-	memberBy := deadline.Add(-2 * estDur)
-	if sq.dispatchBy.IsZero() || memberBy.Before(sq.dispatchBy) {
-		sq.dispatchBy = memberBy
-	}
-
-	if len(sq.pending) >= s.cfg.MaxBatch {
-		// Full group: dispatch now, off the caller's goroutine.
-		batch := s.takeLocked(sq)
-		s.mu.Unlock()
-		go s.runBatch(shape, batch)
-		return p, QueryInfo{}, nil
-	}
-	if len(sq.pending) == 1 {
-		// First member arms the window timer (bounded by its own
-		// slack). gen guards against the timer outliving this group.
-		gen := sq.gen
-		wait := window
-		if d := sq.dispatchBy.Sub(now); d < wait {
-			wait = d
-		}
-		if wait < 0 {
-			wait = 0
-		}
-		time.AfterFunc(wait, func() { s.dispatchShape(shape, gen) })
-	}
-	s.mu.Unlock()
 	return p, QueryInfo{}, nil
 }
 
-// takeLocked removes and returns a shape's whole group, bumping gen
-// (stale timers no-op) and marking the batch in flight. Callers hold
-// s.mu.
-func (s *Server) takeLocked(sq *shapeQueue) []*pending {
-	batch := sq.pending
-	sq.pending = nil
-	sq.gen++
-	sq.dispatchBy = time.Time{}
-	for _, p := range batch {
-		s.queued--
-		s.tenantQueued[p.tenant]--
-		if s.tenantQueued[p.tenant] <= 0 {
-			delete(s.tenantQueued, p.tenant)
-		}
-	}
-	if len(batch) > 0 {
-		s.inflight++
-	}
-	return batch
-}
-
-// dispatchShape fires a shape's window timer: the group that armed the
-// timer (generation gen) dispatches; anything newer keeps collecting.
-func (s *Server) dispatchShape(shape string, gen uint64) {
-	s.mu.Lock()
-	sq := s.shapes[shape]
-	if sq == nil || sq.gen != gen || len(sq.pending) == 0 {
-		s.mu.Unlock()
-		return
-	}
-	batch := s.takeLocked(sq)
-	s.mu.Unlock()
-	s.runBatch(shape, batch)
-}
-
-// withdraw removes a still-queued query (its caller's context fired).
-// It reports false when the query already left the queue with a group.
-func (s *Server) withdraw(shape string, p *pending) bool {
+// release ends one execution of a shape. Up to MaxBatch queued queries
+// dispatch as the next group, on a goroutine counted in inflight (so
+// Shutdown waits for it) that releases the shape again when the group
+// ends; with nothing queued the shape goes idle.
+func (s *Server) release(shape string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sq := s.shapes[shape]
-	if sq == nil {
-		return false
+	if len(sq.pending) == 0 {
+		sq.running = false
+		return
 	}
+	n := min(len(sq.pending), s.cfg.MaxBatch)
+	batch := sq.pending[:n:n]
+	sq.pending = sq.pending[n:]
+	for _, p := range batch {
+		s.dequeueLocked(p)
+	}
+	s.inflight++
+	go s.runBatch(shape, batch)
+}
+
+// dequeueLocked drops one query's queue accounting. Callers hold s.mu.
+func (s *Server) dequeueLocked(p *pending) {
+	s.queued--
+	s.tenantQueued[p.tenant]--
+	if s.tenantQueued[p.tenant] <= 0 {
+		delete(s.tenantQueued, p.tenant)
+	}
+}
+
+// withdraw removes a query from its shape's queue if it is still there
+// (its caller's context fired before its group dispatched).
+func (s *Server) withdraw(shape string, p *pending) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sq := s.shapes[shape]
 	for i, cand := range sq.pending {
 		if cand == p {
 			sq.pending = append(sq.pending[:i], sq.pending[i+1:]...)
-			s.queued--
-			s.tenantQueued[p.tenant]--
-			if s.tenantQueued[p.tenant] <= 0 {
-				delete(s.tenantQueued, p.tenant)
-			}
-			return true
+			s.dequeueLocked(p)
+			s.cond.Broadcast()
+			return
 		}
 	}
-	return false
 }
 
 // noteShared records a shared-plan outcome in the shape's circuit
 // breaker: BreakerThreshold consecutive failures open it (exponential
 // backoff, doubling per consecutive trip); any success closes it.
-// Groups of one exercise no shared plan and leave the breaker alone,
-// except to end a half-open trial inconclusively.
-func (s *Server) noteShared(shape string, failed, shared bool) {
+func (s *Server) noteShared(shape string, failed bool) {
 	if s.cfg.BreakerThreshold <= 0 {
 		return
 	}
@@ -682,13 +595,8 @@ func (s *Server) noteShared(shape string, failed, shared bool) {
 	if sq == nil {
 		return
 	}
-	if !shared {
-		sq.trialOpen = false
-		return
-	}
 	if failed {
 		sq.failStreak++
-		sq.trialOpen = false
 		if sq.failStreak >= s.cfg.BreakerThreshold || !sq.openUntil.IsZero() {
 			if sq.backoff <= 0 {
 				sq.backoff = s.cfg.BreakerBackoff
@@ -705,14 +613,14 @@ func (s *Server) noteShared(shape string, failed, shared bool) {
 	}
 	sq.failStreak = 0
 	sq.openUntil = time.Time{}
-	sq.trialOpen = false
 	sq.backoff = 0
 }
 
 // runBatch executes one dispatched group through the shared-plan path
 // and demultiplexes per-query results to their pending handles. The
 // batch runs under its own context bounded by the farthest member
-// deadline — one member's cancellation never aborts companions.
+// deadline — one member's cancellation never aborts companions. When
+// the group ends it releases the shape to whatever queued meanwhile.
 func (s *Server) runBatch(shape string, batch []*pending) {
 	defer func() {
 		s.mu.Lock()
@@ -720,9 +628,7 @@ func (s *Server) runBatch(shape string, batch []*pending) {
 		s.cond.Broadcast()
 		s.mu.Unlock()
 	}()
-	if len(batch) == 0 {
-		return
-	}
+	defer s.release(shape)
 
 	ctx := context.Background()
 	var maxDL time.Time
@@ -738,9 +644,8 @@ func (s *Server) runBatch(shape string, batch []*pending) {
 	}
 
 	if len(batch) == 1 {
-		// A window that closed with one member: solo, not an error.
+		// A group of one: solo, not an error.
 		p := batch[0]
-		s.noteShared(shape, false, false)
 		s.soloQueries.Add(1)
 		s.plansExecuted.Add(1)
 		p.res, p.err = s.db.ExecParsed(ctx, p.q)
@@ -753,7 +658,7 @@ func (s *Server) runBatch(shape string, batch []*pending) {
 		qs[i] = p.q
 	}
 	br, err := s.db.ExecParsedBatch(ctx, qs)
-	s.noteShared(shape, err != nil, true)
+	s.noteShared(shape, err != nil)
 	if err != nil {
 		// Shared-plan failure degrades every member to solo execution
 		// under its own deadline.
@@ -806,39 +711,17 @@ func (s *Server) Close() {
 }
 
 // Shutdown gracefully drains the server: new admissions are refused
-// with a retriable ErrShuttingDown, every queued group dispatches
-// immediately, and Shutdown blocks until in-flight groups and solo
-// executions finish — or ctx expires, in which case it returns ctx's
+// with a retriable ErrShuttingDown, and Shutdown blocks until every
+// queued query has dispatched and every group and solo execution has
+// finished — or ctx expires, in which case it returns ctx's
 // error with work still draining in the background. Either way the
 // tracked line-protocol connections are closed before returning, so
 // blocked serveConn reads unwind. Shutdown is idempotent; concurrent
 // calls all wait.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	already := s.closed
 	s.closed = true
-	var batches []struct {
-		shape string
-		group []*pending
-	}
-	if !already {
-		for shape, sq := range s.shapes {
-			if len(sq.pending) > 0 {
-				batches = append(batches, struct {
-					shape string
-					group []*pending
-				}{shape, s.takeLocked(sq)})
-			}
-		}
-	}
 	s.mu.Unlock()
-
-	// Queued groups still get served: the clients are already waiting
-	// on their pending handles, so failing them here would turn a
-	// graceful drain into an outage.
-	for _, b := range batches {
-		s.runBatch(b.shape, b.group)
-	}
 
 	// Wait for the drain, racing ctx. The watcher goroutine turns ctx
 	// expiry into a cond broadcast so the wait loop can observe it.
@@ -854,11 +737,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}()
 
+	// Queued queries still get served: each waits behind a running
+	// execution of its shape, whose release dispatches it even while
+	// closed, so the drain waits for the queue to empty too.
 	s.mu.Lock()
-	for (s.inflight > 0 || s.active > 0) && ctx.Err() == nil {
+	for (s.inflight > 0 || s.active > 0 || s.queued > 0) && ctx.Err() == nil {
 		s.cond.Wait()
 	}
-	drained := s.inflight == 0 && s.active == 0
+	drained := s.inflight == 0 && s.active == 0 && s.queued == 0
 	s.mu.Unlock()
 
 	s.connMu.Lock()

@@ -57,23 +57,49 @@ func similarSQL(i int) string {
 		  AND l.l_shipdate >= DATE '1995-%02d-01' GROUP BY c.c_age`, 1+i%12)
 }
 
+// busyShape marks sql's shape as running, as if an execution of it
+// were in flight, so arrivals of the shape queue until the test calls
+// srv.release with the returned key (the running execution ending).
+func busyShape(t *testing.T, srv *Server, sql string) string {
+	t.Helper()
+	q, err := srv.session("").Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape, ok := hashstash.BatchShape(q)
+	if !ok {
+		t.Fatalf("not batchable: %s", sql)
+	}
+	srv.mu.Lock()
+	srv.shape(shape).running = true
+	srv.mu.Unlock()
+	return shape
+}
+
+// waitSettled polls until n callers are each either queued or
+// returned.
+func waitSettled(t *testing.T, srv *Server, returned *atomic.Int64, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for returned.Load()+srv.Stats().QueueDepth < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d returned + %d queued of %d callers", returned.Load(), srv.Stats().QueueDepth, n)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // TestServerBatchingEquivalence: concurrent clients sending same-spine
 // queries get byte-equivalent results to solo execution, and the
 // server executes fewer plans than queries (shared-plan batching).
 func TestServerBatchingEquivalence(t *testing.T) {
-	// Disable hash-table reuse entirely: any query that slips through
-	// the rate gate and runs solo before the first group dispatches
-	// publishes a reusable build-side table, the warm cache makes solo
+	// Disable hash-table reuse entirely: a warm cache can make solo
 	// plans cheaper than sharing, and the DP (correctly) refuses to
-	// merge — a timing-dependent flake. With reuse off, solo plans stay
-	// at full cost and the batch is always the modeled winner, so the
-	// test exercises the server's batching machinery deterministically.
+	// merge. With reuse off, solo plans stay at full cost and the batch
+	// is always the modeled winner, so the test exercises the server's
+	// batching machinery deterministically.
 	db := openTPCH(t, hashstash.WithStrategy(hashstash.NeverReuse))
-	srv := New(db, Config{
-		BatchWindow:    150 * time.Millisecond,
-		MaxBatch:       16,
-		DefaultTimeout: 60 * time.Second,
-	})
+	srv := New(db, Config{MaxBatch: 16, DefaultTimeout: 60 * time.Second})
 	defer srv.Close()
 
 	solo := openTPCH(t)
@@ -90,7 +116,11 @@ func TestServerBatchingEquivalence(t *testing.T) {
 		}
 	}
 
+	// Every client arrives while the shape is running, so all of them
+	// queue; the release dispatches them as a group of 16, then 8.
+	shape := busyShape(t, srv, similarSQL(0))
 	var wg sync.WaitGroup
+	var returned atomic.Int64
 	errs := make([]error, clients)
 	got := make([]string, clients)
 	modes := make([]string, clients)
@@ -98,6 +128,7 @@ func TestServerBatchingEquivalence(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			defer returned.Add(1)
 			res, info, err := srv.Execute(context.Background(), fmt.Sprintf("t%d", i%3), similarSQL(i))
 			if err != nil {
 				errs[i] = err
@@ -107,6 +138,8 @@ func TestServerBatchingEquivalence(t *testing.T) {
 			modes[i] = info.Mode
 		}(i)
 	}
+	waitSettled(t, srv, &returned, clients)
+	srv.release(shape)
 	wg.Wait()
 
 	for i := 0; i < clients; i++ {
@@ -130,18 +163,96 @@ func TestServerBatchingEquivalence(t *testing.T) {
 	t.Logf("stats: %+v", st)
 }
 
+// TestServerLoneClientNeverQueues: one sequential client always finds
+// its shape idle, so every query runs at once — nothing queues and no
+// query waits for a companion that cannot come.
+func TestServerLoneClientNeverQueues(t *testing.T) {
+	db := openTPCH(t, hashstash.WithStrategy(hashstash.NeverReuse))
+	srv := New(db, Config{DefaultTimeout: 60 * time.Second})
+	defer srv.Close()
+
+	const n = 50
+	for i := 0; i < n; i++ {
+		_, info, err := srv.Execute(context.Background(), "", similarSQL(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Mode != "solo" {
+			t.Fatalf("query %d mode = %q, want solo", i, info.Mode)
+		}
+		if d := srv.Stats().QueueDepth; d != 0 {
+			t.Fatalf("query %d left queue depth %d", i, d)
+		}
+	}
+	if st := srv.Stats(); st.RateBypass != n || st.Batches != 0 {
+		t.Fatalf("RateBypass = %d, Batches = %d; want %d, 0", st.RateBypass, st.Batches, n)
+	}
+}
+
+// TestServerCoincidenceGroups: k arrivals against a running shape
+// dispatch when it is released, as ceil(k/MaxBatch) consecutive
+// groups, after which the shape goes idle.
+func TestServerCoincidenceGroups(t *testing.T) {
+	for _, tc := range []struct{ k, maxBatch, groups int }{
+		{k: 5, maxBatch: 16, groups: 1},
+		{k: 10, maxBatch: 4, groups: 3},
+	} {
+		t.Run(fmt.Sprintf("k=%d/max=%d", tc.k, tc.maxBatch), func(t *testing.T) {
+			db := openTPCH(t, hashstash.WithStrategy(hashstash.NeverReuse))
+			srv := New(db, Config{MaxBatch: tc.maxBatch, DefaultTimeout: 60 * time.Second})
+			defer srv.Close()
+
+			shape := busyShape(t, srv, similarSQL(0))
+			var wg sync.WaitGroup
+			var returned atomic.Int64
+			modes := make([]string, tc.k)
+			for i := 0; i < tc.k; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					defer returned.Add(1)
+					_, info, err := srv.Execute(context.Background(), "", similarSQL(0))
+					if err != nil {
+						t.Error(err)
+					}
+					modes[i] = info.Mode
+				}(i)
+			}
+			waitSettled(t, srv, &returned, int64(tc.k))
+			if returned.Load() != 0 {
+				t.Fatalf("%d arrivals did not queue behind the running shape", returned.Load())
+			}
+			srv.release(shape)
+			wg.Wait()
+			srv.Close() // waits out the last group's release
+
+			st := srv.Stats()
+			if st.Batches != int64(tc.groups) || st.BatchedQueries != int64(tc.k) {
+				t.Fatalf("Batches = %d, BatchedQueries = %d; want %d, %d (modes %v)",
+					st.Batches, st.BatchedQueries, tc.groups, tc.k, modes)
+			}
+			srv.mu.Lock()
+			running := srv.shapes[shape].running
+			srv.mu.Unlock()
+			if running {
+				t.Fatal("shape still running after its queue drained")
+			}
+		})
+	}
+}
+
 // TestServerBackpressure: a burst past MaxQueue is refused with
-// ErrOverloaded; admitted queries still complete (Close flushes them).
+// ErrOverloaded; admitted queries still complete.
 func TestServerBackpressure(t *testing.T) {
 	db := openTPCH(t)
 	srv := New(db, Config{
-		BatchWindow:    5 * time.Second,
 		MaxQueue:       4,
 		MaxBatch:       64,
 		DefaultTimeout: 60 * time.Second,
 		TenantShare:    1,
 	})
 
+	shape := busyShape(t, srv, similarSQL(0))
 	const clients = 12
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -166,26 +277,19 @@ func TestServerBackpressure(t *testing.T) {
 		}()
 	}
 
-	// Wait until every caller is either queued or has returned (the
-	// excess callers bounce), then Close: it flushes the queued group so
-	// the waiters return. Closing earlier would refuse a late caller as
-	// shutting down.
-	deadline := time.Now().Add(5 * time.Second)
-	for returned.Load()+srv.Stats().QueueDepth < clients && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	srv.Close()
+	// Once every caller is either queued or bounced, the running
+	// execution ends and hands the queue its turn.
+	waitSettled(t, srv, &returned, clients)
+	srv.release(shape)
 	wg.Wait()
+	srv.Close()
 
 	st := srv.Stats()
-	if st.Overloads == 0 || overloads == 0 {
-		t.Fatalf("no backpressure: stats %+v, callers saw %d overloads", st, overloads)
+	if st.Overloads != clients-4 || overloads != clients-4 {
+		t.Fatalf("backpressure: stats %+v, callers saw %d overloads, want %d", st, overloads, clients-4)
 	}
-	if ok == 0 {
-		t.Fatal("no query completed")
-	}
-	if ok+overloads != clients {
-		t.Fatalf("accounted %d+%d of %d clients", ok, overloads, clients)
+	if ok != 4 {
+		t.Fatalf("%d queued queries completed, want 4", ok)
 	}
 	if st.QueueDepth != 0 {
 		t.Fatalf("queue not drained: %d", st.QueueDepth)
@@ -197,15 +301,16 @@ func TestServerBackpressure(t *testing.T) {
 func TestServerTenantFairness(t *testing.T) {
 	db := openTPCH(t)
 	srv := New(db, Config{
-		BatchWindow:    5 * time.Second,
 		MaxQueue:       8,
 		MaxBatch:       64,
 		DefaultTimeout: 60 * time.Second,
 		TenantShare:    0.25, // per-tenant cap: 2
 	})
 
+	shape := busyShape(t, srv, similarSQL(0))
 	var wg sync.WaitGroup
 	var mu sync.Mutex
+	var returned atomic.Int64
 	counts := map[string]map[string]int{"A": {}, "B": {}}
 	run := func(tenant string, n int) {
 		for i := 0; i < n; i++ {
@@ -213,6 +318,7 @@ func TestServerTenantFairness(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				_, _, err := srv.Execute(context.Background(), tenant, similarSQL(0))
+				returned.Add(1)
 				mu.Lock()
 				defer mu.Unlock()
 				switch {
@@ -227,31 +333,18 @@ func TestServerTenantFairness(t *testing.T) {
 		}
 	}
 
-	// Tenant A bursts past its share; the first A query may bypass the
-	// queue solo (cold rate), at most 2 queue, the rest bounce.
+	// Tenant A bursts past its share: 2 queue, the rest bounce. Tenant
+	// B arrives while A is saturated and still gets its share.
 	run("A", 7)
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().Overloads == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	// Tenant B arrives while A is saturated and still gets its share.
+	waitSettled(t, srv, &returned, 7)
 	run("B", 2)
-	for {
-		mu.Lock()
-		bDone := counts["B"]["ok"]+counts["B"]["overload"] == 2
-		mu.Unlock()
-		// A holds 2 slots; B's pair raises the depth to 4 once queued.
-		bQueued := srv.Stats().QueueDepth >= 4
-		if bDone || bQueued || !time.Now().Before(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	srv.Close()
+	waitSettled(t, srv, &returned, 9)
+	srv.release(shape)
 	wg.Wait()
+	srv.Close()
 
-	if counts["A"]["overload"] == 0 {
-		t.Fatalf("tenant A never throttled: %v", counts)
+	if counts["A"]["overload"] != 5 || counts["A"]["ok"] != 2 {
+		t.Fatalf("tenant A not held to its share: %v", counts)
 	}
 	if counts["B"]["overload"] != 0 {
 		t.Fatalf("tenant B throttled despite free share: %v", counts)
@@ -261,19 +354,21 @@ func TestServerTenantFairness(t *testing.T) {
 	}
 }
 
-// TestServerDeadlineDegradation: a query whose deadline cannot absorb
-// the batch window runs solo immediately — a result, not an error.
+// TestServerDeadlineDegradation: a query that would queue but whose
+// deadline cannot absorb the wait runs solo immediately — a result,
+// not an error. The same budget on an idle shape runs at once.
 func TestServerDeadlineDegradation(t *testing.T) {
 	db := openTPCH(t)
-	srv := New(db, Config{
-		// Window far beyond the caller's deadline: waiting can never
-		// fit, so the query must degrade. The 3s budget itself is ample
-		// for the solo run (the gate compares deadline to window, not
-		// to wall time).
-		BatchWindow:    30 * time.Second,
-		DefaultTimeout: 60 * time.Second,
-	})
+	srv := New(db, Config{DefaultTimeout: 60 * time.Second})
 	defer srv.Close()
+
+	// An hour of modeled run time: no 3s budget can absorb the wait,
+	// while the real solo run needs milliseconds.
+	shape := busyShape(t, srv, similarSQL(0))
+	srv.mu.Lock()
+	sq := srv.shapes[shape]
+	sq.gainChecked, sq.gainOK, sq.estCost = true, true, float64(time.Hour)
+	srv.mu.Unlock()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
@@ -287,8 +382,13 @@ func TestServerDeadlineDegradation(t *testing.T) {
 	if info.Mode != "degraded-deadline" {
 		t.Fatalf("mode = %q, want degraded-deadline", info.Mode)
 	}
-	if srv.Stats().DegradedDeadline == 0 {
+	if srv.Stats().DegradedDeadline != 1 {
 		t.Fatal("DegradedDeadline counter not bumped")
+	}
+
+	srv.release(shape)
+	if _, info, err = srv.Execute(ctx, "", similarSQL(0)); err != nil || info.Mode != "solo" {
+		t.Fatalf("idle shape under the same budget: mode %q, err %v; want solo", info.Mode, err)
 	}
 }
 
@@ -296,17 +396,10 @@ func TestServerDeadlineDegradation(t *testing.T) {
 // typed error and frees its queue slot.
 func TestServerQueuedCancel(t *testing.T) {
 	db := openTPCH(t)
-	srv := New(db, Config{
-		BatchWindow:    5 * time.Second,
-		MaxBatch:       64,
-		DefaultTimeout: 60 * time.Second,
-	})
+	srv := New(db, Config{MaxBatch: 64, DefaultTimeout: 60 * time.Second})
 	defer srv.Close()
 
-	// Warm the shape's arrival rate so the next query queues.
-	if _, _, err := srv.Execute(context.Background(), "", similarSQL(0)); err != nil {
-		t.Fatal(err)
-	}
+	shape := busyShape(t, srv, similarSQL(0))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -327,6 +420,14 @@ func TestServerQueuedCancel(t *testing.T) {
 	}
 	if srv.Stats().QueueDepth != 0 {
 		t.Fatal("withdrawn query left a queue slot")
+	}
+	// With its only queued query withdrawn, the release idles the shape.
+	srv.release(shape)
+	srv.mu.Lock()
+	running := srv.shapes[shape].running
+	srv.mu.Unlock()
+	if running {
+		t.Fatal("release of an empty queue left the shape running")
 	}
 }
 
@@ -527,10 +628,7 @@ func TestServerNonFiniteResult(t *testing.T) {
 // byte-correct (spot-checked against solo execution).
 func TestServerOpenLoopWorkload(t *testing.T) {
 	db := openTPCH(t)
-	srv := New(db, Config{
-		BatchWindow:    100 * time.Millisecond,
-		DefaultTimeout: 60 * time.Second,
-	})
+	srv := New(db, Config{DefaultTimeout: 60 * time.Second})
 	defer srv.Close()
 
 	arrivals := workload.GenerateOpenLoop(30, 2000, workload.MixSimilar, []string{"a", "b"}, 7)

@@ -74,7 +74,7 @@ func ShapeKey(q *plan.Query) (string, bool) {
 // shape as one shared plan instead of k solo plans: k times the single
 // plan's estimated cost minus the shared plan's estimate over k copies.
 // Negative or zero means modeled sharing does not pay. The serving
-// front-end's admission policy gates batch windows on it.
+// front-end's admission policy gates queueing on it.
 func (s *Optimizer) SharingGain(q *plan.Query, k int) float64 {
 	if k < 2 {
 		return 0

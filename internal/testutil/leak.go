@@ -12,7 +12,7 @@ import (
 // CheckGoroutines snapshots the goroutine count and registers a
 // cleanup that fails the test if goroutines are still leaked after a
 // grace period. Call it first in a test that starts servers,
-// schedulers or chaos storms: a pipeline worker, window timer or
+// schedulers or chaos storms: a pipeline worker, dispatched group or
 // connection handler that outlives its owner is a containment bug
 // even when results look right.
 //

@@ -84,8 +84,8 @@ type Tuning struct {
 	// always run one shard.
 	Shards int
 	// SoftMemoryLimit is the memory governor's soft watermark (bytes):
-	// above it the engine sheds cache, vetoes new index builds and the
-	// serving front-end shrinks batch windows. 0 = no soft watermark.
+	// above it the engine sheds cache and vetoes new index builds.
+	// 0 = no soft watermark.
 	SoftMemoryLimit int64
 	// HardMemoryLimit is the governor's hard watermark (bytes): above
 	// it admission refuses new queries with a retriable overload error
