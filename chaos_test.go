@@ -254,8 +254,8 @@ func TestChaosStorm(t *testing.T) {
 					t.Errorf("post-storm query %d diverged", i)
 				}
 			}
-			if readers := db.CacheStats().Readers; readers != 0 {
-				t.Errorf("%d epoch readers leaked through the storm", readers)
+			if pinned := db.CacheStats().Pinned; pinned != 0 {
+				t.Errorf("%d pins leaked through the storm", pinned)
 			}
 		})
 	}

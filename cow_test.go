@@ -131,10 +131,10 @@ func TestConcurrentWideningGolden(t *testing.T) {
 	if stats.WidenPublished == 0 {
 		t.Error("workload never published a widened snapshot")
 	}
-	// The drained system retains no superseded snapshots: every epoch
-	// reader exited, so retirement lists must be empty.
-	if stats.Retired != 0 {
-		t.Errorf("%d superseded snapshots still retained after drain", stats.Retired)
+	// The drained system holds no pins: every query released what it
+	// reused, so nothing is shielded from eviction.
+	if stats.Pinned != 0 {
+		t.Errorf("%d entries still pinned after drain", stats.Pinned)
 	}
 
 	// After the dust settles the widest version answers from cache,

@@ -32,9 +32,10 @@
 // snapshots, a query that widens one (partial/overlapping reuse) builds
 // a private copy-on-write successor — sharing the frozen base arenas
 // and string heap, appending only the missing tuples — and installs it
-// with an atomic compare-and-swap when its pipelines drain. An epoch
-// scheme (readers enter before planning, exit after execution) keeps
-// superseded snapshots alive until the last in-flight probe finishes.
+// with an atomic compare-and-swap when its pipelines drain. A query
+// holds every snapshot it resolved until it finishes, so the garbage
+// collector keeps a superseded one alive exactly as long as an
+// in-flight probe still needs it.
 //
 // Quick start:
 //

@@ -2,6 +2,8 @@ package hashstash
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"hashstash/internal/types"
@@ -74,6 +76,59 @@ func TestIndexRangeMatchesScan(t *testing.T) {
 	}
 	if db := indexed.CacheStats(); db.Index.RangeProbes == 0 {
 		t.Error("no range probes recorded — the index path never ran")
+	}
+}
+
+// TestIndexBuildSingleFlight: queries that concurrently see the
+// ski-rental accumulator cross its threshold build the index once — the
+// first claims the build, the rest scan — and every answer is the scan
+// answer.
+func TestIndexBuildSingleFlight(t *testing.T) {
+	sql := rangeShapes[0]
+	runs := warmIndex(t, openTPCH(t), sql)
+	t.Logf("index built after %d runs", runs)
+
+	scan := openTPCH(t, WithAblations(Ablations{NoSecondaryIndexes: true}))
+	ref, err := scan.Exec(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := canonical(ref)
+
+	db := openTPCH(t)
+	for i := 1; i < runs; i++ { // leave the accumulator one query short
+		if _, err := db.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b := db.CacheStats().Index.Builds; b != 0 {
+		t.Fatalf("%d builds before the concurrent wave", b)
+	}
+
+	const clients = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := db.Exec(sql)
+			if err != nil {
+				errs <- err
+				return
+			}
+			if got := canonical(res); !slices.Equal(got, want) {
+				errs <- fmt.Errorf("%d rows differ from the scan's %d", len(got), len(want))
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if b := db.CacheStats().Index.Builds; b != 1 {
+		t.Fatalf("%d index builds from one crossed threshold, want 1", b)
 	}
 }
 

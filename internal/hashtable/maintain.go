@@ -24,8 +24,8 @@ import "math/bits"
 // and htcache.PublishWidened both piggy-back a pass) instead of in one
 // stop-the-world clone. Maintenance only ever runs on the mutable,
 // still-private successor of a copy-on-write widening: concurrent
-// readers hold frozen predecessor snapshots (htcache's epoch scheme
-// keeps them alive until their probes drain), and the rebuilt buckets
+// readers hold frozen predecessor snapshots (their own references keep
+// them alive until their probes drain), and the rebuilt buckets
 // become visible atomically when the successor publishes by CAS.
 const (
 	// DefaultRehashBudget caps chain nodes walked per maintenance pass.

@@ -50,7 +50,7 @@ func TestConcurrentRegisterPinRelease(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				e := c.Register(testHT(64), testLineage(sig))
 				for _, cand := range c.Candidates(testLineage(sig)) {
-					c.Pin(cand)
+					c.Pin(cand, 0)
 					if cand.HT().Len() == 0 {
 						t.Error("candidate with empty table")
 					}
@@ -176,7 +176,7 @@ func TestGCNeverEvictsPinned(t *testing.T) {
 	pinned := c.Register(testHT(128), testLineage("keep"))
 	// Register keeps its own pin until Release; add a reader pin and
 	// release the builder's so only the reader pin protects it.
-	c.Pin(pinned)
+	c.Pin(pinned, 0)
 	c.Release(pinned)
 
 	for i := 0; i < 50; i++ {
@@ -238,8 +238,8 @@ func TestAbandonRemovesOwnEntry(t *testing.T) {
 	// Abandon with extra pins outstanding only drops the caller's pin.
 	e2 := c.Register(testHT(8), testLineage("s2"))
 	c.Release(e2)
-	c.Pin(e2)
-	c.Pin(e2)
+	c.Pin(e2, 0)
+	c.Pin(e2, 0)
 	c.Abandon(e2)
 	if c.Get(e2.ID) == nil {
 		t.Fatal("entry with outstanding pins was removed")

@@ -10,18 +10,20 @@
 // for a fraction of a rebuild. The seed LRU policy survives as an
 // ablation (PolicyLRU).
 //
-// The cache is safe for concurrent queries and — since the epoch-based
-// copy-on-write lifecycle — safe for concurrent *widening*: every entry
-// publishes an immutable Snapshot (a frozen hash table plus the
-// predicate box describing its content) through an atomic pointer.
-// Partial/overlapping reuse widens a snapshot into a private
-// copy-on-write successor (hashtable.Widen) and installs it with a
-// compare-and-swap (PublishWidened); concurrent probes keep draining on
-// the snapshot they resolved at compile time. A lightweight epoch
-// scheme tracks readers (EnterReader/Exit): superseded snapshots are
-// retired at the current epoch and reclaimed only after every reader
-// that could still observe them has exited — in-flight probes are never
-// invalidated, and no query ever blocks another.
+// The cache is safe for concurrent queries and safe for concurrent
+// *widening*: every entry publishes an immutable Snapshot (a frozen
+// hash table plus the predicate box describing its content) through an
+// atomic pointer. Partial/overlapping reuse widens a snapshot into a
+// private copy-on-write successor (hashtable.Widen) and installs it
+// with a compare-and-swap (PublishWidened); concurrent probes keep
+// draining on the snapshot they resolved at plan time. A query holds
+// that one pointer through compile and execution, so Go's garbage
+// collector keeps a superseded or demoted version alive exactly as long
+// as some query still references it — in-flight probes are never
+// invalidated, and no query ever blocks another. Pins (Pin/Release)
+// carry what the collector cannot know: an entry being built is not
+// evicted and publishes on Release, an entry in use is never a GC
+// victim, and the pinned set is the blame list Quarantine uses.
 //
 // Lineage records are stored base-table-qualified (aliases stripped), so
 // a hash table built by one query matches a structurally identical
@@ -61,7 +63,7 @@ const (
 	SharedGrouping
 	// SecondaryIndex is an ordered secondary index (btree.Tree) over one
 	// base-table column — the second artifact kind the registry recycles,
-	// behind the same snapshot/pin/epoch machinery as hash tables.
+	// behind the same snapshot/pin machinery as hash tables.
 	SecondaryIndex
 )
 
@@ -160,25 +162,14 @@ type Snapshot struct {
 
 	// spilled marks the placeholder installed while the entry's artifact
 	// lives in the cold tier's compact spill format (HT and Idx are both
-	// nil then). Epoch readers never observe one: a demoted entry is
-	// unlisted before the placeholder can be installed, and the physical
-	// spill waits until every reader that could have resolved the entry
-	// has exited.
+	// nil then). A query that resolves one skips the entry; a query that
+	// resolved the live snapshot before the demotion keeps probing it.
 	spilled bool
-
-	// reclaimed flips when the epoch scheme frees this superseded
-	// snapshot (observability and test hook; Go's GC does the actual
-	// memory release once readers drop their references).
-	reclaimed atomic.Bool
 }
 
 // Spilled reports whether this snapshot is a cold-tier placeholder with
 // no live artifact.
 func (s *Snapshot) Spilled() bool { return s.spilled }
-
-// Reclaimed reports whether the epoch scheme has freed this superseded
-// snapshot (all readers that could observe it have drained).
-func (s *Snapshot) Reclaimed() bool { return s.reclaimed.Load() }
 
 // Entry is one cached hash table with usage statistics.
 type Entry struct {
@@ -198,15 +189,14 @@ type Entry struct {
 	LastUsed int64
 	// Hits counts reuses (not the initial registration).
 	Hits int64
-	// Pins counts active users; pinned entries are never evicted and
-	// their superseded snapshots are never reclaimed.
+	// Pins counts active users; pinned entries are never GC victims.
 	Pins int
 	// Bytes is the footprint recorded at registration/publication time.
 	Bytes int64
 
 	// benefit is the decaying benefit accumulator (tiering.go): reuse
-	// hits add a bytes-proxy credit and the optimizer adds its modeled
-	// saving versus the fresh alternative (Cache.Credit). benefitAt is
+	// hits add a bytes-proxy credit plus the optimizer's modeled saving
+	// versus the fresh alternative (Cache.Pin). benefitAt is
 	// the clock tick of the last decay application. Both are guarded by
 	// the cache mutex.
 	benefit   float64
@@ -267,9 +257,6 @@ type Stats struct {
 	// Snapshot lifecycle statistics.
 	WidenPublished int64 // widened snapshots installed
 	WidenLost      int64 // widened snapshots dropped on CAS conflict
-	Retired        int   // superseded snapshots awaiting reader drain
-	RetiredBytes   int64 // their footprint
-	Reclaims       int64 // superseded snapshots freed after drain
 
 	// Bucket-maintenance statistics, accumulated from each published
 	// table's hashtable.MaintStats (widening queries pay maintenance
@@ -281,11 +268,13 @@ type Stats struct {
 	Compactions         int64 // compaction clones that still ran (safety valve)
 
 	// Batched-probe statistics (hashtable.ProbeStats), cumulative and
-	// monotonic: live counters of published and still-draining retired
-	// snapshots plus an accumulator folded in when a snapshot is
-	// reclaimed or its entry evicted. ProbeChainNodes/Probes is the
-	// mean probe chain length benchmarks and tests assert on to show
-	// rehashed chains actually flatten.
+	// monotonic: live counters of published snapshots plus an
+	// accumulator folded in when a snapshot is superseded
+	// (PublishWidened) or its entry demoted or evicted. Probes still in
+	// flight on a folded snapshot are not counted — an undercount only
+	// the per-layer mean chain length (ProbeChainNodes/Probes, which
+	// benchmarks and tests assert on to show rehashed chains actually
+	// flatten) reads.
 	Probes          int64
 	ProbeChainNodes int64
 	TombstoneSkips  int64
@@ -294,13 +283,13 @@ type Stats struct {
 	// cached artifacts (strikes), QuarantinedLineages is the number of
 	// currently struck lineages (nothing under them republishes until a
 	// base table changes), PressureEvictions counts entries the memory
-	// governor shed above its soft watermark. Readers is the live epoch
-	// reader count — zero at rest; the chaos suite asserts it returns
-	// there.
+	// governor shed above its soft watermark. Pinned counts hot and cold
+	// entries some query holds pinned — zero at rest; the chaos suite
+	// asserts it returns there.
 	Quarantines         int64
 	QuarantinedLineages int
 	PressureEvictions   int64
-	Readers             int
+	Pinned              int
 
 	// Index is the secondary-index slice of the cache's lifecycle.
 	Index IndexStats
@@ -323,11 +312,10 @@ type IndexStats struct {
 
 // Cache is the hash table cache. All methods are safe for concurrent
 // use: a mutex guards the registry, statistics and per-entry
-// bookkeeping (pins, recency, lineage), snapshots publish through
-// atomic pointers, and the epoch reader scheme delays reclamation of
-// superseded snapshots until in-flight probes drain. The hash tables
-// themselves are never locked — published snapshots are frozen, and
-// queries that widen a table build a private copy-on-write successor.
+// bookkeeping (pins, recency, lineage) and snapshots publish through
+// atomic pointers. The hash tables themselves are never locked —
+// published snapshots are frozen, and queries that widen a table build
+// a private copy-on-write successor.
 type Cache struct {
 	// Budget is the memory budget in bytes; 0 means unlimited. Adjust it
 	// through SetBudget when other goroutines may be running queries.
@@ -343,16 +331,8 @@ type Cache struct {
 	evictions  int64
 	registered int64
 	evictedB   int64
-
-	// Epoch-based reclamation of superseded snapshots. retiredB is the
-	// retired set's running footprint (FootprintBytes must not sweep).
-	epoch     int64
-	readers   map[*Reader]struct{}
-	retired   []retiredSnap
-	retiredB  int64
-	widenPub  int64
-	widenLost int64
-	reclaims  int64
+	widenPub   int64
+	widenLost  int64
 
 	// Quarantine state: strikes is keyed by Lineage.StructKey; while a
 	// lineage is struck, nothing registered under it ever publishes.
@@ -367,8 +347,8 @@ type Cache struct {
 	rehashBudget int
 	maint        hashtable.MaintStats
 	// probeAcc accumulates the probe counters of tables leaving the
-	// live sets (reclaimed snapshots, evicted entries) so Stats stays
-	// monotonic across publications.
+	// live set (superseded snapshots, demoted and evicted entries) so
+	// Stats stays monotonic across publications.
 	probeAcc hashtable.ProbeStats
 
 	// Secondary-index lifecycle counters; idxAcc plays probeAcc's role
@@ -381,14 +361,13 @@ type Cache struct {
 	// are running totals over c.entries (all kinds / SecondaryIndex),
 	// maintained at register/release/publish/evict/demote/revive so the
 	// budget checks never sweep the registry under the lock.
-	policy       Policy
-	coldBudget   int64
-	cold         map[int64]*coldEntry
-	coldBy       map[string][]*coldEntry // cold entries by structural key
-	coldBytes    int64
-	pendingSpill int
-	hotBytes     int64
-	idxBytes     int64
+	policy     Policy
+	coldBudget int64
+	cold       map[int64]*coldEntry
+	coldBy     map[string][]*coldEntry // cold entries by structural key
+	coldBytes  int64
+	hotBytes   int64
+	idxBytes   int64
 
 	// Tiering counters. The bloom counters are atomics: membership tests
 	// run on the planner's probe path without the cache lock.
@@ -412,25 +391,6 @@ type strikeRec struct {
 	tables []string
 }
 
-// retiredSnap is a superseded snapshot awaiting reader drain. The
-// strong reference here is what "not yet reclaimed" means: dropping it
-// (plus the readers' own references draining) makes the old version's
-// delta collectable.
-type retiredSnap struct {
-	snap  *Snapshot
-	entry *Entry
-	epoch int64
-}
-
-// Reader is an epoch read-side registration. A query enters before
-// planning (so every snapshot it resolves stays valid until it exits)
-// and exits when its pipelines have drained.
-type Reader struct {
-	c      *Cache
-	epoch  int64
-	exited bool
-}
-
 // New returns an empty cache with the given budget (0 = unlimited).
 func New(budget int64) *Cache {
 	return &Cache{
@@ -438,7 +398,6 @@ func New(budget int64) *Cache {
 		entries:  make(map[int64]*Entry),
 		byStruct: make(map[string]*bucket),
 		byKind:   make(map[kindSig][]*bucket),
-		readers:  make(map[*Reader]struct{}),
 		cold:     make(map[int64]*coldEntry),
 		coldBy:   make(map[string][]*coldEntry),
 		strikes:  make(map[string]*strikeRec),
@@ -449,87 +408,6 @@ func New(budget int64) *Cache {
 func (c *Cache) tick() int64 {
 	c.clock++
 	return c.clock
-}
-
-// EnterReader registers an epoch reader: every snapshot published at or
-// before the current epoch stays unreclaimed until Exit. Queries enter
-// before planning and exit after their pipelines drain.
-func (c *Cache) EnterReader() *Reader {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r := &Reader{c: c, epoch: c.epoch}
-	c.readers[r] = struct{}{}
-	return r
-}
-
-// Exit deregisters the reader and reclaims any snapshots whose last
-// potential observer it was. Idempotent.
-func (r *Reader) Exit() {
-	c := r.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if r.exited {
-		return
-	}
-	r.exited = true
-	delete(c.readers, r)
-	c.reclaimLocked()
-}
-
-// retireLocked parks a superseded snapshot for epoch-delayed
-// reclamation and advances the epoch so later readers are known not to
-// observe it.
-func (c *Cache) retireLocked(s *Snapshot, e *Entry) {
-	c.retired = append(c.retired, retiredSnap{snap: s, entry: e, epoch: c.epoch})
-	c.retiredB += s.byteSize()
-	c.epoch++
-	c.reclaimLocked()
-}
-
-// reclaimLocked frees retired snapshots no active reader can observe: a
-// snapshot retired at epoch E is reclaimable once every active reader
-// entered at an epoch > E (and its entry is unpinned — pin holders are
-// readers too, but the stronger condition keeps "never reclaimed while
-// pinned" a structural guarantee rather than an ordering accident).
-func (c *Cache) reclaimLocked() {
-	if len(c.retired) == 0 && c.pendingSpill == 0 {
-		return
-	}
-	minEpoch := c.minReaderEpochLocked()
-	if c.pendingSpill > 0 {
-		c.spillPendingLocked(minEpoch)
-	}
-	if len(c.retired) == 0 {
-		return
-	}
-	kept := c.retired[:0]
-	for _, rs := range c.retired {
-		if rs.epoch < minEpoch && rs.entry.Pins == 0 {
-			rs.snap.reclaimed.Store(true)
-			c.reclaims++
-			c.retiredB -= rs.snap.byteSize()
-			c.foldLocked(rs.snap)
-			continue
-		}
-		kept = append(kept, rs)
-	}
-	for i := len(kept); i < len(c.retired); i++ {
-		c.retired[i] = retiredSnap{}
-	}
-	c.retired = kept
-}
-
-// minReaderEpochLocked returns the earliest epoch an active reader
-// entered at (MaxInt64 with no readers): anything published strictly
-// before it has no potential observers left.
-func (c *Cache) minReaderEpochLocked() int64 {
-	minEpoch := int64(math.MaxInt64)
-	for r := range c.readers {
-		if r.epoch < minEpoch {
-			minEpoch = r.epoch
-		}
-	}
-	return minEpoch
 }
 
 // Register admits a hash table with its lineage, triggering garbage
@@ -663,7 +541,6 @@ func (c *Cache) InvalidateTable(table string) int {
 			}
 		}
 	}
-	c.reclaimLocked()
 	return dropped
 }
 
@@ -684,16 +561,21 @@ func (c *Cache) SetRehash(enabled bool, budget int) {
 // description (the widened lineage). The install is a compare-and-swap:
 // if another query widened the entry first, nothing is published and
 // false is returned — the caller's table was still correct for its own
-// query, only the cache keeps the competitor's version. On success the
-// superseded snapshot is retired into the epoch scheme.
+// query, only the cache keeps the competitor's version. The CAS also
+// loses when the entry was demoted since prev was resolved (its current
+// snapshot is then the spilled placeholder): the widening does not
+// relist a cold entry. On success the superseded snapshot's probe
+// counters fold into the cache totals (probes still in flight on it go
+// uncounted; see Stats.Probes) and the collector frees it once the
+// last query holding it finishes.
 //
 // Publication is where maintenance piggy-backs: the successor is still
 // private and mutable here (its building query's pipelines drained, no
-// reader can hold it), so one incremental rehash pass flattens the
+// other query can hold it), so one incremental rehash pass flattens the
 // bucket chains its delta inserts and shadow promotions dirtied before
-// anyone probes the new snapshot. Readers of superseded snapshots are
-// untouched — they drain under the epoch scheme — and the rebuilt
-// buckets become visible atomically with the CAS below.
+// anyone probes the new snapshot. Queries probing superseded snapshots
+// are untouched, and the rebuilt buckets become visible atomically with
+// the CAS below.
 func (c *Cache) PublishWidened(e *Entry, prev *Snapshot, ht *hashtable.Table, filter expr.Box) bool {
 	// Fault point: an err-mode injection degrades to the lost-CAS path
 	// (benign — the caller's table was correct for its own query, the
@@ -728,29 +610,25 @@ func (c *Cache) PublishWidened(e *Entry, prev *Snapshot, ht *hashtable.Table, fi
 	c.maint.ReclaimedTombstones += ms.ReclaimedTombstones
 	c.maint.CompactionsAvoided += ms.CompactionsAvoided
 	c.maint.Compactions += ms.Compactions
-	if ce, ok := c.cold[e.ID]; ok {
-		// The entry was demoted between this query's classification and
-		// its publication (the publishing query is still an epoch
-		// reader, so the pending artifact was never spilled and the CAS
-		// above found prev intact). The widening proves the entry hot:
-		// relist it with the successor instead of letting it spill.
-		c.relistLocked(ce, next)
-	} else if _, hot := c.entries[e.ID]; hot {
+	if _, hot := c.entries[e.ID]; hot {
 		b := c.byStruct[e.key]
 		b.unplace(e)
 		b.place(e) // re-key under the widened filter
 	}
 	c.setEntryBytesLocked(e, ht.ByteSize())
 	e.LastUsed = c.tick()
-	c.retireLocked(prev, e)
+	c.foldLocked(prev)
 	c.gcLocked()
 	return true
 }
 
-// Pin marks an entry in use (reused by a plan) and counts the hit. A
-// pinned entry is never evicted by the garbage collector and its
-// superseded snapshots are never reclaimed.
-func (c *Cache) Pin(e *Entry) {
+// Pin marks an entry in use (reused by a plan), counts the hit and
+// credits the entry's benefit accumulator; a pinned entry is never a GC
+// victim. savedNS is the optimizer's modeled saving versus the fresh
+// alternative — it also feeds the cache's cumulative SavedNS — or 0
+// when the caller has no estimate (non-positive and non-finite values
+// are ignored).
+func (c *Cache) Pin(e *Entry, savedNS float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e.Pins++
@@ -762,6 +640,10 @@ func (c *Cache) Pin(e *Entry) {
 	// policy degrades to eviction by decayed hit frequency.
 	e.decayTo(c.clock)
 	e.benefit += float64(e.Bytes)
+	if savedNS > 0 && !math.IsInf(savedNS, 0) {
+		e.benefit += savedNS
+		c.savedNS += savedNS
+	}
 }
 
 // Release drops one pin, refreshes the entry's statistics and publishes
@@ -779,13 +661,8 @@ func (c *Cache) Release(e *Entry) {
 		// dropped the moment its last pin goes (other concurrent users
 		// keep probing their resolved snapshot until they release).
 		if e.Pins == 0 {
-			if _, ok := c.entries[e.ID]; ok {
-				c.evict(e)
-			} else if ce, ok := c.cold[e.ID]; ok {
-				c.dropColdLocked(ce)
-			}
+			c.dropLocked(e)
 		}
-		c.reclaimLocked()
 		return
 	}
 	snap := e.cur.Load()
@@ -797,8 +674,16 @@ func (c *Cache) Release(e *Entry) {
 	}
 	c.setEntryBytesLocked(e, snap.byteSize())
 	e.LastUsed = c.tick()
-	c.reclaimLocked()
 	c.gcLocked()
+}
+
+// dropLocked removes the entry from whichever tier lists it.
+func (c *Cache) dropLocked(e *Entry) {
+	if _, ok := c.entries[e.ID]; ok {
+		c.evict(e)
+	} else if ce, ok := c.cold[e.ID]; ok {
+		c.dropColdLocked(ce)
+	}
 }
 
 // Quarantine blames an entry for a contained panic: its lineage is
@@ -822,12 +707,7 @@ func (c *Cache) Quarantine(e *Entry) {
 	e.quarantined = true
 	e.ready = false
 	if e.Pins == 0 {
-		if _, ok := c.entries[e.ID]; ok {
-			c.evict(e)
-		} else if ce, ok := c.cold[e.ID]; ok {
-			c.dropColdLocked(ce)
-		}
-		c.reclaimLocked()
+		c.dropLocked(e)
 	}
 }
 
@@ -848,12 +728,9 @@ func (c *Cache) Abandon(e *Entry) {
 	if e.Pins > 0 {
 		e.Pins--
 	}
-	if _, ok := c.entries[e.ID]; ok && e.Pins == 0 {
-		c.evict(e)
-	} else if ce, ok := c.cold[e.ID]; ok && e.Pins == 0 {
-		c.dropColdLocked(ce)
+	if e.Pins == 0 {
+		c.dropLocked(e)
 	}
-	c.reclaimLocked()
 }
 
 // Touch refreshes recency without counting a reuse.
@@ -885,15 +762,13 @@ func (c *Cache) TotalBytes() int64 {
 	return c.hotBytes
 }
 
-// FootprintBytes reports the cache's total resident memory: hot
-// entries, cold-tier spills (including pending demotions still holding
-// their full artifact) and superseded snapshots awaiting reader drain.
-// Running counters only — this is the memory governor's feed, called
-// on every admission.
+// FootprintBytes reports the cache's resident memory: hot entries plus
+// cold-tier spills. Running counters only — this is the memory
+// governor's feed, called on every admission.
 func (c *Cache) FootprintBytes() int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.hotBytes + c.coldBytes + c.retiredB
+	return c.hotBytes + c.coldBytes
 }
 
 // Shed releases at least target bytes of unpinned cache memory if it
@@ -927,20 +802,21 @@ func (c *Cache) Shed(target int64) int64 {
 		c.evict(v)
 		c.pressureEvict++
 	}
-	c.reclaimLocked()
 	return released
 }
 
-// setEntryBytesLocked records a new footprint for the entry, keeping
+// setEntryBytesLocked records a new footprint for a hot entry, keeping
 // the running per-kind byte counters consistent. Entries outside the
-// hot registry (demoted, or already evicted) update only their own
-// field — the cold tier tracks its bytes through coldEntry.bytes.
+// hot registry keep theirs: a demoted entry's Bytes is its spill's
+// footprint (a query that pinned it before the demotion must not
+// rewrite that to the placeholder's 0), an evicted one no longer counts.
 func (c *Cache) setEntryBytesLocked(e *Entry, bytes int64) {
-	if _, ok := c.entries[e.ID]; ok {
-		c.hotBytes += bytes - e.Bytes
-		if e.Lineage.Kind == SecondaryIndex {
-			c.idxBytes += bytes - e.Bytes
-		}
+	if _, ok := c.entries[e.ID]; !ok {
+		return
+	}
+	c.hotBytes += bytes - e.Bytes
+	if e.Lineage.Kind == SecondaryIndex {
+		c.idxBytes += bytes - e.Bytes
 	}
 	e.Bytes = bytes
 }
@@ -1025,10 +901,9 @@ func (c *Cache) victimLocked() *Entry {
 }
 
 // foldLocked folds a snapshot's access counters into the cumulative
-// accumulators as it leaves the live sets Stats sums over. A reclaimed
-// snapshot's readers have drained (its counters are final); an evicted
-// entry's still-retired snapshots stay in the retired sum until their
-// own reclamation.
+// accumulators as it leaves the live set Stats sums over (superseded,
+// demoted or evicted). Queries still probing it keep counting on the
+// snapshot itself, which nothing reads any more.
 func (c *Cache) foldLocked(s *Snapshot) {
 	if s.HT != nil {
 		ps := s.HT.ProbeStats()
@@ -1106,8 +981,6 @@ func (c *Cache) Stats() Stats {
 		EvictedBytes:        c.evictedB,
 		WidenPublished:      c.widenPub,
 		WidenLost:           c.widenLost,
-		Retired:             len(c.retired),
-		Reclaims:            c.reclaims,
 		BucketRehashes:      c.maint.RehashedBuckets,
 		RewrittenEntries:    c.maint.RewrittenEntries,
 		TombstonesReclaimed: c.maint.ReclaimedTombstones,
@@ -1116,7 +989,6 @@ func (c *Cache) Stats() Stats {
 		Quarantines:         c.quarantines,
 		QuarantinedLineages: len(c.strikes),
 		PressureEvictions:   c.pressureEvict,
-		Readers:             len(c.readers),
 	}
 	s.Probes = c.probeAcc.Probes
 	s.ProbeChainNodes = c.probeAcc.ChainNodes
@@ -1140,7 +1012,11 @@ func (c *Cache) Stats() Stats {
 		ColdEvictions:       c.coldEvict,
 		SavedNS:             c.savedNS,
 	}
-	add := func(sn *Snapshot) {
+	for _, e := range c.entries {
+		if e.Pins > 0 {
+			s.Pinned++
+		}
+		sn := e.cur.Load()
 		if sn.HT != nil {
 			ps := sn.HT.ProbeStats()
 			s.Probes += ps.Probes
@@ -1153,16 +1029,9 @@ func (c *Cache) Stats() Stats {
 			s.Index.RowsGathered += is.RowsGathered
 		}
 	}
-	for _, rs := range c.retired {
-		s.RetiredBytes += rs.snap.byteSize()
-		add(rs.snap)
-	}
-	for _, e := range c.entries {
-		add(e.cur.Load())
-	}
 	for _, ce := range c.cold {
-		if ce.hot != nil {
-			add(ce.hot) // pending demotion: counters not yet folded
+		if ce.e.Pins > 0 {
+			s.Pinned++
 		}
 	}
 	if c.registered > 0 {
@@ -1184,9 +1053,6 @@ func (s Stats) Add(o Stats) Stats {
 	s.EvictedBytes += o.EvictedBytes
 	s.WidenPublished += o.WidenPublished
 	s.WidenLost += o.WidenLost
-	s.Retired += o.Retired
-	s.RetiredBytes += o.RetiredBytes
-	s.Reclaims += o.Reclaims
 	s.BucketRehashes += o.BucketRehashes
 	s.RewrittenEntries += o.RewrittenEntries
 	s.TombstonesReclaimed += o.TombstonesReclaimed
@@ -1198,7 +1064,7 @@ func (s Stats) Add(o Stats) Stats {
 	s.Quarantines += o.Quarantines
 	s.QuarantinedLineages += o.QuarantinedLineages
 	s.PressureEvictions += o.PressureEvictions
-	s.Readers += o.Readers
+	s.Pinned += o.Pinned
 	s.Index.Builds += o.Index.Builds
 	s.Index.RangeProbes += o.Index.RangeProbes
 	s.Index.RowsGathered += o.Index.RowsGathered

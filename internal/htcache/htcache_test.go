@@ -58,7 +58,7 @@ func TestRegisterPinReleaseHit(t *testing.T) {
 	if len(cands) != 1 || cands[0] != e {
 		t.Fatalf("candidates = %v", cands)
 	}
-	c.Pin(e)
+	c.Pin(e, 0)
 	if e.Hits != 1 {
 		t.Error("pin should count a hit")
 	}

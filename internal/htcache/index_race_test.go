@@ -62,7 +62,7 @@ func TestIndexLifecycle(t *testing.T) {
 	}
 }
 
-// TestIndexRace races index registration and publication against epoch
+// TestIndexRace races index registration and publication against
 // readers resolving snapshots and table invalidations evicting them.
 // Run with -race; the property asserted is that a reader-resolved
 // snapshot stays usable (non-nil tree, consistent Range results) no
@@ -105,7 +105,7 @@ func TestIndexRace(t *testing.T) {
 		}
 	}()
 
-	// Readers: resolve a candidate under an epoch guard and probe it.
+	// Readers: resolve a candidate's snapshot and probe it.
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() {
@@ -116,7 +116,6 @@ func TestIndexRace(t *testing.T) {
 					return
 				default:
 				}
-				reader := c.EnterReader()
 				for _, e := range c.Candidates(IndexLineage(ref)) {
 					snap := e.Current()
 					if snap == nil {
@@ -124,7 +123,6 @@ func TestIndexRace(t *testing.T) {
 					}
 					if snap.Idx == nil {
 						t.Error("index candidate with nil tree")
-						reader.Exit()
 						return
 					}
 					lo, hi := snap.Idx.Range(expr.Interval{
@@ -133,12 +131,10 @@ func TestIndexRace(t *testing.T) {
 					})
 					if hi < lo {
 						t.Error("inverted run")
-						reader.Exit()
 						return
 					}
 					snap.Idx.NoteGathered(int64(hi - lo))
 				}
-				reader.Exit()
 			}
 		}()
 	}

@@ -122,7 +122,7 @@ func TestCandidateIndexOracle(t *testing.T) {
 				all = append(all, e)
 			case op < 8: // pin + release: a reuse hit
 				if e := pick(); e != nil {
-					c.Pin(e)
+					c.Pin(e, 0)
 					c.Release(e)
 				}
 			case op < 9:

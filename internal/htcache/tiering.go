@@ -15,35 +15,28 @@ import (
 
 // Benefit accounting and the tiered lifecycle (hot → cold → evicted).
 //
-// Every entry carries a decaying benefit accumulator: a reuse hit adds
-// a bytes-proxy credit (Pin), the optimizer adds its modeled saving
-// versus the fresh alternative (Credit), and both decay with a
-// half-life of benefitHalfLife clock ticks. Eviction removes the
-// lowest benefit *density* (decayed benefit per byte) first; an entry
-// that was registered but never reused has zero benefit, which is the
-// admission filter — one-shot artifacts can never displace an entry
-// with even a single hit.
+// Every entry carries a decaying benefit accumulator: each reuse hit
+// (Pin) adds a bytes-proxy credit plus the optimizer's modeled saving
+// versus the fresh alternative, and both decay with a half-life of
+// benefitHalfLife clock ticks. Eviction removes the lowest benefit
+// *density* (decayed benefit per byte) first; an entry that was
+// registered but never reused has zero benefit, which is the admission
+// filter — one-shot artifacts can never displace an entry with even a
+// single hit.
 //
 // With a cold budget configured, a benefit victim is demoted instead
-// of dropped. Demotion is two-phase to keep the epoch guarantee
-// ("readers never observe a spilled snapshot") structural rather than
-// probabilistic:
+// of dropped, in one step: demoteLocked unlists the entry from the hot
+// registry, captures the compact spill + bloom filter and swaps the
+// entry's snapshot for a spilled placeholder. A victim is unpinned by
+// construction, so no query is using it; a query that resolved the
+// live snapshot just before the demotion (between Candidates and its
+// pin) keeps probing that pointer — Spill leaves the artifact intact —
+// and the collector frees it when the query finishes.
 //
-//  1. demoteLocked unlists the entry from the hot registry and records
-//     the demotion epoch. The artifact stays intact ("pending"): any
-//     reader that could still discover the entry — necessarily one
-//     that entered before the demotion, since Candidates no longer
-//     returns it — keeps resolving a live snapshot.
-//  2. Once every reader from before the demotion has exited (the same
-//     condition retired snapshots wait on), spillColdLocked captures
-//     the compact spill + bloom filter, swaps the entry's snapshot for
-//     a spilled placeholder and drops the artifact.
-//
-// Revival is the reverse: a pending entry relists for free; a spilled
-// one rebuilds from its spill outside the lock and republishes through
-// the entry's snapshot pointer. The bloom filter (built over stable
-// value hashes, not heap ids) lets point/IN probes skip revival of
-// artifacts that cannot contain their key.
+// Revival is the reverse: the entry rebuilds from its spill outside
+// the lock and republishes through its snapshot pointer. The bloom
+// filter (built over stable value hashes, not heap ids) lets point/IN
+// probes skip revival of artifacts that cannot contain their key.
 
 // Policy selects the eviction victim order.
 type Policy uint8
@@ -82,7 +75,7 @@ type TieringStats struct {
 	ColdEvictions    int64 // cold-tier drops (budget, invalidation, clear)
 
 	// SavedNS totals the optimizer's modeled savings from every reuse
-	// decision (Credit) — the policy-independent "total reuse savings"
+	// decision (Pin) — the policy-independent "total reuse savings"
 	// metric eviction policies are compared on.
 	SavedNS float64
 }
@@ -103,20 +96,6 @@ func (c *Cache) SetColdBudget(bytes int64) {
 	defer c.mu.Unlock()
 	c.coldBudget = bytes
 	c.gcLocked()
-}
-
-// Credit adds the optimizer's modeled saving (ns versus the fresh
-// alternative) to the entry's benefit accumulator and to the cache's
-// cumulative SavedNS. Called at pin time by every reuse decision.
-func (c *Cache) Credit(e *Entry, savedNS float64) {
-	if savedNS <= 0 || math.IsNaN(savedNS) || math.IsInf(savedNS, 0) {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e.decayTo(c.clock)
-	e.benefit += savedNS
-	c.savedNS += savedNS
 }
 
 // decayTo applies the exponential decay accrued since the last credit.
@@ -149,17 +128,13 @@ func (c *Cache) scoreLocked(e *Entry) float64 {
 	return score
 }
 
-// coldEntry is a demoted entry's cold-tier record. While hot is
-// non-nil the demotion is pending (phase 1) and the artifact is
-// intact; after the spill, exactly one of htSpill/idxSpill holds the
-// compact form.
+// coldEntry is a demoted entry's cold-tier record: exactly one of
+// htSpill/idxSpill holds the compact form.
 type coldEntry struct {
 	e     *Entry
-	epoch int64 // demotion epoch; spill waits for readers before it
-	bytes int64 // what the cold tier currently accounts for this entry
+	bytes int64 // the spill's footprint, as the cold tier accounts it
 	at    int   // position in c.coldBy[e.key]
 
-	hot      *Snapshot
 	htSpill  *hashtable.Spill
 	idxSpill *btree.Spill
 	bloom    *bloomFilter
@@ -172,64 +147,39 @@ type coldEntry struct {
 	isIdx  bool
 }
 
-// demoteLocked moves a GC victim to the cold tier: unlist, capture
-// classification metadata + bloom filter, record the demotion epoch.
-// The artifact itself is spilled later, once pre-demotion readers have
-// drained (spillPendingLocked).
+// demoteLocked moves a GC victim to the cold tier: unlist it, capture
+// classification metadata, bloom filter and compact spill, and install
+// the spilled placeholder as the entry's snapshot.
 func (c *Cache) demoteLocked(e *Entry) {
+	c.demotions++
+	if err := faultinject.Inject(faultinject.SpillEncode); err != nil {
+		// The artifact could not be encoded: drop it outright.
+		c.evict(e)
+		c.coldEvict++
+		return
+	}
 	snap := e.cur.Load()
 	c.unlistLocked(e)
-	ce := &coldEntry{e: e, epoch: c.epoch, bytes: e.Bytes, hot: snap, filter: snap.Filter}
+	c.foldLocked(snap)
+	ce := &coldEntry{e: e, filter: snap.Filter}
 	switch {
 	case snap.HT != nil:
 		ce.layout = snap.HT.Layout()
 		ce.rows = snap.HT.Len()
 		ce.bloom = bloomFromTable(snap.HT)
+		ce.htSpill = snap.HT.Spill()
+		ce.bytes = ce.htSpill.ByteSize()
 	case snap.Idx != nil:
 		ce.isIdx = true
 		ce.rows = snap.Idx.Len()
 		ce.bloom = bloomFromTree(snap.Idx)
+		ce.idxSpill = snap.Idx.Spill()
+		ce.bytes = ce.idxSpill.ByteSize()
 	}
+	e.cur.Store(&Snapshot{Filter: snap.Filter, Version: snap.Version + 1, spilled: true})
+	e.Bytes = ce.bytes
 	c.listColdLocked(ce)
-	c.pendingSpill++
-	c.epoch++
-	c.demotions++
-	c.spillPendingLocked(c.minReaderEpochLocked())
-}
-
-// spillPendingLocked runs phase 2 for every pending demotion whose
-// pre-demotion readers have all exited: capture the compact spill,
-// install the spilled placeholder, drop the artifact.
-func (c *Cache) spillPendingLocked(minEpoch int64) {
-	for _, ce := range c.cold {
-		if ce.hot == nil || ce.epoch >= minEpoch || ce.e.Pins > 0 {
-			continue
-		}
-		if err := faultinject.Inject(faultinject.SpillEncode); err != nil {
-			// The artifact could not be encoded: drop it outright rather
-			// than keeping an unspillable pending demotion forever.
-			c.dropColdLocked(ce)
-			continue
-		}
-		hot := ce.hot
-		c.foldLocked(hot) // final: no reader can probe it anymore
-		var compact int64
-		switch {
-		case hot.HT != nil:
-			ce.htSpill = hot.HT.Spill()
-			compact = ce.htSpill.ByteSize()
-		case hot.Idx != nil:
-			ce.idxSpill = hot.Idx.Spill()
-			compact = ce.idxSpill.ByteSize()
-		}
-		ce.e.cur.Store(&Snapshot{Filter: hot.Filter, Version: hot.Version + 1, spilled: true})
-		ce.e.Bytes = compact
-		c.coldBytes += compact - ce.bytes
-		ce.bytes = compact
-		ce.hot = nil
-		c.pendingSpill--
-		c.spills++
-	}
+	c.spills++
 }
 
 // listColdLocked enters a demoted entry in the cold tier and its
@@ -247,9 +197,6 @@ func (c *Cache) listColdLocked(ce *coldEntry) {
 func (c *Cache) unlistColdLocked(ce *coldEntry) {
 	delete(c.cold, ce.e.ID)
 	c.coldBytes -= ce.bytes
-	if ce.hot != nil {
-		c.pendingSpill--
-	}
 	key := ce.e.key
 	list := c.coldBy[key]
 	last := list[len(list)-1]
@@ -281,9 +228,6 @@ func (c *Cache) relistLocked(ce *coldEntry, snap *Snapshot) {
 // dropColdLocked removes a cold entry outright (cold-budget pressure,
 // invalidation, Clear, Abandon).
 func (c *Cache) dropColdLocked(ce *coldEntry) {
-	if ce.hot != nil {
-		c.foldLocked(ce.hot)
-	}
 	c.unlistColdLocked(ce)
 	c.evictions++
 	c.evictedB += ce.bytes
@@ -309,9 +253,8 @@ func (c *Cache) coldVictimLocked() *coldEntry {
 }
 
 // Revive returns a demoted entry to the hot tier and returns its live
-// snapshot. A pending demotion relists for free; a spilled one
-// rebuilds from the compact spill outside the lock. col is the base
-// column for secondary-index entries (their spill keeps only the sort
+// snapshot, rebuilt from the compact spill outside the lock. col is the
+// base column for secondary-index entries (their spill keeps only the sort
 // permutation; revival re-gathers the keys) and ignored for hash
 // tables. Returns nil if the entry is gone from the cold tier and not
 // hot either (evicted meanwhile), or if an index revival lacks its
@@ -329,13 +272,6 @@ func (c *Cache) Revive(e *Entry, col *storage.Column) *Snapshot {
 		if _, hot := c.entries[e.ID]; hot {
 			snap = e.cur.Load() // a competitor revived it first
 		}
-		c.mu.Unlock()
-		return snap
-	}
-	if ce.hot != nil {
-		snap := ce.hot
-		c.relistLocked(ce, snap)
-		c.revivals++
 		c.mu.Unlock()
 		return snap
 	}
@@ -390,9 +326,6 @@ type ColdArtifact struct {
 	Layout hashtable.Layout
 	// IsIndex marks secondary-index entries.
 	IsIndex bool
-	// Pending means the artifact is still intact: revival is a relist,
-	// not a rebuild, and costs ~nothing.
-	Pending bool
 
 	bloom *bloomFilter
 	c     *Cache
@@ -435,7 +368,6 @@ func (c *Cache) ColdCandidates(probe Lineage) []*ColdArtifact {
 			Bytes:   ce.bytes,
 			Layout:  ce.layout,
 			IsIndex: ce.isIdx,
-			Pending: ce.hot != nil,
 			bloom:   ce.bloom,
 			c:       c,
 		})

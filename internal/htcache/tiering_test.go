@@ -2,6 +2,7 @@ package htcache
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -17,7 +18,7 @@ func TestBenefitEvictionAdmissionFilter(t *testing.T) {
 	c := New(0)
 	e1 := c.Register(makeHT(1000), lin(100))
 	c.Release(e1)
-	c.Pin(e1) // one reuse hit: benefit = bytes proxy
+	c.Pin(e1, 0) // one reuse hit: benefit = bytes proxy
 	c.Release(e1)
 	e2 := c.Register(makeHT(1000), lin(200)) // one-shot, more recent
 	c.Release(e2)
@@ -44,7 +45,7 @@ func TestLRUPolicyAblation(t *testing.T) {
 	c.SetPolicy(PolicyLRU)
 	e1 := c.Register(makeHT(1000), lin(100))
 	c.Release(e1)
-	c.Pin(e1)
+	c.Pin(e1, 0)
 	c.Release(e1)
 	e2 := c.Register(makeHT(1000), lin(200))
 	c.Release(e2)
@@ -60,31 +61,34 @@ func TestLRUPolicyAblation(t *testing.T) {
 	}
 }
 
+// TestCreditAccumulatesSavedNS: a reuse pin credits the optimizer's
+// modeled saving to the cache total; non-positive and non-finite
+// savings are ignored.
 func TestCreditAccumulatesSavedNS(t *testing.T) {
 	c := New(0)
 	e := c.Register(makeHT(10), lin(100))
 	c.Release(e)
-	c.Credit(e, 1e6)
-	c.Credit(e, -5) // ignored
-	c.Credit(e, 0)  // ignored
-	if s := c.Stats(); s.Tiering.SavedNS != 1e6 {
-		t.Errorf("SavedNS = %v, want 1e6", s.Tiering.SavedNS)
+	for _, saved := range []float64{1e6, -5, 0, math.NaN(), math.Inf(1)} {
+		c.Pin(e, saved)
+		c.Release(e)
+	}
+	if s := c.Stats(); s.Tiering.SavedNS != 1e6 || s.Hits != 5 {
+		t.Errorf("SavedNS = %v, hits = %d; want 1e6 and 5", s.Tiering.SavedNS, s.Hits)
 	}
 }
 
-// TestDemotePendingThenSpill walks the two-phase demotion: with a
-// pre-demotion reader active the artifact stays intact (pending), and
-// the compact spill happens only after that reader exits.
-func TestDemotePendingThenSpill(t *testing.T) {
+// TestDemoteSpillsAtOnce walks the one-step demotion: a GC victim is
+// unpinned by construction, so it leaves the hot registry already in
+// compact spill form, and revival rebuilds it from the spill.
+func TestDemoteSpillsAtOnce(t *testing.T) {
 	c := New(0)
 	c.SetColdBudget(1 << 30)
-	r := c.EnterReader()
 
 	e1 := c.Register(makeHT(1000), lin(100))
 	c.Release(e1)
 	e2 := c.Register(makeHT(1000), lin(200))
 	c.Release(e2)
-	c.Pin(e2) // e2 gains benefit; e1 is the victim
+	c.Pin(e2, 0) // e2 gains benefit; e1 is the victim
 	c.Release(e2)
 
 	c.Budget = c.TotalBytes() - 1
@@ -95,27 +99,18 @@ func TestDemotePendingThenSpill(t *testing.T) {
 		t.Fatal("demoted entry still listed hot")
 	}
 	ca := c.ColdCandidate(lin(0))
-	if ca == nil || ca.Entry != e1 || !ca.Pending {
+	if ca == nil || ca.Entry != e1 || ca.Rows != 1000 {
 		t.Fatalf("cold candidate = %+v", ca)
 	}
-	// The pre-demotion reader can still resolve a live snapshot.
-	if snap := e1.Current(); snap.Spilled() || snap.HT == nil {
-		t.Fatal("pending demotion lost its live snapshot")
-	}
-	if s := c.Stats(); s.Tiering.Demotions != 1 || s.Tiering.Spills != 0 {
-		t.Fatalf("tiering stats = %+v", s.Tiering)
-	}
-
-	r.Exit() // last pre-demotion reader gone: phase 2 runs
 	if snap := e1.Current(); !snap.Spilled() || snap.HT != nil {
-		t.Fatal("artifact not spilled after readers drained")
+		t.Fatal("demoted artifact not spilled")
 	}
 	s := c.Stats()
-	if s.Tiering.Spills != 1 || s.Tiering.ColdEntries != 1 {
+	if s.Tiering.Demotions != 1 || s.Tiering.Spills != 1 || s.Tiering.ColdEntries != 1 {
 		t.Fatalf("tiering stats = %+v", s.Tiering)
 	}
-	if s.Tiering.ColdBytes >= e2.Bytes {
-		t.Errorf("spilled footprint %d not compact (hot peer is %d)", s.Tiering.ColdBytes, e2.Bytes)
+	if s.Tiering.ColdBytes >= e2.Bytes || e1.Bytes != s.Tiering.ColdBytes {
+		t.Errorf("spilled footprint %d not compact (hot peer is %d, entry says %d)", s.Tiering.ColdBytes, e2.Bytes, e1.Bytes)
 	}
 
 	// Revival rebuilds from the spill and republishes. Relax the budget
@@ -137,34 +132,6 @@ func TestDemotePendingThenSpill(t *testing.T) {
 	}
 }
 
-// TestRevivePendingIsRelist: reviving before the spill happened is a
-// free relist, not a rebuild.
-func TestRevivePendingIsRelist(t *testing.T) {
-	c := New(0)
-	c.SetColdBudget(1 << 30)
-	r := c.EnterReader()
-	defer r.Exit()
-
-	e1 := c.Register(makeHT(500), lin(100))
-	c.Release(e1)
-	e2 := c.Register(makeHT(500), lin(200))
-	c.Release(e2)
-	c.Pin(e2)
-	c.Release(e2)
-	c.Budget = c.TotalBytes() - 1
-	c.GC()
-
-	before := e1.Current()
-	snap := c.Revive(e1, nil)
-	if snap != before {
-		t.Fatal("pending revival should return the original snapshot")
-	}
-	s := c.Stats()
-	if s.Tiering.Revivals != 1 || s.Tiering.ReviveRebuilds != 0 {
-		t.Fatalf("tiering stats = %+v", s.Tiering)
-	}
-}
-
 // TestBloomMembership: present keys always pass; absent keys are
 // rejected at roughly the configured false-positive rate — and a
 // rejection is exactly the signal that makes revival skippable.
@@ -175,7 +142,7 @@ func TestBloomMembership(t *testing.T) {
 	c.Release(e1)
 	e2 := c.Register(makeHT(1000), lin(200))
 	c.Release(e2)
-	c.Pin(e2)
+	c.Pin(e2, 0)
 	c.Release(e2)
 	c.Budget = c.TotalBytes() - 1
 	c.GC()
@@ -227,7 +194,7 @@ func TestByteCountersConsistent(t *testing.T) {
 		entries = append(entries, e)
 	}
 	check("registered")
-	c.Pin(entries[3])
+	c.Pin(entries[3], 0)
 	c.Release(entries[3])
 	c.SetBudget(c.TotalBytes() - 1)
 	check("demoted")
@@ -248,9 +215,11 @@ func TestByteCountersConsistent(t *testing.T) {
 }
 
 // TestLifecycleStorm hammers the hot/cold lifecycle from many
-// goroutines under -race: epoch readers must never observe a spilled
-// snapshot through Candidates, whatever demotions, revivals, budget
-// flips and invalidations run concurrently.
+// goroutines under -race: a snapshot a reader resolved through
+// Candidates is either the spilled placeholder (the entry was demoted
+// first; the reader skips it) or keeps a live table that answers its
+// probes, whatever demotions, revivals, budget flips and invalidations
+// run concurrently after the resolution.
 func TestLifecycleStorm(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
@@ -274,23 +243,33 @@ func stormOnce(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				r := c.EnterReader()
 				for _, cand := range c.Candidates(lin(0)) {
 					snap := cand.Current()
 					if snap == nil {
-						t.Error("hot candidate with nil snapshot")
+						t.Error("candidate with nil snapshot")
 						continue
 					}
-					if snap.Spilled() || (snap.HT == nil && snap.Idx == nil) {
-						t.Error("epoch reader observed a spilled snapshot")
+					if snap.Spilled() {
+						continue // demoted since Candidates listed it
+					}
+					if snap.HT == nil {
+						t.Error("live snapshot without a table")
+						continue
 					}
 					if i%3 == g {
-						c.Pin(cand)
-						c.Credit(cand, 100)
+						c.Pin(cand, 100)
+					}
+					runtime.Gosched() // let demotions and spills land
+					// Every table in this storm holds keys 0..19.
+					for k := uint64(0); k < 20; k++ {
+						if it := snap.HT.Probe([]uint64{k}); it.Next() == -1 {
+							t.Errorf("resolved snapshot v%d lost key %d", snap.Version, k)
+						}
+					}
+					if i%3 == g {
 						c.Release(cand)
 					}
 				}
-				r.Exit()
 			}
 		}(g)
 	}

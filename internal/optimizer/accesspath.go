@@ -115,12 +115,21 @@ func (o *Optimizer) markUnindexable(colBase storage.ColRef) {
 	o.idxBenefit[colBase.String()] = math.NaN()
 }
 
-// resetIndexBenefit clears a column's accumulator after its index was
-// built (a later invalidation restarts the ski-rental clock from zero).
-func (o *Optimizer) resetIndexBenefit(colBase storage.ColRef) {
+// claimIndexBuild is the single-flight gate of a lazy build: it
+// re-checks that the column's accumulated benefit still pays for the
+// build and zeroes it in the same critical section, so of the
+// concurrent queries that all saw the threshold crossed exactly one
+// builds — the rest scan. The ski-rental clock restarts from zero (a
+// later invalidation needs a fresh payment).
+func (o *Optimizer) claimIndexBuild(colBase storage.ColRef, buildCost float64) bool {
+	key := colBase.String()
 	o.idxMu.Lock()
 	defer o.idxMu.Unlock()
-	delete(o.idxBenefit, colBase.String())
+	if o.idxBenefit[key] >= buildCost { // false for NaN: unindexable
+		delete(o.idxBenefit, key)
+		return true
+	}
+	return false
 }
 
 // constraintValueHashes enumerates the content hashes of a membership
@@ -167,11 +176,7 @@ func (c *compiler) reviveColdIndex(cand *indexCandidate, con expr.Constraint, tb
 			return nil, nil // bloom-negative: never revive for a provably empty range
 		}
 	}
-	var reviveCost float64
-	if !ca.Pending {
-		reviveCost = o.Model.IndexReviveCost(float64(ca.Rows))
-	}
-	if reviveCost+cand.rangeCost >= scanCost {
+	if o.Model.IndexReviveCost(float64(ca.Rows))+cand.rangeCost >= scanCost {
 		return nil, nil
 	}
 	col := tbl.Column(cand.colBase.Column)
@@ -244,7 +249,7 @@ func (c *compiler) tryIndexScan(n *Node, rel plan.Rel, boxes []expr.Box) exec.So
 			return nil
 		}
 		col := tbl.Column(cand.colBase.Column)
-		if col == nil {
+		if col == nil || !o.claimIndexBuild(cand.colBase, buildCost) {
 			return nil
 		}
 		built, err := btree.Build(col)
@@ -254,11 +259,9 @@ func (c *compiler) tryIndexScan(n *Node, rel plan.Rel, boxes []expr.Box) exec.So
 		}
 		entry = o.Cache.RegisterIndex(built, cand.colBase)
 		c.out.created = append(c.out.created, entry)
-		o.resetIndexBenefit(cand.colBase)
 		tree = built
 	} else if c.register {
-		o.Cache.Pin(entry)
-		o.Cache.Credit(entry, scanCost-cand.rangeCost)
+		o.Cache.Pin(entry, scanCost-cand.rangeCost)
 		c.out.pinned = append(c.out.pinned, entry)
 	}
 

@@ -506,10 +506,7 @@ func (o *Optimizer) classifyColdAggCandidate(q *plan.Query, ca *htcache.ColdArti
 		Contr: choice.Contr, Overh: choice.Overh,
 		CandRows: float64(ca.Rows), TupleWidth: width,
 	})
-	var reviveCost float64
-	if !ca.Pending {
-		reviveCost = o.Model.ReviveCost(float64(ca.Rows), width)
-	}
+	reviveCost := o.Model.ReviveCost(float64(ca.Rows), width)
 	choice.OperatorCost = opCost
 	agg := &AggChoice{
 		Choice:    choice,

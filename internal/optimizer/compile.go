@@ -67,6 +67,15 @@ func (o *Optimizer) compile(p *Planned, register bool) (*Compiled, error) {
 		out:      &Compiled{},
 		register: register,
 	}
+	// Unwind on a returned error and on a panic alike (a faulted
+	// revival, or any bug): the caller's recover boundary cannot see
+	// what this compile pinned and registered so far.
+	ok := false
+	defer func() {
+		if !ok {
+			c.releaseAll()
+		}
+	}()
 	var err error
 	if p.Agg == nil {
 		err = c.compileSPJRoot(p.Root)
@@ -74,9 +83,9 @@ func (o *Optimizer) compile(p *Planned, register bool) (*Compiled, error) {
 		err = c.compileAggRoot(p)
 	}
 	if err != nil {
-		c.releaseAll()
 		return nil, err
 	}
+	ok = true
 	return c.out, nil
 }
 
@@ -230,8 +239,8 @@ func (c *compiler) obtainBuildHT(n *Node) (*hashtable.Table, []int, []storage.Co
 		// Probe the snapshot the plan was classified against: frozen,
 		// immutable, safe for lock-free probes however many queries widen
 		// the entry concurrently. A cold choice has no snapshot yet —
-		// revive the entry (relist, or rebuild from its compact spill);
-		// if the cold entry was dropped between plan and compile, or the
+		// revive the entry (rebuild it from its compact spill); if the
+		// cold entry was dropped between plan and compile, or the
 		// compile is detached (no cache mutations), degrade to the fresh
 		// build plan the option carries.
 		snap := choice.Snap
@@ -252,8 +261,7 @@ func (c *compiler) obtainBuildHT(n *Node) (*hashtable.Table, []int, []storage.Co
 		}
 		ht = snap.HT
 		if c.register {
-			c.o.Cache.Pin(choice.Entry)
-			c.o.Cache.Credit(choice.Entry, choice.SavedCost)
+			c.o.Cache.Pin(choice.Entry, choice.SavedCost)
 			c.out.pinned = append(c.out.pinned, choice.Entry)
 		}
 
@@ -263,8 +271,7 @@ func (c *compiler) obtainBuildHT(n *Node) (*hashtable.Table, []int, []storage.Co
 		// queries keep probing the frozen base it shares.
 		ht = choice.Snap.HT.WidenWith(c.o.WidenOptions())
 		if c.register {
-			c.o.Cache.Pin(choice.Entry)
-			c.o.Cache.Credit(choice.Entry, choice.SavedCost)
+			c.o.Cache.Pin(choice.Entry, choice.SavedCost)
 			c.out.pinned = append(c.out.pinned, choice.Entry)
 		}
 		relIdx, ok := singleRelation(n.BuildMask)
@@ -365,7 +372,7 @@ func (c *compiler) tryOrderedSource(root *Node) exec.Source {
 		return nil
 	}
 	if c.register {
-		o.Cache.Pin(entry)
+		o.Cache.Pin(entry, 0)
 		c.out.pinned = append(c.out.pinned, entry)
 	}
 	return src
@@ -506,10 +513,10 @@ func (c *compiler) compileAggRoot(p *Planned) error {
 		return c.compileFreshAgg(p.Root, agg)
 
 	case ModeExact, ModeSubsuming:
-		// A cold choice carries no snapshot: revive it here (relist the
-		// pending artifact, or rebuild from its compact spill). If the
-		// cold entry was dropped meanwhile, or the compile is detached,
-		// degrade to the fresh SPJ plan the option carries as fallback.
+		// A cold choice carries no snapshot: revive it here (rebuild it
+		// from its compact spill). If the cold entry was dropped
+		// meanwhile, or the compile is detached, degrade to the fresh SPJ
+		// plan the option carries as fallback.
 		snap := choice.Snap
 		if choice.Cold != nil && snap == nil && c.register {
 			if s := c.o.Cache.Revive(choice.Entry, nil); s != nil && s.HT != nil {
@@ -525,16 +532,14 @@ func (c *compiler) compileAggRoot(p *Planned) error {
 			return c.compileFreshAgg(agg.FreshRoot, &fresh)
 		}
 		if c.register {
-			c.o.Cache.Pin(choice.Entry)
-			c.o.Cache.Credit(choice.Entry, choice.SavedCost)
+			c.o.Cache.Pin(choice.Entry, choice.SavedCost)
 			c.out.pinned = append(c.out.pinned, choice.Entry)
 		}
 		return c.compileReadout(snap.HT, agg, agg.CachedSpecIdx, choice.PostFilter, agg.PostAgg)
 
 	case ModePartial, ModeOverlapping:
 		if c.register {
-			c.o.Cache.Pin(choice.Entry)
-			c.o.Cache.Credit(choice.Entry, choice.SavedCost)
+			c.o.Cache.Pin(choice.Entry, choice.SavedCost)
 			c.out.pinned = append(c.out.pinned, choice.Entry)
 		}
 		// Widen the snapshot and fold every residual input into the

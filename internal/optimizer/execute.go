@@ -9,7 +9,6 @@ import (
 
 	"hashstash/hashstasherr"
 	"hashstash/internal/exec"
-	"hashstash/internal/htcache"
 	"hashstash/internal/plan"
 	"hashstash/internal/storage"
 	"hashstash/internal/types"
@@ -42,9 +41,9 @@ type Result struct {
 // Cached tables are immutable published snapshots; a plan that widens
 // one (partial/overlapping reuse) builds a private copy-on-write
 // successor and installs it with a compare-and-swap after its pipelines
-// drain. The query registers as an epoch reader for its whole lifetime,
-// which keeps every snapshot it resolved at plan time alive until its
-// probes finish.
+// drain. The query holds every snapshot it resolved at plan time until
+// its probes finish, so the garbage collector cannot free one it still
+// reads; its pins keep the entries it uses out of cache eviction.
 func (o *Optimizer) Run(q *plan.Query) (*Result, error) {
 	return o.RunContext(context.Background(), q)
 }
@@ -75,25 +74,16 @@ func (o *Optimizer) RunContext(ctx context.Context, q *plan.Query) (*Result, err
 // finishSafe runs Finish under a panic boundary: a panic while
 // publishing (an injected htcache.publish fault, snapshot-maintenance
 // gone wrong) still unwinds the prepared state — pins released,
-// created tables abandoned, the epoch reader exited — so one poisoned
-// publication cannot leak epochs or take the process down.
+// created tables abandoned — so one poisoned publication cannot leak
+// pins or take the process down. The publication sites fire before
+// Finish's release loops, so the pins are still held when it panics.
 func (p *Prepared) finishSafe(runErr error, execTime time.Duration) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = hashstasherr.Internal("optimizer.finish", r)
 			res = nil
-			if !p.done {
-				// Finish never ran: unwind everything ourselves.
-				p.done = true
-				p.o.discard(p.compiled)
-				p.reader.Exit()
-			} else {
-				// Finish panicked mid-way. Its own defer already exited
-				// the epoch reader; the publication sites fire before the
-				// release loops, so the pins are still held — discard
-				// releases them (and abandons created tables).
-				p.o.discard(p.compiled)
-			}
+			p.done = true
+			p.o.discard(p.compiled)
 		}
 	}()
 	return p.Finish(runErr, execTime)
@@ -104,46 +94,37 @@ func (p *Prepared) finishSafe(runErr error, execTime time.Duration) (res *Result
 // Prepares one sub-query per shard, fans every shard's pipelines into a
 // single scheduler run (one chain per shard), then Finishes
 // each to publish snapshots and collect results. The prepared query
-// holds an epoch reader on its optimizer's cache until Finish or Abort.
+// holds its pins on its optimizer's cache until Finish or Abort.
 type Prepared struct {
 	o        *Optimizer
 	planned  *Planned
 	compiled *Compiled
-	reader   *htcache.Reader
 	planTime time.Duration
 	done     bool
 }
 
-// Prepare plans and compiles a query, entering the cache as an epoch
-// reader. Every Prepare must be paired with exactly one Finish or
-// Abort.
+// Prepare plans and compiles a query, pinning the cached entries it
+// reuses and registering the tables it builds. Every Prepare must be
+// paired with exactly one Finish or Abort. A panic while planning or
+// compiling (this boundary also covers the sharded executor's scatter
+// goroutines, which call Prepare directly) comes back as an internal
+// error with the compiler's pins and registrations already unwound.
 func (o *Optimizer) Prepare(q *plan.Query) (p *Prepared, err error) {
-	reader := o.Cache.EnterReader()
-	// Panic boundary for planning/compilation (this also covers the
-	// sharded executor's scatter goroutines, which call Prepare
-	// directly): the epoch reader must exit or cache reclamation stalls
-	// forever.
 	defer func() {
 		if r := recover(); r != nil {
-			reader.Exit()
 			p, err = nil, hashstasherr.Internal("optimizer.plan", r)
 		}
 	}()
 	t0 := time.Now()
 	planned, err := o.PlanQuery(q)
 	if err != nil {
-		reader.Exit()
 		return nil, err
 	}
 	compiled, err := o.Compile(planned)
 	if err != nil {
-		reader.Exit()
 		return nil, err
 	}
-	return &Prepared{
-		o: o, planned: planned, compiled: compiled,
-		reader: reader, planTime: time.Since(t0),
-	}, nil
+	return &Prepared{o: o, planned: planned, compiled: compiled, planTime: time.Since(t0)}, nil
 }
 
 // Pipelines exposes the compiled pipelines for an external runner.
@@ -156,13 +137,12 @@ func (p *Prepared) Parallelism() exec.Parallelism { return p.o.Opts.Parallelism 
 // Finish completes a prepared query after its pipelines ran (runErr is
 // the runner's verdict): on success it publishes widened snapshots,
 // releases pins and assembles the Result; on failure it unwinds the
-// compiled state. The epoch reader exits either way.
+// compiled state.
 func (p *Prepared) Finish(runErr error, execTime time.Duration) (*Result, error) {
 	if p.done {
 		return nil, fmt.Errorf("optimizer: Finish on completed query")
 	}
 	p.done = true
-	defer p.reader.Exit()
 
 	o, compiled := p.o, p.compiled
 	if runErr != nil {
@@ -223,7 +203,6 @@ func (p *Prepared) Abort() {
 	}
 	p.done = true
 	p.o.discard(p.compiled)
-	p.reader.Exit()
 }
 
 // OrderAndLimit applies a query's ORDER BY / LIMIT to rows that are

@@ -334,10 +334,7 @@ func (o *Optimizer) joinBuildOptions(q *plan.Query, mask int, buildKeys []storag
 			CandRows: float64(ca.Rows), TupleWidth: candWidth,
 		})
 		choice.OperatorCost = opCost
-		var reviveCost float64
-		if !ca.Pending {
-			reviveCost = o.Model.ReviveCost(float64(ca.Rows), candWidth)
-		}
+		reviveCost := o.Model.ReviveCost(float64(ca.Rows), candWidth)
 		opts = append(opts, buildOption{
 			choice:    choice,
 			buildPlan: bp,

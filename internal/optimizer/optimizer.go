@@ -121,9 +121,9 @@ func DefaultOptions() Options {
 // to call from many goroutines and never serializes queries against
 // each other: cached tables are immutable published snapshots, queries
 // that widen one (partial/overlapping reuse) build a private
-// copy-on-write successor and publish it atomically, and the cache's
-// epoch scheme keeps superseded snapshots alive until in-flight probes
-// drain.
+// copy-on-write successor and publish it atomically, and a superseded
+// snapshot stays alive (held by the queries that resolved it) until
+// their probes drain.
 type Optimizer struct {
 	Cat   *catalog.Catalog
 	Cache *htcache.Cache

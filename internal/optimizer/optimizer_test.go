@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"hashstash/internal/catalog"
+	"hashstash/internal/exec"
 	"hashstash/internal/expr"
 	"hashstash/internal/htcache"
 	"hashstash/internal/plan"
@@ -495,6 +496,82 @@ func TestGCDuringWorkloadKeepsResultsCorrect(t *testing.T) {
 	if opt.Cache.Stats().Evictions == 0 {
 		t.Error("expected evictions under a 64KB budget")
 	}
+}
+
+// TestWideningQueryAcrossDemotion: every cached entry a widening query
+// resolved at plan time is demoted and spilled before it compiles —
+// the one window in which the query holds snapshots it has not pinned.
+// The query must still answer exactly like a never-reuse run (it
+// probes and widens the snapshots it resolved), its publication must
+// lose the CAS, its late pins must leave the cold tier's byte
+// accounting alone, and the demoted entries must revive afterwards.
+func TestWideningQueryAcrossDemotion(t *testing.T) {
+	env := newEnv(t, DefaultOptions())
+	cache := env.opt.Cache
+	cache.SetColdBudget(1 << 30)
+	never := New(env.cat, htcache.New(0), nil, Options{Strategy: NeverReuse})
+	if _, err := env.opt.Run(q3("1995-02-01", "")); err != nil {
+		t.Fatal(err)
+	}
+
+	q := q3("1995-01-01", "") // wider: partial reuse of the cached aggregate
+	planned, err := env.opt.PlanQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := planned.Agg.Choice
+	if agg.Mode != ModePartial || agg.Snap == nil {
+		t.Fatalf("aggregate choice = %v, want partial reuse of a hot snapshot", agg.Mode)
+	}
+	cache.SetBudget(1) // a concurrent query's GC demotes everything unpinned
+	cache.SetBudget(0)
+	before := cache.Stats()
+	if before.Entries != 0 || !agg.Entry.Current().Spilled() {
+		t.Fatalf("%d entries still hot after demotion", before.Entries)
+	}
+	aggBytes := agg.Entry.Bytes
+
+	compiled, err := env.opt.Compile(planned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &Prepared{o: env.opt, planned: planned, compiled: compiled}
+	got, err := p.Finish(exec.RunParallel(p.Pipelines(), p.Parallelism()), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := never.Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, "widened across a demotion", got, want)
+
+	after := cache.Stats()
+	if after.WidenPublished != before.WidenPublished || after.WidenLost != before.WidenLost+1 {
+		t.Errorf("widen published %d -> %d, lost %d -> %d; want the CAS lost",
+			before.WidenPublished, after.WidenPublished, before.WidenLost, after.WidenLost)
+	}
+	if after.Tiering.ColdBytes != before.Tiering.ColdBytes || agg.Entry.Bytes != aggBytes {
+		t.Errorf("release rewrote cold accounting: ColdBytes %d -> %d, entry Bytes %d -> %d",
+			before.Tiering.ColdBytes, after.Tiering.ColdBytes, aggBytes, agg.Entry.Bytes)
+	}
+	if after.Pinned != 0 {
+		t.Errorf("%d entries still pinned", after.Pinned)
+	}
+
+	snap := cache.Revive(agg.Entry, nil)
+	if snap == nil || snap.HT == nil {
+		t.Fatal("demoted aggregate did not revive")
+	}
+	again, err := env.opt.Run(q3("1995-02-01", ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAgain, err := never.Run(q3("1995-02-01", ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, "revived aggregate", again, wantAgain)
 }
 
 // TestOrderAndLimitMatchesStableSort: the boxed ORDER BY / LIMIT (shard

@@ -49,10 +49,8 @@ func (e *Engine) EstimateCost(q *plan.Query) (float64, error) {
 	return worst, nil
 }
 
-// estimateCost plans q on this shard under the shard's epoch reader.
+// estimateCost plans q on this shard.
 func (s *Shard) estimateCost(q *plan.Query) (float64, error) {
-	reader := s.Cache.EnterReader()
-	defer reader.Exit()
 	p, err := s.Opt.PlanQuery(q)
 	if err != nil {
 		return 0, err

@@ -82,8 +82,6 @@ func (s *Optimizer) SharingGain(q *plan.Query, k int) float64 {
 	if _, ok := ShapeKey(q); !ok {
 		return 0
 	}
-	reader := s.Single.Cache.EnterReader()
-	defer reader.Exit()
 	p, err := s.Single.PlanQuery(q)
 	if err != nil {
 		return 0
@@ -267,13 +265,10 @@ func (s *Optimizer) RunBatch(queries []*plan.Query) (*BatchResult, error) {
 // deadline expiry aborts the in-flight group's morsel dispatch and the
 // batch returns an error wrapping hashstasherr.ErrCanceled.
 func (s *Optimizer) RunBatchContext(ctx context.Context, queries []*plan.Query) (*BatchResult, error) {
-	// Plan as an epoch reader: merge costing resolves cached snapshots,
-	// which stay unreclaimed (and, being frozen, immutable) until the
-	// reader exits — concurrent widening queries publish successors
-	// without disturbing this planning pass.
-	reader := s.Single.Cache.EnterReader()
+	// Merge costing resolves cached snapshots, which are frozen:
+	// concurrent widening queries publish successors without disturbing
+	// this planning pass.
 	groups, err := s.PlanBatch(queries)
-	reader.Exit()
 	if err != nil {
 		return nil, err
 	}

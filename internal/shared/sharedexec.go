@@ -45,11 +45,9 @@ type groupExec struct {
 // widened into a private copy-on-write successor and re-tagged there
 // (qid masks install as an overlay column), so the batch's tags never
 // touch the published snapshot other queries are probing. The group
-// registers as an epoch reader for its lifetime, keeping every
-// snapshot it resolved alive until its pipelines drain.
+// holds every snapshot it resolved until its pipelines drain, and pins
+// the cached entries it reuses until then.
 func (s *Optimizer) runSharedGroup(ctx context.Context, queries []*plan.Query, group []int) (res []*optimizer.Result, err error) {
-	reader := s.Single.Cache.EnterReader()
-	defer reader.Exit()
 	g := &groupExec{s: s, rep: queries[group[0]]}
 	// Panic boundary for the group's caller-goroutine work (planning,
 	// compilation, result collection; pipeline panics are already
@@ -346,7 +344,7 @@ func (g *groupExec) obtainSharedJoinHT(n *optimizer.Node) (*hashtable.Table, []i
 		if err := exec.ReTag(widened, cand.Lineage.QidCol, relBoxes); err != nil {
 			continue
 		}
-		cache.Pin(cand)
+		cache.Pin(cand, 0)
 		g.pinned = append(g.pinned, cand)
 		g.retagged = append(g.retagged, widened)
 		ht = widened

@@ -276,7 +276,7 @@ func (g *groupExec) tryReuseGrouping(ag *aggGroup) bool {
 		if err := exec.ReTag(widened, cand.Lineage.QidCol, boxes); err != nil {
 			continue
 		}
-		cache.Pin(cand)
+		cache.Pin(cand, 0)
 		g.pinned = append(g.pinned, cand)
 		g.retagged = append(g.retagged, widened)
 		ag.grouping = widened

@@ -93,6 +93,57 @@ func TestQuarantineAfterPanic(t *testing.T) {
 	}
 }
 
+// TestCompilePanicUnwindsPins: a panic inside compilation (here an
+// injected revival fault) must unwind what the compile already pinned
+// and registered. Otherwise the fresh registration stays pinned and
+// unready forever — never published, never evictable, surviving
+// ClearCache.
+func TestCompilePanicUnwindsPins(t *testing.T) {
+	db := openTPCH(t, WithTuning(Tuning{ColdTierBudget: 1 << 30}))
+	const ordersBuild = `
+		SELECT o.o_custkey, l.l_extendedprice FROM orders o, lineitem l
+		WHERE o.o_orderkey = l.l_orderkey
+		  AND o.o_orderdate >= DATE '1995-01-01' AND l.l_shipdate >= DATE '1995-06-01'`
+	// The root join registers a fresh customer build before its probe
+	// side revives the cold orders build.
+	const threeWay = `
+		SELECT c.c_age, l.l_extendedprice FROM customer c, orders o, lineitem l
+		WHERE c.c_custkey = o.o_custkey AND o.o_orderkey = l.l_orderkey
+		  AND o.o_orderdate >= DATE '1995-01-01' AND l.l_shipdate >= DATE '1995-06-01'`
+
+	if _, err := db.Exec(ordersBuild); err != nil {
+		t.Fatal(err)
+	}
+	db.SetCacheBudget(1) // demote the orders build to the cold tier
+	db.SetCacheBudget(0)
+	if st := db.CacheStats(); st.Entries != 0 || st.Tiering.ColdEntries != 1 {
+		t.Fatalf("setup: %d hot, %d cold entries; want 0 and 1", st.Entries, st.Tiering.ColdEntries)
+	}
+
+	if err := faultinject.Arm("htcache.revive=panic:once"); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Disarm()
+	if _, err := db.Exec(threeWay); !errors.Is(err, hashstasherr.ErrInternal) {
+		t.Fatalf("panicking revival = %v, want ErrInternal", err)
+	}
+	if faultinject.Fired(faultinject.HTCacheRevive) != 1 {
+		t.Fatal("the revival fault never fired")
+	}
+	faultinject.Disarm()
+
+	if p := db.CacheStats().Pinned; p != 0 {
+		t.Errorf("%d entries still pinned after the contained panic", p)
+	}
+	db.ClearCache()
+	if st := db.CacheStats(); st.Entries != 0 || st.Tiering.ColdEntries != 0 {
+		t.Fatalf("ClearCache left %d hot and %d cold entries", st.Entries, st.Tiering.ColdEntries)
+	}
+	if _, err := db.Exec(threeWay); err != nil {
+		t.Fatalf("run after the contained panic: %v", err)
+	}
+}
+
 // govStub is an unsheddable memory source for forcing governor levels.
 type govStub struct{ fp int64 }
 
