@@ -7,9 +7,9 @@ import (
 )
 
 // Concurrent-reuse benchmarks: a widening-vs-read-only query mix over
-// one shared cache, exercising the epoch-based copy-on-write lifecycle
-// (snapshot resolution, COW widening, CAS publication, epoch-delayed
-// reclamation) end to end. On the 1-CPU CI runner this measures
+// one shared cache, exercising the snapshot lifecycle (snapshot
+// resolution, widening by copy, CAS publication, reclamation by the
+// garbage collector) end to end. On the 1-CPU CI runner this measures
 // contention overhead rather than speedup — the gate is that the mix
 // stays race-clean and allocation-stable, tracked via BENCH_reuse.json.
 
@@ -65,7 +65,7 @@ func BenchmarkConcurrentReuse(b *testing.B) {
 
 // BenchmarkWidenPublish isolates the snapshot lifecycle: each iteration
 // widens the current snapshot of one cached entry by one residual slice
-// and publishes it (plan + COW clone + build + CAS), alternating with a
+// and publishes it (plan + table copy + build + CAS), alternating with a
 // read-only exact-reuse probe of the published version.
 func BenchmarkWidenPublish(b *testing.B) {
 	db := benchReuseDB(b)

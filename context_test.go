@@ -220,11 +220,11 @@ func TestOptionComposition(t *testing.T) {
 				WithTuning(Tuning{CacheBudget: 1 << 20}),
 				WithTuning(Tuning{Shards: 2, MorselRows: 512}),
 				WithAblations(Ablations{NoPartialReuse: true}),
-				WithAblations(Ablations{NoBucketRehash: true}),
+				WithAblations(Ablations{NoSecondaryIndexes: true}),
 			},
 			config{
 				tuning:    Tuning{CacheBudget: 1 << 20, Shards: 2, MorselRows: 512},
-				ablations: Ablations{NoPartialReuse: true, NoBucketRehash: true},
+				ablations: Ablations{NoPartialReuse: true, NoSecondaryIndexes: true},
 			}},
 		{"later wins",
 			[]Option{
@@ -249,10 +249,10 @@ func TestOptionComposition(t *testing.T) {
 				WithAblations(Ablations{LRUEviction: true}),
 				WithTuning(Tuning{}),
 				WithAblations(Ablations{}),
-				WithTuning(Tuning{Parallelism: 0, RehashBudget: 9}),
+				WithTuning(Tuning{Parallelism: 0, IndexBuildBudget: 9}),
 			},
 			config{
-				tuning:    Tuning{Parallelism: 3, ColdTierBudget: 7, RehashBudget: 9},
+				tuning:    Tuning{Parallelism: 3, ColdTierBudget: 7, IndexBuildBudget: 9},
 				ablations: Ablations{LRUEviction: true},
 			}},
 	}

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// The copy-on-write widening lifecycle end to end: concurrent queries
+// The widening lifecycle end to end: concurrent queries
 // that widen cached tables (partial/overlapping reuse publishing new
 // snapshots) racing read-only reuse (probing whichever snapshot their
 // plan resolved), with golden serial-vs-concurrent result equivalence.
@@ -150,8 +150,8 @@ func TestConcurrentWideningGolden(t *testing.T) {
 
 // TestWideningSequenceGolden widens one cached table through the whole
 // date sequence serially and cross-checks every intermediate against
-// the golden engine — the single-threaded correctness spine of the COW
-// path (promotions, segment sharing, publication order).
+// the golden engine — the single-threaded correctness spine of the
+// widening path (copies, in-place folds, publication order).
 func TestWideningSequenceGolden(t *testing.T) {
 	widening, _ := wideningQueries()
 	golden := openTPCH(t, WithTuning(Tuning{Parallelism: 1}))

@@ -30,12 +30,11 @@
 // Exec is safe to call from many goroutines and queries never
 // serialize against each other: cached tables are immutable published
 // snapshots, a query that widens one (partial/overlapping reuse) builds
-// a private copy-on-write successor — sharing the frozen base arenas
-// and string heap, appending only the missing tuples — and installs it
-// with an atomic compare-and-swap when its pipelines drain. A query
-// holds every snapshot it resolved until it finishes, so the garbage
-// collector keeps a superseded one alive exactly as long as an
-// in-flight probe still needs it.
+// a private copy — a bulk copy of the pointer-free arenas plus the
+// missing tuples — and installs it with an atomic compare-and-swap when
+// its pipelines drain. A query holds every snapshot it resolved until
+// it finishes, so the garbage collector keeps a superseded one alive
+// exactly as long as an in-flight probe still needs it.
 //
 // Quick start:
 //
@@ -184,7 +183,6 @@ func Open(opts ...Option) *DB {
 	for s := range shards {
 		cat := catalog.New()
 		cache := htcache.New(split(t.CacheBudget))
-		cache.SetRehash(!a.NoBucketRehash, t.RehashBudget)
 		if a.LRUEviction {
 			cache.SetPolicy(htcache.PolicyLRU)
 		}
@@ -198,8 +196,6 @@ func Open(opts ...Option) *DB {
 			EnablePartial:      !a.NoPartialReuse,
 			EnableOverlapping:  !a.NoOverlappingReuse,
 			Parallelism:        shardPar,
-			NoBucketRehash:     a.NoBucketRehash,
-			RehashBudget:       t.RehashBudget,
 			NoSecondaryIndexes: a.NoSecondaryIndexes,
 			IndexBuildBudget:   split(t.IndexBuildBudget),
 			MemGov:             gov,

@@ -504,21 +504,29 @@ func TestSharedScanAndReTag(t *testing.T) {
 		t.Fatalf("shared HT len = %d", ht.Len())
 	}
 
-	// Re-tag for a new batch: one query, dates [30,30].
-	if err := ReTag(ht, 2, []expr.Box{dateBox("o", 30, 30)}); err != nil {
+	// Re-tag for a new batch: one query, dates [30,30]. The re-tagged
+	// view carries the new masks; the table keeps the build's.
+	view, err := ReTag(ht, 2, []expr.Box{dateBox("o", 30, 30)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	tagged := 0
-	for e := int32(0); e < int32(ht.Len()); e++ {
-		if ht.Cell(e, 2) != 0 {
+	tagged, built := 0, 0
+	for e := int32(0); e < int32(view.Len()); e++ {
+		if view.Cell(e, 2) != 0 {
 			tagged++
-			if int64(ht.Cell(e, 1)) != 30 {
-				t.Errorf("mis-tagged entry date %d", int64(ht.Cell(e, 1)))
+			if int64(view.Cell(e, 1)) != 30 {
+				t.Errorf("mis-tagged entry date %d", int64(view.Cell(e, 1)))
 			}
+		}
+		if ht.Cell(e, 2) != 0 {
+			built++
 		}
 	}
 	if tagged != 1 {
 		t.Errorf("tagged = %d, want 1", tagged)
+	}
+	if built != 8 {
+		t.Errorf("re-tag changed the table's own tags: %d of 8 still tagged", built)
 	}
 
 	// Re-tag with a predicate on an unstored column fails.
@@ -526,10 +534,10 @@ func TestSharedScanAndReTag(t *testing.T) {
 		Col: storage.ColRef{Table: "p", Column: "p_brand"},
 		Con: expr.SetConstraint("Brand#1"),
 	})
-	if err := ReTag(ht, 2, []expr.Box{bad}); err == nil {
+	if _, err := ReTag(ht, 2, []expr.Box{bad}); err == nil {
 		t.Error("re-tag with unstored column accepted")
 	}
-	if err := ReTag(ht, 9, nil); err == nil {
+	if _, err := ReTag(ht, 9, nil); err == nil {
 		t.Error("bad qid col accepted")
 	}
 }

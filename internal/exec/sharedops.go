@@ -186,7 +186,8 @@ func (t *sharedScanMorsel) Next(out *storage.Batch) bool {
 const reTagChunk = storage.BatchSize
 
 // ReTag recomputes the qid bitmask of every entry of a reused shared
-// hash table against the predicate boxes of the *current* batch. The
+// hash table against the predicate boxes of the *current* batch and
+// returns a read-only view of ht carrying the new masks. The
 // paper mandates this before a shared operator reuses a table: stale
 // tags from a previous batch would corrupt results once query IDs are
 // recycled. Entries matching no query get mask 0 (dead, but retained —
@@ -198,18 +199,17 @@ const reTagChunk = storage.BatchSize
 // query's box refines a selection vector with the Constraint filter
 // kernels (the kind dispatch hoisted out of the entry loop), and the
 // surviving entries OR their query bit into a dense mask vector. The
-// masks install in one StoreColumn call — written in place on a root
-// table, or as a table-owned overlay column on a copy-on-write widened
-// table, so re-tagging a reused snapshot never touches the shared base
-// pages concurrent queries are probing.
+// masks install as the view's qid column (hashtable.Table.WithColumn):
+// the view shares every arena of ht, which stays frozen and unchanged
+// for the concurrent queries probing it.
 //
 // Every predicate column of every box must be stored in the table's
 // layout (HashStash's "additional attributes" benefit optimization adds
 // selection attributes to payloads for exactly this reason).
-func ReTag(ht *hashtable.Table, qidCol int, queryBoxes []expr.Box) error {
+func ReTag(ht *hashtable.Table, qidCol int, queryBoxes []expr.Box) (*hashtable.Table, error) {
 	layout := ht.Layout()
 	if qidCol < 0 || qidCol >= len(layout.Cols) {
-		return fmt.Errorf("exec: qid column %d out of range", qidCol)
+		return nil, fmt.Errorf("exec: qid column %d out of range", qidCol)
 	}
 	type boundPred struct {
 		col int // decode-buffer index
@@ -225,7 +225,7 @@ func ReTag(ht *hashtable.Table, qidCol int, queryBoxes []expr.Box) error {
 		for _, p := range box {
 			ci := layout.ColIndex(p.Col)
 			if ci < 0 {
-				return fmt.Errorf("exec: re-tag predicate column %v not stored in hash table", p.Col)
+				return nil, fmt.Errorf("exec: re-tag predicate column %v not stored in hash table", p.Col)
 			}
 			bi, ok := bufOf[ci]
 			if !ok {
@@ -238,7 +238,7 @@ func ReTag(ht *hashtable.Table, qidCol int, queryBoxes []expr.Box) error {
 		}
 	}
 
-	n := ht.Slots()
+	n := ht.Len()
 	masks := make([]uint64, n)
 	bufs := make([]*storage.Vec, len(decodeCols))
 	for i, ci := range decodeCols {
@@ -285,6 +285,5 @@ func ReTag(ht *hashtable.Table, qidCol int, queryBoxes []expr.Box) error {
 			}
 		}
 	}
-	ht.StoreColumn(qidCol, masks)
-	return nil
+	return ht.WithColumn(qidCol, masks), nil
 }

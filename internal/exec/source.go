@@ -379,15 +379,16 @@ func (s *HTScan) Open() error {
 }
 
 // emitEntries filters the candidate entry range [start, end) through
-// liveness (slots tombstoned by a widened table's shadow promotions and
-// bucket rehashes — skipped in bulk, 64 tombstone bits per word of the
-// live bitmap, via AppendLive), the qid mask and the post-filter, and
-// appends the survivors' columns to out. It returns (emitted,
-// post-filtered) counts. The qid test and each post-filter column
-// refine an entry selection vector with the kind dispatch hoisted out
-// of the entry loop; surviving entries decode once per output column.
+// the qid mask and the post-filter, and appends the survivors' columns
+// to out. It returns (emitted, post-filtered) counts. The qid test and
+// each post-filter column refine an entry selection vector with the
+// kind dispatch hoisted out of the entry loop; surviving entries decode
+// once per output column.
 func (s *HTScan) emitEntries(out *storage.Batch, start, end int32) (int, int64) {
-	ents := s.HT.AppendLive(out.Scratch().Sel(int(end - start))[:0], start, end)
+	ents := out.Scratch().Sel(int(end - start))
+	for i := range ents {
+		ents[i] = start + int32(i)
+	}
 	if s.QidCol >= 0 {
 		kept := ents[:0]
 		for _, e := range ents {
@@ -447,7 +448,7 @@ func (s *HTScan) filterEntries(ents []int32) []int32 {
 
 // Next implements Source.
 func (s *HTScan) Next(out *storage.Batch) bool {
-	n := int32(s.HT.Slots())
+	n := int32(s.HT.Len())
 	produced := 0
 	var filtered int64
 	for s.pos < n && produced < storage.BatchSize {
@@ -473,11 +474,11 @@ func (s *HTScan) FilteredOut() int64 { return atomic.LoadInt64(&s.filtered) }
 // chunked into independent ranges. The table is immutable while being
 // scanned — builds into it are earlier pipelines of the same query
 // (finished before this one starts, in compile order), and cross-query
-// readers hold frozen snapshots that widening queries never mutate
-// (copy-on-write) — so morsels share it lock-free.
+// readers hold frozen snapshots that widening queries only copy — so
+// morsels share it lock-free.
 func (s *HTScan) Morsels(rows, workers int) []Source {
 	var out []Source
-	n := s.HT.Slots()
+	n := s.HT.Len()
 	for _, m := range storage.MorselRange(n, storage.BalancedMorselRows(n, rows, workers)) {
 		out = append(out, &htScanMorsel{scan: s, m: m})
 	}

@@ -249,10 +249,9 @@ func (p *Probe) encodeKeys(in *storage.Batch, n int) (enc [][]uint64, miss []boo
 // hash vector for the whole batch computes in one pass (HashColumns),
 // the chain walks run inside hashtable.ProbeHashedColumn (bucket heads
 // for the whole batch resolve up front, stored hashes screen candidates
-// before any key compare, tombstone checks are hoisted), the post-
-// filter and qid mask refine the match pairs with one typed kernel per
-// constraint, and the surviving pairs materialize once per column via
-// gather kernels.
+// before any key compare), the post-filter and qid mask refine the
+// match pairs with one typed kernel per constraint, and the surviving
+// pairs materialize once per column via gather kernels.
 func (p *Probe) Apply(in, out *storage.Batch) {
 	n := in.Len()
 	if n == 0 {

@@ -1,63 +1,50 @@
 package hashtable
 
 import (
+	"fmt"
 	"testing"
 
 	"hashstash/internal/storage"
 	"hashstash/internal/types"
 )
 
-// BenchmarkWidenedProbe measures the batched probe path over the three
-// table shapes the reuse lifecycle produces: a fresh root table, a
-// table widened through six generations of shadow-promotion churn with
-// maintenance off (the chain-degradation case the compaction clone used
-// to reset), and the same lineage under incremental bucket rehash. The
-// loop is steady-state allocation-free (gated exactly by the benchjson
-// CI compare); ns/op is advisory on shared runners — the chain/probe
-// metric (mean probe chain length from the table's counters) is the
-// machine-independent observable that rehash flattens chains.
-func BenchmarkWidenedProbe(b *testing.B) {
-	const keys = 4096
-	const batch = storage.BatchSize
-	layout := Layout{
+func benchLayout() Layout {
+	return Layout{
 		Cols: []storage.ColMeta{
 			{Ref: storage.ColRef{Table: "t", Column: "k"}, Kind: types.Int64},
 			{Ref: storage.ColRef{Table: "t", Column: "v"}, Kind: types.Int64},
 		},
 		KeyCols: 1,
 	}
+}
+
+// BenchmarkWidenedProbe measures the batched probe path over a freshly
+// built table and over the same groups after six generations of copy
+// widening with aggregate churn (each generation folds a rotating
+// quarter of the groups). Copy widening leaves no trace in the table's
+// layout, so both report the same chain/probe (mean probe chain length
+// from the table's counters). The loop is steady-state allocation-free
+// (gated exactly by the benchjson CI compare); ns/op is advisory on
+// shared runners.
+func BenchmarkWidenedProbe(b *testing.B) {
+	const keys = 4096
+	const batch = storage.BatchSize
 	buildRoot := func() *Table {
-		t := New(layout)
+		t := New(benchLayout())
 		for k := uint64(0); k < keys; k++ {
 			e, _ := t.Upsert([]uint64{k})
 			t.SetCell(e, 1, k)
 		}
 		return t
 	}
-	// churn widens cur one generation, folding a rotating quarter of the
-	// groups (each fold shadow-promotes a frozen base group). With
-	// maintain on, the publish-time maintenance pass runs after the
-	// churn, as htcache.PublishWidened does.
-	churn := func(cur *Table, gen int, maintain bool) *Table {
-		opts := WidenOptions{Rehash: maintain, Budget: 1 << 20}
-		w := cur.WidenWith(opts)
+	widened := buildRoot()
+	for gen := 0; gen < 6; gen++ {
+		w := widened.Widen(0)
 		for i := 0; i < keys/4; i++ {
-			k := uint64((gen*keys/4 + i) % keys)
-			e, _ := w.Upsert([]uint64{k})
+			e, _ := w.Upsert([]uint64{uint64((gen*keys/4 + i) % keys)})
 			w.SetCell(e, 1, w.Cell(e, 1)+1)
 		}
-		if maintain {
-			w.Maintain(1 << 20)
-		}
-		return w
-	}
-	lineage := func(maintain bool) *Table {
-		cur := buildRoot()
-		for gen := 0; gen < maxWidenSegments; gen++ {
-			cur = churn(cur, gen, maintain)
-		}
-		cur.Freeze()
-		return cur
+		widened = w
 	}
 
 	variants := []struct {
@@ -65,8 +52,7 @@ func BenchmarkWidenedProbe(b *testing.B) {
 		tbl  *Table
 	}{
 		{"fresh", buildRoot().Freeze()},
-		{"chain6", lineage(false)},
-		{"rehashed", lineage(true)},
+		{"widened", widened.Freeze()},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
@@ -93,6 +79,36 @@ func BenchmarkWidenedProbe(b *testing.B) {
 			b.StopTimer()
 			ps := v.tbl.ProbeStats()
 			b.ReportMetric(float64(ps.ChainNodes-start.ChainNodes)/float64(ps.Probes-start.Probes), "chain/probe")
+		})
+	}
+}
+
+// BenchmarkWiden measures one partial-reuse widening end to end at the
+// table level: copy a frozen join table of n entries with headroom for
+// a 5 % delta, insert the delta, and freeze the copy for publication.
+// The copy's arenas are exact-size plus headroom, so allocs/op is fixed
+// by the table's shape (gated exactly by the benchjson CI compare) and
+// bytes/op stays near one copy of the table.
+func BenchmarkWiden(b *testing.B) {
+	for _, n := range []int{1_000, 30_000, 300_000} {
+		b.Run(fmt.Sprintf("entries=%dk", n/1000), func(b *testing.B) {
+			src := New(benchLayout())
+			for k := range uint64(n) {
+				src.Insert([]uint64{k, k})
+			}
+			src.Freeze()
+			delta := n / 20
+			row := make([]uint64, 2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w := src.Widen(delta)
+				for k := range uint64(delta) {
+					row[0], row[1] = uint64(n)+k, k
+					w.Insert(row)
+				}
+				w.Freeze()
+			}
 		})
 	}
 }

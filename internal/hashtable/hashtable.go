@@ -21,38 +21,29 @@
 //     chain), aggregation tables use Upsert (find-or-create) and update
 //     aggregate cells in place.
 //
-// # Copy-on-write widening
+// # Snapshots and widening by copy
 //
-// Cached tables are published as immutable snapshots (Freeze) and
-// widened — the paper's partial/overlapping reuse — through Widen,
-// which clones only the directory and bucket headers, freezes the
-// source's entry arenas into shared read-only segments, and appends the
-// delta (the missing tuples) into arenas owned by the new table. The
-// string heap is shared through an overlay heap the same way. Frozen
-// snapshots therefore stay valid for concurrent lock-free probes while
-// a widened successor is built and published:
+// Cached tables are published as immutable snapshots (Freeze): every
+// later mutation panics, so any number of queries probe a published
+// table lock-free. Partial and overlapping reuse — the paper's "insert
+// the missing tuples into the cached table" — widen a snapshot through
+// Widen, which returns a private deep copy: the directory, bucket
+// headers and entry arenas are pointer-free and copy in bulk, the
+// string heap clones its slice and index. The widening query inserts
+// and upserts into the copy in place and the cache publishes it with a
+// compare-and-swap; queries still probing the source are untouched, and
+// the garbage collector frees the source once the last of them
+// finishes. Every table, widened or not, therefore has the same flat
+// layout and the same probe cost as a freshly built one.
 //
-//   - Entry indices are global across segments; chain links may point
-//     from delta entries into base segments (inserts push at the chain
-//     head), and base links are never rewritten. Delta-heavy and
-//     tombstone-heavy buckets are flattened by incremental rehash
-//     (maintain.go): their chains rewrite into table-owned arenas,
-//     restoring fresh-table probe cost and bucket splitting without a
-//     stop-the-world compaction.
-//
-//   - Aggregation widening must update cells of existing groups. A
-//     base group is shadow-promoted on first touch: its row is copied
-//     into the delta, inserted at the chain head (found before the
-//     original on every later walk), and the original is tombstoned in
-//     a table-owned bitmap that scans and probes consult.
-//
-//   - Shared-plan re-tagging rewrites one column (the qid bitmask) of
-//     every entry. StoreColumn installs it as an overlay column owned
-//     by the widened table, so re-tagging never touches shared pages.
+// Shared plans re-tag a cached table's query-id column per batch.
+// WithColumn serves that as a read-only view sharing every arena of the
+// snapshot, with one column's values supplied by the caller.
 package hashtable
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"hashstash/internal/storage"
@@ -63,13 +54,6 @@ const (
 	initialDepth = 3  // directory starts with 8 slots
 	maxDepth     = 26 // directory growth cap (64M slots)
 	bucketCap    = 8  // average chain length that triggers a split
-
-	// maxWidenSegments is the shared-segment depth past which bucket
-	// maintenance turns aggressive (any tombstone or segment-crossing
-	// chain rehashes, see maintain.go). With maintenance disabled it is
-	// the depth at which Widen compacts into a fresh root table instead
-	// — the pre-rehash policy, kept as the ablation baseline.
-	maxWidenSegments = 6
 )
 
 // Layout describes the fixed-width payload row of a hash table.
@@ -118,23 +102,6 @@ type bucket struct {
 	// wasted on skewed keys: without it every insert into a stuck
 	// bucket would pay an O(chain + directory) split attempt.
 	nextSplit int32
-	// frozenN counts chain nodes living in frozen base segments (live or
-	// tombstoned) and deadN counts tombstoned nodes still linked in the
-	// chain — the per-bucket depth stats that drive incremental rehash
-	// (see maintain.go). Both are zero for root-table buckets and for
-	// buckets whose chain has been rehashed into table-owned arenas.
-	frozenN int32
-	deadN   int32
-}
-
-// segment is one frozen, shared arena slice of a widened table. Entries
-// [start, start+len) of the global index space live here; the slices are
-// never written through (they alias a frozen predecessor's arenas).
-type segment struct {
-	start   int32
-	hashes  []uint64
-	next    []int32
-	payload []uint64
 }
 
 // Table is an extendible hash table over fixed-width rows.
@@ -144,33 +111,20 @@ type Table struct {
 	dir     []int32 // directory: bucket index per slot
 	buckets []bucket
 
-	// segs are the frozen shared base arenas of a widened table, in
-	// ascending start order; empty for root tables. segEnd is the first
-	// index owned by this table's own (appendable) arenas below.
-	segs   []segment
-	segEnd int32
+	hashes  []uint64 // per-entry full hash
+	next    []int32  // per-entry chain link
+	payload []uint64 // nCols cells per entry
 
-	hashes  []uint64 // own entries: per-entry full hash
-	next    []int32  // own entries: chain link (global indices)
-	payload []uint64 // own entries: nCols cells per entry
+	// override supplies layout column overrideCol of every entry on a
+	// read-only view (WithColumn — the shared-plan qid re-tag);
+	// overrideCol is -1 otherwise.
+	overrideCol int
+	override    []uint64
 
-	// dead tombstones shadow-promoted base entries ([0, segEnd) bit per
-	// index); nil until the first promotion. Scans and probes skip them.
-	dead      []uint64
-	deadCount int
-
-	// overlay overrides one layout column for every slot (StoreColumn on
-	// a widened table — the shared-plan qid re-tag). overlayCol is -1
-	// when inactive.
-	overlayCol int
-	overlay    []uint64
-
-	nSlots   int32 // global index space: segEnd + len(own arenas)
-	nEntries int   // live entries (nSlots minus tombstones)
-	strs     *StringHeap
-	gd       uint8 // global depth: len(dir) == 1<<gd
-	resizes  int   // directory doublings (cost model statistic)
-	splits   int   // bucket splits (cost model statistic)
+	strs    *StringHeap
+	gd      uint8 // global depth: len(dir) == 1<<gd
+	resizes int   // directory doublings (cost model statistic)
+	splits  int   // bucket splits (cost model statistic)
 	// frozen marks a published snapshot: every mutation panics. Atomic
 	// because concurrent queries may Widen (and hence re-Freeze) the
 	// same published snapshot at the same time.
@@ -178,18 +132,11 @@ type Table struct {
 
 	scratch []uint64 // reusable row buffer for Upsert's insert path
 
-	// Incremental bucket maintenance (see maintain.go): a resumable
-	// sweep cursor, reusable chain scratch, and per-table counters.
-	maintPos     int32
-	maintScratch []int32
-	maint        MaintStats
-
 	// Batched-probe statistics, accumulated once per batch by
 	// ProbeHashedColumn. Atomic: frozen snapshots are probed by many
 	// workers at once.
 	probes     atomic.Int64
 	probeNodes atomic.Int64
-	tombSkips  atomic.Int64
 }
 
 // New creates an empty table with the given layout.
@@ -198,11 +145,11 @@ func New(layout Layout) *Table {
 		panic(err)
 	}
 	t := &Table{
-		layout:     layout,
-		nCols:      len(layout.Cols),
-		strs:       NewStringHeap(),
-		gd:         initialDepth,
-		overlayCol: -1,
+		layout:      layout,
+		nCols:       len(layout.Cols),
+		strs:        NewStringHeap(),
+		gd:          initialDepth,
+		overrideCol: -1,
 	}
 	nslots := 1 << initialDepth
 	t.dir = make([]int32, nslots)
@@ -217,31 +164,12 @@ func New(layout Layout) *Table {
 // Layout returns the table's row layout.
 func (t *Table) Layout() Layout { return t.layout }
 
-// Len reports the number of live entries.
-func (t *Table) Len() int { return t.nEntries }
-
-// Slots reports the size of the entry index space, including tombstoned
-// (shadow-promoted) slots. Scans iterate [0, Slots) and skip dead slots
-// via Live.
-func (t *Table) Slots() int { return int(t.nSlots) }
-
-// Live reports whether slot e holds a live entry (not tombstoned by a
-// shadow promotion).
-func (t *Table) Live(e int32) bool {
-	return t.dead == nil || e >= t.segEnd || t.dead[e>>6]&(1<<uint(e&63)) == 0
-}
-
-// HasDead reports whether any slot is tombstoned (scans of tables
-// without tombstones skip the per-entry liveness check).
-func (t *Table) HasDead() bool { return t.deadCount > 0 }
+// Len reports the number of entries; entry indices are [0, Len).
+func (t *Table) Len() int { return len(t.hashes) }
 
 // Frozen reports whether the table has been published as an immutable
 // snapshot.
 func (t *Table) Frozen() bool { return t.frozen.Load() }
-
-// Widened reports whether the table shares frozen base segments with a
-// predecessor snapshot.
-func (t *Table) Widened() bool { return len(t.segs) > 0 }
 
 // Strings returns the table's string heap.
 func (t *Table) Strings() *StringHeap { return t.strs }
@@ -256,27 +184,21 @@ func (t *Table) Splits() int { return t.splits }
 func (t *Table) DirSize() int { return len(t.dir) }
 
 // ByteSize estimates the memory footprint of the table: directory,
-// buckets, entry arenas (shared segments are counted in full — each
-// snapshot reports the bytes it keeps reachable) and string heap. This
-// is the htSize input of the reuse-aware cost model.
+// buckets, entry arenas and string heap. This is the htSize input of
+// the reuse-aware cost model.
 func (t *Table) ByteSize() int64 {
-	total := int64(len(t.dir))*4 +
+	return int64(len(t.dir))*4 +
 		int64(len(t.buckets))*21 +
 		int64(len(t.hashes))*8 +
 		int64(len(t.next))*4 +
 		int64(len(t.payload))*8 +
-		int64(len(t.overlay))*8 +
-		int64(len(t.dead))*8 +
+		int64(len(t.override))*8 +
 		t.strs.ByteSize()
-	for _, s := range t.segs {
-		total += int64(len(s.hashes))*8 + int64(len(s.next))*4 + int64(len(s.payload))*8
-	}
-	return total
 }
 
 // Freeze marks the table as a published, immutable snapshot. Every
-// later mutation panics; Widen derives mutable successors. Idempotent
-// and safe to call concurrently (concurrent wideners of one published
+// later mutation panics; Widen derives mutable copies. Idempotent and
+// safe to call concurrently (concurrent wideners of one published
 // snapshot all freeze it).
 func (t *Table) Freeze() *Table {
 	t.frozen.Store(true)
@@ -284,84 +206,65 @@ func (t *Table) Freeze() *Table {
 	return t
 }
 
-// Widen returns a mutable copy-on-write successor of the table with the
-// default maintenance policy (incremental bucket rehash enabled); see
-// WidenWith for the mechanics and the knobs.
-func (t *Table) Widen() *Table { return t.WidenWith(DefaultWidenOptions()) }
-
-// WidenWith returns a mutable copy-on-write successor of the table: the
-// directory and bucket headers are cloned, the source's entry arenas
-// (base segments plus its own tail) are shared as frozen read-only
-// segments, the string heap is shared through an overlay heap, and new
-// entries append into arenas owned by the successor. The source is
-// frozen.
-//
-// With opts.Rehash (the default) the successor runs one incremental
-// maintenance pass (Maintain) before returning, rewriting the chains of
-// tombstone- or delta-heavy buckets into its own arenas; deep segment
-// chains flatten bucket by bucket instead of forcing a stop-the-world
-// compaction clone, which only remains as a rare safety valve against
-// unbounded dead-slot bloat (compactBloat). With opts.Rehash off a
-// source whose segment chain is already maxWidenSegments deep is
-// compacted into a fresh root table instead (full copy) — the pre-
-// maintenance behaviour, kept as an ablation baseline.
-func (t *Table) WidenWith(opts WidenOptions) *Table {
+// Widen returns a private, mutable deep copy of the table and freezes
+// the source. The arenas copy in bulk and the string heap clones, so
+// inserts, upserts and cell updates on the copy never touch memory a
+// query probing the source can see. headroom is the number of entries
+// the caller expects to add (the optimizer's estimate of the missing
+// tuples): the entry arenas reserve that much capacity, up to the
+// source's own size, so the delta appends without regrowing the copy.
+func (t *Table) Widen(headroom int) *Table {
 	t.Freeze()
-	if t.widenShouldCompact(opts) {
-		nt := New(t.layout)
-		nt.MergeFrom(t)
-		nt.maint.Compactions = 1
-		return nt
+	n := len(t.hashes)
+	c := n + min(max(headroom, 0), n)
+	return &Table{
+		layout:      t.layout,
+		nCols:       t.nCols,
+		dir:         slices.Clone(t.dir),
+		buckets:     slices.Clone(t.buckets),
+		hashes:      append(make([]uint64, 0, c), t.hashes...),
+		next:        append(make([]int32, 0, c), t.next...),
+		payload:     append(make([]uint64, 0, c*t.nCols), t.payload...),
+		overrideCol: -1,
+		strs:        t.strs.clone(),
+		gd:          t.gd,
+		resizes:     t.resizes,
+		splits:      t.splits,
 	}
-	segs := make([]segment, 0, len(t.segs)+1)
-	segs = append(segs, t.segs...)
-	if len(t.hashes) > 0 {
-		// Three-index slices: an accidental append through a shared
-		// segment can never write into the frozen arenas.
-		segs = append(segs, segment{
-			start:   t.segEnd,
-			hashes:  t.hashes[:len(t.hashes):len(t.hashes)],
-			next:    t.next[:len(t.next):len(t.next)],
-			payload: t.payload[:len(t.payload):len(t.payload)],
-		})
+}
+
+// WithColumn returns a frozen read-only view of the table in which
+// layout column col of entry e reads vals[e] instead of the stored
+// cell (len(vals) == Len()). The view shares the arenas and string heap
+// of t, which is frozen: a shared plan installs its batch's qid masks
+// on a published snapshot this way without copying it or disturbing
+// the queries probing it. Probe statistics of the view stay on the
+// view.
+func (t *Table) WithColumn(col int, vals []uint64) *Table {
+	if col < 0 || col >= t.nCols {
+		panic(fmt.Sprintf("hashtable: WithColumn column %d out of range", col))
 	}
-	nt := &Table{
-		layout:     t.layout,
-		nCols:      t.nCols,
-		dir:        append([]int32(nil), t.dir...),
-		buckets:    append([]bucket(nil), t.buckets...),
-		segs:       segs,
-		segEnd:     t.nSlots,
-		nSlots:     t.nSlots,
-		nEntries:   t.nEntries,
-		strs:       t.strs.widen(),
-		gd:         t.gd,
-		resizes:    t.resizes,
-		splits:     t.splits,
-		overlayCol: t.overlayCol,
-		deadCount:  t.deadCount,
+	if len(vals) != t.Len() {
+		panic(fmt.Sprintf("hashtable: WithColumn got %d values for %d entries", len(vals), t.Len()))
 	}
-	if t.dead != nil {
-		nt.dead = make([]uint64, (int(nt.segEnd)+63)/64)
-		copy(nt.dead, t.dead)
+	t.Freeze()
+	v := &Table{
+		layout:      t.layout,
+		nCols:       t.nCols,
+		dir:         t.dir,
+		buckets:     t.buckets,
+		hashes:      t.hashes,
+		next:        t.next,
+		payload:     t.payload,
+		overrideCol: col,
+		override:    vals,
+		strs:        t.strs,
+		gd:          t.gd,
+		resizes:     t.resizes,
+		splits:      t.splits,
 	}
-	if t.overlay != nil {
-		nt.overlay = append(make([]uint64, 0, len(t.overlay)), t.overlay...)
-	}
-	// Every chain node of the successor now lives in a frozen segment;
-	// tombstoned nodes carry over from the source's chains.
-	for i := range nt.buckets {
-		nt.buckets[i].frozenN = nt.buckets[i].n
-	}
-	if len(t.segs)+1 > maxWidenSegments {
-		// The pre-maintenance policy would have cloned the whole table
-		// here; incremental rehash pays the migration bucket by bucket.
-		nt.maint.CompactionsAvoided++
-	}
-	if opts.Rehash {
-		nt.Maintain(opts.Budget)
-	}
-	return nt
+	v.frozen.Store(true)
+	return v
 }
 
 // HashKey hashes a key (the first KeyCols cells of a row).
@@ -396,62 +299,10 @@ func (t *Table) globalDepth() uint8 { return t.gd }
 
 func (t *Table) slot(h uint64) int32 { return int32(h & uint64(len(t.dir)-1)) }
 
-// segFor locates the frozen segment holding global index e (< segEnd).
-// Short chains reverse-scan (the newest, usually smallest segments sit
-// at the tail, the original bulk at the head, so the scan terminates
-// quickly either way); deeper chains — incremental rehash no longer
-// compacts them wholesale, so they can outgrow maxWidenSegments —
-// binary-search the start offsets instead, keeping the per-node cost
-// logarithmic however long a lineage widens.
-func (t *Table) segFor(e int32) *segment {
-	segs := t.segs
-	if len(segs) <= 4 {
-		for i := len(segs) - 1; i > 0; i-- {
-			if e >= segs[i].start {
-				return &segs[i]
-			}
-		}
-		return &segs[0]
-	}
-	lo, hi := 0, len(segs)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if e >= segs[mid].start {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return &segs[lo]
-}
-
-// hashAt reads the full hash of entry e across segment boundaries.
-func (t *Table) hashAt(e int32) uint64 {
-	if e >= t.segEnd {
-		return t.hashes[e-t.segEnd]
-	}
-	s := t.segFor(e)
-	return s.hashes[e-s.start]
-}
-
-// nextAt reads the chain link of entry e across segment boundaries.
-func (t *Table) nextAt(e int32) int32 {
-	if e >= t.segEnd {
-		return t.next[e-t.segEnd]
-	}
-	s := t.segFor(e)
-	return s.next[e-s.start]
-}
-
-// rowAt returns the payload row of entry e (read-only for base entries).
-func (t *Table) rowAt(e int32) []uint64 {
-	if e >= t.segEnd {
-		off := int(e-t.segEnd) * t.nCols
-		return t.payload[off : off+t.nCols]
-	}
-	s := t.segFor(e)
-	off := int(e-s.start) * t.nCols
-	return s.payload[off : off+t.nCols]
+// row returns the payload row of entry e.
+func (t *Table) row(e int32) []uint64 {
+	off := int(e) * t.nCols
+	return t.payload[off : off+t.nCols]
 }
 
 func (t *Table) mustMutate(op string) {
@@ -485,33 +336,20 @@ func (t *Table) InsertHashed(h uint64, row []uint64) {
 func (t *Table) insertHashed(h uint64, row []uint64) {
 	bi := t.dir[t.slot(h)]
 	b := &t.buckets[bi]
-	// Only chains whose links are all mutable may split: frozen base
-	// links cannot be redistributed. That covers every root-table bucket
-	// and — since incremental rehash rewrites chains into table-owned
-	// arenas — rehashed buckets of widened tables, which thereby regain
-	// splitting instead of chaining their delta unboundedly.
-	if b.frozenN == 0 && b.deadN == 0 && b.n >= b.nextSplit && t.maybeSplit(bi, h) {
+	if b.n >= b.nextSplit && t.maybeSplit(bi, h) {
 		bi = t.dir[t.slot(h)]
 		b = &t.buckets[bi]
 	}
-	idx := t.nSlots
+	idx := int32(len(t.hashes))
 	t.hashes = append(t.hashes, h)
 	t.next = append(t.next, b.head)
 	t.payload = append(t.payload, row...)
-	if t.overlay != nil {
-		t.overlay = append(t.overlay, row[t.overlayCol])
-	}
 	b.head = idx
 	b.n++
-	t.nSlots++
-	t.nEntries++
 }
 
 // maybeSplit splits the bucket holding hash h, doubling the directory if
-// needed. It reports whether a split occurred. Only buckets whose chain
-// is entirely in the table's own arenas split (insertHashed gates on
-// frozenN == deadN == 0), so the own-arena arrays are accessed directly
-// at the global index minus segEnd.
+// needed. It reports whether a split occurred.
 func (t *Table) maybeSplit(bi int32, h uint64) bool {
 	b := &t.buckets[bi]
 	gd := t.globalDepth()
@@ -539,18 +377,17 @@ func (t *Table) maybeSplit(bi int32, h uint64) bool {
 	nb := &t.buckets[newBi]
 
 	// Redistribute the chain.
-	off := t.segEnd
 	cur := b.head
 	total := b.n
 	b.head, b.n = -1, 0
 	for cur != -1 {
-		nxt := t.next[cur-off]
-		if t.hashes[cur-off]&bit != 0 {
-			t.next[cur-off] = nb.head
+		nxt := t.next[cur]
+		if t.hashes[cur]&bit != 0 {
+			t.next[cur] = nb.head
 			nb.head = cur
 			nb.n++
 		} else {
-			t.next[cur-off] = b.head
+			t.next[cur] = b.head
 			b.head = cur
 			b.n++
 		}
@@ -582,7 +419,7 @@ func (t *Table) maybeSplit(bi int32, h uint64) bool {
 
 // keyEqual compares the key cells of entry e against key.
 func (t *Table) keyEqual(e int32, key []uint64) bool {
-	row := t.rowAt(e)
+	row := t.row(e)
 	for i, k := range key {
 		if row[i] != k {
 			return false
@@ -616,18 +453,86 @@ func (t *Table) ProbeHashed(h uint64, key []uint64) Iterator {
 }
 
 // Next returns the next matching entry index, or -1 when exhausted.
-// Tombstoned (shadow-promoted) entries are skipped: their promoted copy
-// sits earlier in the chain.
 func (it *Iterator) Next() int32 {
 	t := it.t
 	for it.cur != -1 {
 		e := it.cur
-		it.cur = t.nextAt(e)
-		if t.hashAt(e) == it.hash && t.Live(e) && t.keyEqual(e, it.key) {
+		it.cur = t.next[e]
+		if t.hashes[e] == it.hash && t.keyEqual(e, it.key) {
 			return e
 		}
 	}
 	return -1
+}
+
+// ProbeStats counts batched-probe work (ProbeHashedColumn) against this
+// table since it was created. ChainNodes/Probes is the mean probe chain
+// length.
+type ProbeStats struct {
+	// Probes counts key lookups (one per non-missed input row).
+	Probes int64
+	// ChainNodes counts chain nodes visited across all lookups.
+	ChainNodes int64
+}
+
+// ProbeStats returns the table's batched-probe counters.
+func (t *Table) ProbeStats() ProbeStats {
+	return ProbeStats{Probes: t.probes.Load(), ChainNodes: t.probeNodes.Load()}
+}
+
+// ProbeHashedColumn probes a whole batch of keys at once — the batched
+// counterpart of ProbeHashed. hashes holds the per-row key hashes
+// (HashColumns output), keyCols the encoded key cells column-wise, and
+// miss (optional) marks rows that cannot match (string keys absent from
+// the heap). Matches append to rows/ents as (input row, entry) pairs in
+// row-major, chain-walk order — identical to iterating ProbeHashed row
+// by row — and the grown slices are returned for the caller to adopt.
+//
+// cur is caller-owned scratch of len(hashes) (storage.Scratch.Cur):
+// bucket heads for the whole batch resolve in one pass over the
+// directory before any chain is walked, so the random directory and
+// bucket-header loads stream independently of the chain walks. Per
+// visited node the walk checks the stored hash before the key cells.
+// One atomic fold of the probe counters per batch keeps the loop
+// allocation- and contention-free.
+func (t *Table) ProbeHashedColumn(cur []int32, hashes []uint64, keyCols [][]uint64, miss []bool, rows, ents []int32) ([]int32, []int32) {
+	n := len(hashes)
+	dir := t.dir
+	mask := uint64(len(dir) - 1)
+	buckets := t.buckets
+	for i := 0; i < n; i++ {
+		cur[i] = buckets[dir[hashes[i]&mask]].head
+	}
+	next, stored := t.next, t.hashes
+	var probes, nodes int64
+	for i := 0; i < n; i++ {
+		if miss != nil && miss[i] {
+			continue
+		}
+		probes++
+		h := hashes[i]
+		for e := cur[i]; e != -1; e = next[e] {
+			nodes++
+			if stored[e] != h {
+				continue
+			}
+			row := t.row(e)
+			match := true
+			for k, col := range keyCols {
+				if row[k] != col[i] {
+					match = false
+					break
+				}
+			}
+			if match {
+				rows = append(rows, int32(i))
+				ents = append(ents, e)
+			}
+		}
+	}
+	t.probes.Add(probes)
+	t.probeNodes.Add(nodes)
+	return rows, ents
 }
 
 // Upsert finds the entry with the given key or creates it with the key
@@ -644,23 +549,12 @@ func (t *Table) Upsert(key []uint64) (entry int32, found bool) {
 // batch). h must equal HashKey(key). The insert path reuses a scratch
 // row owned by the table instead of allocating one per new entry
 // (insertHashed copies the row into the payload arena).
-//
-// On a widened table, finding the key in a frozen base segment
-// shadow-promotes it: the row is copied into the table's own arena at
-// the chain head and the base original is tombstoned, so the caller may
-// update the returned entry's cells in place without touching shared
-// pages.
 func (t *Table) UpsertHashed(h uint64, key []uint64) (entry int32, found bool) {
 	t.mustMutate("Upsert")
-	cur := t.buckets[t.dir[t.slot(h)]].head
-	for cur != -1 {
-		if t.hashAt(cur) == h && t.Live(cur) && t.keyEqual(cur, key) {
-			if cur < t.segEnd {
-				return t.promote(cur, h), true
-			}
+	for cur := t.buckets[t.dir[t.slot(h)]].head; cur != -1; cur = t.next[cur] {
+		if t.hashes[cur] == h && t.keyEqual(cur, key) {
 			return cur, true
 		}
-		cur = t.nextAt(cur)
 	}
 	if t.scratch == nil {
 		t.scratch = make([]uint64, t.nCols)
@@ -671,93 +565,22 @@ func (t *Table) UpsertHashed(h uint64, key []uint64) (entry int32, found bool) {
 		row[i] = 0
 	}
 	t.insertHashed(h, row)
-	return t.nSlots - 1, false
-}
-
-// promote shadow-copies base entry e into the table's own arena (chain
-// head insert, so later walks find the copy first), tombstones the
-// original, and returns the copy's index.
-func (t *Table) promote(e int32, h uint64) int32 {
-	if t.scratch == nil {
-		t.scratch = make([]uint64, t.nCols)
-	}
-	copy(t.scratch, t.rowAt(e))
-	t.tombstone(e)
-	// The original stays linked in its chain as a dead node until a
-	// bucket rehash drops it.
-	t.buckets[t.dir[t.slot(h)]].deadN++
-	t.nEntries-- // insertHashed re-counts the promoted copy
-	t.insertHashed(h, t.scratch)
-	idx := t.nSlots - 1
-	if t.overlay != nil {
-		t.overlay[idx] = t.overlay[e]
-	}
-	return idx
+	return int32(len(t.hashes) - 1), false
 }
 
 // Cell returns cell col of entry e.
 func (t *Table) Cell(e int32, col int) uint64 {
-	if col == t.overlayCol && t.overlay != nil {
-		return t.overlay[e]
+	if col == t.overrideCol {
+		return t.override[e]
 	}
-	return t.rowAt(e)[col]
+	return t.payload[int(e)*t.nCols+col]
 }
 
-// SetCell stores v into cell col of entry e. Cells of frozen base
-// segments are immutable: aggregate widening reaches existing groups
-// only through Upsert's shadow promotion, which hands back a mutable
-// copy.
+// SetCell stores v into cell col of entry e.
 func (t *Table) SetCell(e int32, col int, v uint64) {
 	t.mustMutate("SetCell")
-	if col == t.overlayCol && t.overlay != nil {
-		t.overlay[e] = v
-		return
-	}
-	if e < t.segEnd {
-		panic("hashtable: SetCell on a shared base segment of a widened table")
-	}
-	t.payload[int(e-t.segEnd)*t.nCols+col] = v
+	t.payload[int(e)*t.nCols+col] = v
 }
-
-// StoreColumn replaces layout column col of every slot with vals
-// (len(vals) == Slots()). On a root table the cells are written in
-// place; on a widened table the values install as an overlay column
-// owned by this table, leaving the shared base segments untouched —
-// this is how shared plans re-tag qid bitmasks of reused tables.
-// StoreColumn takes ownership of vals.
-func (t *Table) StoreColumn(col int, vals []uint64) {
-	t.mustMutate("StoreColumn")
-	if col < 0 || col >= t.nCols {
-		panic(fmt.Sprintf("hashtable: StoreColumn column %d out of range", col))
-	}
-	if len(vals) != int(t.nSlots) {
-		panic(fmt.Sprintf("hashtable: StoreColumn got %d values for %d slots", len(vals), t.nSlots))
-	}
-	if t.segEnd == 0 {
-		for e := 0; e < int(t.nSlots); e++ {
-			t.payload[e*t.nCols+col] = vals[e]
-		}
-		return
-	}
-	t.overlayCol = col
-	t.overlay = vals
-}
-
-// DropOverlay eagerly releases the overlay column StoreColumn installed
-// on a widened table — one uint64 per slot, the batch-local qid masks
-// of a shared plan's re-tag. A shared batch calls this the moment its
-// pipelines drain instead of holding the masks until the whole widened
-// copy becomes garbage; reads of the column afterwards see the frozen
-// base's stale cells, so this must only run once nothing will read the
-// tags again. No-op when no overlay is installed.
-func (t *Table) DropOverlay() {
-	t.mustMutate("DropOverlay")
-	t.overlayCol = -1
-	t.overlay = nil
-}
-
-// HasOverlay reports whether an overlay column is installed.
-func (t *Table) HasOverlay() bool { return t.overlay != nil }
 
 // CellValue decodes cell col of entry e as a typed value using the
 // layout's kind (strings resolve through the heap).
@@ -775,26 +598,27 @@ func (t *Table) CellValue(e int32, col int) types.Value {
 // of batch-at-a-time probes and hash-table scans. The kind dispatch
 // happens once per column per batch instead of once per cell.
 func (t *Table) AppendColumn(dst *storage.Vec, col int, entries []int32) {
-	if col == t.overlayCol && t.overlay != nil {
-		// Overlay columns are Int64 (qid bitmasks).
+	if col == t.overrideCol {
+		// Override columns are Int64 (qid bitmasks).
 		for _, e := range entries {
-			dst.Ints = append(dst.Ints, int64(t.overlay[e]))
+			dst.Ints = append(dst.Ints, int64(t.override[e]))
 		}
 		return
 	}
+	cells, w := t.payload[col:], t.nCols
 	switch t.layout.Cols[col].Kind {
 	case types.Int64, types.Date:
 		for _, e := range entries {
-			dst.Ints = append(dst.Ints, int64(t.rowAt(e)[col]))
+			dst.Ints = append(dst.Ints, int64(cells[int(e)*w]))
 		}
 	case types.Float64:
 		for _, e := range entries {
-			dst.Floats = append(dst.Floats, types.FromBits(types.Float64, t.rowAt(e)[col]).F)
+			dst.Floats = append(dst.Floats, types.FromBits(types.Float64, cells[int(e)*w]).F)
 		}
 	case types.String:
 		strs := t.strs
 		for _, e := range entries {
-			dst.Strs = append(dst.Strs, strs.At(t.rowAt(e)[col]))
+			dst.Strs = append(dst.Strs, strs.At(cells[int(e)*w]))
 		}
 	}
 }
@@ -812,16 +636,17 @@ func (t *Table) EncodeValue(v types.Value) uint64 {
 // failure-injection hooks call it. It verifies that (1) every directory
 // slot points at a valid bucket whose localDepth ≤ globalDepth, (2) all
 // slots sharing a bucket agree on the bucket's depth-masked suffix,
-// (3) every live entry is reachable from exactly one bucket and hashes
-// to it, and (4) the live count matches. Tombstoned slots may linger in
-// chains (shadow promotion cannot rewrite frozen links).
+// (3) every entry is reachable from exactly one bucket and hashes to
+// it, and (4) the bucket counts match their chains.
 func (t *Table) CheckInvariants() error {
 	gd := t.globalDepth()
 	if 1<<gd != len(t.dir) {
 		return fmt.Errorf("hashtable: directory size %d is not a power of two", len(t.dir))
 	}
-	seen := make([]bool, t.nSlots)
-	counted := 0
+	n := int32(len(t.hashes))
+	if len(t.next) != int(n) || len(t.payload) != int(n)*t.nCols {
+		return fmt.Errorf("hashtable: arenas hold %d links and %d cells for %d entries", len(t.next), len(t.payload), n)
+	}
 	for s, bi := range t.dir {
 		if bi < 0 || int(bi) >= len(t.buckets) {
 			return fmt.Errorf("hashtable: slot %d points at bad bucket %d", s, bi)
@@ -834,45 +659,36 @@ func (t *Table) CheckInvariants() error {
 		// the bucket (its head entry's hash suffix, when non-empty).
 		if b.head != -1 {
 			mask := (uint64(1) << b.localDepth) - 1
-			if uint64(s)&mask != t.hashAt(b.head)&mask {
+			if uint64(s)&mask != t.hashes[b.head]&mask {
 				return fmt.Errorf("hashtable: slot %d suffix mismatch for bucket %d", s, bi)
 			}
 		}
 	}
-	for bi := range t.buckets {
-		b := t.buckets[bi]
+	seen := make([]bool, n)
+	counted := 0
+	for bi, b := range t.buckets {
 		mask := (uint64(1) << b.localDepth) - 1
-		var suffix uint64
-		first := true
-		n := int32(0)
-		for cur := b.head; cur != -1; cur = t.nextAt(cur) {
-			if cur < 0 || cur >= t.nSlots {
+		chain := int32(0)
+		for cur := b.head; cur != -1; cur = t.next[cur] {
+			if cur < 0 || cur >= n {
 				return fmt.Errorf("hashtable: bucket %d chain hits bad entry %d", bi, cur)
 			}
 			if seen[cur] {
 				return fmt.Errorf("hashtable: entry %d reachable twice", cur)
 			}
 			seen[cur] = true
-			if t.Live(cur) {
-				counted++
-			}
-			if first {
-				suffix = t.hashAt(cur) & mask
-				first = false
-			} else if t.hashAt(cur)&mask != suffix {
+			if t.hashes[cur]&mask != t.hashes[b.head]&mask {
 				return fmt.Errorf("hashtable: bucket %d mixes hash suffixes", bi)
 			}
-			n++
+			chain++
 		}
-		// b.n counts every chain node, tombstoned shadow originals
-		// included (promotion appends the copy without unlinking the
-		// frozen original), so the equality holds for widened tables too.
-		if n != b.n {
-			return fmt.Errorf("hashtable: bucket %d count %d != chain length %d", bi, b.n, n)
+		if chain != b.n {
+			return fmt.Errorf("hashtable: bucket %d count %d != chain length %d", bi, b.n, chain)
 		}
+		counted += int(chain)
 	}
-	if counted != t.nEntries {
-		return fmt.Errorf("hashtable: %d live entries reachable, want %d", counted, t.nEntries)
+	if counted != int(n) {
+		return fmt.Errorf("hashtable: %d entries reachable, want %d", counted, n)
 	}
 	return nil
 }

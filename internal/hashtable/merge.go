@@ -10,8 +10,7 @@ import (
 // worker a private partial table (its own arenas and string heap) and
 // merges the partials into one immutable table at the pipeline breaker.
 // Probes never see a table under construction, so the hot probe path
-// stays lock-free. The same machinery compacts a deep widened table
-// into a fresh root table (Widen's segment-depth bound).
+// stays lock-free.
 
 // checkMergeLayouts panics unless src's layout is cell-compatible with
 // t's (same column count, kinds and key width). Column refs may differ
@@ -30,8 +29,7 @@ func (t *Table) checkMergeLayouts(src *Table) {
 
 // reencodeRow copies entry e of src into row, translating string cells
 // from src's heap into t's. It reports whether any key cell changed
-// (forcing a rehash). Cells read through src.Cell, so segment-sharing
-// and overlay columns of widened sources resolve correctly.
+// (forcing a rehash).
 func (t *Table) reencodeRow(src *Table, e int32, row []uint64) bool {
 	keyChanged := false
 	for i := 0; i < src.nCols; i++ {
@@ -48,21 +46,17 @@ func (t *Table) reencodeRow(src *Table, e int32, row []uint64) bool {
 	return keyChanged
 }
 
-// MergeFrom inserts every live entry of src into t (duplicate keys
-// chain, as in Insert) — the merge step of a parallel join build and
-// the compaction step of a deep Widen. String cells are re-interned
-// into t's heap; hashes of string-free keys are reused from src so the
-// merge does not re-hash what it does not have to.
+// MergeFrom inserts every entry of src into t (duplicate keys chain, as
+// in Insert) — the merge step of a parallel join build. String cells
+// are re-interned into t's heap; hashes of string-free keys are reused
+// from src so the merge does not re-hash what it does not have to.
 func (t *Table) MergeFrom(src *Table) {
 	t.checkMergeLayouts(src)
 	t.mustMutate("MergeFrom")
 	row := make([]uint64, t.nCols)
-	for e := int32(0); e < src.nSlots; e++ {
-		if !src.Live(e) {
-			continue
-		}
+	for e := range int32(src.Len()) {
 		changed := t.reencodeRow(src, e, row)
-		h := src.hashAt(e)
+		h := src.hashes[e]
 		if changed {
 			h = HashKey(row[:t.layout.KeyCols])
 		}
@@ -70,22 +64,17 @@ func (t *Table) MergeFrom(src *Table) {
 	}
 }
 
-// MergeGroupsFrom upserts every live entry of src into t — the merge
-// step of a parallel aggregation. New keys copy their cells; existing
+// MergeGroupsFrom upserts every entry of src into t — the merge step
+// of a parallel aggregation. New keys copy their cells; existing
 // keys fold each non-key cell through fold(col, dstBits, srcBits),
 // which the caller derives from the aggregate functions (SUM adds,
 // COUNT adds, MIN/MAX compare). String cells are re-interned into t's
-// heap. It returns how many new groups the merge created in t. When t
-// is a widened table, folding into a frozen base group shadow-promotes
-// it (see UpsertHashed).
+// heap. It returns how many new groups the merge created in t.
 func (t *Table) MergeGroupsFrom(src *Table, fold func(col int, dst, src uint64) uint64) (created int64) {
 	t.checkMergeLayouts(src)
 	row := make([]uint64, t.nCols)
 	nKeys := t.layout.KeyCols
-	for e := int32(0); e < src.nSlots; e++ {
-		if !src.Live(e) {
-			continue
-		}
+	for e := range int32(src.Len()) {
 		t.reencodeRow(src, e, row)
 		dst, found := t.Upsert(row[:nKeys])
 		if !found {

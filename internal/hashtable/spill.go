@@ -3,12 +3,12 @@ package hashtable
 import "hashstash/internal/types"
 
 // Spill is the compact cold-tier representation of a hash table: the
-// live rows flattened into one contiguous cell array plus a string
+// rows flattened into one contiguous cell array plus a string
 // dictionary serialized as a single byte blob with an offset array.
-// There is no directory, no bucket headers, no segment chain and no
-// per-entry hash array — a spilled table is ~pure payload, typically a
-// fraction of the live table's footprint and invisible to the garbage
-// collector's pointer graph.
+// There is no directory, no bucket headers and no per-entry hash array
+// — a spilled table is ~pure payload, typically a fraction of the live
+// table's footprint and invisible to the garbage collector's pointer
+// graph.
 //
 // Hashes are deliberately not preserved: string cells are re-interned
 // into a fresh heap on restore, which changes their ids, so the restore
@@ -29,7 +29,7 @@ type Spill struct {
 	offs []uint32
 }
 
-// Spill flattens the table's live rows into a compact spill. The table
+// Spill flattens the table's rows into a compact spill. The table
 // itself is untouched; callers demote by dropping their reference to it
 // after capturing the spill.
 func (t *Table) Spill() *Spill {
@@ -40,15 +40,12 @@ func (t *Table) Spill() *Spill {
 			s.strCols = append(s.strCols, c)
 		}
 	}
-	s.cells = make([]uint64, 0, t.nEntries*nCols)
+	s.cells = make([]uint64, 0, t.Len()*nCols)
 	var dict map[uint64]uint64 // heap id → dictionary index
 	if len(s.strCols) > 0 {
 		dict = make(map[uint64]uint64)
 	}
-	for e := int32(0); e < t.nSlots; e++ {
-		if !t.Live(e) {
-			continue
-		}
+	for e := range int32(t.Len()) {
 		base := len(s.cells)
 		for c := 0; c < nCols; c++ {
 			s.cells = append(s.cells, t.Cell(e, c))
@@ -69,7 +66,7 @@ func (t *Table) Spill() *Spill {
 	return s
 }
 
-// Rows reports the number of live rows captured in the spill.
+// Rows reports the number of rows captured in the spill.
 func (s *Spill) Rows() int { return s.n }
 
 // Layout returns the spilled table's column layout.
@@ -102,7 +99,7 @@ func (s *Spill) Restore() *Table {
 	return t.Freeze()
 }
 
-// StableKeyHashes emits one content hash per live row's key, computed
+// StableKeyHashes emits one content hash per row's key, computed
 // from the key cells' values rather than their heap encoding: string
 // cells hash the string bytes, numeric cells their stored bits. The
 // same scheme is used by cold-tier bloom filters and by probe-side
@@ -121,10 +118,7 @@ func (t *Table) StableKeyHashes(emit func(uint64)) {
 		}
 		return types.Mix64(cell)
 	}
-	for e := int32(0); e < t.nSlots; e++ {
-		if !t.Live(e) {
-			continue
-		}
+	for e := range int32(t.Len()) {
 		h := uint64(0x9e3779b97f4a7c15) // keyless layout (global aggregate)
 		if kc > 0 {
 			h = cellHash(e, 0)

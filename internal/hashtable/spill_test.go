@@ -30,10 +30,7 @@ func spillTestTable(rows int) (*Table, Layout) {
 
 func rowMultiset(tab *Table, nCols int) map[string]int {
 	m := map[string]int{}
-	for e := int32(0); e < tab.nSlots; e++ {
-		if !tab.Live(e) {
-			continue
-		}
+	for e := range int32(tab.Len()) {
 		key := ""
 		for c := 0; c < nCols; c++ {
 			key += fmt.Sprintf("%v|", tab.CellValue(e, c))

@@ -1,25 +1,18 @@
 package hashtable
 
-import "sync/atomic"
+import (
+	"maps"
+	"slices"
+	"sync/atomic"
+)
 
 // StringHeap interns strings for fixed-width payload rows: a string
 // column stores the 8-byte intern id instead of the string itself, so
 // entry rows stay flat and pointer-free (keeping Go's GC out of probe
 // loops). The heap is owned by one hash table and shares the table's
-// lifetime.
-//
-// Widened tables share their predecessor's heap copy-on-write: widen
-// freezes the heap and layers an overlay heap on top — ids below
-// baseLen resolve through the frozen base chain, new strings intern
-// into the overlay. Lookups on frozen heaps are read-only, so
-// concurrent probes of superseded snapshots never race with a widening
-// query's interning.
+// lifetime; a widened copy of the table clones it, so interning into
+// the copy never writes to a heap a published snapshot reads.
 type StringHeap struct {
-	// base is the frozen predecessor heap (nil for root heaps); ids
-	// below baseLen belong to it.
-	base    *StringHeap
-	baseLen uint64
-
 	strs  []string
 	index map[string]uint64
 	bytes int64
@@ -36,14 +29,9 @@ func NewStringHeap() *StringHeap {
 // freeze marks the heap immutable (idempotent, concurrency-safe).
 func (h *StringHeap) freeze() { h.frozen.Store(true) }
 
-// widen freezes the heap and returns a mutable overlay sharing it.
-func (h *StringHeap) widen() *StringHeap {
-	h.freeze()
-	return &StringHeap{
-		base:    h,
-		baseLen: h.baseLen + uint64(len(h.strs)),
-		index:   make(map[string]uint64),
-	}
+// clone returns a mutable copy with the same ids.
+func (h *StringHeap) clone() *StringHeap {
+	return &StringHeap{strs: slices.Clone(h.strs), index: maps.Clone(h.index), bytes: h.bytes}
 }
 
 // Intern returns the id for s, adding it on first use.
@@ -51,10 +39,10 @@ func (h *StringHeap) Intern(s string) uint64 {
 	if h.frozen.Load() {
 		panic("hashtable: Intern on frozen string heap")
 	}
-	if id, ok := h.Lookup(s); ok {
+	if id, ok := h.index[s]; ok {
 		return id
 	}
-	id := h.baseLen + uint64(len(h.strs))
+	id := uint64(len(h.strs))
 	h.strs = append(h.strs, s)
 	h.index[s] = id
 	h.bytes += int64(len(s))
@@ -62,23 +50,14 @@ func (h *StringHeap) Intern(s string) uint64 {
 }
 
 // At returns the string for a previously interned id.
-func (h *StringHeap) At(id uint64) string {
-	for id < h.baseLen {
-		h = h.base
-	}
-	return h.strs[id-h.baseLen]
-}
+func (h *StringHeap) At(id uint64) string { return h.strs[id] }
 
 // Lookup returns the id for s without interning it. Probe pipelines use
 // it: a probe key whose string was never interned cannot match any entry,
 // and must not grow the build side's heap.
 func (h *StringHeap) Lookup(s string) (uint64, bool) {
-	for cur := h; cur != nil; cur = cur.base {
-		if id, ok := cur.index[s]; ok {
-			return id, true
-		}
-	}
-	return 0, false
+	id, ok := h.index[s]
+	return id, ok
 }
 
 // LookupBulk resolves a whole column of probe-key strings in one pass:
@@ -86,21 +65,9 @@ func (h *StringHeap) Lookup(s string) (uint64, bool) {
 // was never interned (such a row cannot match any entry). The heap is
 // not grown.
 func (h *StringHeap) LookupBulk(dst []uint64, miss []bool, strs []string) {
-	if h.base == nil {
-		// Root heap: one map probe per string, no chain walk.
-		index := h.index
-		for i, s := range strs {
-			id, ok := index[s]
-			if !ok {
-				miss[i] = true
-				continue
-			}
-			dst[i] = id
-		}
-		return
-	}
+	index := h.index
 	for i, s := range strs {
-		id, ok := h.Lookup(s)
+		id, ok := index[s]
 		if !ok {
 			miss[i] = true
 			continue
@@ -117,17 +84,9 @@ func (h *StringHeap) InternBulk(dst []uint64, strs []string) {
 	}
 }
 
-// Len reports the number of interned strings, including the frozen base
-// chain of a widened heap.
-func (h *StringHeap) Len() int { return int(h.baseLen) + len(h.strs) }
+// Len reports the number of interned strings.
+func (h *StringHeap) Len() int { return len(h.strs) }
 
-// ByteSize estimates the heap's memory footprint, including shared base
-// heaps (each snapshot reports the bytes it keeps reachable).
-func (h *StringHeap) ByteSize() int64 {
-	var total int64
-	for cur := h; cur != nil; cur = cur.base {
-		// String bytes + per-entry header/index overhead.
-		total += cur.bytes + int64(len(cur.strs))*48
-	}
-	return total
-}
+// ByteSize estimates the heap's memory footprint: string bytes plus
+// per-entry header and index overhead.
+func (h *StringHeap) ByteSize() int64 { return h.bytes + int64(len(h.strs))*48 }

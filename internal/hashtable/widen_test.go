@@ -2,6 +2,9 @@ package hashtable
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -38,6 +41,17 @@ func probeAll(t *Table, k uint64) []int32 {
 	return out
 }
 
+// batchProbe probes every key of a single-int64-key table through the
+// batched path, returning the (row, entry) match pairs.
+func batchProbe(tbl *Table, keys []uint64) (rows, ents []int32) {
+	n := len(keys)
+	enc := [][]uint64{keys}
+	hashes := make([]uint64, n)
+	HashColumns(hashes, enc)
+	cur := make([]int32, n)
+	return tbl.ProbeHashedColumn(cur, hashes, enc, nil, nil, nil)
+}
+
 func TestFreezePanicsOnMutation(t *testing.T) {
 	ht := buildWidenBase(10).Freeze()
 	defer func() {
@@ -48,30 +62,77 @@ func TestFreezePanicsOnMutation(t *testing.T) {
 	ht.Insert([]uint64{99, 0, 0})
 }
 
+// image is a deep copy of every arena and the string heap of a table,
+// for bit-identity checks.
+type image struct {
+	dir     []int32
+	buckets []bucket
+	hashes  []uint64
+	next    []int32
+	payload []uint64
+	strs    []string
+	gd      uint8
+}
+
+func imageOf(t *Table) image {
+	return image{
+		dir: slices.Clone(t.dir), buckets: slices.Clone(t.buckets),
+		hashes: slices.Clone(t.hashes), next: slices.Clone(t.next),
+		payload: slices.Clone(t.payload), strs: slices.Clone(t.strs.strs), gd: t.gd,
+	}
+}
+
+func (im image) same(t *Table) bool {
+	return slices.Equal(im.dir, t.dir) && slices.Equal(im.buckets, t.buckets) &&
+		slices.Equal(im.hashes, t.hashes) && slices.Equal(im.next, t.next) &&
+		slices.Equal(im.payload, t.payload) && slices.Equal(im.strs, t.strs.strs) &&
+		im.gd == t.gd && len(t.strs.index) == len(im.strs)
+}
+
+// joinRows decodes the matches of key k, sorted for multiset comparison.
+func joinRows(tbl *Table, k uint64) []string {
+	var out []string
+	for _, e := range probeAll(tbl, k) {
+		out = append(out, fmt.Sprintf("%d|%s|%v", int64(tbl.Cell(e, 0)), tbl.Strings().At(tbl.Cell(e, 1)), tbl.CellValue(e, 2)))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestWidenSharesBaseAndAppendsDelta: a widened copy carries every
+// entry of its source under the same entry id and appends the delta
+// after them. Base entries are visible through the copy, delta entries
+// are invisible through the frozen source, and cells decode through
+// both string heaps.
 func TestWidenSharesBaseAndAppendsDelta(t *testing.T) {
 	base := buildWidenBase(1000)
 	baseLen := base.Len()
-	w := base.Widen()
+	w := base.Widen(200)
 	if !base.Frozen() {
 		t.Fatal("Widen must freeze the source")
 	}
-	if w.Frozen() || !w.Widened() {
-		t.Fatal("widened table must be mutable and segment-backed")
+	if w.Frozen() {
+		t.Fatal("widened table must be mutable")
 	}
-	// Append a delta.
+	before := imageOf(base)
 	for i := 1000; i < 1200; i++ {
 		w.Insert([]uint64{uint64(i), w.strs.Intern("new"), types.NewFloat(float64(i)).Bits()})
 	}
-	if base.Len() != baseLen {
-		t.Fatalf("widening mutated the frozen base: %d entries", base.Len())
+	if !before.same(base) {
+		t.Fatal("appending the delta changed the frozen base")
 	}
 	if w.Len() != baseLen+200 {
 		t.Fatalf("widened table has %d entries, want %d", w.Len(), baseLen+200)
 	}
-	// Base entries are visible through the widened table; delta entries
-	// are invisible through the base.
-	if got := probeAll(w, 42); len(got) != 1 {
-		t.Fatalf("base key probes %d entries through widened table", len(got))
+	for e := range int32(baseLen) {
+		for c := range w.nCols {
+			if w.Cell(e, c) != base.Cell(e, c) {
+				t.Fatalf("entry %d col %d: copy %d, base %d", e, c, w.Cell(e, c), base.Cell(e, c))
+			}
+		}
+	}
+	if got := probeAll(w, 42); len(got) != 1 || got[0] != 42 {
+		t.Fatalf("base key probes %v through widened table, want [42]", got)
 	}
 	if got := probeAll(w, 1100); len(got) != 1 {
 		t.Fatalf("delta key probes %d entries", len(got))
@@ -79,12 +140,14 @@ func TestWidenSharesBaseAndAppendsDelta(t *testing.T) {
 	if got := probeAll(base, 1100); len(got) != 0 {
 		t.Fatalf("delta key visible through frozen base: %v", got)
 	}
-	// Cell decoding crosses the segment boundary and both heaps.
 	if v := w.CellValue(42, 1); v.S != "s0" {
 		t.Fatalf("base string cell = %q", v.S)
 	}
-	if v := w.CellValue(int32(w.Slots()-1), 1); v.S != "new" {
+	if v := w.CellValue(int32(w.Len()-1), 1); v.S != "new" {
 		t.Fatalf("delta string cell = %q", v.S)
+	}
+	if _, ok := base.Strings().Lookup("new"); ok {
+		t.Fatal("a string interned by the copy reached the base heap")
 	}
 	if err := w.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -94,54 +157,219 @@ func TestWidenSharesBaseAndAppendsDelta(t *testing.T) {
 	}
 }
 
+// TestWidenShadowPromotion: folding into a group the widened copy
+// inherited updates the copy's own entry for it — no second entry, and
+// the frozen source keeps its cell. The second half runs random
+// generations of widen + upsert-and-fold, each widening a random earlier
+// snapshot with a random headroom, against model maps: after every
+// generation copy and source both hold exactly one entry per group with
+// the model's sum, and the source is bit-identical to its image from
+// before the widening.
 func TestWidenShadowPromotion(t *testing.T) {
 	base := buildWidenBase(100)
-	w := base.Widen()
-	// Upsert an existing key: must promote, not touch the base.
+	w := base.Widen(0)
 	e, found := w.Upsert([]uint64{42})
 	if !found {
 		t.Fatal("existing key not found")
 	}
-	if e < w.segEnd {
-		t.Fatalf("promotion returned base entry %d", e)
-	}
 	w.SetCell(e, 2, types.NewFloat(999).Bits())
 	if got := w.CellValue(e, 2).F; got != 999 {
-		t.Fatalf("promoted cell = %v", got)
+		t.Fatalf("updated cell = %v", got)
 	}
-	// Base copy untouched and still live in the base snapshot.
 	if got := base.CellValue(42, 2).F; got != 42 {
 		t.Fatalf("frozen base cell mutated: %v", got)
 	}
-	// The widened table sees exactly one live copy.
 	if got := probeAll(w, 42); len(got) != 1 || got[0] != e {
-		t.Fatalf("probe after promotion = %v, want [%d]", got, e)
+		t.Fatalf("probe after update = %v, want [%d]", got, e)
 	}
 	if w.Len() != 100 {
-		t.Fatalf("promotion changed live count: %d", w.Len())
+		t.Fatalf("upserting an existing key changed the entry count: %d", w.Len())
 	}
-	if !w.HasDead() || w.Live(42) {
-		t.Fatal("original slot not tombstoned")
-	}
-	// A second upsert hits the promoted copy (no double promotion).
-	e2, found := w.Upsert([]uint64{42})
-	if !found || e2 != e {
+	if e2, found := w.Upsert([]uint64{42}); !found || e2 != e {
 		t.Fatalf("re-upsert = (%d,%v), want (%d,true)", e2, found, e)
 	}
 	if err := w.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+
+	rng := rand.New(rand.NewSource(43))
+	const keySpace = 300
+	layout := Layout{
+		Cols: []storage.ColMeta{
+			{Ref: storage.ColRef{Table: "t", Column: "g"}, Kind: types.Int64},
+			{Ref: storage.ColRef{Table: "t", Column: "sum"}, Kind: types.Int64},
+		},
+		KeyCols: 1,
+	}
+	type gen struct {
+		tbl   *Table
+		model map[uint64]uint64
+	}
+	fold := func(g gen, k, v uint64) {
+		e, found := g.tbl.Upsert([]uint64{k})
+		if found != (g.model[k] != 0) {
+			t.Fatalf("key %d: Upsert found=%v, model has %d", k, found, g.model[k])
+		}
+		g.tbl.SetCell(e, 1, g.tbl.Cell(e, 1)+v)
+		g.model[k] += v
+	}
+	gens := []gen{{New(layout), map[uint64]uint64{}}}
+	for i := 0; i < 100; i++ {
+		fold(gens[0], uint64(rng.Intn(keySpace)), uint64(1+rng.Intn(9)))
+	}
+	gens[0].tbl.Freeze()
+	for g := 1; g <= 12; g++ {
+		src := gens[rng.Intn(len(gens))]
+		before := imageOf(src.tbl)
+		delta := 1 + rng.Intn(200)
+		next := gen{src.tbl.Widen(rng.Intn(delta)), map[uint64]uint64{}}
+		for k, v := range src.model {
+			next.model[k] = v
+		}
+		for i := 0; i < delta; i++ {
+			fold(next, uint64(rng.Intn(keySpace)), uint64(1+rng.Intn(9)))
+		}
+		if err := next.tbl.CheckInvariants(); err != nil {
+			t.Fatalf("gen %d: %v", g, err)
+		}
+		if !before.same(src.tbl) {
+			t.Fatalf("gen %d: folding into the copy changed its frozen source", g)
+		}
+		for _, cur := range []gen{next, src} {
+			if cur.tbl.Len() != len(cur.model) {
+				t.Fatalf("gen %d: %d groups, model %d", g, cur.tbl.Len(), len(cur.model))
+			}
+			for k, v := range cur.model {
+				got := probeAll(cur.tbl, k)
+				if len(got) != 1 || cur.tbl.Cell(got[0], 1) != v {
+					t.Fatalf("gen %d key %d: entries %v, want one with sum %d", g, k, got, v)
+				}
+			}
+		}
+		next.tbl.Freeze()
+		gens = append(gens, next)
+	}
 }
 
-// TestWidenChainAndCompaction pins the rehash-off ablation policy: a
-// segment chain deeper than maxWidenSegments compacts into a fresh root
-// table. The default policy (incremental bucket rehash) is covered in
-// rehash_test.go.
+// TestRehashEquivalenceProperty runs random generations of widen +
+// insert on a join table with duplicate keys and a string column, each
+// widening a random earlier snapshot (not always the newest) with a
+// random headroom. The inserts split the copy's buckets and double its
+// directory, re-hashing entries the copy inherited; none of that may be
+// visible. After every generation:
+//   - the copy answers exactly like its model, through the iterator and
+//     the batched probe path alike (same pairs, same order);
+//   - the copy passes the structural invariants;
+//   - the frozen source is bit-identical to its image from before the
+//     widening, and still answers like its own model.
+func TestRehashEquivalenceProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const keySpace = 300
+	type gen struct {
+		tbl   *Table
+		model map[uint64][]string
+	}
+	root := New(widenLayout())
+	gens := []gen{{root, map[uint64][]string{}}}
+	insert := func(g gen, k uint64, s string, f float64) {
+		g.tbl.Insert([]uint64{k, g.tbl.Strings().Intern(s), types.NewFloat(f).Bits()})
+		g.model[k] = append(g.model[k], fmt.Sprintf("%d|%s|%v", int64(k), s, f))
+	}
+	for i := 0; i < 200; i++ {
+		insert(gens[0], uint64(rng.Intn(keySpace)), fmt.Sprintf("s%d", rng.Intn(9)), float64(i))
+	}
+	root.Freeze()
+	split := false
+	for g := 1; g <= 12; g++ {
+		src := gens[rng.Intn(len(gens))]
+		before := imageOf(src.tbl)
+		delta := 1 + rng.Intn(3*src.tbl.Len()/2+1)
+		next := gen{src.tbl.Widen(rng.Intn(2 * delta)), map[uint64][]string{}}
+		for k, rows := range src.model {
+			next.model[k] = slices.Clone(rows)
+		}
+		if next.tbl.Frozen() || !src.tbl.Frozen() {
+			t.Fatalf("gen %d: Widen must return a mutable copy of a frozen source", g)
+		}
+		splits := next.tbl.Splits()
+		for i := 0; i < delta; i++ {
+			// Fresh strings land in the copy's heap only.
+			insert(next, uint64(rng.Intn(keySpace)), fmt.Sprintf("s%d", rng.Intn(9+g)), float64(1000*g+i))
+		}
+		if err := next.tbl.CheckInvariants(); err != nil {
+			t.Fatalf("gen %d: %v", g, err)
+		}
+		split = split || next.tbl.Splits() > splits
+		if !before.same(src.tbl) {
+			t.Fatalf("gen %d: mutating the copy changed its frozen source", g)
+		}
+		keys := make([]uint64, keySpace)
+		for i := range keys {
+			keys[i] = uint64(i)
+		}
+		rows, ents := batchProbe(next.tbl, keys)
+		var wantRows, wantEnts []int32
+		for k := range keys {
+			want := slices.Clone(next.model[uint64(k)])
+			sort.Strings(want)
+			if got := joinRows(next.tbl, uint64(k)); !slices.Equal(got, want) {
+				t.Fatalf("gen %d key %d: copy probes %v, want %v", g, k, got, want)
+			}
+			srcWant := slices.Clone(src.model[uint64(k)])
+			sort.Strings(srcWant)
+			if got := joinRows(src.tbl, uint64(k)); !slices.Equal(got, srcWant) {
+				t.Fatalf("gen %d key %d: source probes %v, want %v", g, k, got, srcWant)
+			}
+			for _, e := range probeAll(next.tbl, uint64(k)) {
+				wantRows, wantEnts = append(wantRows, int32(k)), append(wantEnts, e)
+			}
+		}
+		if !slices.Equal(rows, wantRows) || !slices.Equal(ents, wantEnts) {
+			t.Fatalf("gen %d: batched probe disagrees with the iterator", g)
+		}
+		next.tbl.Freeze()
+		gens = append(gens, next)
+	}
+	if !split {
+		t.Fatal("inserts into widened copies never split a bucket")
+	}
+}
+
+// TestRehashRestoresSplitting: a widened copy owns every bucket it
+// inherited, so inserts into it split buckets and re-hash their chains
+// exactly as in a freshly built table.
+func TestRehashRestoresSplitting(t *testing.T) {
+	w := buildWidenBase(256).Widen(4096)
+	before := w.Splits()
+	const batches, perBatch = 4, 1024
+	for b := 0; b < batches; b++ {
+		for i := 0; i < perBatch; i++ {
+			k := uint64(100000 + b*perBatch + i)
+			w.Insert([]uint64{k, w.Strings().Intern("x"), 0})
+		}
+	}
+	if w.Splits() == before {
+		t.Fatalf("no bucket split despite %d inserts into a widened copy", batches*perBatch)
+	}
+	if err := w.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []uint64{0, 255, 100000, uint64(100000 + batches*perBatch - 1)} {
+		if got := probeAll(w, k); len(got) != 1 {
+			t.Fatalf("key %d probes %d entries after splits", k, len(got))
+		}
+	}
+}
+
+// TestWidenChainAndCompaction widens a lineage generation after
+// generation. Copy widening compacts at every step: however long the
+// chain, each generation is one flat table whose mean probe chain
+// equals a freshly built table's with the same content.
 func TestWidenChainAndCompaction(t *testing.T) {
 	cur := buildWidenBase(64)
 	total := 64
-	for round := 0; round < maxWidenSegments+3; round++ {
-		w := cur.WidenWith(WidenOptions{Rehash: false})
+	for round := 0; round < 12; round++ {
+		w := cur.Widen(16)
 		for i := 0; i < 16; i++ {
 			k := uint64(total + i)
 			w.Insert([]uint64{k, w.strs.Intern("x"), types.NewFloat(float64(k)).Bits()})
@@ -160,17 +388,25 @@ func TestWidenChainAndCompaction(t *testing.T) {
 		}
 		cur = w
 	}
-	// The depth bound must have forced at least one compaction back to a
-	// root table along the way.
-	if len(cur.segs) > maxWidenSegments {
-		t.Fatalf("segment chain grew unbounded: %d", len(cur.segs))
+	fresh := New(widenLayout())
+	for k := 0; k < total; k++ {
+		fresh.Insert([]uint64{uint64(k), fresh.strs.Intern("x"), 0})
+	}
+	keys := make([]uint64, total)
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	batchProbe(cur, keys)
+	batchProbe(fresh, keys)
+	if a, b := cur.ProbeStats(), fresh.ProbeStats(); a != b {
+		t.Fatalf("widened lineage probes %+v, fresh table %+v", a, b)
 	}
 }
 
 // TestConcurrentWidenOfOneSnapshot widens one published snapshot from
 // several goroutines at once — the shape two racing partial-reuse
 // queries produce. Run with -race: Freeze must be concurrency-safe and
-// each widener's delta private.
+// each widener's copy private.
 func TestConcurrentWidenOfOneSnapshot(t *testing.T) {
 	base := buildWidenBase(256).Freeze()
 	var wg sync.WaitGroup
@@ -178,7 +414,7 @@ func TestConcurrentWidenOfOneSnapshot(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			wt := base.Widen()
+			wt := base.Widen(64)
 			for i := 0; i < 64; i++ {
 				k := uint64(1000 + w*100 + i)
 				wt.Insert([]uint64{k, wt.strs.Intern("w"), types.NewFloat(float64(k)).Bits()})
@@ -200,83 +436,47 @@ func TestConcurrentWidenOfOneSnapshot(t *testing.T) {
 	}
 }
 
-func TestStoreColumnOverlay(t *testing.T) {
+// TestWithColumnView: the view reads one column from the caller's
+// values and everything else from the shared arenas, is frozen, and
+// leaves the table it views untouched.
+func TestWithColumnView(t *testing.T) {
 	base := buildWidenBase(50)
-	w := base.Widen()
-	vals := make([]uint64, w.Slots())
+	vals := make([]uint64, base.Len())
 	for i := range vals {
 		vals[i] = uint64(i % 3)
 	}
-	w.StoreColumn(2, vals)
-	for e := int32(0); e < int32(w.Slots()); e++ {
-		if w.Cell(e, 2) != uint64(int(e)%3) {
-			t.Fatalf("overlay cell %d = %d", e, w.Cell(e, 2))
+	v := base.WithColumn(2, vals)
+	if !v.Frozen() || !base.Frozen() {
+		t.Fatal("the view and its table must both be frozen")
+	}
+	for e := range int32(v.Len()) {
+		if v.Cell(e, 2) != uint64(int(e)%3) {
+			t.Fatalf("view cell %d = %d", e, v.Cell(e, 2))
+		}
+		if got := base.CellValue(e, 2).F; got != float64(e) {
+			t.Fatalf("base cell %d changed through the view: %v", e, got)
 		}
 	}
-	// The frozen base still sees its original cells.
-	if got := base.CellValue(7, 2).F; got != 7 {
-		t.Fatalf("base cell mutated through overlay: %v", got)
+	var got storage.Vec
+	v.AppendColumn(&got, 2, []int32{4, 5})
+	if len(got.Ints) != 2 || got.Ints[0] != 1 || got.Ints[1] != 2 {
+		t.Fatalf("AppendColumn through the view = %v", got.Ints)
 	}
-	// Inserts after overlay installation extend it.
-	w.Insert([]uint64{1000, w.strs.Intern("x"), 2})
-	if w.Cell(int32(w.Slots()-1), 2) != 2 {
-		t.Fatal("overlay not extended by insert")
+	if e := probeAll(v, 7); len(e) != 1 || v.CellValue(e[0], 1).S != "s0" {
+		t.Fatal("the view does not probe its table's entries")
 	}
-	// StoreColumn on a root table writes payload in place.
-	root := buildWidenBase(10)
-	rv := make([]uint64, root.Slots())
-	root.StoreColumn(2, rv)
-	if root.overlay != nil {
-		t.Fatal("root StoreColumn must write in place")
-	}
-	if root.Cell(3, 2) != 0 {
-		t.Fatal("root StoreColumn did not write")
-	}
-}
-
-func TestDropOverlayReclaimsEagerly(t *testing.T) {
-	base := buildWidenBase(200)
-	w := base.Widen()
-	vals := make([]uint64, w.Slots())
-	for i := range vals {
-		vals[i] = uint64(i)
-	}
-	w.StoreColumn(2, vals)
-	if !w.HasOverlay() {
-		t.Fatal("StoreColumn on a widened table must install an overlay")
-	}
-	withOverlay := w.ByteSize()
-	w.DropOverlay()
-	if w.HasOverlay() {
-		t.Fatal("overlay still installed after DropOverlay")
-	}
-	if shrunk := withOverlay - w.ByteSize(); shrunk != int64(len(vals))*8 {
-		t.Fatalf("DropOverlay reclaimed %d bytes, want %d", shrunk, len(vals)*8)
-	}
-	// Reads fall back to the shared base cells (stale tags — callers
-	// only drop once nothing reads the column again).
-	if got := w.CellValue(7, 2).F; got != 7 {
-		t.Fatalf("post-drop cell = %v, want base value 7", got)
-	}
-	// Dropping is idempotent and a no-op on tables without overlays.
-	w.DropOverlay()
-	root := buildWidenBase(10)
-	root.DropOverlay()
-
-	// A frozen table must reject the drop like any other mutation.
-	frozen := buildWidenBase(10).Widen()
-	frozen.StoreColumn(2, make([]uint64, frozen.Slots()))
-	frozen.Freeze()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("DropOverlay on a frozen table did not panic")
+			t.Fatal("WithColumn with the wrong number of values did not panic")
 		}
 	}()
-	frozen.DropOverlay()
+	base.WithColumn(2, vals[1:])
 }
 
 func TestWidenMergeGroupsPromotes(t *testing.T) {
-	// Aggregate-style table: key + one sum cell.
+	// Aggregate-style table: key + one sum cell. Merging into a widened
+	// copy folds existing groups in place and adds new ones; the source
+	// keeps its cells.
 	layout := Layout{
 		Cols: []storage.ColMeta{
 			{Ref: storage.ColRef{Table: "t", Column: "g"}, Kind: types.Int64},
@@ -289,7 +489,7 @@ func TestWidenMergeGroupsPromotes(t *testing.T) {
 		e, _ := base.Upsert([]uint64{uint64(i)})
 		base.SetCell(e, 1, types.NewFloat(float64(i)).Bits())
 	}
-	w := base.Widen()
+	w := base.Widen(5)
 	part := New(layout)
 	for i := 5; i < 15; i++ {
 		e, _ := part.Upsert([]uint64{uint64(i)})
@@ -302,7 +502,7 @@ func TestWidenMergeGroupsPromotes(t *testing.T) {
 		t.Fatalf("created %d groups, want 5", created)
 	}
 	if w.Len() != 15 {
-		t.Fatalf("live groups %d, want 15", w.Len())
+		t.Fatalf("groups %d, want 15", w.Len())
 	}
 	// Folded group: 7 + 100; untouched group: 3; fresh group: 100.
 	checks := map[uint64]float64{7: 107, 3: 3, 12: 100}
@@ -323,6 +523,28 @@ func TestWidenMergeGroupsPromotes(t *testing.T) {
 		}
 		if v := base.CellValue(got[0], 1).F; v != float64(i) {
 			t.Fatalf("base group %d mutated: %v", i, v)
+		}
+	}
+}
+
+// TestProbeHashedColumnMissRows: rows flagged missed (string keys never
+// interned on the build side) are skipped without walking any chain.
+func TestProbeHashedColumnMissRows(t *testing.T) {
+	tbl := buildWidenBase(64)
+	keys := []uint64{1, 2, 3, 4}
+	enc := [][]uint64{keys}
+	hashes := make([]uint64, len(keys))
+	HashColumns(hashes, enc)
+	miss := []bool{false, true, false, true}
+	before := tbl.ProbeStats()
+	rows, _ := tbl.ProbeHashedColumn(make([]int32, len(keys)), hashes, enc, miss, nil, nil)
+	after := tbl.ProbeStats()
+	if after.Probes-before.Probes != 2 {
+		t.Fatalf("counted %d probes, want 2", after.Probes-before.Probes)
+	}
+	for _, r := range rows {
+		if miss[r] {
+			t.Fatalf("missed row %d produced a match", r)
 		}
 	}
 }

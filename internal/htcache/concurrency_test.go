@@ -64,109 +64,9 @@ func TestConcurrentRegisterPinRelease(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if err := checkRegistry(c); err != nil {
+	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// checkRegistry verifies the registry's structural invariants: every hot
-// entry is listed in its bucket and sits in exactly one index slot — the
-// one its current filter selects — every bucket is reachable by kind,
-// and every cold entry sits in its cold bucket.
-func checkRegistry(c *Cache) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	n, buckets := 0, 0
-	for key, b := range c.byStruct {
-		if len(b.all) == 0 {
-			return fmt.Errorf("empty bucket %q kept", key)
-		}
-		slots := map[*Entry]int{}
-		for i, e := range b.residual {
-			if e.slot.point || e.slot.at != i {
-				return fmt.Errorf("bucket %q: residual[%d] = entry %d with slot %+v", key, i, e.ID, e.slot)
-			}
-			slots[e]++
-		}
-		for pt, list := range b.points {
-			if len(list) == 0 {
-				return fmt.Errorf("bucket %q: empty point list %+v kept", key, pt)
-			}
-			for i, e := range list {
-				if !e.slot.point || e.slot.pt != pt || e.slot.at != i {
-					return fmt.Errorf("bucket %q: points[%+v][%d] = entry %d with slot %+v", key, pt, i, e.ID, e.slot)
-				}
-				slots[e]++
-			}
-		}
-		for i, e := range b.all {
-			if c.entries[e.ID] != e || e.key != key || e.slot.all != i {
-				return fmt.Errorf("bucket %q: all[%d] = entry %d (key %q, slot %+v) not registered there", key, i, e.ID, e.key, e.slot)
-			}
-			if slots[e] != 1 {
-				return fmt.Errorf("bucket %q: entry %d sits in %d index slots", key, e.ID, slots[e])
-			}
-			f := e.cur.Load().Filter
-			var want pointKey
-			var point bool
-			switch {
-			case len(f) == 0 || f.Empty():
-			case b.anchored:
-				if con := b.anchorCon(f); con != nil {
-					want, point = constraintPoint(con)
-				}
-			default:
-				for i := range f {
-					if _, ok := constraintPoint(&f[i].Con); ok {
-						return fmt.Errorf("bucket %q is unanchored but entry %d pins %v", key, e.ID, f[i].Col)
-					}
-				}
-			}
-			if e.slot.point != point || e.slot.pt != want {
-				return fmt.Errorf("bucket %q: entry %d with filter %v in slot %+v, want point=%v %+v", key, e.ID, f, e.slot, point, want)
-			}
-			n++
-		}
-		if len(slots) != len(b.all) {
-			return fmt.Errorf("bucket %q indexes %d entries, lists %d", key, len(slots), len(b.all))
-		}
-		ks := kindSig{b.all[0].Lineage.Kind, b.all[0].Lineage.JoinSig}
-		found := 0
-		for _, kb := range c.byKind[ks] {
-			if kb == b {
-				found++
-			}
-		}
-		if found != 1 {
-			return fmt.Errorf("bucket %q listed %d times by kind", key, found)
-		}
-		buckets++
-	}
-	if n != len(c.entries) {
-		return fmt.Errorf("buckets hold %d entries, registry %d", n, len(c.entries))
-	}
-	for _, list := range c.byKind {
-		buckets -= len(list)
-	}
-	if buckets != 0 {
-		return fmt.Errorf("byKind lists %d buckets more than byStruct", -buckets)
-	}
-	cold := 0
-	for key, list := range c.coldBy {
-		for i, ce := range list {
-			if c.cold[ce.e.ID] != ce || ce.e.key != key || ce.at != i {
-				return fmt.Errorf("coldBy[%q][%d] = entry %d not cold there", key, i, ce.e.ID)
-			}
-			if _, hot := c.entries[ce.e.ID]; hot {
-				return fmt.Errorf("entry %d both hot and cold", ce.e.ID)
-			}
-			cold++
-		}
-	}
-	if cold != len(c.cold) {
-		return fmt.Errorf("coldBy holds %d entries, cold tier %d", cold, len(c.cold))
-	}
-	return nil
 }
 
 // TestGCNeverEvictsPinned pins an entry, overflows the budget, and

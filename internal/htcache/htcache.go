@@ -14,8 +14,8 @@
 // *widening*: every entry publishes an immutable Snapshot (a frozen
 // hash table plus the predicate box describing its content) through an
 // atomic pointer. Partial/overlapping reuse widens a snapshot into a
-// private copy-on-write successor (hashtable.Widen) and installs it
-// with a compare-and-swap (PublishWidened); concurrent probes keep
+// private copy (hashtable.Table.Widen) and installs it with a
+// compare-and-swap (PublishWidened); concurrent probes keep
 // draining on the snapshot they resolved at plan time. A query holds
 // that one pointer through compile and execution, so Go's garbage
 // collector keeps a superseded or demoted version alive exactly as long
@@ -258,26 +258,14 @@ type Stats struct {
 	WidenPublished int64 // widened snapshots installed
 	WidenLost      int64 // widened snapshots dropped on CAS conflict
 
-	// Bucket-maintenance statistics, accumulated from each published
-	// table's hashtable.MaintStats (widening queries pay maintenance
-	// incrementally; these count the work and what it saved).
-	BucketRehashes      int64 // bucket chains rewritten into own arenas
-	RewrittenEntries    int64 // live base entries copied forward
-	TombstonesReclaimed int64 // dead nodes dropped from chains
-	CompactionsAvoided  int64 // deep widenings spared the compaction clone
-	Compactions         int64 // compaction clones that still ran (safety valve)
-
 	// Batched-probe statistics (hashtable.ProbeStats), cumulative and
 	// monotonic: live counters of published snapshots plus an
 	// accumulator folded in when a snapshot is superseded
 	// (PublishWidened) or its entry demoted or evicted. Probes still in
 	// flight on a folded snapshot are not counted — an undercount only
-	// the per-layer mean chain length (ProbeChainNodes/Probes, which
-	// benchmarks and tests assert on to show rehashed chains actually
-	// flatten) reads.
+	// the per-layer mean chain length (ProbeChainNodes/Probes) reads.
 	Probes          int64
 	ProbeChainNodes int64
-	TombstoneSkips  int64
 
 	// Failure containment: Quarantines counts panic blames laid on
 	// cached artifacts (strikes), QuarantinedLineages is the number of
@@ -315,7 +303,7 @@ type IndexStats struct {
 // bookkeeping (pins, recency, lineage) and snapshots publish through
 // atomic pointers. The hash tables themselves are never locked —
 // published snapshots are frozen, and queries that widen a table build
-// a private copy-on-write successor.
+// a private copy.
 type Cache struct {
 	// Budget is the memory budget in bytes; 0 means unlimited. Adjust it
 	// through SetBudget when other goroutines may be running queries.
@@ -342,10 +330,6 @@ type Cache struct {
 	quarantines   int64
 	pressureEvict int64
 
-	// Bucket-maintenance policy (SetRehash) and accumulated counters.
-	rehashOff    bool
-	rehashBudget int
-	maint        hashtable.MaintStats
 	// probeAcc accumulates the probe counters of tables leaving the
 	// live set (superseded snapshots, demoted and evicted entries) so
 	// Stats stays monotonic across publications.
@@ -544,19 +528,7 @@ func (c *Cache) InvalidateTable(table string) int {
 	return dropped
 }
 
-// SetRehash configures incremental bucket maintenance of widened
-// tables: whether PublishWidened piggy-backs a maintenance pass on the
-// successor before freezing it, and the per-pass node budget (<= 0 uses
-// hashtable.DefaultRehashBudget). On by default. Callers configure this
-// once at startup, before queries run.
-func (c *Cache) SetRehash(enabled bool, budget int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rehashOff = !enabled
-	c.rehashBudget = budget
-}
-
-// PublishWidened installs a widened successor of prev as the entry's
+// PublishWidened installs a widened copy of prev as the entry's
 // current snapshot. ht is frozen here; filter is the new content
 // description (the widened lineage). The install is a compare-and-swap:
 // if another query widened the entry first, nothing is published and
@@ -567,15 +539,9 @@ func (c *Cache) SetRehash(enabled bool, budget int) {
 // relist a cold entry. On success the superseded snapshot's probe
 // counters fold into the cache totals (probes still in flight on it go
 // uncounted; see Stats.Probes) and the collector frees it once the
-// last query holding it finishes.
-//
-// Publication is where maintenance piggy-backs: the successor is still
-// private and mutable here (its building query's pipelines drained, no
-// other query can hold it), so one incremental rehash pass flattens the
-// bucket chains its delta inserts and shadow promotions dirtied before
-// anyone probes the new snapshot. Queries probing superseded snapshots
-// are untouched, and the rebuilt buckets become visible atomically with
-// the CAS below.
+// last query holding it finishes. Until then the entry's bytes are held
+// twice, once by each version; the budget accounts only the current
+// one.
 func (c *Cache) PublishWidened(e *Entry, prev *Snapshot, ht *hashtable.Table, filter expr.Box) bool {
 	// Fault point: an err-mode injection degrades to the lost-CAS path
 	// (benign — the caller's table was correct for its own query, the
@@ -586,12 +552,6 @@ func (c *Cache) PublishWidened(e *Entry, prev *Snapshot, ht *hashtable.Table, fi
 		c.widenLost++
 		c.mu.Unlock()
 		return false
-	}
-	c.mu.RLock()
-	rehash, budget := !c.rehashOff, c.rehashBudget
-	c.mu.RUnlock()
-	if rehash && !ht.Frozen() {
-		ht.Maintain(budget)
 	}
 	ht.Freeze()
 	next := &Snapshot{HT: ht, Filter: filter, Version: prev.Version + 1}
@@ -604,12 +564,6 @@ func (c *Cache) PublishWidened(e *Entry, prev *Snapshot, ht *hashtable.Table, fi
 		return false
 	}
 	c.widenPub++
-	ms := ht.MaintStats()
-	c.maint.RehashedBuckets += ms.RehashedBuckets
-	c.maint.RewrittenEntries += ms.RewrittenEntries
-	c.maint.ReclaimedTombstones += ms.ReclaimedTombstones
-	c.maint.CompactionsAvoided += ms.CompactionsAvoided
-	c.maint.Compactions += ms.Compactions
 	if _, hot := c.entries[e.ID]; hot {
 		b := c.byStruct[e.key]
 		b.unplace(e)
@@ -909,7 +863,6 @@ func (c *Cache) foldLocked(s *Snapshot) {
 		ps := s.HT.ProbeStats()
 		c.probeAcc.Probes += ps.Probes
 		c.probeAcc.ChainNodes += ps.ChainNodes
-		c.probeAcc.TombstoneSkips += ps.TombstoneSkips
 	}
 	if s.Idx != nil {
 		is := s.Idx.Stats()
@@ -981,18 +934,12 @@ func (c *Cache) Stats() Stats {
 		EvictedBytes:        c.evictedB,
 		WidenPublished:      c.widenPub,
 		WidenLost:           c.widenLost,
-		BucketRehashes:      c.maint.RehashedBuckets,
-		RewrittenEntries:    c.maint.RewrittenEntries,
-		TombstonesReclaimed: c.maint.ReclaimedTombstones,
-		CompactionsAvoided:  c.maint.CompactionsAvoided,
-		Compactions:         c.maint.Compactions,
 		Quarantines:         c.quarantines,
 		QuarantinedLineages: len(c.strikes),
 		PressureEvictions:   c.pressureEvict,
 	}
 	s.Probes = c.probeAcc.Probes
 	s.ProbeChainNodes = c.probeAcc.ChainNodes
-	s.TombstoneSkips = c.probeAcc.TombstoneSkips
 	s.Index.Builds = c.idxBuilds
 	s.Index.Invalidations = c.idxInval
 	s.Index.RangeProbes = c.idxAcc.RangeProbes
@@ -1021,7 +968,6 @@ func (c *Cache) Stats() Stats {
 			ps := sn.HT.ProbeStats()
 			s.Probes += ps.Probes
 			s.ProbeChainNodes += ps.ChainNodes
-			s.TombstoneSkips += ps.TombstoneSkips
 		}
 		if sn.Idx != nil {
 			is := sn.Idx.Stats()
@@ -1053,14 +999,8 @@ func (s Stats) Add(o Stats) Stats {
 	s.EvictedBytes += o.EvictedBytes
 	s.WidenPublished += o.WidenPublished
 	s.WidenLost += o.WidenLost
-	s.BucketRehashes += o.BucketRehashes
-	s.RewrittenEntries += o.RewrittenEntries
-	s.TombstonesReclaimed += o.TombstonesReclaimed
-	s.CompactionsAvoided += o.CompactionsAvoided
-	s.Compactions += o.Compactions
 	s.Probes += o.Probes
 	s.ProbeChainNodes += o.ProbeChainNodes
-	s.TombstoneSkips += o.TombstoneSkips
 	s.Quarantines += o.Quarantines
 	s.QuarantinedLineages += o.QuarantinedLineages
 	s.PressureEvictions += o.PressureEvictions

@@ -175,7 +175,7 @@ func TestCandidateIndexOracle(t *testing.T) {
 					c.Release(e)
 				}
 			}
-			if err := checkRegistry(c); err != nil {
+			if err := c.CheckInvariants(); err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
 			for q := 0; q < 4; q++ {
@@ -252,7 +252,7 @@ func TestPointLookupSkipsDisjoint(t *testing.T) {
 	if got := c.Candidates(probe); len(got) != 2 || got[0] != pinned[7] || got[1] != pinned[8] {
 		t.Fatalf("point 8 candidates after widening = %v", ids(got))
 	}
-	if err := checkRegistry(c); err != nil {
+	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,8 @@
 package htcache
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"hashstash/internal/expr"
@@ -33,9 +35,9 @@ func TestPublishWidenedCASConflict(t *testing.T) {
 	c.Release(e)
 
 	prev := e.Current()
-	w1 := prev.HT.Widen()
+	w1 := prev.HT.Widen(1)
 	w1.Insert([]uint64{1000})
-	w2 := prev.HT.Widen()
+	w2 := prev.HT.Widen(1)
 	w2.Insert([]uint64{2000})
 
 	if !c.PublishWidened(e, prev, w1, widenLineage(0).Filter) {
@@ -104,7 +106,7 @@ func TestPlanningWindowDemotion(t *testing.T) {
 	if s := c.Stats(); s.Pinned != 1 {
 		t.Fatalf("Pinned = %d with one cold entry pinned", s.Pinned)
 	}
-	w := snap.HT.Widen()
+	w := snap.HT.Widen(1)
 	w.Insert([]uint64{1000})
 
 	// Finish: publish, then release.
@@ -150,12 +152,136 @@ func TestPublishFoldsSupersededProbes(t *testing.T) {
 	if before == 0 {
 		t.Fatal("probes of the published snapshot not counted")
 	}
-	w := prev.HT.Widen()
+	w := prev.HT.Widen(1)
 	w.Insert([]uint64{1000})
 	if !c.PublishWidened(e, prev, w, widenLineage(0).Filter) {
 		t.Fatal("publish failed with no competitor")
 	}
 	if after := c.Stats().Probes; after != before {
 		t.Fatalf("Probes %d -> %d across publication", before, after)
+	}
+}
+
+// TestWidenInvisibleToConcurrentReaders is the -race property test of
+// the widening lifecycle: writers repeatedly widen a cached aggregation
+// table into a private copy, fold every group once, and publish by
+// CAS, while concurrent readers probe whichever snapshot they resolved
+// through the batched probe path. Widening must be invisible: every
+// snapshot of version V holds every key exactly once with value V-1,
+// however many copies were folded and published underneath the
+// reader's feet.
+func TestWidenInvisibleToConcurrentReaders(t *testing.T) {
+	const keys = 96
+	layout := hashtable.Layout{
+		Cols: []storage.ColMeta{
+			{Ref: storage.ColRef{Table: "t", Column: "k"}, Kind: types.Int64},
+			{Ref: storage.ColRef{Table: "t", Column: "v"}, Kind: types.Int64},
+		},
+		KeyCols: 1,
+	}
+	root := hashtable.New(layout)
+	for k := uint64(0); k < keys; k++ {
+		e, _ := root.Upsert([]uint64{k})
+		root.SetCell(e, 1, 0)
+	}
+	c := New(0)
+	lin := Lineage{
+		Kind:    Aggregate,
+		Tables:  []string{"t"},
+		JoinSig: "t|",
+		KeyCols: []storage.ColRef{{Table: "t", Column: "k"}},
+		GroupBy: []storage.ColRef{{Table: "t", Column: "k"}},
+	}
+	entry := c.Register(root, lin)
+	c.Release(entry)
+
+	probeKeys := make([]uint64, keys)
+	for i := range probeKeys {
+		probeKeys[i] = uint64(i)
+	}
+	// checkSnapshot asserts the version invariant through the batched
+	// probe path (each goroutine owns its scratch buffers).
+	checkSnapshot := func(snap *Snapshot) error {
+		enc := [][]uint64{probeKeys}
+		hashes := make([]uint64, keys)
+		hashtable.HashColumns(hashes, enc)
+		rows, ents := snap.HT.ProbeHashedColumn(make([]int32, keys), hashes, enc, nil, nil, nil)
+		if len(rows) != keys {
+			return fmt.Errorf("version %d: %d matches for %d keys", snap.Version, len(rows), keys)
+		}
+		seen := make([]bool, keys)
+		for i, e := range ents {
+			k := probeKeys[rows[i]]
+			if seen[k] {
+				return fmt.Errorf("version %d: key %d matched twice", snap.Version, k)
+			}
+			seen[k] = true
+			if got := snap.HT.Cell(e, 1); got != uint64(snap.Version-1) {
+				return fmt.Errorf("version %d: key %d value %d, want %d", snap.Version, k, got, snap.Version-1)
+			}
+		}
+		return nil
+	}
+
+	const writers = 3
+	const readers = 4
+	const rounds = 12
+	var wg sync.WaitGroup
+	errCh := make(chan error, writers+readers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				snap := entry.Current()
+				succ := snap.HT.Widen(0)
+				for k := uint64(0); k < keys; k++ {
+					e, found := succ.Upsert([]uint64{k})
+					if !found {
+						errCh <- fmt.Errorf("writer: key %d vanished at version %d", k, snap.Version)
+						return
+					}
+					succ.SetCell(e, 1, succ.Cell(e, 1)+1)
+				}
+				// A lost CAS is benign: a competitor's copy (carrying the
+				// same +1 over the same snapshot) was published first.
+				c.PublishWidened(entry, snap, succ, lin.Filter)
+			}
+		}()
+	}
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds*4; r++ {
+				if err := checkSnapshot(entry.Current()); err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+
+	final := entry.Current()
+	if final.Version < 2 {
+		t.Fatal("no widened snapshot was ever published")
+	}
+	if err := checkSnapshot(final); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	stats := c.Stats()
+	if stats.WidenPublished == 0 {
+		t.Error("no publications recorded")
+	}
+	if stats.Probes == 0 || stats.ProbeChainNodes == 0 {
+		t.Errorf("probe counters never moved: %+v", stats)
 	}
 }

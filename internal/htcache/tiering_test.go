@@ -186,6 +186,9 @@ func TestByteCountersConsistent(t *testing.T) {
 		if got := c.TotalBytes(); got != sum {
 			t.Fatalf("%s: TotalBytes=%d, sweep=%d", stage, got, sum)
 		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
 	}
 	var entries []*Entry
 	for i := 0; i < 4; i++ {
@@ -306,7 +309,7 @@ func stormOnce(t *testing.T) {
 				c.PublishWidened(cand, prev, makeHT(20), wider)
 				break
 			}
-			if err := checkRegistry(c); err != nil {
+			if err := c.CheckInvariants(); err != nil {
 				t.Error(err)
 				return
 			}
@@ -354,7 +357,7 @@ func stormOnce(t *testing.T) {
 
 	// Post-storm sanity: every hot entry in exactly one index slot,
 	// counters non-negative and consistent.
-	if err := checkRegistry(c); err != nil {
+	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	s := c.Stats()

@@ -370,6 +370,7 @@ func (o *Optimizer) classifyAggCandidate(q *plan.Query, cand *htcache.Entry, req
 		fullMask := (1 << uint(len(q.Relations))) - 1
 		choice.Contr = o.contributionRatio(q, fullMask, snap, reqFilter)
 		choice.Overh = o.overheadRatio(q, fullMask, snap, reqFilter)
+		choice.MissingRows = distinct * (1 - choice.Contr)
 		// Each residual box becomes an SPJ plan with overridden filters.
 		for _, rb := range residual {
 			rq := *q

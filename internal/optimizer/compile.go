@@ -23,13 +23,12 @@ type Compiled struct {
 	filterUpdates []filterUpdate
 }
 
-// filterUpdate records one copy-on-write widening performed by the
-// compiled plan: ht is the private successor of prev (the snapshot the
-// plan was classified against), newFilter its content description. On
-// successful execution the optimizer publishes it with a
-// compare-and-swap; a concurrent widening of the same entry simply wins
-// the race and this update is dropped (the query's own results came
-// from ht either way).
+// filterUpdate records one widening performed by the compiled plan: ht
+// is the private copy of prev (the snapshot the plan was classified
+// against), newFilter its content description. On successful execution
+// the optimizer publishes it with a compare-and-swap; a concurrent
+// widening of the same entry simply wins the race and this update is
+// dropped (the query's own results came from ht either way).
 type filterUpdate struct {
 	entry     *htcache.Entry
 	prev      *htcache.Snapshot
@@ -266,10 +265,10 @@ func (c *compiler) obtainBuildHT(n *Node) (*hashtable.Table, []int, []storage.Co
 		}
 
 	case ModePartial, ModeOverlapping:
-		// Widen the snapshot into a private copy-on-write successor: the
-		// residual scan builds the missing tuples into it while other
-		// queries keep probing the frozen base it shares.
-		ht = choice.Snap.HT.WidenWith(c.o.WidenOptions())
+		// Widen the snapshot into a private copy: the residual scan
+		// builds the missing tuples into it while other queries keep
+		// probing the frozen snapshot.
+		ht = choice.Snap.HT.Widen(int(choice.MissingRows))
 		if c.register {
 			c.o.Cache.Pin(choice.Entry, choice.SavedCost)
 			c.out.pinned = append(c.out.pinned, choice.Entry)
@@ -543,11 +542,10 @@ func (c *compiler) compileAggRoot(p *Planned) error {
 			c.out.pinned = append(c.out.pinned, choice.Entry)
 		}
 		// Widen the snapshot and fold every residual input into the
-		// private successor, updating ALL of its aggregate cells so the
-		// whole table stays consistent with its (widened) lineage.
-		// Existing groups shadow-promote into the successor's own arena;
-		// concurrent probes of the frozen base never see the folds.
-		widened := choice.Snap.HT.WidenWith(c.o.WidenOptions())
+		// private copy, updating ALL of its aggregate cells so the whole
+		// table stays consistent with its (widened) lineage. Concurrent
+		// probes of the frozen snapshot never see the folds.
+		widened := choice.Snap.HT.Widen(int(choice.MissingRows))
 		for _, rr := range agg.ResidualRoots {
 			if err := c.attachAggInput(rr, widened, agg.GroupBase, choice.Entry.Lineage.Aggs); err != nil {
 				return err

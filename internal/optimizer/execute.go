@@ -39,11 +39,11 @@ type Result struct {
 // Run is safe for concurrent use and single-path: every query — read-
 // only reuse and cached-table widening alike — executes concurrently.
 // Cached tables are immutable published snapshots; a plan that widens
-// one (partial/overlapping reuse) builds a private copy-on-write
-// successor and installs it with a compare-and-swap after its pipelines
-// drain. The query holds every snapshot it resolved at plan time until
-// its probes finish, so the garbage collector cannot free one it still
-// reads; its pins keep the entries it uses out of cache eviction.
+// one (partial/overlapping reuse) builds a private copy and installs it
+// with a compare-and-swap after its pipelines drain. The query holds
+// every snapshot it resolved at plan time until its probes finish, so
+// the garbage collector cannot free one it still reads; its pins keep
+// the entries it uses out of cache eviction.
 func (o *Optimizer) Run(q *plan.Query) (*Result, error) {
 	return o.RunContext(context.Background(), q)
 }
@@ -72,11 +72,11 @@ func (o *Optimizer) RunContext(ctx context.Context, q *plan.Query) (*Result, err
 }
 
 // finishSafe runs Finish under a panic boundary: a panic while
-// publishing (an injected htcache.publish fault, snapshot-maintenance
-// gone wrong) still unwinds the prepared state — pins released,
-// created tables abandoned — so one poisoned publication cannot leak
-// pins or take the process down. The publication sites fire before
-// Finish's release loops, so the pins are still held when it panics.
+// publishing (an injected htcache.publish fault) still unwinds the
+// prepared state — pins released, created tables abandoned — so one
+// poisoned publication cannot leak pins or take the process down. The
+// publication sites fire before Finish's release loops, so the pins are
+// still held when it panics.
 func (p *Prepared) finishSafe(runErr error, execTime time.Duration) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -284,6 +284,7 @@ func (o *Optimizer) joinBuildOptions(q *plan.Query, mask int, buildKeys []storag
 			continue
 		}
 		candWidth := choice.Snap.HT.Layout().RowWidthBytes()
+		choice.MissingRows = builderRows * (1 - choice.Contr)
 		opCost := o.Model.RHJ(costmodel.RHJInput{
 			BuilderRows: builderRows, ProberRows: proberRows,
 			Contr: choice.Contr, Overh: choice.Overh,

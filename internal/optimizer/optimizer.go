@@ -32,7 +32,6 @@ import (
 	"hashstash/internal/costmodel"
 	"hashstash/internal/exec"
 	"hashstash/internal/expr"
-	"hashstash/internal/hashtable"
 	"hashstash/internal/htcache"
 	"hashstash/internal/memgov"
 	"hashstash/internal/plan"
@@ -86,13 +85,6 @@ type Options struct {
 	// granularity, the two scheduler ablation knobs). Ctx stays nil
 	// here; each run sets it on its own copy.
 	exec.Parallelism
-	// NoBucketRehash disables incremental bucket maintenance of widened
-	// tables, falling back to the all-or-nothing compaction clone at
-	// the segment-depth bound; ablation knob.
-	NoBucketRehash bool
-	// RehashBudget caps chain nodes walked per bucket-maintenance pass
-	// (<= 0 uses hashtable.DefaultRehashBudget).
-	RehashBudget int
 	// NoSecondaryIndexes disables the ordered secondary-index access
 	// path entirely: no lazy index builds, no cached-index scans;
 	// ablation knob.
@@ -120,10 +112,9 @@ func DefaultOptions() Options {
 // Optimizer plans, compiles and runs reuse-aware queries. Run is safe
 // to call from many goroutines and never serializes queries against
 // each other: cached tables are immutable published snapshots, queries
-// that widen one (partial/overlapping reuse) build a private
-// copy-on-write successor and publish it atomically, and a superseded
-// snapshot stays alive (held by the queries that resolved it) until
-// their probes drain.
+// that widen one (partial/overlapping reuse) build a private copy and
+// publish it atomically, and a superseded snapshot stays alive (held by
+// the queries that resolved it) until their probes drain.
 type Optimizer struct {
 	Cat   *catalog.Catalog
 	Cache *htcache.Cache
@@ -158,13 +149,6 @@ func New(cat *catalog.Catalog, cache *htcache.Cache, model *costmodel.Model, opt
 		history:    make(map[string]int64),
 		idxBenefit: make(map[string]float64),
 	}
-}
-
-// WidenOptions translates the ablation knobs into the hashtable
-// maintenance policy every copy-on-write widening uses (compile-time
-// widening here, batch-local re-tag copies in the shared planner).
-func (o *Optimizer) WidenOptions() hashtable.WidenOptions {
-	return hashtable.WidenOptions{Rehash: !o.Opts.NoBucketRehash, Budget: o.Opts.RehashBudget}
 }
 
 // ReuseMode labels how a hash table is obtained for an operator.
@@ -203,11 +187,16 @@ type ReuseChoice struct {
 	// Snap is the entry's snapshot the classification ran against,
 	// resolved once at plan time and held through compile and execution
 	// so the query never observes two versions of the table. Partial and
-	// overlapping reuse widen this snapshot into a private successor.
+	// overlapping reuse widen this snapshot into a private copy.
 	Snap *htcache.Snapshot
 	// Contr and Overh are the estimated contribution and overhead
 	// ratios used in the cost model.
 	Contr, Overh float64
+	// MissingRows is the cost model's estimate of the entries widening
+	// adds (partial/overlapping reuse): missing build rows for a join,
+	// new groups for an aggregate. The widened copy reserves room for
+	// them.
+	MissingRows float64
 	// PostFilter is the base-qualified predicate applied to cached
 	// entries (subsuming/overlapping reuse).
 	PostFilter expr.Box

@@ -30,23 +30,19 @@ type groupExec struct {
 	pipelines []*exec.Pipeline
 	pinned    []*htcache.Entry
 	created   []*htcache.Entry
-	// retagged are the private widened copies this batch re-tagged; the
-	// overlay qid columns they carry are batch-local and reclaimed
-	// eagerly once the pipelines drain.
-	retagged []*hashtable.Table
-	collects []*exec.Collect // one per query (aggregate path)
-	spineOut *exec.Collect   // SPJ path: shared output split by qid
-	columns  [][]string
-	reused   int // shared tables reused (after re-tag)
+	collects  []*exec.Collect // one per query (aggregate path)
+	spineOut  *exec.Collect   // SPJ path: shared output split by qid
+	columns   [][]string
+	reused    int // shared tables reused (after re-tag)
 }
 
 // runSharedGroup executes queries[group...] with one shared plan,
 // fully concurrent with other queries: a reused cached table is
-// widened into a private copy-on-write successor and re-tagged there
-// (qid masks install as an overlay column), so the batch's tags never
-// touch the published snapshot other queries are probing. The group
-// holds every snapshot it resolved until its pipelines drain, and pins
-// the cached entries it reuses until then.
+// re-tagged as a read-only view carrying the batch's qid masks
+// (exec.ReTag), so the batch's tags never touch the published snapshot
+// other queries are probing. The group holds every snapshot it
+// resolved until its pipelines drain, and pins the cached entries it
+// reuses until then.
 func (s *Optimizer) runSharedGroup(ctx context.Context, queries []*plan.Query, group []int) (res []*optimizer.Result, err error) {
 	g := &groupExec{s: s, rep: queries[group[0]]}
 	// Panic boundary for the group's caller-goroutine work (planning,
@@ -82,8 +78,8 @@ func (s *Optimizer) runSharedGroup(ctx context.Context, queries []*plan.Query, g
 
 	// Shared-plan pipelines parallelize like single-query ones: shared
 	// scans split into morsels and build sinks merge per-worker partial
-	// tables. The workers only mutate the group's own (fresh or widened,
-	// both private) tables, so no cross-query coordination is needed.
+	// tables. The workers only mutate the group's own fresh, private
+	// tables, so no cross-query coordination is needed.
 	// Multi-sink grouping spines split like ordinary scans (every child
 	// sink merges per-worker partials), and the per-query readout
 	// pipelines follow in compile order, after their grouping table's
@@ -105,13 +101,6 @@ func (s *Optimizer) runSharedGroup(ctx context.Context, queries []*plan.Query, g
 		}
 		g.discardAll()
 		return nil, runErr
-	}
-	// Nothing reads the batch-local qid tags after the pipelines drain
-	// (results live in the collect sinks), so the overlay columns on
-	// re-tagged widened copies — one uint64 per slot — are reclaimed
-	// now instead of when the whole copy becomes garbage.
-	for _, ht := range g.retagged {
-		ht.DropOverlay()
 	}
 	g.releaseAll()
 	return g.collectResults(elapsed)
@@ -337,17 +326,16 @@ func (g *groupExec) obtainSharedJoinHT(n *optimizer.Node) (*hashtable.Table, []i
 		if !g.sharedCandidateUsable(snap, cand.Lineage.QidCol, n, relBoxes) {
 			continue
 		}
-		// Re-tag a private widened copy: the qid masks of this batch are
+		// Re-tag a read-only view: the qid masks of this batch are
 		// batch-local, so the published snapshot stays untouched (and the
-		// copy is simply dropped after the batch — no publication).
-		widened := snap.HT.WidenWith(g.s.Single.WidenOptions())
-		if err := exec.ReTag(widened, cand.Lineage.QidCol, relBoxes); err != nil {
+		// view is simply dropped after the batch — no publication).
+		view, err := exec.ReTag(snap.HT, cand.Lineage.QidCol, relBoxes)
+		if err != nil {
 			continue
 		}
 		cache.Pin(cand, 0)
 		g.pinned = append(g.pinned, cand)
-		g.retagged = append(g.retagged, widened)
-		ht = widened
+		ht = view
 		qidCol = cand.Lineage.QidCol
 		g.reused++
 		break

@@ -269,17 +269,16 @@ func (g *groupExec) tryReuseGrouping(ag *aggGroup) bool {
 		if !usable {
 			continue
 		}
-		// Re-tag a private widened copy (batch-local qid masks install
-		// as an overlay); the published snapshot stays untouched and the
-		// copy is dropped after the batch.
-		widened := snap.HT.WidenWith(g.s.Single.WidenOptions())
-		if err := exec.ReTag(widened, cand.Lineage.QidCol, boxes); err != nil {
+		// Re-tag a read-only view: the batch-local qid masks ride on it,
+		// the published snapshot stays untouched, and the view is garbage
+		// once the batch ends.
+		view, err := exec.ReTag(snap.HT, cand.Lineage.QidCol, boxes)
+		if err != nil {
 			continue
 		}
 		cache.Pin(cand, 0)
 		g.pinned = append(g.pinned, cand)
-		g.retagged = append(g.retagged, widened)
-		ag.grouping = widened
+		ag.grouping = view
 		ag.qidCol = cand.Lineage.QidCol
 		ag.reuse = true
 		g.reused++

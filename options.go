@@ -71,9 +71,6 @@ type Tuning struct {
 	Parallelism int
 	// MorselRows overrides the morsel granularity (0 = storage default).
 	MorselRows int
-	// RehashBudget caps chain nodes per bucket-maintenance pass (0 =
-	// hashtable default).
-	RehashBudget int
 	// Shards partitions the engine into n shards, each with its own
 	// catalog fragment, cache (an equal share of the byte budgets) and
 	// optimizer. A query routed to one shard runs on Parallelism/n
@@ -103,7 +100,6 @@ func WithTuning(t Tuning) Option {
 		merge(&d.IndexBuildBudget, t.IndexBuildBudget)
 		merge(&d.Parallelism, t.Parallelism)
 		merge(&d.MorselRows, t.MorselRows)
-		merge(&d.RehashBudget, t.RehashBudget)
 		merge(&d.Shards, t.Shards)
 		merge(&d.SoftMemoryLimit, t.SoftMemoryLimit)
 		merge(&d.HardMemoryLimit, t.HardMemoryLimit)
@@ -124,9 +120,6 @@ type Ablations struct {
 	NoPartialReuse bool
 	// NoOverlappingReuse disables overlapping reuse.
 	NoOverlappingReuse bool
-	// NoBucketRehash disables incremental bucket maintenance of widened
-	// cached tables.
-	NoBucketRehash bool
 	// NoSecondaryIndexes disables the ordered secondary-index access
 	// path.
 	NoSecondaryIndexes bool
@@ -149,7 +142,6 @@ func WithAblations(a Ablations) Option {
 		merge(&d.NoBenefitOptimizations, a.NoBenefitOptimizations)
 		merge(&d.NoPartialReuse, a.NoPartialReuse)
 		merge(&d.NoOverlappingReuse, a.NoOverlappingReuse)
-		merge(&d.NoBucketRehash, a.NoBucketRehash)
 		merge(&d.NoSecondaryIndexes, a.NoSecondaryIndexes)
 		merge(&d.Faults, a.Faults)
 	}

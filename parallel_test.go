@@ -9,7 +9,7 @@ import (
 // Queries exercising the morsel-driven runner end to end: scan+agg,
 // join builds, reuse across overlapping date ranges (the narrower-range
 // variants trigger subsuming reuse against cached wider tables, the
-// wider ones partial reuse — the copy-on-write widening path).
+// wider ones partial reuse — the widening-by-copy path).
 func parallelQueries() []string {
 	dates := []string{"1994-01-01", "1995-03-15", "1996-06-01"}
 	var qs []string
@@ -198,8 +198,8 @@ func TestConcurrentMaterializedBaseline(t *testing.T) {
 }
 
 // TestConcurrentExecBatch mixes batch and single-query traffic over the
-// shared cache (batches re-tag private widened copies of reused
-// tables, so they too run concurrently).
+// shared cache (batches re-tag reused tables through read-only views,
+// so they too run concurrently).
 func TestConcurrentExecBatch(t *testing.T) {
 	queries := parallelQueries()
 	db := openTPCH(t, WithTuning(Tuning{Parallelism: 2, MorselRows: 256}))
