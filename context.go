@@ -70,7 +70,9 @@ func (db *DB) ExecBatchContext(ctx context.Context, sqls []string) ([]*Result, e
 // ExecParsedBatch runs a batch of already-parsed queries through the
 // query-batch interface, returning per-query results plus the merge
 // configuration. On engines without shared plans (the baselines, a
-// multi-shard router) every query runs solo and the groups are singletons.
+// multi-shard router) every query runs solo and the groups are
+// singletons. Either way each query's filter is closed over its join
+// classes (plan.CloseFilter) once, as a solo Exec closes it.
 func (db *DB) ExecParsedBatch(ctx context.Context, queries []*Query) (*BatchResult, error) {
 	if !db.SupportsSharedPlans() {
 		out := &BatchResult{Results: make([]*Result, len(queries)), Groups: make([][]int, len(queries))}
@@ -84,7 +86,11 @@ func (db *DB) ExecParsedBatch(ctx context.Context, queries []*Query) (*BatchResu
 		}
 		return out, nil
 	}
-	return db.batch.RunBatchContext(ctx, queries)
+	closed := make([]*Query, len(queries))
+	for i, q := range queries {
+		closed[i] = plan.CloseFilter(q)
+	}
+	return db.batch.RunBatchContext(ctx, closed)
 }
 
 // SupportsSharedPlans reports whether ExecParsedBatch can merge

@@ -598,6 +598,9 @@ func (t *Table) CellValue(e int32, col int) types.Value {
 // of batch-at-a-time probes and hash-table scans. The kind dispatch
 // happens once per column per batch instead of once per cell.
 func (t *Table) AppendColumn(dst *storage.Vec, col int, entries []int32) {
+	if len(entries) == 0 {
+		return // an empty table's payload is shorter than col
+	}
 	if col == t.overrideCol {
 		// Override columns are Int64 (qid bitmasks).
 		for _, e := range entries {

@@ -114,6 +114,20 @@ func TestProbeWrongArityPanics(t *testing.T) {
 	New(joinLayout()).Probe([]uint64{1, 2})
 }
 
+// TestAppendColumnEmptyTable: a probe batch that matched nothing in an
+// empty table gathers nothing from any payload column (the payload is
+// empty, so slicing it at a column offset used to panic).
+func TestAppendColumnEmptyTable(t *testing.T) {
+	ht := New(joinLayout()).Freeze()
+	for col := range joinLayout().Cols {
+		var dst storage.Vec
+		ht.AppendColumn(&dst, col, nil)
+		if len(dst.Ints)+len(dst.Floats) != 0 {
+			t.Errorf("column %d: gathered %d cells from an empty table", col, len(dst.Ints)+len(dst.Floats))
+		}
+	}
+}
+
 func TestUpsertAggregate(t *testing.T) {
 	layout := Layout{
 		Cols: []storage.ColMeta{

@@ -262,8 +262,11 @@ func (e *Engine) Run(q *plan.Query) (*optimizer.Result, error) {
 }
 
 // RunContext is Run under a context: cancellation aborts morsel
-// dispatch before the temp-table registrations happen.
+// dispatch before the temp-table registrations happen. The filter is
+// closed over the join classes first (plan.CloseFilter), as the
+// HashStash router closes it.
 func (e *Engine) RunContext(ctx context.Context, q *plan.Query) (*optimizer.Result, error) {
+	q = plan.CloseFilter(q)
 	planned, err := e.planner.PlanQuery(q)
 	if err != nil {
 		return nil, err

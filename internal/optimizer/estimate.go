@@ -24,8 +24,14 @@ func (o *Optimizer) relRows(q *plan.Query, relIdx int, filter expr.Box) float64 
 	return ts.EstimateRows(filter)
 }
 
-// colNDV returns the distinct count of an alias-qualified column.
-func (o *Optimizer) colNDV(q *plan.Query, ref storage.ColRef) float64 {
+// keyNDV returns the distinct count of an alias-qualified join key under
+// the filter box: the column's NDV, scaled by the selectivity of the
+// key's own constraint when the box has one (as
+// catalog.TableStats.DistinctAfterFilter scales it), and at least 1. A
+// filter closed over the join classes constrains both sides of a key
+// edge, and each side's row estimate already carries that selectivity;
+// dividing by the unscaled NDV would apply it a second time.
+func (o *Optimizer) keyNDV(q *plan.Query, ref storage.ColRef, filter expr.Box) float64 {
 	rel := q.RelByAlias(ref.Table)
 	if rel == nil {
 		return 1
@@ -38,11 +44,18 @@ func (o *Optimizer) colNDV(q *plan.Query, ref storage.ColRef) float64 {
 	if !ok || cs.NDV < 1 {
 		return 1
 	}
-	return float64(cs.NDV)
+	ndv := float64(cs.NDV)
+	for _, p := range filter {
+		if p.Col == ref {
+			ndv = max(1, ndv*ts.Selectivity(expr.Box{p}))
+		}
+	}
+	return ndv
 }
 
 // maskRows estimates the output cardinality of joining the masked
-// relations under the given alias-qualified filter box.
+// relations under the given alias-qualified filter box. Each join edge
+// divides by the larger of its two keys' distinct counts (keyNDV).
 func (o *Optimizer) maskRows(q *plan.Query, mask int, filter expr.Box) float64 {
 	rows := 1.0
 	for i := range q.Relations {
@@ -56,13 +69,7 @@ func (o *Optimizer) maskRows(q *plan.Query, mask int, filter expr.Box) float64 {
 		if a < 0 || b < 0 || mask&(1<<uint(a)) == 0 || mask&(1<<uint(b)) == 0 {
 			continue
 		}
-		ndv := o.colNDV(q, j.Left)
-		if r := o.colNDV(q, j.Right); r > ndv {
-			ndv = r
-		}
-		if ndv > 0 {
-			rows /= ndv
-		}
+		rows /= max(o.keyNDV(q, j.Left, filter), o.keyNDV(q, j.Right, filter))
 	}
 	if rows < 0 {
 		rows = 0

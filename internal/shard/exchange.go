@@ -27,33 +27,6 @@ type placement struct {
 	broadcast bool
 }
 
-// joinClasses unions the two sides of every join equality and returns
-// each column's class root. Two columns in the same class hold equal
-// values in every result tuple, so hash-fragmenting on any of them
-// yields the same shard for all rows of one tuple.
-func joinClasses(q *plan.Query) map[storage.ColRef]storage.ColRef {
-	parent := map[storage.ColRef]storage.ColRef{}
-	var find func(storage.ColRef) storage.ColRef
-	find = func(c storage.ColRef) storage.ColRef {
-		p, ok := parent[c]
-		if !ok || p == c {
-			parent[c] = c
-			return c
-		}
-		r := find(p)
-		parent[c] = r
-		return r
-	}
-	for _, j := range q.Joins {
-		parent[find(j.Left)] = find(j.Right)
-	}
-	out := make(map[storage.ColRef]storage.ColRef, len(parent))
-	for c := range parent {
-		out[c] = find(c)
-	}
-	return out
-}
-
 // countViolations scores a placement globally, not edge by edge: a
 // result tuple materializes shard-locally only if every fragmented
 // relation holding a piece of it lives on the same shard, which holds
@@ -134,7 +107,7 @@ func (e *Engine) planExchanges(q *plan.Query) []placement {
 			frag = append(frag, i)
 		}
 	}
-	classes := joinClasses(q)
+	classes := plan.JoinClasses(q)
 	if countViolations(q, base, classes) == 0 {
 		return base
 	}

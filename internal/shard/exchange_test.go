@@ -80,7 +80,7 @@ func TestPlanExchangesValid(t *testing.T) {
 		if len(pl) != len(q.Relations) {
 			t.Fatalf("%d placements for %d relations", len(pl), len(q.Relations))
 		}
-		if v := countViolations(q, pl, joinClasses(q)); v != 0 {
+		if v := countViolations(q, pl, plan.JoinClasses(q)); v != 0 {
 			t.Fatalf("placement %+v has %d violations", pl, v)
 		}
 		baseFrag, frag := false, false

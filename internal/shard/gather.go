@@ -16,11 +16,13 @@ import (
 	"hashstash/internal/types"
 )
 
-// RunContext executes a query: a single-partition query — every query,
-// on a router of one — goes straight to its shard's optimizer,
+// RunContext executes a query: it closes the filter over the join
+// classes (plan.CloseFilter), then a single-partition query — every
+// query, on a router of one — goes straight to its shard's optimizer,
 // everything else runs as scatter-gather. Cancellation aborts the routed
 // shard's (or every scatter leg's) morsel dispatch.
 func (e *Engine) RunContext(ctx context.Context, q *plan.Query) (*optimizer.Result, error) {
+	q = plan.CloseFilter(q)
 	if s, ok := e.routeShard(q); ok {
 		e.shards[s].Queries.Add(1)
 		return e.shards[s].Opt.RunContext(ctx, q)
@@ -32,8 +34,10 @@ func (e *Engine) RunContext(ctx context.Context, q *plan.Query) (*optimizer.Resu
 // where RunContext would run it and returns the optimizer's estimate in
 // model nanoseconds without executing: a single-partition query is
 // planned on its shard, a scattering query on every shard — the legs run
-// concurrently, so the largest estimate is the query's.
+// concurrently, so the largest estimate is the query's. The filter is
+// closed first, as RunContext closes it.
 func (e *Engine) EstimateCost(q *plan.Query) (float64, error) {
+	q = plan.CloseFilter(q)
 	shards := e.shards
 	if s, ok := e.routeShard(q); ok {
 		shards = shards[s : s+1]

@@ -27,94 +27,47 @@ func pointValue(c expr.Constraint) (types.Value, bool) {
 // partition-key constraints pin every partitioned relation's matching
 // rows to the same shard. It returns (shard, true) when so.
 //
-// The analysis starts from explicit point-equality filters on partition
-// keys and then propagates them across the join graph: an equi-join
-// between two partition keys transfers a pinned value from one side to
-// the other (the joined rows share the key value, hence the hash
-// shard). The propagation runs to fixpoint so a chain of co-partitioned
-// joins is pinned by a single constraint on any of its members.
+// The pins are read from q's filter, which plan.CloseFilter has closed
+// over the join equivalence classes: a point constraint on any member
+// of a chain of key = key joins already sits on every member, so the
+// co-partitioned customer ⋈ orders lookup pinned on c_custkey alone
+// finds o_custkey pinned too. A filter that closed to an empty box
+// (pins that disagree across a join) has an empty answer on every
+// shard, so one shard computes it.
 //
 // A query that references no partitioned table at all runs entirely on
 // replicas; it is pinned to shard 0 (scattering it would duplicate
 // rows).
 func (e *Engine) routeShard(q *plan.Query) (int, bool) {
 	n := len(e.shards)
-	if n == 1 {
+	if n == 1 || q.Filter.Empty() {
 		return 0, true
 	}
-
-	// keyRef[i] is relation i's partition-key column (alias-qualified),
-	// or nil when the relation's table is replicated.
-	type pin struct {
-		val types.Value
-		ok  bool
-	}
-	keyRef := make([]*storage.ColRef, len(q.Relations))
-	pins := make([]pin, len(q.Relations))
-	anyPartitioned := false
-	for i, rel := range q.Relations {
+	target := -1
+	var fragRows float64
+	for _, rel := range q.Relations {
 		key, ok := e.keys[rel.Table]
 		if !ok {
 			continue
 		}
-		anyPartitioned = true
-		ref := storage.ColRef{Table: rel.Alias, Column: key}
-		keyRef[i] = &ref
-		if con, ok := q.Filter.Constraint(ref); ok {
-			if v, isPoint := pointValue(con); isPoint {
-				pins[i] = pin{val: v, ok: true}
-			}
-		}
-	}
-	if !anyPartitioned {
-		return 0, true
-	}
-
-	// Propagate pins across partition-key = partition-key join edges.
-	for changed := true; changed; {
-		changed = false
-		for _, j := range q.Joins {
-			li, ri := q.AliasIndex(j.Left.Table), q.AliasIndex(j.Right.Table)
-			if li < 0 || ri < 0 || keyRef[li] == nil || keyRef[ri] == nil {
-				continue
-			}
-			if j.Left != *keyRef[li] || j.Right != *keyRef[ri] {
-				continue
-			}
-			if pins[li].ok && !pins[ri].ok {
-				pins[ri] = pins[li]
-				changed = true
-			} else if pins[ri].ok && !pins[li].ok {
-				pins[li] = pins[ri]
-				changed = true
-			}
-		}
-	}
-
-	target := -1
-	var fragRows float64
-	for i := range q.Relations {
-		if keyRef[i] == nil {
-			continue
-		}
-		if !pins[i].ok {
+		con, ok := q.Filter.Constraint(storage.ColRef{Table: rel.Alias, Column: key})
+		v, isPoint := pointValue(con)
+		if !ok || !isPoint {
 			return 0, false
 		}
-		s := storage.ShardOf(pins[i].val, n)
+		s := storage.ShardOf(v, n)
 		if target >= 0 && s != target {
-			// Two partition keys pinned to different shards: the join
-			// result is provably empty on every single shard too, but
-			// routing to either one returns the correct (empty) answer
-			// only if all relations are there — they are not. Scatter.
+			// Two partition keys of different join classes pinned to
+			// different shards: each shard holds only part of the rows.
 			return 0, false
 		}
 		target = s
-		if st := e.shards[s].Cat.Stats(q.Relations[i].Table); st != nil {
+		if st := e.shards[s].Cat.Stats(rel.Table); st != nil {
 			fragRows += float64(st.Rows)
 		}
 	}
 	if target < 0 {
-		return 0, false
+		return 0, true
 	}
 	if !e.model.RouteSingleShard(fragRows, n) {
 		return 0, false

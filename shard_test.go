@@ -177,43 +177,60 @@ func TestShardedGoldenEquivalence(t *testing.T) {
 }
 
 // TestShardedRouting: partition-key point queries execute on exactly
-// one shard — observed through the per-shard query counters — and the
-// key space spreads across shards; unconstrained queries scatter to
-// all of them.
+// one shard — observed through the per-shard query counters — whether
+// the pin sits on customer, on orders alone, or at the far end of a
+// three-relation chain of custkey joins, and answer as an unsharded
+// engine does; the key space spreads across shards; unconstrained
+// queries scatter to all of them.
 func TestShardedRouting(t *testing.T) {
 	const shards = 4
 	db := openShardedTPCH(t, shards)
+	ref := openTPCH(t, WithEngine(EngineNoReuse))
+	pinned := []string{
+		`SELECT c.c_age, SUM(o.o_totalprice) AS spend FROM customer c, orders o
+			WHERE c.c_custkey = o.o_custkey AND c.c_custkey = %d GROUP BY c.c_age`,
+		`SELECT c.c_age, SUM(o.o_totalprice) AS spend FROM customer c, orders o
+			WHERE c.c_custkey = o.o_custkey AND o.o_custkey = %d GROUP BY c.c_age`,
+		`SELECT c.c_age, COUNT(*) AS n FROM customer c, orders o, orders o2
+			WHERE c.c_custkey = o.o_custkey AND o.o_custkey = o2.o_custkey AND o2.o_custkey = %d
+			GROUP BY c.c_age`,
+	}
 	hit := map[int]bool{}
 	for key := int64(1); key <= 24; key++ {
-		before := db.ShardQueryCounts()
-		sql := fmt.Sprintf(`SELECT c.c_age, SUM(o.o_totalprice) AS spend
-			FROM customer c, orders o
-			WHERE c.c_custkey = o.o_custkey AND c.c_custkey = %d
-			GROUP BY c.c_age`, key)
-		if _, err := db.Exec(sql); err != nil {
-			t.Fatal(err)
-		}
-		after := db.ShardQueryCounts()
-		touched := -1
-		for s := range after {
-			switch after[s] - before[s] {
-			case 0:
-			case 1:
-				if touched >= 0 {
-					t.Fatalf("key %d touched shards %d and %d", key, touched, s)
-				}
-				touched = s
-			default:
-				t.Fatalf("key %d: shard %d ran %d legs", key, s, after[s]-before[s])
+		for _, tmpl := range pinned {
+			sql := fmt.Sprintf(tmpl, key)
+			before := db.ShardQueryCounts()
+			got, err := db.Exec(sql)
+			if err != nil {
+				t.Fatal(err)
 			}
+			after := db.ShardQueryCounts()
+			touched := -1
+			for s := range after {
+				switch after[s] - before[s] {
+				case 0:
+				case 1:
+					if touched >= 0 {
+						t.Fatalf("key %d touched shards %d and %d\n%s", key, touched, s, sql)
+					}
+					touched = s
+				default:
+					t.Fatalf("key %d: shard %d ran %d legs\n%s", key, s, after[s]-before[s], sql)
+				}
+			}
+			if touched < 0 {
+				t.Fatalf("key %d touched no shard\n%s", key, sql)
+			}
+			if want := storage.ShardOf(types.NewInt(key), shards); touched != want {
+				t.Fatalf("key %d routed to shard %d, hash says %d\n%s", key, touched, want, sql)
+			}
+			hit[touched] = true
+			want, err := ref.Exec(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameRows(t, sql, got, want)
 		}
-		if touched < 0 {
-			t.Fatalf("key %d touched no shard", key)
-		}
-		if want := storage.ShardOf(types.NewInt(key), shards); touched != want {
-			t.Fatalf("key %d routed to shard %d, hash says %d", key, touched, want)
-		}
-		hit[touched] = true
 	}
 	if len(hit) < 2 {
 		t.Fatalf("24 keys all routed to %d shard(s)", len(hit))
