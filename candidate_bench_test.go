@@ -47,8 +47,11 @@ func candidateCache(n int) (*htcache.Cache, htcache.Lineage) {
 // BenchmarkCandidateLookup is one reuse-candidate lookup against 100,
 // 1,000 and 10,000 cached point-lookup tables: a point request (one
 // candidate; ns/op should not grow with the cache), a wide request
-// (every tenth key: one candidate per ten entries) and the roll-up
-// lookup a coarser group-by makes over the same bucket.
+// (every tenth key: one candidate per ten entries), the roll-up lookup
+// a coarser group-by makes over the same bucket, and a request of
+// another shape — needing c_mktsegment stored, which the point tables
+// lack — that the shape rule answers with no candidate without visiting
+// any entry (ns/op flat across sizes).
 func BenchmarkCandidateLookup(b *testing.B) {
 	custkey := storage.ColRef{Table: "customer", Column: "c_custkey"}
 	keys := func(lo, hi int64) expr.Box {
@@ -65,14 +68,16 @@ func BenchmarkCandidateLookup(b *testing.B) {
 		rollup := point
 		rollup.GroupBy = lin.GroupBy[:1]
 		rollup.KeyCols = rollup.GroupBy
+		segment := lin.GroupBy[1:]
 		for _, tc := range []struct {
 			name   string
 			lookup func() []*htcache.Entry
 			want   int
 		}{
-			{"point", func() []*htcache.Entry { return c.Candidates(point) }, 1},
-			{"wide", func() []*htcache.Entry { return c.Candidates(wide) }, n / 10},
-			{"rollup", func() []*htcache.Entry { return c.RollupCandidates(rollup) }, 1},
+			{"point", func() []*htcache.Entry { return c.Candidates(point, nil) }, 1},
+			{"wide", func() []*htcache.Entry { return c.Candidates(wide, nil) }, n / 10},
+			{"rollup", func() []*htcache.Entry { return c.RollupCandidates(rollup, nil) }, 1},
+			{"other-shape", func() []*htcache.Entry { return c.Candidates(wide, segment) }, 0},
 		} {
 			b.Run(fmt.Sprintf("entries=%d/request=%s", n, tc.name), func(b *testing.B) {
 				if got := len(tc.lookup()); got != tc.want {

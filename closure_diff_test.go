@@ -110,7 +110,7 @@ func withoutClosure(f func()) {
 func hasCustkeyIndex(db *DB) bool {
 	lin := htcache.IndexLineage(storage.ColRef{Table: "orders", Column: "o_custkey"})
 	for s := 0; s < db.Shards(); s++ {
-		if len(db.router.Shard(s).Cache.Candidates(lin)) > 0 {
+		if len(db.router.Shard(s).Cache.Candidates(lin, nil)) > 0 {
 			return true
 		}
 	}

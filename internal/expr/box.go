@@ -323,12 +323,20 @@ func Classify(candidate, request Box) Relation {
 	return RelDisjoint
 }
 
-// Disjoint reports Classify(candidate, request) == RelDisjoint, testing
-// the usually decisive intersection first so a candidate that shares
-// tuples with the request costs one merge walk.
+// Disjoint reports Classify(candidate, request) == RelDisjoint. Boxes
+// that share no tuple are related by Classify only when one of them is
+// empty (every box covers the empty box), so the test is the request's
+// emptiness plus DisjointNonEmpty.
 func Disjoint(candidate, request Box) bool {
-	return !candidate.Intersects(request) && !candidate.Equal(request) &&
-		!candidate.Covers(request) && !request.Covers(candidate)
+	return !request.Empty() && DisjointNonEmpty(candidate, request)
+}
+
+// DisjointNonEmpty is Disjoint for a request known to be non-empty — the
+// form a loop over many candidates uses after testing the request once.
+// It takes at most two walks: the intersection merge and, for a pair
+// that does not intersect, the candidate's emptiness.
+func DisjointNonEmpty(candidate, request Box) bool {
+	return !candidate.Intersects(request) && !candidate.Empty()
 }
 
 // String renders the box as a conjunction.

@@ -109,6 +109,9 @@ func TestIntersectsMatchesIntersect(t *testing.T) {
 		if got := Disjoint(a, b); got != (want == RelDisjoint) {
 			t.Fatalf("Disjoint(%v, %v) = %v, Classify says %v", a, b, got, want)
 		}
+		if !b.Empty() && DisjointNonEmpty(a, b) != (want == RelDisjoint) {
+			t.Fatalf("DisjointNonEmpty(%v, %v) disagrees with Classify's %v", a, b, want)
+		}
 		rels[want]++
 	}
 	for _, rel := range []Relation{RelDisjoint, RelEqual, RelSubsuming, RelPartial, RelOverlapping} {
@@ -165,6 +168,9 @@ func TestIntersectsAllocationFree(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(100, func() { Classify(tc.a, tc.b) }); n != 0 {
 			t.Errorf("%s: Classify allocates %.1f times", tc.name, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { Disjoint(tc.a, tc.b) }); n != 0 {
+			t.Errorf("%s: Disjoint allocates %.1f times", tc.name, n)
 		}
 	}
 }

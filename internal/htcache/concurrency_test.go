@@ -49,14 +49,14 @@ func TestConcurrentRegisterPinRelease(t *testing.T) {
 			sig := fmt.Sprintf("sig%d", w%4)
 			for i := 0; i < iters; i++ {
 				e := c.Register(testHT(64), testLineage(sig))
-				for _, cand := range c.Candidates(testLineage(sig)) {
+				for _, cand := range c.Candidates(testLineage(sig), nil) {
 					c.Pin(cand, 0)
 					if cand.HT().Len() == 0 {
 						t.Error("candidate with empty table")
 					}
 					c.Release(cand)
 				}
-				c.RollupCandidates(testLineage(sig))
+				c.RollupCandidates(testLineage(sig), nil)
 				c.Release(e)
 				c.Stats()
 				c.TotalBytes()
@@ -105,17 +105,17 @@ func TestUnreadyEntriesInvisible(t *testing.T) {
 	lin.GroupBy = lin.KeyCols
 	rollup := testLineage("s") // groups by nothing: lin's GroupBy strictly contains it
 	e := c.Register(testHT(8), lin)
-	if got := len(c.Candidates(lin)); got != 0 {
+	if got := len(c.Candidates(lin, nil)); got != 0 {
 		t.Fatalf("unready entry visible: %d candidates", got)
 	}
-	if got := len(c.RollupCandidates(rollup)); got != 0 {
+	if got := len(c.RollupCandidates(rollup, nil)); got != 0 {
 		t.Fatalf("unready entry visible to roll-up: %d candidates", got)
 	}
 	c.Release(e)
-	if got := len(c.Candidates(lin)); got != 1 {
+	if got := len(c.Candidates(lin, nil)); got != 1 {
 		t.Fatalf("released entry not visible: %d candidates", got)
 	}
-	if got := len(c.RollupCandidates(rollup)); got != 1 {
+	if got := len(c.RollupCandidates(rollup, nil)); got != 1 {
 		t.Fatalf("released entry not visible to roll-up: %d candidates", got)
 	}
 	if !e.Ready() {
@@ -132,7 +132,7 @@ func TestAbandonRemovesOwnEntry(t *testing.T) {
 	if c.Get(e.ID) != nil {
 		t.Fatal("abandoned entry still cached")
 	}
-	if got := len(c.Candidates(testLineage("s"))); got != 0 {
+	if got := len(c.Candidates(testLineage("s"), nil)); got != 0 {
 		t.Fatalf("abandoned entry visible: %d candidates", got)
 	}
 	// Abandon with extra pins outstanding only drops the caller's pin.

@@ -28,9 +28,10 @@
 // Lineage records are stored base-table-qualified (aliases stripped), so
 // a hash table built by one query matches a structurally identical
 // sub-plan of any later query regardless of alias choice. The cache
-// itself performs only structural candidate retrieval; classifying a
-// candidate into the exact/subsuming/partial/overlapping reuse cases is
-// predicate algebra and lives with the optimizer.
+// itself performs only candidate retrieval: by structure, then by the
+// shape rule of index.go, which drops entries no reuse case can accept;
+// classifying a candidate into the exact/subsuming/partial/overlapping
+// reuse cases is predicate algebra and lives with the optimizer.
 package htcache
 
 import (
@@ -177,8 +178,9 @@ type Entry struct {
 	Lineage Lineage
 
 	// key is Lineage.StructKey(), computed once at registration; slot
-	// is where the candidate index holds the entry while it is hot
-	// (index.go). Both are guarded by the cache mutex.
+	// is where the candidate index holds the entry while it is hot: its
+	// shape group and index slot (index.go). Both are guarded by the
+	// cache mutex.
 	key  string
 	slot slot
 
@@ -566,8 +568,8 @@ func (c *Cache) PublishWidened(e *Entry, prev *Snapshot, ht *hashtable.Table, fi
 	c.widenPub++
 	if _, hot := c.entries[e.ID]; hot {
 		b := c.byStruct[e.key]
-		b.unplace(e)
-		b.place(e) // re-key under the widened filter
+		b.remove(e)
+		b.add(e) // re-group and re-key under the widened filter
 	}
 	c.setEntryBytesLocked(e, ht.ByteSize())
 	e.LastUsed = c.tick()

@@ -54,7 +54,7 @@ func TestRegisterPinReleaseHit(t *testing.T) {
 		t.Error("lookup broken")
 	}
 
-	cands := c.Candidates(lin(200))
+	cands := c.Candidates(lin(200), nil)
 	if len(cands) != 1 || cands[0] != e {
 		t.Fatalf("candidates = %v", cands)
 	}
@@ -88,19 +88,19 @@ func TestCandidatesStructuralFiltering(t *testing.T) {
 	e3 := c.Register(makeHT(5), agg)
 	c.Release(e3)
 
-	if got := c.Candidates(lin(0)); len(got) != 1 || got[0] != e1 {
+	if got := c.Candidates(lin(0), nil); len(got) != 1 || got[0] != e1 {
 		t.Errorf("join candidates = %v", got)
 	}
-	if got := c.Candidates(agg); len(got) != 1 || got[0] != e3 {
+	if got := c.Candidates(agg, nil); len(got) != 1 || got[0] != e3 {
 		t.Errorf("agg candidates = %v", got)
 	}
 	// Roll-up lookup: e3 groups by a strict superset of nothing.
 	rollup := Lineage{Kind: Aggregate, JoinSig: "orders|"}
-	if got := c.RollupCandidates(rollup); len(got) != 1 || got[0] != e3 {
+	if got := c.RollupCandidates(rollup, nil); len(got) != 1 || got[0] != e3 {
 		t.Errorf("roll-up candidates = %v", got)
 	}
 	rollup.Kind = SharedGrouping
-	if got := c.RollupCandidates(rollup); len(got) != 0 {
+	if got := c.RollupCandidates(rollup, nil); len(got) != 0 {
 		t.Errorf("unexpected shared candidates: %v", got)
 	}
 }
@@ -113,7 +113,7 @@ func TestCandidatesMRUOrder(t *testing.T) {
 	c.Release(e2)
 	// Touch e1 so it becomes most recent.
 	c.Touch(e1)
-	got := c.Candidates(lin(0))
+	got := c.Candidates(lin(0), nil)
 	if len(got) != 2 || got[0] != e1 {
 		t.Errorf("MRU order broken: %v", got)
 	}

@@ -33,7 +33,7 @@ func TestIndexLifecycle(t *testing.T) {
 	}
 	c.Release(e)
 
-	cands := c.Candidates(IndexLineage(ref))
+	cands := c.Candidates(IndexLineage(ref), nil)
 	if len(cands) != 1 || cands[0] != e {
 		t.Fatalf("candidates = %v", cands)
 	}
@@ -57,7 +57,7 @@ func TestIndexLifecycle(t *testing.T) {
 	if c.Stats().Index.Invalidations != 1 {
 		t.Error("invalidation not counted")
 	}
-	if len(c.Candidates(IndexLineage(ref))) != 0 {
+	if len(c.Candidates(IndexLineage(ref), nil)) != 0 {
 		t.Error("invalidated index still a candidate")
 	}
 }
@@ -116,7 +116,7 @@ func TestIndexRace(t *testing.T) {
 					return
 				default:
 				}
-				for _, e := range c.Candidates(IndexLineage(ref)) {
+				for _, e := range c.Candidates(IndexLineage(ref), nil) {
 					snap := e.Current()
 					if snap == nil {
 						continue

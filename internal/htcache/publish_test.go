@@ -74,7 +74,7 @@ func TestPlanningWindowDemotion(t *testing.T) {
 	c.Release(e)
 
 	// Plan: resolve the candidate's snapshot.
-	cands := c.Candidates(widenLineage(0))
+	cands := c.Candidates(widenLineage(0), nil)
 	if len(cands) != 1 || cands[0] != e {
 		t.Fatalf("candidates = %v", cands)
 	}

@@ -180,7 +180,7 @@ func TestByteCountersConsistent(t *testing.T) {
 	check := func(stage string) {
 		t.Helper()
 		var sum int64
-		for _, e := range c.Candidates(lin(0)) {
+		for _, e := range c.Candidates(lin(0), nil) {
 			sum += e.Bytes
 		}
 		if got := c.TotalBytes(); got != sum {
@@ -246,7 +246,7 @@ func stormOnce(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				for _, cand := range c.Candidates(lin(0)) {
+				for _, cand := range c.Candidates(lin(0), nil) {
 					snap := cand.Current()
 					if snap == nil {
 						t.Error("candidate with nil snapshot")
@@ -300,7 +300,7 @@ func stormOnce(t *testing.T) {
 		for i := 0; i < iters; i++ {
 			probe := lin(0)
 			probe.Filter = expr.NewBox(append(probe.Filter, custPoint(int64(i%8)))...)
-			for _, cand := range c.Candidates(probe) {
+			for _, cand := range c.Candidates(probe, nil) {
 				prev := cand.Current()
 				if prev.HT == nil {
 					continue

@@ -66,7 +66,7 @@ func (o *Optimizer) bestIndexCandidate(q *plan.Query, relIdx int, box expr.Box, 
 // probe carries no request box: an index covers its whole column, so no
 // request is ever disjoint from it.
 func (o *Optimizer) cachedIndexEntry(colBase storage.ColRef) (*htcache.Entry, *btree.Tree) {
-	for _, e := range o.Cache.Candidates(htcache.IndexLineage(colBase)) {
+	for _, e := range o.Cache.Candidates(htcache.IndexLineage(colBase), nil) {
 		if snap := e.Current(); snap != nil && snap.Idx != nil {
 			return e, snap.Idx
 		}

@@ -159,9 +159,10 @@ func (o *Optimizer) planAggregate(q *plan.Query) (*Planned, error) {
 		JoinSig: q.JoinGraphSignature(),
 		KeyCols: groupBase,
 		GroupBy: groupBase,
-		Filter:  probeBox(reqFilter),
 		QidCol:  -1,
 	}
+	probeBox, probeCols := lookupProbe(reqFilter, groupBase)
+	probeLin.Filter = probeBox
 	o.historyNote(probeLin.StructKey())
 
 	type aggOption struct {
@@ -191,7 +192,7 @@ func (o *Optimizer) planAggregate(q *plan.Query) (*Planned, error) {
 
 	if o.Opts.Strategy != NeverReuse {
 		// Same-group-by candidates: all four reuse cases.
-		for _, cand := range o.Cache.Candidates(probeLin) {
+		for _, cand := range o.Cache.Candidates(probeLin, probeCols) {
 			opt, ok := o.classifyAggCandidate(q, cand, reqFilter, groupBase, specsBase, srcIdx, inputRows, distinct)
 			if !ok {
 				continue
@@ -200,7 +201,7 @@ func (o *Optimizer) planAggregate(q *plan.Query) (*Planned, error) {
 		}
 		// Superset-group-by candidates (RollUp): exact/subsuming filter,
 		// additive aggregates, post-aggregation on top.
-		for _, cand := range o.Cache.RollupCandidates(probeLin) {
+		for _, cand := range o.Cache.RollupCandidates(probeLin, probeCols) {
 			opt, ok := o.classifyRollupCandidate(q, cand, reqFilter, groupBase, specsBase, srcIdx, inputRows, distinct)
 			if !ok {
 				continue
@@ -342,6 +343,11 @@ func (o *Optimizer) classifyAggCandidate(q *plan.Query, cand *htcache.Entry, req
 		if rel == expr.RelOverlapping && !o.Opts.EnableOverlapping {
 			return aggOptionResult{}, false
 		}
+		// Overlapping reuse post-filters the cached groups: reject it on
+		// the layout before the residual and union allocate.
+		if rel == expr.RelOverlapping && !boxColsInLayout(layout, reqFilter) {
+			return aggOptionResult{}, false
+		}
 		// Folding more tuples into existing groups requires additive
 		// aggregates.
 		for _, s := range specsBase {
@@ -358,9 +364,6 @@ func (o *Optimizer) classifyAggCandidate(q *plan.Query, cand *htcache.Entry, req
 			return aggOptionResult{}, false
 		}
 		if rel == expr.RelOverlapping {
-			if !boxColsInLayout(layout, reqFilter) {
-				return aggOptionResult{}, false
-			}
 			choice.Mode = ModeOverlapping
 			choice.PostFilter = reqFilter
 		} else {

@@ -27,11 +27,14 @@ type buildOption struct {
 	totalCost float64
 }
 
-// probeBox is the request box a cache lookup carries, so the cache
-// returns only candidates not provably disjoint from it. Tests swap in a
-// nil-returning func to force the full-bucket lookup and check that no
-// decision changes.
-var probeBox = func(req expr.Box) expr.Box { return req }
+// lookupProbe returns what a cache lookup carries: the request box and
+// the columns the operator needs the cached table to store, so the
+// cache returns only candidates whose shape some reuse case can accept.
+// Tests swap in a func returning neither to force the full-bucket
+// lookup and check that no decision changes.
+var lookupProbe = func(req expr.Box, stored []storage.ColRef) (expr.Box, []storage.ColRef) {
+	return req, stored
+}
 
 // baseQualifyRefs translates alias-qualified refs to base-qualified.
 func baseQualifyRefs(q *plan.Query, refs []storage.ColRef) []storage.ColRef {
@@ -149,6 +152,11 @@ func (o *Optimizer) classifyJoinCandidate(q *plan.Query, mask int, e *htcache.En
 		if rel == expr.RelOverlapping && !o.Opts.EnableOverlapping {
 			return ReuseChoice{}, false
 		}
+		// Overlapping reuse post-filters the cached table: reject it on
+		// the layout before the residual and union allocate.
+		if rel == expr.RelOverlapping && !boxColsInLayout(layout, reqFilter) {
+			return ReuseChoice{}, false
+		}
 		relIdx, single := singleRelation(mask)
 		if !single {
 			// Adding missing tuples to a multi-relation build side would
@@ -173,9 +181,6 @@ func (o *Optimizer) classifyJoinCandidate(q *plan.Query, mask int, e *htcache.En
 			return ReuseChoice{}, false
 		}
 		if rel == expr.RelOverlapping {
-			if !boxColsInLayout(layout, reqFilter) {
-				return ReuseChoice{}, false
-			}
 			choice.Mode = ModeOverlapping
 			choice.PostFilter = reqFilter
 		} else {
@@ -252,9 +257,10 @@ func (o *Optimizer) joinBuildOptions(q *plan.Query, mask int, buildKeys []storag
 		Kind:    htcache.JoinBuild,
 		JoinSig: q.SubgraphSignature(mask),
 		KeyCols: keyBase,
-		Filter:  probeBox(reqFilter),
 		QidCol:  -1,
 	}
+	probeBox, probeCols := lookupProbe(reqFilter, reqCols)
+	probeLin.Filter = probeBox
 	o.historyNote(probeLin.StructKey())
 
 	builderRows := o.maskRows(q, mask, q.AliasQualify(reqFilter))
@@ -278,7 +284,7 @@ func (o *Optimizer) joinBuildOptions(q *plan.Query, mask int, buildKeys []storag
 		return opts
 	}
 
-	for _, cand := range o.Cache.Candidates(probeLin) {
+	for _, cand := range o.Cache.Candidates(probeLin, probeCols) {
 		choice, ok := o.classifyJoinCandidate(q, mask, cand, reqFilter, reqCols)
 		if !ok {
 			continue

@@ -6,13 +6,16 @@ import (
 
 	"hashstash/internal/expr"
 	"hashstash/internal/htcache"
+	"hashstash/internal/storage"
 	"hashstash/internal/workload"
 )
 
 // TestDecisionsIndependentOfProbeBox: the cache's candidate index may
-// drop only candidates Classify calls disjoint, which no decision can
-// use, so replaying a trace with every probe forced onto the nil-filter
-// (full-bucket) path must reproduce every query's reuse decisions.
+// drop only candidates no reuse case can accept — disjoint ones, and
+// ones whose shape (layout, constrained columns) rules out every case —
+// so replaying a trace with every probe forced onto the full-bucket path
+// (no request box, no needed columns) must reproduce every query's reuse
+// decisions.
 func TestDecisionsIndependentOfProbeBox(t *testing.T) {
 	env := newEnv(t, DefaultOptions())
 	var explore []workload.Step
@@ -24,6 +27,8 @@ func TestDecisionsIndependentOfProbeBox(t *testing.T) {
 		steps []workload.Step
 	}{
 		{"partitioned", workload.GeneratePartitioned(workload.PartitionedConfig{N: 120, CustKeys: 30, Seed: 5})},
+		{"partitioned-wide", workload.GeneratePartitioned(workload.PartitionedConfig{N: 500, CustKeys: 250, Seed: 9})},
+		{"skewed", workload.GenerateSkewed(workload.SkewConfig{N: 160, Shapes: 8, Seed: 4})},
 		{"explore", explore},
 	}
 	// replay returns each query's decisions and how many reused a table.
@@ -45,16 +50,17 @@ func TestDecisionsIndependentOfProbeBox(t *testing.T) {
 		}
 		return out, reused
 	}
-	orig := probeBox
-	defer func() { probeBox = orig }()
+	orig := lookupProbe
+	defer func() { lookupProbe = orig }()
+	full := func(expr.Box, []storage.ColRef) (expr.Box, []storage.ColRef) { return nil, nil }
 	for _, tr := range traces {
 		indexed, reused := replay(tr.steps)
-		probeBox = func(expr.Box) expr.Box { return nil }
-		full, _ := replay(tr.steps)
-		probeBox = orig
+		lookupProbe = full
+		unfiltered, _ := replay(tr.steps)
+		lookupProbe = orig
 		for i := range indexed {
-			if indexed[i] != full[i] {
-				t.Errorf("%s query %d: decisions %s with the request box, %s on the full bucket", tr.name, i, indexed[i], full[i])
+			if indexed[i] != unfiltered[i] {
+				t.Errorf("%s query %d: decisions %s with the request box, %s on the full bucket", tr.name, i, indexed[i], unfiltered[i])
 			}
 		}
 		t.Logf("%s: %d of %d queries reused a table", tr.name, reused, len(indexed))

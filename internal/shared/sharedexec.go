@@ -290,14 +290,9 @@ func (g *groupExec) sharedLayout(n *optimizer.Node) (hashtable.Layout, error) {
 			return hashtable.Layout{}, err
 		}
 	}
-	for i, rel := range g.rep.Relations {
-		if n.BuildMask&(1<<uint(i)) == 0 {
-			continue
-		}
-		for _, c := range g.needed[rel.Alias] {
-			if err := add(storage.ColRef{Table: rel.Table, Column: c}); err != nil {
-				return hashtable.Layout{}, err
-			}
+	for _, ref := range g.neededBase(n.BuildMask) {
+		if err := add(ref); err != nil {
+			return hashtable.Layout{}, err
 		}
 	}
 	cols = append(cols, storage.ColMeta{Ref: exec.QidRef(), Kind: types.Int64})
@@ -321,9 +316,10 @@ func (g *groupExec) obtainSharedJoinHT(n *optimizer.Node) (*hashtable.Table, []i
 
 	var ht *hashtable.Table
 	qidCol := -1
-	for _, cand := range cache.Candidates(probeLin) {
+	needed := g.neededBase(n.BuildMask)
+	for _, cand := range cache.Candidates(probeLin, needed) {
 		snap := cand.Current()
-		if !g.sharedCandidateUsable(snap, cand.Lineage.QidCol, n, relBoxes) {
+		if !sharedCandidateUsable(snap, cand.Lineage.QidCol, needed, relBoxes) {
 			continue
 		}
 		// Re-tag a read-only view: the qid masks of this batch are
@@ -401,7 +397,7 @@ func (g *groupExec) obtainSharedJoinHT(n *optimizer.Node) (*hashtable.Table, []i
 // one resolved snapshot: the cached table must be qid-tagged, hold a
 // superset of every query's needed rows, store every needed payload
 // column, and store every predicate column (for re-tagging).
-func (g *groupExec) sharedCandidateUsable(snap *htcache.Snapshot, qidCol int, n *optimizer.Node, relBoxes []expr.Box) bool {
+func sharedCandidateUsable(snap *htcache.Snapshot, qidCol int, needed []storage.ColRef, relBoxes []expr.Box) bool {
 	if qidCol < 0 || snap == nil || snap.HT == nil {
 		return false
 	}
@@ -416,17 +412,27 @@ func (g *groupExec) sharedCandidateUsable(snap *htcache.Snapshot, qidCol int, n 
 			}
 		}
 	}
-	for i, rel := range g.rep.Relations {
-		if n.BuildMask&(1<<uint(i)) == 0 {
-			continue
-		}
-		for _, c := range g.needed[rel.Alias] {
-			if layout.ColIndex(storage.ColRef{Table: rel.Table, Column: c}) < 0 {
-				return false
-			}
+	for _, ref := range needed {
+		if layout.ColIndex(ref) < 0 {
+			return false
 		}
 	}
 	return true
+}
+
+// neededBase lists the base-qualified needed columns of the relations
+// in mask: what a cached build table for them must store.
+func (g *groupExec) neededBase(mask int) []storage.ColRef {
+	var out []storage.ColRef
+	for i, rel := range g.rep.Relations {
+		if mask&(1<<uint(i)) == 0 {
+			continue
+		}
+		for _, c := range g.needed[rel.Alias] {
+			out = append(out, storage.ColRef{Table: rel.Table, Column: c})
+		}
+	}
+	return out
 }
 
 // boxesUnion folds boxes pairwise with unionIfBox semantics.

@@ -234,7 +234,8 @@ func (g *groupExec) tryReuseGrouping(ag *aggGroup) bool {
 		GroupBy: ag.keys,
 		Filter:  boxes[0],
 	}
-	for _, cand := range cache.Candidates(probeLin) {
+	stored := append(append([]storage.ColRef(nil), ag.rawCols...), ag.keys...)
+	for _, cand := range cache.Candidates(probeLin, stored) {
 		if cand.Lineage.QidCol < 0 {
 			continue
 		}

@@ -9,6 +9,7 @@ package workload
 
 import (
 	"fmt"
+	"strings"
 
 	"hashstash/internal/expr"
 	"hashstash/internal/plan"
@@ -402,43 +403,102 @@ func (st *state) query() *plan.Query {
 	return q
 }
 
-// SQL renders a step as executable SQL text.
+// SQL renders the step's query as SQL text that the engine's parser
+// reads back to the same logical query: the select list, every join and
+// filter predicate, GROUP BY when the query groups, ORDER BY and LIMIT.
 func (s Step) SQL() string {
 	q := s.Query
-	sql := "SELECT "
-	for i, g := range q.Select {
-		if i > 0 {
-			sql += ", "
-		}
-		sql += g.String()
+	var items []string
+	for _, c := range q.Select {
+		items = append(items, c.String())
 	}
 	for _, a := range q.Aggs {
-		sql += ", " + a.String()
+		items = append(items, a.String())
 	}
-	sql += " FROM "
-	for i, rel := range q.Relations {
-		if i > 0 {
-			sql += ", "
+	var b strings.Builder
+	b.WriteString("SELECT ")
+	b.WriteString(strings.Join(items, ", "))
+	rels := make([]string, len(q.Relations))
+	for i, r := range q.Relations {
+		rels[i] = r.Table + " " + r.Alias
+	}
+	b.WriteString(" FROM ")
+	b.WriteString(strings.Join(rels, ", "))
+	var conds []string
+	for _, j := range q.Joins {
+		conds = append(conds, j.String())
+	}
+	for _, p := range q.Filter {
+		conds = append(conds, predSQL(p)...)
+	}
+	if len(conds) > 0 {
+		b.WriteString(" WHERE ")
+		b.WriteString(strings.Join(conds, " AND "))
+	}
+	if len(q.GroupBy) > 0 {
+		cols := make([]string, len(q.GroupBy))
+		for i, c := range q.GroupBy {
+			cols[i] = c.String()
 		}
-		sql += rel.Table + " " + rel.Alias
+		b.WriteString(" GROUP BY ")
+		b.WriteString(strings.Join(cols, ", "))
 	}
-	sql += " WHERE "
-	for i, j := range q.Joins {
-		if i > 0 {
-			sql += " AND "
+	if q.OrderBy != nil {
+		b.WriteString(" ORDER BY ")
+		b.WriteString(q.OrderBy.Col.String())
+		if q.OrderBy.Desc {
+			b.WriteString(" DESC")
 		}
-		sql += j.String()
 	}
-	sql += fmt.Sprintf(" AND l.l_shipdate >= DATE '%s' AND l.l_shipdate < DATE '%s'",
-		types.FormatDate(s.Lo), types.FormatDate(s.Hi))
-	sql += " GROUP BY "
-	for i, g := range q.GroupBy {
-		if i > 0 {
-			sql += ", "
+	if q.Limit > 0 {
+		fmt.Fprintf(&b, " LIMIT %d", q.Limit)
+	}
+	return b.String()
+}
+
+// predSQL renders one box predicate as its conjuncts. A full interval
+// constrains nothing and renders as none; an empty string set, which no
+// IN-list can state, renders as two one-value lists whose intersection
+// is empty.
+func predSQL(p expr.Pred) []string {
+	col := p.Col.String()
+	if p.Con.Kind == types.String {
+		if len(p.Con.Set) == 0 {
+			return []string{col + " = 'a'", col + " = 'b'"}
 		}
-		sql += g.String()
+		quoted := make([]string, len(p.Con.Set))
+		for i, s := range p.Con.Set {
+			quoted[i] = "'" + strings.ReplaceAll(s, "'", "''") + "'"
+		}
+		return []string{col + " IN (" + strings.Join(quoted, ", ") + ")"}
 	}
-	return sql
+	iv := p.Con.Iv
+	if iv.HasLo && iv.HasHi && iv.LoIncl && iv.HiIncl && iv.Lo.Equal(iv.Hi) {
+		return []string{col + " = " + literalSQL(iv.Lo)}
+	}
+	var out []string
+	if iv.HasLo {
+		op := " > "
+		if iv.LoIncl {
+			op = " >= "
+		}
+		out = append(out, col+op+literalSQL(iv.Lo))
+	}
+	if iv.HasHi {
+		op := " < "
+		if iv.HiIncl {
+			op = " <= "
+		}
+		out = append(out, col+op+literalSQL(iv.Hi))
+	}
+	return out
+}
+
+func literalSQL(v types.Value) string {
+	if v.Kind == types.Date {
+		return "DATE '" + v.String() + "'"
+	}
+	return v.String()
 }
 
 // MeasureOverlap reports the average window-overlap fraction between
