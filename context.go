@@ -145,8 +145,5 @@ func (db *DB) runContext(ctx context.Context, q *plan.Query) (res *Result, err e
 	if err := ctx.Err(); err != nil {
 		return nil, hashstasherr.Canceled(err)
 	}
-	if db.mat != nil {
-		return db.mat.RunContext(ctx, q)
-	}
 	return db.router.RunContext(ctx, q)
 }

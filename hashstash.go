@@ -19,7 +19,7 @@
 // split into independent morsels (row ranges of a base table, an index
 // run or a cached hash table's entry arena, ~64K rows each) that go
 // into one FIFO queue every worker pops. A query's pipelines run in
-// compile order — a probe after its build sink, a temp-table consumer
+// compile order — a probe after its build sink, a hash-table readout
 // after its producer — while the legs of a sharded query run
 // concurrently. Pipeline breakers build per-worker partial hash tables
 // that are merged into one immutable table at pipeline end, so probe
@@ -58,7 +58,6 @@ import (
 	"hashstash/internal/exec"
 	"hashstash/internal/faultinject"
 	"hashstash/internal/htcache"
-	"hashstash/internal/matreuse"
 	"hashstash/internal/memgov"
 	"hashstash/internal/optimizer"
 	"hashstash/internal/shard"
@@ -102,8 +101,12 @@ type Engine uint8
 const (
 	// EngineHashStash reuses internal hash tables (the paper's system).
 	EngineHashStash Engine = iota
-	// EngineMaterialized is the materialization-based reuse baseline
-	// (temporary tables; exact+subsuming reuse only).
+	// EngineMaterialized is the paper's materialization-based reuse
+	// baseline: the same optimizer caches the intermediates at the same
+	// pipeline breakers, reuses them only exactly or subsumingly, and
+	// rebuilds a join's hash table from the cached one on every reuse.
+	// It runs one shard with LRU eviction, no cold tier and no
+	// secondary indexes.
 	EngineMaterialized
 	// EngineNoReuse executes classically.
 	EngineNoReuse
@@ -119,13 +122,7 @@ type DB struct {
 	router *shard.Engine
 	// batch merges mergeable queries into shared plans over shard 0's
 	// optimizer; only a one-shard EngineHashStash database uses it.
-	batch *shared.Optimizer
-	// mat is the materialization-based reuse baseline, the reference
-	// the tests and experiments compare against; nil unless
-	// EngineMaterialized is selected. Its queries only read base and
-	// materialized tables (the temp cache synchronizes internally), so
-	// they run concurrently.
-	mat    *matreuse.Engine
+	batch  *shared.Optimizer
 	engine Engine
 	// gov is the memory-pressure governor (nil unless Tuning sets a
 	// watermark). The serving front-end refreshes it at admission.
@@ -144,8 +141,16 @@ func Open(opts ...Option) *DB {
 	}
 	model := costmodel.NewModel(cfg.calibration)
 	strategy := cfg.strategy
-	if cfg.engine == EngineNoReuse {
+	switch cfg.engine {
+	case EngineNoReuse:
 		strategy = NeverReuse
+	case EngineMaterialized:
+		// A materialized relation is reused only exactly or subsumingly;
+		// the baseline has no index access path and evicts by recency
+		// (LRU never demotes to the cold tier).
+		strategy = optimizer.Materialized
+		a.NoPartialReuse, a.NoOverlappingReuse = true, true
+		a.NoSecondaryIndexes, a.LRUEviction = true, true
 	}
 	// Deterministic fault injection for resilience testing; a bad spec
 	// is a programming error in the test harness.
@@ -211,16 +216,12 @@ func Open(opts ...Option) *DB {
 		}
 	}
 
-	db := &DB{
+	return &DB{
 		router: router,
 		batch:  shared.New(shards[0].Opt),
 		engine: cfg.engine,
 		gov:    gov,
 	}
-	if cfg.engine == EngineMaterialized {
-		db.mat = matreuse.NewEngine(router.Catalog(), t.CacheBudget, par)
-	}
-	return db
 }
 
 // MemoryGovernor returns the memory-pressure governor, or nil when no
@@ -319,11 +320,8 @@ func (db *DB) ExecBatch(sqls []string) ([]*Result, error) {
 }
 
 // CacheStats reports hash-table cache statistics summed over the
-// shards (temporary-table cache statistics under EngineMaterialized).
+// shards.
 func (db *DB) CacheStats() CacheStats {
-	if db.mat != nil {
-		return db.mat.Cache.Stats()
-	}
 	total, _ := db.router.Stats()
 	return total
 }

@@ -59,31 +59,170 @@ func TestExecBasics(t *testing.T) {
 	}
 }
 
-func TestEnginesAgree(t *testing.T) {
-	ref := openTPCH(t, WithEngine(EngineNoReuse))
-	want, err := ref.Exec(q3SQL)
-	if err != nil {
-		t.Fatal(err)
+// q3Window renders a q3-shaped aggregate over the shipdate window
+// [lo, hi) (hi "" leaves it open), with an AVG that the optimizer
+// rewrites to SUM+COUNT.
+func q3Window(lo, hi string) string {
+	sql := `SELECT c.c_age, SUM(l.l_extendedprice) AS revenue, AVG(l.l_extendedprice) AS avg_price
+		FROM customer c, orders o, lineitem l
+		WHERE c.c_custkey = o.o_custkey AND o.o_orderkey = l.l_orderkey
+		  AND l.l_shipdate >= DATE '` + lo + `'`
+	if hi != "" {
+		sql += ` AND l.l_shipdate < DATE '` + hi + `'`
 	}
-	for _, engine := range []Engine{EngineHashStash, EngineMaterialized} {
-		db := openTPCH(t, WithEngine(engine))
-		// Run twice so the second run exercises reuse.
-		if _, err := db.Exec(q3SQL); err != nil {
-			t.Fatal(err)
-		}
-		got, err := db.Exec(q3SQL)
+	return sql + ` GROUP BY c.c_age`
+}
+
+// spjWindow renders a join without aggregation whose build side, the
+// orders table, is filtered to the orderdate window [lo, hi).
+func spjWindow(lo, hi string) string {
+	return `SELECT o.o_orderkey, l.l_extendedprice FROM orders o, lineitem l
+		WHERE o.o_orderkey = l.l_orderkey
+		  AND o.o_orderdate >= DATE '` + lo + `' AND o.o_orderdate < DATE '` + hi + `'`
+}
+
+// TestEnginesAgree runs one query sequence on every engine and compares
+// each answer, columns included, with the no-reuse engine's. The
+// sequence reruns a query (exact aggregate reuse), narrows a window
+// (subsuming reuse), widens past everything cached (the baseline has
+// no partial reuse) and ends on a join without aggregation whose
+// window narrows: the materialized baseline rebuilds its join's hash
+// table from the cached one. The baseline also runs under a cache
+// budget far below its working set, where LRU eviction fires.
+func TestEnginesAgree(t *testing.T) {
+	sqls := []string{
+		q3SQL,
+		q3SQL,
+		q3Window("1995-01-01", "1995-12-01"),
+		q3Window("1995-01-01", "1995-12-01"),
+		q3Window("1995-03-01", "1995-06-01"),
+		q3Window("1994-01-01", ""),
+		spjWindow("1995-01-01", "1995-06-01"),
+		spjWindow("1995-02-01", "1995-03-01"),
+	}
+	ref := openTPCH(t, WithEngine(EngineNoReuse))
+	want := make([]*Result, len(sqls))
+	for i, sql := range sqls {
+		res, err := ref.Exec(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cg, cw := canonical(got), canonical(want)
-		if len(cg) != len(cw) {
-			t.Fatalf("engine %d: %d vs %d rows", engine, len(cg), len(cw))
-		}
-		for i := range cg {
-			if cg[i] != cw[i] {
-				t.Fatalf("engine %d row %d: %s vs %s", engine, i, cg[i], cw[i])
+		want[i] = res
+	}
+	const smallBudget = 64 << 10
+	configs := []struct {
+		name string
+		opts []Option
+	}{
+		{"hashstash", []Option{WithEngine(EngineHashStash)}},
+		{"materialized", []Option{WithEngine(EngineMaterialized)}},
+		{"materialized/small-budget", []Option{WithEngine(EngineMaterialized), WithTuning(Tuning{CacheBudget: smallBudget})}},
+	}
+	for _, cfg := range configs {
+		db := openTPCH(t, cfg.opts...)
+		modes := map[string]int{}
+		for i, sql := range sqls {
+			got, err := db.Exec(sql)
+			if err != nil {
+				t.Fatalf("%s query %d: %v", cfg.name, i, err)
+			}
+			if strings.Join(got.Columns, ",") != strings.Join(want[i].Columns, ",") {
+				t.Fatalf("%s query %d: columns %v, want %v", cfg.name, i, got.Columns, want[i].Columns)
+			}
+			cg, cw := canonical(got), canonical(want[i])
+			if len(cg) != len(cw) {
+				t.Fatalf("%s query %d: %d vs %d rows", cfg.name, i, len(cg), len(cw))
+			}
+			for j := range cg {
+				if cg[j] != cw[j] {
+					t.Fatalf("%s query %d row %d: %s vs %s", cfg.name, i, j, cg[j], cw[j])
+				}
+			}
+			for _, d := range got.Decisions {
+				op := "agg"
+				if strings.HasPrefix(d.Operator, "build") {
+					op = "build"
+				}
+				modes[op+":"+d.Mode.String()]++
 			}
 		}
+		st := db.CacheStats()
+		if st.Registered == 0 || st.Hits == 0 {
+			t.Errorf("%s: registered %d, hits %d; want both > 0", cfg.name, st.Registered, st.Hits)
+		}
+		if cfg.name == "hashstash" {
+			continue
+		}
+		for _, m := range []string{"build:partial", "build:overlapping", "agg:partial", "agg:overlapping"} {
+			if modes[m] > 0 {
+				t.Errorf("%s: the baseline took %d %s decisions", cfg.name, modes[m], m)
+			}
+		}
+		if cfg.name == "materialized" && (modes["agg:exact"] == 0 || modes["build:subsuming"] == 0) {
+			t.Errorf("%s: want exact aggregate and subsuming join-input reuse, got %v", cfg.name, modes)
+		}
+		if cfg.name == "materialized/small-budget" && (st.Evictions == 0 || st.Bytes > smallBudget) {
+			t.Errorf("%s: %d evictions, %d bytes cached; want evictions within %d bytes", cfg.name, st.Evictions, st.Bytes, smallBudget)
+		}
+	}
+}
+
+// TestMaterializedBaselineTracksTheCache: the baseline caches in the
+// shard cache like every engine, so an insert drops its stale
+// aggregate, ClearCache empties it and each query advances the one
+// shard's query counter.
+func TestMaterializedBaselineTracksTheCache(t *testing.T) {
+	rows := make([][]Value, 20)
+	for i := range rows {
+		rows[i] = []Value{types.NewInt(int64(i % 2)), types.NewFloat(1)}
+	}
+	open := func(engine Engine) *DB {
+		db := Open(WithEngine(engine))
+		if err := db.CreateTable("f", map[string]Kind{"k": types.Int64, "v": types.Float64}, []string{"k", "v"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.InsertRows("f", rows); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	const sql = `SELECT f.k, SUM(f.v) AS s FROM f f GROUP BY f.k`
+	mat, ref := open(EngineMaterialized), open(EngineNoReuse)
+	for i := 0; i < 2; i++ {
+		if _, err := mat.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if mat.CacheStats().Hits == 0 {
+		t.Fatal("the rerun did not reuse the cached aggregate")
+	}
+	for _, db := range []*DB{mat, ref} {
+		if err := db.InsertRows("f", rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := mat.Exec(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Exec(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cg, cw := canonical(got), canonical(want); strings.Join(cg, ";") != strings.Join(cw, ";") {
+		t.Fatalf("after the insert: %v, want %v", cg, cw)
+	}
+
+	mat.ClearCache()
+	if n := mat.CacheStats().Entries; n != 0 {
+		t.Fatalf("ClearCache left %d entries", n)
+	}
+	before := mat.ShardQueryCounts()
+	if _, err := mat.Exec(sql); err != nil {
+		t.Fatal(err)
+	}
+	if after := mat.ShardQueryCounts(); len(after) != 1 || after[0] != before[0]+1 {
+		t.Fatalf("shard query counts %v → %v, want one more on the one shard", before, after)
 	}
 }
 

@@ -421,26 +421,24 @@ func TestHTScanWithPostFilter(t *testing.T) {
 	}
 }
 
-func TestTempTableAndMultiSink(t *testing.T) {
+func TestMultiSink(t *testing.T) {
 	orders := ordersTable(t, false)
 	src, err := NewTableScan(orders, "o", nil, []string{"o_orderkey", "o_totalprice"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	temp := NewTempTable("tmp1", src.Schema())
+	ht := hashtable.New(hashtable.Layout{Cols: src.Schema(), KeyCols: 1})
+	build, err := NewBuildHT(ht, src.Schema(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	collect := NewCollect(src.Schema(), nil, Order{})
-	p := &Pipeline{Source: src, Sink: &Multi{Sinks: []Sink{temp, collect}}}
+	p := &Pipeline{Source: src, Sink: &Multi{Sinks: []Sink{build, collect}}}
 	if err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if temp.Table.NumRows() != 10 || len(collect.Rows) != 10 {
-		t.Fatalf("temp=%d collect=%d", temp.Table.NumRows(), len(collect.Rows))
-	}
-	if temp.ByteSize() <= 0 {
-		t.Error("temp ByteSize")
-	}
-	if temp.Table.Column("o_orderkey") == nil {
-		t.Error("temp table column naming")
+	if ht.Len() != 10 || len(collect.Rows) != 10 {
+		t.Fatalf("build=%d collect=%d", ht.Len(), len(collect.Rows))
 	}
 	if p.RowsIn != 10 || p.RowsOut != 10 {
 		t.Errorf("pipeline stats in=%d out=%d", p.RowsIn, p.RowsOut)

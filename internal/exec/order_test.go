@@ -166,7 +166,7 @@ func TestRunParallelSerialFallbacks(t *testing.T) {
 func TestMultiSinkSpineParallel(t *testing.T) {
 	tbl := bigTable(t, 40_000, 23, false)
 
-	run := func(par Parallelism) ([][]types.Value, int, int64) {
+	run := func(par Parallelism) ([][]types.Value, [][]types.Value) {
 		src, err := NewTableScan(tbl, "b", nil, []string{"b_tag", "b_val"})
 		if err != nil {
 			t.Fatal(err)
@@ -176,52 +176,50 @@ func TestMultiSinkSpineParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		temp := NewTempTable("spill", src.Schema())
-		p := &Pipeline{Source: src, Sink: &Multi{Sinks: []Sink{bsink, temp}}}
+		collect := NewCollect(src.Schema(), nil, Order{})
+		p := &Pipeline{Source: src, Sink: &Multi{Sinks: []Sink{bsink, collect}}}
 		if err := RunParallel([]*Pipeline{p}, par); err != nil {
 			t.Fatal(err)
 		}
-		return htRows(t, ht), temp.Table.NumRows(), temp.ByteSize()
+		return htRows(t, ht), collect.Rows
 	}
 
-	sRows, sTemp, sBytes := run(Parallelism{Workers: 1})
-	pRows, pTemp, pBytes := run(Parallelism{Workers: 4, MorselRows: 2048})
+	sRows, sCollected := run(Parallelism{Workers: 1})
+	pRows, pCollected := run(Parallelism{Workers: 4, MorselRows: 2048})
 	assertSameRows(t, sRows, pRows)
-	if sTemp != pTemp {
-		t.Fatalf("temp rows: serial %d, parallel %d", sTemp, pTemp)
-	}
-	if sBytes != pBytes {
-		t.Fatalf("temp bytes: serial %d, parallel %d", sBytes, pBytes)
-	}
+	assertSameRows(t, sCollected, pCollected)
 }
 
-// TestTempTableConsumerOrdering: a pipeline scanning a temp table the
-// previous pipeline spills (the materialized baseline's
-// readout-from-spill shape) must wait for the spill — expressed here
-// through an HTScan-over-build chain plus temp concatenation. The
-// re-scan counts its morsels when its turn comes, so it must see every
-// spilled row.
-func TestTempTableConsumerOrdering(t *testing.T) {
+// TestRebuildConsumerOrdering: a pipeline reading a hash table the
+// previous pipeline rebuilt from a cached one (the materialized
+// baseline's reuse shape: aggregate, read the table out into a private
+// copy, read the copy) must wait for the rebuild. The readout counts its
+// morsels when its turn comes, so it must see every rebuilt entry.
+func TestRebuildConsumerOrdering(t *testing.T) {
 	tbl := bigTable(t, 30_000, 17, false)
 
 	run := func(par Parallelism) [][]types.Value {
 		// Pipeline 1: scan → aggregate.
 		aggP, aggHT := scanAggPipeline(t, tbl, nil)
-		// Pipeline 2: HT readout → temp spill.
+		// Pipeline 2: HT readout → rebuild into a private table.
 		hsrc, err := NewHTScan(aggHT, identityColsTest(len(aggHT.Layout().Cols)), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		temp := NewTempTable("agg_spill", hsrc.Schema())
-		spill := &Pipeline{Source: hsrc, Sink: temp}
-		// Pipeline 3: re-scan the spilled table into the final collect.
-		resrc, err := NewTableScan(temp.Table, "m", nil, []string{"b_grp", "sum_val", "cnt"})
+		rebuilt := hashtable.New(aggHT.Layout())
+		sink, err := NewBuildHT(rebuilt, hsrc.Schema(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rebuild := &Pipeline{Source: hsrc, Sink: sink}
+		// Pipeline 3: read the rebuilt table into the final collect.
+		resrc, err := NewHTScan(rebuilt, identityColsTest(len(rebuilt.Layout().Cols)), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		collect := NewCollect(resrc.Schema(), nil, Order{})
 		final := &Pipeline{Source: resrc, Sink: collect}
-		if err := RunParallel([]*Pipeline{aggP, spill, final}, par); err != nil {
+		if err := RunParallel([]*Pipeline{aggP, rebuild, final}, par); err != nil {
 			t.Fatal(err)
 		}
 		return collect.Rows
@@ -229,6 +227,9 @@ func TestTempTableConsumerOrdering(t *testing.T) {
 
 	serial := run(Parallelism{Workers: 1})
 	parallel := run(Parallelism{Workers: 8, MorselRows: 1024})
+	if len(serial) != 17 {
+		t.Fatalf("serial readout has %d groups, want 17", len(serial))
+	}
 	assertSameRows(t, serial, parallel)
 }
 

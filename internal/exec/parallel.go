@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"fmt"
 
 	"hashstash/internal/exec/sched"
 	"hashstash/internal/expr"
@@ -22,8 +21,8 @@ import (
 // A query's pipelines form one chain and run in compile order — the
 // next pipeline is prepared only after the previous one's sink merged —
 // because compile order already puts every build before its probes and
-// every temp-table producer before its consumers. The legs of a
-// scatter-gather query are separate chains of the same run.
+// every aggregation before its readout. The legs of a scatter-gather
+// query are separate chains of the same run.
 
 // MorselSource is a Source that can split itself into independent
 // sub-sources over disjoint row ranges.
@@ -79,12 +78,12 @@ func RunSharded(legs [][]*Pipeline, par Parallelism) error {
 // deferred to the job's Prepare hook — it runs after the previous
 // pipeline finished, which is the earliest moment a source over
 // state built by it (an HTScan of a hash table the previous pipeline
-// builds, a scan of a freshly spilled temp table) can count its
-// morsels. With two or more workers, splittable sources with mergeable
-// sinks become one task per morsel streaming into per-worker sinks;
-// everything else becomes a single task streaming the whole pipeline
-// straight into its sink (one worker, unsplittable source, single
-// morsel, or a sink with no parallel merge strategy).
+// builds) can count its morsels. With two or more workers, splittable
+// sources with mergeable sinks become one task per morsel streaming
+// into per-worker sinks; everything else becomes a single task
+// streaming the whole pipeline straight into its sink (one worker,
+// unsplittable source, single morsel, or a sink with no parallel merge
+// strategy).
 func (p *Pipeline) job(par Parallelism) *sched.Job {
 	return &sched.Job{
 		Prepare: func(j *sched.Job) error {
@@ -160,8 +159,6 @@ func mergeSinkFor(s Sink, nw int) mergeSink {
 		return newParallelAgg(s, nw)
 	case *Collect:
 		return newParallelCollect(s, nw)
-	case *TempTable:
-		return newParallelTemp(s, nw)
 	case *Multi:
 		if pm := newParallelMulti(s, nw); pm != nil {
 			return pm
@@ -296,32 +293,6 @@ func (pc *parallelCollect) merge() {
 	for _, part := range pc.parts {
 		pc.target.batches = append(pc.target.batches, part.batches...)
 		pc.target.n += part.n
-	}
-}
-
-// parallelTemp spills each worker's rows into a private table and
-// concatenates the columns at merge. Row order is worker-dependent
-// (materialized relations are unordered — reuse re-scans them whole).
-type parallelTemp struct {
-	target *TempTable
-	parts  []*TempTable
-}
-
-func newParallelTemp(t *TempTable, nw int) *parallelTemp {
-	pt := &parallelTemp{target: t, parts: make([]*TempTable, nw)}
-	for w := range pt.parts {
-		pt.parts[w] = NewTempTable(fmt.Sprintf("%s_w%d", t.Table.Name, w), t.Schema)
-	}
-	return pt
-}
-
-func (pt *parallelTemp) worker(w int) Sink { return pt.parts[w] }
-
-func (pt *parallelTemp) merge() {
-	for _, part := range pt.parts {
-		for c := range pt.target.Table.Cols {
-			pt.target.Table.Cols[c].AppendColumn(part.Table.Cols[c])
-		}
 	}
 }
 

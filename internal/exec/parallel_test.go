@@ -271,18 +271,18 @@ func TestParallelFallbacks(t *testing.T) {
 		t.Fatalf("fallback produced %d groups, want 10", len(htRows(t, ht)))
 	}
 
-	// TempTable sinks merge per-worker spills since the scheduler
-	// landed; a tiny input still collapses to one morsel and must stay
-	// correct through the single-task path.
+	// Collect sinks merge per-worker partials; a tiny input still
+	// collapses to one morsel and must stay correct through the
+	// single-task path.
 	src, err := NewTableScan(tbl, "b", nil, []string{"b_key"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmp := NewTempTable("spill", src.Schema())
-	if err := RunParallel([]*Pipeline{{Source: src, Sink: tmp}}, Parallelism{Workers: 4, MorselRows: 16}); err != nil {
+	collect := NewCollect(src.Schema(), nil, Order{})
+	if err := RunParallel([]*Pipeline{{Source: src, Sink: collect}}, Parallelism{Workers: 4, MorselRows: 16}); err != nil {
 		t.Fatal(err)
 	}
-	if tmp.Table.NumRows() != 100 {
-		t.Fatalf("temp table has %d rows, want 100", tmp.Table.NumRows())
+	if len(collect.Rows) != 100 {
+		t.Fatalf("collect has %d rows, want 100", len(collect.Rows))
 	}
 }

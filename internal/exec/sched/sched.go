@@ -3,8 +3,8 @@
 // and a job's tasks (morsels) go into one FIFO queue that every worker
 // pops. Job k+1 of a chain is prepared and seeded only after job k's
 // Finish, so compile order is the only dependency order there is: a
-// probe never starts before its build sink merged, a temp-table
-// consumer never before its producer. Several chains — the legs of a
+// probe never starts before its build sink merged, a hash-table
+// readout never before its producer. Several chains — the legs of a
 // scatter-gather query — share one run, and their ready jobs interleave
 // in the queue.
 package sched

@@ -435,39 +435,8 @@ func boxRow(dst []types.Value, cols []storage.Vec, r int) {
 	}
 }
 
-// TempTable materializes batches into a fresh storage table — the
-// materialization-based reuse baseline's extra spill. Column names are
-// the schema refs' Column parts (globally unique in the TPC-H schema).
-type TempTable struct {
-	Schema storage.Schema
-	Table  *storage.Table
-	bytes  int64
-}
-
-// NewTempTable creates the sink and its backing table.
-func NewTempTable(name string, schema storage.Schema) *TempTable {
-	t := storage.NewTable(name)
-	for _, m := range schema {
-		t.AddColumn(storage.NewColumn(m.Ref.Column, m.Kind))
-	}
-	return &TempTable{Schema: schema, Table: t}
-}
-
-// Consume implements Sink: one bulk typed append per column.
-func (s *TempTable) Consume(b *storage.Batch) {
-	for c := range b.Cols {
-		s.Table.Cols[c].AppendVec(b.Cols[c])
-	}
-}
-
-// Finish implements Sink.
-func (s *TempTable) Finish() { s.bytes = s.Table.ByteSize() }
-
-// ByteSize reports the materialized size.
-func (s *TempTable) ByteSize() int64 { return s.bytes }
-
-// Multi fans one pipeline out to several sinks (e.g. build the join hash
-// table and spill the same rows to a temp table).
+// Multi fans one pipeline out to several sinks (a shared plan's
+// grouping spine builds all its grouping tables from one scan).
 type Multi struct {
 	Sinks []Sink
 }

@@ -12,9 +12,7 @@ import (
 
 	"hashstash/internal/catalog"
 	"hashstash/internal/costmodel"
-	"hashstash/internal/exec"
 	"hashstash/internal/htcache"
-	"hashstash/internal/matreuse"
 	"hashstash/internal/optimizer"
 	"hashstash/internal/plan"
 	"hashstash/internal/shared"
@@ -43,12 +41,21 @@ func NewEnv(sf float64) (*Env, error) {
 
 // newOptimizer builds a fresh reuse-aware optimizer with its own cache.
 func (e *Env) newOptimizer(strategy optimizer.Strategy, budget int64) *optimizer.Optimizer {
-	return optimizer.New(e.Cat, htcache.New(budget), nil, optimizer.Options{
+	cache := htcache.New(budget)
+	opts := optimizer.Options{
 		Strategy:          strategy,
 		BenefitOriented:   true,
 		EnablePartial:     true,
 		EnableOverlapping: true,
-	})
+	}
+	if strategy == optimizer.Materialized {
+		// The baseline reuses a materialized relation only exactly or
+		// subsumingly, has no index access path and evicts by recency.
+		opts.EnablePartial, opts.EnableOverlapping = false, false
+		opts.NoSecondaryIndexes = true
+		cache.SetPolicy(htcache.PolicyLRU)
+	}
+	return optimizer.New(e.Cat, cache, nil, opts)
 }
 
 // runTrace executes a query sequence and reports the total wall time.
@@ -76,7 +83,8 @@ type Exp1Row struct {
 	MaterializedSpeedup float64
 	HashStashSpeedup    float64
 
-	// Figure 7b statistics.
+	// Figure 7b statistics. Both engines cache hash tables at the same
+	// pipeline breakers, so both memory columns are hash-table bytes.
 	MaterializedBytes    int64
 	HashStashBytes       int64
 	MaterializedHitRatio float64
@@ -104,7 +112,7 @@ func Exp1(env *Env, n int) (*Exp1Result, error) {
 			return nil, fmt.Errorf("no-reuse %v: %w", level, err)
 		}
 
-		mat := matreuse.NewEngine(env.Cat, 0, exec.Parallelism{})
+		mat := env.newOptimizer(optimizer.Materialized, 0)
 		tMat, err := runTrace(mat.Run, steps)
 		if err != nil {
 			return nil, fmt.Errorf("materialized %v: %w", level, err)

@@ -237,7 +237,7 @@ func (o *Optimizer) planAggregate(q *plan.Query) (*Planned, error) {
 	switch o.Opts.Strategy {
 	case NeverReuse:
 		bestIdx = 0
-	case AlwaysReuse:
+	case AlwaysReuse, Materialized:
 		bestContr := -1.0
 		for i, opt := range options {
 			if opt.agg.Choice.Mode == ModeNew {

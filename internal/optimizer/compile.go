@@ -124,17 +124,13 @@ func (c *compiler) compileStream(n *Node) (exec.Source, []exec.Transform, storag
 		return src, nil, src.Schema(), nil
 
 	case nodeJoin:
-		ht, emitCols, emitRefs, err := c.obtainBuildHT(n)
+		ht, postFilter, emitCols, emitRefs, err := c.obtainBuildHT(n)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		src, tfs, schema, err := c.compileStream(n.Probe)
 		if err != nil {
 			return nil, nil, nil, err
-		}
-		var postFilter expr.Box
-		if n.Reuse != nil {
-			postFilter = n.Reuse.PostFilter
 		}
 		probe, err := exec.NewProbe(ht, n.ProbeKeys, emitCols, emitRefs, postFilter, schema)
 		if err != nil {
@@ -220,18 +216,48 @@ func (c *compiler) freshBuildHT(n *Node) (*hashtable.Table, error) {
 	return ht, nil
 }
 
+// rebuildHT is the materialized baseline's reuse of a join input: a
+// pipeline scans the cached table, post-filtered for subsuming reuse,
+// into a private table with the fresh layout — the rebuild the
+// baseline pays on every reuse and HashStash avoids.
+func (c *compiler) rebuildHT(n *Node, cached *hashtable.Table, postFilter expr.Box) (*hashtable.Table, error) {
+	layout, err := c.joinLayout(n)
+	if err != nil {
+		return nil, err
+	}
+	cols := make([]int, len(layout.Cols))
+	for i, m := range layout.Cols {
+		if cols[i] = cached.Layout().ColIndex(m.Ref); cols[i] < 0 {
+			return nil, fmt.Errorf("optimizer: column %v missing from cached table layout", m.Ref)
+		}
+	}
+	src, err := exec.NewHTScan(cached, cols, nil, postFilter)
+	if err != nil {
+		return nil, err
+	}
+	ht := hashtable.New(layout)
+	sink, err := exec.NewBuildHT(ht, src.Schema(), nil)
+	if err != nil {
+		return nil, err
+	}
+	c.out.Pipelines = append(c.out.Pipelines, &exec.Pipeline{Source: src, Sink: sink})
+	return ht, nil
+}
+
 // obtainBuildHT prepares the hash table for a join node per its reuse
-// decision and returns (table, probe emit layout positions, emit refs).
-func (c *compiler) obtainBuildHT(n *Node) (*hashtable.Table, []int, []storage.ColRef, error) {
+// decision and returns (table, the probe's post-filter, probe emit
+// layout positions, emit refs).
+func (c *compiler) obtainBuildHT(n *Node) (*hashtable.Table, expr.Box, []int, []storage.ColRef, error) {
 	q := c.q
 	choice := n.Reuse
+	postFilter := choice.PostFilter
 	var ht *hashtable.Table
 
 	switch choice.Mode {
 	case ModeNew:
 		var err error
 		if ht, err = c.freshBuildHT(n); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, nil, nil, err
 		}
 
 	case ModeExact, ModeSubsuming:
@@ -250,11 +276,11 @@ func (c *compiler) obtainBuildHT(n *Node) (*hashtable.Table, []int, []storage.Co
 		}
 		if snap == nil || snap.HT == nil {
 			if n.Build == nil {
-				return nil, nil, nil, fmt.Errorf("optimizer: cold entry %d unrevivable and no fresh fallback", choice.Entry.ID)
+				return nil, nil, nil, nil, fmt.Errorf("optimizer: cold entry %d unrevivable and no fresh fallback", choice.Entry.ID)
 			}
 			var err error
 			if ht, err = c.freshBuildHT(n); err != nil {
-				return nil, nil, nil, err
+				return nil, nil, nil, nil, err
 			}
 			break
 		}
@@ -262,6 +288,13 @@ func (c *compiler) obtainBuildHT(n *Node) (*hashtable.Table, []int, []storage.Co
 		if c.register {
 			c.o.Cache.Pin(choice.Entry, choice.SavedCost)
 			c.out.pinned = append(c.out.pinned, choice.Entry)
+		}
+		if c.o.Opts.Strategy == Materialized {
+			var err error
+			if ht, err = c.rebuildHT(n, snap.HT, postFilter); err != nil {
+				return nil, nil, nil, nil, err
+			}
+			postFilter = nil
 		}
 
 	case ModePartial, ModeOverlapping:
@@ -275,7 +308,7 @@ func (c *compiler) obtainBuildHT(n *Node) (*hashtable.Table, []int, []storage.Co
 		}
 		relIdx, ok := singleRelation(n.BuildMask)
 		if !ok {
-			return nil, nil, nil, fmt.Errorf("optimizer: partial join reuse on multi-relation build side")
+			return nil, nil, nil, nil, fmt.Errorf("optimizer: partial join reuse on multi-relation build side")
 		}
 		rel := q.Relations[relIdx]
 		layout := ht.Layout()
@@ -287,11 +320,11 @@ func (c *compiler) obtainBuildHT(n *Node) (*hashtable.Table, []int, []storage.Co
 		}
 		src, err := exec.NewTableScan(c.o.Cat.Table(rel.Table), rel.Alias, choice.ResidualBoxes, colNames)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, nil, nil, err
 		}
 		sink, err := exec.NewBuildHT(ht, src.Schema(), feed)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, nil, nil, err
 		}
 		c.out.Pipelines = append(c.out.Pipelines, &exec.Pipeline{Source: src, Sink: sink})
 		if c.register {
@@ -301,7 +334,7 @@ func (c *compiler) obtainBuildHT(n *Node) (*hashtable.Table, []int, []storage.Co
 		}
 
 	default:
-		return nil, nil, nil, fmt.Errorf("optimizer: unknown reuse mode %v", choice.Mode)
+		return nil, nil, nil, nil, fmt.Errorf("optimizer: unknown reuse mode %v", choice.Mode)
 	}
 
 	// The probe emits every needed build-side column.
@@ -317,12 +350,12 @@ func (c *compiler) obtainBuildHT(n *Node) (*hashtable.Table, []int, []storage.Co
 		seen[ref] = true
 		ci := layout.ColIndex(ref)
 		if ci < 0 {
-			return nil, nil, nil, fmt.Errorf("optimizer: column %v missing from build table layout", ref)
+			return nil, nil, nil, nil, fmt.Errorf("optimizer: column %v missing from build table layout", ref)
 		}
 		emitCols = append(emitCols, ci)
 		emitRefs = append(emitRefs, storage.ColRef{Table: aliasForTable(q, ref.Table), Column: ref.Column})
 	}
-	return ht, emitCols, emitRefs, nil
+	return ht, postFilter, emitCols, emitRefs, nil
 }
 
 func maskTables(q *plan.Query, mask int) []string {

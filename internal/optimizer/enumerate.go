@@ -107,7 +107,7 @@ func (o *Optimizer) better(q *plan.Query, cand, best *Node, bestScore *int64) bo
 		return true
 	}
 	switch o.Opts.Strategy {
-	case AlwaysReuse:
+	case AlwaysReuse, Materialized:
 		// Prefer reuse over fresh builds; among reuses, higher contr.
 		cr, br := nodeReuse(cand), nodeReuse(best)
 		if cr != br {

@@ -39,7 +39,7 @@ import (
 )
 
 // Strategy selects how reuse decisions are made (Experiment 2 compares
-// these three).
+// the first three).
 type Strategy uint8
 
 const (
@@ -52,6 +52,15 @@ const (
 	// AlwaysReuse greedily reuses the matching candidate with the
 	// highest contribution ratio whenever one exists.
 	AlwaysReuse
+	// Materialized is the paper's materialization-based reuse baseline
+	// (Section 6.1): it caches intermediates at the same pipeline
+	// breakers and picks candidates as AlwaysReuse does, but a reused
+	// join input is only the materialized relation — compile rebuilds a
+	// private hash table from it on every reuse, the cost HashStash
+	// avoids. Callers pair it with EnablePartial and EnableOverlapping
+	// off: a materialized relation is reused only exactly or
+	// subsumingly.
+	Materialized
 )
 
 // String implements fmt.Stringer.
@@ -63,6 +72,8 @@ func (s Strategy) String() string {
 		return "never-reuse"
 	case AlwaysReuse:
 		return "always-reuse"
+	case Materialized:
+		return "materialized"
 	}
 	return "strategy(?)"
 }
@@ -81,9 +92,9 @@ type Options struct {
 	EnablePartial     bool
 	EnableOverlapping bool
 	// Parallelism is the scheduler configuration every run of this
-	// optimizer's pipelines starts from (worker-pool size, morsel
-	// granularity, the two scheduler ablation knobs). Ctx stays nil
-	// here; each run sets it on its own copy.
+	// optimizer's pipelines starts from (worker-pool size and morsel
+	// granularity). Ctx stays nil here; each run sets it on its own
+	// copy.
 	exec.Parallelism
 	// NoSecondaryIndexes disables the ordered secondary-index access
 	// path entirely: no lazy index builds, no cached-index scans;

@@ -357,6 +357,38 @@ func TestJoinHTReuseAcrossQueries(t *testing.T) {
 	sameResults(t, "overlapping join reuse", res3, want3)
 }
 
+// TestMaterializedRebuildsJoinInput: under the Materialized strategy a
+// reused join input is not probed in place; a pipeline reads every
+// cached entry into a private table first. The same sequence under
+// AlwaysReuse reuses the same table and reads those entries zero
+// times, so the difference in rows in is the cached table's size, and
+// the answers agree.
+func TestMaterializedRebuildsJoinInput(t *testing.T) {
+	run := func(strategy Strategy) (*Result, int) {
+		opts := DefaultOptions()
+		opts.Strategy, opts.EnablePartial, opts.EnableOverlapping = strategy, false, false
+		env := newEnv(t, opts)
+		if _, err := env.opt.Run(spjQuery("1995-02-01", "1995-04-01")); err != nil {
+			t.Fatal(err)
+		}
+		res, err := env.opt.Run(spjQuery("1995-02-01", "1995-04-01"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Decisions) != 1 || res.Decisions[0].Mode != ModeExact {
+			t.Fatalf("%v: decisions %v, want one exact build reuse", strategy, res.Decisions)
+		}
+		e := env.opt.Cache.Get(res.Decisions[0].EntryID)
+		return res, e.Current().HT.Len()
+	}
+	mat, cached := run(Materialized)
+	always, _ := run(AlwaysReuse)
+	sameResults(t, "materialized rebuild", mat, always)
+	if got := mat.RowsIn - always.RowsIn; got != int64(cached) {
+		t.Errorf("rebuild read %d rows, want the %d cached entries", got, cached)
+	}
+}
+
 func TestAvgRewriteProducesCorrectValues(t *testing.T) {
 	env := newEnv(t, DefaultOptions())
 	q := q3("1995-01-01", "")
@@ -394,7 +426,7 @@ func TestStrategies(t *testing.T) {
 }
 
 func TestStrategyString(t *testing.T) {
-	names := map[Strategy]string{CostModel: "cost-model", NeverReuse: "never-reuse", AlwaysReuse: "always-reuse", Strategy(9): "strategy(?)"}
+	names := map[Strategy]string{CostModel: "cost-model", NeverReuse: "never-reuse", AlwaysReuse: "always-reuse", Materialized: "materialized", Strategy(9): "strategy(?)"}
 	for s, want := range names {
 		if s.String() != want {
 			t.Errorf("Strategy(%d) = %q", s, s.String())

@@ -75,8 +75,7 @@ func (c *Column) AppendVec(v *Vec) {
 }
 
 // AppendColumn bulk-appends every row of another column of the same
-// kind — the concatenation step when per-worker temp-table partials
-// merge into one materialized table.
+// kind (a partitioned table's fragments concatenate into one table).
 func (c *Column) AppendColumn(src *Column) {
 	v := src.view()
 	c.AppendVec(&v)

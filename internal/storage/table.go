@@ -93,24 +93,3 @@ func (t *Table) BuildIndexOn(col string) error {
 
 // IndexOn returns the secondary index on the named column, or nil.
 func (t *Table) IndexOn(col string) *Index { return t.indexes[col] }
-
-// ByteSize estimates the memory footprint of the table's data arrays.
-func (t *Table) ByteSize() int64 {
-	var total int64
-	for _, c := range t.Cols {
-		switch c.Kind {
-		case types.Int64, types.Date:
-			total += int64(len(c.Ints)) * 8
-		case types.Float64:
-			total += int64(len(c.Floats)) * 8
-		case types.String:
-			for _, s := range c.Strs {
-				total += int64(len(s)) + 16
-			}
-		}
-	}
-	for _, ix := range t.indexes {
-		total += int64(len(ix.Perm)) * 4
-	}
-	return total
-}

@@ -146,10 +146,10 @@ func TestConcurrentExecUnderGCPressure(t *testing.T) {
 }
 
 // TestConcurrentMaterializedBaseline runs the materialized baseline
-// engine from many goroutines (run with -race): queries share the DB
-// lock in read mode and the temp-table cache synchronizes internally,
-// so read-only baseline traffic executes concurrently and result sets
-// stay golden.
+// engine from many goroutines (run with -race): queries pin the
+// published snapshots they reuse and rebuild private hash tables from
+// them, so baseline traffic executes concurrently and result sets stay
+// golden.
 func TestConcurrentMaterializedBaseline(t *testing.T) {
 	queries := parallelQueries()
 	golden := openTPCH(t, WithEngine(EngineMaterialized))

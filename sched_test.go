@@ -3,6 +3,7 @@ package hashstash
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -60,15 +61,15 @@ func TestScheduledBatchMatchesSerial(t *testing.T) {
 }
 
 // TestScheduledMatreuseMatchesSerial drives the materialized baseline
-// through the scheduler: join builds spill per-worker temp partials
-// that merge at pipeline end, and the aggregate path's
-// readout-from-spill runs after its producer in compile order. The
-// second round reuses materialized temp tables (rebuild-from-spill
-// pipelines).
+// through the scheduler. The second round reuses cached tables: an
+// aggregate is read out of its cached table, and a narrowed join window
+// rebuilds its hash table from the cached one in a pipeline of its own
+// that the probe must wait for.
 func TestScheduledMatreuseMatchesSerial(t *testing.T) {
-	queries := parallelQueries()
+	queries := append(parallelQueries(), spjWindow("1995-01-01", "1995-06-01"), spjWindow("1995-02-01", "1995-03-01"))
 	serial := openTPCH(t, WithEngine(EngineMaterialized), WithTuning(Tuning{Parallelism: 1}))
 	scheduled := openTPCH(t, WithEngine(EngineMaterialized), WithTuning(Tuning{Parallelism: 4, MorselRows: 512}))
+	rebuilds := 0
 	for round := 0; round < 2; round++ {
 		for i, q := range queries {
 			sres, err := serial.Exec(q)
@@ -80,10 +81,18 @@ func TestScheduledMatreuseMatchesSerial(t *testing.T) {
 				t.Fatalf("scheduled round %d query %d: %v", round, i, err)
 			}
 			assertGolden(t, fmt.Sprintf("round %d query %d", round, i), pres, sres)
+			for _, d := range pres.Decisions {
+				if strings.HasPrefix(d.Operator, "build") && d.Mode.String() != "new" {
+					rebuilds++
+				}
+			}
 		}
 	}
 	if scheduled.CacheStats().Hits == 0 {
-		t.Error("scheduled baseline never reused a materialized table")
+		t.Error("scheduled baseline never reused a cached table")
+	}
+	if rebuilds == 0 {
+		t.Error("scheduled baseline never rebuilt a join's hash table from a cached one")
 	}
 }
 

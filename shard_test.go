@@ -414,9 +414,10 @@ func TestShardedPostHocPartition(t *testing.T) {
 	assertSameRows(t, "post-hoc", got, want)
 
 	// A one-shard database is a router of one: the observability calls
-	// report its single shard, every query (an EngineMaterialized one
-	// aside) advances that shard's counter by one, and there is nothing
-	// to partition across.
+	// report its single shard, every query advances that shard's counter
+	// by one (TestMaterializedBaselineTracksTheCache asserts it for the
+	// materialized baseline too), and there is nothing to partition
+	// across.
 	un := openTPCH(t)
 	if un.Shards() != 1 || len(un.ShardCacheStats()) != 1 {
 		t.Fatal("one-shard shard-observability defaults wrong")

@@ -18,10 +18,12 @@ import (
 // columns, plus shared-plan batches whose second batch re-tags the
 // first one's cached tables. Each sequence runs under AlwaysReuse (every
 // partial or overlapping candidate widens a cached table) and
-// NeverReuse, at Parallelism {1, 4} × shards {1, 2}. Every answer must
-// equal the reference engine's — NeverReuse, serial, one shard — within
-// float tolerance, and after every step the cache and table invariants
-// hold and no entry is left pinned.
+// NeverReuse, at Parallelism {1, 4} × shards {1, 2}, and on the
+// materialized baseline (one shard; it must never widen, and must reuse
+// some table exactly or subsumingly) at Parallelism {1, 4}. Every
+// answer must equal the reference engine's — NeverReuse, serial, one
+// shard — within float tolerance, and after every step the cache and
+// table invariants hold and no entry is left pinned.
 
 // Table sizes, and the d_day/f_day domain: diffDays days from diffDay0
 // (1995-01-01 in days since the epoch).
@@ -258,7 +260,7 @@ func runStep(db *DB, st diffStep) ([]*Result, bool, error) {
 	return br.Results, br.NumSharedPlans() < len(queries), nil
 }
 
-// TestWidenDifferential is the harness entry point: three seeds, eight
+// TestWidenDifferential is the harness entry point: three seeds, ten
 // configurations each.
 func TestWidenDifferential(t *testing.T) {
 	type tally struct{ partialBuild, overlapBuild, partialAgg, overlapAgg, published, retagHits int64 }
@@ -276,53 +278,76 @@ func TestWidenDifferential(t *testing.T) {
 				want[i] = append(want[i], normalize(res))
 			}
 		}
+		type config struct {
+			name string
+			opts []Option
+		}
+		var configs []config
 		for _, strategy := range []Strategy{AlwaysReuse, NeverReuse} {
 			for _, par := range []int{1, 4} {
 				for _, shards := range []int{1, 2} {
-					name := fmt.Sprintf("seed=%d/%v/par=%d/shards=%d", seed, strategy, par, shards)
-					db := openDiffDB(t, seed, WithStrategy(strategy),
-						WithTuning(Tuning{Parallelism: par, MorselRows: 256, Shards: shards}))
-					for i, st := range steps {
-						before := db.CacheStats()
-						results, shared, err := runStep(db, st)
-						if err != nil {
-							t.Fatalf("%s step %d (%s): %v\n%s", name, i, st.shape, err, strings.Join(st.sqls, "\n"))
-						}
-						for j, res := range results {
-							if err := sameAnswer(want[i][j], normalize(res)); err != nil {
-								t.Fatalf("%s step %d (%s) query %d: %v\n%s", name, i, st.shape, j, err, st.sqls[j])
-							}
-							for _, d := range res.Decisions {
-								build := strings.HasPrefix(d.Operator, "build")
-								switch d.Mode.String() {
-								case "partial":
-									if build {
-										total.partialBuild++
-									} else {
-										total.partialAgg++
-									}
-								case "overlapping":
-									if build {
-										total.overlapBuild++
-									} else {
-										total.overlapAgg++
-									}
-								}
-							}
-						}
-						if err := checkAtRest(db); err != nil {
-							t.Fatalf("%s step %d (%s): %v", name, i, st.shape, err)
-						}
-						if st.covered && shared {
-							// A shared plan reuses only shared tables, so
-							// its hits are re-tags.
-							total.retagHits += db.CacheStats().Hits - before.Hits
-						}
+					configs = append(configs, config{fmt.Sprintf("%v/par=%d/shards=%d", strategy, par, shards), []Option{
+						WithStrategy(strategy), WithTuning(Tuning{Parallelism: par, MorselRows: 256, Shards: shards})}})
+				}
+			}
+		}
+		for _, par := range []int{1, 4} {
+			configs = append(configs, config{fmt.Sprintf("materialized/par=%d", par), []Option{
+				WithEngine(EngineMaterialized), WithTuning(Tuning{Parallelism: par, MorselRows: 256})}})
+		}
+		for _, cfg := range configs {
+			name := fmt.Sprintf("seed=%d/%s", seed, cfg.name)
+			materialized := strings.HasPrefix(cfg.name, "materialized")
+			reused := 0
+			db := openDiffDB(t, seed, cfg.opts...)
+			for i, st := range steps {
+				before := db.CacheStats()
+				results, shared, err := runStep(db, st)
+				if err != nil {
+					t.Fatalf("%s step %d (%s): %v\n%s", name, i, st.shape, err, strings.Join(st.sqls, "\n"))
+				}
+				for j, res := range results {
+					if err := sameAnswer(want[i][j], normalize(res)); err != nil {
+						t.Fatalf("%s step %d (%s) query %d: %v\n%s", name, i, st.shape, j, err, st.sqls[j])
 					}
-					if strategy == AlwaysReuse {
-						total.published += db.CacheStats().WidenPublished
+					for _, d := range res.Decisions {
+						build := strings.HasPrefix(d.Operator, "build")
+						mode := d.Mode.String()
+						if materialized && (mode == "partial" || mode == "overlapping") {
+							t.Fatalf("%s step %d (%s) query %d: the baseline took a %s decision", name, i, st.shape, j, mode)
+						}
+						switch mode {
+						case "exact", "subsuming":
+							reused++
+						case "partial":
+							if build {
+								total.partialBuild++
+							} else {
+								total.partialAgg++
+							}
+						case "overlapping":
+							if build {
+								total.overlapBuild++
+							} else {
+								total.overlapAgg++
+							}
+						}
 					}
 				}
+				if err := checkAtRest(db); err != nil {
+					t.Fatalf("%s step %d (%s): %v", name, i, st.shape, err)
+				}
+				if st.covered && shared {
+					// A shared plan reuses only shared tables, so
+					// its hits are re-tags.
+					total.retagHits += db.CacheStats().Hits - before.Hits
+				}
+			}
+			if strings.HasPrefix(cfg.name, "always-reuse") {
+				total.published += db.CacheStats().WidenPublished
+			}
+			if materialized && reused == 0 {
+				t.Errorf("%s: the baseline never reused a cached table exactly or subsumingly", name)
 			}
 		}
 	}
