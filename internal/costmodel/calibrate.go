@@ -72,9 +72,10 @@ func layoutForWidth(width int) hashtable.Layout {
 	return hashtable.Layout{Cols: cols, KeyCols: 1}
 }
 
-// entryFootprint approximates the per-entry bytes of the arena layout
-// (payload + hash + link + amortized bucket/directory overhead).
-func entryFootprint(width int) int64 { return int64(width) + 16 }
+// entryFootprint approximates the per-entry bytes of the arena layout:
+// payload + 8-byte hash + 4-byte chain link + the slot array amortized
+// (4 bytes per slot at 1–2 slots per entry, ~1.44 over table sizes).
+func entryFootprint(width int) int64 { return int64(width) + 8 + 4 + 6 }
 
 // measurePoint fills a hash table to the target size, then measures the
 // per-op cost of inserts (into a table of that size), probes of present

@@ -130,6 +130,11 @@ func TestResizeCost(t *testing.T) {
 	if m.ResizeCost(500000, 1000000) > large {
 		t.Error("incremental resize should not exceed full resize")
 	}
+	// 1000 entries fill 1024 slots: the 1025th entry relinks all 1024
+	// once, and growing from empty relinks at each of 8, 16, …, 512.
+	if one, all := m.ResizeCost(1000, 1025), m.ResizeCost(0, 1000); one != 1024*9 || all != 1016*9 {
+		t.Errorf("one doubling = %f, fresh schedule = %f", one, all)
+	}
 }
 
 func TestRHJCostModelShape(t *testing.T) {
@@ -225,16 +230,6 @@ func TestEstimateHTBytes(t *testing.T) {
 	}
 	if EstimateHTBytes(1000, 8) >= EstimateHTBytes(1000, 64) {
 		t.Error("wider tuples need more bytes")
-	}
-}
-
-func TestMaterializeCost(t *testing.T) {
-	m := NewModel(nil)
-	if m.MaterializeCost(1000, 64) <= m.MaterializeCost(1000, 8) {
-		t.Error("materialize cost should grow with width")
-	}
-	if m.MaterializeCost(0, 8) != 0 {
-		t.Error("zero rows should cost zero")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package exec implements the push-based execution engine of
 // HashStash: pipelines of a source, a chain of batch transforms, and a
 // sink. Pipeline breakers (hash-join builds and hash aggregations) are
-// sinks that materialize the extendible hash tables the rest of the
+// sinks that materialize the chained hash tables the rest of the
 // system caches and reuses.
 //
 // A query's pipelines run in compile order through RunParallel: at two

@@ -190,10 +190,12 @@ func newParallelBuild(t *BuildHT, nw int) *parallelBuild {
 func (pb *parallelBuild) worker(w int) Sink { return pb.parts[w] }
 
 func (pb *parallelBuild) merge() {
-	for _, part := range pb.parts {
-		pb.target.HT.MergeFrom(part.HT)
+	parts := make([]*hashtable.Table, len(pb.parts))
+	for w, part := range pb.parts {
+		parts[w] = part.HT
 		pb.target.inserted += part.inserted
 	}
+	pb.target.HT.MergeFrom(parts...)
 }
 
 // parallelAgg gives each worker a private partial aggregation table and

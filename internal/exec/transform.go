@@ -247,7 +247,7 @@ func (p *Probe) encodeKeys(in *storage.Batch, n int) (enc [][]uint64, miss []boo
 //
 // The probe is batch-at-a-time end to end: keys encode column-wise, the
 // hash vector for the whole batch computes in one pass (HashColumns),
-// the chain walks run inside hashtable.ProbeHashedColumn (bucket heads
+// the chain walks run inside hashtable.ProbeHashedColumn (chain heads
 // for the whole batch resolve up front, stored hashes screen candidates
 // before any key compare), the post-filter and qid mask refine the
 // match pairs with one typed kernel per constraint, and the surviving

@@ -23,9 +23,10 @@ func benchLayout() Layout {
 // widening with aggregate churn (each generation folds a rotating
 // quarter of the groups). Copy widening leaves no trace in the table's
 // layout, so both report the same chain/probe (mean probe chain length
-// from the table's counters). The loop is steady-state allocation-free
-// (gated exactly by the benchjson CI compare); ns/op is advisory on
-// shared runners.
+// from the table's counters); the benchmark fails when it exceeds
+// maxChainPerProbe, which the keys fix exactly. The loop is
+// steady-state allocation-free (gated exactly by the benchjson CI
+// compare); ns/op is advisory on shared runners.
 func BenchmarkWidenedProbe(b *testing.B) {
 	const keys = 4096
 	const batch = storage.BatchSize
@@ -78,7 +79,11 @@ func BenchmarkWidenedProbe(b *testing.B) {
 			}
 			b.StopTimer()
 			ps := v.tbl.ProbeStats()
-			b.ReportMetric(float64(ps.ChainNodes-start.ChainNodes)/float64(ps.Probes-start.Probes), "chain/probe")
+			chain := float64(ps.ChainNodes-start.ChainNodes) / float64(ps.Probes-start.Probes)
+			if chain > maxChainPerProbe {
+				b.Fatalf("%.3f chain nodes per probe, want ≤ %.1f", chain, maxChainPerProbe)
+			}
+			b.ReportMetric(chain, "chain/probe")
 		})
 	}
 }
@@ -109,6 +114,27 @@ func BenchmarkWiden(b *testing.B) {
 				}
 				w.Freeze()
 			}
+		})
+	}
+}
+
+// BenchmarkGrow measures one doubling of a full table (load 1) of n
+// entries: a fresh slot array twice the size, then one sequential pass
+// relinking every entry. ns/link is the cost model's per-entry price of
+// a resize (costmodel.ResizeCost).
+func BenchmarkGrow(b *testing.B) {
+	for _, n := range []int{1 << 10, 1 << 15, 1 << 18} {
+		b.Run(fmt.Sprintf("entries=%dk", n>>10), func(b *testing.B) {
+			t := New(benchLayout())
+			for k := range uint64(n) {
+				t.Insert([]uint64{k, k})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t.relink(2 * n)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/link")
 		})
 	}
 }

@@ -1,20 +1,21 @@
-// Package hashtable implements the extendible hash table that HashStash
+// Package hashtable implements the chained hash table that HashStash
 // caches and reuses. It is the data structure a hash join's build phase
 // and a hash aggregation materialize at a pipeline breaker.
 //
 // Design, following Section 3.2 of the paper:
 //
-//   - Extendible hashing with a power-of-two directory of buckets and
-//     per-bucket chains. Growing the table only doubles the directory
-//     and splits individual overflowing buckets lazily — entries are
-//     never rehashed en masse, which keeps the resize cost (c_resize in
-//     the cost model) proportional to the directory, not the data.
+//   - One chain per slot: a power-of-two array of chain heads, slot
+//     h & (slots-1). The table doubles when its entry count reaches the
+//     slot count, so the load stays at most 1 and a probe walks about
+//     one entry besides its matches. Growing relinks every entry in one
+//     sequential pass over the hash arena (c_resize in the cost model);
+//     when the final count is known up front (Widen, Spill.Restore,
+//     MergeFrom) the slots are sized once and the inserts never regrow.
 //
 //   - Entries live in flat, append-only arenas (hash array, chain-link
 //     array, one contiguous payload array of fixed-width rows). There is
-//     no per-entry allocation: Go's GC never traverses entries, and
-//     probes touch memory sequentially per chain. Strings are interned
-//     into a StringHeap and stored as 8-byte ids.
+//     no per-entry allocation: Go's GC never traverses entries. Strings
+//     are interned into a StringHeap and stored as 8-byte ids.
 //
 //   - A row is len(Layout.Cols) 8-byte cells; the first KeyCols cells
 //     form the equality key. Join tables use Insert (duplicate keys
@@ -27,14 +28,14 @@
 // later mutation panics, so any number of queries probe a published
 // table lock-free. Partial and overlapping reuse — the paper's "insert
 // the missing tuples into the cached table" — widen a snapshot through
-// Widen, which returns a private deep copy: the directory, bucket
-// headers and entry arenas are pointer-free and copy in bulk, the
-// string heap clones its slice and index. The widening query inserts
-// and upserts into the copy in place and the cache publishes it with a
-// compare-and-swap; queries still probing the source are untouched, and
-// the garbage collector frees the source once the last of them
-// finishes. Every table, widened or not, therefore has the same flat
-// layout and the same probe cost as a freshly built one.
+// Widen, which returns a private deep copy: the slot array and entry
+// arenas are pointer-free and copy in bulk, the string heap clones its
+// slice and index. The widening query inserts and upserts into the copy
+// in place and the cache publishes it with a compare-and-swap; queries
+// still probing the source are untouched, and the garbage collector
+// frees the source once the last of them finishes. Every table, widened
+// or not, therefore has the same flat layout and the same probe cost as
+// a freshly built one.
 //
 // Shared plans re-tag a cached table's query-id column per batch.
 // WithColumn serves that as a read-only view sharing every arena of the
@@ -50,11 +51,7 @@ import (
 	"hashstash/internal/types"
 )
 
-const (
-	initialDepth = 3  // directory starts with 8 slots
-	maxDepth     = 26 // directory growth cap (64M slots)
-	bucketCap    = 8  // average chain length that triggers a split
-)
+const minSlots = 8 // slot count of an empty table
 
 // Layout describes the fixed-width payload row of a hash table.
 type Layout struct {
@@ -92,24 +89,11 @@ func (l Layout) Validate() error {
 	return nil
 }
 
-type bucket struct {
-	head       int32 // first entry index, -1 when empty
-	n          int32 // chain length
-	localDepth uint8
-	// nextSplit is the chain length at which the next split attempt is
-	// allowed. It doubles whenever a split fails to separate a chain
-	// (identical key hashes cannot be split apart), bounding the work
-	// wasted on skewed keys: without it every insert into a stuck
-	// bucket would pay an O(chain + directory) split attempt.
-	nextSplit int32
-}
-
-// Table is an extendible hash table over fixed-width rows.
+// Table is a chained hash table over fixed-width rows.
 type Table struct {
-	layout  Layout
-	nCols   int
-	dir     []int32 // directory: bucket index per slot
-	buckets []bucket
+	layout Layout
+	nCols  int
+	heads  []int32 // chain head per slot (-1 when empty); len is a power of two
 
 	hashes  []uint64 // per-entry full hash
 	next    []int32  // per-entry chain link
@@ -122,9 +106,7 @@ type Table struct {
 	override    []uint64
 
 	strs    *StringHeap
-	gd      uint8 // global depth: len(dir) == 1<<gd
-	resizes int   // directory doublings (cost model statistic)
-	splits  int   // bucket splits (cost model statistic)
+	resizes int // slot-array relinks (Resizes)
 	// frozen marks a published snapshot: every mutation panics. Atomic
 	// because concurrent queries may Widen (and hence re-Freeze) the
 	// same published snapshot at the same time.
@@ -144,21 +126,31 @@ func New(layout Layout) *Table {
 	if err := layout.Validate(); err != nil {
 		panic(err)
 	}
-	t := &Table{
+	return &Table{
 		layout:      layout,
 		nCols:       len(layout.Cols),
+		heads:       emptyHeads(minSlots),
 		strs:        NewStringHeap(),
-		gd:          initialDepth,
 		overrideCol: -1,
 	}
-	nslots := 1 << initialDepth
-	t.dir = make([]int32, nslots)
-	t.buckets = make([]bucket, nslots)
-	for i := range t.buckets {
-		t.dir[i] = int32(i)
-		t.buckets[i] = bucket{head: -1, localDepth: initialDepth, nextSplit: bucketCap}
+}
+
+func emptyHeads(slots int) []int32 {
+	heads := make([]int32, slots)
+	for i := range heads {
+		heads[i] = -1
 	}
-	return t
+	return heads
+}
+
+// slotsFor returns the slot count of a table holding n entries: the
+// smallest power of two ≥ n, at least minSlots.
+func slotsFor(n int) int {
+	s := minSlots
+	for s < n {
+		s *= 2
+	}
+	return s
 }
 
 // Layout returns the table's row layout.
@@ -174,21 +166,18 @@ func (t *Table) Frozen() bool { return t.frozen.Load() }
 // Strings returns the table's string heap.
 func (t *Table) Strings() *StringHeap { return t.strs }
 
-// Resizes reports how many directory doublings have occurred.
+// Resizes reports how many times the slot array has been resized (every
+// resize relinks all entries).
 func (t *Table) Resizes() int { return t.resizes }
 
-// Splits reports how many bucket splits have occurred.
-func (t *Table) Splits() int { return t.splits }
+// Slots reports the current slot count.
+func (t *Table) Slots() int { return len(t.heads) }
 
-// DirSize reports the current directory size in slots.
-func (t *Table) DirSize() int { return len(t.dir) }
-
-// ByteSize estimates the memory footprint of the table: directory,
-// buckets, entry arenas and string heap. This is the htSize input of
-// the reuse-aware cost model.
+// ByteSize estimates the memory footprint of the table: slot array,
+// entry arenas and string heap. This is the htSize input of the
+// reuse-aware cost model.
 func (t *Table) ByteSize() int64 {
-	return int64(len(t.dir))*4 +
-		int64(len(t.buckets))*21 +
+	return int64(len(t.heads))*4 +
 		int64(len(t.hashes))*8 +
 		int64(len(t.next))*4 +
 		int64(len(t.payload))*8 +
@@ -211,26 +200,29 @@ func (t *Table) Freeze() *Table {
 // inserts, upserts and cell updates on the copy never touch memory a
 // query probing the source can see. headroom is the number of entries
 // the caller expects to add (the optimizer's estimate of the missing
-// tuples): the entry arenas reserve that much capacity, up to the
-// source's own size, so the delta appends without regrowing the copy.
+// tuples): the entry arenas and the slot array are sized for that many
+// more entries, up to the source's own size, so the delta appends
+// without regrowing or relinking the copy.
 func (t *Table) Widen(headroom int) *Table {
 	t.Freeze()
 	n := len(t.hashes)
 	c := n + min(max(headroom, 0), n)
-	return &Table{
+	w := &Table{
 		layout:      t.layout,
 		nCols:       t.nCols,
-		dir:         slices.Clone(t.dir),
-		buckets:     slices.Clone(t.buckets),
 		hashes:      append(make([]uint64, 0, c), t.hashes...),
 		next:        append(make([]int32, 0, c), t.next...),
 		payload:     append(make([]uint64, 0, c*t.nCols), t.payload...),
 		overrideCol: -1,
 		strs:        t.strs.clone(),
-		gd:          t.gd,
 		resizes:     t.resizes,
-		splits:      t.splits,
 	}
+	if s := slotsFor(c); s <= len(t.heads) {
+		w.heads = slices.Clone(t.heads)
+	} else {
+		w.relink(s)
+	}
+	return w
 }
 
 // WithColumn returns a frozen read-only view of the table in which
@@ -251,17 +243,14 @@ func (t *Table) WithColumn(col int, vals []uint64) *Table {
 	v := &Table{
 		layout:      t.layout,
 		nCols:       t.nCols,
-		dir:         t.dir,
-		buckets:     t.buckets,
+		heads:       t.heads,
 		hashes:      t.hashes,
 		next:        t.next,
 		payload:     t.payload,
 		overrideCol: col,
 		override:    vals,
 		strs:        t.strs,
-		gd:          t.gd,
 		resizes:     t.resizes,
-		splits:      t.splits,
 	}
 	v.frozen.Store(true)
 	return v
@@ -292,12 +281,7 @@ func HashColumns(dst []uint64, keyCols [][]uint64) {
 	}
 }
 
-// globalDepth returns the cached directory depth (len(dir) == 1<<gd);
-// it is maintained on every directory doubling instead of being
-// recomputed by a loop on every split attempt.
-func (t *Table) globalDepth() uint8 { return t.gd }
-
-func (t *Table) slot(h uint64) int32 { return int32(h & uint64(len(t.dir)-1)) }
+func (t *Table) slot(h uint64) int { return int(h & uint64(len(t.heads)-1)) }
 
 // row returns the payload row of entry e.
 func (t *Table) row(e int32) []uint64 {
@@ -334,87 +318,47 @@ func (t *Table) InsertHashed(h uint64, row []uint64) {
 }
 
 func (t *Table) insertHashed(h uint64, row []uint64) {
-	bi := t.dir[t.slot(h)]
-	b := &t.buckets[bi]
-	if b.n >= b.nextSplit && t.maybeSplit(bi, h) {
-		bi = t.dir[t.slot(h)]
-		b = &t.buckets[bi]
-	}
 	idx := int32(len(t.hashes))
+	if int(idx) >= len(t.heads) {
+		t.relink(2 * len(t.heads))
+	}
+	s := t.slot(h)
 	t.hashes = append(t.hashes, h)
-	t.next = append(t.next, b.head)
+	t.next = append(t.next, t.heads[s])
 	t.payload = append(t.payload, row...)
-	b.head = idx
-	b.n++
+	t.heads[s] = idx
 }
 
-// maybeSplit splits the bucket holding hash h, doubling the directory if
-// needed. It reports whether a split occurred.
-func (t *Table) maybeSplit(bi int32, h uint64) bool {
-	b := &t.buckets[bi]
-	gd := t.globalDepth()
-	if b.localDepth == gd {
-		if gd >= maxDepth {
-			return false
-		}
-		// Double the directory: each new slot mirrors its low-half twin.
-		old := t.dir
-		t.dir = make([]int32, len(old)*2)
-		copy(t.dir, old)
-		copy(t.dir[len(old):], old)
-		t.resizes++
-		gd++
-		t.gd = gd
+// relink replaces the slot array with one of the given power-of-two
+// size and relinks every entry in one sequential pass over the hashes.
+// Entries link in index order, so each chain lists its entries newest
+// first, exactly as inserting them one by one would.
+func (t *Table) relink(slots int) {
+	heads := emptyHeads(slots)
+	mask := uint64(slots - 1)
+	for e, h := range t.hashes {
+		s := h & mask
+		t.next[e] = heads[s]
+		heads[s] = int32(e)
 	}
-	// Split bucket bi on bit localDepth: entries whose hash has the bit
-	// set move to a fresh bucket.
-	oldDepth := b.localDepth
-	bit := uint64(1) << oldDepth
-	newBi := int32(len(t.buckets))
-	t.buckets = append(t.buckets, bucket{head: -1, localDepth: oldDepth + 1, nextSplit: bucketCap})
-	b = &t.buckets[bi] // reload: append may have moved the backing array
-	b.localDepth = oldDepth + 1
-	nb := &t.buckets[newBi]
+	t.heads = heads
+	t.resizes++
+}
 
-	// Redistribute the chain.
-	cur := b.head
-	total := b.n
-	b.head, b.n = -1, 0
-	for cur != -1 {
-		nxt := t.next[cur]
-		if t.hashes[cur]&bit != 0 {
-			t.next[cur] = nb.head
-			nb.head = cur
-			nb.n++
-		} else {
-			t.next[cur] = b.head
-			b.head = cur
-			b.n++
-		}
-		cur = nxt
+// reserve sizes the table for n entries: the arenas grow and the slot
+// array relinks at most once, so the inserts up to n neither regrow
+// nor relink.
+func (t *Table) reserve(n int) {
+	extra := n - len(t.hashes)
+	if extra <= 0 {
+		return
 	}
-	if b.n == 0 || nb.n == 0 {
-		// The chain did not separate (duplicate keys): back off so the
-		// next attempt happens only after the chain doubles.
-		backoff := 2 * total
-		if backoff < bucketCap {
-			backoff = bucketCap
-		}
-		b.nextSplit, nb.nextSplit = backoff, backoff
-	} else {
-		b.nextSplit, nb.nextSplit = bucketCap, bucketCap
+	t.hashes = slices.Grow(t.hashes, extra)
+	t.next = slices.Grow(t.next, extra)
+	t.payload = slices.Grow(t.payload, extra*t.nCols)
+	if s := slotsFor(n); s > len(t.heads) {
+		t.relink(s)
 	}
-	// Redirect directory slots. All slots mapping to bi share the same
-	// low oldDepth bits (the bucket's suffix), so the slots moving to
-	// the new bucket are exactly suffix|bit, stepping by 2^(oldDepth+1)
-	// — touching len(dir)/2^(oldDepth+1) slots instead of scanning the
-	// whole directory (which would make bulk loads quadratic).
-	suffix := h & (bit - 1)
-	for s := suffix | bit; s < uint64(len(t.dir)); s += bit << 1 {
-		t.dir[s] = newBi
-	}
-	t.splits++
-	return true
 }
 
 // keyEqual compares the key cells of entry e against key.
@@ -449,7 +393,7 @@ func (t *Table) Probe(key []uint64) Iterator {
 // hash a whole batch of keys up front and skip per-row hashing here.
 // h must equal HashKey(key). The iterator retains key until exhausted.
 func (t *Table) ProbeHashed(h uint64, key []uint64) Iterator {
-	return Iterator{t: t, cur: t.buckets[t.dir[t.slot(h)]].head, hash: h, key: key}
+	return Iterator{t: t, cur: t.heads[t.slot(h)], hash: h, key: key}
 }
 
 // Next returns the next matching entry index, or -1 when exhausted.
@@ -489,19 +433,18 @@ func (t *Table) ProbeStats() ProbeStats {
 // by row — and the grown slices are returned for the caller to adopt.
 //
 // cur is caller-owned scratch of len(hashes) (storage.Scratch.Cur):
-// bucket heads for the whole batch resolve in one pass over the
-// directory before any chain is walked, so the random directory and
-// bucket-header loads stream independently of the chain walks. Per
-// visited node the walk checks the stored hash before the key cells.
+// chain heads for the whole batch resolve in one pass over the slot
+// array before any chain is walked, so the random slot loads stream
+// independently of the chain walks. Per visited node the walk checks
+// the stored hash before the key cells.
 // One atomic fold of the probe counters per batch keeps the loop
 // allocation- and contention-free.
 func (t *Table) ProbeHashedColumn(cur []int32, hashes []uint64, keyCols [][]uint64, miss []bool, rows, ents []int32) ([]int32, []int32) {
 	n := len(hashes)
-	dir := t.dir
-	mask := uint64(len(dir) - 1)
-	buckets := t.buckets
+	heads := t.heads
+	mask := uint64(len(heads) - 1)
 	for i := 0; i < n; i++ {
-		cur[i] = buckets[dir[hashes[i]&mask]].head
+		cur[i] = heads[hashes[i]&mask]
 	}
 	next, stored := t.next, t.hashes
 	var probes, nodes int64
@@ -551,7 +494,7 @@ func (t *Table) Upsert(key []uint64) (entry int32, found bool) {
 // (insertHashed copies the row into the payload arena).
 func (t *Table) UpsertHashed(h uint64, key []uint64) (entry int32, found bool) {
 	t.mustMutate("Upsert")
-	for cur := t.buckets[t.dir[t.slot(h)]].head; cur != -1; cur = t.next[cur] {
+	for cur := t.heads[t.slot(h)]; cur != -1; cur = t.next[cur] {
 		if t.hashes[cur] == h && t.keyEqual(cur, key) {
 			return cur, true
 		}
@@ -635,62 +578,41 @@ func (t *Table) EncodeValue(v types.Value) uint64 {
 	return v.Bits()
 }
 
-// CheckInvariants validates the extendible-hashing structure; tests and
-// failure-injection hooks call it. It verifies that (1) every directory
-// slot points at a valid bucket whose localDepth ≤ globalDepth, (2) all
-// slots sharing a bucket agree on the bucket's depth-masked suffix,
-// (3) every entry is reachable from exactly one bucket and hashes to
-// it, and (4) the bucket counts match their chains.
+// CheckInvariants validates the table's structure; tests and
+// failure-injection hooks call it. It verifies that (1) the slot count
+// is a power of two no smaller than the entry count (load ≤ 1), (2) the
+// arenas agree on the entry count, and (3) every entry is reachable
+// exactly once, from the chain of its own slot hash & (slots-1).
 func (t *Table) CheckInvariants() error {
-	gd := t.globalDepth()
-	if 1<<gd != len(t.dir) {
-		return fmt.Errorf("hashtable: directory size %d is not a power of two", len(t.dir))
+	slots := len(t.heads)
+	n := len(t.hashes)
+	if slots == 0 || slots&(slots-1) != 0 {
+		return fmt.Errorf("hashtable: slot count %d is not a power of two", slots)
 	}
-	n := int32(len(t.hashes))
-	if len(t.next) != int(n) || len(t.payload) != int(n)*t.nCols {
+	if n > slots {
+		return fmt.Errorf("hashtable: %d entries in %d slots (load > 1)", n, slots)
+	}
+	if len(t.next) != n || len(t.payload) != n*t.nCols {
 		return fmt.Errorf("hashtable: arenas hold %d links and %d cells for %d entries", len(t.next), len(t.payload), n)
-	}
-	for s, bi := range t.dir {
-		if bi < 0 || int(bi) >= len(t.buckets) {
-			return fmt.Errorf("hashtable: slot %d points at bad bucket %d", s, bi)
-		}
-		b := t.buckets[bi]
-		if b.localDepth > gd {
-			return fmt.Errorf("hashtable: bucket %d localDepth %d > globalDepth %d", bi, b.localDepth, gd)
-		}
-		// The slot's low localDepth bits must match the canonical slot of
-		// the bucket (its head entry's hash suffix, when non-empty).
-		if b.head != -1 {
-			mask := (uint64(1) << b.localDepth) - 1
-			if uint64(s)&mask != t.hashes[b.head]&mask {
-				return fmt.Errorf("hashtable: slot %d suffix mismatch for bucket %d", s, bi)
-			}
-		}
 	}
 	seen := make([]bool, n)
 	counted := 0
-	for bi, b := range t.buckets {
-		mask := (uint64(1) << b.localDepth) - 1
-		chain := int32(0)
-		for cur := b.head; cur != -1; cur = t.next[cur] {
-			if cur < 0 || cur >= n {
-				return fmt.Errorf("hashtable: bucket %d chain hits bad entry %d", bi, cur)
+	for s, head := range t.heads {
+		for cur := head; cur != -1; cur = t.next[cur] {
+			if cur < 0 || int(cur) >= n {
+				return fmt.Errorf("hashtable: slot %d chain hits bad entry %d", s, cur)
 			}
 			if seen[cur] {
 				return fmt.Errorf("hashtable: entry %d reachable twice", cur)
 			}
 			seen[cur] = true
-			if t.hashes[cur]&mask != t.hashes[b.head]&mask {
-				return fmt.Errorf("hashtable: bucket %d mixes hash suffixes", bi)
+			if t.slot(t.hashes[cur]) != s {
+				return fmt.Errorf("hashtable: entry %d chained in slot %d, hashes to %d", cur, s, t.slot(t.hashes[cur]))
 			}
-			chain++
+			counted++
 		}
-		if chain != b.n {
-			return fmt.Errorf("hashtable: bucket %d count %d != chain length %d", bi, b.n, chain)
-		}
-		counted += int(chain)
 	}
-	if counted != int(n) {
+	if counted != n {
 		return fmt.Errorf("hashtable: %d entries reachable, want %d", counted, n)
 	}
 	return nil

@@ -209,21 +209,26 @@ func TestStringInterning(t *testing.T) {
 	}
 }
 
+// TestGrowthAndInvariants: the load stays at most 1 after every insert
+// (the table doubles when its entry count reaches the slot count), every
+// doubling relinks once, and the grown table passes its invariants and
+// finds every key.
 func TestGrowthAndInvariants(t *testing.T) {
 	layout := Layout{Cols: []storage.ColMeta{meta("t", "k", types.Int64), meta("t", "v", types.Int64)}, KeyCols: 1}
 	ht := New(layout)
 	const n = 50000
 	for i := 0; i < n; i++ {
 		ht.Insert([]uint64{uint64(i), uint64(i * 2)})
+		if ht.Len() > ht.Slots() {
+			t.Fatalf("after %d inserts: %d entries in %d slots", i+1, ht.Len(), ht.Slots())
+		}
 	}
 	if ht.Len() != n {
 		t.Fatalf("Len = %d", ht.Len())
 	}
-	if ht.Resizes() == 0 || ht.Splits() == 0 {
-		t.Errorf("expected growth: resizes=%d splits=%d", ht.Resizes(), ht.Splits())
-	}
-	if ht.DirSize() <= 8 {
-		t.Errorf("directory did not grow: %d", ht.DirSize())
+	// 8 → 65536 slots: 13 doublings, one relink each.
+	if ht.Slots() != 1<<16 || ht.Resizes() != 13 {
+		t.Errorf("slots = %d after %d resizes, want 65536 after 13", ht.Slots(), ht.Resizes())
 	}
 	if err := ht.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -247,9 +252,42 @@ func TestGrowthAndInvariants(t *testing.T) {
 	}
 }
 
+// maxChainPerProbe bounds the mean chain nodes a probe of a present key
+// visits (ProbeStats ChainNodes/Probes) at load ≤ 1: its own entry plus
+// about one other entry hashed to the same slot. BenchmarkWidenedProbe
+// gates on the same bound.
+const maxChainPerProbe = 2.1
+
+// TestProbeChainBound: probing each of 4,096 distinct keys once through
+// the batched path finds each exactly once and visits at most
+// maxChainPerProbe chain nodes per probe. The keys are fixed, so the
+// ratio repeats exactly.
+func TestProbeChainBound(t *testing.T) {
+	const n = 4096
+	ht := New(testLayout())
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = types.Mix64(uint64(i))
+		ht.Insert([]uint64{keys[i], uint64(i)})
+	}
+	rows, ents := batchProbe(ht.Freeze(), keys)
+	if len(rows) != n {
+		t.Fatalf("%d matches for %d distinct keys", len(rows), n)
+	}
+	for i, r := range rows {
+		if ht.Cell(ents[i], 1) != uint64(r) {
+			t.Fatalf("key %d matched entry %d", r, ents[i])
+		}
+	}
+	ps := ht.ProbeStats()
+	if chain := float64(ps.ChainNodes) / float64(ps.Probes); ps.Probes != n || chain > maxChainPerProbe {
+		t.Fatalf("%d probes visited %.3f chain nodes each, want %d probes at ≤ %.1f", ps.Probes, chain, n, maxChainPerProbe)
+	}
+}
+
 func TestSkewedKeysDegradeGracefully(t *testing.T) {
-	// Many duplicates of one key: splitting cannot separate identical
-	// hashes; the table must stay correct (chains just get long).
+	// Many duplicates of one key share one chain however often the table
+	// doubles; the table must stay correct (that chain just gets long).
 	layout := Layout{Cols: []storage.ColMeta{meta("t", "k", types.Int64), meta("t", "v", types.Int64)}, KeyCols: 1}
 	ht := New(layout)
 	for i := 0; i < 5000; i++ {
@@ -357,7 +395,7 @@ func TestMultiColumnKeyProperty(t *testing.T) {
 
 func TestHashKeyDistribution(t *testing.T) {
 	// Low bits must vary: count distinct low-8-bit patterns of hashes of
-	// sequential keys (extendible hashing uses low bits for addressing).
+	// sequential keys (a key's slot is its hash's low bits).
 	seen := map[uint64]bool{}
 	for i := uint64(0); i < 1024; i++ {
 		seen[HashKey([]uint64{i})&0xff] = true

@@ -46,21 +46,30 @@ func (t *Table) reencodeRow(src *Table, e int32, row []uint64) bool {
 	return keyChanged
 }
 
-// MergeFrom inserts every entry of src into t (duplicate keys chain, as
-// in Insert) — the merge step of a parallel join build. String cells
-// are re-interned into t's heap; hashes of string-free keys are reused
-// from src so the merge does not re-hash what it does not have to.
-func (t *Table) MergeFrom(src *Table) {
-	t.checkMergeLayouts(src)
+// MergeFrom inserts every entry of the srcs into t (duplicate keys
+// chain, as in Insert) — the merge step of a parallel join build. t is
+// sized for the merged count first, so the merge relinks at most once.
+// String cells are re-interned into t's heap; hashes of string-free
+// keys are reused from the srcs so the merge does not re-hash what it
+// does not have to.
+func (t *Table) MergeFrom(srcs ...*Table) {
 	t.mustMutate("MergeFrom")
+	n := t.Len()
+	for _, src := range srcs {
+		t.checkMergeLayouts(src)
+		n += src.Len()
+	}
+	t.reserve(n)
 	row := make([]uint64, t.nCols)
-	for e := range int32(src.Len()) {
-		changed := t.reencodeRow(src, e, row)
-		h := src.hashes[e]
-		if changed {
-			h = HashKey(row[:t.layout.KeyCols])
+	for _, src := range srcs {
+		for e := range int32(src.Len()) {
+			changed := t.reencodeRow(src, e, row)
+			h := src.hashes[e]
+			if changed {
+				h = HashKey(row[:t.layout.KeyCols])
+			}
+			t.insertHashed(h, row)
 		}
-		t.insertHashed(h, row)
 	}
 }
 

@@ -5,7 +5,7 @@ import "hashstash/internal/types"
 // Spill is the compact cold-tier representation of a hash table: the
 // rows flattened into one contiguous cell array plus a string
 // dictionary serialized as a single byte blob with an offset array.
-// There is no directory, no bucket headers and no per-entry hash array
+// There is no slot array and no per-entry hash or link array
 // — a spilled table is ~pure payload, typically a fraction of the live
 // table's footprint and invisible to the garbage collector's pointer
 // graph.
@@ -79,10 +79,12 @@ func (s *Spill) ByteSize() int64 {
 }
 
 // Restore rebuilds a frozen, probe-ready hash table from the spill.
-// Dictionary strings are interned into the fresh heap and every row is
-// re-inserted under a recomputed key hash.
+// The table is sized for the spill's rows up front; dictionary strings
+// are interned into the fresh heap and every row is re-inserted under a
+// recomputed key hash.
 func (s *Spill) Restore() *Table {
 	t := New(s.layout)
+	t.reserve(s.n)
 	nCols := len(s.layout.Cols)
 	ids := make([]uint64, len(s.offs)-1)
 	for i := range ids {

@@ -121,19 +121,31 @@ func TestUpsertScratchRowIsolation(t *testing.T) {
 	}
 }
 
-// TestGlobalDepthCachedField: splits across many directory doublings
-// must keep the cached depth consistent (CheckInvariants validates
-// 1<<gd == len(dir)).
-func TestGlobalDepthCachedField(t *testing.T) {
+// TestGrowRelinksEveryEntry: across many doublings, each grow relinks
+// every entry into the slot its hash selects at the new size — checked
+// by CheckInvariants and by every key's matches right after each grow.
+func TestGrowRelinksEveryEntry(t *testing.T) {
 	ht := New(testLayout())
-	for i := 0; i < 100000; i++ {
+	const n = 100000
+	for i := 0; i < n; i++ {
+		before := ht.Resizes()
 		ht.Insert([]uint64{types.Mix64(uint64(i)), uint64(i)})
+		if ht.Resizes() == before {
+			continue
+		}
+		if err := ht.CheckInvariants(); err != nil {
+			t.Fatalf("grow at %d entries: %v", i, err)
+		}
+		for j := 0; j <= i; j++ {
+			it := ht.Probe([]uint64{types.Mix64(uint64(j))})
+			e := it.Next()
+			if e == -1 || ht.Cell(e, 1) != uint64(j) || it.Next() != -1 {
+				t.Fatalf("grow at %d entries: key %d lost or duplicated", i, j)
+			}
+		}
 	}
-	if ht.Resizes() == 0 {
-		t.Fatal("expected directory doublings")
-	}
-	if err := ht.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	if ht.Slots() != 1<<17 || ht.Resizes() != 14 {
+		t.Fatalf("slots = %d after %d resizes, want 131072 after 14", ht.Slots(), ht.Resizes())
 	}
 }
 

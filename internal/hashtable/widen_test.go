@@ -65,28 +65,26 @@ func TestFreezePanicsOnMutation(t *testing.T) {
 // image is a deep copy of every arena and the string heap of a table,
 // for bit-identity checks.
 type image struct {
-	dir     []int32
-	buckets []bucket
+	heads   []int32
 	hashes  []uint64
 	next    []int32
 	payload []uint64
 	strs    []string
-	gd      uint8
 }
 
 func imageOf(t *Table) image {
 	return image{
-		dir: slices.Clone(t.dir), buckets: slices.Clone(t.buckets),
+		heads:  slices.Clone(t.heads),
 		hashes: slices.Clone(t.hashes), next: slices.Clone(t.next),
-		payload: slices.Clone(t.payload), strs: slices.Clone(t.strs.strs), gd: t.gd,
+		payload: slices.Clone(t.payload), strs: slices.Clone(t.strs.strs),
 	}
 }
 
 func (im image) same(t *Table) bool {
-	return slices.Equal(im.dir, t.dir) && slices.Equal(im.buckets, t.buckets) &&
+	return slices.Equal(im.heads, t.heads) &&
 		slices.Equal(im.hashes, t.hashes) && slices.Equal(im.next, t.next) &&
 		slices.Equal(im.payload, t.payload) && slices.Equal(im.strs, t.strs.strs) &&
-		im.gd == t.gd && len(t.strs.index) == len(im.strs)
+		len(t.strs.index) == len(im.strs)
 }
 
 // joinRows decodes the matches of key k, sorted for multiset comparison.
@@ -254,9 +252,10 @@ func TestWidenShadowPromotion(t *testing.T) {
 // TestRehashEquivalenceProperty runs random generations of widen +
 // insert on a join table with duplicate keys and a string column, each
 // widening a random earlier snapshot (not always the newest) with a
-// random headroom. The inserts split the copy's buckets and double its
-// directory, re-hashing entries the copy inherited; none of that may be
-// visible. After every generation:
+// random headroom. Headroom below the delta makes the inserts double
+// the copy's slot array, relinking entries the copy inherited; none of
+// that may be visible. Right after every such grow, every key's matches
+// equal the model's. After every generation:
 //   - the copy answers exactly like its model, through the iterator and
 //     the batched probe path alike (same pairs, same order);
 //   - the copy passes the structural invariants;
@@ -279,7 +278,7 @@ func TestRehashEquivalenceProperty(t *testing.T) {
 		insert(gens[0], uint64(rng.Intn(keySpace)), fmt.Sprintf("s%d", rng.Intn(9)), float64(i))
 	}
 	root.Freeze()
-	split := false
+	grew := false
 	for g := 1; g <= 12; g++ {
 		src := gens[rng.Intn(len(gens))]
 		before := imageOf(src.tbl)
@@ -291,15 +290,25 @@ func TestRehashEquivalenceProperty(t *testing.T) {
 		if next.tbl.Frozen() || !src.tbl.Frozen() {
 			t.Fatalf("gen %d: Widen must return a mutable copy of a frozen source", g)
 		}
-		splits := next.tbl.Splits()
 		for i := 0; i < delta; i++ {
+			resizes := next.tbl.Resizes()
 			// Fresh strings land in the copy's heap only.
 			insert(next, uint64(rng.Intn(keySpace)), fmt.Sprintf("s%d", rng.Intn(9+g)), float64(1000*g+i))
+			if next.tbl.Resizes() == resizes {
+				continue
+			}
+			grew = true
+			for k := range uint64(keySpace) {
+				want := slices.Clone(next.model[k])
+				sort.Strings(want)
+				if got := joinRows(next.tbl, k); !slices.Equal(got, want) {
+					t.Fatalf("gen %d, grow at %d entries, key %d: %v, want %v", g, next.tbl.Len(), k, got, want)
+				}
+			}
 		}
 		if err := next.tbl.CheckInvariants(); err != nil {
 			t.Fatalf("gen %d: %v", g, err)
 		}
-		split = split || next.tbl.Splits() > splits
 		if !before.same(src.tbl) {
 			t.Fatalf("gen %d: mutating the copy changed its frozen source", g)
 		}
@@ -330,17 +339,17 @@ func TestRehashEquivalenceProperty(t *testing.T) {
 		next.tbl.Freeze()
 		gens = append(gens, next)
 	}
-	if !split {
-		t.Fatal("inserts into widened copies never split a bucket")
+	if !grew {
+		t.Fatal("inserts into widened copies never grew one")
 	}
 }
 
-// TestRehashRestoresSplitting: a widened copy owns every bucket it
-// inherited, so inserts into it split buckets and re-hash their chains
-// exactly as in a freshly built table.
-func TestRehashRestoresSplitting(t *testing.T) {
+// TestWidenedCopyGrows: a widened copy owns its slot array, so inserts
+// past its headroom double it and relink every entry, inherited ones
+// included, exactly as in a freshly built table.
+func TestWidenedCopyGrows(t *testing.T) {
 	w := buildWidenBase(256).Widen(4096)
-	before := w.Splits()
+	before := w.Resizes()
 	const batches, perBatch = 4, 1024
 	for b := 0; b < batches; b++ {
 		for i := 0; i < perBatch; i++ {
@@ -348,16 +357,60 @@ func TestRehashRestoresSplitting(t *testing.T) {
 			w.Insert([]uint64{k, w.Strings().Intern("x"), 0})
 		}
 	}
-	if w.Splits() == before {
-		t.Fatalf("no bucket split despite %d inserts into a widened copy", batches*perBatch)
+	// Headroom is capped at the source's 256 entries: 512 → 8192 slots.
+	if w.Resizes()-before != 4 || w.Slots() != 8192 {
+		t.Fatalf("%d resizes to %d slots for %d inserts into a widened copy", w.Resizes()-before, w.Slots(), batches*perBatch)
 	}
 	if err := w.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []uint64{0, 255, 100000, uint64(100000 + batches*perBatch - 1)} {
 		if got := probeAll(w, k); len(got) != 1 {
-			t.Fatalf("key %d probes %d entries after splits", k, len(got))
+			t.Fatalf("key %d probes %d entries after growing", k, len(got))
 		}
+	}
+}
+
+// TestSizedOnceWhenCountKnown: where the final entry count is known up
+// front — a widening's estimated delta, a cold-tier revival, a parallel
+// build's merge — the slot array is sized once and the inserts never
+// regrow it.
+func TestSizedOnceWhenCountKnown(t *testing.T) {
+	src := buildWidenBase(1000).Freeze() // 1024 slots
+	w := src.Widen(300)
+	if w.Resizes()-src.Resizes() != 1 || w.Slots() != 2048 {
+		t.Fatalf("Widen(300) of 1000 entries: %d resizes to %d slots, want 1 to 2048", w.Resizes()-src.Resizes(), w.Slots())
+	}
+	resizes := w.Resizes()
+	for i := 0; i < 300; i++ {
+		w.Insert([]uint64{uint64(5000 + i), w.strs.Intern("x"), 0})
+	}
+	if w.Resizes() != resizes {
+		t.Fatalf("delta within the headroom regrew the copy %d times", w.Resizes()-resizes)
+	}
+	if err := w.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if v := src.Widen(10); v.Resizes() != src.Resizes() || v.Slots() != src.Slots() {
+		t.Fatalf("Widen(10) of 1000 entries in 1024 slots relinked to %d slots", v.Slots())
+	}
+
+	r := w.Freeze().Spill().Restore()
+	if r.Resizes() != 1 || r.Slots() != 2048 || r.Len() != 1300 {
+		t.Fatalf("Restore of 1300 rows: %d resizes to %d slots, %d entries", r.Resizes(), r.Slots(), r.Len())
+	}
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	parts := []*Table{buildWidenBase(700), buildWidenBase(700), buildWidenBase(700)}
+	m := New(widenLayout())
+	m.MergeFrom(parts...)
+	if m.Resizes() != 1 || m.Slots() != 4096 || m.Len() != 2100 {
+		t.Fatalf("merge of 3×700 entries: %d resizes to %d slots, %d entries", m.Resizes(), m.Slots(), m.Len())
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

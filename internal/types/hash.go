@@ -3,9 +3,9 @@ package types
 // Hash functions used by the hash tables and the shared-plan tagging
 // machinery. Mix64 is the splitmix64 finalizer, a fast full-avalanche
 // mixer for 8-byte keys; HashBytes is FNV-1a finished with Mix64 so that
-// short keys still spread across the full 64-bit range (extendible hashing
-// consumes the low bits of the hash for directory addressing, so poor
-// low-bit diffusion would degenerate every bucket chain).
+// short keys still spread across the full 64-bit range (a hash table's
+// slot is the low bits of the hash, so poor low-bit diffusion would
+// pile keys into a few long chains).
 
 // Mix64 mixes a 64-bit value with full avalanche (splitmix64 finalizer).
 func Mix64(x uint64) uint64 {

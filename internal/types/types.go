@@ -1,6 +1,6 @@
 // Package types defines the value model shared by all HashStash
 // components: column kinds, scalar values, date arithmetic and the hash
-// functions used by the extendible hash tables.
+// functions used by the chained hash tables.
 //
 // All fixed-width payload encodings in the system store one column in
 // exactly 8 bytes (strings are stored as 8-byte references into a string
