@@ -145,12 +145,12 @@ func Open(opts ...Option) *DB {
 	case EngineNoReuse:
 		strategy = NeverReuse
 	case EngineMaterialized:
-		// A materialized relation is reused only exactly or subsumingly;
-		// the baseline has no index access path and evicts by recency
-		// (LRU never demotes to the cold tier).
+		// A materialized relation is reused only exactly or subsumingly,
+		// and the baseline evicts by recency (LRU never demotes to the
+		// cold tier). Its scans keep the engine's index access path.
 		strategy = optimizer.Materialized
 		a.NoPartialReuse, a.NoOverlappingReuse = true, true
-		a.NoSecondaryIndexes, a.LRUEviction = true, true
+		a.LRUEviction = true
 	}
 	// Deterministic fault injection for resilience testing; a bad spec
 	// is a programming error in the test harness.
@@ -294,8 +294,10 @@ func (db *DB) InsertRows(table string, rows [][]Value) error {
 	return db.router.InsertRows(table, rows)
 }
 
-// BuildIndex creates a sorted secondary index on a column (selection
-// attributes benefit from one).
+// BuildIndex builds a btree index on a column now instead of waiting
+// for the optimizer's ski-rental gate to build it. The tree is an
+// ordinary cache entry: the cost model decides per query whether to use
+// it, the cache may evict it, and InsertRows into the table drops it.
 func (db *DB) BuildIndex(table, column string) error {
 	return db.router.BuildIndex(table, column)
 }

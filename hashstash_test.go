@@ -284,6 +284,18 @@ func TestCustomTable(t *testing.T) {
 	if err := db.BuildIndex("events", "amount"); err != nil {
 		t.Fatal(err)
 	}
+	// The declared index is a cached tree the next range query probes
+	// without building another.
+	builds := db.CacheStats().Index.Builds
+	if _, err := db.Exec(`SELECT user_id, amount FROM events WHERE amount >= 97`); err != nil {
+		t.Fatal(err)
+	}
+	if st := db.CacheStats().Index; st.RangeProbes < 1 || st.Builds != builds {
+		t.Errorf("range query after BuildIndex: %+v, want a probe and %d builds", st, builds)
+	}
+	if err := checkAtRest(db); err != nil {
+		t.Error(err)
+	}
 	res, err := db.Exec(`SELECT user_id, COUNT(*) AS n, SUM(amount) AS total
 		FROM events WHERE kind = 'buy' GROUP BY user_id`)
 	if err != nil {
@@ -301,6 +313,9 @@ func TestCustomTable(t *testing.T) {
 	}
 	if err := db.BuildIndex("nope", "x"); err == nil {
 		t.Error("index on unknown table accepted")
+	}
+	if err := db.BuildIndex("events", "nope"); err == nil {
+		t.Error("index on unknown column accepted")
 	}
 	if err := db.CreateTable("bad", map[string]Kind{}, []string{"missing"}); err == nil {
 		t.Error("missing column kind accepted")

@@ -190,10 +190,11 @@ func TestIndexBuildBudget(t *testing.T) {
 	}
 }
 
-// TestInsertInvalidatesIndexes checks that appending rows evicts cached
-// indexes over the table and later queries see the new rows.
-func TestInsertInvalidatesIndexes(t *testing.T) {
-	db := Open()
+// openEvents opens a database holding an events table of 4096 rows,
+// ev_temp = ev_id % 100, split into fragments by ev_id when shards > 1.
+func openEvents(t *testing.T, opts ...Option) *DB {
+	t.Helper()
+	db := Open(append(opts, WithPartitionKey("events", "ev_id"))...)
 	if err := db.CreateTable("events", map[string]Kind{
 		"ev_id": types.Int64, "ev_temp": types.Int64,
 	}, []string{"ev_id", "ev_temp"}); err != nil {
@@ -206,27 +207,76 @@ func TestInsertInvalidatesIndexes(t *testing.T) {
 	if err := db.InsertRows("events", rows); err != nil {
 		t.Fatal(err)
 	}
-	sel := `SELECT e.ev_id, e.ev_temp FROM events e WHERE e.ev_temp = 7`
-	warmIndex(t, db, sel)
+	return db
+}
 
-	if err := db.InsertRows("events", [][]Value{{types.NewInt(90001), types.NewInt(7)}}); err != nil {
-		t.Fatal(err)
+// TestInsertInvalidatesIndexes checks that a range scan sees inserted
+// rows under every index kind — a lazily built index, one declared with
+// BuildIndex, and TPC-H data with no index set up — for both a reusing
+// and a non-reusing strategy on every tested shard count. An insert
+// evicts the cached indexes over its table.
+func TestInsertInvalidatesIndexes(t *testing.T) {
+	const eventsCount = `SELECT COUNT(*) AS n FROM events e WHERE e.ev_temp = 7`
+	legs := []struct {
+		name  string
+		open  func(t *testing.T, opts ...Option) *DB // data loaded, index cached
+		count string                                 // COUNT(*) over a range row falls in
+		table string
+		row   []Value
+		index bool // the leg caches an index the insert must drop
+	}{
+		{"lazy", func(t *testing.T, opts ...Option) *DB {
+			db := openEvents(t, opts...)
+			for i := 0; db.CacheStats().Index.Builds < int64(db.Shards()); i++ {
+				if i == 64 {
+					t.Fatalf("%d index builds after 64 runs", db.CacheStats().Index.Builds)
+				}
+				if _, err := db.Exec(`SELECT e.ev_id FROM events e WHERE e.ev_temp = 7`); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return db
+		}, eventsCount, "events", []Value{types.NewInt(90001), types.NewInt(7)}, true},
+		{"declared", func(t *testing.T, opts ...Option) *DB {
+			db := openEvents(t, opts...)
+			if err := db.BuildIndex("events", "ev_temp"); err != nil {
+				t.Fatal(err)
+			}
+			return db
+		}, eventsCount, "events", []Value{types.NewInt(90001), types.NewInt(7)}, true},
+		{"tpch", func(t *testing.T, opts ...Option) *DB {
+			return openTPCH(t, append(opts, tpchPartitionKeys()...)...)
+		}, `SELECT COUNT(*) AS n FROM orders o
+		     WHERE o.o_orderdate >= DATE '1995-03-01' AND o.o_orderdate < DATE '1995-03-15'`,
+			"orders", []Value{types.NewInt(90001), types.NewInt(1), types.NewDate(types.MustParseDate("1995-03-07")),
+				types.NewFloat(100), types.NewInt(0), types.NewString("O")}, false},
 	}
-	if inv := db.CacheStats().Index.Invalidations; inv == 0 {
-		t.Error("insert did not invalidate the cached index")
-	}
-	res, err := db.Exec(sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, row := range res.Rows {
-		if row[0].I == 90001 {
-			found = true
+	count := func(t *testing.T, db *DB, sql string) int64 {
+		t.Helper()
+		res, err := db.Exec(sql)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return res.Rows[0][0].I
 	}
-	if !found {
-		t.Error("query after insert missed the new row")
+	for _, leg := range legs {
+		for _, strategy := range []Strategy{CostModel, NeverReuse} {
+			for _, shards := range testShardCounts(t) {
+				t.Run(fmt.Sprintf("%s/strategy=%v/shards=%d", leg.name, strategy, shards), func(t *testing.T) {
+					db := leg.open(t, WithStrategy(strategy), WithTuning(Tuning{Shards: shards}))
+					before := count(t, db, leg.count)
+					if err := db.InsertRows(leg.table, [][]Value{leg.row}); err != nil {
+						t.Fatal(err)
+					}
+					if inv := db.CacheStats().Index.Invalidations; leg.index && inv == 0 {
+						t.Error("insert did not invalidate the cached index")
+					}
+					if after := count(t, db, leg.count); after != before+1 {
+						t.Errorf("count %d after the insert, want %d", after, before+1)
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // varies. Keys cover ints, floats and strings with heavy ties.
 func TestCollectOrder(t *testing.T) {
 	const n = 6000
-	tbl := bigTable(t, n, 13, false)
+	tbl := bigTable(n, 13)
 	cols := []string{"b_key", "b_grp", "b_val", "b_tag"}
 	run := func(order Order, par Parallelism) [][]types.Value {
 		src, err := NewTableScan(tbl, "b", nil, cols)

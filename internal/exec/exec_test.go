@@ -3,6 +3,7 @@ package exec
 import (
 	"testing"
 
+	"hashstash/internal/btree"
 	"hashstash/internal/expr"
 	"hashstash/internal/hashtable"
 	"hashstash/internal/storage"
@@ -11,8 +12,7 @@ import (
 
 // ordersTable builds a small orders-like table:
 // okey 1..10, custkey = okey%3, date = okey*10, price = okey*1.5
-func ordersTable(t *testing.T, withIndex bool) *storage.Table {
-	t.Helper()
+func ordersTable() *storage.Table {
 	okey := storage.NewColumn("o_orderkey", types.Int64)
 	ckey := storage.NewColumn("o_custkey", types.Int64)
 	date := storage.NewColumn("o_orderdate", types.Date)
@@ -23,13 +23,7 @@ func ordersTable(t *testing.T, withIndex bool) *storage.Table {
 		date.Ints = append(date.Ints, i*10)
 		price.Floats = append(price.Floats, float64(i)*1.5)
 	}
-	tbl := storage.NewTable("orders", okey, ckey, date, price)
-	if withIndex {
-		if err := tbl.BuildIndexOn("o_orderdate"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return tbl
+	return storage.NewTable("orders", okey, ckey, date, price)
 }
 
 func dateBox(alias string, lo, hi int64) expr.Box {
@@ -56,27 +50,39 @@ func runToCollect(t *testing.T, src Source, transforms ...Transform) *Collect {
 	return sink
 }
 
+// TestTableScanIndexAndFullAgree: an index-driven scan over a btree on
+// the filtered column returns the sequential scan's rows.
 func TestTableScanIndexAndFullAgree(t *testing.T) {
-	for _, indexed := range []bool{true, false} {
-		tbl := ordersTable(t, indexed)
-		src, err := NewTableScan(tbl, "o", []expr.Box{dateBox("o", 30, 70)}, []string{"o_orderkey", "o_orderdate"})
-		if err != nil {
-			t.Fatal(err)
-		}
+	tbl := ordersTable()
+	box := dateBox("o", 30, 70)
+	cols := []string{"o_orderkey", "o_orderdate"}
+	scan, err := NewTableScan(tbl, "o", []expr.Box{box}, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := btree.Build(tbl.Column("o_orderdate"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := NewIndexScan(tbl, "o", tree, box[0].Con, nil, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]Source{"scan": scan, "index": idx} {
 		got := runToCollect(t, src)
 		if len(got.Rows) != 5 { // dates 30,40,50,60,70
-			t.Fatalf("indexed=%v: %d rows, want 5", indexed, len(got.Rows))
+			t.Fatalf("%s: %d rows, want 5", name, len(got.Rows))
 		}
 		for _, row := range got.Rows {
 			if row[1].I < 30 || row[1].I > 70 {
-				t.Fatalf("indexed=%v: date %d out of range", indexed, row[1].I)
+				t.Fatalf("%s: date %d out of range", name, row[1].I)
 			}
 		}
 	}
 }
 
 func TestTableScanMultipleBoxes(t *testing.T) {
-	tbl := ordersTable(t, true)
+	tbl := ordersTable()
 	// Disjoint residual boxes (partial-reuse shape): [10,20] and [90,100].
 	boxes := []expr.Box{dateBox("o", 10, 20), dateBox("o", 90, 100)}
 	src, err := NewTableScan(tbl, "o", boxes, []string{"o_orderkey"})
@@ -93,8 +99,8 @@ func TestTableScanMultipleBoxes(t *testing.T) {
 }
 
 func TestTableScanResidualPredicate(t *testing.T) {
-	tbl := ordersTable(t, true)
-	// Indexed date range + unindexed custkey filter.
+	tbl := ordersTable()
+	// Date range + custkey filter.
 	box := dateBox("o", 10, 100).Intersect(expr.NewBox(expr.Pred{
 		Col: storage.ColRef{Table: "o", Column: "o_custkey"},
 		Con: expr.IntervalConstraint(types.Int64, expr.PointInterval(types.NewInt(1))),
@@ -115,7 +121,7 @@ func TestTableScanResidualPredicate(t *testing.T) {
 }
 
 func TestTableScanEmptyBoxSkipped(t *testing.T) {
-	tbl := ordersTable(t, true)
+	tbl := ordersTable()
 	empty := dateBox("o", 50, 40)
 	src, err := NewTableScan(tbl, "o", []expr.Box{empty}, []string{"o_orderkey"})
 	if err != nil {
@@ -127,14 +133,14 @@ func TestTableScanEmptyBoxSkipped(t *testing.T) {
 }
 
 func TestTableScanBadColumn(t *testing.T) {
-	tbl := ordersTable(t, false)
+	tbl := ordersTable()
 	if _, err := NewTableScan(tbl, "o", nil, []string{"nope"}); err == nil {
 		t.Error("bad column accepted")
 	}
 }
 
 func TestFilterTransform(t *testing.T) {
-	tbl := ordersTable(t, false)
+	tbl := ordersTable()
 	src, err := NewTableScan(tbl, "o", nil, []string{"o_orderkey", "o_orderdate"})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +162,7 @@ func TestFilterBadColumn(t *testing.T) {
 }
 
 func TestComputeTransform(t *testing.T) {
-	tbl := ordersTable(t, false)
+	tbl := ordersTable()
 	src, err := NewTableScan(tbl, "o", nil, []string{"o_totalprice"})
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +229,7 @@ func custTable() *storage.Table {
 }
 
 func TestBuildAndProbeJoin(t *testing.T) {
-	orders := ordersTable(t, false)
+	orders := ordersTable()
 	ht := buildOrdersHT(t, orders, nil)
 	if ht.Len() != 10 {
 		t.Fatalf("build inserted %d", ht.Len())
@@ -259,7 +265,7 @@ func TestBuildAndProbeJoin(t *testing.T) {
 }
 
 func TestProbePostFilter(t *testing.T) {
-	orders := ordersTable(t, false)
+	orders := ordersTable()
 	// Cached HT holds ALL orders; the query wants only dates [30,70]:
 	// subsuming reuse → post-filter at probe time.
 	ht := buildOrdersHT(t, orders, nil)
@@ -317,7 +323,7 @@ func TestProbeStringKeyMiss(t *testing.T) {
 }
 
 func TestAggHTSink(t *testing.T) {
-	orders := ordersTable(t, false)
+	orders := ordersTable()
 	layout := hashtable.Layout{
 		Cols: []storage.ColMeta{
 			{Ref: storage.ColRef{Table: "o", Column: "o_custkey"}, Kind: types.Int64},
@@ -396,7 +402,7 @@ func TestAggHTValidation(t *testing.T) {
 }
 
 func TestHTScanWithPostFilter(t *testing.T) {
-	orders := ordersTable(t, false)
+	orders := ordersTable()
 	ht := buildOrdersHT(t, orders, nil)
 	src, err := NewHTScan(ht, []int{1, 2}, nil, dateBox("o", 30, 70))
 	if err != nil {
@@ -422,7 +428,7 @@ func TestHTScanWithPostFilter(t *testing.T) {
 }
 
 func TestMultiSink(t *testing.T) {
-	orders := ordersTable(t, false)
+	orders := ordersTable()
 	src, err := NewTableScan(orders, "o", nil, []string{"o_orderkey", "o_totalprice"})
 	if err != nil {
 		t.Fatal(err)
@@ -446,7 +452,7 @@ func TestMultiSink(t *testing.T) {
 }
 
 func TestSharedScanAndReTag(t *testing.T) {
-	orders := ordersTable(t, false)
+	orders := ordersTable()
 	// Three queries with different date windows.
 	boxes := []expr.Box{
 		dateBox("o", 10, 40),  // q0: orders 1-4
@@ -541,7 +547,7 @@ func TestSharedScanAndReTag(t *testing.T) {
 }
 
 func TestSharedScanValidation(t *testing.T) {
-	orders := ordersTable(t, false)
+	orders := ordersTable()
 	if _, err := NewSharedScan(orders, "o", nil, []string{"o_orderkey"}); err == nil {
 		t.Error("0 queries accepted")
 	}
@@ -598,7 +604,7 @@ func TestEndToEndJoinAggregate(t *testing.T) {
 	// SELECT c_name, SUM(o_totalprice) FROM customer c, orders o
 	// WHERE c_custkey = o_custkey AND o_orderdate BETWEEN 30 AND 70
 	// GROUP BY c_name
-	orders := ordersTable(t, true)
+	orders := ordersTable()
 	cust := custTable()
 
 	// Pipeline 1: build HT over filtered orders keyed by custkey.

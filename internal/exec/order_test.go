@@ -60,7 +60,7 @@ func tagJoinLayout() hashtable.Layout {
 // worker storm and asserts compile order held: no probe batch flowed
 // before the build sink's Finish.
 func TestProbeNeverStartsBeforeBuildFinishes(t *testing.T) {
-	tbl := bigTable(t, 60_000, 11, false)
+	tbl := bigTable(60_000, 11)
 
 	run := func(par Parallelism) [][]types.Value {
 		ht := hashtable.New(tagJoinLayout())
@@ -111,7 +111,7 @@ func TestProbeNeverStartsBeforeBuildFinishes(t *testing.T) {
 // pipeline as a single whole-pipeline task: an unsplittable source, a
 // sink without a merge strategy, and Workers <= 1.
 func TestRunParallelSerialFallbacks(t *testing.T) {
-	tbl := bigTable(t, 20_000, 13, false)
+	tbl := bigTable(20_000, 13)
 
 	mkScan := func() *TableScan {
 		src, err := NewTableScan(tbl, "b", nil, []string{"b_key", "b_grp"})
@@ -164,7 +164,7 @@ func TestRunParallelSerialFallbacks(t *testing.T) {
 // mergeable sinks (the shared-plan grouping-spine shape) splits into
 // morsels, with every child sink merged from per-worker partials.
 func TestMultiSinkSpineParallel(t *testing.T) {
-	tbl := bigTable(t, 40_000, 23, false)
+	tbl := bigTable(40_000, 23)
 
 	run := func(par Parallelism) ([][]types.Value, [][]types.Value) {
 		src, err := NewTableScan(tbl, "b", nil, []string{"b_tag", "b_val"})
@@ -196,7 +196,7 @@ func TestMultiSinkSpineParallel(t *testing.T) {
 // copy, read the copy) must wait for the rebuild. The readout counts its
 // morsels when its turn comes, so it must see every rebuilt entry.
 func TestRebuildConsumerOrdering(t *testing.T) {
-	tbl := bigTable(t, 30_000, 17, false)
+	tbl := bigTable(30_000, 17)
 
 	run := func(par Parallelism) [][]types.Value {
 		// Pipeline 1: scan → aggregate.
@@ -237,7 +237,7 @@ func TestRebuildConsumerOrdering(t *testing.T) {
 // fine morsels under -race: aggregations followed by their readouts,
 // all sharing the pool.
 func TestExecMorselStorm(t *testing.T) {
-	tbl := bigTable(t, 50_000, 29, false)
+	tbl := bigTable(50_000, 29)
 	var pipelines []*Pipeline
 	var hts []*hashtable.Table
 	var collects []*Collect

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"hashstash/internal/btree"
 	"hashstash/internal/expr"
 	"hashstash/internal/hashtable"
 	"hashstash/internal/storage"
@@ -13,8 +14,7 @@ import (
 
 // bigTable builds an n-row table: key 0..n-1, grp = key%groups,
 // val = key*0.5, tag = "t<key%7>".
-func bigTable(t testing.TB, n, groups int, withIndex bool) *storage.Table {
-	t.Helper()
+func bigTable(n, groups int) *storage.Table {
 	key := storage.NewColumn("b_key", types.Int64)
 	grp := storage.NewColumn("b_grp", types.Int64)
 	val := storage.NewColumn("b_val", types.Float64)
@@ -25,13 +25,7 @@ func bigTable(t testing.TB, n, groups int, withIndex bool) *storage.Table {
 		val.Floats = append(val.Floats, float64(i)*0.5)
 		tag.Strs = append(tag.Strs, fmt.Sprintf("t%d", i%7))
 	}
-	tbl := storage.NewTable("big", key, grp, val, tag)
-	if withIndex {
-		if err := tbl.BuildIndexOn("b_key"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return tbl
+	return storage.NewTable("big", key, grp, val, tag)
 }
 
 func keyBox(lo, hi int64) expr.Box {
@@ -72,19 +66,32 @@ func assertSameRows(t *testing.T, serial, parallel [][]types.Value) {
 	}
 }
 
+// TestTableScanMorselsCoverAllRows: the morsels of a scan — sequential
+// or index-driven — together emit exactly the serial scan's rows.
 func TestTableScanMorselsCoverAllRows(t *testing.T) {
-	tbl := bigTable(t, 10_000, 10, true)
+	tbl := bigTable(10_000, 10)
+	tree, err := btree.Build(tbl.Column("b_key"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
-		name  string
-		boxes []expr.Box
+		name    string
+		boxes   []expr.Box
+		indexed bool
 	}{
-		{"full", nil},
-		{"indexed", []expr.Box{keyBox(1000, 8999)}},
-		{"twoBoxes", []expr.Box{keyBox(0, 999), keyBox(9000, 9999)}},
+		{"full", nil, false},
+		{"indexed", []expr.Box{keyBox(1000, 8999)}, true},
+		{"twoBoxes", []expr.Box{keyBox(0, 999), keyBox(9000, 9999)}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			mk := func() *TableScan {
-				src, err := NewTableScan(tbl, "b", tc.boxes, []string{"b_key"})
+			mk := func() MorselSource {
+				var src MorselSource
+				var err error
+				if tc.indexed {
+					src, err = NewIndexScan(tbl, "b", tree, tc.boxes[0][0].Con, nil, []string{"b_key"})
+				} else {
+					src, err = NewTableScan(tbl, "b", tc.boxes, []string{"b_key"})
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -160,7 +167,7 @@ func identityColsTest(n int) []int {
 }
 
 func TestParallelScanAggMatchesSerial(t *testing.T) {
-	tbl := bigTable(t, 50_000, 37, false)
+	tbl := bigTable(50_000, 37)
 	serialP, serialHT := scanAggPipeline(t, tbl, nil)
 	if err := RunParallel([]*Pipeline{serialP}, Parallelism{Workers: 1}); err != nil {
 		t.Fatal(err)
@@ -187,7 +194,7 @@ func TestParallelScanAggMatchesSerial(t *testing.T) {
 // string-keyed table (exercising per-worker string heaps and their
 // re-interning merge) and probes it from a parallel pipeline.
 func TestParallelBuildProbeMatchesSerial(t *testing.T) {
-	tbl := bigTable(t, 20_000, 11, false)
+	tbl := bigTable(20_000, 11)
 
 	run := func(par Parallelism) ([][]types.Value, *Pipeline, *Pipeline) {
 		bsrc, err := NewTableScan(tbl, "b", nil, []string{"b_tag", "b_val"})
@@ -239,7 +246,7 @@ func TestParallelBuildProbeMatchesSerial(t *testing.T) {
 // TestParallelHTScan splits a cached-table readout into entry-range
 // morsels.
 func TestParallelHTScan(t *testing.T) {
-	tbl := bigTable(t, 30_000, 5000, false)
+	tbl := bigTable(30_000, 5000)
 	p, ht := scanAggPipeline(t, tbl, nil)
 	if err := RunParallel([]*Pipeline{p}, Parallelism{Workers: 1}); err != nil {
 		t.Fatal(err)
@@ -261,7 +268,7 @@ func TestParallelHTScan(t *testing.T) {
 // TestParallelFallbacks: unsplittable setups must still execute
 // correctly through the serial path.
 func TestParallelFallbacks(t *testing.T) {
-	tbl := bigTable(t, 100, 10, false)
+	tbl := bigTable(100, 10)
 	// Tiny input → single morsel → serial fallback.
 	p, ht := scanAggPipeline(t, tbl, nil)
 	if err := RunParallel([]*Pipeline{p}, Parallelism{Workers: 8}); err != nil {

@@ -29,10 +29,10 @@ func fillRange(sel []int32, start int32) []int32 {
 	return sel
 }
 
-// TableScan scans a base table under a disjoint union of predicate
-// boxes (normally one; partial-reuse residuals may add more). Each box
-// is evaluated with the best available secondary index; the remaining
-// predicates are applied as residual filters.
+// TableScan scans a base table sequentially under a disjoint union of
+// predicate boxes (normally one; partial-reuse residuals may add more),
+// applying each box's predicates as a residual filter. Index-driven
+// access is IndexScan's job; the optimizer picks between the two.
 type TableScan struct {
 	Table *storage.Table
 	// Alias qualifies emitted column references (queries address tables
@@ -47,10 +47,8 @@ type TableScan struct {
 	cols    []*storage.Column // resolved emit columns, aligned with Cols
 	schema  storage.Schema
 	boxIdx  int
-	rows    []int32 // row ids for the current box (index path), nil → full scan
 	pos     int
 	matcher *tableMatcher
-	full    bool
 	err     error // box-resolution failure mid-iteration (see Err)
 	// stats
 	rowsScanned int64
@@ -85,103 +83,70 @@ func (s *TableScan) Open() error {
 	return s.advanceBox()
 }
 
-// scanUnit is one predicate box resolved against the table: either a
-// row-id list from the best secondary index or a full-range scan, plus
-// the residual filter. Its fields are read-only after resolution, so
-// morsels of the same box share it across workers.
-type scanUnit struct {
-	rows    []int32 // index path row ids; nil with full=true → full scan
-	full    bool
-	matcher *tableMatcher
-}
-
-// resolveBox resolves one box into a scan unit; skip reports a
-// contradictory (empty-set) box that produces no rows.
-func (s *TableScan) resolveBox(box expr.Box) (unit scanUnit, skip bool, err error) {
+// resolveBox compiles one box into its residual matcher (nil for a box
+// without predicates); skip reports a contradictory (empty-set) box that
+// produces no rows. The matcher is read-only, so morsels of the same box
+// share it across workers.
+func (s *TableScan) resolveBox(box expr.Box) (m *tableMatcher, skip bool, err error) {
 	if box.Empty() {
-		return scanUnit{}, true, nil
+		return nil, true, nil
 	}
-	// Pick an indexed, non-full interval constraint to drive the scan.
-	var residual expr.Box
-	indexed := false
-	for _, p := range box {
-		if !indexed && p.Con.Kind != types.String && !p.Con.IsFull() {
-			if ix := s.Table.IndexOn(p.Col.Column); ix != nil {
-				iv := p.Con.Iv
-				unit.rows = ix.Range(iv.Lo, iv.Hi, iv.HasLo, iv.HasHi, iv.LoIncl, iv.HiIncl)
-				indexed = true
-				continue
-			}
-		}
-		residual = append(residual, p)
+	if len(box) == 0 {
+		return nil, false, nil
 	}
-	if !indexed {
-		unit.full = true
-	}
-	if len(residual) > 0 {
-		m, err := newTableMatcher(residual, s.Table)
-		if err != nil {
-			return scanUnit{}, false, err
-		}
-		unit.matcher = m
-	}
-	return unit, false, nil
+	m, err = newTableMatcher(box, s.Table)
+	return m, false, err
 }
 
 // advanceBox prepares iteration state for the next box.
 func (s *TableScan) advanceBox() error {
 	s.boxIdx++
 	s.pos = 0
-	s.rows = nil
-	s.full = false
 	s.matcher = nil
 	if s.boxIdx >= len(s.Boxes) {
 		return nil
 	}
-	unit, skip, err := s.resolveBox(s.Boxes[s.boxIdx])
+	m, skip, err := s.resolveBox(s.Boxes[s.boxIdx])
 	if err != nil {
 		return err
 	}
 	if skip {
 		return s.advanceBox()
 	}
-	s.rows, s.full, s.matcher = unit.rows, unit.full, unit.matcher
+	s.matcher = m
 	return nil
 }
 
-// Morsels implements MorselSource: every box's scan unit (index row-id
-// run or full table range) is chunked into independent row ranges that
-// share the box's read-only residual matcher. The granularity is
-// rebalanced per box so even short residual scans split into several
-// morsels per worker. It returns nil when box resolution fails; the runner's serial
-// fallback then surfaces the error.
+// Morsels implements MorselSource: each box's pass over the table is
+// chunked into the same independent row ranges, balanced so even short
+// tables split into several morsels per worker; a box's morsels share
+// its read-only residual matcher. It returns nil when box resolution
+// fails; the runner's serial fallback then surfaces the error.
 func (s *TableScan) Morsels(rows, workers int) []Source {
+	n := s.Table.NumRows()
+	ranges := storage.MorselRange(n, storage.BalancedMorselRows(n, rows, workers))
 	var out []Source
 	for _, box := range s.Boxes {
-		unit, skip, err := s.resolveBox(box)
+		m, skip, err := s.resolveBox(box)
 		if err != nil {
 			return nil
 		}
 		if skip {
 			continue
 		}
-		n := len(unit.rows)
-		if unit.full {
-			n = s.Table.NumRows()
-		}
-		for _, m := range storage.MorselRange(n, storage.BalancedMorselRows(n, rows, workers)) {
-			out = append(out, &tableScanMorsel{scan: s, unit: unit, m: m})
+		for _, r := range ranges {
+			out = append(out, &tableScanMorsel{scan: s, matcher: m, m: r})
 		}
 	}
 	return out
 }
 
-// emitFullChunk scans the contiguous row range [start, end) under the
+// emitChunk scans the contiguous row range [start, end) under the
 // residual matcher, appending survivors to out. It returns the number of
 // rows emitted. With no matcher every column bulk-copies the range; with
 // one, the matcher refines a selection vector and each column gathers
 // the survivors once.
-func (s *TableScan) emitFullChunk(out *storage.Batch, start, end int32, m *tableMatcher) int {
+func (s *TableScan) emitChunk(out *storage.Batch, start, end int32, m *tableMatcher) int {
 	if m == nil {
 		for i, col := range s.cols {
 			out.Cols[i].AppendColumnRange(col, start, end)
@@ -195,31 +160,14 @@ func (s *TableScan) emitFullChunk(out *storage.Batch, start, end int32, m *table
 	return len(sel)
 }
 
-// emitRowIDs scans the given index row ids under the residual matcher,
-// appending survivors to out and returning the number emitted. The id
-// slice aliases the index permutation, so filtering copies it into the
-// batch's selection scratch first.
-func (s *TableScan) emitRowIDs(out *storage.Batch, rows []int32, m *tableMatcher) int {
-	sel := rows
-	if m != nil {
-		sel = out.Scratch().Sel(len(rows))
-		copy(sel, rows)
-		sel = m.filter(sel)
-	}
-	for i, col := range s.cols {
-		out.Cols[i].AppendColumnGather(col, sel)
-	}
-	return len(sel)
-}
-
 // tableScanMorsel scans one morsel of one resolved box. It shares the
 // parent scan's table, column list and matcher (all read-only) and owns
 // only its cursor.
 type tableScanMorsel struct {
-	scan *TableScan
-	unit scanUnit
-	m    storage.Morsel
-	pos  int32
+	scan    *TableScan
+	matcher *tableMatcher
+	m       storage.Morsel
+	pos     int32
 }
 
 // Schema implements Source.
@@ -241,11 +189,7 @@ func (t *tableScanMorsel) Next(out *storage.Batch) bool {
 		if rem := t.m.End - t.pos; rem < chunk {
 			chunk = rem
 		}
-		if t.unit.full {
-			produced += t.scan.emitFullChunk(out, t.pos, t.pos+chunk, t.unit.matcher)
-		} else {
-			produced += t.scan.emitRowIDs(out, t.unit.rows[t.pos:t.pos+chunk], t.unit.matcher)
-		}
+		produced += t.scan.emitChunk(out, t.pos, t.pos+chunk, t.matcher)
 		t.pos += chunk
 		scanned += int64(chunk)
 	}
@@ -257,49 +201,24 @@ func (t *tableScanMorsel) Next(out *storage.Batch) bool {
 
 // Next implements Source.
 func (s *TableScan) Next(out *storage.Batch) bool {
+	n := s.Table.NumRows()
 	for s.boxIdx < len(s.Boxes) {
 		produced := out.Len()
-		if s.full {
-			n := s.Table.NumRows()
-			for s.pos < n && produced < storage.BatchSize {
-				chunk := storage.BatchSize - produced
-				if rem := n - s.pos; rem < chunk {
-					chunk = rem
-				}
-				produced += s.emitFullChunk(out, int32(s.pos), int32(s.pos+chunk), s.matcher)
-				s.pos += chunk
-				s.rowsScanned += int64(chunk)
+		for s.pos < n && produced < storage.BatchSize {
+			chunk := storage.BatchSize - produced
+			if rem := n - s.pos; rem < chunk {
+				chunk = rem
 			}
-			if produced > 0 {
-				return true
-			}
-			if s.pos >= n {
-				if err := s.advanceBox(); err != nil {
-					s.err = err
-					return false
-				}
-				continue
-			}
-		} else {
-			for s.pos < len(s.rows) && produced < storage.BatchSize {
-				chunk := storage.BatchSize - produced
-				if rem := len(s.rows) - s.pos; rem < chunk {
-					chunk = rem
-				}
-				produced += s.emitRowIDs(out, s.rows[s.pos:s.pos+chunk], s.matcher)
-				s.pos += chunk
-				s.rowsScanned += int64(chunk)
-			}
-			if produced > 0 {
-				return true
-			}
-			if s.pos >= len(s.rows) {
-				if err := s.advanceBox(); err != nil {
-					s.err = err
-					return false
-				}
-				continue
-			}
+			produced += s.emitChunk(out, int32(s.pos), int32(s.pos+chunk), s.matcher)
+			s.pos += chunk
+			s.rowsScanned += int64(chunk)
+		}
+		if produced > 0 {
+			return true
+		}
+		if err := s.advanceBox(); err != nil {
+			s.err = err
+			return false
 		}
 	}
 	return false

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"hashstash/internal/btree"
 	"hashstash/internal/costmodel"
 	"hashstash/internal/exec"
 	"hashstash/internal/expr"
@@ -163,14 +164,15 @@ func (r *OperatorSweepResult) Format() string {
 // table's size stays constant across ratios (as in the paper): at
 // contribution c it holds c·N needed rows and (1−c)·N overhead rows.
 type rhjBench struct {
-	build *storage.Table // seq, key, payload; flag column marks needed rows
-	probe *storage.Table
-	n     int
+	build  *storage.Table // seq, key, payload; flag column marks needed rows
+	seqIdx *btree.Tree    // over build.seq: reuse scans read only missing rows
+	probe  *storage.Table
+	n      int
 }
 
 const rhjFlagNeeded = 1
 
-func newRHJBench(n int) *rhjBench {
+func newRHJBench(n int) (*rhjBench, error) {
 	seq := storage.NewColumn("seq", types.Int64)
 	key := storage.NewColumn("key", types.Int64)
 	pay := storage.NewColumn("pay", types.Int64)
@@ -180,14 +182,17 @@ func newRHJBench(n int) *rhjBench {
 		pay.Ints = append(pay.Ints, int64(i*7))
 	}
 	build := storage.NewTable("bench_build", seq, key, pay)
-	_ = build.BuildIndexOn("seq")
+	seqIdx, err := btree.Build(seq)
+	if err != nil {
+		return nil, err
+	}
 
 	pkey := storage.NewColumn("key", types.Int64)
 	for i := 0; i < 10*n; i++ {
 		pkey.Ints = append(pkey.Ints, int64(i%n))
 	}
 	probe := storage.NewTable("bench_probe", pkey)
-	return &rhjBench{build: build, probe: probe, n: n}
+	return &rhjBench{build: build, seqIdx: seqIdx, probe: probe, n: n}, nil
 }
 
 func (rb *rhjBench) layout() hashtable.Layout {
@@ -247,13 +252,10 @@ func (rb *rhjBench) runNever() (time.Duration, error) {
 func (rb *rhjBench) runAlways(ht *hashtable.Table, contr float64) (time.Duration, error) {
 	t0 := time.Now()
 	missingFrom := int64(contr * float64(rb.n))
-	residual := expr.NewBox(expr.Pred{
-		Col: storage.ColRef{Table: "b", Column: "seq"},
-		Con: expr.IntervalConstraint(types.Int64, expr.Interval{
-			HasLo: true, Lo: types.NewInt(missingFrom), LoIncl: true,
-		}),
+	missing := expr.IntervalConstraint(types.Int64, expr.Interval{
+		HasLo: true, Lo: types.NewInt(missingFrom), LoIncl: true,
 	})
-	src, err := exec.NewTableScan(rb.build, "b", []expr.Box{residual}, []string{"key", "seq", "pay"})
+	src, err := exec.NewIndexScan(rb.build, "b", rb.seqIdx, missing, nil, []string{"key", "seq", "pay"})
 	if err != nil {
 		return 0, err
 	}
@@ -301,7 +303,10 @@ func (s *countSink) Finish()                  {}
 // Exp2b sweeps the contribution ratio for the reuse-aware hash join
 // (Figure 9a). rows controls the build relation size.
 func Exp2b(rows int) (*OperatorSweepResult, error) {
-	rb := newRHJBench(rows)
+	rb, err := newRHJBench(rows)
+	if err != nil {
+		return nil, err
+	}
 	model := newRHJModel(rows)
 	out := &OperatorSweepResult{Name: fmt.Sprintf("Experiment 2b — RHJ operator-level reuse (%d build rows)", rows)}
 	for pct := 100; pct >= 0; pct -= 10 {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"hashstash/internal/btree"
 	"hashstash/internal/costmodel"
 	"hashstash/internal/exec"
 	"hashstash/internal/expr"
@@ -22,11 +23,12 @@ import (
 // aggregation table holding a contribution-ratio-controlled prefix.
 type rhaBench struct {
 	input  *storage.Table // seq, key (group), val
+	seqIdx *btree.Tree    // over input.seq: scans read only the rows they fold
 	n      int
 	groups int
 }
 
-func newRHABench(n, groups int) *rhaBench {
+func newRHABench(n, groups int) (*rhaBench, error) {
 	seq := storage.NewColumn("seq", types.Int64)
 	key := storage.NewColumn("key", types.Int64)
 	val := storage.NewColumn("val", types.Float64)
@@ -35,9 +37,17 @@ func newRHABench(n, groups int) *rhaBench {
 		key.Ints = append(key.Ints, int64(i%groups))
 		val.Floats = append(val.Floats, float64(i%97))
 	}
+	seqIdx, err := btree.Build(seq)
+	if err != nil {
+		return nil, err
+	}
 	t := storage.NewTable("bench_agg", seq, key, val)
-	_ = t.BuildIndexOn("seq")
-	return &rhaBench{input: t, n: n, groups: groups}
+	return &rhaBench{input: t, seqIdx: seqIdx, n: n, groups: groups}, nil
+}
+
+// seqScan reads the key and val of the input rows whose seq lies in iv.
+func (rb *rhaBench) seqScan(iv expr.Interval) (*exec.IndexScan, error) {
+	return exec.NewIndexScan(rb.input, "a", rb.seqIdx, expr.IntervalConstraint(types.Int64, iv), nil, []string{"key", "val"})
 }
 
 func (rb *rhaBench) layout() hashtable.Layout {
@@ -53,13 +63,7 @@ func (rb *rhaBench) layout() hashtable.Layout {
 
 // aggregate folds input rows with seq >= from into the table.
 func (rb *rhaBench) aggregate(ht *hashtable.Table, from int64) error {
-	box := expr.NewBox(expr.Pred{
-		Col: storage.ColRef{Table: "a", Column: "seq"},
-		Con: expr.IntervalConstraint(types.Int64, expr.Interval{
-			HasLo: true, Lo: types.NewInt(from), LoIncl: true,
-		}),
-	})
-	src, err := exec.NewTableScan(rb.input, "a", []expr.Box{box}, []string{"key", "val"})
+	src, err := rb.seqScan(expr.Interval{HasLo: true, Lo: types.NewInt(from), LoIncl: true})
 	if err != nil {
 		return err
 	}
@@ -89,13 +93,7 @@ func (rb *rhaBench) aggregate(ht *hashtable.Table, from int64) error {
 func (rb *rhaBench) cached(contr float64) (*hashtable.Table, int64, error) {
 	ht := hashtable.New(rb.layout())
 	upto := int64(contr * float64(rb.n))
-	box := expr.NewBox(expr.Pred{
-		Col: storage.ColRef{Table: "a", Column: "seq"},
-		Con: expr.IntervalConstraint(types.Int64, expr.Interval{
-			HasHi: true, Hi: types.NewInt(upto), HiIncl: false,
-		}),
-	})
-	src, err := exec.NewTableScan(rb.input, "a", []expr.Box{box}, []string{"key", "val"})
+	src, err := rb.seqScan(expr.Interval{HasHi: true, Hi: types.NewInt(upto)})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -118,7 +116,10 @@ func (rb *rhaBench) cached(contr float64) (*hashtable.Table, int64, error) {
 // Exp2c sweeps the contribution ratio for the reuse-aware hash
 // aggregate (Figure 9b).
 func Exp2c(rows, groups int) (*OperatorSweepResult, error) {
-	rb := newRHABench(rows, groups)
+	rb, err := newRHABench(rows, groups)
+	if err != nil {
+		return nil, err
+	}
 	m := costmodel.NewModel(nil)
 	out := &OperatorSweepResult{Name: fmt.Sprintf("Experiment 2c — RHA operator-level reuse (%d rows, %d groups)", rows, groups)}
 

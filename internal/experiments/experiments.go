@@ -50,9 +50,8 @@ func (e *Env) newOptimizer(strategy optimizer.Strategy, budget int64) *optimizer
 	}
 	if strategy == optimizer.Materialized {
 		// The baseline reuses a materialized relation only exactly or
-		// subsumingly, has no index access path and evicts by recency.
+		// subsumingly and evicts by recency.
 		opts.EnablePartial, opts.EnableOverlapping = false, false
-		opts.NoSecondaryIndexes = true
 		cache.SetPolicy(htcache.PolicyLRU)
 	}
 	return optimizer.New(e.Cat, cache, nil, opts)

@@ -6,7 +6,6 @@ import (
 	"hashstash/internal/expr"
 	"hashstash/internal/plan"
 	"hashstash/internal/storage"
-	"hashstash/internal/types"
 )
 
 // Cardinality estimation: classic System-R style. Because every TPC-H
@@ -90,33 +89,11 @@ func maskFilter(q *plan.Query, mask int) expr.Box {
 	return expr.NewBox(out...)
 }
 
-// scanIndexed reports whether a scan of the relation under the box can
-// be driven by a secondary index (affects the scan cost estimate).
-func (o *Optimizer) scanIndexed(q *plan.Query, relIdx int, box expr.Box) bool {
-	rel := q.Relations[relIdx]
-	tbl := o.Cat.Table(rel.Table)
-	if tbl == nil {
-		return false
-	}
-	for _, p := range box {
-		if p.Col.Table != rel.Alias {
-			continue
-		}
-		if p.Con.IsFull() || p.Con.Kind == types.String {
-			continue
-		}
-		if tbl.IndexOn(p.Col.Column) != nil {
-			return true
-		}
-	}
-	return false
-}
-
 // scanCost estimates scanning relation relIdx under the union of boxes.
-// Each box costs the cheapest available access path: the sequential
-// scan, a pre-built storage index, or a cached secondary index (the
-// enumerator thereby sees — and plans around — the index access path
-// without ever triggering a build).
+// Each box costs the cheaper available access path: the sequential
+// scan or a cached secondary index (the enumerator thereby sees — and
+// plans around — the index access path without ever triggering a
+// build).
 func (o *Optimizer) scanCost(q *plan.Query, relIdx int, boxes []expr.Box, emitted int) float64 {
 	rel := q.Relations[relIdx]
 	ts := o.Cat.Stats(rel.Table)
@@ -124,12 +101,6 @@ func (o *Optimizer) scanCost(q *plan.Query, relIdx int, boxes []expr.Box, emitte
 	var total float64
 	for _, box := range boxes {
 		cost := o.Model.ScanCost(float64(ts.Rows), width)
-		if o.scanIndexed(q, relIdx, box) {
-			outRows := ts.EstimateRows(box)
-			if c := o.Model.ScanCost(outRows, width); c < cost {
-				cost = c
-			}
-		}
 		if c := o.cachedIndexCost(q, relIdx, box, width); c >= 0 && c < cost {
 			cost = c
 		}

@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 
 	"hashstash/hashstasherr"
+	"hashstash/internal/btree"
 	"hashstash/internal/catalog"
 	"hashstash/internal/costmodel"
 	"hashstash/internal/exec"
@@ -212,20 +213,33 @@ func (e *Engine) InsertRows(table string, rows [][]types.Value) error {
 	return nil
 }
 
-// BuildIndex builds a sorted storage index on every placement of the
-// column (each fragment indexes its own rows; a replica indexes once).
+// BuildIndex builds a btree on every placement of the column and
+// registers it in the shard caches exactly as a lazy build does: the
+// entry is an ordinary cached artifact, evictable and invalidated by
+// InsertRows. A fragment's tree goes into its own shard's cache; a
+// replica's one tree goes into every shard's cache. A shard that already
+// caches an index on the column keeps it.
 func (e *Engine) BuildIndex(table, column string) error {
 	t0, err := e.table(table)
 	if err != nil {
 		return err
 	}
-	if _, partitioned := e.keys[table]; !partitioned {
-		return t0.BuildIndexOn(column)
+	if t0.Column(column) == nil {
+		return fmt.Errorf("shard: table %q has no column %q", table, column)
 	}
+	ref := storage.ColRef{Table: table, Column: column}
+	_, partitioned := e.keys[table]
+	var tree *btree.Tree
 	for _, sh := range e.shards {
-		if err := sh.Cat.Table(table).BuildIndexOn(column); err != nil {
-			return err
+		if len(sh.Cache.Candidates(htcache.IndexLineage(ref), nil)) > 0 {
+			continue
 		}
+		if partitioned || tree == nil {
+			if tree, err = btree.Build(sh.Cat.Table(table).Column(column)); err != nil {
+				return err
+			}
+		}
+		sh.Cache.Release(sh.Cache.RegisterIndex(tree, ref))
 	}
 	return nil
 }

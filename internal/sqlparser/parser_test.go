@@ -13,7 +13,7 @@ import (
 
 func testCat(t *testing.T) *catalog.Catalog {
 	t.Helper()
-	db, err := tpch.Generate(tpch.Config{SF: 0.001, SkipIndexes: true})
+	db, err := tpch.Generate(tpch.Config{SF: 0.001})
 	if err != nil {
 		t.Fatal(err)
 	}

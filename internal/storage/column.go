@@ -1,18 +1,18 @@
 // Package storage implements the in-memory column store that HashStash
-// executes over: typed columns, tables with sorted secondary indexes on
-// selection attributes, the column-vector batches that flow through the
-// push-based execution pipelines, and the morsels (row ranges) that
-// partition a table into independent parallel scan units.
+// executes over: typed columns, tables, the column-vector batches that
+// flow through the push-based execution pipelines, and the morsels (row
+// ranges) that partition a table into independent parallel scan units.
+// Secondary indexes live outside the table: they are btrees over a
+// column's SortedPerm (internal/btree), cached like hash tables.
 //
-// None of these structures synchronize internally: tables and indexes
-// are immutable while queries run, batches are owned by one worker at a
-// time, and the execution layer coordinates everything else.
+// None of these structures synchronize internally: tables are immutable
+// while queries run, batches are owned by one worker at a time, and the
+// execution layer coordinates everything else.
 package storage
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"hashstash/internal/types"
 )
@@ -151,49 +151,4 @@ func siftDown(heap []int32, i int, order func(a, b int32) int) {
 func SortedPerm(col *Column) []int32 {
 	v := col.view()
 	return OrderPerm(col.Len(), 0, v.RowOrder(false))
-}
-
-// Index is a sorted secondary index: Perm lists all row ids of the table
-// ordered by the indexed column's value. Range lookups binary-search the
-// permutation and return a contiguous run of row ids.
-type Index struct {
-	Col  *Column
-	Perm []int32
-}
-
-// BuildIndex sorts the table's rows by the column value.
-func BuildIndex(col *Column) *Index {
-	return &Index{Col: col, Perm: SortedPerm(col)}
-}
-
-// Range returns the slice of the permutation whose column values v
-// satisfy lo <= v <= hi under the given inclusivity flags. Unbounded ends
-// are expressed by hasLo/hasHi=false. The returned slice aliases the
-// index; callers must not modify it.
-func (ix *Index) Range(lo, hi types.Value, hasLo, hasHi, loIncl, hiIncl bool) []int32 {
-	n := len(ix.Perm)
-	start := 0
-	if hasLo {
-		start = sort.Search(n, func(i int) bool {
-			cmp := ix.Col.Value(int(ix.Perm[i])).Compare(lo)
-			if loIncl {
-				return cmp >= 0
-			}
-			return cmp > 0
-		})
-	}
-	end := n
-	if hasHi {
-		end = sort.Search(n, func(i int) bool {
-			cmp := ix.Col.Value(int(ix.Perm[i])).Compare(hi)
-			if hiIncl {
-				return cmp > 0
-			}
-			return cmp >= 0
-		})
-	}
-	if start > end {
-		return nil
-	}
-	return ix.Perm[start:end]
 }

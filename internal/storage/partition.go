@@ -203,7 +203,7 @@ func (c *Column) AppendColumnGather(src *Column, sel []int32) {
 }
 
 // CloneSchema returns an empty table with the same column names and
-// kinds (no rows, no indexes).
+// kinds and no rows.
 func (t *Table) CloneSchema(name string) *Table {
 	nt := NewTable(name)
 	for _, c := range t.Cols {
@@ -214,8 +214,7 @@ func (t *Table) CloneSchema(name string) *Table {
 
 // PartitionTable splits t into n fragment tables by the hash of the key
 // column. Fragment s holds exactly the rows whose key hashes to shard
-// s, in original row order. Secondary indexes are not carried over
-// (fragments rebuild their own).
+// s, in original row order.
 func PartitionTable(t *Table, key string, n int) ([]*Table, error) {
 	kc := t.Column(key)
 	if kc == nil {

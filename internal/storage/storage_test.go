@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
-	"testing/quick"
 
 	"hashstash/internal/types"
 )
@@ -85,130 +83,6 @@ func TestAppendRowArityPanics(t *testing.T) {
 		}
 	}()
 	NewTable("t", intCol("a")).AppendRow()
-}
-
-func TestIndexRangeInt(t *testing.T) {
-	tbl := NewTable("t", intCol("a", 5, 1, 9, 3, 7, 3))
-	if err := tbl.BuildIndexOn("a"); err != nil {
-		t.Fatal(err)
-	}
-	ix := tbl.IndexOn("a")
-	if ix == nil {
-		t.Fatal("index missing")
-	}
-
-	collect := func(rows []int32) []int64 {
-		var out []int64
-		for _, r := range rows {
-			out = append(out, tbl.Column("a").Ints[r])
-		}
-		return out
-	}
-
-	// Closed range [3, 7].
-	got := collect(ix.Range(types.NewInt(3), types.NewInt(7), true, true, true, true))
-	want := []int64{3, 3, 5, 7}
-	if len(got) != len(want) {
-		t.Fatalf("range [3,7] = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("range [3,7] = %v, want %v", got, want)
-		}
-	}
-
-	// Open lower bound (3, 7].
-	got = collect(ix.Range(types.NewInt(3), types.NewInt(7), true, true, false, true))
-	if len(got) != 2 || got[0] != 5 || got[1] != 7 {
-		t.Errorf("range (3,7] = %v", got)
-	}
-
-	// Unbounded below, exclusive above: (-inf, 5).
-	got = collect(ix.Range(types.Value{}, types.NewInt(5), false, true, false, false))
-	if len(got) != 3 {
-		t.Errorf("range <5 = %v", got)
-	}
-
-	// Fully unbounded returns everything.
-	if n := len(ix.Range(types.Value{}, types.Value{}, false, false, false, false)); n != 6 {
-		t.Errorf("unbounded range returned %d rows", n)
-	}
-
-	// Empty range.
-	if rows := ix.Range(types.NewInt(100), types.NewInt(200), true, true, true, true); len(rows) != 0 {
-		t.Errorf("expected empty range, got %v", rows)
-	}
-}
-
-func TestIndexRangeString(t *testing.T) {
-	c := NewColumn("s", types.String)
-	c.Strs = []string{"BUILDING", "AUTOMOBILE", "MACHINERY", "BUILDING"}
-	ix := BuildIndex(c)
-	rows := ix.Range(types.NewString("BUILDING"), types.NewString("BUILDING"), true, true, true, true)
-	if len(rows) != 2 {
-		t.Errorf("equality via range returned %d rows", len(rows))
-	}
-}
-
-func TestIndexBuildOnMissingColumn(t *testing.T) {
-	tbl := NewTable("t", intCol("a", 1))
-	if err := tbl.BuildIndexOn("nope"); err == nil {
-		t.Error("expected error for missing column")
-	}
-}
-
-// Property: for random data and random closed ranges, the index returns
-// exactly the rows a full scan would.
-func TestIndexRangeMatchesScanProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(200)
-		vals := make([]int64, n)
-		for i := range vals {
-			vals[i] = int64(r.Intn(50))
-		}
-		col := intCol("a", vals...)
-		ix := BuildIndex(col)
-		lo := int64(r.Intn(50))
-		hi := lo + int64(r.Intn(10))
-		got := ix.Range(types.NewInt(lo), types.NewInt(hi), true, true, true, true)
-		want := 0
-		for _, v := range vals {
-			if v >= lo && v <= hi {
-				want++
-			}
-		}
-		if len(got) != want {
-			return false
-		}
-		for _, row := range got {
-			v := vals[row]
-			if v < lo || v > hi {
-				return false
-			}
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 100, Rand: rng}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestIndexPermIsSorted(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	vals := make([]int64, 500)
-	for i := range vals {
-		vals[i] = rng.Int63n(1000)
-	}
-	ix := BuildIndex(intCol("a", vals...))
-	sorted := sort.SliceIsSorted(ix.Perm, func(a, b int) bool {
-		return vals[ix.Perm[a]] < vals[ix.Perm[b]]
-	})
-	if !sorted {
-		t.Error("index permutation is not sorted by value")
-	}
 }
 
 // randDupColumn draws n values of the kind from a domain of distinct

@@ -6,19 +6,16 @@ import (
 	"hashstash/internal/types"
 )
 
-// Table is an in-memory columnar table. Secondary indexes are built
-// explicitly on selection attributes (the paper's setup indexes every
-// attribute its workloads filter on).
+// Table is an in-memory columnar table.
 type Table struct {
-	Name    string
-	Cols    []*Column
-	byName  map[string]int
-	indexes map[string]*Index
+	Name   string
+	Cols   []*Column
+	byName map[string]int
 }
 
 // NewTable creates an empty table with the given columns.
 func NewTable(name string, cols ...*Column) *Table {
-	t := &Table{Name: name, byName: make(map[string]int), indexes: make(map[string]*Index)}
+	t := &Table{Name: name, byName: make(map[string]int)}
 	for _, c := range cols {
 		t.AddColumn(c)
 	}
@@ -79,17 +76,3 @@ func (t *Table) Check() error {
 	}
 	return nil
 }
-
-// BuildIndexOn constructs (or rebuilds) a sorted secondary index on the
-// named column.
-func (t *Table) BuildIndexOn(col string) error {
-	c := t.Column(col)
-	if c == nil {
-		return fmt.Errorf("storage: table %q has no column %q", t.Name, col)
-	}
-	t.indexes[col] = BuildIndex(c)
-	return nil
-}
-
-// IndexOn returns the secondary index on the named column, or nil.
-func (t *Table) IndexOn(col string) *Index { return t.indexes[col] }

@@ -73,9 +73,6 @@ type Config struct {
 	SF float64
 	// Seed perturbs all random streams; 0 selects the default seed.
 	Seed uint64
-	// SkipIndexes suppresses secondary index construction (used by tests
-	// that build their own).
-	SkipIndexes bool
 }
 
 // DB bundles the generated tables.
@@ -123,38 +120,12 @@ func Generate(cfg Config) (*DB, error) {
 	db.Orders = genOrders(nOrd, nCust, seed^4)
 	db.Lineitem = genLineitem(db.Orders, nPart, nSupp, seed^5)
 
-	if !cfg.SkipIndexes {
-		if err := BuildIndexes(db); err != nil {
-			return nil, err
-		}
-	}
 	for _, t := range db.Tables() {
 		if err := t.Check(); err != nil {
 			return nil, err
 		}
 	}
 	return db, nil
-}
-
-// BuildIndexes constructs the secondary indexes on every selection
-// attribute the HashStash workloads filter on (mirroring the paper's
-// experimental setup).
-func BuildIndexes(db *DB) error {
-	want := map[*storage.Table][]string{
-		db.Customer: {"c_age", "c_mktsegment", "c_acctbal"},
-		db.Orders:   {"o_orderdate", "o_totalprice"},
-		db.Lineitem: {"l_shipdate", "l_quantity"},
-		db.Part:     {"p_brand", "p_size"},
-		db.Supplier: {"s_acctbal"},
-	}
-	for t, cols := range want {
-		for _, col := range cols {
-			if err := t.BuildIndexOn(col); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 func genCustomer(n int, seed uint64) *storage.Table {

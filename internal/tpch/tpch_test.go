@@ -153,35 +153,6 @@ func TestValueDomains(t *testing.T) {
 	}
 }
 
-func TestIndexesBuilt(t *testing.T) {
-	db, err := Generate(Config{SF: 0.001})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checks := map[string][]string{
-		"customer": {"c_age", "c_mktsegment", "c_acctbal"},
-		"orders":   {"o_orderdate", "o_totalprice"},
-		"lineitem": {"l_shipdate", "l_quantity"},
-		"part":     {"p_brand", "p_size"},
-		"supplier": {"s_acctbal"},
-	}
-	for _, tbl := range db.Tables() {
-		for _, col := range checks[tbl.Name] {
-			if tbl.IndexOn(col) == nil {
-				t.Errorf("table %q missing index on %q", tbl.Name, col)
-			}
-		}
-	}
-	// SkipIndexes suppresses them.
-	db2, err := Generate(Config{SF: 0.001, SkipIndexes: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db2.Orders.IndexOn("o_orderdate") != nil {
-		t.Error("SkipIndexes did not skip")
-	}
-}
-
 func TestRNGHelpers(t *testing.T) {
 	r := newRNG(1)
 	for i := 0; i < 1000; i++ {

@@ -22,7 +22,7 @@ import (
 // BY and LIMIT — and that on a small TPC-H engine the parsed query
 // answers the same as Step.Query.
 func TestStepSQLRoundTrip(t *testing.T) {
-	db, err := tpch.Generate(tpch.Config{SF: 0.002, SkipIndexes: true})
+	db, err := tpch.Generate(tpch.Config{SF: 0.002})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestGenerateShape(t *testing.T) {
-	db, err := tpch.Generate(tpch.Config{SF: 0.001, SkipIndexes: true})
+	db, err := tpch.Generate(tpch.Config{SF: 0.001})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestStepSQLRendersAndParses(t *testing.T) {
 }
 
 func TestExp2Trace(t *testing.T) {
-	db, err := tpch.Generate(tpch.Config{SF: 0.001, SkipIndexes: true})
+	db, err := tpch.Generate(tpch.Config{SF: 0.001})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestLevelAndInteractionStrings(t *testing.T) {
 }
 
 func TestGenerateRangeShape(t *testing.T) {
-	db, err := tpch.Generate(tpch.Config{SF: 0.001, SkipIndexes: true})
+	db, err := tpch.Generate(tpch.Config{SF: 0.001})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,8 @@ type Ablations struct {
 	// NoOverlappingReuse disables overlapping reuse.
 	NoOverlappingReuse bool
 	// NoSecondaryIndexes disables the ordered secondary-index access
-	// path.
+	// path: no scan reads an index, lazily built or declared with
+	// DB.BuildIndex.
 	NoSecondaryIndexes bool
 	// Faults arms deterministic fault injection for resilience testing:
 	// a comma-separated spec of point=mode:trigger terms, e.g.
