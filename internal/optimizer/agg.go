@@ -93,6 +93,17 @@ func (o *Optimizer) argKind(s expr.AggSpec) types.Kind {
 	return kind
 }
 
+// aggRequest is what q's aggregation table must hold: the
+// base-qualified group-by columns and AVG-rewritten aggregates, plus
+// each original aggregate's cells (see AggChoice.SrcIdx).
+func aggRequest(q *plan.Query) (groupBase []storage.ColRef, specs []expr.AggSpec, srcIdx [][2]int) {
+	specs, srcIdx = expr.RewriteAvg(q.Aggs)
+	for i, s := range specs {
+		specs[i] = baseQualifySpec(q, s)
+	}
+	return baseQualifyRefs(q, q.GroupBy), specs, srcIdx
+}
+
 // specsSubsetIdx maps every required spec to its position in the cached
 // list, or ok=false.
 func specsSubsetIdx(required, cached []expr.AggSpec) ([]int, bool) {
@@ -127,7 +138,7 @@ func (o *Optimizer) PlanQuery(q *plan.Query) (*Planned, error) {
 		return nil, err
 	}
 	if !q.IsAggregate() {
-		root, err := o.PlanSPJ(q)
+		root, err := o.planSPJ(q, true)
 		if err != nil {
 			return nil, err
 		}
@@ -141,12 +152,7 @@ func (o *Optimizer) planAggregate(q *plan.Query) (*Planned, error) {
 	// optimization; here it is unconditional because the execution
 	// engine folds averages as sum+count pairs anyway, so the rewrite is
 	// both the reuse enabler and the executable form.
-	reqSpecs, srcIdx := expr.RewriteAvg(q.Aggs)
-	specsBase := make([]expr.AggSpec, len(reqSpecs))
-	for i, s := range reqSpecs {
-		specsBase[i] = baseQualifySpec(q, s)
-	}
-	groupBase := baseQualifyRefs(q, q.GroupBy)
+	groupBase, specsBase, srcIdx := aggRequest(q)
 	reqFilter := q.BaseQualify(q.Filter)
 	fullMask := (1 << uint(len(q.Relations))) - 1
 
@@ -173,7 +179,7 @@ func (o *Optimizer) planAggregate(q *plan.Query) (*Planned, error) {
 	var options []aggOption
 
 	// Fresh aggregation over the best SPJ plan.
-	root, err := o.PlanSPJ(q)
+	root, err := o.planSPJ(q, true)
 	if err != nil {
 		return nil, err
 	}
@@ -378,7 +384,7 @@ func (o *Optimizer) classifyAggCandidate(q *plan.Query, cand *htcache.Entry, req
 		for _, rb := range residual {
 			rq := *q
 			rq.Filter = q.AliasQualify(rb)
-			rroot, err := o.PlanSPJ(&rq)
+			rroot, err := o.planSPJ(&rq, true)
 			if err != nil {
 				return aggOptionResult{}, false
 			}

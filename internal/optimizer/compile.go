@@ -10,17 +10,54 @@ import (
 	"hashstash/internal/htcache"
 	"hashstash/internal/plan"
 	"hashstash/internal/storage"
+	"hashstash/internal/types"
 )
 
-// Compiled is an executable form of a planned query.
-type Compiled struct {
+// compiledPlan is an executable form of a planned query.
+type compiledPlan struct {
 	Pipelines []*exec.Pipeline
-	Out       *exec.Collect
-	Columns   []string
+	// outs holds one answer per query: one for a solo plan, one per
+	// member for a shared plan.
+	outs []output
 
 	pinned        []*htcache.Entry
 	created       []*htcache.Entry
 	filterUpdates []filterUpdate
+	// decisions logs a shared plan's reuse decisions, one per join and
+	// grouping table, as they are made at compile time; nil for a solo
+	// plan, whose decisions are its Planned's.
+	decisions []Decision
+}
+
+// output is one query's answer in a compiled plan: the rows collect
+// gathers, or — for a member of a shared SPJ plan, whose spine is
+// collected once — the collected rows whose qid column (qid) carries
+// bit, projected onto sel.
+type output struct {
+	collect *exec.Collect
+	columns []string
+	bit     uint64
+	qid     int
+	sel     []int
+}
+
+// rows returns the output's rows once its pipelines ran.
+func (out *output) rows() [][]types.Value {
+	if out.bit == 0 {
+		return out.collect.Rows
+	}
+	var rows [][]types.Value
+	for _, row := range out.collect.Rows {
+		if uint64(row[out.qid].I)&out.bit == 0 {
+			continue
+		}
+		r := make([]types.Value, len(out.sel))
+		for i, j := range out.sel {
+			r[i] = row[j]
+		}
+		rows = append(rows, r)
+	}
+	return rows
 }
 
 // filterUpdate records one widening performed by the compiled plan: ht
@@ -37,34 +74,40 @@ type filterUpdate struct {
 }
 
 type compiler struct {
-	o      *Optimizer
-	q      *plan.Query
-	needed map[string][]string
-	out    *Compiled
+	o *Optimizer
+	// q is the query compiled; for a shared plan, the representative
+	// whose aliases and join tree the plan uses.
+	q *plan.Query
+	// members are a shared plan's queries (q first); bit i of every qid
+	// mask is members[i]. Nil for a solo plan.
+	members []*plan.Query
+	needed  map[string][]string
+	out     *compiledPlan
 	// register controls cache bookkeeping; experiment harnesses disable
 	// it to execute sub-plans without polluting the cache.
 	register bool
 }
 
-// Compile lowers a planned query to pipelines, creating fresh hash
-// tables and pinning reused ones.
-func (o *Optimizer) Compile(p *Planned) (*Compiled, error) {
-	return o.compile(p, true)
-}
-
-// CompileDetached compiles without registering fresh tables in the
-// cache and without pinning (for isolated sub-plan measurements).
-func (o *Optimizer) CompileDetached(p *Planned) (*Compiled, error) {
-	return o.compile(p, false)
-}
-
-func (o *Optimizer) compile(p *Planned, register bool) (*Compiled, error) {
+// compile lowers a planned query to pipelines, creating fresh hash
+// tables and pinning reused ones. With members (two or more mergeable
+// queries, p.Query the first, p.Root its join tree planned without
+// reuse) it lowers one shared plan for them instead (Section 4): scans
+// tag every row with the bitmask of members it qualifies for, joins
+// carry the tags through qid-tagged tables, and the root answers each
+// member from the one tagged stream.
+func (o *Optimizer) compile(p *Planned, members []*plan.Query) (*compiledPlan, error) {
 	c := &compiler{
 		o:        o,
 		q:        p.Query,
-		needed:   o.neededCols(p.Query),
-		out:      &Compiled{},
-		register: register,
+		members:  members,
+		out:      &compiledPlan{},
+		register: true,
+	}
+	if members == nil {
+		c.needed = o.neededCols(p.Query)
+	} else {
+		// Every filter column is needed: re-tagging evaluates them.
+		c.needed = o.neededColsOf(p.Query, members, true)
 	}
 	// Unwind on a returned error and on a panic alike (a faulted
 	// revival, or any bug): the caller's recover boundary cannot see
@@ -76,9 +119,12 @@ func (o *Optimizer) compile(p *Planned, register bool) (*Compiled, error) {
 		}
 	}()
 	var err error
-	if p.Agg == nil {
+	switch {
+	case members != nil:
+		err = c.compileSharedRoot(p.Root)
+	case p.Agg == nil:
 		err = c.compileSPJRoot(p.Root)
-	} else {
+	default:
 		err = c.compileAggRoot(p)
 	}
 	if err != nil {
@@ -110,6 +156,17 @@ func (c *compiler) compileStream(n *Node) (exec.Source, []exec.Transform, storag
 	switch n.Kind {
 	case nodeScan:
 		rel := c.q.Relations[n.RelIdx]
+		if c.members != nil {
+			boxes := c.memberBoxes(n.Mask)
+			for i, b := range boxes {
+				boxes[i] = c.q.AliasQualify(b)
+			}
+			src, err := exec.NewSharedScan(c.o.Cat.Table(rel.Table), rel.Alias, boxes, c.needed[rel.Alias])
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			return src, nil, src.Schema(), nil
+		}
 		boxes := n.ScanBoxes
 		if boxes == nil {
 			boxes = []expr.Box{c.q.FilterFor(rel.Alias)}
@@ -136,6 +193,10 @@ func (c *compiler) compileStream(n *Node) (exec.Source, []exec.Transform, storag
 		if err != nil {
 			return nil, nil, nil, err
 		}
+		if c.members != nil {
+			probe.QidCol = ht.Layout().ColIndex(exec.QidRef())
+			probe.QidInCol = schema.IndexOf(exec.QidRef())
+		}
 		tfs = append(tfs, probe)
 		return src, tfs, probe.OutSchema(), nil
 	}
@@ -145,9 +206,12 @@ func (c *compiler) compileStream(n *Node) (exec.Source, []exec.Transform, storag
 // joinLayout constructs the layout of a fresh build-side table:
 // deduplicated key columns first, then the remaining needed columns.
 func (c *compiler) joinLayout(n *Node) (hashtable.Layout, error) {
-	q := c.q
-	keysBase := baseQualifyRefs(q, n.BuildKeys)
-	neededBase := c.o.requiredBuildCols(q, n.BuildMask, c.needed)
+	return c.newLayout(baseQualifyRefs(c.q, n.BuildKeys), c.o.requiredBuildCols(c.q, n.BuildMask, c.needed))
+}
+
+// newLayout lays out the base-qualified keys, then the other columns,
+// each once; a shared plan's table ends with its qid column.
+func (c *compiler) newLayout(keys []storage.ColRef, others ...[]storage.ColRef) (hashtable.Layout, error) {
 	var cols []storage.ColMeta
 	seen := map[storage.ColRef]bool{}
 	addRef := func(ref storage.ColRef) error {
@@ -162,21 +226,34 @@ func (c *compiler) joinLayout(n *Node) (hashtable.Layout, error) {
 		cols = append(cols, storage.ColMeta{Ref: ref, Kind: kind})
 		return nil
 	}
-	nKeys := 0
-	for _, k := range keysBase {
-		if !seen[k] {
-			nKeys++
-		}
-		if err := addRef(k); err != nil {
-			return hashtable.Layout{}, err
-		}
-	}
-	for _, ref := range neededBase {
+	for _, ref := range keys {
 		if err := addRef(ref); err != nil {
 			return hashtable.Layout{}, err
 		}
 	}
+	nKeys := len(cols)
+	for _, refs := range others {
+		for _, ref := range refs {
+			if err := addRef(ref); err != nil {
+				return hashtable.Layout{}, err
+			}
+		}
+	}
+	if c.members != nil {
+		cols = append(cols, storage.ColMeta{Ref: exec.QidRef(), Kind: types.Int64})
+	}
 	return hashtable.Layout{Cols: cols, KeyCols: nKeys}, nil
+}
+
+// feedRefs maps a fresh table's base-qualified layout onto the stream
+// columns that feed it: the query's aliases (the qid column, which has
+// no table, passes through).
+func (c *compiler) feedRefs(layout hashtable.Layout) []storage.ColRef {
+	feed := make([]storage.ColRef, len(layout.Cols))
+	for i, m := range layout.Cols {
+		feed[i] = storage.ColRef{Table: aliasForTable(c.q, m.Ref.Table), Column: m.Ref.Column}
+	}
+	return feed
 }
 
 // freshBuildHT compiles the build-side sub-plan of a join into a new
@@ -193,24 +270,24 @@ func (c *compiler) freshBuildHT(n *Node) (*hashtable.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	feed := make([]storage.ColRef, len(layout.Cols))
-	for i, m := range layout.Cols {
-		feed[i] = storage.ColRef{Table: aliasForTable(q, m.Ref.Table), Column: m.Ref.Column}
-	}
-	sink, err := exec.NewBuildHT(ht, bschema, feed)
+	sink, err := exec.NewBuildHT(ht, bschema, c.feedRefs(layout))
 	if err != nil {
 		return nil, err
 	}
 	c.out.Pipelines = append(c.out.Pipelines, &exec.Pipeline{Source: bsrc, Transforms: btfs, Sink: sink})
-	if c.register {
-		lin := htcache.Lineage{
-			Kind:    htcache.JoinBuild,
-			Tables:  maskTables(q, n.BuildMask),
-			JoinSig: q.SubgraphSignature(n.BuildMask),
-			Filter:  q.BaseQualify(n.BuildFilter),
-			KeyCols: baseQualifyRefs(q, n.BuildKeys),
-			QidCol:  -1,
-		}
+	lin := htcache.Lineage{
+		Kind:    htcache.JoinBuild,
+		Tables:  maskTables(q, n.BuildMask),
+		JoinSig: q.SubgraphSignature(n.BuildMask),
+		Filter:  q.BaseQualify(n.BuildFilter),
+		KeyCols: baseQualifyRefs(q, n.BuildKeys),
+		QidCol:  -1,
+	}
+	switch {
+	case c.members != nil:
+		lin.Kind = htcache.SharedJoinBuild
+		c.registerShared(ht, lin, c.memberBoxes(n.BuildMask))
+	case c.register:
 		c.out.created = append(c.out.created, c.o.Cache.Register(ht, lin))
 	}
 	return ht, nil
@@ -256,7 +333,12 @@ func (c *compiler) obtainBuildHT(n *Node) (*hashtable.Table, expr.Box, []int, []
 	switch choice.Mode {
 	case ModeNew:
 		var err error
-		if ht, err = c.freshBuildHT(n); err != nil {
+		if c.members != nil {
+			ht, err = c.sharedBuildHT(n)
+		} else {
+			ht, err = c.freshBuildHT(n)
+		}
+		if err != nil {
 			return nil, nil, nil, nil, err
 		}
 
@@ -450,20 +532,19 @@ func (c *compiler) compileSPJRoot(root *Node) error {
 	// order, cut to the LIMIT.
 	var order exec.Order
 	if !ordered {
-		order = c.resultOrder(names)
+		order = resultOrder(c.q, names)
 	}
 	collect := exec.NewCollect(proj.OutSchema(), proj.Cols, order)
 	c.out.Pipelines = append(c.out.Pipelines, &exec.Pipeline{Source: src, Transforms: tfs, Sink: collect})
-	c.out.Out = collect
-	c.out.Columns = names
+	c.out.outs = append(c.out.outs, output{collect: collect, columns: names})
 	return nil
 }
 
-// resultOrder is the query's ORDER BY / LIMIT over its result columns.
-// An ORDER BY column that is not selected orders nothing.
-func (c *compiler) resultOrder(names []string) exec.Order {
-	order := exec.Order{Limit: c.q.Limit}
-	if ob := c.q.OrderBy; ob != nil {
+// resultOrder is q's ORDER BY / LIMIT over its result columns. An
+// ORDER BY column that is not selected orders nothing.
+func resultOrder(q *plan.Query, names []string) exec.Order {
+	order := exec.Order{Limit: q.Limit}
+	if ob := q.OrderBy; ob != nil {
 		if i := slices.Index(names, ob.Col.String()); i >= 0 {
 			order.Sort, order.Col, order.Desc = true, i, ob.Desc
 		}
@@ -492,15 +573,12 @@ func (c *compiler) aggLayout(agg *AggChoice) (hashtable.Layout, error) {
 	return hashtable.Layout{Cols: cols, KeyCols: len(agg.GroupBase)}, nil
 }
 
-// attachAggInput compiles one input plan (full or residual) and sinks it
-// into the aggregation table, computing aggregate arguments on the way.
-// specs lists the table's cell specs in layout order (base-qualified).
-func (c *compiler) attachAggInput(root *Node, ht *hashtable.Table, groupBase []storage.ColRef, specs []expr.AggSpec) error {
+// attachAggInput sinks one input stream (a full or residual plan, or a
+// shared plan member's grouping-table entries) into the aggregation
+// table, computing aggregate arguments on the way. specs lists the
+// table's cell specs in layout order (base-qualified).
+func (c *compiler) attachAggInput(src exec.Source, tfs []exec.Transform, schema storage.Schema, ht *hashtable.Table, groupBase []storage.ColRef, specs []expr.AggSpec) error {
 	q := c.q
-	src, tfs, schema, err := c.compileStream(root)
-	if err != nil {
-		return err
-	}
 	cells := make([]exec.AggCell, len(specs))
 	for i, s := range specs {
 		kind := specCellKind(s, c.o.argKind(s))
@@ -567,7 +645,7 @@ func (c *compiler) compileAggRoot(p *Planned) error {
 			c.o.Cache.Pin(choice.Entry, choice.SavedCost)
 			c.out.pinned = append(c.out.pinned, choice.Entry)
 		}
-		return c.compileReadout(snap.HT, agg, agg.CachedSpecIdx, choice.PostFilter, agg.PostAgg)
+		return c.compileReadout(c.q, snap.HT, agg, agg.CachedSpecIdx, choice.PostFilter, agg.PostAgg)
 
 	case ModePartial, ModeOverlapping:
 		if c.register {
@@ -580,7 +658,11 @@ func (c *compiler) compileAggRoot(p *Planned) error {
 		// probes of the frozen snapshot never see the folds.
 		widened := choice.Snap.HT.Widen(int(choice.MissingRows))
 		for _, rr := range agg.ResidualRoots {
-			if err := c.attachAggInput(rr, widened, agg.GroupBase, choice.Entry.Lineage.Aggs); err != nil {
+			src, tfs, schema, err := c.compileStream(rr)
+			if err != nil {
+				return err
+			}
+			if err := c.attachAggInput(src, tfs, schema, widened, agg.GroupBase, choice.Entry.Lineage.Aggs); err != nil {
 				return err
 			}
 		}
@@ -589,7 +671,7 @@ func (c *compiler) compileAggRoot(p *Planned) error {
 				entry: choice.Entry, prev: choice.Snap, ht: widened, newFilter: choice.NewFilter,
 			})
 		}
-		return c.compileReadout(widened, agg, agg.CachedSpecIdx, choice.PostFilter, false)
+		return c.compileReadout(c.q, widened, agg, agg.CachedSpecIdx, choice.PostFilter, false)
 	}
 	return fmt.Errorf("optimizer: unknown aggregation mode %v", choice.Mode)
 }
@@ -603,13 +685,17 @@ func (c *compiler) compileFreshAgg(root *Node, agg *AggChoice) error {
 		return err
 	}
 	ht := hashtable.New(layout)
-	if err := c.attachAggInput(root, ht, agg.GroupBase, agg.Specs); err != nil {
+	src, tfs, schema, err := c.compileStream(root)
+	if err != nil {
+		return err
+	}
+	if err := c.attachAggInput(src, tfs, schema, ht, agg.GroupBase, agg.Specs); err != nil {
 		return err
 	}
 	if c.register {
 		c.out.created = append(c.out.created, c.o.Cache.Register(ht, c.aggLineage(agg, c.q.BaseQualify(c.q.Filter))))
 	}
-	return c.compileReadout(ht, agg, identitySpecIdx(len(agg.Specs)), nil, false)
+	return c.compileReadout(c.q, ht, agg, identitySpecIdx(len(agg.Specs)), nil, false)
 }
 
 func identitySpecIdx(n int) []int {
@@ -644,11 +730,10 @@ func mergeFunc(f expr.AggFunc) expr.AggFunc {
 	return f
 }
 
-// compileReadout emits the final pipeline(s): scan the aggregation
+// compileReadout emits q's final pipeline(s): scan the aggregation
 // table, optionally post-filter, optionally post-aggregate (group-by
 // subset reuse), reconstruct AVGs, project and collect.
-func (c *compiler) compileReadout(ht *hashtable.Table, agg *AggChoice, specIdx []int, postFilter expr.Box, postAgg bool) error {
-	q := c.q
+func (c *compiler) compileReadout(q *plan.Query, ht *hashtable.Table, agg *AggChoice, specIdx []int, postFilter expr.Box, postAgg bool) error {
 	layout := ht.Layout()
 
 	// Columns to read: the requested group keys + the required cells.
@@ -757,10 +842,9 @@ func (c *compiler) compileReadout(ht *hashtable.Table, agg *AggChoice, specIdx [
 	if err != nil {
 		return err
 	}
-	collect := exec.NewCollect(proj.OutSchema(), proj.Cols, c.resultOrder(names))
+	collect := exec.NewCollect(proj.OutSchema(), proj.Cols, resultOrder(q, names))
 	c.out.Pipelines = append(c.out.Pipelines, &exec.Pipeline{Source: src, Transforms: tfs, Sink: collect})
-	c.out.Out = collect
-	c.out.Columns = names
+	c.out.outs = append(c.out.outs, output{collect: collect, columns: names})
 	return nil
 }
 

@@ -18,15 +18,19 @@ type planContext struct {
 	q      *plan.Query
 	needed map[string][]string
 	memo   map[int]*Node
+	// noReuse plans every build fresh whatever the strategy (a shared
+	// plan's spine).
+	noReuse bool
 }
 
-// PlanSPJ plans the select-project-join part of the query and returns
-// the root node covering all relations.
-func (o *Optimizer) PlanSPJ(q *plan.Query) (*Node, error) {
+// planSPJ plans the select-project-join part of the query and returns
+// the root node covering all relations; reuse false plans every build
+// fresh.
+func (o *Optimizer) planSPJ(q *plan.Query, reuse bool) (*Node, error) {
 	if len(q.Relations) > 16 {
 		return nil, fmt.Errorf("optimizer: %d relations exceed the enumeration limit", len(q.Relations))
 	}
-	ctx := &planContext{q: q, needed: o.neededCols(q), memo: make(map[int]*Node)}
+	ctx := &planContext{q: q, needed: o.neededCols(q), memo: make(map[int]*Node), noReuse: !reuse}
 	full := (1 << uint(len(q.Relations))) - 1
 	root := o.bestPlan(ctx, full)
 	if root == nil {
@@ -67,9 +71,7 @@ func (o *Optimizer) bestPlan(ctx *planContext, mask int) *Node {
 		}
 		buildKeys, probeKeys := splitKeys(q, crossing, sub)
 		probePlan := o.bestPlan(ctx, comp)
-		options := o.joinBuildOptions(q, sub, buildKeys, probePlan.OutRows, ctx.needed, func(m int) *Node {
-			return o.bestPlan(ctx, m)
-		})
+		options := o.joinBuildOptions(ctx, sub, buildKeys, probePlan.OutRows)
 		outRows := o.joinOutRows(q, mask)
 
 		for i := range options {

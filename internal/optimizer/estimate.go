@@ -116,34 +116,48 @@ func (o *Optimizer) scanCost(q *plan.Query, relIdx int, boxes []expr.Box, emitte
 // built by this query stay post-filterable and re-taggable for future
 // reuse.
 func (o *Optimizer) neededCols(q *plan.Query) map[string][]string {
+	return o.neededColsOf(q, []*plan.Query{q}, o.Opts.BenefitOriented)
+}
+
+// neededColsOf is neededCols over the union of members' needs, keyed by
+// q's aliases (a member's relation maps to q's relation over the same
+// base table); filters adds every selection attribute.
+func (o *Optimizer) neededColsOf(q *plan.Query, members []*plan.Query, filters bool) map[string][]string {
 	set := make(map[string]map[string]bool)
-	add := func(ref storage.ColRef) {
-		if q.RelByAlias(ref.Table) == nil {
-			return
+	for _, m := range members {
+		add := func(ref storage.ColRef) {
+			rel := m.RelByAlias(ref.Table)
+			if rel == nil {
+				return
+			}
+			alias := ref.Table
+			if m != q {
+				alias = aliasForTable(q, rel.Table)
+			}
+			if set[alias] == nil {
+				set[alias] = make(map[string]bool)
+			}
+			set[alias][ref.Column] = true
 		}
-		if set[ref.Table] == nil {
-			set[ref.Table] = make(map[string]bool)
+		for _, j := range m.Joins {
+			add(j.Left)
+			add(j.Right)
 		}
-		set[ref.Table][ref.Column] = true
-	}
-	for _, j := range q.Joins {
-		add(j.Left)
-		add(j.Right)
-	}
-	for _, s := range q.Select {
-		add(s)
-	}
-	for _, g := range q.GroupBy {
-		add(g)
-	}
-	for _, a := range q.Aggs {
-		if a.Arg != nil {
-			a.Arg.Walk(add)
+		for _, s := range m.Select {
+			add(s)
 		}
-	}
-	if o.Opts.BenefitOriented {
-		for _, p := range q.Filter {
-			add(p.Col)
+		for _, g := range m.GroupBy {
+			add(g)
+		}
+		for _, a := range m.Aggs {
+			if a.Arg != nil {
+				a.Arg.Walk(add)
+			}
+		}
+		if filters {
+			for _, p := range m.Filter {
+				add(p.Col)
+			}
 		}
 	}
 	out := make(map[string][]string, len(set))
@@ -158,14 +172,13 @@ func (o *Optimizer) neededCols(q *plan.Query) map[string][]string {
 	// Every relation must emit at least its join keys; a relation with
 	// no needed columns (rare) still contributes its first column so a
 	// scan schema exists.
-	for i, rel := range q.Relations {
+	for _, rel := range q.Relations {
 		if len(out[rel.Alias]) == 0 {
 			tbl := o.Cat.Table(rel.Table)
 			if tbl != nil && len(tbl.Cols) > 0 {
 				out[rel.Alias] = []string{tbl.Cols[0].Name}
 			}
 		}
-		_ = i
 	}
 	return out
 }

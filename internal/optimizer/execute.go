@@ -54,39 +54,66 @@ func (o *Optimizer) Run(q *plan.Query) (*Result, error) {
 // pins released, half-built tables abandoned — returning an error that
 // wraps hashstasherr.ErrCanceled and the context's own cause.
 func (o *Optimizer) RunContext(ctx context.Context, q *plan.Query) (*Result, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, hashstasherr.Canceled(err)
-		}
-	}
-	p, err := o.Prepare(q)
+	p, execTime, err := o.run(ctx, q, nil, 0)
 	if err != nil {
 		return nil, err
+	}
+	return p.result(0, execTime), nil
+}
+
+// RunSharedContext runs members — two or more mergeable queries (one
+// join graph, all aggregates or all SPJ, no ORDER BY or LIMIT, at most
+// 64) — as one shared plan (Section 4) under ctx, and returns their
+// results in order. cost is the batch planner's estimate of the plan.
+// The plan pins, publishes, quarantines and unwinds exactly as a solo
+// query does.
+func (o *Optimizer) RunSharedContext(ctx context.Context, members []*plan.Query, cost float64) ([]*Result, error) {
+	p, execTime, err := o.run(ctx, members[0], members, cost)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Result, len(members))
+	for i := range out {
+		out[i] = p.result(i, execTime)
+	}
+	return out, nil
+}
+
+// run prepares a plan (see prepare), executes its pipelines under ctx
+// and finishes it, returning it with its execution time.
+func (o *Optimizer) run(ctx context.Context, q *plan.Query, members []*plan.Query, cost float64) (*Prepared, time.Duration, error) {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, 0, hashstasherr.Canceled(err)
+		}
+	}
+	p, err := o.prepare(q, members, cost)
+	if err != nil {
+		return nil, 0, err
 	}
 	par := p.Parallelism()
 	par.Ctx = ctx
 	t1 := time.Now()
 	runErr := exec.RunParallel(p.Pipelines(), par)
-	res, err := p.finishSafe(runErr, time.Since(t1))
-	return res, err
+	execTime := time.Since(t1)
+	return p, execTime, p.finishSafe(runErr)
 }
 
-// finishSafe runs Finish under a panic boundary: a panic while
+// finishSafe runs finish under a panic boundary: a panic while
 // publishing (an injected htcache.publish fault) still unwinds the
 // prepared state — pins released, created tables abandoned — so one
 // poisoned publication cannot leak pins or take the process down. The
-// publication sites fire before Finish's release loops, so the pins are
+// publication sites fire before finish's release loops, so the pins are
 // still held when it panics.
-func (p *Prepared) finishSafe(runErr error, execTime time.Duration) (res *Result, err error) {
+func (p *Prepared) finishSafe(runErr error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = hashstasherr.Internal("optimizer.finish", r)
-			res = nil
 			p.done = true
 			p.o.discard(p.compiled)
 		}
 	}()
-	return p.Finish(runErr, execTime)
+	return p.finish(runErr)
 }
 
 // Prepared is a planned and compiled query whose pipelines have not run
@@ -98,7 +125,7 @@ func (p *Prepared) finishSafe(runErr error, execTime time.Duration) (res *Result
 type Prepared struct {
 	o        *Optimizer
 	planned  *Planned
-	compiled *Compiled
+	compiled *compiledPlan
 	planTime time.Duration
 	done     bool
 }
@@ -109,18 +136,32 @@ type Prepared struct {
 // compiling (this boundary also covers the sharded executor's scatter
 // goroutines, which call Prepare directly) comes back as an internal
 // error with the compiler's pins and registrations already unwound.
-func (o *Optimizer) Prepare(q *plan.Query) (p *Prepared, err error) {
+func (o *Optimizer) Prepare(q *plan.Query) (*Prepared, error) {
+	return o.prepare(q, nil, 0)
+}
+
+// prepare is Prepare; with members (q the first) it prepares one shared
+// plan for them, its spine q's best join tree with every build fresh
+// and cost its estimate.
+func (o *Optimizer) prepare(q *plan.Query, members []*plan.Query, cost float64) (p *Prepared, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			p, err = nil, hashstasherr.Internal("optimizer.plan", r)
 		}
 	}()
 	t0 := time.Now()
-	planned, err := o.PlanQuery(q)
+	var planned *Planned
+	if members == nil {
+		planned, err = o.PlanQuery(q)
+	} else {
+		var root *Node
+		root, err = o.planSPJ(q, false)
+		planned = &Planned{Query: q, Root: root, EstimatedCost: cost}
+	}
 	if err != nil {
 		return nil, err
 	}
-	compiled, err := o.Compile(planned)
+	compiled, err := o.compile(planned, members)
 	if err != nil {
 		return nil, err
 	}
@@ -139,8 +180,17 @@ func (p *Prepared) Parallelism() exec.Parallelism { return p.o.Opts.Parallelism 
 // releases pins and assembles the Result; on failure it unwinds the
 // compiled state.
 func (p *Prepared) Finish(runErr error, execTime time.Duration) (*Result, error) {
+	if err := p.finish(runErr); err != nil {
+		return nil, err
+	}
+	return p.result(0, execTime), nil
+}
+
+// finish publishes and releases (or, on runErr, unwinds) the plan's
+// cache state.
+func (p *Prepared) finish(runErr error) error {
 	if p.done {
-		return nil, fmt.Errorf("optimizer: Finish on completed query")
+		return fmt.Errorf("optimizer: Finish on completed query")
 	}
 	p.done = true
 
@@ -159,7 +209,7 @@ func (p *Prepared) Finish(runErr error, execTime time.Duration) (*Result, error)
 			}
 		}
 		o.discard(compiled)
-		return nil, runErr
+		return runErr
 	}
 
 	// Partial/overlapping reuse widened snapshots; publish the
@@ -176,23 +226,41 @@ func (p *Prepared) Finish(runErr error, execTime time.Duration) (*Result, error)
 	for _, e := range compiled.created {
 		o.Cache.Release(e)
 	}
+	return nil
+}
 
+// result assembles output i's Result after a successful finish. Each of
+// a shared plan's k members reports a 1/k share of the plan's times,
+// row counters and estimate, so a batch's results add up to what its
+// plans cost, and every member reports the plan's decisions.
+func (p *Prepared) result(i int, execTime time.Duration) *Result {
 	var rowsIn, rowsOut int64
-	for _, pl := range compiled.Pipelines {
+	for _, pl := range p.compiled.Pipelines {
 		in, out := pl.Stats()
 		rowsIn += in
 		rowsOut += out
 	}
-	return &Result{
-		Columns:       compiled.Columns,
-		Rows:          compiled.Out.Rows,
+	out := &p.compiled.outs[i]
+	res := &Result{
+		Columns:       out.columns,
+		Rows:          out.rows(),
 		PlanTime:      p.planTime,
 		ExecTime:      execTime,
 		RowsIn:        rowsIn,
 		RowsOut:       rowsOut,
 		EstimatedCost: p.planned.EstimatedCost,
-		Decisions:     p.planned.Decisions(),
-	}, nil
+		Decisions:     p.compiled.decisions,
+	}
+	if k := len(p.compiled.outs); k > 1 {
+		res.PlanTime /= time.Duration(k)
+		res.ExecTime /= time.Duration(k)
+		res.RowsIn /= int64(k)
+		res.RowsOut /= int64(k)
+		res.EstimatedCost /= float64(k)
+	} else {
+		res.Decisions = p.planned.Decisions()
+	}
+	return res
 }
 
 // Abort unwinds a prepared query whose pipelines never ran (a sibling
@@ -242,7 +310,7 @@ func OrderAndLimit(rows [][]types.Value, columns []string, q *plan.Query) [][]ty
 // either discarded before execution or failed during it: reused
 // entries are unpinned and freshly registered (still unready, possibly
 // half-built) tables are removed rather than released as candidates.
-func (o *Optimizer) discard(c *Compiled) {
+func (o *Optimizer) discard(c *compiledPlan) {
 	for _, e := range c.pinned {
 		o.Cache.Release(e)
 	}
@@ -286,9 +354,7 @@ func (o *Optimizer) EnumerateSubPlans(q *plan.Query) ([]SubPlanEstimate, error) 
 			}
 			buildKeys, probeKeys := splitKeys(q, crossing, sub)
 			probePlan := o.bestPlan(ctx, comp)
-			options := o.joinBuildOptions(q, sub, buildKeys, probePlan.OutRows, ctx.needed, func(m int) *Node {
-				return o.bestPlan(ctx, m)
-			})
+			options := o.joinBuildOptions(ctx, sub, buildKeys, probePlan.OutRows)
 			outRows := o.joinOutRows(q, mask)
 			for i := range options {
 				opt := &options[i]
@@ -316,7 +382,7 @@ func (o *Optimizer) EnumerateSubPlans(q *plan.Query) ([]SubPlanEstimate, error) 
 // cache registration) and returns its wall-clock time. The plan's
 // output is drained into a throwaway collector.
 func (o *Optimizer) MeasureSubPlan(q *plan.Query, node *Node) (time.Duration, error) {
-	c := &compiler{o: o, q: q, needed: o.neededCols(q), out: &Compiled{}, register: false}
+	c := &compiler{o: o, q: q, needed: o.neededCols(q), out: &compiledPlan{}, register: false}
 	src, tfs, schema, err := c.compileStream(node)
 	if err != nil {
 		return 0, err

@@ -246,11 +246,10 @@ func (o *Optimizer) overheadRatioRows(q *plan.Query, mask int, candFilter expr.B
 // table for partition `mask` with the given build keys: a fresh table
 // plus every classifiable cached candidate. proberRows feeds the RHJ
 // probe-cost term.
-func (o *Optimizer) joinBuildOptions(q *plan.Query, mask int, buildKeys []storage.ColRef,
-	proberRows float64, needed map[string][]string, best func(int) *Node) []buildOption {
-
+func (o *Optimizer) joinBuildOptions(ctx *planContext, mask int, buildKeys []storage.ColRef, proberRows float64) []buildOption {
+	q := ctx.q
 	reqFilter := q.BaseQualify(maskFilter(q, mask))
-	reqCols := o.requiredBuildCols(q, mask, needed)
+	reqCols := o.requiredBuildCols(q, mask, ctx.needed)
 	keyBase := baseQualifyRefs(q, buildKeys)
 
 	probeLin := htcache.Lineage{
@@ -269,7 +268,7 @@ func (o *Optimizer) joinBuildOptions(q *plan.Query, mask int, buildKeys []storag
 	var opts []buildOption
 
 	// Fresh build.
-	bp := best(mask)
+	bp := o.bestPlan(ctx, mask)
 	freshCost := o.Model.RHJ(costmodel.RHJInput{
 		BuilderRows: builderRows, ProberRows: proberRows, TupleWidth: width,
 	})
@@ -280,7 +279,7 @@ func (o *Optimizer) joinBuildOptions(q *plan.Query, mask int, buildKeys []storag
 		totalCost: bp.Cost + freshCost,
 	})
 
-	if o.Opts.Strategy == NeverReuse {
+	if o.Opts.Strategy == NeverReuse || ctx.noReuse {
 		return opts
 	}
 

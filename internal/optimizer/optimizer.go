@@ -326,12 +326,6 @@ func (o *Optimizer) historyScore(key string) int64 {
 	return o.history[key]
 }
 
-// IsScan reports whether the node is a base-table scan leaf.
-func (n *Node) IsScan() bool { return n.Kind == nodeScan }
-
-// IsJoin reports whether the node is a hash join.
-func (n *Node) IsJoin() bool { return n.Kind == nodeJoin }
-
 // EstimateMaskRows exposes the cardinality model to other planners (the
 // shared-plan merger costs groups with it).
 func (o *Optimizer) EstimateMaskRows(q *plan.Query, mask int, filter expr.Box) float64 {

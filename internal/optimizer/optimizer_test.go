@@ -563,7 +563,7 @@ func TestWideningQueryAcrossDemotion(t *testing.T) {
 	}
 	aggBytes := agg.Entry.Bytes
 
-	compiled, err := env.opt.Compile(planned)
+	compiled, err := env.opt.compile(planned, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-// Package shared implements multi-query reuse (Section 4 of the paper):
+// Package shared plans multi-query reuse (Section 4 of the paper):
 // reuse-aware shared plans over query batches. A batch is partitioned
 // into groups by a dynamic-programming merge process; each multi-query
 // group executes one shared plan built on the Data-Query model — shared
@@ -6,7 +6,9 @@
 // query-id bitmasks, shared reuse-aware hash joins (SRHJ) carry the tags
 // through qid-aware probes, and shared reuse-aware hash aggregates
 // (SRHA) materialize the grouping phase as tagged tuples so each query's
-// aggregates are computed from the shared grouping table.
+// aggregates are computed from the shared grouping table. The
+// optimizer's compiler lowers and runs the shared plans
+// (optimizer.RunSharedContext); this package only forms the groups.
 //
 // Cached shared tables are reused after re-tagging every stored tuple
 // against the new batch's predicates (the correctness requirement the
@@ -282,7 +284,11 @@ func (s *Optimizer) RunBatchContext(ctx context.Context, queries []*plan.Query) 
 			out.Results[g[0]] = res
 			continue
 		}
-		results, err := s.runSharedGroup(ctx, queries, g)
+		members := make([]*plan.Query, len(g))
+		for i, qi := range g {
+			members[i] = queries[qi]
+		}
+		results, err := s.Single.RunSharedContext(ctx, members, s.sharedPlanCost(queries, g))
 		if err != nil {
 			return nil, err
 		}

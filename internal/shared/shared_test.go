@@ -280,3 +280,44 @@ func TestHullFilterEstimation(t *testing.T) {
 		t.Errorf("hull hi = %v", con.Iv)
 	}
 }
+
+// TestSharedResultsReportDecisions: a shared plan's results report what
+// a solo result reports — plan time, row counters, estimate and one
+// decision per shared join and grouping table — and a covered second
+// batch names the grouping table it re-tagged.
+func TestSharedResultsReportDecisions(t *testing.T) {
+	cat, s := newBatchEnv(t)
+	run := func(queries ...*plan.Query) []*optimizer.Result {
+		t.Helper()
+		batch := assertBatchMatchesSingles(t, cat, s, queries)
+		if len(batch.Groups) != 1 {
+			t.Fatalf("groups %v, want one shared plan", batch.Groups)
+		}
+		for i, res := range batch.Results {
+			if res.PlanTime <= 0 || res.RowsIn <= 0 || res.RowsOut <= 0 || res.EstimatedCost <= 0 {
+				t.Errorf("query %d: plan %v, rows %d/%d, estimate %v", i, res.PlanTime, res.RowsIn, res.RowsOut, res.EstimatedCost)
+			}
+		}
+		return batch.Results
+	}
+	for _, res := range run(aggQuery("1995-01-01", "1995-07-01"), aggQuery("1995-02-01", "1995-08-01")) {
+		d := res.Decisions
+		if len(d) != 3 || d[2].Operator != "agg" {
+			t.Fatalf("first batch decisions %+v, want two builds then agg", d)
+		}
+		for _, x := range d {
+			if x.Action != 'N' || x.EntryID != -1 {
+				t.Errorf("first batch decision %+v, want a fresh table", x)
+			}
+		}
+	}
+	for _, res := range run(aggQuery("1995-02-01", "1995-05-01"), aggQuery("1995-03-01", "1995-06-01")) {
+		d := res.Decisions
+		if len(d) != 1 || d[0].Operator != "agg" || d[0].Action != 'S' {
+			t.Fatalf("covered batch decisions %+v, want the grouping table re-tagged", d)
+		}
+		if e := s.Single.Cache.Get(d[0].EntryID); e == nil || e.Lineage.Kind != htcache.SharedGrouping {
+			t.Errorf("re-tag names entry %d, not a cached shared grouping table", d[0].EntryID)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -121,6 +122,15 @@ var diffShapes = []diffShape{
 		return fmt.Sprintf(`SELECT d.d_cat, SUM(f.f_val) AS s, COUNT(*) AS n FROM dim d, fact f
 			WHERE d.d_id = f.f_ref AND d.d_w >= %d AND d.d_w < %d GROUP BY d.d_cat`, lo, hi)
 	}},
+	{"agg-join-avg-min", 0, 1000, func(lo, hi int) string {
+		return fmt.Sprintf(`SELECT f.f_tag, AVG(f.f_val) AS a, MIN(f.f_day) AS m FROM dim d, fact f
+			WHERE d.d_id = f.f_ref AND d.d_w >= %d AND d.d_w < %d GROUP BY f.f_tag`, lo, hi)
+	}},
+}
+
+// shapeNamed returns the diffShapes entry named name.
+func shapeNamed(name string) diffShape {
+	return diffShapes[slices.IndexFunc(diffShapes, func(sh diffShape) bool { return sh.name == name })]
 }
 
 // diffStep is one step of a sequence: a solo query, or a batch run
@@ -136,8 +146,11 @@ type diffStep struct {
 // diffSequence generates the steps for one seed: per shape, a window
 // that starts narrow, widens (partial reuse), slides past its end
 // (overlapping reuse), narrows (subsuming reuse) and widens over
-// everything seen; then two batches of one shape, the second covered by
-// the first so its shared plan re-tags the cached tables.
+// everything seen; then pairs of batches, the second covered by the
+// first so its shared plan re-tags the cached tables: of a join shape,
+// of an aggregate shape, of the AVG/MIN-over-a-date shape, and of two
+// aggregates grouping one spine by different keys (two grouping tables
+// in one shared plan).
 func diffSequence(rng *rand.Rand) []diffStep {
 	var steps []diffStep
 	for _, sh := range diffShapes {
@@ -154,13 +167,20 @@ func diffSequence(rng *rand.Rand) []diffStep {
 		solo(sh.render(wlo+1, whi-1))
 		solo(sh.render(max(sh.lo, wlo-w/4), min(sh.hi, ohi+w/4)))
 	}
-	for _, sh := range []diffShape{diffShapes[rng.Intn(3)], diffShapes[3+rng.Intn(4)]} {
-		span := sh.hi - sh.lo
-		lo := sh.lo + rng.Intn(span/4)
+	join, agg := diffShapes[rng.Intn(3)], diffShapes[3+rng.Intn(4)]
+	avgMin := shapeNamed("agg-join-avg-min")
+	for _, pair := range [][2]diffShape{{join, join}, {agg, agg}, {avgMin, avgMin}, {shapeNamed("agg-join"), avgMin}} {
+		a, b := pair[0], pair[1]
+		name := a.name
+		if b.name != a.name {
+			name += "+" + b.name
+		}
+		span := a.hi - a.lo
+		lo := a.lo + rng.Intn(span/4)
 		hi := lo + span/2
 		steps = append(steps,
-			diffStep{shape: sh.name, sqls: []string{sh.render(lo, hi-span/8), sh.render(lo+span/8, hi)}, batch: true},
-			diffStep{shape: sh.name, sqls: []string{sh.render(lo+span/16, hi-span/4), sh.render(lo+span/4, hi-span/16)}, batch: true, covered: true},
+			diffStep{shape: name, sqls: []string{a.render(lo, hi-span/8), b.render(lo+span/8, hi)}, batch: true},
+			diffStep{shape: name, sqls: []string{a.render(lo+span/16, hi-span/4), b.render(lo+span/4, hi-span/16)}, batch: true, covered: true},
 		)
 	}
 	return steps
