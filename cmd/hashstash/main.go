@@ -86,9 +86,9 @@ func main() {
 			fmt.Printf("entries=%d bytes=%d hits=%d evictions=%d hit-ratio=%.2f\n",
 				s.Entries, s.Bytes, s.Hits, s.Evictions, s.HitRatio)
 			tr := s.Tiering
-			fmt.Printf("tiering: demotions=%d spills=%d revivals=%d rebuilds=%d cold=%d/%dB "+
+			fmt.Printf("tiering: demotions=%d spills=%d revivals=%d cold=%d/%dB "+
 				"bloom=%d/%d/%dFP evict[benefit=%d lru=%d cold=%d] saved=%.1fms\n",
-				tr.Demotions, tr.Spills, tr.Revivals, tr.ReviveRebuilds, tr.ColdEntries, tr.ColdBytes,
+				tr.Demotions, tr.Spills, tr.Revivals, tr.ColdEntries, tr.ColdBytes,
 				tr.BloomProbes, tr.BloomNegatives, tr.BloomFalsePositives,
 				tr.BenefitEvictions, tr.LRUEvictions, tr.ColdEvictions, tr.SavedNS/1e6)
 			continue

@@ -125,6 +125,45 @@ func TestExecParsedBatchGroups(t *testing.T) {
 	if sharedGroups == 0 {
 		t.Fatalf("same-spine queries were not merged: groups %v", br.Groups)
 	}
+
+	// Three SPJ and three SPJA queries over one customer ⋈ orders spine:
+	// the batch merges within each kind, never across, and every answer
+	// equals the query's solo run.
+	var mixed []*Query
+	var sqls []string
+	for _, day := range []string{"1994-01-01", "1995-01-01", "1996-01-01"} {
+		sqls = append(sqls,
+			`SELECT c.c_name, o.o_totalprice FROM customer c, orders o
+			 WHERE c.c_custkey = o.o_custkey AND o.o_orderdate >= DATE '`+day+`'`,
+			`SELECT c.c_age, SUM(o.o_totalprice) AS spend FROM customer c, orders o
+			 WHERE c.c_custkey = o.o_custkey AND o.o_orderdate >= DATE '`+day+`'
+			 GROUP BY c.c_age`)
+	}
+	for _, sql := range sqls {
+		q, err := db.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mixed = append(mixed, q)
+	}
+	br, err = db.ExecParsedBatch(context.Background(), mixed)
+	if err != nil {
+		t.Fatalf("mixed SPJ/SPJA batch: %v", err)
+	}
+	for _, g := range br.Groups {
+		for _, qi := range g[1:] {
+			if mixed[qi].IsAggregate() != mixed[g[0]].IsAggregate() {
+				t.Fatalf("group %v mixes SPJ and SPJA queries", g)
+			}
+		}
+	}
+	solo := openTPCH(t)
+	for i, sql := range sqls {
+		want := canonical(mustExec(t, solo, sql))
+		if got := canonical(br.Results[i]); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("mixed batch query %d diverged from solo execution", i)
+		}
+	}
 }
 
 // TestBatchShapeAndGain: shape keys agree for batchable pairs, ORDER
@@ -149,6 +188,18 @@ func TestBatchShapeAndGain(t *testing.T) {
 	}
 	if _, ok := BatchShape(qOrd); ok {
 		t.Fatal("ORDER BY query reported batchable")
+	}
+	// One spine, with and without aggregation: a shared plan cannot
+	// serve both, so the shapes differ.
+	spj, err := db.Parse(`SELECT c.c_age, l.l_quantity
+		FROM customer c, orders o, lineitem l
+		WHERE c.c_custkey = o.o_custkey AND o.o_orderkey = l.l_orderkey
+		  AND l.l_shipdate >= DATE '1997-01-01'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s3, ok := BatchShape(spj); !ok || s3 == s2 {
+		t.Fatalf("SPJ and SPJA queries of one spine share shape %q (batchable %v)", s3, ok)
 	}
 	if gain := db.EstimateSharingGain(q1, 2); gain <= 0 {
 		t.Fatalf("sharing gain for q3 pair = %v, want > 0", gain)

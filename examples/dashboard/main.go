@@ -112,9 +112,8 @@ func main() {
 	}
 	tier := db.CacheStats().Tiering
 	fmt.Printf("refresh under memory pressure (budget %d of %d KiB):\n", ws/2>>10, ws>>10)
-	fmt.Printf("  tiering: demotions=%d spills=%d revivals=%d (rebuilds=%d) cold=%d entries / %d KiB\n",
-		tier.Demotions, tier.Spills, tier.Revivals, tier.ReviveRebuilds,
-		tier.ColdEntries, tier.ColdBytes>>10)
+	fmt.Printf("  tiering: demotions=%d spills=%d revivals=%d cold=%d entries / %d KiB\n",
+		tier.Demotions, tier.Spills, tier.Revivals, tier.ColdEntries, tier.ColdBytes>>10)
 	fmt.Printf("  bloom: probes=%d negatives=%d false-positives=%d\n",
 		tier.BloomProbes, tier.BloomNegatives, tier.BloomFalsePositives)
 	fmt.Printf("  evictions: benefit=%d lru=%d cold=%d; modeled reuse savings %.1f ms\n",

@@ -357,17 +357,16 @@ type Cache struct {
 
 	// Tiering counters. The bloom counters are atomics: membership tests
 	// run on the planner's probe path without the cache lock.
-	demotions      int64
-	spills         int64
-	revivals       int64
-	reviveRebuilds int64
-	benefitEvict   int64
-	lruEvict       int64
-	coldEvict      int64
-	savedNS        float64
-	bloomProbes    atomic.Int64
-	bloomNeg       atomic.Int64
-	bloomFP        atomic.Int64
+	demotions    int64
+	spills       int64
+	revivals     int64
+	benefitEvict int64
+	lruEvict     int64
+	coldEvict    int64
+	savedNS      float64
+	bloomProbes  atomic.Int64
+	bloomNeg     atomic.Int64
+	bloomFP      atomic.Int64
 }
 
 // strikeRec is one quarantined lineage: how many panics were blamed on
@@ -950,7 +949,6 @@ func (c *Cache) Stats() Stats {
 		Demotions:           c.demotions,
 		Spills:              c.spills,
 		Revivals:            c.revivals,
-		ReviveRebuilds:      c.reviveRebuilds,
 		ColdEntries:         len(c.cold),
 		ColdBytes:           c.coldBytes,
 		BloomProbes:         c.bloomProbes.Load(),
@@ -1014,7 +1012,6 @@ func (s Stats) Add(o Stats) Stats {
 	s.Tiering.Demotions += o.Tiering.Demotions
 	s.Tiering.Spills += o.Tiering.Spills
 	s.Tiering.Revivals += o.Tiering.Revivals
-	s.Tiering.ReviveRebuilds += o.Tiering.ReviveRebuilds
 	s.Tiering.ColdEntries += o.Tiering.ColdEntries
 	s.Tiering.ColdBytes += o.Tiering.ColdBytes
 	s.Tiering.BloomProbes += o.Tiering.BloomProbes

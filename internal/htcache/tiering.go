@@ -59,12 +59,11 @@ const benefitHalfLife = 64.0
 // TieringStats is the benefit-accounting and hot/cold lifecycle slice
 // of Stats.
 type TieringStats struct {
-	Demotions      int64 // hot entries moved to the cold tier
-	Spills         int64 // demoted artifacts compacted to spill form
-	Revivals       int64 // cold entries returned to the hot tier
-	ReviveRebuilds int64 // revivals that had to rebuild from a spill
-	ColdEntries    int   // current cold-tier population
-	ColdBytes      int64 // its footprint (compact once spilled)
+	Demotions   int64 // hot entries moved to the cold tier
+	Spills      int64 // demoted artifacts compacted to spill form
+	Revivals    int64 // cold entries returned to the hot tier
+	ColdEntries int   // current cold-tier population
+	ColdBytes   int64 // its footprint (compact once spilled)
 
 	BloomProbes         int64 // membership tests against cold artifacts
 	BloomNegatives      int64 // tests that skipped a revival
@@ -309,7 +308,6 @@ func (c *Cache) Revive(e *Entry, col *storage.Column) *Snapshot {
 	e.cur.Store(next)
 	c.relistLocked(ce, next)
 	c.revivals++
-	c.reviveRebuilds++
 	c.gcLocked()
 	return next
 }

@@ -171,11 +171,6 @@ func (o *Optimizer) planAggregate(q *plan.Query) (*Planned, error) {
 	probeLin.Filter = probeBox
 	o.historyNote(probeLin.StructKey())
 
-	type aggOption struct {
-		agg       *AggChoice
-		root      *Node // SPJ plan feeding the aggregation (nil if eliminated)
-		totalCost float64
-	}
 	var options []aggOption
 
 	// Fresh aggregation over the best SPJ plan.
@@ -186,47 +181,20 @@ func (o *Optimizer) planAggregate(q *plan.Query) (*Planned, error) {
 	freshOp := o.Model.RHA(costmodel.RHAInput{
 		InputRows: inputRows, DistinctKeys: distinct, TupleWidth: width,
 	})
-	options = append(options, aggOption{
-		agg: &AggChoice{
-			Choice:    ReuseChoice{Mode: ModeNew, OperatorCost: freshOp},
-			GroupBase: groupBase, Specs: specsBase, SrcIdx: srcIdx,
-			InputRows: inputRows, DistinctKeys: distinct,
-		},
-		root:      root,
-		totalCost: root.Cost + freshOp,
-	})
+	freshAgg := &AggChoice{
+		Choice:    ReuseChoice{Mode: ModeNew, OperatorCost: freshOp},
+		GroupBase: groupBase, Specs: specsBase, SrcIdx: srcIdx,
+		InputRows: inputRows, DistinctKeys: distinct,
+	}
+	options = append(options, aggOption{agg: freshAgg, root: root, totalCost: root.Cost + freshOp})
 
 	if o.Opts.Strategy != NeverReuse {
-		// Same-group-by candidates: all four reuse cases.
-		for _, cand := range o.Cache.Candidates(probeLin, probeCols) {
-			opt, ok := o.classifyAggCandidate(q, cand, reqFilter, groupBase, specsBase, srcIdx, inputRows, distinct)
+		for _, cand := range o.candidates(probeLin, probeCols, true) {
+			opt, ok := o.aggReuseOption(q, cand, reqFilter, freshAgg, root)
 			if !ok {
 				continue
 			}
-			options = append(options, aggOption{agg: opt.agg, root: nil, totalCost: opt.cost})
-		}
-		// Superset-group-by candidates (RollUp): exact/subsuming filter,
-		// additive aggregates, post-aggregation on top.
-		for _, cand := range o.Cache.RollupCandidates(probeLin, probeCols) {
-			opt, ok := o.classifyRollupCandidate(q, cand, reqFilter, groupBase, specsBase, srcIdx, inputRows, distinct)
-			if !ok {
-				continue
-			}
-			options = append(options, aggOption{agg: opt.agg, root: nil, totalCost: opt.cost})
-		}
-		// Cold-tier candidates (exact/subsuming only): costed from their
-		// demotion-time metadata plus the modeled revival cost; the fresh
-		// SPJ plan rides along as the fallback if the entry vanishes
-		// before compile.
-		for _, ca := range o.Cache.ColdCandidates(probeLin) {
-			if ca.IsIndex {
-				continue
-			}
-			opt, ok := o.classifyColdAggCandidate(q, ca, reqFilter, groupBase, specsBase, srcIdx, root, inputRows, distinct)
-			if !ok {
-				continue
-			}
-			options = append(options, aggOption{agg: opt.agg, root: nil, totalCost: opt.cost})
+			options = append(options, opt)
 		}
 	}
 
@@ -296,235 +264,76 @@ func (o *Optimizer) groupDistinct(q *plan.Query, inputRows float64) float64 {
 	return d
 }
 
-type aggOptionResult struct {
-	agg  *AggChoice
-	cost float64
+// aggOption is one way to obtain the aggregation table.
+type aggOption struct {
+	agg       *AggChoice
+	root      *Node // SPJ plan feeding the aggregation (nil if eliminated)
+	totalCost float64
 }
 
-// classifyAggCandidate handles same-group-by candidates.
-func (o *Optimizer) classifyAggCandidate(q *plan.Query, cand *htcache.Entry, reqFilter expr.Box,
-	groupBase []storage.ColRef, specsBase []expr.AggSpec, srcIdx [][2]int,
-	inputRows, distinct float64) (aggOptionResult, bool) {
-
-	specIdx, ok := specsSubsetIdx(specsBase, cand.Lineage.Aggs)
+// aggReuseOption classifies one cached table for the aggregation fresh
+// describes (fresh.Choice is the fresh build; freshRoot its SPJ plan)
+// and costs it with RHA. A same-group-by hot table widens when every
+// aggregate is additive (folding more tuples into existing groups),
+// each residual box becoming an SPJ plan with an overridden filter. A
+// roll-up table is scanned and post-aggregated into the smaller
+// grouping. A cold table costs its revival on top and carries the fresh
+// plan as the fallback for an entry gone before compile.
+func (o *Optimizer) aggReuseOption(q *plan.Query, cand candidate, reqFilter expr.Box, fresh *AggChoice, freshRoot *Node) (aggOption, bool) {
+	additive := true
+	for _, s := range fresh.Specs {
+		additive = additive && s.Func.Additive()
+	}
+	if cand.rollup && !additive {
+		return aggOption{}, false
+	}
+	specIdx, ok := specsSubsetIdx(fresh.Specs, cand.entry.Lineage.Aggs)
 	if !ok {
-		return aggOptionResult{}, false
+		return aggOption{}, false
 	}
-	snap := cand.Current()
-	if snap == nil || snap.HT == nil {
-		// Demoted to the cold tier since Candidates listed it.
-		return aggOptionResult{}, false
+	fullMask := (1 << uint(len(q.Relations))) - 1
+	choice, ok := o.classify(q, fullMask, cand, reqFilter, additive && !cand.rollup && cand.cold == nil)
+	if !ok {
+		return aggOption{}, false
 	}
-	layout := snap.HT.Layout()
-	rel := expr.Classify(snap.Filter, reqFilter)
-	width := layout.RowWidthBytes()
-	choice := ReuseChoice{Entry: cand, Snap: snap}
-	agg := &AggChoice{
-		GroupBase: groupBase, Specs: specsBase, SrcIdx: srcIdx,
-		CachedSpecIdx: specIdx, InputRows: inputRows, DistinctKeys: distinct,
+	agg := *fresh
+	agg.CachedSpecIdx = specIdx
+	rha := costmodel.RHAInput{
+		Contr: choice.Contr, Overh: choice.Overh,
+		CandRows: cand.rows, TupleWidth: cand.layout.RowWidthBytes(),
 	}
-
-	switch rel {
-	case expr.RelEqual:
-		choice.Mode = ModeExact
-		choice.Contr = 1
-
-	case expr.RelSubsuming:
-		// Post-filtering groups is only sound when every predicate
-		// column is a group-by column (each group wholly in or out) —
-		// which is exactly "the attributes needed to test post are in
-		// the hash table".
-		if !boxColsInLayout(layout, reqFilter) {
-			return aggOptionResult{}, false
+	var inputCost float64
+	switch {
+	case cand.rollup:
+		// Scan the cached groups and re-aggregate them: the
+		// post-aggregation itself is computed fresh.
+		agg.PostAgg = true
+		agg.InputRows = cand.rows
+		rha = costmodel.RHAInput{
+			InputRows: cand.rows, DistinctKeys: fresh.DistinctKeys,
+			Overh: choice.Overh, TupleWidth: (len(fresh.GroupBase) + len(fresh.Specs)) * 8,
 		}
-		choice.Mode = ModeSubsuming
-		choice.Contr = 1
-		choice.PostFilter = reqFilter
-		choice.Overh = o.overheadRatio(q, (1<<uint(len(q.Relations)))-1, snap, reqFilter)
-
-	case expr.RelPartial, expr.RelOverlapping:
-		if rel == expr.RelPartial && !o.Opts.EnablePartial {
-			return aggOptionResult{}, false
-		}
-		if rel == expr.RelOverlapping && !o.Opts.EnableOverlapping {
-			return aggOptionResult{}, false
-		}
-		// Overlapping reuse post-filters the cached groups: reject it on
-		// the layout before the residual and union allocate.
-		if rel == expr.RelOverlapping && !boxColsInLayout(layout, reqFilter) {
-			return aggOptionResult{}, false
-		}
-		// Folding more tuples into existing groups requires additive
-		// aggregates.
-		for _, s := range specsBase {
-			if !s.Func.Additive() {
-				return aggOptionResult{}, false
-			}
-		}
-		residual, ok := reqFilter.Difference(snap.Filter)
-		if !ok {
-			return aggOptionResult{}, false
-		}
-		newFilter, ok := unionIfBox(snap.Filter, reqFilter)
-		if !ok {
-			return aggOptionResult{}, false
-		}
-		if rel == expr.RelOverlapping {
-			choice.Mode = ModeOverlapping
-			choice.PostFilter = reqFilter
-		} else {
-			choice.Mode = ModePartial
-		}
-		choice.NewFilter = newFilter
-		fullMask := (1 << uint(len(q.Relations))) - 1
-		choice.Contr = o.contributionRatio(q, fullMask, snap, reqFilter)
-		choice.Overh = o.overheadRatio(q, fullMask, snap, reqFilter)
-		choice.MissingRows = distinct * (1 - choice.Contr)
-		// Each residual box becomes an SPJ plan with overridden filters.
-		for _, rb := range residual {
+	case cand.cold != nil:
+		agg.FreshRoot = freshRoot
+		inputCost = o.Model.ReviveCost(cand.rows, cand.layout.RowWidthBytes())
+	case choice.widens():
+		choice.MissingRows = fresh.DistinctKeys * (1 - choice.Contr)
+		for _, rb := range choice.ResidualBoxes {
 			rq := *q
-			rq.Filter = q.AliasQualify(rb)
+			rq.Filter = rb
 			rroot, err := o.planSPJ(&rq, true)
 			if err != nil {
-				return aggOptionResult{}, false
+				return aggOption{}, false
 			}
 			agg.ResidualRoots = append(agg.ResidualRoots, rroot)
-			choice.ResidualBoxes = append(choice.ResidualBoxes, rq.Filter)
+			inputCost += rroot.Cost
 		}
-
-	default:
-		return aggOptionResult{}, false
+		rha.InputRows = fresh.InputRows
+		rha.DistinctKeys = fresh.DistinctKeys
 	}
-
-	// Cost: residual SPJ plans + RHA with the candidate's statistics.
-	var inputCost float64
-	residRows := 0.0
-	for _, rr := range agg.ResidualRoots {
-		inputCost += rr.Cost
-		residRows += rr.OutRows
-	}
-	rhaIn := costmodel.RHAInput{
-		InputRows:    inputRows,
-		DistinctKeys: distinct,
-		Contr:        choice.Contr,
-		Overh:        choice.Overh,
-		CandRows:     float64(snap.HT.Len()),
-		TupleWidth:   width,
-	}
-	if choice.Mode == ModeExact || choice.Mode == ModeSubsuming {
-		rhaIn.InputRows = 0
-		rhaIn.DistinctKeys = 0
-	}
-	opCost := o.Model.RHA(rhaIn)
-	choice.OperatorCost = opCost
+	choice.OperatorCost = o.Model.RHA(rha)
 	agg.Choice = choice
-	return aggOptionResult{agg: agg, cost: inputCost + opCost}, true
-}
-
-// classifyRollupCandidate handles superset-group-by candidates: the
-// cached table groups by more columns than requested; a
-// post-aggregation folds it down (all aggregates must be additive).
-func (o *Optimizer) classifyRollupCandidate(q *plan.Query, cand *htcache.Entry, reqFilter expr.Box,
-	groupBase []storage.ColRef, specsBase []expr.AggSpec, srcIdx [][2]int,
-	inputRows, distinct float64) (aggOptionResult, bool) {
-
-	for _, s := range specsBase {
-		if !s.Func.Additive() {
-			return aggOptionResult{}, false
-		}
-	}
-	specIdx, ok := specsSubsetIdx(specsBase, cand.Lineage.Aggs)
-	if !ok {
-		return aggOptionResult{}, false
-	}
-	snap := cand.Current()
-	if snap == nil || snap.HT == nil {
-		return aggOptionResult{}, false
-	}
-	rel := expr.Classify(snap.Filter, reqFilter)
-	choice := ReuseChoice{Entry: cand, Snap: snap}
-	switch rel {
-	case expr.RelEqual:
-		choice.Mode = ModeExact
-		choice.Contr = 1
-	case expr.RelSubsuming:
-		if !boxColsInLayout(snap.HT.Layout(), reqFilter) {
-			return aggOptionResult{}, false
-		}
-		choice.Mode = ModeSubsuming
-		choice.Contr = 1
-		choice.PostFilter = reqFilter
-		choice.Overh = o.overheadRatio(q, (1<<uint(len(q.Relations)))-1, snap, reqFilter)
-	default:
-		return aggOptionResult{}, false
-	}
-
-	// Cost: scan the cached groups + re-aggregate into the smaller table.
-	candRows := float64(snap.HT.Len())
-	width := (len(groupBase) + len(specsBase)) * 8
-	opCost := o.Model.RHA(costmodel.RHAInput{
-		InputRows:    candRows,
-		DistinctKeys: distinct,
-		Contr:        0, // the post-aggregation itself is computed fresh
-		Overh:        choice.Overh,
-		TupleWidth:   width,
-	})
-	choice.OperatorCost = opCost
-	agg := &AggChoice{
-		Choice:    choice,
-		GroupBase: groupBase, Specs: specsBase, SrcIdx: srcIdx,
-		CachedSpecIdx: specIdx, PostAgg: true,
-		InputRows: candRows, DistinctKeys: distinct,
-	}
-	return aggOptionResult{agg: agg, cost: opCost}, true
-}
-
-// classifyColdAggCandidate costs a cold-tier aggregate candidate from
-// its demotion-time metadata (filter, layout, row count) plus the
-// modeled revival cost. Only exact/subsuming classifications apply:
-// widening a cold artifact would pay revival just to copy it, at which
-// point building fresh is never worse under the model.
-func (o *Optimizer) classifyColdAggCandidate(q *plan.Query, ca *htcache.ColdArtifact, reqFilter expr.Box,
-	groupBase []storage.ColRef, specsBase []expr.AggSpec, srcIdx [][2]int,
-	freshRoot *Node, inputRows, distinct float64) (aggOptionResult, bool) {
-
-	specIdx, ok := specsSubsetIdx(specsBase, ca.Entry.Lineage.Aggs)
-	if !ok {
-		return aggOptionResult{}, false
-	}
-	choice := ReuseChoice{Entry: ca.Entry, Cold: ca}
-	width := ca.Layout.RowWidthBytes()
-	fullMask := (1 << uint(len(q.Relations))) - 1
-
-	switch expr.Classify(ca.Filter, reqFilter) {
-	case expr.RelEqual:
-		choice.Mode = ModeExact
-		choice.Contr = 1
-	case expr.RelSubsuming:
-		if !boxColsInLayout(ca.Layout, reqFilter) {
-			return aggOptionResult{}, false
-		}
-		choice.Mode = ModeSubsuming
-		choice.Contr = 1
-		choice.PostFilter = reqFilter
-		choice.Overh = o.overheadRatioRows(q, fullMask, ca.Filter, float64(ca.Rows), reqFilter)
-	default:
-		return aggOptionResult{}, false
-	}
-
-	opCost := o.Model.RHA(costmodel.RHAInput{
-		Contr: choice.Contr, Overh: choice.Overh,
-		CandRows: float64(ca.Rows), TupleWidth: width,
-	})
-	reviveCost := o.Model.ReviveCost(float64(ca.Rows), width)
-	choice.OperatorCost = opCost
-	agg := &AggChoice{
-		Choice:    choice,
-		GroupBase: groupBase, Specs: specsBase, SrcIdx: srcIdx,
-		CachedSpecIdx: specIdx, FreshRoot: freshRoot,
-		InputRows: inputRows, DistinctKeys: distinct,
-	}
-	return aggOptionResult{agg: agg, cost: reviveCost + opCost}, true
+	return aggOption{agg: &agg, totalCost: inputCost + choice.OperatorCost}, true
 }
 
 // Decisions derives the per-operator decision log (the paper's Table 8b

@@ -329,10 +329,13 @@ func (c *compiler) obtainBuildHT(n *Node) (*hashtable.Table, expr.Box, []int, []
 	choice := n.Reuse
 	postFilter := choice.PostFilter
 	var ht *hashtable.Table
-
-	switch choice.Mode {
-	case ModeNew:
-		var err error
+	var snap *htcache.Snapshot
+	var err error
+	if choice.Mode != ModeNew {
+		snap = c.reuseSnapshot(choice)
+	}
+	switch {
+	case choice.Mode == ModeNew:
 		if c.members != nil {
 			ht, err = c.sharedBuildHT(n)
 		} else {
@@ -341,53 +344,17 @@ func (c *compiler) obtainBuildHT(n *Node) (*hashtable.Table, expr.Box, []int, []
 		if err != nil {
 			return nil, nil, nil, nil, err
 		}
-
-	case ModeExact, ModeSubsuming:
-		// Probe the snapshot the plan was classified against: frozen,
-		// immutable, safe for lock-free probes however many queries widen
-		// the entry concurrently. A cold choice has no snapshot yet —
-		// revive the entry (rebuild it from its compact spill); if the
-		// cold entry was dropped between plan and compile, or the
-		// compile is detached (no cache mutations), degrade to the fresh
-		// build plan the option carries.
-		snap := choice.Snap
-		if choice.Cold != nil && snap == nil && c.register {
-			if s := c.o.Cache.Revive(choice.Entry, nil); s != nil && s.HT != nil {
-				snap = s
-			}
+	case snap == nil:
+		if n.Build == nil {
+			return nil, nil, nil, nil, fmt.Errorf("optimizer: cold entry %d unrevivable and no fresh fallback", choice.Entry.ID)
 		}
-		if snap == nil || snap.HT == nil {
-			if n.Build == nil {
-				return nil, nil, nil, nil, fmt.Errorf("optimizer: cold entry %d unrevivable and no fresh fallback", choice.Entry.ID)
-			}
-			var err error
-			if ht, err = c.freshBuildHT(n); err != nil {
-				return nil, nil, nil, nil, err
-			}
-			break
+		if ht, err = c.freshBuildHT(n); err != nil {
+			return nil, nil, nil, nil, err
 		}
-		ht = snap.HT
-		if c.register {
-			c.o.Cache.Pin(choice.Entry, choice.SavedCost)
-			c.out.pinned = append(c.out.pinned, choice.Entry)
-		}
-		if c.o.Opts.Strategy == Materialized {
-			var err error
-			if ht, err = c.rebuildHT(n, snap.HT, postFilter); err != nil {
-				return nil, nil, nil, nil, err
-			}
-			postFilter = nil
-		}
-
-	case ModePartial, ModeOverlapping:
-		// Widen the snapshot into a private copy: the residual scan
-		// builds the missing tuples into it while other queries keep
-		// probing the frozen snapshot.
-		ht = choice.Snap.HT.Widen(int(choice.MissingRows))
-		if c.register {
-			c.o.Cache.Pin(choice.Entry, choice.SavedCost)
-			c.out.pinned = append(c.out.pinned, choice.Entry)
-		}
+	case choice.widens():
+		// The residual scan builds the missing tuples into the widened
+		// copy.
+		ht = c.widen(choice)
 		relIdx, ok := singleRelation(n.BuildMask)
 		if !ok {
 			return nil, nil, nil, nil, fmt.Errorf("optimizer: partial join reuse on multi-relation build side")
@@ -409,14 +376,13 @@ func (c *compiler) obtainBuildHT(n *Node) (*hashtable.Table, expr.Box, []int, []
 			return nil, nil, nil, nil, err
 		}
 		c.out.Pipelines = append(c.out.Pipelines, &exec.Pipeline{Source: src, Sink: sink})
-		if c.register {
-			c.out.filterUpdates = append(c.out.filterUpdates, filterUpdate{
-				entry: choice.Entry, prev: choice.Snap, ht: ht, newFilter: choice.NewFilter,
-			})
+	case c.o.Opts.Strategy == Materialized:
+		if ht, err = c.rebuildHT(n, snap.HT, postFilter); err != nil {
+			return nil, nil, nil, nil, err
 		}
-
+		postFilter = nil
 	default:
-		return nil, nil, nil, nil, fmt.Errorf("optimizer: unknown reuse mode %v", choice.Mode)
+		ht = snap.HT
 	}
 
 	// The probe emits every needed build-side column.
@@ -618,62 +584,71 @@ func (c *compiler) compileAggRoot(p *Planned) error {
 	agg := p.Agg
 	choice := agg.Choice
 
-	switch choice.Mode {
-	case ModeNew:
+	if choice.Mode == ModeNew {
 		return c.compileFreshAgg(p.Root, agg)
-
-	case ModeExact, ModeSubsuming:
-		// A cold choice carries no snapshot: revive it here (rebuild it
-		// from its compact spill). If the cold entry was dropped
-		// meanwhile, or the compile is detached, degrade to the fresh SPJ
-		// plan the option carries as fallback.
-		snap := choice.Snap
-		if choice.Cold != nil && snap == nil && c.register {
-			if s := c.o.Cache.Revive(choice.Entry, nil); s != nil && s.HT != nil {
-				snap = s
-			}
-		}
-		if snap == nil || snap.HT == nil {
-			if agg.FreshRoot == nil {
-				return fmt.Errorf("optimizer: cold aggregate entry %d unrevivable and no fresh fallback", choice.Entry.ID)
-			}
-			fresh := *agg
-			fresh.Choice = ReuseChoice{Mode: ModeNew}
-			return c.compileFreshAgg(agg.FreshRoot, &fresh)
-		}
-		if c.register {
-			c.o.Cache.Pin(choice.Entry, choice.SavedCost)
-			c.out.pinned = append(c.out.pinned, choice.Entry)
-		}
-		return c.compileReadout(c.q, snap.HT, agg, agg.CachedSpecIdx, choice.PostFilter, agg.PostAgg)
-
-	case ModePartial, ModeOverlapping:
-		if c.register {
-			c.o.Cache.Pin(choice.Entry, choice.SavedCost)
-			c.out.pinned = append(c.out.pinned, choice.Entry)
-		}
-		// Widen the snapshot and fold every residual input into the
-		// private copy, updating ALL of its aggregate cells so the whole
-		// table stays consistent with its (widened) lineage. Concurrent
-		// probes of the frozen snapshot never see the folds.
-		widened := choice.Snap.HT.Widen(int(choice.MissingRows))
-		for _, rr := range agg.ResidualRoots {
-			src, tfs, schema, err := c.compileStream(rr)
-			if err != nil {
-				return err
-			}
-			if err := c.attachAggInput(src, tfs, schema, widened, agg.GroupBase, choice.Entry.Lineage.Aggs); err != nil {
-				return err
-			}
-		}
-		if c.register {
-			c.out.filterUpdates = append(c.out.filterUpdates, filterUpdate{
-				entry: choice.Entry, prev: choice.Snap, ht: widened, newFilter: choice.NewFilter,
-			})
-		}
-		return c.compileReadout(c.q, widened, agg, agg.CachedSpecIdx, choice.PostFilter, false)
 	}
-	return fmt.Errorf("optimizer: unknown aggregation mode %v", choice.Mode)
+	snap := c.reuseSnapshot(&choice)
+	if snap == nil {
+		if agg.FreshRoot == nil {
+			return fmt.Errorf("optimizer: cold aggregate entry %d unrevivable and no fresh fallback", choice.Entry.ID)
+		}
+		fresh := *agg
+		fresh.Choice = ReuseChoice{Mode: ModeNew}
+		return c.compileFreshAgg(agg.FreshRoot, &fresh)
+	}
+	if !choice.widens() {
+		return c.compileReadout(c.q, snap.HT, agg, agg.CachedSpecIdx, choice.PostFilter, agg.PostAgg)
+	}
+	// Fold every residual input into the widened copy, updating ALL of
+	// its aggregate cells so the whole table stays consistent with its
+	// (widened) lineage.
+	widened := c.widen(&choice)
+	for _, rr := range agg.ResidualRoots {
+		src, tfs, schema, err := c.compileStream(rr)
+		if err != nil {
+			return err
+		}
+		if err := c.attachAggInput(src, tfs, schema, widened, agg.GroupBase, choice.Entry.Lineage.Aggs); err != nil {
+			return err
+		}
+	}
+	return c.compileReadout(c.q, widened, agg, agg.CachedSpecIdx, choice.PostFilter, false)
+}
+
+// reuseSnapshot resolves the snapshot a reuse choice reads and pins its
+// entry. A hot choice reads the snapshot it was classified against:
+// frozen, immutable, safe for lock-free probes however many queries
+// widen the entry concurrently. A cold choice revives its entry
+// (rebuilds it from the compact spill). Nil, with nothing pinned, means
+// the caller builds fresh: the cold entry was dropped between plan and
+// compile, or the compile is detached (no cache mutations).
+func (c *compiler) reuseSnapshot(choice *ReuseChoice) *htcache.Snapshot {
+	snap := choice.Snap
+	if choice.Cold != nil && c.register {
+		snap = c.o.Cache.Revive(choice.Entry, nil)
+	}
+	if snap == nil || snap.HT == nil {
+		return nil
+	}
+	if c.register {
+		c.o.Cache.Pin(choice.Entry, choice.SavedCost)
+		c.out.pinned = append(c.out.pinned, choice.Entry)
+	}
+	return snap
+}
+
+// widen copies the choice's snapshot into a private table with room for
+// the missing rows (partial/overlapping reuse) and records the copy's
+// publication, which finish installs once the plan ran. Other queries
+// keep probing the frozen snapshot and never see the additions.
+func (c *compiler) widen(choice *ReuseChoice) *hashtable.Table {
+	ht := choice.Snap.HT.Widen(int(choice.MissingRows))
+	if c.register {
+		c.out.filterUpdates = append(c.out.filterUpdates, filterUpdate{
+			entry: choice.Entry, prev: choice.Snap, ht: ht, newFilter: choice.NewFilter,
+		})
+	}
+	return ht
 }
 
 // compileFreshAgg builds a fresh aggregation table from the SPJ plan

@@ -178,9 +178,11 @@ func (p *Prepared) Parallelism() exec.Parallelism { return p.o.Opts.Parallelism 
 // Finish completes a prepared query after its pipelines ran (runErr is
 // the runner's verdict): on success it publishes widened snapshots,
 // releases pins and assembles the Result; on failure it unwinds the
-// compiled state.
+// compiled state. A panic while publishing comes back as an internal
+// error with the state unwound, so a scatter finishing its legs in turn
+// still finishes the rest.
 func (p *Prepared) Finish(runErr error, execTime time.Duration) (*Result, error) {
-	if err := p.finish(runErr); err != nil {
+	if err := p.finishSafe(runErr); err != nil {
 		return nil, err
 	}
 	return p.result(0, execTime), nil
@@ -274,8 +276,7 @@ func (p *Prepared) Abort() {
 }
 
 // OrderAndLimit applies a query's ORDER BY / LIMIT to rows that are
-// already boxed — the shard aggregate merge and the materialized
-// baseline. It picks rows with the same permutation selector the
+// already boxed — the shard aggregate merge. It picks rows with the same permutation selector the
 // result collector uses: the first Limit rows of a stable sort.
 func OrderAndLimit(rows [][]types.Value, columns []string, q *plan.Query) [][]types.Value {
 	idx := -1

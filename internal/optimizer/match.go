@@ -109,143 +109,152 @@ func singleRelation(mask int) (int, bool) {
 	return idx, true
 }
 
-// classifyJoinCandidate classifies one cached table against a join
-// build request and produces the rewrite, or ok=false if it cannot be
-// used. reqFilter is base-qualified. The candidate's snapshot is
-// resolved once here and carried in the choice: content (filter) and
-// statistics come from that one version, and partial/overlapping reuse
-// widens exactly it.
-func (o *Optimizer) classifyJoinCandidate(q *plan.Query, mask int, e *htcache.Entry,
-	reqFilter expr.Box, reqCols []storage.ColRef) (ReuseChoice, bool) {
+// candidate is one cached table as the classifier sees it: its
+// content (lineage filter, layout and entry count) read from a hot
+// entry's snapshot, or from a cold artifact's demotion-time metadata
+// without touching the artifact.
+type candidate struct {
+	entry *htcache.Entry
+	// snap is the hot snapshot classified; nil for a cold candidate,
+	// which compile revives.
+	snap   *htcache.Snapshot
+	cold   *htcache.ColdArtifact
+	filter expr.Box
+	layout hashtable.Layout
+	rows   float64
+	// rollup marks a hot aggregate grouped by a strict superset of the
+	// requested group-by (a post-aggregation folds it down).
+	rollup bool
+}
 
-	snap := e.Current()
-	if snap == nil || snap.HT == nil {
-		return ReuseChoice{}, false // demoted/spilled since retrieval
+// candidates lists the cached tables an operator may reuse, in the
+// order their options are costed: the hot entries matching probe, then
+// with rollups the hot entries grouped by a superset of probe.GroupBy,
+// then the cold-tier artifacts of probe's structure. Hot entries
+// demoted since the lookup and cold secondary indexes are skipped.
+func (o *Optimizer) candidates(probe htcache.Lineage, stored []storage.ColRef, rollups bool) []candidate {
+	var out []candidate
+	addHot := func(entries []*htcache.Entry, rollup bool) {
+		for _, e := range entries {
+			if snap := e.Current(); snap != nil && snap.HT != nil {
+				out = append(out, candidate{entry: e, snap: snap, filter: snap.Filter,
+					layout: snap.HT.Layout(), rows: float64(snap.HT.Len()), rollup: rollup})
+			}
+		}
 	}
-	layout := snap.HT.Layout()
-	if !layoutHasCols(layout, reqCols) {
-		return ReuseChoice{}, false
+	addHot(o.Cache.Candidates(probe, stored), false)
+	if rollups {
+		addHot(o.Cache.RollupCandidates(probe, stored), true)
 	}
-	rel := expr.Classify(snap.Filter, reqFilter)
-	choice := ReuseChoice{Entry: e, Snap: snap}
+	for _, ca := range o.Cache.ColdCandidates(probe) {
+		if !ca.IsIndex {
+			out = append(out, candidate{entry: ca.Entry, cold: ca, filter: ca.Filter,
+				layout: ca.Layout, rows: float64(ca.Rows)})
+		}
+	}
+	return out
+}
 
+// classify decides which of the four reuse cases (Section 3.2) cand
+// offers a request for the base-qualified box req over the relations in
+// mask, and fills in the choice's rewrite: the post-filter for
+// subsuming and overlapping reuse; for partial and overlapping reuse the
+// alias-qualified residual boxes whose tuples are missing and the
+// widened table's filter. widen reports whether the operator can add
+// missing tuples to a copy of the table; without it only exact and
+// subsuming reuse qualify. ok is false when no case applies.
+func (o *Optimizer) classify(q *plan.Query, mask int, cand candidate, req expr.Box, widen bool) (ReuseChoice, bool) {
+	choice := ReuseChoice{Entry: cand.entry, Snap: cand.snap, Cold: cand.cold}
+	rel := expr.Classify(cand.filter, req)
 	switch rel {
 	case expr.RelEqual:
 		choice.Mode = ModeExact
-		choice.Contr, choice.Overh = 1, 0
+		choice.Contr = 1
 		return choice, true
 
 	case expr.RelSubsuming:
-		if !boxColsInLayout(layout, reqFilter) {
+		// Post-filtering needs every predicate column stored (for an
+		// aggregate: every predicate column a group-by column, so each
+		// group is wholly in or out).
+		if !boxColsInLayout(cand.layout, req) {
 			return ReuseChoice{}, false
 		}
 		choice.Mode = ModeSubsuming
-		choice.PostFilter = reqFilter
+		choice.PostFilter = req
 		choice.Contr = 1
-		choice.Overh = o.overheadRatio(q, mask, snap, reqFilter)
+		choice.Overh = o.overheadRatio(q, mask, cand, req)
 		return choice, true
 
 	case expr.RelPartial, expr.RelOverlapping:
-		if rel == expr.RelPartial && !o.Opts.EnablePartial {
-			return ReuseChoice{}, false
-		}
-		if rel == expr.RelOverlapping && !o.Opts.EnableOverlapping {
+		if !widen || rel == expr.RelPartial && !o.Opts.EnablePartial ||
+			rel == expr.RelOverlapping && !o.Opts.EnableOverlapping {
 			return ReuseChoice{}, false
 		}
 		// Overlapping reuse post-filters the cached table: reject it on
 		// the layout before the residual and union allocate.
-		if rel == expr.RelOverlapping && !boxColsInLayout(layout, reqFilter) {
+		if rel == expr.RelOverlapping && !boxColsInLayout(cand.layout, req) {
 			return ReuseChoice{}, false
 		}
-		relIdx, single := singleRelation(mask)
-		if !single {
-			// Adding missing tuples to a multi-relation build side would
-			// require re-running its join over residual predicates; join
-			// tables restrict partial reuse to single-relation builds
-			// (aggregates implement the general case).
-			return ReuseChoice{}, false
-		}
-		// The residual scan must be able to fill every layout column.
-		tbl := o.Cat.Table(q.Relations[relIdx].Table)
-		for _, m := range layout.Cols {
-			if tbl.Column(m.Ref.Column) == nil {
-				return ReuseChoice{}, false
-			}
-		}
-		residualBase, ok := reqFilter.Difference(snap.Filter)
+		residual, ok := req.Difference(cand.filter)
 		if !ok {
 			return ReuseChoice{}, false
 		}
-		newFilter, ok := unionIfBox(snap.Filter, reqFilter)
+		newFilter, ok := unionIfBox(cand.filter, req)
 		if !ok {
 			return ReuseChoice{}, false
 		}
 		if rel == expr.RelOverlapping {
 			choice.Mode = ModeOverlapping
-			choice.PostFilter = reqFilter
+			choice.PostFilter = req
 		} else {
 			choice.Mode = ModePartial
 		}
-		for _, rb := range residualBase {
+		for _, rb := range residual {
 			choice.ResidualBoxes = append(choice.ResidualBoxes, q.AliasQualify(rb))
 		}
 		choice.NewFilter = newFilter
-		choice.Contr = o.contributionRatio(q, mask, snap, reqFilter)
-		choice.Overh = o.overheadRatio(q, mask, snap, reqFilter)
+		choice.Contr = o.contributionRatio(q, mask, cand, req)
+		choice.Overh = o.overheadRatio(q, mask, cand, req)
 		return choice, true
 	}
 	return ReuseChoice{}, false
 }
 
+// widens reports whether the choice adds missing tuples to a copy of
+// the cached table.
+func (r *ReuseChoice) widens() bool { return r.Mode == ModePartial || r.Mode == ModeOverlapping }
+
 // contributionRatio estimates |cand ∩ req| / |req| over the masked
 // relations.
-func (o *Optimizer) contributionRatio(q *plan.Query, mask int, snap *htcache.Snapshot, reqFilter expr.Box) float64 {
-	reqAlias := q.AliasQualify(reqFilter)
-	interAlias := q.AliasQualify(reqFilter.Intersect(snap.Filter))
-	reqRows := o.maskRows(q, mask, reqAlias)
-	interRows := o.maskRows(q, mask, interAlias)
+func (o *Optimizer) contributionRatio(q *plan.Query, mask int, cand candidate, req expr.Box) float64 {
+	reqRows := o.maskRows(q, mask, q.AliasQualify(req))
+	interRows := o.maskRows(q, mask, q.AliasQualify(req.Intersect(cand.filter)))
 	if reqRows <= 0 {
 		return 1
 	}
-	c := interRows / reqRows
-	if c > 1 {
-		c = 1
-	}
-	if c < 0 {
-		c = 0
-	}
-	return c
+	return min(max(interRows/reqRows, 0), 1)
 }
 
-// overheadRatio estimates |cand \ req| / |cand| using the candidate
-// snapshot's actual entry count.
-func (o *Optimizer) overheadRatio(q *plan.Query, mask int, snap *htcache.Snapshot, reqFilter expr.Box) float64 {
-	return o.overheadRatioRows(q, mask, snap.Filter, float64(snap.HT.Len()), reqFilter)
-}
-
-// overheadRatioRows is overheadRatio over explicit candidate content
-// (filter + row count) — cold candidates are costed from their
-// demotion-time metadata without touching the artifact.
-func (o *Optimizer) overheadRatioRows(q *plan.Query, mask int, candFilter expr.Box, candRows float64, reqFilter expr.Box) float64 {
-	if candRows <= 0 {
+// overheadRatio estimates |cand \ req| / |cand| from the candidate's
+// entry count.
+func (o *Optimizer) overheadRatio(q *plan.Query, mask int, cand candidate, req expr.Box) float64 {
+	if cand.rows <= 0 {
 		return 0
 	}
-	interAlias := q.AliasQualify(reqFilter.Intersect(candFilter))
-	interRows := o.maskRows(q, mask, interAlias)
-	ov := 1 - interRows/candRows
-	if ov < 0 {
-		ov = 0
-	}
-	if ov > 1 {
-		ov = 1
-	}
-	return ov
+	interRows := o.maskRows(q, mask, q.AliasQualify(req.Intersect(cand.filter)))
+	return min(max(1-interRows/cand.rows, 0), 1)
 }
 
 // joinBuildOptions enumerates the ways to obtain the build-side hash
 // table for partition `mask` with the given build keys: a fresh table
 // plus every classifiable cached candidate. proberRows feeds the RHJ
-// probe-cost term.
+// probe-cost term. A join widens only a single-relation build whose
+// base table can fill every layout column: adding missing tuples to a
+// multi-relation build would re-run its join over the residual
+// predicates (aggregates implement that general case). A cold candidate
+// is charged ReviveCost on top of the operator estimate and carries the
+// fresh build plan as the fallback for a revival that loses the entry
+// (evicted between plan and compile).
 func (o *Optimizer) joinBuildOptions(ctx *planContext, mask int, buildKeys []storage.ColRef, proberRows float64) []buildOption {
 	q := ctx.q
 	reqFilter := q.BaseQualify(maskFilter(q, mask))
@@ -283,70 +292,33 @@ func (o *Optimizer) joinBuildOptions(ctx *planContext, mask int, buildKeys []sto
 		return opts
 	}
 
-	for _, cand := range o.Cache.Candidates(probeLin, probeCols) {
-		choice, ok := o.classifyJoinCandidate(q, mask, cand, reqFilter, reqCols)
+	relIdx, single := singleRelation(mask)
+	for _, cand := range o.candidates(probeLin, probeCols, false) {
+		if !layoutHasCols(cand.layout, reqCols) {
+			continue
+		}
+		widen := single && cand.cold == nil && o.canFill(q.Relations[relIdx].Table, cand.layout)
+		choice, ok := o.classify(q, mask, cand, reqFilter, widen)
 		if !ok {
 			continue
 		}
-		candWidth := choice.Snap.HT.Layout().RowWidthBytes()
+		candWidth := cand.layout.RowWidthBytes()
 		choice.MissingRows = builderRows * (1 - choice.Contr)
-		opCost := o.Model.RHJ(costmodel.RHJInput{
+		choice.OperatorCost = o.Model.RHJ(costmodel.RHJInput{
 			BuilderRows: builderRows, ProberRows: proberRows,
 			Contr: choice.Contr, Overh: choice.Overh,
-			CandRows: float64(choice.Snap.HT.Len()), TupleWidth: candWidth,
+			CandRows: cand.rows, TupleWidth: candWidth,
 		})
-		choice.OperatorCost = opCost
-		var inputCost float64
-		if len(choice.ResidualBoxes) > 0 {
-			relIdx, _ := singleRelation(mask)
-			inputCost = o.scanCost(q, relIdx, choice.ResidualBoxes, len(choice.Snap.HT.Layout().Cols))
+		opt := buildOption{choice: choice}
+		switch {
+		case cand.cold != nil:
+			opt.buildPlan = bp
+			opt.inputCost = o.Model.ReviveCost(cand.rows, candWidth)
+		case choice.widens():
+			opt.inputCost = o.scanCost(q, relIdx, choice.ResidualBoxes, len(cand.layout.Cols))
 		}
-		opts = append(opts, buildOption{
-			choice:    choice,
-			inputCost: inputCost,
-			totalCost: inputCost + opCost,
-		})
-	}
-
-	// Cold-tier candidates: classified from demotion-time metadata,
-	// charged ReviveCost on top of the operator estimate. Only exact and
-	// subsuming qualify (widening a cold artifact would revive it just
-	// to copy it). The fresh build plan rides along as the fallback for
-	// a revival that loses the entry (evicted between plan and compile).
-	for _, ca := range o.Cache.ColdCandidates(probeLin) {
-		if ca.IsIndex || !layoutHasCols(ca.Layout, reqCols) {
-			continue
-		}
-		choice := ReuseChoice{Entry: ca.Entry, Cold: ca}
-		switch expr.Classify(ca.Filter, reqFilter) {
-		case expr.RelEqual:
-			choice.Mode = ModeExact
-			choice.Contr, choice.Overh = 1, 0
-		case expr.RelSubsuming:
-			if !boxColsInLayout(ca.Layout, reqFilter) {
-				continue
-			}
-			choice.Mode = ModeSubsuming
-			choice.PostFilter = reqFilter
-			choice.Contr = 1
-			choice.Overh = o.overheadRatioRows(q, mask, ca.Filter, float64(ca.Rows), reqFilter)
-		default:
-			continue
-		}
-		candWidth := ca.Layout.RowWidthBytes()
-		opCost := o.Model.RHJ(costmodel.RHJInput{
-			BuilderRows: builderRows, ProberRows: proberRows,
-			Contr: choice.Contr, Overh: choice.Overh,
-			CandRows: float64(ca.Rows), TupleWidth: candWidth,
-		})
-		choice.OperatorCost = opCost
-		reviveCost := o.Model.ReviveCost(float64(ca.Rows), candWidth)
-		opts = append(opts, buildOption{
-			choice:    choice,
-			buildPlan: bp,
-			inputCost: reviveCost,
-			totalCost: reviveCost + opCost,
-		})
+		opt.totalCost = opt.inputCost + choice.OperatorCost
+		opts = append(opts, opt)
 	}
 
 	// Stamp each reuse option's modeled saving versus the fresh build;
@@ -357,6 +329,18 @@ func (o *Optimizer) joinBuildOptions(ctx *planContext, mask int, buildKeys []sto
 		}
 	}
 	return opts
+}
+
+// canFill reports whether a scan of the base table can produce every
+// column of layout (a residual scan widening a join build must).
+func (o *Optimizer) canFill(table string, layout hashtable.Layout) bool {
+	tbl := o.Cat.Table(table)
+	for _, m := range layout.Cols {
+		if tbl.Column(m.Ref.Column) == nil {
+			return false
+		}
+	}
+	return true
 }
 
 // freshJoinWidth computes the payload width of a fresh build-side table

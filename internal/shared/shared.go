@@ -61,13 +61,18 @@ func mergeable(a, b *plan.Query) bool {
 }
 
 // ShapeKey classifies a query for batch admission: queries with equal
-// keys are mergeable into one shared plan. The second return is false
-// for queries that never merge (ORDER BY / LIMIT — ordering and
-// truncation are per-query properties the qid-tagged union cannot
-// express). The serving front-end keys its admission queues on this.
+// keys are mergeable into one shared plan — one join graph, and all
+// aggregating or all not (a shared plan ends in grouping tables or in
+// one collected spine, never both). The second return is false for
+// queries that never merge (ORDER BY / LIMIT — ordering and truncation
+// are per-query properties the qid-tagged union cannot express). The
+// serving front-end keys its admission queues on this.
 func ShapeKey(q *plan.Query) (string, bool) {
 	if q.OrderBy != nil || q.Limit > 0 {
 		return "", false
+	}
+	if q.IsAggregate() {
+		return q.JoinGraphSignature() + "|agg", true
 	}
 	return q.JoinGraphSignature(), true
 }

@@ -1,6 +1,7 @@
 package hashstash
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -9,6 +10,8 @@ import (
 	"sync"
 	"testing"
 
+	"hashstash/hashstasherr"
+	"hashstash/internal/faultinject"
 	"hashstash/internal/storage"
 	"hashstash/internal/types"
 )
@@ -432,5 +435,72 @@ func TestShardedPostHocPartition(t *testing.T) {
 	}
 	if err := un.PartitionTable("customer", "c_custkey"); err == nil {
 		t.Fatal("PartitionTable must require more than one shard")
+	}
+}
+
+// TestShardedPublishPanicReleasesPins: a scatter finishes its legs one
+// after another, and a panic while leg 0 publishes its widened snapshot
+// must neither skip leg 1's finish nor leak either leg's pins. Both
+// shards end at rest — nothing pinned, invariants intact — and the
+// query answers correctly once the fault is disarmed.
+func TestShardedPublishPanicReleasesPins(t *testing.T) {
+	const seed = 1
+	db := openDiffDB(t, seed, WithStrategy(AlwaysReuse), WithTuning(Tuning{Shards: 2, Parallelism: 1}))
+	ref := openDiffDB(t, seed, WithStrategy(NeverReuse), WithTuning(Tuning{Parallelism: 1}))
+	run := func(sql string) error {
+		_, err := db.Exec(sql)
+		return err
+	}
+
+	// Unarmed, a wider window widens the cached aggregate on every
+	// shard, so the armed run below publishes on both legs.
+	agg := shapeNamed("agg-int")
+	for _, sql := range []string{agg.render(0, 100), agg.render(0, 160)} {
+		if err := run(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for s, st := range db.ShardCacheStats() {
+		if st.WidenPublished == 0 {
+			t.Fatalf("shard %d published no widened snapshot", s)
+		}
+	}
+
+	day := shapeNamed("agg-date")
+	narrow, wide := day.render(0, 40), day.render(0, 90)
+	if err := run(narrow); err != nil {
+		t.Fatal(err)
+	}
+	if err := faultinject.Arm("htcache.publish=panic:once"); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Disarm()
+	if err := run(wide); !errors.Is(err, hashstasherr.ErrInternal) {
+		t.Fatalf("panicking publication = %v, want ErrInternal", err)
+	}
+	// Leg 0's publication panics; leg 1 still reaches its own.
+	if hits := faultinject.Fired(faultinject.HTCachePublish); hits != 2 {
+		t.Fatalf("the publish point was hit %d times, want once per leg", hits)
+	}
+	faultinject.Disarm()
+
+	for s, st := range db.ShardCacheStats() {
+		if st.Pinned != 0 {
+			t.Errorf("shard %d: %d entries pinned after the contained panic", s, st.Pinned)
+		}
+		if err := db.router.Shard(s).Cache.CheckInvariants(); err != nil {
+			t.Errorf("shard %d: %v", s, err)
+		}
+	}
+	got, err := db.Exec(wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Exec(wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameAnswer(normalize(want), normalize(got)); err != nil {
+		t.Fatalf("answer after the contained panic: %v", err)
 	}
 }

@@ -91,9 +91,9 @@ func TestBenefitBeatsLRU(t *testing.T) {
 	lruCost := runSteps(t, lru, steps)
 
 	bs, ls := benefit.CacheStats(), lru.CacheStats()
-	t.Logf("benefit: trace cost=%.3e saved=%.0f hits=%d reg=%d demotions=%d revivals=%d rebuilds=%d bloomFP=%d/%d",
+	t.Logf("benefit: trace cost=%.3e saved=%.0f hits=%d reg=%d demotions=%d revivals=%d bloomFP=%d/%d",
 		benefitCost, bs.Tiering.SavedNS, bs.Hits, bs.Registered, bs.Tiering.Demotions,
-		bs.Tiering.Revivals, bs.Tiering.ReviveRebuilds, bs.Tiering.BloomFalsePositives, bs.Tiering.BloomProbes)
+		bs.Tiering.Revivals, bs.Tiering.BloomFalsePositives, bs.Tiering.BloomProbes)
 	t.Logf("lru:     trace cost=%.3e saved=%.0f hits=%d reg=%d evictions=%d",
 		lruCost, ls.Tiering.SavedNS, ls.Hits, ls.Registered, ls.Tiering.LRUEvictions)
 	if ls.Tiering.LRUEvictions == 0 {
