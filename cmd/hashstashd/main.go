@@ -61,7 +61,7 @@ func main() {
 		sf          = flag.Float64("sf", 0.01, "TPC-H scale factor")
 		budget      = flag.Int64("cache", 0, "hash table cache budget in bytes (0 = unlimited)")
 		parallel    = flag.Int("parallel", 0, "execution worker-pool size (0 = all CPUs, 1 = serial)")
-		shards      = flag.Int("shards", 1, "shard count; >1 partitions customer/orders/lineitem on their keys and serves every query solo (shared plans need one shard)")
+		shards      = flag.Int("shards", 1, "shard count; >1 partitions customer/orders/lineitem on their keys (a batch shares plans among the queries it routes to one shard)")
 	)
 	flag.Parse()
 

@@ -6,6 +6,7 @@ import (
 
 	"hashstash/hashstasherr"
 	"hashstash/internal/plan"
+	"hashstash/internal/shard"
 	"hashstash/internal/shared"
 	"hashstash/internal/sqlparser"
 )
@@ -19,7 +20,7 @@ type Query = plan.Query
 // BatchResult is the outcome of a batch execution: per-query results
 // in input order plus the merge configuration (which queries shared a
 // plan).
-type BatchResult = shared.BatchResult
+type BatchResult = shard.BatchResult
 
 // Parse compiles SQL into a Query, resolving and validating every
 // reference against the catalog. Failures are typed: parse failures
@@ -39,13 +40,15 @@ func (db *DB) ExecContext(ctx context.Context, sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return db.runContext(ctx, q)
+	return db.ExecParsed(ctx, q)
 }
 
 // ExecParsed runs an already-parsed query under a context (the
 // parse-once, execute-many path).
 func (db *DB) ExecParsed(ctx context.Context, q *Query) (*Result, error) {
-	return db.runContext(ctx, q)
+	return contained(ctx, func(ctx context.Context) (*Result, error) {
+		return db.router.RunContext(ctx, q)
+	})
 }
 
 // ExecBatchContext is ExecBatch under a context: the batch's shared
@@ -69,35 +72,15 @@ func (db *DB) ExecBatchContext(ctx context.Context, sqls []string) ([]*Result, e
 
 // ExecParsedBatch runs a batch of already-parsed queries through the
 // query-batch interface, returning per-query results plus the merge
-// configuration. On engines without shared plans (the baselines, a
-// multi-shard router) every query runs solo and the groups are
-// singletons. Either way each query's filter is closed over its join
-// classes (plan.CloseFilter) once, as a solo Exec closes it.
+// configuration. Every engine and shard count takes the same route
+// (shard.Engine.RunBatchContext): each query's filter is closed and
+// routed as a solo query's is, queries routed to one shard merge into
+// shared plans where the cost model says sharing pays, and the rest
+// run as solo queries do.
 func (db *DB) ExecParsedBatch(ctx context.Context, queries []*Query) (*BatchResult, error) {
-	if !db.SupportsSharedPlans() {
-		out := &BatchResult{Results: make([]*Result, len(queries)), Groups: make([][]int, len(queries))}
-		for i, q := range queries {
-			r, err := db.runContext(ctx, q)
-			if err != nil {
-				return nil, fmt.Errorf("query %d: %w", i, err)
-			}
-			out.Results[i] = r
-			out.Groups[i] = []int{i}
-		}
-		return out, nil
-	}
-	closed := make([]*Query, len(queries))
-	for i, q := range queries {
-		closed[i] = plan.CloseFilter(q)
-	}
-	return db.batch.RunBatchContext(ctx, closed)
-}
-
-// SupportsSharedPlans reports whether ExecParsedBatch can merge
-// mergeable queries into shared plans (the HashStash engine on one
-// shard; the baselines and a multi-shard router run query-at-a-time).
-func (db *DB) SupportsSharedPlans() bool {
-	return db.engine == EngineHashStash && db.Shards() == 1
+	return contained(ctx, func(ctx context.Context) (*BatchResult, error) {
+		return db.router.RunBatchContext(ctx, queries)
+	})
 }
 
 // BatchShape classifies a query for shared-plan admission: queries
@@ -117,23 +100,19 @@ func (db *DB) EstimateCost(q *Query) (float64, error) {
 }
 
 // EstimateSharingGain models the saving (model ns) of executing k
-// queries of q's shape as one shared plan instead of k solo plans;
-// <= 0 means modeled sharing does not pay. Engines without shared
-// plans always report 0.
+// queries of q's shape as one shared plan instead of k solo plans on
+// the shard q routes to; <= 0 means modeled sharing does not pay, and a
+// query that scatters across shards always reports 0.
 func (db *DB) EstimateSharingGain(q *Query, k int) float64 {
-	if !db.SupportsSharedPlans() {
-		return 0
-	}
-	return db.batch.SharingGain(q, k)
+	return db.router.SharingGain(q, k)
 }
 
-// runContext routes a parsed query to the configured engine under ctx.
-// It is the outermost panic boundary on the query path: the engines'
-// own recover sites (scheduler hooks, serial exec, optimizer
-// prepare/finish) unwind their cache state precisely, so anything
-// reaching here is merge/route bookkeeping — converted to a typed
-// InternalError so one query's failure never unwinds the caller.
-func (db *DB) runContext(ctx context.Context, q *plan.Query) (res *Result, err error) {
+// contained runs fn under ctx as the outermost panic boundary on the
+// query path: the engines' own recover sites (scheduler hooks, serial
+// exec, optimizer prepare/finish) unwind their cache state precisely,
+// so anything reaching here is merge/route bookkeeping — converted to a
+// typed InternalError so one query's failure never unwinds the caller.
+func contained[T any](ctx context.Context, fn func(context.Context) (*T, error)) (res *T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, hashstasherr.Internal("query", r)
@@ -145,5 +124,5 @@ func (db *DB) runContext(ctx context.Context, q *plan.Query) (res *Result, err e
 	if err := ctx.Err(); err != nil {
 		return nil, hashstasherr.Canceled(err)
 	}
-	return db.router.RunContext(ctx, q)
+	return fn(ctx)
 }

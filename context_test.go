@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -93,10 +94,20 @@ func TestExecBatchContextEquivalence(t *testing.T) {
 	}
 }
 
-// TestExecParsedBatchGroups: the shared classifier merges same-spine
-// queries into one group and reports it.
+// TestExecParsedBatchGroups: on every engine the shared classifier
+// merges same-spine queries into one group and reports it, and every
+// answer equals the query's solo run.
 func TestExecParsedBatchGroups(t *testing.T) {
-	db := openTPCH(t)
+	for _, engine := range []struct {
+		name   string
+		engine Engine
+	}{{"hashstash", EngineHashStash}, {"materialized", EngineMaterialized}, {"noreuse", EngineNoReuse}} {
+		t.Run(engine.name, func(t *testing.T) { testExecParsedBatchGroups(t, engine.engine) })
+	}
+}
+
+func testExecParsedBatchGroups(t *testing.T, engine Engine) {
+	db := openTPCH(t, WithEngine(engine))
 	q1, err := db.Parse(q3SQL)
 	if err != nil {
 		t.Fatal(err)
@@ -124,6 +135,16 @@ func TestExecParsedBatchGroups(t *testing.T) {
 	}
 	if sharedGroups == 0 {
 		t.Fatalf("same-spine queries were not merged: groups %v", br.Groups)
+	}
+	solo := openTPCH(t)
+	for i, q := range []*Query{q1, q2} {
+		want, err := solo.ExecParsed(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := canonical(br.Results[i]); fmt.Sprint(got) != fmt.Sprint(canonical(want)) {
+			t.Fatalf("query %d diverged from solo execution", i)
+		}
 	}
 
 	// Three SPJ and three SPJA queries over one customer ⋈ orders spine:
@@ -157,11 +178,55 @@ func TestExecParsedBatchGroups(t *testing.T) {
 			}
 		}
 	}
-	solo := openTPCH(t)
 	for i, sql := range sqls {
 		want := canonical(mustExec(t, solo, sql))
 		if got := canonical(br.Results[i]); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("mixed batch query %d diverged from solo execution", i)
+		}
+	}
+}
+
+// TestBatchCountsShardQueries: every member of a batch counts as one
+// query on its shard, whether it ran inside a shared plan or solo.
+func TestBatchCountsShardQueries(t *testing.T) {
+	db := openTPCH(t)
+	if _, err := db.ExecBatch([]string{q3SQL, q3SQL, q3SQL + " ORDER BY c.c_age"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.ShardQueryCounts(); !reflect.DeepEqual(got, []int64{3}) {
+		t.Fatalf("ShardQueryCounts = %v after a three-query batch, want [3]", got)
+	}
+}
+
+// TestSharedPlansHonourStrategy: the strategies that never reuse a hash
+// table in place build every shared table fresh, so a second run of a
+// batch re-tags nothing its first run cached.
+func TestSharedPlansHonourStrategy(t *testing.T) {
+	for _, opt := range []Option{WithStrategy(NeverReuse), WithEngine(EngineMaterialized)} {
+		db := openTPCH(t, opt)
+		q1, err := db.Parse(q3SQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q2, err := db.Parse(strings.Replace(q3SQL, "1995-03-15", "1995-09-01", 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := 0; run < 2; run++ {
+			br, err := db.ExecParsedBatch(context.Background(), []*Query{q1, q2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(br.Groups) != 1 {
+				t.Fatalf("run %d: groups %v, want one shared plan", run, br.Groups)
+			}
+			for i, res := range br.Results {
+				for _, d := range res.Decisions {
+					if d.Action != 'N' {
+						t.Fatalf("run %d query %d: decision %+v reuses a cached table", run, i, d)
+					}
+				}
+			}
 		}
 	}
 }

@@ -61,7 +61,6 @@ import (
 	"hashstash/internal/memgov"
 	"hashstash/internal/optimizer"
 	"hashstash/internal/shard"
-	"hashstash/internal/shared"
 	"hashstash/internal/storage"
 	"hashstash/internal/tpch"
 	"hashstash/internal/types"
@@ -114,16 +113,14 @@ const (
 
 // DB is a HashStash database instance. Exec and ExecBatch are safe for
 // concurrent use; schema changes — LoadTPCH, CreateTable, InsertRows,
-// BuildIndex — must not run concurrently with queries.
+// BuildIndex — must not run concurrently with queries. Every engine and
+// shard count runs solo queries and batches through one router, so a
+// batch merges the queries it routes to one shard into shared plans.
 type DB struct {
-	// router is the engine: every data and query path goes through it.
-	// It holds one shard unless Tuning.Shards > 1, and a router of one
-	// routes every query straight to its only optimizer.
+	// router is the engine: every data and query path, solo or batched,
+	// goes through it. It holds one shard unless Tuning.Shards > 1, and
+	// a router of one routes every query straight to its only optimizer.
 	router *shard.Engine
-	// batch merges mergeable queries into shared plans over shard 0's
-	// optimizer; only a one-shard EngineHashStash database uses it.
-	batch  *shared.Optimizer
-	engine Engine
 	// gov is the memory-pressure governor (nil unless Tuning sets a
 	// watermark). The serving front-end refreshes it at admission.
 	gov *memgov.Governor
@@ -218,8 +215,6 @@ func Open(opts ...Option) *DB {
 
 	return &DB{
 		router: router,
-		batch:  shared.New(shards[0].Opt),
-		engine: cfg.engine,
 		gov:    gov,
 	}
 }

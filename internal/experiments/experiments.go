@@ -6,16 +6,18 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
 
 	"hashstash/internal/catalog"
 	"hashstash/internal/costmodel"
+	"hashstash/internal/exec"
 	"hashstash/internal/htcache"
 	"hashstash/internal/optimizer"
 	"hashstash/internal/plan"
-	"hashstash/internal/shared"
+	"hashstash/internal/shard"
 	"hashstash/internal/tpch"
 	"hashstash/internal/workload"
 )
@@ -215,7 +217,8 @@ func Exp4(env *Env, queriesTotal int) (*Exp4Result, error) {
 
 		noReuse := env.newOptimizer(optimizer.NeverReuse, 0)
 		reuse := env.newOptimizer(optimizer.CostModel, 0)
-		sharedOpt := shared.New(env.newOptimizer(optimizer.CostModel, 0))
+		sharedOpt := env.newOptimizer(optimizer.CostModel, 0)
+		batcher := shard.New([]*shard.Shard{{Cat: env.Cat, Cache: sharedOpt.Cache, Opt: sharedOpt}}, nil, exec.Parallelism{})
 
 		for bi := 0; bi < nBatches; bi++ {
 			batch := steps[bi*size : (bi+1)*size]
@@ -241,12 +244,12 @@ func Exp4(env *Env, queriesTotal int) (*Exp4Result, error) {
 			tReuse += time.Since(t0)
 
 			t0 = time.Now()
-			res, err := sharedOpt.RunBatch(queries)
+			res, err := batcher.RunBatchContext(context.Background(), queries)
 			if err != nil {
 				return nil, err
 			}
 			tShared += time.Since(t0)
-			sharedPlans += res.NumSharedPlans()
+			sharedPlans += len(res.Groups)
 		}
 		row := Exp4Row{
 			BatchSize:       size,

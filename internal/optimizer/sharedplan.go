@@ -51,8 +51,12 @@ func (c *compiler) decide(op string, e *htcache.Entry) {
 // retag returns a view of a cached qid-tagged table of probe's
 // structure re-tagged for this batch and its entry, pinned, or nils
 // when no snapshot covers every member's box while storing the stored
-// columns and every predicate column (re-tagging evaluates them).
+// columns and every predicate column (re-tagging evaluates them), or
+// under NeverReuse and Materialized, which never reuse a table in place.
 func (c *compiler) retag(probe htcache.Lineage, stored []storage.ColRef, boxes []expr.Box) (*hashtable.Table, *htcache.Entry) {
+	if s := c.o.Opts.Strategy; s == NeverReuse || s == Materialized {
+		return nil, nil
+	}
 	// A usable table covers every member's box, so none is disjoint from
 	// the first one: a sound request box for the lookup.
 	probe.Filter = boxes[0]

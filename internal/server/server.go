@@ -218,9 +218,6 @@ type shapeQueue struct {
 type Server struct {
 	db  *hashstash.DB
 	cfg Config
-	// canBatch is whether the engine supports shared plans at all (the
-	// baselines and the sharded router run query-at-a-time).
-	canBatch bool
 
 	mu           sync.Mutex
 	cond         *sync.Cond // signals inflight/active/queued drops for Shutdown
@@ -262,7 +259,6 @@ func New(db *hashstash.DB, cfg Config) *Server {
 	s := &Server{
 		db:           db,
 		cfg:          cfg.withDefaults(),
-		canBatch:     db.SupportsSharedPlans(),
 		shapes:       make(map[string]*shapeQueue),
 		tenantQueued: make(map[string]int),
 		conns:        make(map[net.Conn]struct{}),
@@ -361,7 +357,7 @@ func (s *Server) Execute(ctx context.Context, tenant, sql string) (*hashstash.Re
 	}
 	deadline, _ := ctx.Deadline()
 
-	if s.cfg.DisableBatching || !s.canBatch {
+	if s.cfg.DisableBatching {
 		return s.solo(ctx, q, QueryInfo{Mode: "bypass-off"})
 	}
 	shape, ok := hashstash.BatchShape(q)

@@ -241,6 +241,50 @@ func TestServerCoincidenceGroups(t *testing.T) {
 	}
 }
 
+// TestServerShardedLookupsBypassGain: on a two-shard database a
+// customer ⋈ orders point lookup routes to one shard, where modeled
+// sharing of two lookups does not pay. Two concurrent lookups of the
+// shape therefore bypass the queue even while the shape is running.
+func TestServerShardedLookupsBypassGain(t *testing.T) {
+	db := openTPCH(t, hashstash.WithTuning(hashstash.Tuning{Shards: 2}),
+		hashstash.WithPartitionKey("customer", "c_custkey"), hashstash.WithPartitionKey("orders", "o_custkey"))
+	srv := New(db, Config{DefaultTimeout: 60 * time.Second})
+	defer srv.Close()
+	lookup := func(key int) string {
+		return fmt.Sprintf(`SELECT c.c_age, SUM(o.o_totalprice) AS spend FROM customer c, orders o
+			WHERE c.c_custkey = o.o_custkey AND c.c_custkey = %d GROUP BY c.c_age`, key)
+	}
+
+	shape := busyShape(t, srv, lookup(1))
+	defer srv.release(shape)
+	modes := make([]string, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range modes {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, info, err := srv.Execute(context.Background(), "", lookup(40+i))
+			modes[i], errs[i] = info.Mode, err
+		}(i)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("lookups queued behind the running shape (queue depth %d)", srv.Stats().QueueDepth)
+	}
+	for i := range modes {
+		if errs[i] != nil || modes[i] != "bypass-gain" {
+			t.Fatalf("lookup %d: mode %q, err %v; want bypass-gain", i, modes[i], errs[i])
+		}
+	}
+	if st := srv.Stats(); st.NoGainBypass != 2 || st.QueueDepth != 0 || st.Batches != 0 {
+		t.Fatalf("NoGainBypass = %d, QueueDepth = %d, Batches = %d; want 2, 0, 0", st.NoGainBypass, st.QueueDepth, st.Batches)
+	}
+}
+
 // TestServerBackpressure: a burst past MaxQueue is refused with
 // ErrOverloaded; admitted queries still complete.
 func TestServerBackpressure(t *testing.T) {

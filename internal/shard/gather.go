@@ -22,12 +22,17 @@ import (
 // everything else runs as scatter-gather. Cancellation aborts the routed
 // shard's (or every scatter leg's) morsel dispatch.
 func (e *Engine) RunContext(ctx context.Context, q *plan.Query) (*optimizer.Result, error) {
-	q = plan.CloseFilter(q)
-	if s, ok := e.routeShard(q); ok {
-		e.shards[s].Queries.Add(1)
-		return e.shards[s].Opt.RunContext(ctx, q)
+	q, s := e.route(q)
+	return e.run(ctx, q, s)
+}
+
+// run executes a closed query on shard s, or scatters it when s < 0.
+func (e *Engine) run(ctx context.Context, q *plan.Query, s int) (*optimizer.Result, error) {
+	if s < 0 {
+		return e.scatter(ctx, q)
 	}
-	return e.scatter(ctx, q)
+	e.shards[s].Queries.Add(1)
+	return e.shards[s].Opt.RunContext(ctx, q)
 }
 
 // EstimateCost plans q (reuse-aware, against the current cache state)
@@ -37,29 +42,20 @@ func (e *Engine) RunContext(ctx context.Context, q *plan.Query) (*optimizer.Resu
 // concurrently, so the largest estimate is the query's. The filter is
 // closed first, as RunContext closes it.
 func (e *Engine) EstimateCost(q *plan.Query) (float64, error) {
-	q = plan.CloseFilter(q)
+	q, s := e.route(q)
 	shards := e.shards
-	if s, ok := e.routeShard(q); ok {
+	if s >= 0 {
 		shards = shards[s : s+1]
 	}
 	var worst float64
 	for _, sh := range shards {
-		cost, err := sh.estimateCost(q)
+		p, err := sh.Opt.PlanQuery(q)
 		if err != nil {
 			return 0, err
 		}
-		worst = max(worst, cost)
+		worst = max(worst, p.EstimatedCost)
 	}
 	return worst, nil
-}
-
-// estimateCost plans q on this shard.
-func (s *Shard) estimateCost(q *plan.Query) (float64, error) {
-	p, err := s.Opt.PlanQuery(q)
-	if err != nil {
-		return 0, err
-	}
-	return p.EstimatedCost, nil
 }
 
 // scatter fans a query out to every shard and merges the legs. The

@@ -23,13 +23,14 @@ func pointValue(c expr.Constraint) (types.Value, bool) {
 	return types.Value{}, false
 }
 
-// routeShard decides whether q is a single-partition query: one whose
-// partition-key constraints pin every partitioned relation's matching
-// rows to the same shard. It returns (shard, true) when so.
+// route closes q's filter over the join equivalence classes
+// (plan.CloseFilter) and decides whether q is a single-partition query:
+// one whose partition-key constraints pin every partitioned relation's
+// matching rows to the same shard. It returns the closed query with
+// that shard, or with -1 when the query scatters.
 //
-// The pins are read from q's filter, which plan.CloseFilter has closed
-// over the join equivalence classes: a point constraint on any member
-// of a chain of key = key joins already sits on every member, so the
+// The pins are read from the closed filter: a point constraint on any
+// member of a chain of key = key joins sits on every member, so the
 // co-partitioned customer ⋈ orders lookup pinned on c_custkey alone
 // finds o_custkey pinned too. A filter that closed to an empty box
 // (pins that disagree across a join) has an empty answer on every
@@ -38,10 +39,11 @@ func pointValue(c expr.Constraint) (types.Value, bool) {
 // A query that references no partitioned table at all runs entirely on
 // replicas; it is pinned to shard 0 (scattering it would duplicate
 // rows).
-func (e *Engine) routeShard(q *plan.Query) (int, bool) {
+func (e *Engine) route(q *plan.Query) (*plan.Query, int) {
+	q = plan.CloseFilter(q)
 	n := len(e.shards)
 	if n == 1 || q.Filter.Empty() {
-		return 0, true
+		return q, 0
 	}
 	target := -1
 	var fragRows float64
@@ -53,13 +55,13 @@ func (e *Engine) routeShard(q *plan.Query) (int, bool) {
 		con, ok := q.Filter.Constraint(storage.ColRef{Table: rel.Alias, Column: key})
 		v, isPoint := pointValue(con)
 		if !ok || !isPoint {
-			return 0, false
+			return q, -1
 		}
 		s := storage.ShardOf(v, n)
 		if target >= 0 && s != target {
 			// Two partition keys of different join classes pinned to
 			// different shards: each shard holds only part of the rows.
-			return 0, false
+			return q, -1
 		}
 		target = s
 		if st := e.shards[s].Cat.Stats(rel.Table); st != nil {
@@ -67,10 +69,10 @@ func (e *Engine) routeShard(q *plan.Query) (int, bool) {
 		}
 	}
 	if target < 0 {
-		return 0, true
+		return q, 0
 	}
 	if !e.model.RouteSingleShard(fragRows, n) {
-		return 0, false
+		return q, -1
 	}
-	return target, true
+	return q, target
 }

@@ -88,8 +88,8 @@ func TestRouterOfOne(t *testing.T) {
 		`SELECT a.k, b.v FROM pt a, pt b WHERE a.k = b.k AND a.g = 3`,
 	} {
 		q := mustParse(t, e, sql)
-		if s, ok := e.routeShard(q); s != 0 || !ok {
-			t.Fatalf("%s: routeShard = (%d, %v), want (0, true)", sql, s, ok)
+		if _, s := e.route(q); s != 0 {
+			t.Fatalf("%s: routed to %d, want shard 0", sql, s)
 		}
 		got, err := e.RunContext(ctx, q)
 		if err != nil {
@@ -196,10 +196,11 @@ func TestEstimateCostFollowsRoute(t *testing.T) {
 		t.Helper()
 		out := make([]float64, e.Shards())
 		for s := range out {
-			var err error
-			if out[s], err = e.Shard(s).estimateCost(q); err != nil {
+			p, err := e.Shard(s).Opt.PlanQuery(q)
+			if err != nil {
 				t.Fatal(err)
 			}
+			out[s] = p.EstimatedCost
 		}
 		return out
 	}
@@ -227,7 +228,7 @@ func TestEstimateCostFollowsRoute(t *testing.T) {
 	// A scattering aggregate warmed on shard 0 only: the cold legs
 	// dominate the estimate.
 	scatter := mustParse(t, e, `SELECT p.g, SUM(p.v) AS s FROM pt p GROUP BY p.g`)
-	if _, ok := e.routeShard(scatter); ok {
+	if _, s := e.route(scatter); s >= 0 {
 		t.Fatal("setup: unconstrained query over a partitioned table must scatter")
 	}
 	if _, err := e.Shard(0).Opt.RunContext(ctx, scatter); err != nil {

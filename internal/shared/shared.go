@@ -8,7 +8,9 @@
 // (SRHA) materialize the grouping phase as tagged tuples so each query's
 // aggregates are computed from the shared grouping table. The
 // optimizer's compiler lowers and runs the shared plans
-// (optimizer.RunSharedContext); this package only forms the groups.
+// (optimizer.RunSharedContext) and the shard router decides which
+// queries reach one optimizer together (shard.Engine.RunBatchContext);
+// this package only forms the groups.
 //
 // Cached shared tables are reused after re-tagging every stored tuple
 // against the new batch's predicates (the correctness requirement the
@@ -17,10 +19,7 @@
 package shared
 
 import (
-	"context"
 	"fmt"
-	"sort"
-	"strings"
 
 	"hashstash/internal/expr"
 	"hashstash/internal/optimizer"
@@ -29,31 +28,8 @@ import (
 	"hashstash/internal/types"
 )
 
-// Optimizer plans and runs query batches.
-type Optimizer struct {
-	Single *optimizer.Optimizer
-}
-
-// New wraps a single-query optimizer.
-func New(single *optimizer.Optimizer) *Optimizer { return &Optimizer{Single: single} }
-
-// BatchResult is the outcome of executing a batch.
-type BatchResult struct {
-	// Results holds one result per query, in input order.
-	Results []*optimizer.Result
-	// Groups records the merge configuration: each element is the list
-	// of query indexes executed by one plan (len>1 → shared plan).
-	Groups [][]int
-}
-
-// NumSharedPlans counts the executed plans (shared or single).
-func (b *BatchResult) NumSharedPlans() int { return len(b.Groups) }
-
-// mergeable reports whether two queries may share a plan: the paper
-// requires identical join graphs. ORDER BY / LIMIT queries never merge —
-// ordering and truncation are per-query properties the shared plan's
-// qid-tagged union cannot express, so they run as singletons (which
-// route through the single-query executor and its order/limit paths).
+// mergeable reports whether two queries may share a plan: both have a
+// shape (ShapeKey) and it is the same.
 func mergeable(a, b *plan.Query) bool {
 	ka, oka := ShapeKey(a)
 	kb, okb := ShapeKey(b)
@@ -82,14 +58,11 @@ func ShapeKey(q *plan.Query) (string, bool) {
 // plan's estimated cost minus the shared plan's estimate over k copies.
 // Negative or zero means modeled sharing does not pay. The serving
 // front-end's admission policy gates queueing on it.
-func (s *Optimizer) SharingGain(q *plan.Query, k int) float64 {
-	if k < 2 {
+func SharingGain(o *optimizer.Optimizer, q *plan.Query, k int) float64 {
+	if _, ok := ShapeKey(q); k < 2 || !ok {
 		return 0
 	}
-	if _, ok := ShapeKey(q); !ok {
-		return 0
-	}
-	p, err := s.Single.PlanQuery(q)
+	p, err := o.PlanQuery(q)
 	if err != nil {
 		return 0
 	}
@@ -99,38 +72,29 @@ func (s *Optimizer) SharingGain(q *plan.Query, k int) float64 {
 		copies[i] = q
 		group[i] = i
 	}
-	return float64(k)*p.EstimatedCost - s.sharedPlanCost(copies, group)
-}
-
-// configKey canonically encodes a merge configuration.
-func configKey(groups [][]int) string {
-	parts := make([]string, len(groups))
-	for i, g := range groups {
-		s := make([]string, len(g))
-		for j, q := range g {
-			s[j] = fmt.Sprint(q)
-		}
-		parts[i] = strings.Join(s, "+")
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, "|")
+	return float64(k)*p.EstimatedCost - SharedPlanCost(o, copies, group)
 }
 
 // PlanBatch runs the dynamic-programming merge process of Section 4.2:
 // starting from the best configuration over the first k-1 queries, query
 // k is either kept separate or merged into each existing compatible
 // group; the cheapest configuration per level survives. Costs come from
-// the single-query optimizer's estimates and the shared-plan cost model.
-func (s *Optimizer) PlanBatch(queries []*plan.Query) ([][]int, error) {
+// the single-query optimizer's estimates and the shared-plan cost model;
+// a batch of one is not planned. Costing resolves frozen snapshots, so
+// concurrent widening queries never disturb it.
+func PlanBatch(o *optimizer.Optimizer, queries []*plan.Query) ([][]int, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("shared: empty batch")
 	}
 	if len(queries) > 64 {
 		return nil, fmt.Errorf("shared: batch of %d exceeds the 64-query tag limit", len(queries))
 	}
+	if len(queries) == 1 {
+		return [][]int{{0}}, nil
+	}
 	singleCost := make([]float64, len(queries))
 	for i, q := range queries {
-		p, err := s.Single.PlanQuery(q)
+		p, err := o.PlanQuery(q)
 		if err != nil {
 			return nil, fmt.Errorf("shared: query %d: %w", i, err)
 		}
@@ -153,7 +117,7 @@ func (s *Optimizer) PlanBatch(queries []*plan.Query) ([][]int, error) {
 			merged[gi] = append(merged[gi], k)
 			cost := 0.0
 			for _, grp := range merged {
-				cost += s.groupCost(queries, grp, singleCost)
+				cost += groupCost(o, queries, grp, singleCost)
 			}
 			if cost < candCost {
 				cand, candCost = merged, cost
@@ -173,21 +137,21 @@ func cloneGroups(groups [][]int) [][]int {
 }
 
 // groupCost estimates the runtime of executing a group with one plan.
-func (s *Optimizer) groupCost(queries []*plan.Query, group []int, singleCost []float64) float64 {
+func groupCost(o *optimizer.Optimizer, queries []*plan.Query, group []int, singleCost []float64) float64 {
 	if len(group) == 1 {
 		return singleCost[group[0]]
 	}
-	return s.sharedPlanCost(queries, group)
+	return SharedPlanCost(o, queries, group)
 }
 
-// sharedPlanCost models a shared plan: every relation is scanned fully
-// once (shared scans evaluate all predicates in one pass), each join is
-// paid once over the union of qualifying rows, and each query pays its
-// own aggregation readout. The estimate deliberately mirrors the shape
-// of the single-query model so the DP compares like with like.
-func (s *Optimizer) sharedPlanCost(queries []*plan.Query, group []int) float64 {
+// SharedPlanCost models a group's shared plan on o: every relation is
+// scanned fully once (shared scans evaluate all predicates in one
+// pass), each join is paid once over the union of qualifying rows, and
+// each query pays its own aggregation readout. The estimate
+// deliberately mirrors the shape of the single-query model so the DP
+// compares like with like.
+func SharedPlanCost(o *optimizer.Optimizer, queries []*plan.Query, group []int) float64 {
 	rep := queries[group[0]]
-	o := s.Single
 	var cost float64
 	for _, rel := range rep.Relations {
 		ts := o.Cat.Stats(rel.Table)
@@ -260,46 +224,4 @@ func hullConstraint(a, b expr.Constraint) (expr.Constraint, bool) {
 		iv.Hi, iv.HiIncl = o.Hi, o.HiIncl
 	}
 	return expr.Constraint{Kind: a.Kind, Iv: iv}, true
-}
-
-// RunBatch plans and executes a batch, returning per-query results in
-// input order.
-func (s *Optimizer) RunBatch(queries []*plan.Query) (*BatchResult, error) {
-	return s.RunBatchContext(context.Background(), queries)
-}
-
-// RunBatchContext is RunBatch under a context: cancellation or
-// deadline expiry aborts the in-flight group's morsel dispatch and the
-// batch returns an error wrapping hashstasherr.ErrCanceled.
-func (s *Optimizer) RunBatchContext(ctx context.Context, queries []*plan.Query) (*BatchResult, error) {
-	// Merge costing resolves cached snapshots, which are frozen:
-	// concurrent widening queries publish successors without disturbing
-	// this planning pass.
-	groups, err := s.PlanBatch(queries)
-	if err != nil {
-		return nil, err
-	}
-	out := &BatchResult{Results: make([]*optimizer.Result, len(queries)), Groups: groups}
-	for _, g := range groups {
-		if len(g) == 1 {
-			res, err := s.Single.RunContext(ctx, queries[g[0]])
-			if err != nil {
-				return nil, fmt.Errorf("shared: query %d: %w", g[0], err)
-			}
-			out.Results[g[0]] = res
-			continue
-		}
-		members := make([]*plan.Query, len(g))
-		for i, qi := range g {
-			members[i] = queries[qi]
-		}
-		results, err := s.Single.RunSharedContext(ctx, members, s.sharedPlanCost(queries, g))
-		if err != nil {
-			return nil, err
-		}
-		for i, qi := range g {
-			out.Results[qi] = results[i]
-		}
-	}
-	return out, nil
 }

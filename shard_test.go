@@ -1,10 +1,12 @@
 package hashstash
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -249,6 +251,91 @@ func TestShardedRouting(t *testing.T) {
 		if after[s]-before[s] != 1 {
 			t.Fatalf("scatter: shard %d ran %d legs, want 1", s, after[s]-before[s])
 		}
+	}
+}
+
+// TestShardedBatch: a batch on a sharded database takes the router's
+// route. Customer ⋈ orders lookups pinned to one shard merge into one
+// shared plan there, scattering members stay groups of one, and every
+// answer equals EngineNoReuse solo. A routed member advances its shard's
+// query counter once and a scatter advances every shard's once. The
+// batch runs twice, so the second run meets the first one's tables.
+func TestShardedBatch(t *testing.T) {
+	counts := []int{2}
+	for _, n := range testShardCounts(t) {
+		if n > 2 {
+			counts = append(counts, n)
+		}
+	}
+	const lookup = `SELECT c.c_name, o.o_totalprice FROM customer c, orders o
+		WHERE c.c_custkey = o.o_custkey AND c.c_custkey = %d AND o.o_orderdate >= DATE '1995-01-01'`
+	const window = `SELECT c.c_name, o.o_totalprice FROM customer c, orders o
+		WHERE c.c_custkey = o.o_custkey AND o.o_orderdate >= DATE '%d-01-01'`
+	ref := openTPCH(t, WithEngine(EngineNoReuse))
+	for _, n := range counts {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			db := openShardedTPCH(t, n)
+			var sqls []string
+			var pinned, scattered []int
+			for key := int64(1); len(pinned) < 6; key++ {
+				if storage.ShardOf(types.NewInt(key), n) != 0 {
+					continue
+				}
+				if len(pinned) == 1 || len(pinned) == 4 {
+					scattered = append(scattered, len(sqls))
+					sqls = append(sqls, fmt.Sprintf(window, 1993+len(pinned)))
+				}
+				pinned = append(pinned, len(sqls))
+				sqls = append(sqls, fmt.Sprintf(lookup, key))
+			}
+			queries := make([]*Query, len(sqls))
+			for i, sql := range sqls {
+				q, err := db.Parse(sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				queries[i] = q
+			}
+			for run := 0; run < 2; run++ {
+				before := db.ShardQueryCounts()
+				br, err := db.ExecParsedBatch(context.Background(), queries)
+				if err != nil {
+					t.Fatal(err)
+				}
+				after := db.ShardQueryCounts()
+				for s := range after {
+					want := int64(len(scattered))
+					if s == 0 {
+						want += int64(len(pinned))
+					}
+					if got := after[s] - before[s]; got != want {
+						t.Fatalf("run %d: shard %d counted %d queries, want %d", run, s, got, want)
+					}
+				}
+				// On a cold cache the six lookups share one plan; on a warm
+				// one the cost model may keep some solo, but only lookups
+				// ever share.
+				if run == 0 && !slices.ContainsFunc(br.Groups, func(g []int) bool { return slices.Equal(g, pinned) }) {
+					t.Fatalf("groups %v, want the pinned lookups %v in one shared plan", br.Groups, pinned)
+				}
+				for _, g := range br.Groups {
+					if len(g) > 1 && slices.ContainsFunc(g, func(i int) bool { return !slices.Contains(pinned, i) }) {
+						t.Fatalf("run %d: group %v holds more than pinned lookups %v", run, g, pinned)
+					}
+				}
+				for _, i := range scattered {
+					if !slices.ContainsFunc(br.Groups, func(g []int) bool { return slices.Equal(g, []int{i}) }) {
+						t.Fatalf("run %d: groups %v, scatter %d not alone", run, br.Groups, i)
+					}
+				}
+				for i, sql := range sqls {
+					assertSameRows(t, fmt.Sprintf("run %d query %d", run, i), br.Results[i], mustExec(t, ref, sql))
+				}
+				if err := checkAtRest(db); err != nil {
+					t.Fatalf("run %d: %v", run, err)
+				}
+			}
+		})
 	}
 }
 

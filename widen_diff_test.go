@@ -277,7 +277,7 @@ func runStep(db *DB, st diffStep) ([]*Result, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	return br.Results, br.NumSharedPlans() < len(queries), nil
+	return br.Results, len(br.Groups) < len(queries), nil
 }
 
 // TestWidenDifferential is the harness entry point: three seeds, ten
