@@ -27,10 +27,11 @@ func decisionSessions() []workload.Step {
 
 // TestDecisionGolden replays fixed sessions serially under every reuse
 // configuration and compares each query's reuse decisions (operator,
-// action, mode and reused entry) with testdata/decisions.golden. A
-// refactor of matching, classification or costing must leave the file
-// unchanged; re-record it with -update-decisions only for an intended
-// change of plan choice.
+// action, mode and reused entry), its result row count and the source
+// rows its pipelines streamed with testdata/decisions.golden. A
+// refactor of matching, classification, costing or execution must
+// leave the file unchanged; re-record it with -update-decisions only
+// for an intended change of plan choice.
 func TestDecisionGolden(t *testing.T) {
 	serial := WithTuning(Tuning{Parallelism: 1})
 	configs := []struct {
@@ -57,6 +58,7 @@ func TestDecisionGolden(t *testing.T) {
 			for _, d := range res.Decisions {
 				fmt.Fprintf(&b, " %s/%c/%s/%d", d.Operator, d.Action, d.Mode, d.EntryID)
 			}
+			fmt.Fprintf(&b, " rows=%d in=%d", len(res.Rows), res.RowsIn)
 			b.WriteByte('\n')
 		}
 		if cfg.name == "cold-tier" {
