@@ -1,8 +1,11 @@
 package exec
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
+	"hashstash/hashstasherr"
 	"hashstash/internal/btree"
 	"hashstash/internal/expr"
 	"hashstash/internal/hashtable"
@@ -48,6 +51,26 @@ func runToCollect(t *testing.T, src Source, transforms ...Transform) *Collect {
 		t.Fatal(err)
 	}
 	return sink
+}
+
+// drainSource streams every cursor of src, in order, into one batch.
+func drainSource(t *testing.T, src Source) *storage.Batch {
+	t.Helper()
+	cursors, err := src.Morsels(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := storage.NewBatch(src.Schema())
+	out := storage.NewBatch(src.Schema())
+	for _, c := range cursors {
+		c.Open()
+		for out.Reset(); c.Next(out); out.Reset() {
+			for i := range all.Cols {
+				all.Cols[i].AppendRange(out.Cols[i], 0, out.Len())
+			}
+		}
+	}
+	return all
 }
 
 // TestTableScanIndexAndFullAgree: an index-driven scan over a btree on
@@ -129,6 +152,38 @@ func TestTableScanEmptyBoxSkipped(t *testing.T) {
 	}
 	if got := runToCollect(t, src); len(got.Rows) != 0 {
 		t.Fatalf("%d rows from empty box", len(got.Rows))
+	}
+}
+
+// TestScanBoxOnMissingColumn: a box on a column the table lacks fails
+// the run with a plain error at every worker count, for the table scan
+// and the shared scan alike — no panic, no silently empty result.
+func TestScanBoxOnMissingColumn(t *testing.T) {
+	tbl := bigTable(5000, 10)
+	bad := expr.NewBox(expr.Pred{
+		Col: storage.ColRef{Table: "b", Column: "b_nope"},
+		Con: expr.IntervalConstraint(types.Int64, expr.PointInterval(types.NewInt(1))),
+	})
+	boxes := []expr.Box{keyBox(0, 99), bad}
+	mks := map[string]func() (Source, error){
+		"table":  func() (Source, error) { return NewTableScan(tbl, "b", boxes, []string{"b_key"}) },
+		"shared": func() (Source, error) { return NewSharedScan(tbl, "b", boxes, []string{"b_key"}) },
+	}
+	for name, mk := range mks {
+		for _, workers := range []int{1, 4} {
+			src, err := mk()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			collect := NewCollect(src.Schema(), nil, Order{})
+			err = RunParallel([]*Pipeline{{Source: src, Sink: collect}}, Parallelism{Workers: workers, MorselRows: 1024})
+			if err == nil {
+				t.Fatalf("%s workers=%d: no error (%d rows)", name, workers, len(collect.Rows))
+			}
+			if errors.Is(err, hashstasherr.ErrInternal) || !strings.Contains(err.Error(), "b_nope") {
+				t.Fatalf("%s workers=%d: want a resolution error naming b_nope, got %v", name, workers, err)
+			}
+		}
 	}
 }
 

@@ -4,10 +4,17 @@
 // sinks that materialize the chained hash tables the rest of the
 // system caches and reuses.
 //
-// A query's pipelines run in compile order through RunParallel: at two
-// or more workers sources split into independent morsels consumed by a
-// worker pool, and pipeline-breaker sinks build per-worker partial hash
-// tables merged at pipeline end, keeping probes lock-free.
+// Every source is iterated as its morsel list: Source.Morsels splits it
+// into cursors over disjoint row ranges, and a Cursor streams one range.
+// A query's pipelines run in compile order through RunParallel, one
+// scheduler job each. At two or more workers with a mergeable sink,
+// every cursor is a task on the worker pool, and pipeline-breaker sinks
+// build per-worker partial hash tables merged at pipeline end, keeping
+// probes lock-free. Otherwise the job is one task that streams the
+// cursors in order into the real sink — a serial pipeline is a pool of
+// one, and Pipeline.Run is that task. Base tables are read by one
+// row-id scan, TableScan, whose runs are either table ranges or btree
+// permutation runs.
 package exec
 
 import (
@@ -100,7 +107,12 @@ type tableMatcher struct {
 	cons []expr.Constraint
 }
 
+// newTableMatcher binds a box against a table. A box without predicates
+// yields a nil matcher: there is nothing to filter.
 func newTableMatcher(box expr.Box, t *storage.Table) (*tableMatcher, error) {
+	if len(box) == 0 {
+		return nil, nil
+	}
 	m := &tableMatcher{}
 	for _, p := range box {
 		col := t.Column(p.Col.Column)

@@ -11,13 +11,44 @@ import (
 	"hashstash/internal/types"
 )
 
-// plainSource wraps a source, hiding its MorselSource implementation —
-// the unsplittable-source serial fallback.
+// plainSource wraps a source as one cursor chaining all of its morsels —
+// a source that does not split.
 type plainSource struct{ src Source }
 
-func (p *plainSource) Open() error                  { return p.src.Open() }
-func (p *plainSource) Next(out *storage.Batch) bool { return p.src.Next(out) }
-func (p *plainSource) Schema() storage.Schema       { return p.src.Schema() }
+func (p *plainSource) Schema() storage.Schema { return p.src.Schema() }
+
+func (p *plainSource) Morsels(rows, workers int) ([]Cursor, error) {
+	cursors, err := p.src.Morsels(rows, workers)
+	if err != nil {
+		return nil, err
+	}
+	return []Cursor{&chainCursor{cursors: cursors}}, nil
+}
+
+// chainCursor drains its cursors one after the other.
+type chainCursor struct {
+	cursors []Cursor
+	i       int
+}
+
+func (c *chainCursor) Open() {
+	c.i = 0
+	if len(c.cursors) > 0 {
+		c.cursors[0].Open()
+	}
+}
+
+func (c *chainCursor) Next(out *storage.Batch) bool {
+	for c.i < len(c.cursors) {
+		if c.cursors[c.i].Next(out) {
+			return true
+		}
+		if c.i++; c.i < len(c.cursors) {
+			c.cursors[c.i].Open()
+		}
+	}
+	return false
+}
 
 // gateSink wraps a sink, recording Finish — and has no parallel merge
 // strategy, so its pipeline runs as one whole-pipeline task.
@@ -108,7 +139,7 @@ func TestProbeNeverStartsBeforeBuildFinishes(t *testing.T) {
 }
 
 // TestRunParallelSerialFallbacks covers every path that must run a
-// pipeline as a single whole-pipeline task: an unsplittable source, a
+// pipeline as a single whole-pipeline task: a source with one cursor, a
 // sink without a merge strategy, and Workers <= 1.
 func TestRunParallelSerialFallbacks(t *testing.T) {
 	tbl := bigTable(20_000, 13)

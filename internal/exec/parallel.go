@@ -10,13 +10,14 @@ import (
 	"hashstash/internal/types"
 )
 
-// Morsel-driven parallel execution: a pipeline's source is split into
-// independent morsel-sized sub-sources that become the tasks of one
-// scheduler job, and every worker pops those tasks from one shared FIFO
-// queue (see exec/sched). Per-worker sinks build private partial hash
-// tables that are merged into the pipeline's real sink when the job's
-// last morsel drains, so the published table is immutable and later
-// probes stay lock-free.
+// Morsel-driven execution: a pipeline's source splits into cursors over
+// independent morsels that become the tasks of one scheduler job, and
+// every worker pops those tasks from one shared FIFO queue (see
+// exec/sched). Per-worker sinks build private partial hash tables that
+// are merged into the pipeline's real sink when the job's last morsel
+// drains, so the published table is immutable and later probes stay
+// lock-free. A serial pipeline is the same job with one task streaming
+// every cursor in order into the real sink.
 //
 // A query's pipelines form one chain and run in compile order — the
 // next pipeline is prepared only after the previous one's sink merged —
@@ -24,24 +25,10 @@ import (
 // every aggregation before its readout. The legs of a scatter-gather
 // query are separate chains of the same run.
 
-// MorselSource is a Source that can split itself into independent
-// sub-sources over disjoint row ranges.
-type MorselSource interface {
-	Source
-	// Morsels partitions the source into sub-sources covering at most
-	// rows rows each (rows <= 0 uses storage.DefaultMorselRows),
-	// re-balanced for a pool of workers via
-	// storage.BalancedMorselRows so short scans still split into
-	// several morsels per worker. It returns nil when the source cannot
-	// be split; the runner then runs the pipeline as one task, which
-	// surfaces any underlying error.
-	Morsels(rows, workers int) []Source
-}
-
 // Parallelism configures the parallel runner.
 type Parallelism struct {
 	// Workers is the worker-pool size; values <= 1 run every pipeline
-	// whole on the calling goroutine.
+	// as one task on the calling goroutine.
 	Workers int
 	// MorselRows is the morsel granularity (<= 0 uses
 	// storage.DefaultMorselRows, rebalanced per source for the pool).
@@ -74,34 +61,28 @@ func RunSharded(legs [][]*Pipeline, par Parallelism) error {
 	return sched.Run(chains, sched.Options{Workers: par.Workers, Ctx: par.Ctx})
 }
 
-// job lowers one pipeline into a scheduler job. The split decision is
-// deferred to the job's Prepare hook — it runs after the previous
-// pipeline finished, which is the earliest moment a source over
-// state built by it (an HTScan of a hash table the previous pipeline
-// builds) can count its morsels. With two or more workers, splittable
-// sources with mergeable sinks become one task per morsel streaming
-// into per-worker sinks; everything else becomes a single task
-// streaming the whole pipeline straight into its sink (one worker,
-// unsplittable source, single morsel, or a sink with no parallel merge
-// strategy).
+// job lowers one pipeline into a scheduler job. The split is deferred
+// to the job's Prepare hook — it runs after the previous pipeline
+// finished, which is the earliest moment a source over state built by
+// it (an HTScan of a hash table the previous pipeline builds) can
+// count its morsels. With two or more workers, two or more cursors and
+// a sink with a parallel merge strategy, every cursor becomes one task
+// streaming into a per-worker sink; otherwise the job is one task
+// streaming the cursors in order into the real sink, as Run does.
 func (p *Pipeline) job(par Parallelism) *sched.Job {
 	return &sched.Job{
 		Prepare: func(j *sched.Job) error {
-			j.NTasks = 1
-			j.Run = func(int, int) error { return p.Run() }
-			if par.Workers < 2 {
-				return nil
+			cursors, err := p.Source.Morsels(par.MorselRows, par.Workers)
+			if err != nil {
+				return err
 			}
-			ms, ok := p.Source.(MorselSource)
-			if !ok {
-				return nil
+			var merge mergeSink
+			if par.Workers >= 2 && len(cursors) >= 2 {
+				merge = mergeSinkFor(p.Sink, par.Workers)
 			}
-			sources := ms.Morsels(par.MorselRows, par.Workers)
-			if len(sources) < 2 {
-				return nil
-			}
-			merge := mergeSinkFor(p.Sink, par.Workers)
 			if merge == nil {
+				j.NTasks = 1
+				j.Run = func(int, int) error { return p.runAll(cursors) }
 				return nil
 			}
 			// Worker contexts are allocated eagerly, one per pool slot:
@@ -112,11 +93,11 @@ func (p *Pipeline) job(par Parallelism) *sched.Job {
 			for w := range ctxs {
 				ctxs[w] = &workerCtx{batches: p.newBatches(), sink: merge.worker(w)}
 			}
-			j.NTasks = len(sources)
+			j.NTasks = len(cursors)
 			j.Run = func(w, i int) error {
 				// Slot w is only ever touched by worker w.
 				c := ctxs[w]
-				return p.stream(sources[i], c.batches, c.sink)
+				return p.stream(cursors[i:i+1], c.batches, c.sink)
 			}
 			j.Finish = func() error {
 				merge.merge()
@@ -148,7 +129,7 @@ type mergeSink interface {
 
 // mergeSinkFor returns the parallel adapter for a sink, or nil when the
 // sink type has no parallel strategy and the pipeline must run as one
-// serial task. Multi fans out to an adapter per child and parallelizes
+// task. Multi fans out to an adapter per child and parallelizes
 // whenever every child does — the multi-sink grouping spines of shared
 // plans build all their grouping tables from one scheduled scan.
 func mergeSinkFor(s Sink, nw int) mergeSink {
@@ -331,19 +312,3 @@ func (pm *parallelMulti) merge() {
 		child.merge()
 	}
 }
-
-// Ensure split sources satisfy the interface.
-var (
-	_ MorselSource = (*TableScan)(nil)
-	_ MorselSource = (*HTScan)(nil)
-	_ MorselSource = (*SharedScan)(nil)
-	_ MorselSource = (*IndexScan)(nil)
-	_ Source       = (*tableScanMorsel)(nil)
-	_ Source       = (*htScanMorsel)(nil)
-	_ Source       = (*sharedScanMorsel)(nil)
-	_ Source       = (*indexScanMorsel)(nil)
-	// IndexOrderScan is deliberately NOT a MorselSource: its pipeline
-	// runs as one serial task so rows reach the sink in index order.
-	_ Source = (*IndexOrderScan)(nil)
-	_        = storage.DefaultMorselRows
-)

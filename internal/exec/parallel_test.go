@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -66,50 +67,155 @@ func assertSameRows(t *testing.T, serial, parallel [][]types.Value) {
 	}
 }
 
+// refRowIDs is the per-row reference of a table scan: for each box in
+// order, the ids of the rows whose values pass every predicate
+// (Constraint.MatchInt, or MatchString on string columns).
+func refRowIDs(tbl *storage.Table, boxes []expr.Box) []int64 {
+	if len(boxes) == 0 {
+		boxes = []expr.Box{nil}
+	}
+	var ids []int64
+	for _, box := range boxes {
+		for row := 0; row < tbl.NumRows(); row++ {
+			ok := true
+			for _, p := range box {
+				col := tbl.Column(p.Col.Column)
+				if col.Kind == types.String {
+					ok = ok && p.Con.MatchString(col.Strs[row])
+				} else {
+					ok = ok && p.Con.MatchInt(col.Ints[row])
+				}
+			}
+			if ok {
+				ids = append(ids, int64(row))
+			}
+		}
+	}
+	return ids
+}
+
 // TestTableScanMorselsCoverAllRows: the morsels of a scan — sequential
-// or index-driven — together emit exactly the serial scan's rows.
+// or index-driven — together emit exactly the rows a per-row reference
+// keeps, whether drained directly or run through RunParallel at one and
+// four workers; at one worker they arrive in scan order (box order, or
+// index-key order).
 func TestTableScanMorselsCoverAllRows(t *testing.T) {
 	tbl := bigTable(10_000, 10)
-	tree, err := btree.Build(tbl.Column("b_key"))
+	keyTree, err := btree.Build(tbl.Column("b_key"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	tagTree, err := btree.Build(tbl.Column("b_tag"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tagIn := expr.NewBox(expr.Pred{
+		Col: storage.ColRef{Table: "b", Column: "b_tag"},
+		Con: expr.SetConstraint("t1", "t3", "t5"),
+	})
 	for _, tc := range []struct {
-		name    string
-		boxes   []expr.Box
-		indexed bool
+		name  string
+		boxes []expr.Box
+		// tree drives an index scan by the predicate of boxes[0] on
+		// column drive; the rest of boxes[0] is its residual.
+		tree    *btree.Tree
+		drive   string
+		minRuns int
 	}{
-		{"full", nil, false},
-		{"indexed", []expr.Box{keyBox(1000, 8999)}, true},
-		{"twoBoxes", []expr.Box{keyBox(0, 999), keyBox(9000, 9999)}, false},
+		{name: "full"},
+		{name: "indexed", boxes: []expr.Box{keyBox(1000, 8999)}, tree: keyTree, drive: "b_key", minRuns: 1},
+		{name: "twoBoxes", boxes: []expr.Box{keyBox(0, 999), keyBox(9000, 9999)}},
+		{name: "inSet", boxes: []expr.Box{tagIn.Intersect(keyBox(0, 7999))}, tree: tagTree, drive: "b_tag", minRuns: 3},
+		{name: "emptyBetween", boxes: []expr.Box{keyBox(0, 1999), keyBox(50, 40), keyBox(8000, 9999)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			mk := func() MorselSource {
-				var src MorselSource
-				var err error
-				if tc.indexed {
-					src, err = NewIndexScan(tbl, "b", tree, tc.boxes[0][0].Con, nil, []string{"b_key"})
-				} else {
-					src, err = NewTableScan(tbl, "b", tc.boxes, []string{"b_key"})
+			want := refRowIDs(tbl, tc.boxes)
+			if tc.tree != nil {
+				// Index order: by key, ties in row order.
+				col := tbl.Column(tc.drive)
+				sort.SliceStable(want, func(i, j int) bool {
+					if col.Kind == types.String {
+						return col.Strs[want[i]] < col.Strs[want[j]]
+					}
+					return col.Ints[want[i]] < col.Ints[want[j]]
+				})
+			}
+			if len(want) == 0 {
+				t.Fatal("reference selects no rows")
+			}
+			mk := func() Source {
+				if tc.tree == nil {
+					src, err := NewTableScan(tbl, "b", tc.boxes, []string{"b_key"})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return src
 				}
+				var driving expr.Constraint
+				var residual expr.Box
+				for _, p := range tc.boxes[0] {
+					if p.Col.Column == tc.drive {
+						driving = p.Con
+					} else {
+						residual = append(residual, p)
+					}
+				}
+				src, err := NewIndexScan(tbl, "b", tc.tree, driving, residual, []string{"b_key"})
 				if err != nil {
 					t.Fatal(err)
 				}
+				if len(src.runs) < tc.minRuns {
+					t.Fatalf("index scan resolved %d runs, want >= %d", len(src.runs), tc.minRuns)
+				}
 				return src
 			}
-			serial := runToCollect(t, mk())
+			ids := func(rows [][]types.Value) []int64 {
+				out := make([]int64, len(rows))
+				for i, row := range rows {
+					out[i] = row[0].I
+				}
+				return out
+			}
 
 			src := mk()
-			morsels := src.Morsels(1024, 1)
-			if len(morsels) < 2 {
-				t.Fatalf("expected several morsels, got %d", len(morsels))
+			cursors, err := src.Morsels(1024, 1)
+			if err != nil {
+				t.Fatal(err)
 			}
-			var rows [][]types.Value
-			for _, m := range morsels {
-				c := runToCollect(t, m)
-				rows = append(rows, c.Rows...)
+			if len(cursors) < 2 {
+				t.Fatalf("expected several morsels, got %d", len(cursors))
 			}
-			assertSameRows(t, serial.Rows, rows)
+			var got []int64
+			out := storage.NewBatch(src.Schema())
+			for _, c := range cursors {
+				c.Open()
+				for out.Reset(); c.Next(out); out.Reset() {
+					got = append(got, out.Cols[0].Ints...)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("morsels emit %d rows, reference %d (or order differs)", len(got), len(want))
+			}
+
+			for _, workers := range []int{1, 4} {
+				src := mk()
+				collect := NewCollect(src.Schema(), nil, Order{})
+				p := &Pipeline{Source: src, Sink: collect}
+				if err := RunParallel([]*Pipeline{p}, Parallelism{Workers: workers, MorselRows: 1024}); err != nil {
+					t.Fatal(err)
+				}
+				got := ids(collect.Rows)
+				if workers > 1 {
+					slices.Sort(got)
+					want := slices.Clone(want)
+					slices.Sort(want)
+					if !slices.Equal(got, want) {
+						t.Fatalf("workers=%d: %d rows, reference %d", workers, len(got), len(want))
+					}
+				} else if !slices.Equal(got, want) {
+					t.Fatalf("workers=1: %d rows, reference %d (or order differs)", len(got), len(want))
+				}
+			}
 		})
 	}
 }
@@ -269,7 +375,7 @@ func TestParallelHTScan(t *testing.T) {
 // correctly through the serial path.
 func TestParallelFallbacks(t *testing.T) {
 	tbl := bigTable(100, 10)
-	// Tiny input → single morsel → serial fallback.
+	// Tiny input → single morsel → one task.
 	p, ht := scanAggPipeline(t, tbl, nil)
 	if err := RunParallel([]*Pipeline{p}, Parallelism{Workers: 8}); err != nil {
 		t.Fatal(err)

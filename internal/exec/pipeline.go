@@ -36,51 +36,54 @@ func (p *Pipeline) newBatches() []*storage.Batch {
 	return batches
 }
 
-// stream drains one source through the transform chain into sink,
-// reusing the per-stage batches. It is the shared inner loop of a
-// whole-pipeline task (whole source, pipeline sink) and a morsel task
-// (one morsel, per-worker sink).
-func (p *Pipeline) stream(src Source, batches []*storage.Batch, sink Sink) error {
-	// The highest-frequency fault point: one hit per morsel (split
-	// pipelines) or per pipeline (whole), where the chaos suite
-	// simulates operator panics.
+// stream drains cursors in order through the transform chain into
+// sink, reusing the per-stage batches. It is one task's work: a
+// whole-pipeline task (every cursor, the pipeline's sink) or a morsel
+// task (one cursor, a per-worker sink).
+func (p *Pipeline) stream(cursors []Cursor, batches []*storage.Batch, sink Sink) error {
+	// The highest-frequency fault point: one hit per task, where the
+	// chaos suite simulates operator panics.
 	if err := faultinject.Inject(faultinject.ExecMorsel); err != nil {
 		return err
 	}
-	if err := src.Open(); err != nil {
-		return err
-	}
-	for {
-		batches[0].Reset()
-		if !src.Next(batches[0]) {
-			break
-		}
-		atomic.AddInt64(&p.RowsIn, int64(batches[0].Len()))
-		cur := batches[0]
-		for i, t := range p.Transforms {
-			next := batches[i+1]
-			next.Reset()
-			t.Apply(cur, next)
-			cur = next
-		}
-		atomic.AddInt64(&p.RowsOut, int64(cur.Len()))
-		if cur.Len() > 0 {
-			sink.Consume(cur)
-		}
-	}
-	// Next cannot return an error; sources that can fail mid-iteration
-	// (multi-box scans resolving boxes lazily) expose it via Err.
-	if es, ok := src.(interface{ Err() error }); ok {
-		if err := es.Err(); err != nil {
-			return err
+	for _, c := range cursors {
+		c.Open()
+		for {
+			batches[0].Reset()
+			if !c.Next(batches[0]) {
+				break
+			}
+			atomic.AddInt64(&p.RowsIn, int64(batches[0].Len()))
+			cur := batches[0]
+			for i, t := range p.Transforms {
+				next := batches[i+1]
+				next.Reset()
+				t.Apply(cur, next)
+				cur = next
+			}
+			atomic.AddInt64(&p.RowsOut, int64(cur.Len()))
+			if cur.Len() > 0 {
+				sink.Consume(cur)
+			}
 		}
 	}
 	return nil
 }
 
-// Run streams the pipeline to completion on the calling goroutine.
+// Run streams the pipeline to completion on the calling goroutine: the
+// runner's one-task path over the source's cursors.
 func (p *Pipeline) Run() error {
-	if err := p.stream(p.Source, p.newBatches(), p.Sink); err != nil {
+	cursors, err := p.Source.Morsels(0, 1)
+	if err != nil {
+		return err
+	}
+	return p.runAll(cursors)
+}
+
+// runAll streams cursors in order into the pipeline's sink and
+// finishes it.
+func (p *Pipeline) runAll(cursors []Cursor) error {
+	if err := p.stream(cursors, p.newBatches(), p.Sink); err != nil {
 		return err
 	}
 	p.Sink.Finish()

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"hashstash/internal/expr"
 	"hashstash/internal/hashtable"
@@ -22,18 +21,19 @@ func QidRef() storage.ColRef { return storage.ColRef{Column: QidColumn} }
 // during one scan of the base table, tagging each emitted row with the
 // bitmask of queries it satisfies. Rows satisfying no query are dropped.
 type SharedScan struct {
-	Table *storage.Table
-	Alias string
-	// QueryBoxes holds one predicate box per query; bit i of the emitted
-	// mask corresponds to QueryBoxes[i]. At most 64 queries per batch.
-	QueryBoxes []expr.Box
-	Cols       []string
+	table *storage.Table
+	// queryBoxes holds one predicate box per query; bit i of the emitted
+	// mask corresponds to queryBoxes[i]. At most 64 queries per batch.
+	queryBoxes []expr.Box
+	cols       []*storage.Column // resolved emit columns
+	schema     storage.Schema
+}
 
-	cols     []*storage.Column // resolved emit columns, aligned with Cols
-	schema   storage.Schema
+// sharedRun is one Morsels call's resolved shared scan: the per-query
+// matchers, read-only and shared by every morsel.
+type sharedRun struct {
+	scan     *SharedScan
 	matchers []*tableMatcher
-	pos      int
-	rowsIn   int64
 }
 
 // NewSharedScan constructs a shared scan.
@@ -41,61 +41,51 @@ func NewSharedScan(t *storage.Table, alias string, queryBoxes []expr.Box, cols [
 	if len(queryBoxes) == 0 || len(queryBoxes) > 64 {
 		return nil, fmt.Errorf("exec: shared scan supports 1-64 queries, got %d", len(queryBoxes))
 	}
-	s := &SharedScan{Table: t, Alias: alias, QueryBoxes: queryBoxes, Cols: cols}
-	for _, c := range cols {
-		col := t.Column(c)
-		if col == nil {
-			return nil, fmt.Errorf("exec: table %q has no column %q", t.Name, c)
-		}
-		s.cols = append(s.cols, col)
-		s.schema = append(s.schema, storage.ColMeta{
-			Ref:  storage.ColRef{Table: alias, Column: c},
-			Kind: col.Kind,
-		})
+	rcols, schema, err := resolveCols(t, alias, cols)
+	if err != nil {
+		return nil, err
 	}
-	s.schema = append(s.schema, storage.ColMeta{Ref: QidRef(), Kind: types.Int64})
-	return s, nil
+	schema = append(schema, storage.ColMeta{Ref: QidRef(), Kind: types.Int64})
+	return &SharedScan{table: t, queryBoxes: queryBoxes, cols: rcols, schema: schema}, nil
 }
 
 // Schema implements Source.
 func (s *SharedScan) Schema() storage.Schema { return s.schema }
 
-// resolveMatchers binds every query box against the table (idempotent).
-func (s *SharedScan) resolveMatchers() error {
-	if len(s.matchers) == len(s.QueryBoxes) {
-		return nil
-	}
-	s.matchers = s.matchers[:0]
-	for _, box := range s.QueryBoxes {
-		m, err := newTableMatcher(box, s.Table)
+// Morsels implements Source: every query box is bound against the
+// table, failing the call when one does not resolve, and the table's
+// row range is chunked into morsels that share the matchers, so
+// shared-plan scan pipelines parallelize like ordinary scans.
+func (s *SharedScan) Morsels(rows, workers int) ([]Cursor, error) {
+	run := &sharedRun{scan: s, matchers: make([]*tableMatcher, len(s.queryBoxes))}
+	for q, box := range s.queryBoxes {
+		m, err := newTableMatcher(box, s.table)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		s.matchers = append(s.matchers, m)
+		run.matchers[q] = m
 	}
-	return nil
+	n := s.table.NumRows()
+	return appendCursors(nil, run, 0, int32(n), storage.BalancedMorselRows(n, rows, workers)), nil
 }
 
-// Open implements Source.
-func (s *SharedScan) Open() error {
-	s.pos = 0
-	return s.resolveMatchers()
-}
-
-// emitChunk evaluates every query's box over rows [start, end), tags
-// each surviving row with the bitmask of queries it satisfies and
-// appends survivors to out. Per query, the box refines a selection
-// vector with typed kernels; the per-row qid masks then OR together and
-// rows with non-zero masks gather once per column.
-func (s *SharedScan) emitChunk(out *storage.Batch, start, end int32) int {
+// emit evaluates every query's box over rows [start, end), tags each
+// surviving row with the bitmask of queries it satisfies and appends
+// survivors to out. Per query, the box refines a selection vector with
+// typed kernels; the per-row qid masks then OR together and rows with
+// non-zero masks gather once per column.
+func (r *sharedRun) emit(out *storage.Batch, start, end int32) int {
 	sc := out.Scratch()
 	n := int(end - start)
 	masks := sc.MasksN(n)
-	for q, m := range s.matchers {
-		qsel := m.filter(fillRange(sc.Ents(n)[:n], start))
+	for q, m := range r.matchers {
+		qsel := fillRange(sc.Ents(n)[:n], start)
+		if m != nil {
+			qsel = m.filter(qsel)
+		}
 		bit := int64(1) << uint(q)
-		for _, r := range qsel {
-			masks[r-start] |= bit
+		for _, row := range qsel {
+			masks[row-start] |= bit
 		}
 	}
 	sel := sc.Sel(n)[:0]
@@ -107,80 +97,15 @@ func (s *SharedScan) emitChunk(out *storage.Batch, start, end int32) int {
 			cnt++
 		}
 	}
-	for i, c := range s.cols {
+	cols := r.scan.cols
+	for i, c := range cols {
 		out.Cols[i].AppendColumnGather(c, sel)
 	}
-	out.Cols[len(s.cols)].Ints = append(out.Cols[len(s.cols)].Ints, masks[:cnt]...)
+	out.Cols[len(cols)].Ints = append(out.Cols[len(cols)].Ints, masks[:cnt]...)
 	return cnt
 }
 
-// Next implements Source.
-func (s *SharedScan) Next(out *storage.Batch) bool {
-	n := s.Table.NumRows()
-	produced := 0
-	for s.pos < n && produced < storage.BatchSize {
-		chunk := storage.BatchSize - produced
-		if rem := n - s.pos; rem < chunk {
-			chunk = rem
-		}
-		produced += s.emitChunk(out, int32(s.pos), int32(s.pos+chunk))
-		s.pos += chunk
-		atomic.AddInt64(&s.rowsIn, int64(chunk))
-	}
-	return produced > 0
-}
-
-// Morsels implements MorselSource: the table's row range is chunked into
-// independent morsels that share the (read-only) per-query matchers, so
-// shared-plan scan pipelines parallelize like ordinary scans. It returns
-// nil when a box fails to bind; the serial fallback surfaces the error.
-func (s *SharedScan) Morsels(rows, workers int) []Source {
-	if err := s.resolveMatchers(); err != nil {
-		return nil
-	}
-	var out []Source
-	n := s.Table.NumRows()
-	for _, m := range storage.MorselRange(n, storage.BalancedMorselRows(n, rows, workers)) {
-		out = append(out, &sharedScanMorsel{scan: s, m: m})
-	}
-	return out
-}
-
-// sharedScanMorsel scans one row range of a shared scan.
-type sharedScanMorsel struct {
-	scan *SharedScan
-	m    storage.Morsel
-	pos  int32
-}
-
-// Schema implements Source.
-func (t *sharedScanMorsel) Schema() storage.Schema { return t.scan.schema }
-
-// Open implements Source.
-func (t *sharedScanMorsel) Open() error {
-	t.pos = t.m.Start
-	return nil
-}
-
-// Next implements Source.
-func (t *sharedScanMorsel) Next(out *storage.Batch) bool {
-	s := t.scan
-	produced := 0
-	var scanned int64
-	for t.pos < t.m.End && produced < storage.BatchSize {
-		chunk := int32(storage.BatchSize - produced)
-		if rem := t.m.End - t.pos; rem < chunk {
-			chunk = rem
-		}
-		produced += s.emitChunk(out, t.pos, t.pos+chunk)
-		t.pos += chunk
-		scanned += int64(chunk)
-	}
-	if scanned > 0 {
-		atomic.AddInt64(&s.rowsIn, scanned)
-	}
-	return produced > 0
-}
+func (r *sharedRun) account(int64) {}
 
 // reTagChunk is the batch granule of ReTag's entry sweep.
 const reTagChunk = storage.BatchSize

@@ -2,23 +2,110 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
+	"hashstash/internal/btree"
 	"hashstash/internal/expr"
 	"hashstash/internal/hashtable"
 	"hashstash/internal/storage"
 	"hashstash/internal/types"
 )
 
-// Source produces batches for a pipeline.
+// Source produces batches for a pipeline. A source is iterated only
+// through its morsels: the runner asks for its cursors when the
+// pipeline's turn comes and either streams them in order as one task or
+// hands them to the pool as one task each.
 type Source interface {
-	// Open prepares the source for iteration.
-	Open() error
-	// Next fills out (which is Reset by the caller) and reports whether
-	// any rows were produced. It may produce fewer than BatchSize rows.
-	Next(out *storage.Batch) bool
 	// Schema describes the batches the source emits.
 	Schema() storage.Schema
+	// Morsels splits the source into cursors over disjoint parts of at
+	// most rows positions each (rows <= 0 uses
+	// storage.DefaultMorselRows), re-balanced for a pool of workers via
+	// storage.BalancedMorselRows so short scans still split into several
+	// morsels per worker. Draining the cursors in order yields the
+	// source's rows in source order.
+	Morsels(rows, workers int) ([]Cursor, error)
+}
+
+// Cursor iterates one morsel of a source.
+type Cursor interface {
+	// Open rewinds the cursor to the start of its morsel.
+	Open()
+	// Next appends rows to out (which is Reset by the caller) and
+	// reports whether any rows were produced. It may produce fewer than
+	// BatchSize rows.
+	Next(out *storage.Batch) bool
+}
+
+// emitter is what a cursor walks: emit appends the rows of positions
+// [lo, hi) to out and returns how many it appended; account records the
+// positions one Next consumed. Emitters are read-only during a scan, so
+// every cursor of a source shares them across workers.
+type emitter interface {
+	emit(out *storage.Batch, lo, hi int32) int
+	account(consumed int64)
+}
+
+// cursor is the one Cursor implementation of the scans: it walks the
+// positions [m.Start, m.End) in chunks sized to fill a batch, handing
+// each chunk to its emitter.
+type cursor struct {
+	e   emitter
+	m   storage.Morsel
+	pos int32
+}
+
+// Open implements Cursor.
+func (c *cursor) Open() { c.pos = c.m.Start }
+
+// Next implements Cursor.
+func (c *cursor) Next(out *storage.Batch) bool {
+	produced := out.Len()
+	start := produced
+	var consumed int64
+	for c.pos < c.m.End && produced < storage.BatchSize {
+		chunk := int32(storage.BatchSize - produced)
+		if rem := c.m.End - c.pos; rem < chunk {
+			chunk = rem
+		}
+		produced += c.e.emit(out, c.pos, c.pos+chunk)
+		c.pos += chunk
+		consumed += int64(chunk)
+	}
+	if consumed > 0 {
+		c.e.account(consumed)
+	}
+	return produced > start
+}
+
+// appendCursors splits the positions [lo, hi) into granule-sized
+// cursors over e.
+func appendCursors(out []Cursor, e emitter, lo, hi int32, granule int) []Cursor {
+	for start := lo; start < hi; start += int32(granule) {
+		end := min(start+int32(granule), hi)
+		out = append(out, &cursor{e: e, m: storage.Morsel{Start: start, End: end}})
+	}
+	return out
+}
+
+// resolveCols looks up the named columns of t and builds the
+// alias-qualified schema that emits them. Every column must exist.
+func resolveCols(t *storage.Table, alias string, names []string) ([]*storage.Column, storage.Schema, error) {
+	cols := make([]*storage.Column, 0, len(names))
+	schema := make(storage.Schema, 0, len(names))
+	for _, c := range names {
+		col := t.Column(c)
+		if col == nil {
+			return nil, nil, fmt.Errorf("exec: table %q has no column %q", t.Name, c)
+		}
+		cols = append(cols, col)
+		schema = append(schema, storage.ColMeta{
+			Ref:  storage.ColRef{Table: alias, Column: c},
+			Kind: col.Kind,
+		})
+	}
+	return cols, schema, nil
 }
 
 // fillRange fills sel with the consecutive row ids [start, start+len).
@@ -29,210 +116,153 @@ func fillRange(sel []int32, start int32) []int32 {
 	return sel
 }
 
-// TableScan scans a base table sequentially under a disjoint union of
-// predicate boxes (normally one; partial-reuse residuals may add more),
-// applying each box's predicates as a residual filter. Index-driven
-// access is IndexScan's job; the optimizer picks between the two.
+// TableScan reads a base table through runs of row ids. A run is a
+// residual matcher over the positions [lo, hi) of either the table
+// itself or a btree permutation, whose positions map to row ids.
+// NewTableScan makes one table run per predicate box (normally one;
+// partial-reuse residuals may add more), NewIndexScan one permutation
+// run per leaf run of its driving constraint; the optimizer picks
+// between the two. Every run splits into morsels with one emit: a bulk
+// column copy for a table run without residual, otherwise row ids,
+// then the filter, then one gather per column.
 type TableScan struct {
-	Table *storage.Table
-	// Alias qualifies emitted column references (queries address tables
-	// through aliases, e.g. "l" for lineitem).
-	Alias string
-	// Boxes is the disjoint union of predicate boxes to scan. An empty
-	// slice means scan everything.
-	Boxes []expr.Box
-	// Cols lists the table columns to emit, aliased.
-	Cols []string
-
-	cols    []*storage.Column // resolved emit columns, aligned with Cols
-	schema  storage.Schema
-	boxIdx  int
-	pos     int
-	matcher *tableMatcher
-	err     error // box-resolution failure mid-iteration (see Err)
-	// stats
-	rowsScanned int64
+	table  *storage.Table
+	cols   []*storage.Column // resolved emit columns
+	schema storage.Schema
+	// boxes are a table scan's predicate boxes, resolved into table
+	// runs by each Morsels call; runs are an index scan's permutation
+	// runs, resolved at construction.
+	boxes       []expr.Box
+	runs        []*rowRun
+	rowsScanned atomic.Int64
 }
 
-// NewTableScan constructs a scan. Every requested column must exist.
+// rowRun is one run of a TableScan: positions [lo, hi) of the table
+// (tree nil) or of tree's permutation, filtered by m (nil: no
+// residual). Read-only once built, so its morsels share it.
+type rowRun struct {
+	scan   *TableScan
+	m      *tableMatcher
+	tree   *btree.Tree
+	lo, hi int32
+}
+
+// NewTableScan constructs a sequential scan of t under a disjoint union
+// of predicate boxes, applying each box's predicates as a residual
+// filter. An empty boxes slice scans everything. Every requested column
+// must exist; boxes resolve against the table when the scan is split.
 func NewTableScan(t *storage.Table, alias string, boxes []expr.Box, cols []string) (*TableScan, error) {
-	s := &TableScan{Table: t, Alias: alias, Boxes: boxes, Cols: cols}
-	for _, c := range cols {
-		col := t.Column(c)
-		if col == nil {
-			return nil, fmt.Errorf("exec: table %q has no column %q", t.Name, c)
-		}
-		s.cols = append(s.cols, col)
-		s.schema = append(s.schema, storage.ColMeta{
-			Ref:  storage.ColRef{Table: alias, Column: c},
-			Kind: col.Kind,
-		})
+	s, err := newScan(t, alias, cols)
+	if err != nil {
+		return nil, err
 	}
+	s.boxes = boxes
 	if len(boxes) == 0 {
-		s.Boxes = []expr.Box{nil}
+		s.boxes = []expr.Box{nil}
 	}
 	return s, nil
+}
+
+// NewIndexScan constructs a scan through a cached secondary index: the
+// driving constraint on the indexed column resolves here — once — to
+// leaf runs of tree's permutation, and residual holds the box's
+// remaining predicates. The scan touches only the matching rows, and
+// steady-state iteration does not allocate.
+func NewIndexScan(t *storage.Table, alias string, tree *btree.Tree, driving expr.Constraint, residual expr.Box, cols []string) (*TableScan, error) {
+	s, err := newScan(t, alias, cols)
+	if err != nil {
+		return nil, err
+	}
+	m, err := newTableMatcher(residual, t)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range tree.ConstraintRuns(driving) {
+		s.runs = append(s.runs, &rowRun{scan: s, m: m, tree: tree, lo: r[0], hi: r[1]})
+	}
+	return s, nil
+}
+
+func newScan(t *storage.Table, alias string, names []string) (*TableScan, error) {
+	cols, schema, err := resolveCols(t, alias, names)
+	if err != nil {
+		return nil, err
+	}
+	return &TableScan{table: t, cols: cols, schema: schema}, nil
 }
 
 // Schema implements Source.
 func (s *TableScan) Schema() storage.Schema { return s.schema }
 
-// Open implements Source.
-func (s *TableScan) Open() error {
-	s.boxIdx = -1
-	return s.advanceBox()
-}
-
-// resolveBox compiles one box into its residual matcher (nil for a box
-// without predicates); skip reports a contradictory (empty-set) box that
-// produces no rows. The matcher is read-only, so morsels of the same box
-// share it across workers.
-func (s *TableScan) resolveBox(box expr.Box) (m *tableMatcher, skip bool, err error) {
-	if box.Empty() {
-		return nil, true, nil
-	}
-	if len(box) == 0 {
-		return nil, false, nil
-	}
-	m, err = newTableMatcher(box, s.Table)
-	return m, false, err
-}
-
-// advanceBox prepares iteration state for the next box.
-func (s *TableScan) advanceBox() error {
-	s.boxIdx++
-	s.pos = 0
-	s.matcher = nil
-	if s.boxIdx >= len(s.Boxes) {
-		return nil
-	}
-	m, skip, err := s.resolveBox(s.Boxes[s.boxIdx])
-	if err != nil {
-		return err
-	}
-	if skip {
-		return s.advanceBox()
-	}
-	s.matcher = m
-	return nil
-}
-
-// Morsels implements MorselSource: each box's pass over the table is
-// chunked into the same independent row ranges, balanced so even short
-// tables split into several morsels per worker; a box's morsels share
-// its read-only residual matcher. It returns nil when box resolution
-// fails; the runner's serial fallback then surfaces the error.
-func (s *TableScan) Morsels(rows, workers int) []Source {
-	n := s.Table.NumRows()
-	ranges := storage.MorselRange(n, storage.BalancedMorselRows(n, rows, workers))
-	var out []Source
-	for _, box := range s.Boxes {
-		m, skip, err := s.resolveBox(box)
-		if err != nil {
-			return nil
-		}
-		if skip {
+// Morsels implements Source: the runs, in box or key order, each
+// chunked into morsels. The total row count across runs sets the
+// granularity, so selective probes still split into several morsels
+// per worker. A box that does not resolve against the table fails the
+// call; a contradictory (empty-set) box yields no run.
+func (s *TableScan) Morsels(rows, workers int) ([]Cursor, error) {
+	runs := slices.Clip(s.runs)
+	for _, box := range s.boxes {
+		if box.Empty() {
 			continue
 		}
-		for _, r := range ranges {
-			out = append(out, &tableScanMorsel{scan: s, matcher: m, m: r})
+		m, err := newTableMatcher(box, s.table)
+		if err != nil {
+			return nil, err
 		}
+		runs = append(runs, &rowRun{scan: s, m: m, hi: int32(s.table.NumRows())})
 	}
-	return out
+	total := 0
+	for _, r := range runs {
+		total += int(r.hi - r.lo)
+	}
+	granule := storage.BalancedMorselRows(total, rows, workers)
+	var out []Cursor
+	for _, r := range runs {
+		out = appendCursors(out, r, r.lo, r.hi, granule)
+	}
+	return out, nil
 }
 
-// emitChunk scans the contiguous row range [start, end) under the
-// residual matcher, appending survivors to out. It returns the number of
-// rows emitted. With no matcher every column bulk-copies the range; with
-// one, the matcher refines a selection vector and each column gathers
-// the survivors once.
-func (s *TableScan) emitChunk(out *storage.Batch, start, end int32, m *tableMatcher) int {
-	if m == nil {
-		for i, col := range s.cols {
-			out.Cols[i].AppendColumnRange(col, start, end)
+// emit appends the rows of run positions [lo, hi) to out.
+func (r *rowRun) emit(out *storage.Batch, lo, hi int32) int {
+	if r.tree == nil && r.m == nil {
+		for i, col := range r.scan.cols {
+			out.Cols[i].AppendColumnRange(col, lo, hi)
 		}
-		return int(end - start)
+		return int(hi - lo)
 	}
-	sel := m.filter(fillRange(out.Scratch().Sel(int(end-start)), start))
-	for i, col := range s.cols {
-		out.Cols[i].AppendColumnGather(col, sel)
+	var ids []int32
+	if r.tree != nil {
+		ids = r.tree.Perm()[lo:hi]
 	}
-	return len(sel)
+	if r.m != nil {
+		// The matcher refines its selection in place: start from a
+		// scratch copy of the ids.
+		sel := out.Scratch().Sel(int(hi - lo))
+		if ids == nil {
+			fillRange(sel, lo)
+		} else {
+			copy(sel, ids)
+		}
+		ids = r.m.filter(sel)
+	}
+	for i, col := range r.scan.cols {
+		out.Cols[i].AppendColumnGather(col, ids)
+	}
+	return len(ids)
 }
 
-// tableScanMorsel scans one morsel of one resolved box. It shares the
-// parent scan's table, column list and matcher (all read-only) and owns
-// only its cursor.
-type tableScanMorsel struct {
-	scan    *TableScan
-	matcher *tableMatcher
-	m       storage.Morsel
-	pos     int32
-}
-
-// Schema implements Source.
-func (t *tableScanMorsel) Schema() storage.Schema { return t.scan.schema }
-
-// Open implements Source.
-func (t *tableScanMorsel) Open() error {
-	t.pos = t.m.Start
-	return nil
-}
-
-// Next implements Source.
-func (t *tableScanMorsel) Next(out *storage.Batch) bool {
-	produced := out.Len()
-	start := produced
-	var scanned int64
-	for t.pos < t.m.End && produced < storage.BatchSize {
-		chunk := int32(storage.BatchSize - produced)
-		if rem := t.m.End - t.pos; rem < chunk {
-			chunk = rem
-		}
-		produced += t.scan.emitChunk(out, t.pos, t.pos+chunk, t.matcher)
-		t.pos += chunk
-		scanned += int64(chunk)
+func (r *rowRun) account(consumed int64) {
+	r.scan.rowsScanned.Add(consumed)
+	if r.tree != nil {
+		r.tree.NoteGathered(consumed)
 	}
-	if scanned > 0 {
-		atomic.AddInt64(&t.scan.rowsScanned, scanned)
-	}
-	return produced > start
 }
 
-// Next implements Source.
-func (s *TableScan) Next(out *storage.Batch) bool {
-	n := s.Table.NumRows()
-	for s.boxIdx < len(s.Boxes) {
-		produced := out.Len()
-		for s.pos < n && produced < storage.BatchSize {
-			chunk := storage.BatchSize - produced
-			if rem := n - s.pos; rem < chunk {
-				chunk = rem
-			}
-			produced += s.emitChunk(out, int32(s.pos), int32(s.pos+chunk), s.matcher)
-			s.pos += chunk
-			s.rowsScanned += int64(chunk)
-		}
-		if produced > 0 {
-			return true
-		}
-		if err := s.advanceBox(); err != nil {
-			s.err = err
-			return false
-		}
-	}
-	return false
-}
-
-// Err reports a box-resolution failure that ended iteration early
-// (Next has no error return); the pipeline runner checks it after the
-// source is drained.
-func (s *TableScan) Err() error { return s.err }
-
-// RowsScanned reports how many base rows the scan touched (actual-cost
-// statistic for the optimizer accuracy experiment). Morsel workers
-// update the counter atomically.
-func (s *TableScan) RowsScanned() int64 { return atomic.LoadInt64(&s.rowsScanned) }
+// RowsScanned reports how many base rows (table runs) or indexed rows
+// (permutation runs) the scan touched. Morsel workers update the
+// counter atomically.
+func (s *TableScan) RowsScanned() int64 { return s.rowsScanned.Load() }
 
 // HTScan iterates the entries of a cached hash table, decoding a subset
 // of its layout columns, optionally post-filtering (subsuming-reuse) and
@@ -254,8 +284,7 @@ type HTScan struct {
 	pfCols   []int
 	pfCons   []expr.Constraint
 	pfKinds  []types.Kind
-	pos      int32
-	filtered int64
+	filtered atomic.Int64
 }
 
 // NewHTScan constructs a hash-table scan. outRefs (optional, aligned
@@ -291,23 +320,24 @@ func NewHTScan(ht *hashtable.Table, outCols []int, outRefs []storage.ColRef, pos
 // Schema implements Source.
 func (s *HTScan) Schema() storage.Schema { return s.schema }
 
-// Open implements Source.
-func (s *HTScan) Open() error {
-	s.pos = 0
-	return nil
+// Morsels implements Source: the hash table's entry arena is chunked
+// into independent ranges. The table is immutable while being scanned —
+// builds into it are earlier pipelines of the same query (finished
+// before this one's cursors are requested, in compile order), and
+// cross-query readers hold frozen snapshots that widening queries only
+// copy — so morsels share it lock-free.
+func (s *HTScan) Morsels(rows, workers int) ([]Cursor, error) {
+	n := s.HT.Len()
+	return appendCursors(nil, s, 0, int32(n), storage.BalancedMorselRows(n, rows, workers)), nil
 }
 
-// emitEntries filters the candidate entry range [start, end) through
-// the qid mask and the post-filter, and appends the survivors' columns
-// to out. It returns (emitted, post-filtered) counts. The qid test and
-// each post-filter column refine an entry selection vector with the
-// kind dispatch hoisted out of the entry loop; surviving entries decode
-// once per output column.
-func (s *HTScan) emitEntries(out *storage.Batch, start, end int32) (int, int64) {
-	ents := out.Scratch().Sel(int(end - start))
-	for i := range ents {
-		ents[i] = start + int32(i)
-	}
+// emit filters the candidate entry range [start, end) through the qid
+// mask and the post-filter, and appends the survivors' columns to out.
+// The qid test and each post-filter column refine an entry selection
+// vector with the kind dispatch hoisted out of the entry loop;
+// surviving entries decode once per output column.
+func (s *HTScan) emit(out *storage.Batch, start, end int32) int {
+	ents := fillRange(out.Scratch().Sel(int(end-start)), start)
 	if s.QidCol >= 0 {
 		kept := ents[:0]
 		for _, e := range ents {
@@ -317,17 +347,20 @@ func (s *HTScan) emitEntries(out *storage.Batch, start, end int32) (int, int64) 
 		}
 		ents = kept
 	}
-	var filtered int64
 	if len(s.pfCols) > 0 {
 		before := len(ents)
 		ents = s.filterEntries(ents)
-		filtered = int64(before - len(ents))
+		if f := before - len(ents); f > 0 {
+			s.filtered.Add(int64(f))
+		}
 	}
 	for i, ci := range s.OutCols {
 		s.HT.AppendColumn(out.Cols[i], ci, ents)
 	}
-	return len(ents), filtered
+	return len(ents)
 }
+
+func (s *HTScan) account(int64) {}
 
 // filterEntries refines an entry selection through the post-filter, one
 // typed loop per constrained layout column.
@@ -365,78 +398,7 @@ func (s *HTScan) filterEntries(ents []int32) []int32 {
 	return ents
 }
 
-// Next implements Source.
-func (s *HTScan) Next(out *storage.Batch) bool {
-	n := int32(s.HT.Len())
-	produced := 0
-	var filtered int64
-	for s.pos < n && produced < storage.BatchSize {
-		chunk := int32(storage.BatchSize - produced)
-		if rem := n - s.pos; rem < chunk {
-			chunk = rem
-		}
-		emitted, f := s.emitEntries(out, s.pos, s.pos+chunk)
-		produced += emitted
-		filtered += f
-		s.pos += chunk
-	}
-	s.filtered += filtered
-	return produced > 0
-}
-
 // FilteredOut reports how many entries the post-filter rejected (the
 // false positives of subsuming reuse). Morsel workers update the
 // counter atomically.
-func (s *HTScan) FilteredOut() int64 { return atomic.LoadInt64(&s.filtered) }
-
-// Morsels implements MorselSource: the hash table's entry arena is
-// chunked into independent ranges. The table is immutable while being
-// scanned — builds into it are earlier pipelines of the same query
-// (finished before this one starts, in compile order), and cross-query
-// readers hold frozen snapshots that widening queries only copy — so
-// morsels share it lock-free.
-func (s *HTScan) Morsels(rows, workers int) []Source {
-	var out []Source
-	n := s.HT.Len()
-	for _, m := range storage.MorselRange(n, storage.BalancedMorselRows(n, rows, workers)) {
-		out = append(out, &htScanMorsel{scan: s, m: m})
-	}
-	return out
-}
-
-// htScanMorsel scans one entry range of a hash table.
-type htScanMorsel struct {
-	scan *HTScan
-	m    storage.Morsel
-	pos  int32
-}
-
-// Schema implements Source.
-func (t *htScanMorsel) Schema() storage.Schema { return t.scan.schema }
-
-// Open implements Source.
-func (t *htScanMorsel) Open() error {
-	t.pos = t.m.Start
-	return nil
-}
-
-// Next implements Source.
-func (t *htScanMorsel) Next(out *storage.Batch) bool {
-	s := t.scan
-	produced := 0
-	var filtered int64
-	for t.pos < t.m.End && produced < storage.BatchSize {
-		chunk := int32(storage.BatchSize - produced)
-		if rem := t.m.End - t.pos; rem < chunk {
-			chunk = rem
-		}
-		emitted, f := s.emitEntries(out, t.pos, t.pos+chunk)
-		produced += emitted
-		filtered += f
-		t.pos += chunk
-	}
-	if filtered > 0 {
-		atomic.AddInt64(&s.filtered, filtered)
-	}
-	return produced > 0
-}
+func (s *HTScan) FilteredOut() int64 { return s.filtered.Load() }

@@ -419,27 +419,20 @@ func TestGoldenSharedScanVsRowAtATime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := src.Open(); err != nil {
-		t.Fatal(err)
-	}
-	got := storage.NewBatch(src.Schema())
-	all := storage.NewBatch(src.Schema())
-	for {
-		got.Reset()
-		if !src.Next(got) {
-			break
-		}
-		for c := range all.Cols {
-			all.Cols[c].AppendRange(got.Cols[c], 0, got.Len())
-		}
-	}
+	all := drainSource(t, src)
 
 	// Reference: per-row matcher evaluation.
+	matchers := make([]*tableMatcher, len(boxes))
+	for q, box := range boxes {
+		if matchers[q], err = newTableMatcher(box, tbl); err != nil {
+			t.Fatal(err)
+		}
+	}
 	want := storage.NewBatch(src.Schema())
 	for row := int32(0); row < int32(tbl.NumRows()); row++ {
 		var mask uint64
-		for q, m := range src.matchers {
-			if m.match(row) {
+		for q, m := range matchers {
+			if m == nil || m.match(row) {
 				mask |= 1 << uint(q)
 			}
 		}
@@ -609,20 +602,7 @@ func TestGoldenHTScanVsRowAtATime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := scan.Open(); err != nil {
-		t.Fatal(err)
-	}
-	all := storage.NewBatch(scan.Schema())
-	batch := storage.NewBatch(scan.Schema())
-	for {
-		batch.Reset()
-		if !scan.Next(batch) {
-			break
-		}
-		for c := range all.Cols {
-			all.Cols[c].AppendRange(batch.Cols[c], 0, batch.Len())
-		}
-	}
+	all := drainSource(t, scan)
 	want := storage.NewBatch(scan.Schema())
 	for e := int32(0); e < int32(ht.Len()); e++ {
 		s := ht.Strings().At(ht.Cell(e, layout.ColIndex(storage.ColRef{Table: "b", Column: "s"})))

@@ -46,7 +46,7 @@ func newRHABench(n, groups int) (*rhaBench, error) {
 }
 
 // seqScan reads the key and val of the input rows whose seq lies in iv.
-func (rb *rhaBench) seqScan(iv expr.Interval) (*exec.IndexScan, error) {
+func (rb *rhaBench) seqScan(iv expr.Interval) (*exec.TableScan, error) {
 	return exec.NewIndexScan(rb.input, "a", rb.seqIdx, expr.IntervalConstraint(types.Int64, iv), nil, []string{"key", "val"})
 }
 
