@@ -94,20 +94,20 @@ func TestExecBatchContextEquivalence(t *testing.T) {
 	}
 }
 
-// TestExecParsedBatchGroups: on every engine the shared classifier
+// TestExecParsedBatchGroups: under every strategy the shared classifier
 // merges same-spine queries into one group and reports it, and every
 // answer equals the query's solo run.
 func TestExecParsedBatchGroups(t *testing.T) {
-	for _, engine := range []struct {
-		name   string
-		engine Engine
-	}{{"hashstash", EngineHashStash}, {"materialized", EngineMaterialized}, {"noreuse", EngineNoReuse}} {
-		t.Run(engine.name, func(t *testing.T) { testExecParsedBatchGroups(t, engine.engine) })
+	for _, s := range []struct {
+		name     string
+		strategy Strategy
+	}{{"hashstash", CostModel}, {"materialized", Materialized}, {"noreuse", NeverReuse}} {
+		t.Run(s.name, func(t *testing.T) { testExecParsedBatchGroups(t, s.strategy) })
 	}
 }
 
-func testExecParsedBatchGroups(t *testing.T, engine Engine) {
-	db := openTPCH(t, WithEngine(engine))
+func testExecParsedBatchGroups(t *testing.T, strategy Strategy) {
+	db := openTPCH(t, WithStrategy(strategy))
 	q1, err := db.Parse(q3SQL)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +202,7 @@ func TestBatchCountsShardQueries(t *testing.T) {
 // table in place build every shared table fresh, so a second run of a
 // batch re-tags nothing its first run cached.
 func TestSharedPlansHonourStrategy(t *testing.T) {
-	for _, opt := range []Option{WithStrategy(NeverReuse), WithEngine(EngineMaterialized)} {
+	for _, opt := range []Option{WithStrategy(NeverReuse), WithStrategy(Materialized)} {
 		db := openTPCH(t, opt)
 		q1, err := db.Parse(q3SQL)
 		if err != nil {

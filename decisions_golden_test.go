@@ -42,7 +42,7 @@ func TestDecisionGolden(t *testing.T) {
 		{"always-reuse", []Option{WithStrategy(AlwaysReuse)}},
 		{"no-partial", []Option{WithAblations(Ablations{NoPartialReuse: true})}},
 		{"no-overlapping", []Option{WithAblations(Ablations{NoOverlappingReuse: true})}},
-		{"materialized", []Option{WithEngine(EngineMaterialized)}},
+		{"materialized", []Option{WithStrategy(Materialized)}},
 		{"cold-tier", []Option{WithTuning(Tuning{CacheBudget: 96 << 10, ColdTierBudget: 4 << 20})}},
 	}
 	steps := decisionSessions()

@@ -50,7 +50,7 @@ func main() {
 	}
 
 	// The same four widgets refreshed one at a time, without sharing.
-	solo := hashstash.Open(hashstash.WithEngine(hashstash.EngineNoReuse))
+	solo := hashstash.Open(hashstash.WithStrategy(hashstash.NeverReuse))
 	if err := solo.LoadTPCH(0.01); err != nil {
 		log.Fatal(err)
 	}

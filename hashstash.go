@@ -82,40 +82,37 @@ type CacheStats = htcache.Stats
 // Strategy selects how reuse decisions are made.
 type Strategy = optimizer.Strategy
 
-// Reuse strategies.
+// Reuse strategies: the paper's system and its two baselines are each
+// one strategy, and every strategy runs on any shard count.
 const (
 	// CostModel is the HashStash default: reuse when the reuse-aware
 	// cost model says it is cheaper.
 	CostModel = optimizer.CostModel
-	// NeverReuse always builds fresh hash tables.
+	// NeverReuse always builds fresh hash tables (the paper's no-reuse
+	// baseline).
 	NeverReuse = optimizer.NeverReuse
 	// AlwaysReuse greedily reuses the best-matching cached table.
 	AlwaysReuse = optimizer.AlwaysReuse
+	// Materialized is the paper's materialization-based reuse baseline:
+	// the same optimizer caches the intermediates at the same pipeline
+	// breakers, reuses them only exactly or subsumingly, rebuilds a
+	// join's hash table from the cached one on every reuse, and evicts
+	// by recency (so nothing demotes to the cold tier). Its scans keep
+	// the secondary-index access path.
+	Materialized = optimizer.Materialized
 )
 
-// Engine selects the reuse machinery behind Exec.
-type Engine uint8
+// Deprecated: use Strategy.
+type Engine = Strategy
 
-// Engines.
-const (
-	// EngineHashStash reuses internal hash tables (the paper's system).
-	EngineHashStash Engine = iota
-	// EngineMaterialized is the paper's materialization-based reuse
-	// baseline: the same optimizer caches the intermediates at the same
-	// pipeline breakers, reuses them only exactly or subsumingly, and
-	// rebuilds a join's hash table from the cached one on every reuse.
-	// It runs one shard with LRU eviction, no cold tier and no
-	// secondary indexes.
-	EngineMaterialized
-	// EngineNoReuse executes classically.
-	EngineNoReuse
-)
+// Deprecated: use Materialized.
+const EngineMaterialized = Materialized
 
 // DB is a HashStash database instance. Exec and ExecBatch are safe for
 // concurrent use; schema changes — LoadTPCH, CreateTable, InsertRows,
-// BuildIndex — must not run concurrently with queries. Every engine and
-// shard count runs solo queries and batches through one router, so a
-// batch merges the queries it routes to one shard into shared plans.
+// BuildIndex — must not run concurrently with queries. Every strategy
+// and shard count runs solo queries and batches through one router, so
+// a batch merges the queries it routes to one shard into shared plans.
 type DB struct {
 	// router is the engine: every data and query path, solo or batched,
 	// goes through it. It holds one shard unless Tuning.Shards > 1, and
@@ -137,18 +134,6 @@ func Open(opts ...Option) *DB {
 		t.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	model := costmodel.NewModel(cfg.calibration)
-	strategy := cfg.strategy
-	switch cfg.engine {
-	case EngineNoReuse:
-		strategy = NeverReuse
-	case EngineMaterialized:
-		// A materialized relation is reused only exactly or subsumingly,
-		// and the baseline evicts by recency (LRU never demotes to the
-		// cold tier). Its scans keep the engine's index access path.
-		strategy = optimizer.Materialized
-		a.NoPartialReuse, a.NoOverlappingReuse = true, true
-		a.LRUEviction = true
-	}
 	// Deterministic fault injection for resilience testing; a bad spec
 	// is a programming error in the test harness.
 	spec := a.Faults
@@ -165,11 +150,7 @@ func Open(opts ...Option) *DB {
 		gov = memgov.New(t.SoftMemoryLimit, t.HardMemoryLimit)
 	}
 
-	// Sharding applies to EngineHashStash; the baselines run one shard.
-	n := 1
-	if t.Shards > 1 && cfg.engine == EngineHashStash {
-		n = t.Shards
-	}
+	n := max(1, t.Shards)
 	// Every shard gets an equal share of the worker pool and of the
 	// byte budgets (0 stays "unlimited").
 	split := func(b int64) int64 {
@@ -193,14 +174,14 @@ func Open(opts ...Option) *DB {
 		}
 		gov.AddSource(cache)
 		opt := optimizer.New(cat, cache, model, optimizer.Options{
-			Strategy:           strategy,
-			BenefitOriented:    !a.NoBenefitOptimizations,
-			EnablePartial:      !a.NoPartialReuse,
-			EnableOverlapping:  !a.NoOverlappingReuse,
-			Parallelism:        shardPar,
-			NoSecondaryIndexes: a.NoSecondaryIndexes,
-			IndexBuildBudget:   split(t.IndexBuildBudget),
-			MemGov:             gov,
+			Strategy:               cfg.strategy,
+			NoBenefitOptimizations: a.NoBenefitOptimizations,
+			NoPartialReuse:         a.NoPartialReuse,
+			NoOverlappingReuse:     a.NoOverlappingReuse,
+			NoSecondaryIndexes:     a.NoSecondaryIndexes,
+			Parallelism:            shardPar,
+			IndexBuildBudget:       split(t.IndexBuildBudget),
+			MemGov:                 gov,
 		})
 		shards[s] = &shard.Shard{ID: s, Cat: cat, Cache: cache, Opt: opt}
 	}

@@ -81,8 +81,9 @@ func spjWindow(lo, hi string) string {
 		  AND o.o_orderdate >= DATE '` + lo + `' AND o.o_orderdate < DATE '` + hi + `'`
 }
 
-// TestEnginesAgree runs one query sequence on every engine and compares
-// each answer, columns included, with the no-reuse engine's. The
+// TestEnginesAgree runs one query sequence under the cost model and the
+// materialized baseline and compares each answer, columns included,
+// with NeverReuse's. The
 // sequence reruns a query (exact aggregate reuse), narrows a window
 // (subsuming reuse), widens past everything cached (the baseline has
 // no partial reuse) and ends on a join without aggregation whose
@@ -100,7 +101,7 @@ func TestEnginesAgree(t *testing.T) {
 		spjWindow("1995-01-01", "1995-06-01"),
 		spjWindow("1995-02-01", "1995-03-01"),
 	}
-	ref := openTPCH(t, WithEngine(EngineNoReuse))
+	ref := openTPCH(t, WithStrategy(NeverReuse))
 	want := make([]*Result, len(sqls))
 	for i, sql := range sqls {
 		res, err := ref.Exec(sql)
@@ -114,9 +115,9 @@ func TestEnginesAgree(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"hashstash", []Option{WithEngine(EngineHashStash)}},
-		{"materialized", []Option{WithEngine(EngineMaterialized)}},
-		{"materialized/small-budget", []Option{WithEngine(EngineMaterialized), WithTuning(Tuning{CacheBudget: smallBudget})}},
+		{"hashstash", []Option{WithStrategy(CostModel)}},
+		{"materialized", []Option{WithStrategy(Materialized)}},
+		{"materialized/small-budget", []Option{WithStrategy(Materialized), WithTuning(Tuning{CacheBudget: smallBudget})}},
 	}
 	for _, cfg := range configs {
 		db := openTPCH(t, cfg.opts...)
@@ -168,7 +169,7 @@ func TestEnginesAgree(t *testing.T) {
 }
 
 // TestMaterializedBaselineTracksTheCache: the baseline caches in the
-// shard cache like every engine, so an insert drops its stale
+// shard cache like every strategy, so an insert drops its stale
 // aggregate, ClearCache empties it and each query advances the one
 // shard's query counter.
 func TestMaterializedBaselineTracksTheCache(t *testing.T) {
@@ -176,8 +177,8 @@ func TestMaterializedBaselineTracksTheCache(t *testing.T) {
 	for i := range rows {
 		rows[i] = []Value{types.NewInt(int64(i % 2)), types.NewFloat(1)}
 	}
-	open := func(engine Engine) *DB {
-		db := Open(WithEngine(engine))
+	open := func(s Strategy) *DB {
+		db := Open(WithStrategy(s))
 		if err := db.CreateTable("f", map[string]Kind{"k": types.Int64, "v": types.Float64}, []string{"k", "v"}); err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +188,7 @@ func TestMaterializedBaselineTracksTheCache(t *testing.T) {
 		return db
 	}
 	const sql = `SELECT f.k, SUM(f.v) AS s FROM f f GROUP BY f.k`
-	mat, ref := open(EngineMaterialized), open(EngineNoReuse)
+	mat, ref := open(Materialized), open(NeverReuse)
 	for i := 0; i < 2; i++ {
 		if _, err := mat.Exec(sql); err != nil {
 			t.Fatal(err)
@@ -240,7 +241,7 @@ func TestExecBatch(t *testing.T) {
 		t.Fatalf("results = %v", results)
 	}
 	// Batch results must match individual execution.
-	ref := openTPCH(t, WithEngine(EngineNoReuse))
+	ref := openTPCH(t, WithStrategy(NeverReuse))
 	for i, sql := range sqls {
 		want, err := ref.Exec(sql)
 		if err != nil {

@@ -349,10 +349,10 @@ func TestOrderByLimitBatch(t *testing.T) {
 }
 
 // TestOrderByLimitFallback checks ORDER BY / LIMIT without any index —
-// the sort+truncate fallback — on every engine.
+// the sort+truncate fallback — under every strategy.
 func TestOrderByLimitFallback(t *testing.T) {
-	for _, engine := range []Engine{EngineHashStash, EngineMaterialized, EngineNoReuse} {
-		db := openTPCH(t, WithEngine(engine), WithAblations(Ablations{NoSecondaryIndexes: true}))
+	for _, s := range []Strategy{CostModel, Materialized, NeverReuse} {
+		db := openTPCH(t, WithStrategy(s), WithAblations(Ablations{NoSecondaryIndexes: true}))
 		res, err := db.Exec(`SELECT l.l_orderkey, l.l_extendedprice FROM lineitem l
 		    WHERE l.l_shipdate >= DATE '1995-03-01'
 		    ORDER BY l.l_extendedprice DESC LIMIT 5`)
@@ -360,11 +360,11 @@ func TestOrderByLimitFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(res.Rows) != 5 {
-			t.Fatalf("engine %d: rows = %d, want 5", engine, len(res.Rows))
+			t.Fatalf("%v: rows = %d, want 5", s, len(res.Rows))
 		}
 		for i := 1; i < len(res.Rows); i++ {
 			if res.Rows[i-1][1].Compare(res.Rows[i][1]) < 0 {
-				t.Fatalf("engine %d: rows out of order at %d", engine, i)
+				t.Fatalf("%v: rows out of order at %d", s, i)
 			}
 		}
 	}

@@ -43,10 +43,10 @@ func Ablation(env *Env, n int) (*AblationResult, error) {
 		name string
 		opts optimizer.Options
 	}{
-		{"no-reuse (baseline)", optimizer.Options{Strategy: optimizer.NeverReuse, BenefitOriented: true, NoSecondaryIndexes: true}},
-		{"exact+subsuming only", optimizer.Options{Strategy: optimizer.CostModel, BenefitOriented: true, NoSecondaryIndexes: true}},
-		{"no benefit-oriented opts", optimizer.Options{Strategy: optimizer.CostModel, EnablePartial: true, EnableOverlapping: true, NoSecondaryIndexes: true}},
-		{"full HashStash", optimizer.Options{Strategy: optimizer.CostModel, BenefitOriented: true, EnablePartial: true, EnableOverlapping: true, NoSecondaryIndexes: true}},
+		{"no-reuse (baseline)", optimizer.Options{Strategy: optimizer.NeverReuse, NoPartialReuse: true, NoOverlappingReuse: true, NoSecondaryIndexes: true}},
+		{"exact+subsuming only", optimizer.Options{NoPartialReuse: true, NoOverlappingReuse: true, NoSecondaryIndexes: true}},
+		{"no benefit-oriented opts", optimizer.Options{NoBenefitOptimizations: true, NoSecondaryIndexes: true}},
+		{"full HashStash", optimizer.Options{NoSecondaryIndexes: true}},
 	}
 	out := &AblationResult{SF: env.SF, N: n}
 	var baseline time.Duration

@@ -43,20 +43,7 @@ func NewEnv(sf float64) (*Env, error) {
 
 // newOptimizer builds a fresh reuse-aware optimizer with its own cache.
 func (e *Env) newOptimizer(strategy optimizer.Strategy, budget int64) *optimizer.Optimizer {
-	cache := htcache.New(budget)
-	opts := optimizer.Options{
-		Strategy:          strategy,
-		BenefitOriented:   true,
-		EnablePartial:     true,
-		EnableOverlapping: true,
-	}
-	if strategy == optimizer.Materialized {
-		// The baseline reuses a materialized relation only exactly or
-		// subsumingly and evicts by recency.
-		opts.EnablePartial, opts.EnableOverlapping = false, false
-		cache.SetPolicy(htcache.PolicyLRU)
-	}
-	return optimizer.New(e.Cat, cache, nil, opts)
+	return optimizer.New(e.Cat, htcache.New(budget), nil, optimizer.Options{Strategy: strategy})
 }
 
 // runTrace executes a query sequence and reports the total wall time.

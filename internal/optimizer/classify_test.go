@@ -6,6 +6,7 @@ import (
 
 	"hashstash/internal/expr"
 	"hashstash/internal/hashtable"
+	"hashstash/internal/htcache"
 	"hashstash/internal/plan"
 	"hashstash/internal/storage"
 	"hashstash/internal/types"
@@ -25,7 +26,7 @@ func custkeyBox(lo, hi int64) expr.Box {
 // predicate column stored; partial; overlapping; disjoint) × whether
 // the operator can widen × partial or overlapping reuse disabled.
 func TestClassify(t *testing.T) {
-	env := newEnv(t, DefaultOptions())
+	env := newEnv(t, Options{})
 	o := env.opt
 	q := &plan.Query{Relations: []plan.Rel{{Alias: "o", Table: "orders"}}}
 	const mask = 1
@@ -71,7 +72,7 @@ func TestClassify(t *testing.T) {
 			{true, true, true}, {false, true, true}, {true, false, true}, {true, true, false},
 		} {
 			name := fmt.Sprintf("%s/widen=%v/partial=%v/overlapping=%v", tc.name, g.widen, g.partial, g.overlapping)
-			o.Opts.EnablePartial, o.Opts.EnableOverlapping = g.partial, g.overlapping
+			o.Opts.NoPartialReuse, o.Opts.NoOverlappingReuse = !g.partial, !g.overlapping
 			choice, ok := o.classify(q, mask, cand, req, g.widen)
 			want := tc.want(g)
 			if want == ModeNew {
@@ -108,5 +109,41 @@ func TestClassify(t *testing.T) {
 				t.Errorf("%s: overhead %v", name, choice.Overh)
 			}
 		}
+	}
+}
+
+// TestMaterializedCarriesItsLimits: the Materialized strategy needs no
+// ablation switch. With every No* field zero, classify refuses the
+// partial and overlapping candidates the cost model widens, and New
+// puts the cache under LRU eviction.
+func TestMaterializedCarriesItsLimits(t *testing.T) {
+	env := newEnv(t, Options{})
+	mat := New(env.cat, htcache.New(0), nil, Options{Strategy: Materialized})
+	q := &plan.Query{Relations: []plan.Rel{{Alias: "o", Table: "orders"}}}
+	const mask = 1
+	layout := hashtable.Layout{Cols: []storage.ColMeta{
+		{Ref: storage.ColRef{Table: "orders", Column: "o_orderkey"}, Kind: types.Int64},
+		{Ref: storage.ColRef{Table: "orders", Column: "o_custkey"}, Kind: types.Int64},
+	}, KeyCols: 1}
+	req := custkeyBox(100, 200)
+	for _, cached := range []expr.Box{custkeyBox(120, 180), custkeyBox(150, 300)} {
+		cand := candidate{filter: cached, layout: layout,
+			rows: env.opt.maskRows(q, mask, q.AliasQualify(cached))}
+		if choice, ok := env.opt.classify(q, mask, cand, req, true); !ok || !choice.widens() {
+			t.Fatalf("cost model on %v: %v (ok=%v), want a widening reuse", cached, choice.Mode, ok)
+		}
+		if choice, ok := mat.classify(q, mask, cand, req, true); ok {
+			t.Errorf("materialized on %v: classified %v, want rejected", cached, choice.Mode)
+		}
+	}
+
+	small := New(env.cat, htcache.New(64<<10), nil, Options{Strategy: Materialized})
+	for _, d := range []string{"1995-01-01", "1994-06-01", "1995-06-01", "1994-01-01", "1996-01-01"} {
+		if _, err := small.Run(q3(d, "")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tier := small.Cache.Stats().Tiering; tier.LRUEvictions == 0 || tier.BenefitEvictions != 0 {
+		t.Errorf("evictions: %d LRU, %d benefit; want LRU only", tier.LRUEvictions, tier.BenefitEvictions)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // the traces with and without the closure must reproduce every query's
 // reuse decisions.
 func TestDecisionsIndependentOfClosure(t *testing.T) {
-	env := newEnv(t, DefaultOptions())
+	env := newEnv(t, Options{})
 	var explore []workload.Step
 	for i, level := range []workload.Level{workload.High, workload.Medium, workload.Low} {
 		explore = append(explore, workload.Generate(workload.Config{Level: level, N: 48, Seed: uint64(21 + i)})...)
@@ -28,7 +28,7 @@ func TestDecisionsIndependentOfClosure(t *testing.T) {
 		{"dashboard", workload.GenerateSkewed(workload.SkewConfig{N: 200, Shapes: 48, S: 1.1, OneShotFrac: 0.2, Seed: 3})},
 	}
 	replay := func(steps []workload.Step, close func(*plan.Query) *plan.Query) ([]string, int) {
-		opt := New(env.cat, htcache.New(0), nil, DefaultOptions())
+		opt := New(env.cat, htcache.New(0), nil, Options{})
 		out, reused := make([]string, len(steps)), 0
 		for i, st := range steps {
 			res, err := opt.Run(close(st.Query))
@@ -72,7 +72,7 @@ func TestDecisionsIndependentOfClosure(t *testing.T) {
 // key's NDV by its own constraint the pin's selectivity would count
 // twice, and the estimate would fall short by the customer count.
 func TestClosedPointJoinEstimate(t *testing.T) {
-	env := newEnv(t, DefaultOptions())
+	env := newEnv(t, Options{})
 	custkeys := env.cat.Table("orders").Column("o_custkey").Ints
 	nCust := int64(env.cat.Table("customer").NumRows())
 	perKey := map[int64]int{}

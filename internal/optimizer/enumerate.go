@@ -135,7 +135,7 @@ func (o *Optimizer) better(q *plan.Query, cand, best *Node, bestScore *int64) bo
 			*bestScore = o.nodeHistoryScore(q, cand)
 			return true
 		}
-		if o.Opts.BenefitOriented && cand.Cost < best.Cost*1.05 {
+		if !o.Opts.NoBenefitOptimizations && cand.Cost < best.Cost*1.05 {
 			if s := o.nodeHistoryScore(q, cand); s > *bestScore {
 				*bestScore = s
 				return true

@@ -116,7 +116,7 @@ func (o *Optimizer) scanCost(q *plan.Query, relIdx int, boxes []expr.Box, emitte
 // built by this query stay post-filterable and re-taggable for future
 // reuse.
 func (o *Optimizer) neededCols(q *plan.Query) map[string][]string {
-	return o.neededColsOf(q, []*plan.Query{q}, o.Opts.BenefitOriented)
+	return o.neededColsOf(q, []*plan.Query{q}, !o.Opts.NoBenefitOptimizations)
 }
 
 // neededColsOf is neededCols over the union of members' needs, keyed by

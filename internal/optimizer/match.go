@@ -161,8 +161,9 @@ func (o *Optimizer) candidates(probe htcache.Lineage, stored []storage.ColRef, r
 // subsuming and overlapping reuse; for partial and overlapping reuse the
 // alias-qualified residual boxes whose tuples are missing and the
 // widened table's filter. widen reports whether the operator can add
-// missing tuples to a copy of the table; without it only exact and
-// subsuming reuse qualify. ok is false when no case applies.
+// missing tuples to a copy of the table; without it, under the
+// Materialized strategy, or with the case's ablation switch set, only
+// exact and subsuming reuse qualify. ok is false when no case applies.
 func (o *Optimizer) classify(q *plan.Query, mask int, cand candidate, req expr.Box, widen bool) (ReuseChoice, bool) {
 	choice := ReuseChoice{Entry: cand.entry, Snap: cand.snap, Cold: cand.cold}
 	rel := expr.Classify(cand.filter, req)
@@ -186,8 +187,9 @@ func (o *Optimizer) classify(q *plan.Query, mask int, cand candidate, req expr.B
 		return choice, true
 
 	case expr.RelPartial, expr.RelOverlapping:
-		if !widen || rel == expr.RelPartial && !o.Opts.EnablePartial ||
-			rel == expr.RelOverlapping && !o.Opts.EnableOverlapping {
+		if !widen || o.Opts.Strategy == Materialized ||
+			rel == expr.RelPartial && o.Opts.NoPartialReuse ||
+			rel == expr.RelOverlapping && o.Opts.NoOverlappingReuse {
 			return ReuseChoice{}, false
 		}
 		// Overlapping reuse post-filters the cached table: reject it on

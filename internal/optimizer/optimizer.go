@@ -57,9 +57,9 @@ const (
 	// breakers and picks candidates as AlwaysReuse does, but a reused
 	// join input is only the materialized relation — compile rebuilds a
 	// private hash table from it on every reuse, the cost HashStash
-	// avoids. Callers pair it with EnablePartial and EnableOverlapping
-	// off: a materialized relation is reused only exactly or
-	// subsumingly.
+	// avoids. A materialized relation is reused only exactly or
+	// subsumingly (classify refuses to widen it), and New puts the
+	// cache under LRU eviction.
 	Materialized
 )
 
@@ -78,19 +78,20 @@ func (s Strategy) String() string {
 	return "strategy(?)"
 }
 
-// Options configures the optimizer.
+// Options configures the optimizer. The zero value is the HashStash
+// default: the cost-model strategy with every mechanism on; each No*
+// field is an ablation switch that turns one off.
 type Options struct {
 	Strategy Strategy
-	// BenefitOriented enables the Section 3.4 optimizations: AVG
-	// rewriting, additional payload attributes and the history-driven
-	// join-order tie-break. On by default (New sets it).
-	BenefitOriented bool
-	// EnablePartial and EnableOverlapping gate the two reuse cases that
-	// mutate cached tables; both default to true. Turning them off
-	// yields the exact+subsuming-only behaviour of prior work (the
-	// materialization-based baseline's capability, used for ablations).
-	EnablePartial     bool
-	EnableOverlapping bool
+	// NoBenefitOptimizations disables the Section 3.4 optimizations:
+	// AVG rewriting, additional payload attributes and the
+	// history-driven join-order tie-break.
+	NoBenefitOptimizations bool
+	// NoPartialReuse and NoOverlappingReuse disable the two reuse cases
+	// that widen cached tables, leaving the exact+subsuming-only
+	// behaviour of prior work.
+	NoPartialReuse     bool
+	NoOverlappingReuse bool
 	// Parallelism is the scheduler configuration every run of this
 	// optimizer's pipelines starts from (worker-pool size and morsel
 	// granularity). Ctx stays nil here; each run sets it on its own
@@ -108,16 +109,6 @@ type Options struct {
 	// (the ski-rental gate is forced closed at the soft watermark and
 	// above). Nil means no governance.
 	MemGov *memgov.Governor
-}
-
-// DefaultOptions returns the HashStash defaults.
-func DefaultOptions() Options {
-	return Options{
-		Strategy:          CostModel,
-		BenefitOriented:   true,
-		EnablePartial:     true,
-		EnableOverlapping: true,
-	}
 }
 
 // Optimizer plans, compiles and runs reuse-aware queries. Run is safe
@@ -150,10 +141,15 @@ type Optimizer struct {
 	idxBenefit map[string]float64
 }
 
-// New constructs an optimizer. A nil model uses the default calibration.
+// New constructs an optimizer. A nil model uses the default
+// calibration. Under the Materialized strategy the cache evicts by
+// recency, as the baseline does.
 func New(cat *catalog.Catalog, cache *htcache.Cache, model *costmodel.Model, opts Options) *Optimizer {
 	if model == nil {
 		model = costmodel.NewModel(nil)
+	}
+	if opts.Strategy == Materialized {
+		cache.SetPolicy(htcache.PolicyLRU)
 	}
 	return &Optimizer{
 		Cat: cat, Cache: cache, Model: model, Opts: opts,

@@ -37,6 +37,10 @@ func newEnv(t *testing.T, opts Options) *testEnv {
 	return &testEnv{cat: cat, opt: New(cat, htcache.New(0), nil, opts)}
 }
 
+// bareNeverReuse is the never-reuse reference with every mechanism
+// switched off.
+var bareNeverReuse = Options{Strategy: NeverReuse, NoBenefitOptimizations: true, NoPartialReuse: true, NoOverlappingReuse: true}
+
 func ref(a, c string) storage.ColRef { return storage.ColRef{Table: a, Column: c} }
 
 func shipdateBox(lo, hi string) expr.Box {
@@ -116,7 +120,7 @@ func sameResults(t *testing.T, label string, a, b *Result) {
 }
 
 func TestSPJFreshExecution(t *testing.T) {
-	env := newEnv(t, DefaultOptions())
+	env := newEnv(t, Options{})
 	res, err := env.opt.Run(spjQuery("1995-01-01", "1996-01-01"))
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +144,7 @@ func TestSPJFreshExecution(t *testing.T) {
 }
 
 func TestSPJAgainstNaiveJoin(t *testing.T) {
-	env := newEnv(t, DefaultOptions())
+	env := newEnv(t, Options{})
 	q := spjQuery("1995-06-01", "1995-08-01")
 	res, err := env.opt.Run(q)
 	if err != nil {
@@ -170,7 +174,7 @@ func TestSPJAgainstNaiveJoin(t *testing.T) {
 }
 
 func TestAggregateFreshMatchesManual(t *testing.T) {
-	env := newEnv(t, DefaultOptions())
+	env := newEnv(t, Options{})
 	q := q3("1995-01-01", "")
 	res, err := env.opt.Run(q)
 	if err != nil {
@@ -223,7 +227,7 @@ func TestAggregateFreshMatchesManual(t *testing.T) {
 // equality at every step.
 func runBoth(t *testing.T, env *testEnv, queries []*plan.Query, wantModes []ReuseMode) {
 	t.Helper()
-	never := New(env.cat, htcache.New(0), nil, Options{Strategy: NeverReuse, BenefitOriented: true, EnablePartial: true, EnableOverlapping: true})
+	never := New(env.cat, htcache.New(0), nil, Options{Strategy: NeverReuse})
 	for i, q := range queries {
 		got, err := env.opt.Run(q)
 		if err != nil {
@@ -253,7 +257,7 @@ func aggMode(r *Result) ReuseMode {
 }
 
 func TestExactAggregateReuse(t *testing.T) {
-	env := newEnv(t, DefaultOptions())
+	env := newEnv(t, Options{})
 	queries := []*plan.Query{
 		q3("1995-01-01", ""),
 		q3("1995-01-01", ""), // identical → exact reuse of the agg HT
@@ -265,7 +269,7 @@ func TestExactAggregateReuse(t *testing.T) {
 }
 
 func TestPartialAggregateReuse(t *testing.T) {
-	env := newEnv(t, DefaultOptions())
+	env := newEnv(t, Options{})
 	queries := []*plan.Query{
 		q3("1995-02-01", ""), // paper Figure 2: Q1
 		q3("1995-01-01", ""), // Q2: wider range → partial reuse
@@ -277,7 +281,7 @@ func TestSubsumingAggregateRequiresGroupByColumn(t *testing.T) {
 	// Filter on l_shipdate is NOT a group-by column, so subsuming reuse
 	// of the aggregate must be rejected (fold-in contributions cannot be
 	// post-filtered) and the optimizer must fall back to a correct plan.
-	env := newEnv(t, DefaultOptions())
+	env := newEnv(t, Options{})
 	queries := []*plan.Query{
 		q3("1995-01-01", ""),
 		q3("1995-03-01", ""), // narrower → subsuming shape, but unsound for agg
@@ -294,7 +298,7 @@ func TestSubsumingAggregateRequiresGroupByColumn(t *testing.T) {
 }
 
 func TestRollUpReuse(t *testing.T) {
-	env := newEnv(t, DefaultOptions())
+	env := newEnv(t, Options{})
 	base := q3("1995-01-01", "")
 	base.Select = []storage.ColRef{ref("c", "c_age"), ref("o", "o_orderdate")}
 	base.GroupBy = []storage.ColRef{ref("c", "c_age"), ref("o", "o_orderdate")}
@@ -312,7 +316,7 @@ func TestRollUpReuse(t *testing.T) {
 }
 
 func TestJoinHTReuseAcrossQueries(t *testing.T) {
-	env := newEnv(t, DefaultOptions())
+	env := newEnv(t, Options{})
 	// Seed a lineitem-side build HT, then issue a query whose lineitem
 	// range is a subset (subsuming reuse) — the cached table must be
 	// reused and results must stay correct.
@@ -336,7 +340,7 @@ func TestJoinHTReuseAcrossQueries(t *testing.T) {
 	if !found {
 		t.Errorf("expected a reused build HT: %v", res.Decisions)
 	}
-	never := New(env.cat, htcache.New(0), nil, Options{Strategy: NeverReuse})
+	never := New(env.cat, htcache.New(0), nil, bareNeverReuse)
 	want, err := never.Run(q2)
 	if err != nil {
 		t.Fatal(err)
@@ -365,9 +369,7 @@ func TestJoinHTReuseAcrossQueries(t *testing.T) {
 // the answers agree.
 func TestMaterializedRebuildsJoinInput(t *testing.T) {
 	run := func(strategy Strategy) (*Result, int) {
-		opts := DefaultOptions()
-		opts.Strategy, opts.EnablePartial, opts.EnableOverlapping = strategy, false, false
-		env := newEnv(t, opts)
+		env := newEnv(t, Options{Strategy: strategy, NoPartialReuse: true, NoOverlappingReuse: true})
 		if _, err := env.opt.Run(spjQuery("1995-02-01", "1995-04-01")); err != nil {
 			t.Fatal(err)
 		}
@@ -390,7 +392,7 @@ func TestMaterializedRebuildsJoinInput(t *testing.T) {
 }
 
 func TestAvgRewriteProducesCorrectValues(t *testing.T) {
-	env := newEnv(t, DefaultOptions())
+	env := newEnv(t, Options{})
 	q := q3("1995-01-01", "")
 	q.Aggs = []expr.AggSpec{
 		{Func: expr.AggAvg, Arg: &expr.Col{Ref: ref("l", "l_extendedprice")}, Alias: "avg_price"},
@@ -400,7 +402,7 @@ func TestAvgRewriteProducesCorrectValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	never := New(env.cat, htcache.New(0), nil, Options{Strategy: NeverReuse})
+	never := New(env.cat, htcache.New(0), nil, bareNeverReuse)
 	want, err := never.Run(q)
 	if err != nil {
 		t.Fatal(err)
@@ -413,9 +415,7 @@ func TestAvgRewriteProducesCorrectValues(t *testing.T) {
 
 func TestStrategies(t *testing.T) {
 	for _, strat := range []Strategy{CostModel, NeverReuse, AlwaysReuse} {
-		opts := DefaultOptions()
-		opts.Strategy = strat
-		env := newEnv(t, opts)
+		env := newEnv(t, Options{Strategy: strat})
 		queries := []*plan.Query{
 			q3("1995-02-01", ""),
 			q3("1995-01-01", ""),
@@ -441,7 +441,7 @@ func TestStrategyString(t *testing.T) {
 }
 
 func TestFiveWayJoinPlans(t *testing.T) {
-	env := newEnv(t, DefaultOptions())
+	env := newEnv(t, Options{})
 	q := &plan.Query{
 		Relations: []plan.Rel{
 			{Alias: "c", Table: "customer"},
@@ -467,7 +467,7 @@ func TestFiveWayJoinPlans(t *testing.T) {
 }
 
 func TestEnumerateSubPlans(t *testing.T) {
-	env := newEnv(t, DefaultOptions())
+	env := newEnv(t, Options{})
 	// Warm the cache so reuse options appear among the alternatives.
 	if _, err := env.opt.Run(q3("1995-01-01", "")); err != nil {
 		t.Fatal(err)
@@ -511,8 +511,8 @@ func TestGCDuringWorkloadKeepsResultsCorrect(t *testing.T) {
 	for _, tbl := range db.Tables() {
 		cat.Register(tbl)
 	}
-	opt := New(cat, htcache.New(64<<10), nil, DefaultOptions())
-	never := New(cat, htcache.New(0), nil, Options{Strategy: NeverReuse})
+	opt := New(cat, htcache.New(64<<10), nil, Options{})
+	never := New(cat, htcache.New(0), nil, bareNeverReuse)
 	dates := []string{"1995-01-01", "1994-06-01", "1995-06-01", "1994-01-01", "1996-01-01"}
 	for i, d := range dates {
 		got, err := opt.Run(q3(d, ""))
@@ -538,10 +538,10 @@ func TestGCDuringWorkloadKeepsResultsCorrect(t *testing.T) {
 // lose the CAS, its late pins must leave the cold tier's byte
 // accounting alone, and the demoted entries must revive afterwards.
 func TestWideningQueryAcrossDemotion(t *testing.T) {
-	env := newEnv(t, DefaultOptions())
+	env := newEnv(t, Options{})
 	cache := env.opt.Cache
 	cache.SetColdBudget(1 << 30)
-	never := New(env.cat, htcache.New(0), nil, Options{Strategy: NeverReuse})
+	never := New(env.cat, htcache.New(0), nil, bareNeverReuse)
 	if _, err := env.opt.Run(q3("1995-02-01", "")); err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // (no request box, no needed columns) must reproduce every query's reuse
 // decisions.
 func TestDecisionsIndependentOfProbeBox(t *testing.T) {
-	env := newEnv(t, DefaultOptions())
+	env := newEnv(t, Options{})
 	var explore []workload.Step
 	for _, level := range []workload.Level{workload.High, workload.Low} {
 		explore = append(explore, workload.Generate(workload.Config{Level: level, N: 40, Seed: 11})...)
@@ -33,7 +33,7 @@ func TestDecisionsIndependentOfProbeBox(t *testing.T) {
 	}
 	// replay returns each query's decisions and how many reused a table.
 	replay := func(steps []workload.Step) ([]string, int) {
-		opt := New(env.cat, htcache.New(0), nil, DefaultOptions())
+		opt := New(env.cat, htcache.New(0), nil, Options{})
 		out, reused := make([]string, len(steps)), 0
 		for i, st := range steps {
 			res, err := opt.Run(st.Query)

@@ -12,7 +12,7 @@ import (
 // String group-by keys exercise the intern-encode path in AggHT and the
 // string-decode path in the readout; reuse must survive both.
 func TestStringGroupByWithReuse(t *testing.T) {
-	env := newEnv(t, DefaultOptions())
+	env := newEnv(t, Options{})
 	q := func(lo string) *plan.Query {
 		return &plan.Query{
 			Relations: []plan.Rel{
@@ -65,7 +65,7 @@ func TestStringGroupByWithReuse(t *testing.T) {
 // A string filter on the build side forces post-filter columns through
 // the heap during subsuming reuse.
 func TestStringFilterSubsumingReuse(t *testing.T) {
-	env := newEnv(t, DefaultOptions())
+	env := newEnv(t, Options{})
 	q := func(segs ...string) *plan.Query {
 		return &plan.Query{
 			Relations: []plan.Rel{

@@ -25,7 +25,7 @@ func newEngine(n int) *Engine {
 	for s := range shards {
 		cat, cache := catalog.New(), htcache.New(0)
 		shards[s] = &Shard{ID: s, Cat: cat, Cache: cache,
-			Opt: optimizer.New(cat, cache, nil, optimizer.DefaultOptions())}
+			Opt: optimizer.New(cat, cache, nil, optimizer.Options{})}
 	}
 	return New(shards, nil, exec.Parallelism{})
 }

@@ -51,7 +51,7 @@ func assertBatchMatchesSingles(t *testing.T, cat *catalog.Catalog, e *shard.Engi
 	if err != nil {
 		t.Fatal(err)
 	}
-	never := optimizer.New(cat, htcache.New(0), nil, optimizer.Options{Strategy: optimizer.NeverReuse})
+	never := optimizer.New(cat, htcache.New(0), nil, optimizer.Options{Strategy: optimizer.NeverReuse, NoBenefitOptimizations: true, NoPartialReuse: true, NoOverlappingReuse: true})
 	for i, q := range queries {
 		want, err := never.Run(q)
 		if err != nil {

@@ -29,7 +29,7 @@ func NewBatchEnv(t *testing.T) (*catalog.Catalog, *optimizer.Optimizer) {
 	for _, tbl := range db.Tables() {
 		cat.Register(tbl)
 	}
-	return cat, optimizer.New(cat, htcache.New(0), nil, optimizer.DefaultOptions())
+	return cat, optimizer.New(cat, htcache.New(0), nil, optimizer.Options{})
 }
 
 func ref(a, c string) storage.ColRef { return storage.ColRef{Table: a, Column: c} }

@@ -30,9 +30,7 @@ func TestStepSQLRoundTrip(t *testing.T) {
 	for _, tbl := range db.Tables() {
 		cat.Register(tbl)
 	}
-	opts := optimizer.DefaultOptions()
-	opts.Strategy = optimizer.NeverReuse
-	opt := optimizer.New(cat, htcache.New(0), nil, opts)
+	opt := optimizer.New(cat, htcache.New(0), nil, optimizer.Options{Strategy: optimizer.NeverReuse})
 
 	var explore []workload.Step
 	for _, level := range []workload.Level{workload.Low, workload.High} {

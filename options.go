@@ -11,7 +11,6 @@ type config struct {
 	tuning      Tuning
 	ablations   Ablations
 	strategy    Strategy
-	engine      Engine
 	calibration *costmodel.Calibration
 	// partKeys are the declared (table, column) partition keys in
 	// declaration order; a later declaration for the same table wins.
@@ -28,11 +27,11 @@ func merge[T comparable](dst *T, src T) {
 	}
 }
 
-// WithStrategy selects the reuse decision strategy.
+// WithStrategy selects the reuse strategy (CostModel by default).
 func WithStrategy(s Strategy) Option { return func(c *config) { c.strategy = s } }
 
-// WithEngine selects the execution engine.
-func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
+// Deprecated: use WithStrategy.
+func WithEngine(e Engine) Option { return WithStrategy(e) }
 
 // WithCalibration installs a host-specific cost calibration (see the
 // hscalibrate tool); the default is a generic x86 profile.
@@ -77,8 +76,7 @@ type Tuning struct {
 	// workers; the legs of a scatter-gather query share one pool of
 	// Parallelism workers. <= 1 is one shard holding every table whole.
 	// Tables with a WithPartitionKey declaration split by key hash, the
-	// rest replicate. Applies to EngineHashStash; the baseline engines
-	// always run one shard.
+	// rest replicate. Applies to every Strategy.
 	Shards int
 	// SoftMemoryLimit is the memory governor's soft watermark (bytes):
 	// above it the engine sheds cache and vetoes new index builds.

@@ -146,13 +146,13 @@ func TestConcurrentExecUnderGCPressure(t *testing.T) {
 }
 
 // TestConcurrentMaterializedBaseline runs the materialized baseline
-// engine from many goroutines (run with -race): queries pin the
+// from many goroutines (run with -race): queries pin the
 // published snapshots they reuse and rebuild private hash tables from
 // them, so baseline traffic executes concurrently and result sets stay
 // golden.
 func TestConcurrentMaterializedBaseline(t *testing.T) {
 	queries := parallelQueries()
-	golden := openTPCH(t, WithEngine(EngineMaterialized))
+	golden := openTPCH(t, WithStrategy(Materialized))
 	goldens := make([][]string, len(queries))
 	for i, q := range queries {
 		res, err := golden.Exec(q)
@@ -162,7 +162,7 @@ func TestConcurrentMaterializedBaseline(t *testing.T) {
 		goldens[i] = canonical(res)
 	}
 
-	db := openTPCH(t, WithEngine(EngineMaterialized))
+	db := openTPCH(t, WithStrategy(Materialized))
 	var wg sync.WaitGroup
 	errCh := make(chan error, 8)
 	for w := 0; w < 8; w++ {

@@ -67,8 +67,8 @@ func TestScheduledBatchMatchesSerial(t *testing.T) {
 // that the probe must wait for.
 func TestScheduledMatreuseMatchesSerial(t *testing.T) {
 	queries := append(parallelQueries(), spjWindow("1995-01-01", "1995-06-01"), spjWindow("1995-02-01", "1995-03-01"))
-	serial := openTPCH(t, WithEngine(EngineMaterialized), WithTuning(Tuning{Parallelism: 1}))
-	scheduled := openTPCH(t, WithEngine(EngineMaterialized), WithTuning(Tuning{Parallelism: 4, MorselRows: 512}))
+	serial := openTPCH(t, WithStrategy(Materialized), WithTuning(Tuning{Parallelism: 1}))
+	scheduled := openTPCH(t, WithStrategy(Materialized), WithTuning(Tuning{Parallelism: 4, MorselRows: 512}))
 	rebuilds := 0
 	for round := 0; round < 2; round++ {
 		for i, q := range queries {

@@ -139,7 +139,7 @@ func assertSameRows(t *testing.T, label string, got, want *Result) {
 // shard (degenerate layout) and four. Each query runs twice so the
 // second run exercises per-shard reuse of the cached artifacts.
 func TestShardedGoldenEquivalence(t *testing.T) {
-	ref := openTPCH(t, WithEngine(EngineNoReuse))
+	ref := openTPCH(t, WithStrategy(NeverReuse))
 	for _, shards := range testShardCounts(t) {
 		db := openShardedTPCH(t, shards)
 		if got := db.Shards(); got != shards {
@@ -190,7 +190,7 @@ func TestShardedGoldenEquivalence(t *testing.T) {
 func TestShardedRouting(t *testing.T) {
 	const shards = 4
 	db := openShardedTPCH(t, shards)
-	ref := openTPCH(t, WithEngine(EngineNoReuse))
+	ref := openTPCH(t, WithStrategy(NeverReuse))
 	pinned := []string{
 		`SELECT c.c_age, SUM(o.o_totalprice) AS spend FROM customer c, orders o
 			WHERE c.c_custkey = o.o_custkey AND c.c_custkey = %d GROUP BY c.c_age`,
@@ -254,10 +254,81 @@ func TestShardedRouting(t *testing.T) {
 	}
 }
 
+// TestShardedBaselines: the two baselines are strategies like any
+// other, so they honour Tuning.Shards. At every sharded count each one
+// answers q3, a co-partitioned window, the window widened (partial
+// reuse under the cost model), its rerun and a customer-key lookup as
+// one unsharded NeverReuse database does, and the lookup runs on
+// exactly one shard. The materialized baseline never widens a cached
+// table, reuses one on the rerun, and leaves every shard's cache
+// consistent.
+func TestShardedBaselines(t *testing.T) {
+	const window = `SELECT c.c_age, SUM(o.o_totalprice) AS spend FROM customer c, orders o
+		WHERE c.c_custkey = o.o_custkey AND o.o_orderdate >= DATE '%s' GROUP BY c.c_age`
+	const lookup = `SELECT c.c_age, SUM(o.o_totalprice) AS spend FROM customer c, orders o
+		WHERE c.c_custkey = o.o_custkey AND c.c_custkey = 42 GROUP BY c.c_age`
+	wide := fmt.Sprintf(window, "1995-01-01")
+	sqls := []string{q3SQL, fmt.Sprintf(window, "1995-06-01"), wide, wide, lookup}
+	const rerun = 3
+	ref := openTPCH(t, WithStrategy(NeverReuse))
+	want := make([]*Result, len(sqls))
+	for i, sql := range sqls {
+		res, err := ref.Exec(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
+	}
+	for _, n := range testShardCounts(t) {
+		if n == 1 {
+			continue
+		}
+		for _, s := range []Strategy{NeverReuse, Materialized} {
+			t.Run(fmt.Sprintf("%v/shards=%d", s, n), func(t *testing.T) {
+				db := openShardedTPCH(t, n, WithStrategy(s))
+				if got := db.Shards(); got != n {
+					t.Fatalf("Shards() = %d, want %d", got, n)
+				}
+				for i, sql := range sqls {
+					hits, counts := db.CacheStats().Hits, db.ShardQueryCounts()
+					got, err := db.Exec(sql)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSameRows(t, fmt.Sprintf("query %d", i), got, want[i])
+					if sql == lookup {
+						advanced := 0
+						for sh, c := range db.ShardQueryCounts() {
+							advanced += int(c - counts[sh])
+						}
+						if advanced != 1 {
+							t.Errorf("the lookup ran %d legs, want 1", advanced)
+						}
+					}
+					if s != Materialized {
+						continue
+					}
+					for _, d := range got.Decisions {
+						if m := d.Mode.String(); m == "partial" || m == "overlapping" {
+							t.Errorf("query %d: the baseline took a %s decision on %s", i, m, d.Operator)
+						}
+					}
+					if i == rerun && db.CacheStats().Hits == hits {
+						t.Error("the rerun did not hit the cache")
+					}
+					if err := checkAtRest(db); err != nil {
+						t.Fatalf("query %d: %v", i, err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestShardedBatch: a batch on a sharded database takes the router's
 // route. Customer ⋈ orders lookups pinned to one shard merge into one
 // shared plan there, scattering members stay groups of one, and every
-// answer equals EngineNoReuse solo. A routed member advances its shard's
+// answer equals NeverReuse solo. A routed member advances its shard's
 // query counter once and a scatter advances every shard's once. The
 // batch runs twice, so the second run meets the first one's tables.
 func TestShardedBatch(t *testing.T) {
@@ -271,7 +342,7 @@ func TestShardedBatch(t *testing.T) {
 		WHERE c.c_custkey = o.o_custkey AND c.c_custkey = %d AND o.o_orderdate >= DATE '1995-01-01'`
 	const window = `SELECT c.c_name, o.o_totalprice FROM customer c, orders o
 		WHERE c.c_custkey = o.o_custkey AND o.o_orderdate >= DATE '%d-01-01'`
-	ref := openTPCH(t, WithEngine(EngineNoReuse))
+	ref := openTPCH(t, WithStrategy(NeverReuse))
 	for _, n := range counts {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			db := openShardedTPCH(t, n)
@@ -468,7 +539,7 @@ func TestShardedPostHocPartition(t *testing.T) {
 	if err := db.LoadTPCH(0.002); err != nil {
 		t.Fatal(err)
 	}
-	ref := openTPCH(t, WithEngine(EngineNoReuse))
+	ref := openTPCH(t, WithStrategy(NeverReuse))
 	sql := `SELECT c.c_age, COUNT(*) AS n FROM customer c WHERE c.c_custkey = 11 GROUP BY c.c_age`
 
 	// Replicated-only queries run on shard 0.

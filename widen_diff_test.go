@@ -280,8 +280,8 @@ func runStep(db *DB, st diffStep) ([]*Result, bool, error) {
 	return br.Results, len(br.Groups) < len(queries), nil
 }
 
-// TestWidenDifferential is the harness entry point: three seeds, ten
-// configurations each.
+// TestWidenDifferential is the harness entry point: three seeds, each
+// run under every strategy × Parallelism {1, 4} × shards {1, 2}.
 func TestWidenDifferential(t *testing.T) {
 	type tally struct{ partialBuild, overlapBuild, partialAgg, overlapAgg, published, retagHits int64 }
 	var total tally
@@ -299,27 +299,23 @@ func TestWidenDifferential(t *testing.T) {
 			}
 		}
 		type config struct {
-			name string
-			opts []Option
+			strategy    Strategy
+			par, shards int
 		}
 		var configs []config
-		for _, strategy := range []Strategy{AlwaysReuse, NeverReuse} {
+		for _, strategy := range []Strategy{CostModel, AlwaysReuse, NeverReuse, Materialized} {
 			for _, par := range []int{1, 4} {
 				for _, shards := range []int{1, 2} {
-					configs = append(configs, config{fmt.Sprintf("%v/par=%d/shards=%d", strategy, par, shards), []Option{
-						WithStrategy(strategy), WithTuning(Tuning{Parallelism: par, MorselRows: 256, Shards: shards})}})
+					configs = append(configs, config{strategy, par, shards})
 				}
 			}
 		}
-		for _, par := range []int{1, 4} {
-			configs = append(configs, config{fmt.Sprintf("materialized/par=%d", par), []Option{
-				WithEngine(EngineMaterialized), WithTuning(Tuning{Parallelism: par, MorselRows: 256})}})
-		}
 		for _, cfg := range configs {
-			name := fmt.Sprintf("seed=%d/%s", seed, cfg.name)
-			materialized := strings.HasPrefix(cfg.name, "materialized")
+			name := fmt.Sprintf("seed=%d/%v/par=%d/shards=%d", seed, cfg.strategy, cfg.par, cfg.shards)
+			materialized := cfg.strategy == Materialized
 			reused := 0
-			db := openDiffDB(t, seed, cfg.opts...)
+			db := openDiffDB(t, seed, WithStrategy(cfg.strategy),
+				WithTuning(Tuning{Parallelism: cfg.par, MorselRows: 256, Shards: cfg.shards}))
 			for i, st := range steps {
 				before := db.CacheStats()
 				results, shared, err := runStep(db, st)
@@ -363,7 +359,7 @@ func TestWidenDifferential(t *testing.T) {
 					total.retagHits += db.CacheStats().Hits - before.Hits
 				}
 			}
-			if strings.HasPrefix(cfg.name, "always-reuse") {
+			if cfg.strategy == AlwaysReuse {
 				total.published += db.CacheStats().WidenPublished
 			}
 			if materialized && reused == 0 {
