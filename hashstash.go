@@ -262,10 +262,11 @@ func (db *DB) CreateTable(name string, cols map[string]Kind, order []string) err
 	return db.router.LoadTable(t)
 }
 
-// InsertRows appends rows (values in column order) and refreshes
-// statistics. Rows of a partitioned table route to their hash shards;
-// only the shards that received rows drop their cached artifacts —
-// hash tables and secondary indexes alike — over the table.
+// InsertRows appends rows (values in column order). Rows of a
+// partitioned table route to their hash shards; only the shards that
+// received rows drop their cached artifacts — hash tables and
+// secondary indexes alike — over the table. Statistics need no
+// refresh: a column recounts on its next read once its length moves.
 func (db *DB) InsertRows(table string, rows [][]Value) error {
 	return db.router.InsertRows(table, rows)
 }

@@ -1,7 +1,11 @@
-// Package catalog maintains the schema registry and the table/column
-// statistics that drive both classic cost estimation (cardinalities,
-// selectivities) and the reuse-aware parts of the HashStash cost model
-// (contribution and overhead ratios of candidate hash tables).
+// Package catalog is the schema registry plus the System-R estimation
+// formulas (selectivity, row and distinct-value estimates) that drive
+// both classic cost estimation and the reuse-aware parts of the
+// HashStash cost model (contribution and overhead ratios of candidate
+// hash tables). It keeps no statistics of its own: a TableStats reads
+// the table's current row count and the min/max/NDV each column
+// computes and caches itself (storage.Column.Stats), so registering a
+// table counts nothing and an append needs no re-registration.
 package catalog
 
 import (
@@ -15,49 +19,43 @@ import (
 	"hashstash/internal/types"
 )
 
-// ColumnStats summarizes one column for the optimizer.
-type ColumnStats struct {
-	Kind types.Kind
-	Min  types.Value
-	Max  types.Value
-	NDV  int64 // number of distinct values
-}
-
-// TableStats summarizes one table.
+// TableStats is the optimizer's view of one registered table: its row
+// count when Catalog.Stats was called, and its columns' statistics,
+// read through Col.
 type TableStats struct {
-	Rows int64
-	Cols map[string]*ColumnStats
+	Rows  int64
+	table *storage.Table
 }
 
-// Catalog is the schema registry: base tables plus their statistics
-// and, in a sharded engine, the partition-key declaration per table.
-// Methods are safe for concurrent use: steady-state schema never
-// changes while queries run, but the sharded exchange operator
-// registers (and later unregisters) query-lifetime temporary tables
-// concurrently with planning, so the registry takes a read-write lock.
+// Col returns the named column's statistics, or false if the table has
+// no such column.
+func (ts TableStats) Col(name string) (storage.ColumnStats, bool) {
+	c := ts.table.Column(name)
+	if c == nil {
+		return storage.ColumnStats{}, false
+	}
+	return c.Stats(), true
+}
+
+// Catalog is the registry of base tables. Methods are safe for
+// concurrent use: steady-state schema never changes while queries run,
+// but the sharded exchange operator registers (and later unregisters)
+// query-lifetime temporary tables concurrently with planning, so the
+// registry takes a read-write lock.
 type Catalog struct {
-	mu       sync.RWMutex
-	tables   map[string]*storage.Table
-	stats    map[string]*TableStats
-	partKeys map[string]string
+	mu     sync.RWMutex
+	tables map[string]*storage.Table
 }
 
 // New returns an empty catalog.
 func New() *Catalog {
-	return &Catalog{
-		tables:   make(map[string]*storage.Table),
-		stats:    make(map[string]*TableStats),
-		partKeys: make(map[string]string),
-	}
+	return &Catalog{tables: make(map[string]*storage.Table)}
 }
 
-// Register adds a table and computes its statistics. Re-registering a
-// table recomputes statistics (e.g. after loading data).
+// Register adds (or replaces) a table.
 func (c *Catalog) Register(t *storage.Table) {
-	stats := ComputeStats(t)
 	c.mu.Lock()
 	c.tables[t.Name] = t
-	c.stats[t.Name] = stats
 	c.mu.Unlock()
 }
 
@@ -65,28 +63,7 @@ func (c *Catalog) Register(t *storage.Table) {
 func (c *Catalog) Unregister(name string) {
 	c.mu.Lock()
 	delete(c.tables, name)
-	delete(c.stats, name)
-	delete(c.partKeys, name)
 	c.mu.Unlock()
-}
-
-// DeclarePartitionKey records that the named table is hash-partitioned
-// by the given column in this catalog's shard layout. Declaration is
-// metadata only; the sharding layer performs the physical split.
-func (c *Catalog) DeclarePartitionKey(table, column string) {
-	c.mu.Lock()
-	c.partKeys[table] = column
-	c.mu.Unlock()
-}
-
-// PartitionKey returns the declared partition-key column of a table and
-// whether the table is partitioned at all (undeclared tables are
-// replicated across shards).
-func (c *Catalog) PartitionKey(table string) (string, bool) {
-	c.mu.RLock()
-	col, ok := c.partKeys[table]
-	c.mu.RUnlock()
-	return col, ok
 }
 
 // Table returns the named base table, or nil.
@@ -97,12 +74,14 @@ func (c *Catalog) Table(name string) *storage.Table {
 	return t
 }
 
-// Stats returns statistics for the named table, or nil.
-func (c *Catalog) Stats(name string) *TableStats {
-	c.mu.RLock()
-	s := c.stats[name]
-	c.mu.RUnlock()
-	return s
+// Stats returns the statistics of the named table, or false if no such
+// table is registered.
+func (c *Catalog) Stats(name string) (TableStats, bool) {
+	t := c.Table(name)
+	if t == nil {
+		return TableStats{}, false
+	}
+	return TableStats{Rows: int64(t.NumRows()), table: t}, true
 }
 
 // TableNames lists registered tables in sorted order.
@@ -130,80 +109,18 @@ func (c *Catalog) Resolve(table, column string) (types.Kind, error) {
 	return col.Kind, nil
 }
 
-// ComputeStats scans a table once and derives per-column statistics.
-// NDV is exact (hash-set based); for the table sizes HashStash targets
-// this one-time cost is negligible next to index construction.
-func ComputeStats(t *storage.Table) *TableStats {
-	ts := &TableStats{Rows: int64(t.NumRows()), Cols: make(map[string]*ColumnStats, len(t.Cols))}
-	for _, col := range t.Cols {
-		cs := &ColumnStats{Kind: col.Kind}
-		n := col.Len()
-		if n > 0 {
-			switch col.Kind {
-			case types.Int64, types.Date:
-				distinct := make(map[int64]struct{}, 1024)
-				minV, maxV := col.Ints[0], col.Ints[0]
-				for _, v := range col.Ints {
-					if v < minV {
-						minV = v
-					}
-					if v > maxV {
-						maxV = v
-					}
-					distinct[v] = struct{}{}
-				}
-				cs.Min = types.FromBits(col.Kind, uint64(minV))
-				cs.Max = types.FromBits(col.Kind, uint64(maxV))
-				cs.NDV = int64(len(distinct))
-			case types.Float64:
-				distinct := make(map[float64]struct{}, 1024)
-				minV, maxV := col.Floats[0], col.Floats[0]
-				for _, v := range col.Floats {
-					if v < minV {
-						minV = v
-					}
-					if v > maxV {
-						maxV = v
-					}
-					distinct[v] = struct{}{}
-				}
-				cs.Min = types.NewFloat(minV)
-				cs.Max = types.NewFloat(maxV)
-				cs.NDV = int64(len(distinct))
-			case types.String:
-				distinct := make(map[string]struct{}, 1024)
-				minV, maxV := col.Strs[0], col.Strs[0]
-				for _, v := range col.Strs {
-					if v < minV {
-						minV = v
-					}
-					if v > maxV {
-						maxV = v
-					}
-					distinct[v] = struct{}{}
-				}
-				cs.Min = types.NewString(minV)
-				cs.Max = types.NewString(maxV)
-				cs.NDV = int64(len(distinct))
-			}
-		}
-		ts.Cols[col.Name] = cs
-	}
-	return ts
-}
-
 // Selectivity estimates the fraction of the table's rows satisfying the
 // box, assuming independent columns and uniform value distributions (the
 // classic System-R model). Predicates on columns the table lacks are
 // ignored (they belong to other relations of the enumerated sub-plan).
-func (ts *TableStats) Selectivity(box expr.Box) float64 {
+func (ts TableStats) Selectivity(box expr.Box) float64 {
 	sel := 1.0
 	for _, p := range box {
-		cs, ok := ts.Cols[p.Col.Column]
+		cs, ok := ts.Col(p.Col.Column)
 		if !ok {
 			continue
 		}
-		sel *= constraintSelectivity(cs, p.Con)
+		sel *= constraintSelectivity(&cs, p.Con)
 	}
 	if sel < 0 {
 		sel = 0
@@ -214,7 +131,7 @@ func (ts *TableStats) Selectivity(box expr.Box) float64 {
 	return sel
 }
 
-func constraintSelectivity(cs *ColumnStats, con expr.Constraint) float64 {
+func constraintSelectivity(cs *storage.ColumnStats, con expr.Constraint) float64 {
 	if con.Empty() {
 		return 0
 	}
@@ -259,7 +176,7 @@ func constraintSelectivity(cs *ColumnStats, con expr.Constraint) float64 {
 }
 
 // EstimateRows estimates the number of rows of table satisfying box.
-func (ts *TableStats) EstimateRows(box expr.Box) float64 {
+func (ts TableStats) EstimateRows(box expr.Box) float64 {
 	return float64(ts.Rows) * ts.Selectivity(box)
 }
 
@@ -267,8 +184,8 @@ func (ts *TableStats) EstimateRows(box expr.Box) float64 {
 // col among rows satisfying box, with the standard capped-linear
 // heuristic: distinct values cannot exceed either the column NDV or the
 // filtered row count.
-func (ts *TableStats) DistinctAfterFilter(col string, box expr.Box) float64 {
-	cs, ok := ts.Cols[col]
+func (ts TableStats) DistinctAfterFilter(col string, box expr.Box) float64 {
+	cs, ok := ts.Col(col)
 	if !ok {
 		return 1
 	}
@@ -278,7 +195,7 @@ func (ts *TableStats) DistinctAfterFilter(col string, box expr.Box) float64 {
 	// constraint's own selectivity (uniformity assumption).
 	for _, p := range box {
 		if p.Col.Column == col {
-			ndv *= constraintSelectivity(cs, p.Con)
+			ndv *= constraintSelectivity(&cs, p.Con)
 		}
 	}
 	if ndv > rows {

@@ -32,7 +32,10 @@ func TestRegisterAndLookups(t *testing.T) {
 	if c.Table("t") != tbl || c.Table("zz") != nil {
 		t.Error("Table lookup broken")
 	}
-	if c.Stats("t") == nil || c.Stats("zz") != nil {
+	if _, ok := c.Stats("t"); !ok {
+		t.Error("Stats lookup broken")
+	}
+	if _, ok := c.Stats("zz"); ok {
 		t.Error("Stats lookup broken")
 	}
 	if names := c.TableNames(); len(names) != 1 || names[0] != "t" {
@@ -49,28 +52,42 @@ func TestRegisterAndLookups(t *testing.T) {
 	}
 }
 
+// statsOf registers tbl in a fresh catalog and returns its statistics.
+func statsOf(tbl *storage.Table) TableStats {
+	c := New()
+	c.Register(tbl)
+	ts, _ := c.Stats(tbl.Name)
+	return ts
+}
+
+// colStats returns a column's statistics through the table view.
+func colStats(ts TableStats, name string) storage.ColumnStats {
+	cs, _ := ts.Col(name)
+	return cs
+}
+
 func TestComputeStats(t *testing.T) {
-	ts := ComputeStats(makeTable())
+	ts := statsOf(makeTable())
 	if ts.Rows != 100 {
 		t.Errorf("Rows = %d", ts.Rows)
 	}
-	ageStats := ts.Cols["age"]
+	ageStats := colStats(ts, "age")
 	if ageStats.NDV != 50 || ageStats.Min.I != 0 || ageStats.Max.I != 49 {
 		t.Errorf("age stats = %+v", ageStats)
 	}
-	segStats := ts.Cols["seg"]
+	segStats := colStats(ts, "seg")
 	if segStats.NDV != 2 || segStats.Min.S != "A" || segStats.Max.S != "B" {
 		t.Errorf("seg stats = %+v", segStats)
 	}
-	balStats := ts.Cols["bal"]
+	balStats := colStats(ts, "bal")
 	if balStats.NDV != 100 || balStats.Min.F != 0 || balStats.Max.F != 99 {
 		t.Errorf("bal stats = %+v", balStats)
 	}
 }
 
 func TestComputeStatsEmptyTable(t *testing.T) {
-	ts := ComputeStats(storage.NewTable("e", storage.NewColumn("x", types.Int64)))
-	if ts.Rows != 0 || ts.Cols["x"].NDV != 0 {
+	ts := statsOf(storage.NewTable("e", storage.NewColumn("x", types.Int64)))
+	if ts.Rows != 0 || colStats(ts, "x").NDV != 0 {
 		t.Errorf("empty stats = %+v", ts)
 	}
 	// Selectivity over empty stats must not divide by zero.
@@ -91,7 +108,7 @@ func ivc(lo, hi int64) expr.Constraint {
 }
 
 func TestSelectivity(t *testing.T) {
-	ts := ComputeStats(makeTable())
+	ts := statsOf(makeTable())
 	col := func(name string) storage.ColRef { return storage.ColRef{Table: "t", Column: name} }
 
 	// age range [0,49]; constraint [0, 24] covers ~half.
@@ -147,7 +164,7 @@ func TestSelectivity(t *testing.T) {
 }
 
 func TestEstimateRowsAndDistinct(t *testing.T) {
-	ts := ComputeStats(makeTable())
+	ts := statsOf(makeTable())
 	col := func(name string) storage.ColRef { return storage.ColRef{Table: "t", Column: name} }
 
 	box := expr.NewBox(expr.Pred{Col: col("age"), Con: ivc(0, 24)})
@@ -183,7 +200,7 @@ func TestEstimateRowsAndDistinct(t *testing.T) {
 func TestSingleValuedColumnSelectivity(t *testing.T) {
 	c := storage.NewColumn("k", types.Int64)
 	c.Ints = []int64{5, 5, 5}
-	ts := ComputeStats(storage.NewTable("s", c))
+	ts := statsOf(storage.NewTable("s", c))
 	in := expr.NewBox(expr.Pred{Col: storage.ColRef{Table: "s", Column: "k"}, Con: ivc(0, 10)})
 	out := expr.NewBox(expr.Pred{Col: storage.ColRef{Table: "s", Column: "k"}, Con: ivc(6, 10)})
 	if s := ts.Selectivity(in); s != 1 {

@@ -174,17 +174,6 @@ func (m *Model) IndexRangeCost(totalRows, matchRows float64, width int) float64 
 	return 2*height*m.Cal.IndexDescent() + matchRows*perRow
 }
 
-// SpillCost estimates demoting a cached artifact to the cold tier: one
-// streaming write of its compact spill bytes (contiguous cell arrays,
-// no pointer graph — cheaper per byte than a materialized table, which
-// also pays tuple framing).
-func (m *Model) SpillCost(bytes float64) float64 {
-	if bytes < 0 {
-		bytes = 0
-	}
-	return bytes * 0.25
-}
-
 // ReviveCost estimates rebuilding a hash table from its cold-tier
 // spill: one insert per row into a table sized for the spill up front,
 // so nothing relinks. Rows stream from

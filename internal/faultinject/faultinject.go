@@ -124,9 +124,6 @@ var (
 	points atomic.Pointer[map[string]*pointState]
 )
 
-// Armed reports whether any fault point is live.
-func Armed() bool { return armed.Load() }
-
 // Inject is the fault point: nil while disarmed (the universal fast
 // path), and when the named point's trigger fires it either returns
 // the point's injected error or panics with it, per the armed mode.

@@ -38,8 +38,8 @@ type indexCandidate struct {
 // row width in bytes.
 func (o *Optimizer) bestIndexCandidate(q *plan.Query, relIdx int, box expr.Box, width int) *indexCandidate {
 	rel := q.Relations[relIdx]
-	ts := o.Cat.Stats(rel.Table)
-	if ts == nil {
+	ts, ok := o.Cat.Stats(rel.Table)
+	if !ok {
 		return nil
 	}
 	var best *indexCandidate
@@ -212,8 +212,8 @@ func (c *compiler) tryIndexScan(n *Node, rel plan.Rel, boxes []expr.Box) exec.So
 		return nil
 	}
 	tbl := o.Cat.Table(rel.Table)
-	ts := o.Cat.Stats(rel.Table)
-	if tbl == nil || ts == nil {
+	ts, ok := o.Cat.Stats(rel.Table)
+	if tbl == nil || !ok {
 		return nil
 	}
 	width := len(c.needed[rel.Alias]) * 8

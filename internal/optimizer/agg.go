@@ -249,8 +249,8 @@ func (o *Optimizer) groupDistinct(q *plan.Query, inputRows float64) float64 {
 		if rel == nil {
 			continue
 		}
-		ts := o.Cat.Stats(rel.Table)
-		if ts == nil {
+		ts, ok := o.Cat.Stats(rel.Table)
+		if !ok {
 			continue
 		}
 		d *= ts.DistinctAfterFilter(g.Column, q.Filter)

@@ -16,8 +16,8 @@ import (
 // relRows estimates the rows of one relation under a filter box.
 func (o *Optimizer) relRows(q *plan.Query, relIdx int, filter expr.Box) float64 {
 	rel := q.Relations[relIdx]
-	ts := o.Cat.Stats(rel.Table)
-	if ts == nil {
+	ts, ok := o.Cat.Stats(rel.Table)
+	if !ok {
 		return 1
 	}
 	return ts.EstimateRows(filter)
@@ -35,11 +35,11 @@ func (o *Optimizer) keyNDV(q *plan.Query, ref storage.ColRef, filter expr.Box) f
 	if rel == nil {
 		return 1
 	}
-	ts := o.Cat.Stats(rel.Table)
-	if ts == nil {
+	ts, ok := o.Cat.Stats(rel.Table)
+	if !ok {
 		return 1
 	}
-	cs, ok := ts.Cols[ref.Column]
+	cs, ok := ts.Col(ref.Column)
 	if !ok || cs.NDV < 1 {
 		return 1
 	}
@@ -96,7 +96,7 @@ func maskFilter(q *plan.Query, mask int) expr.Box {
 // build).
 func (o *Optimizer) scanCost(q *plan.Query, relIdx int, boxes []expr.Box, emitted int) float64 {
 	rel := q.Relations[relIdx]
-	ts := o.Cat.Stats(rel.Table)
+	ts, _ := o.Cat.Stats(rel.Table)
 	width := emitted * 8
 	var total float64
 	for _, box := range boxes {

@@ -28,6 +28,10 @@ func TestErrorTaxonomy(t *testing.T) {
 	_, parseErr := db.Parse("SELEC broken FROM")
 	unknownTblErr := db.InsertRows("nowhere", nil)
 	_, unknownColErr := db.Parse("SELECT nope FROM customer")
+	// An aggregate over a string column is a client mistake: the
+	// parser rejects it before either of exec's guards can fail it.
+	_, stringSumErr := db.Exec("SELECT SUM(c.c_name) FROM customer c")
+	_, stringMinErr := db.Exec("SELECT MIN(c.c_name) FROM customer c")
 	canceledCtx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, cancelErr := db.ExecContext(canceledCtx, "SELECT c_age FROM customer")
@@ -46,6 +50,8 @@ func TestErrorTaxonomy(t *testing.T) {
 		{"parse", parseErr, nil, http.StatusBadRequest, false},
 		{"unknown-table", unknownTblErr, hashstasherr.ErrUnknownTable, http.StatusBadRequest, false},
 		{"unknown-column", unknownColErr, hashstasherr.ErrUnknownColumn, http.StatusBadRequest, false},
+		{"string-sum", stringSumErr, nil, http.StatusBadRequest, false},
+		{"string-min", stringMinErr, nil, http.StatusBadRequest, false},
 		{"canceled", cancelErr, hashstasherr.ErrCanceled, http.StatusRequestTimeout, false},
 		{"internal", internalErr, hashstasherr.ErrInternal, http.StatusInternalServerError, false},
 		{"injected-fault", injectedErr, hashstasherr.ErrInternal, http.StatusInternalServerError, false},

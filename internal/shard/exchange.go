@@ -65,14 +65,14 @@ func (e *Engine) estRows(q *plan.Query, i int) float64 {
 	rel := q.Relations[i]
 	box := q.FilterFor(rel.Alias)
 	if _, partitioned := e.keys[rel.Table]; !partitioned {
-		if st := e.shards[0].Cat.Stats(rel.Table); st != nil {
+		if st, ok := e.shards[0].Cat.Stats(rel.Table); ok {
 			return st.EstimateRows(box)
 		}
 		return 0
 	}
 	var rows float64
 	for _, sh := range e.shards {
-		if st := sh.Cat.Stats(rel.Table); st != nil {
+		if st, ok := sh.Cat.Stats(rel.Table); ok {
 			rows += st.EstimateRows(box)
 		}
 	}

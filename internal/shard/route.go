@@ -64,7 +64,7 @@ func (e *Engine) route(q *plan.Query) (*plan.Query, int) {
 			return q, -1
 		}
 		target = s
-		if st := e.shards[s].Cat.Stats(rel.Table); st != nil {
+		if st, ok := e.shards[s].Cat.Stats(rel.Table); ok {
 			fragRows += float64(st.Rows)
 		}
 	}

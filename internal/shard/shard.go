@@ -98,9 +98,6 @@ func (e *Engine) table(name string) (*storage.Table, error) {
 // Repartition.
 func (e *Engine) DeclarePartitionKey(table, column string) {
 	e.keys[table] = column
-	for _, s := range e.shards {
-		s.Cat.DeclarePartitionKey(table, column)
-	}
 }
 
 // PartitionKey returns the declared partition key of a table.
@@ -120,7 +117,6 @@ func (e *Engine) LoadTable(t *storage.Table) error {
 		}
 		for s, sh := range e.shards {
 			sh.Cat.Register(frags[s])
-			sh.Cat.DeclarePartitionKey(t.Name, key)
 		}
 		return nil
 	}
@@ -174,9 +170,10 @@ func (e *Engine) GatherTable(table string) (*storage.Table, error) {
 
 // InsertRows appends rows to a table, routing each row to its hash
 // shard for partitioned tables. Only the shards whose fragments
-// actually received rows have their statistics refreshed and their
-// cached artifacts over the table invalidated — an insert that lands
-// on two shards leaves the other shards' hash tables and indexes warm.
+// actually received rows have their cached artifacts over the table
+// invalidated — an insert that lands on two shards leaves the other
+// shards' hash tables and indexes warm. Statistics need no refresh:
+// each column recounts on its next read because its length moved.
 func (e *Engine) InsertRows(table string, rows [][]types.Value) error {
 	t0, err := e.table(table)
 	if err != nil {
@@ -188,7 +185,6 @@ func (e *Engine) InsertRows(table string, rows [][]types.Value) error {
 			t0.AppendRow(row...)
 		}
 		for _, sh := range e.shards {
-			sh.Cat.Register(t0) // recompute statistics
 			sh.Cache.InvalidateTable(table)
 		}
 		return nil
@@ -204,11 +200,9 @@ func (e *Engine) InsertRows(table string, rows [][]types.Value) error {
 		touched[s] = true
 	}
 	for s, sh := range e.shards {
-		if !touched[s] {
-			continue
+		if touched[s] {
+			sh.Cache.InvalidateTable(table)
 		}
-		sh.Cat.Register(sh.Cat.Table(table))
-		sh.Cache.InvalidateTable(table)
 	}
 	return nil
 }

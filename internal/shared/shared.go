@@ -154,8 +154,8 @@ func SharedPlanCost(o *optimizer.Optimizer, queries []*plan.Query, group []int) 
 	rep := queries[group[0]]
 	var cost float64
 	for _, rel := range rep.Relations {
-		ts := o.Cat.Stats(rel.Table)
-		if ts == nil {
+		ts, ok := o.Cat.Stats(rel.Table)
+		if !ok {
 			continue
 		}
 		cost += o.Model.ScanCost(float64(ts.Rows), 64)

@@ -638,6 +638,15 @@ func (p *parser) resolveSelect() error {
 				if err != nil {
 					return err
 				}
+				if col, ok := e.(*expr.Col); ok && spec.Func != expr.AggCount {
+					kind, err := p.resolveKind(col.Ref)
+					if err != nil {
+						return err
+					}
+					if kind == types.String {
+						return p.errf("%s over string column %q is not supported", item.agg, col.Ref.Column)
+					}
+				}
 				spec.Arg = e
 			} else if spec.Func != expr.AggCount {
 				return p.errf("%s(*) is not supported", item.agg)

@@ -1,9 +1,11 @@
 package sqlparser
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"hashstash/hashstasherr"
 	"hashstash/internal/catalog"
 	"hashstash/internal/expr"
 	"hashstash/internal/storage"
@@ -158,6 +160,20 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(sql, cat); err == nil {
 			t.Errorf("accepted: %s", sql)
 		}
+	}
+}
+
+func TestParseRejectsStringAggregates(t *testing.T) {
+	cat := testCat(t)
+	for _, fn := range []string{"SUM", "AVG", "MIN", "MAX"} {
+		_, err := Parse("SELECT "+fn+"(c.c_name) FROM customer c", cat)
+		var pe *hashstasherr.ParseError
+		if !errors.As(err, &pe) {
+			t.Errorf("%s over a string column: err = %v, want a *ParseError", fn, err)
+		}
+	}
+	if _, err := Parse("SELECT COUNT(c.c_name) FROM customer c", cat); err != nil {
+		t.Errorf("COUNT over a string column: %v", err)
 	}
 }
 

@@ -5,14 +5,21 @@
 // Secondary indexes live outside the table: they are btrees over a
 // column's SortedPerm (internal/btree), cached like hash tables.
 //
-// None of these structures synchronize internally: tables are immutable
-// while queries run, batches are owned by one worker at a time, and the
-// execution layer coordinates everything else.
+// A column also owns its statistics (Column.Stats): min, max and exact
+// NDV, computed in one pass on the first read and kept while the row
+// count holds.
+//
+// Apart from that statistics cache, none of these structures
+// synchronize internally: tables are immutable while queries run,
+// batches are owned by one worker at a time, and the execution layer
+// coordinates everything else.
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"hashstash/internal/types"
 )
@@ -25,6 +32,24 @@ type Column struct {
 	Ints   []int64
 	Floats []float64
 	Strs   []string
+
+	// statsMu guards stats, the cached result of Stats; concurrent
+	// first reads share one pass.
+	statsMu sync.Mutex
+	stats   *colStats
+}
+
+// ColumnStats summarizes a column for the optimizer. An empty column
+// has NDV 0 and zero Min and Max.
+type ColumnStats struct {
+	Min, Max types.Value
+	NDV      int64 // exact number of distinct values
+}
+
+// colStats is a ColumnStats with the row count it was computed at.
+type colStats struct {
+	ColumnStats
+	rows int
 }
 
 // NewColumn returns an empty column of the given kind.
@@ -58,6 +83,50 @@ func (c *Column) Append(v types.Value) {
 	case types.String:
 		c.Strs = append(c.Strs, v.S)
 	}
+}
+
+// Stats returns the column's min, max and exact NDV. The first call
+// computes them in one pass; later calls return that result while the
+// row count is the one it was computed at. Columns only grow, so a new
+// length is the only invalidation. Concurrent calls are safe (the
+// package's one internally synchronized method); like every read, a
+// call must not race with an append.
+func (c *Column) Stats() ColumnStats {
+	n := c.Len()
+	c.statsMu.Lock()
+	defer c.statsMu.Unlock()
+	if c.stats == nil || c.stats.rows != n {
+		s := &colStats{rows: n}
+		switch c.Kind {
+		case types.Int64, types.Date:
+			s.ColumnStats = summarize(c.Ints, func(v int64) types.Value { return types.FromBits(c.Kind, uint64(v)) })
+		case types.Float64:
+			s.ColumnStats = summarize(c.Floats, types.NewFloat)
+		case types.String:
+			s.ColumnStats = summarize(c.Strs, types.NewString)
+		}
+		c.stats = s
+	}
+	return c.stats.ColumnStats
+}
+
+// summarize is the one min/max/NDV pass, generic over the column kinds.
+func summarize[T cmp.Ordered](vals []T, value func(T) types.Value) ColumnStats {
+	if len(vals) == 0 {
+		return ColumnStats{}
+	}
+	distinct := make(map[T]struct{}, 1024)
+	lo, hi := vals[0], vals[0]
+	for _, v := range vals {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+		distinct[v] = struct{}{}
+	}
+	return ColumnStats{Min: value(lo), Max: value(hi), NDV: int64(len(distinct))}
 }
 
 // view returns a Vec aliasing the column's data slices; Column and Vec

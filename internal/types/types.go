@@ -32,9 +32,6 @@ const (
 // fixed-width payload row.
 func (k Kind) Width() int { return 8 }
 
-// Numeric reports whether values of this kind support arithmetic.
-func (k Kind) Numeric() bool { return k == Int64 || k == Float64 || k == Date }
-
 // String implements fmt.Stringer.
 func (k Kind) String() string {
 	switch k {

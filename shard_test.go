@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"hashstash/hashstasherr"
+	"hashstash/internal/expr"
 	"hashstash/internal/faultinject"
 	"hashstash/internal/storage"
 	"hashstash/internal/types"
@@ -407,6 +408,49 @@ func TestShardedBatch(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReplicatedInsertMovesEstimates: rows inserted into a replicated
+// table reach the estimates of every shard's catalog — the row count
+// and a column's range — although nothing re-registers the table.
+func TestReplicatedInsertMovesEstimates(t *testing.T) {
+	db := Open(WithTuning(Tuning{Shards: 2}))
+	if err := db.CreateTable("rt", map[string]Kind{"k": types.Int64}, []string{"k"}); err != nil {
+		t.Fatal(err)
+	}
+	insert := func(lo, hi int64) {
+		t.Helper()
+		var rows [][]Value
+		for k := lo; k < hi; k++ {
+			rows = append(rows, []Value{types.NewInt(k)})
+		}
+		if err := db.InsertRows("rt", rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	upper := expr.NewBox(expr.Pred{
+		Col: storage.ColRef{Table: "r", Column: "k"},
+		Con: expr.IntervalConstraint(types.Int64, expr.Interval{HasLo: true, Lo: types.NewInt(150), LoIncl: true}),
+	})
+	estimate := func(s int) (int64, float64) {
+		ts, ok := db.router.Shard(s).Cat.Stats("rt")
+		if !ok {
+			t.Fatalf("shard %d does not know rt", s)
+		}
+		return ts.Rows, ts.EstimateRows(upper)
+	}
+	insert(0, 100)
+	for s := 0; s < 2; s++ {
+		if rows, est := estimate(s); rows != 100 || est != 0 {
+			t.Fatalf("shard %d before: rows %d, k >= 150 estimate %g; want 100, 0", s, rows, est)
+		}
+	}
+	insert(100, 200)
+	for s := 0; s < 2; s++ {
+		if rows, est := estimate(s); rows != 200 || est < 40 || est > 60 {
+			t.Errorf("shard %d after: rows %d, k >= 150 estimate %g; want 200, ~50", s, rows, est)
+		}
 	}
 }
 
