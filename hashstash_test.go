@@ -387,3 +387,42 @@ func TestAblationOptions(t *testing.T) {
 		}
 	}
 }
+
+// TestRepeatedSelectColumn: a column selected twice — bare, under two
+// aliases, or next to an aggregate — answers with both cells equal and
+// as many rows as selecting it once, solo and scattered over two
+// shards.
+func TestRepeatedSelectColumn(t *testing.T) {
+	cases := []struct{ sql, once string }{
+		{"SELECT c.c_age, c.c_age FROM customer c LIMIT 2", ""},
+		{"SELECT c.c_age AS a, c.c_age AS b FROM customer c LIMIT 2", ""},
+		{"SELECT c.c_age, c.c_age, COUNT(*) AS n FROM customer c GROUP BY c.c_age",
+			"SELECT c.c_age, COUNT(*) AS n FROM customer c GROUP BY c.c_age"},
+	}
+	for _, shards := range []int{1, 2} {
+		db := openShardedTPCH(t, shards)
+		for _, tc := range cases {
+			res, err := db.Exec(tc.sql)
+			if err != nil {
+				t.Fatalf("shards=%d %s: %v", shards, tc.sql, err)
+			}
+			want := 2
+			if tc.once != "" {
+				once, err := db.Exec(tc.once)
+				if err != nil {
+					t.Fatalf("shards=%d %s: %v", shards, tc.once, err)
+				}
+				want = len(once.Rows)
+			}
+			if len(res.Rows) != want {
+				t.Errorf("shards=%d %s: %d rows, want %d", shards, tc.sql, len(res.Rows), want)
+			}
+			for _, row := range res.Rows {
+				if len(row) != len(res.Columns) || row[0] != row[1] {
+					t.Errorf("shards=%d %s: row %v for columns %v", shards, tc.sql, row, res.Columns)
+					break
+				}
+			}
+		}
+	}
+}

@@ -66,7 +66,7 @@ func drainSource(t *testing.T, src Source) *storage.Batch {
 		c.Open()
 		for out.Reset(); c.Next(out); out.Reset() {
 			for i := range all.Cols {
-				all.Cols[i].AppendRange(out.Cols[i], 0, out.Len())
+				all.Cols[i].AppendRange(out.Materialize(i), 0, out.Len())
 			}
 		}
 	}

@@ -44,13 +44,17 @@ func idxBenchInterval(sel float64) expr.Interval {
 	}
 }
 
-// drain opens and streams every cursor into out, returning the rows
-// produced.
+// drain opens and streams every cursor into out, materializing every
+// column of each batch (a consumer that reads them all), and returns
+// the rows produced.
 func drain(cursors []Cursor, out *storage.Batch) int {
 	rows := 0
 	for _, c := range cursors {
 		c.Open()
 		for c.Next(out) {
+			for col := range out.Cols {
+				out.Materialize(col)
+			}
 			rows += out.Len()
 			out.Reset()
 		}

@@ -14,7 +14,9 @@
 // cursors in order into the real sink — a serial pipeline is a pool of
 // one, and Pipeline.Run is that task. Base tables are read by one
 // row-id scan, TableScan, whose runs are either table ranges or btree
-// permutation runs.
+// permutation runs. The scan hands row ids downstream with every column
+// deferred (storage.Batch), and each operator gathers only the columns
+// it reads, for the rows still alive when it reads them.
 package exec
 
 import (

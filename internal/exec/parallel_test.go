@@ -190,7 +190,7 @@ func TestTableScanMorselsCoverAllRows(t *testing.T) {
 			for _, c := range cursors {
 				c.Open()
 				for out.Reset(); c.Next(out); out.Reset() {
-					got = append(got, out.Cols[0].Ints...)
+					got = append(got, out.Materialize(0).Ints...)
 				}
 			}
 			if !slices.Equal(got, want) {

@@ -26,22 +26,49 @@ type Sink interface {
 func encodeSinkCols(b *storage.Batch, cols []int, heap *hashtable.StringHeap, n int) [][]uint64 {
 	enc := b.Scratch().Enc(len(cols), n)
 	for k, ci := range cols {
-		vec := b.Cols[ci]
-		dst := enc[k]
-		switch vec.Kind {
-		case types.Int64, types.Date:
-			for i, v := range vec.Ints[:n] {
-				dst[i] = uint64(v)
-			}
-		case types.Float64:
-			for i, v := range vec.Floats[:n] {
-				dst[i] = math.Float64bits(v)
-			}
-		case types.String:
-			heap.InternBulk(dst, vec.Strs[:n])
+		if strs := encodeCol(enc[k], b, ci); strs != nil {
+			heap.InternBulk(enc[k], strs)
 		}
 	}
 	return enc
+}
+
+// encodeCol encodes numeric column ci of b cell-wise into dst (one cell
+// per row) and returns nil; a string column it returns materialized
+// instead, for the caller's heap pass (interning on the build side,
+// lookup on the probe side). A deferred numeric column encodes straight
+// from its base column at the row ids: gather and encode are one pass.
+func encodeCol(dst []uint64, b *storage.Batch, ci int) []string {
+	if col := b.Base(ci); col != nil && col.Kind != types.String {
+		ids, _ := b.IDs()
+		switch col.Kind {
+		case types.Int64, types.Date:
+			data := col.Ints
+			for i, id := range ids {
+				dst[i] = uint64(data[id])
+			}
+		case types.Float64:
+			data := col.Floats
+			for i, id := range ids {
+				dst[i] = math.Float64bits(data[id])
+			}
+		}
+		return nil
+	}
+	vec := b.Materialize(ci)
+	switch vec.Kind {
+	case types.Int64, types.Date:
+		for i, v := range vec.Ints[:len(dst)] {
+			dst[i] = uint64(v)
+		}
+	case types.Float64:
+		for i, v := range vec.Floats[:len(dst)] {
+			dst[i] = math.Float64bits(v)
+		}
+	case types.String:
+		return vec.Strs[:len(dst)]
+	}
+	return nil
 }
 
 // BuildHT inserts every row into a hash table — the build phase of a
@@ -202,15 +229,20 @@ func (s *AggHT) Consume(b *storage.Batch) {
 		ents = append(ents, e)
 	}
 	for ai, a := range s.Aggs {
-		s.foldColumn(a, nKeys+ai, ents, b)
+		var vec *storage.Vec
+		if a.InCol >= 0 {
+			vec = b.Materialize(a.InCol)
+		}
+		s.foldColumn(a, nKeys+ai, ents, vec)
 	}
 	sc.AdoptEnts(ents)
 }
 
 // foldColumn folds one aggregate over the whole batch: ents[i] is the
-// group entry of row i. The (function, argument kind) dispatch happens
-// once; each case is a tight loop over the argument column.
-func (s *AggHT) foldColumn(a AggCell, cell int, ents []int32, b *storage.Batch) {
+// group entry of row i, vec the argument column (nil for COUNT). The
+// (function, argument kind) dispatch happens once; each case is a tight
+// loop over the argument column.
+func (s *AggHT) foldColumn(a AggCell, cell int, ents []int32, vec *storage.Vec) {
 	ht := s.HT
 	switch a.Func {
 	case expr.AggCount:
@@ -218,7 +250,6 @@ func (s *AggHT) foldColumn(a AggCell, cell int, ents []int32, b *storage.Batch) 
 			ht.SetCell(e, cell, ht.Cell(e, cell)+1)
 		}
 	case expr.AggSum:
-		vec := b.Cols[a.InCol]
 		switch vec.Kind {
 		case types.Float64:
 			for i, e := range ents {
@@ -235,7 +266,6 @@ func (s *AggHT) foldColumn(a AggCell, cell int, ents []int32, b *storage.Batch) 
 		}
 	case expr.AggMin:
 		if a.Kind == types.Float64 {
-			vec := b.Cols[a.InCol]
 			switch vec.Kind {
 			case types.Float64:
 				for i, e := range ents {
@@ -254,7 +284,7 @@ func (s *AggHT) foldColumn(a AggCell, cell int, ents []int32, b *storage.Batch) 
 			}
 			return
 		}
-		ints := b.Cols[a.InCol].Ints
+		ints := vec.Ints
 		for i, e := range ents {
 			if v := ints[i]; v < int64(ht.Cell(e, cell)) {
 				ht.SetCell(e, cell, uint64(v))
@@ -262,7 +292,6 @@ func (s *AggHT) foldColumn(a AggCell, cell int, ents []int32, b *storage.Batch) 
 		}
 	case expr.AggMax:
 		if a.Kind == types.Float64 {
-			vec := b.Cols[a.InCol]
 			switch vec.Kind {
 			case types.Float64:
 				for i, e := range ents {
@@ -281,7 +310,7 @@ func (s *AggHT) foldColumn(a AggCell, cell int, ents []int32, b *storage.Batch) 
 			}
 			return
 		}
-		ints := b.Cols[a.InCol].Ints
+		ints := vec.Ints
 		for i, e := range ents {
 			if v := ints[i]; v > int64(ht.Cell(e, cell)) {
 				ht.SetCell(e, cell, uint64(v))
@@ -360,22 +389,31 @@ func NewCollect(schema storage.Schema, cols []int, order Order) *Collect {
 	return &Collect{Schema: schema, Order: order, cols: cols}
 }
 
-// Consume implements Sink: one bulk typed copy per collected column. A
-// copy sized to the batch, rather than appends to growing columns,
+// Consume implements Sink: one bulk typed copy per collected column,
+// gathered straight from the base column for a deferred input column.
+// A copy sized to the batch, rather than appends to growing columns,
 // allocates each collected value once and makes the per-worker merge a
-// list concat.
+// list concat. The same input column may be collected more than once.
 func (s *Collect) Consume(b *storage.Batch) {
+	n := b.Len()
+	ids, _ := b.IDs()
 	copied := make([]storage.Vec, len(s.Schema))
-	for c := range copied {
-		v := b.Cols[c]
+	for c, m := range s.Schema {
+		ci := c
 		if s.cols != nil {
-			v = b.Cols[s.cols[c]]
+			ci = s.cols[c]
 		}
-		copied[c].Kind = v.Kind
-		copied[c].AppendRange(v, 0, v.Len())
+		dst := &copied[c]
+		dst.Kind = m.Kind
+		dst.Grow(n)
+		if base := b.Base(ci); base != nil {
+			dst.AppendColumnGather(base, ids)
+		} else {
+			dst.AppendRange(b.Cols[ci], 0, n)
+		}
 	}
 	s.batches = append(s.batches, copied)
-	s.n += b.Len()
+	s.n += n
 }
 
 // Finish implements Sink. Without ORDER BY the first rows box straight

@@ -122,9 +122,10 @@ func fillRange(sel []int32, start int32) []int32 {
 // NewTableScan makes one table run per predicate box (normally one;
 // partial-reuse residuals may add more), NewIndexScan one permutation
 // run per leaf run of its driving constraint; the optimizer picks
-// between the two. Every run splits into morsels with one emit: a bulk
-// column copy for a table run without residual, otherwise row ids,
-// then the filter, then one gather per column.
+// between the two. Every run splits into morsels with one emit, which
+// gathers nothing: it writes the row ids that pass the residual filter
+// (a plain id range for a table run without residual) and defers every
+// column to its base column at those ids.
 type TableScan struct {
 	table  *storage.Table
 	cols   []*storage.Column // resolved emit columns
@@ -223,12 +224,15 @@ func (s *TableScan) Morsels(rows, workers int) ([]Cursor, error) {
 	return out, nil
 }
 
-// emit appends the rows of run positions [lo, hi) to out.
+// emit appends the rows of run positions [lo, hi) to out as row ids:
+// the ids that pass the residual filter, with every scan column
+// deferred to its base column. Consumers gather only what they read.
 func (r *rowRun) emit(out *storage.Batch, lo, hi int32) int {
+	for i, col := range r.scan.cols {
+		out.Defer(i, col)
+	}
 	if r.tree == nil && r.m == nil {
-		for i, col := range r.scan.cols {
-			out.Cols[i].AppendColumnRange(col, lo, hi)
-		}
+		out.AppendIDRange(lo, hi)
 		return int(hi - lo)
 	}
 	var ids []int32
@@ -246,9 +250,7 @@ func (r *rowRun) emit(out *storage.Batch, lo, hi int32) int {
 		}
 		ids = r.m.filter(sel)
 	}
-	for i, col := range r.scan.cols {
-		out.Cols[i].AppendColumnGather(col, ids)
-	}
+	out.AppendIDs(ids)
 	return len(ids)
 }
 

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"hashstash/internal/expr"
@@ -42,13 +41,18 @@ func NewFilter(box expr.Box, in storage.Schema) (*Filter, error) {
 // OutSchema implements Transform.
 func (f *Filter) OutSchema() storage.Schema { return f.schema }
 
-// Apply implements Transform. The matcher refines a selection vector
-// (one typed kernel per constraint) and the surviving rows materialize
-// once per column via gather; no per-row Value boxing.
+// Apply implements Transform. It materializes every deferred input
+// column on entry (the filter's output is eager); the matcher then
+// refines a selection vector (one typed kernel per constraint) and the
+// surviving rows materialize once per column via gather; no per-row
+// Value boxing.
 func (f *Filter) Apply(in, out *storage.Batch) {
 	n := in.Len()
 	if n == 0 {
 		return
+	}
+	for c := range in.Cols {
+		in.Materialize(c)
 	}
 	sel := f.matcher.filter(in, in.Scratch().SeqSel(n))
 	switch len(sel) {
@@ -69,28 +73,44 @@ type Compute struct {
 	Expr   expr.Expr
 	Ref    storage.ColRef
 	schema storage.Schema
+	// reads are the input positions the expression reads.
+	reads []int
 }
 
 // NewCompute constructs a compute transform producing column ref.
 func NewCompute(e expr.Expr, ref storage.ColRef, in storage.Schema) *Compute {
 	schema := append(storage.Schema{}, in...)
 	schema = append(schema, storage.ColMeta{Ref: ref, Kind: e.ResultKind(in)})
-	return &Compute{Expr: e, Ref: ref, schema: schema}
+	c := &Compute{Expr: e, Ref: ref, schema: schema}
+	e.Walk(func(r storage.ColRef) { c.reads = append(c.reads, in.MustIndexOf(r)) })
+	return c
 }
 
 // OutSchema implements Transform.
 func (c *Compute) OutSchema() storage.Schema { return c.schema }
 
-// Apply implements Transform. Input columns copy wholesale; the computed
-// column evaluates columnar via expr.EvalVec (typed loops over whole
-// vectors, scratch intermediates from the input batch).
+// Apply implements Transform. Only the columns the expression reads
+// materialize; deferred input columns pass through deferred, eager ones
+// copy wholesale. The computed column evaluates columnar via
+// expr.EvalVec (typed loops over whole vectors, scratch intermediates
+// from the input batch).
 func (c *Compute) Apply(in, out *storage.Batch) {
 	n := in.Len()
 	if n == 0 {
 		return
 	}
-	for ci := range in.Cols {
-		out.Cols[ci].AppendRange(in.Cols[ci], 0, n)
+	for _, ci := range c.reads {
+		in.Materialize(ci)
+	}
+	if ids, ok := in.IDs(); ok {
+		out.AppendIDs(ids)
+	}
+	for ci, v := range in.Cols {
+		if base := in.Base(ci); base != nil {
+			out.Defer(ci, base)
+			continue
+		}
+		out.Cols[ci].AppendRange(v, 0, n)
 	}
 	expr.EvalVec(c.Expr, in, out.Cols[len(in.Cols)])
 }
@@ -121,11 +141,12 @@ func NewProject(cols []int, outRefs []storage.ColRef, in storage.Schema) (*Proje
 // OutSchema implements Transform.
 func (p *Project) OutSchema() storage.Schema { return p.schema }
 
-// Apply implements Transform: one bulk column copy per projected column.
+// Apply implements Transform: deferred columns materialize on entry,
+// then one bulk column copy per projected column.
 func (p *Project) Apply(in, out *storage.Batch) {
 	n := in.Len()
 	for oi, ci := range p.Cols {
-		out.Cols[oi].AppendRange(in.Cols[ci], 0, n)
+		out.Cols[oi].AppendRange(in.Materialize(ci), 0, n)
 	}
 }
 
@@ -154,7 +175,6 @@ type Probe struct {
 	pfCols   []int
 	pfCons   []expr.Constraint
 	pfKinds  []types.Kind
-	keyKinds []types.Kind
 	hasStr   bool
 	matches  int64
 	filtered int64
@@ -179,7 +199,6 @@ func NewProbe(ht *hashtable.Table, keyCols []storage.ColRef, emitCols []int, emi
 			return nil, fmt.Errorf("exec: probe key column %v not in input schema", ref)
 		}
 		p.KeyCols = append(p.KeyCols, i)
-		p.keyKinds = append(p.keyKinds, in[i].Kind)
 		if in[i].Kind == types.String {
 			p.hasStr = true
 		}
@@ -222,19 +241,8 @@ func (p *Probe) encodeKeys(in *storage.Batch, n int) (enc [][]uint64, miss []boo
 		miss = sc.Miss(n)
 	}
 	for k, ci := range p.KeyCols {
-		vec := in.Cols[ci]
-		dst := enc[k]
-		switch p.keyKinds[k] {
-		case types.Int64, types.Date:
-			for i, v := range vec.Ints[:n] {
-				dst[i] = uint64(v)
-			}
-		case types.Float64:
-			for i, v := range vec.Floats[:n] {
-				dst[i] = math.Float64bits(v)
-			}
-		case types.String:
-			p.HT.Strings().LookupBulk(dst, miss, vec.Strs[:n])
+		if strs := encodeCol(enc[k], in, ci); strs != nil {
+			p.HT.Strings().LookupBulk(enc[k], miss, strs)
 		}
 	}
 	return enc, miss
@@ -251,7 +259,10 @@ func (p *Probe) encodeKeys(in *storage.Batch, n int) (enc [][]uint64, miss []boo
 // for the whole batch resolve up front, stored hashes screen candidates
 // before any key compare), the post-filter and qid mask refine the
 // match pairs with one typed kernel per constraint, and the surviving
-// pairs materialize once per column via gather kernels.
+// pairs materialize once per column via gather kernels. Of the input,
+// only the key columns (and a qid column) are read: the row ids compact
+// by the match selection with one int32 gather, deferred columns pass
+// through deferred, and the emitted hash-table columns are eager.
 func (p *Probe) Apply(in, out *storage.Batch) {
 	n := in.Len()
 	if n == 0 {
@@ -271,7 +282,7 @@ func (p *Probe) Apply(in, out *storage.Batch) {
 	qid := p.QidCol >= 0 && p.QidInCol >= 0
 	if qid {
 		masks = sc.Masks(len(ents))
-		inMasks := in.Cols[p.QidInCol].Ints
+		inMasks := in.Materialize(p.QidInCol).Ints
 		kept := 0
 		for i, e := range ents {
 			mask := p.HT.Cell(e, p.QidCol) & uint64(inMasks[sel[i]])
@@ -286,9 +297,16 @@ func (p *Probe) Apply(in, out *storage.Batch) {
 	}
 	matches := int64(len(ents))
 
+	if ids, ok := in.IDs(); ok {
+		out.AppendIDGather(ids, sel)
+	}
 	for c := range in.Cols {
 		if qid && c == p.QidInCol {
 			out.Cols[c].Ints = append(out.Cols[c].Ints, masks...)
+			continue
+		}
+		if base := in.Base(c); base != nil {
+			out.Defer(c, base)
 			continue
 		}
 		out.Cols[c].AppendGather(in.Cols[c], sel)

@@ -32,6 +32,14 @@ func TestErrorTaxonomy(t *testing.T) {
 	// parser rejects it before either of exec's guards can fail it.
 	_, stringSumErr := db.Exec("SELECT SUM(c.c_name) FROM customer c")
 	_, stringMinErr := db.Exec("SELECT MIN(c.c_name) FROM customer c")
+	// Statements that parse but fail plan validation are client
+	// mistakes too, and so is LIMIT 0 (a zero limit means "no limit" in
+	// a plan, so the parser rejects it).
+	_, notGroupedErr := db.Exec("SELECT c.c_name, c.c_age FROM customer c GROUP BY c.c_age")
+	_, disconnectedErr := db.Exec("SELECT c.c_custkey FROM customer c, orders o")
+	_, orderNotSelectedErr := db.Exec("SELECT c.c_age FROM customer c ORDER BY c.c_name")
+	_, dupAliasErr := db.Exec("SELECT c.c_age FROM customer c, orders c WHERE c.c_custkey = c.o_custkey")
+	_, limitZeroErr := db.Exec("SELECT c.c_age FROM customer c LIMIT 0")
 	canceledCtx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, cancelErr := db.ExecContext(canceledCtx, "SELECT c_age FROM customer")
@@ -52,6 +60,11 @@ func TestErrorTaxonomy(t *testing.T) {
 		{"unknown-column", unknownColErr, hashstasherr.ErrUnknownColumn, http.StatusBadRequest, false},
 		{"string-sum", stringSumErr, nil, http.StatusBadRequest, false},
 		{"string-min", stringMinErr, nil, http.StatusBadRequest, false},
+		{"not-grouped", notGroupedErr, nil, http.StatusBadRequest, false},
+		{"disconnected-join", disconnectedErr, nil, http.StatusBadRequest, false},
+		{"order-not-selected", orderNotSelectedErr, nil, http.StatusBadRequest, false},
+		{"duplicate-alias", dupAliasErr, nil, http.StatusBadRequest, false},
+		{"limit-zero", limitZeroErr, nil, http.StatusBadRequest, false},
 		{"canceled", cancelErr, hashstasherr.ErrCanceled, http.StatusRequestTimeout, false},
 		{"internal", internalErr, hashstasherr.ErrInternal, http.StatusInternalServerError, false},
 		{"injected-fault", injectedErr, hashstasherr.ErrInternal, http.StatusInternalServerError, false},

@@ -15,7 +15,11 @@ import (
 )
 
 // Parse compiles a SQL text into a logical query, resolving and
-// validating every reference against the catalog.
+// validating every reference against the catalog. Every failure is a
+// *hashstasherr.ParseError, a plan-validation failure included (a
+// select column missing from GROUP BY, a disconnected join graph, ...):
+// the statement is the client's mistake, and the validation error stays
+// reachable through errors.Is and errors.As.
 func Parse(sql string, cat *catalog.Catalog) (*plan.Query, error) {
 	toks, err := lex(sql)
 	if err != nil {
@@ -27,7 +31,8 @@ func Parse(sql string, cat *catalog.Catalog) (*plan.Query, error) {
 		return nil, err
 	}
 	if err := q.Validate(cat); err != nil {
-		return nil, err
+		p.pos = 0 // the failure concerns the whole statement
+		return nil, p.errWrap(err, "%v", err)
 	}
 	return q, nil
 }
@@ -180,11 +185,15 @@ func (p *parser) parseLimit() error {
 	if t.kind != tokNumber {
 		return p.errf("expected row count after LIMIT")
 	}
-	p.pos++
 	n, err := strconv.Atoi(t.text)
 	if err != nil || n < 0 {
 		return p.errf("bad LIMIT %q", t.text)
 	}
+	if n == 0 {
+		// plan.Query.Limit 0 means "no limit": reject rather than drop it.
+		return p.errf("LIMIT must be at least 1")
+	}
+	p.pos++
 	p.q.Limit = n
 	return nil
 }

@@ -177,6 +177,48 @@ func TestParseRejectsStringAggregates(t *testing.T) {
 	}
 }
 
+// validationFailures are statements that lex and parse but fail plan
+// validation: each is a client mistake.
+var validationFailures = []string{
+	"SELECT c.c_name, c.c_age FROM customer c GROUP BY c.c_age",
+	"SELECT c.c_custkey FROM customer c, orders o",
+	"SELECT c.c_age FROM customer c ORDER BY c.c_name",
+	"SELECT c.c_age FROM customer c, orders c WHERE c.c_custkey = c.o_custkey",
+}
+
+func TestParseValidationFailuresAreParseErrors(t *testing.T) {
+	cat := testCat(t)
+	for _, sql := range validationFailures {
+		_, err := Parse(sql, cat)
+		var pe *hashstasherr.ParseError
+		if !errors.As(err, &pe) {
+			t.Errorf("%s: err = %v, want a *ParseError", sql, err)
+			continue
+		}
+		if pe.Unwrap() == nil || pe.Msg == "" {
+			t.Errorf("%s: the validation error is not kept: %#v", sql, pe)
+		}
+	}
+	// A validation error that carries a sentinel keeps it.
+	_, err := Parse("SELECT c.c_age FROM customer c, nosuch n", cat)
+	if !errors.Is(err, hashstasherr.ErrUnknownTable) {
+		t.Errorf("unknown table: err = %v, want ErrUnknownTable", err)
+	}
+}
+
+func TestParseRejectsLimitZero(t *testing.T) {
+	cat := testCat(t)
+	_, err := Parse("SELECT c.c_age FROM customer c LIMIT 0", cat)
+	var pe *hashstasherr.ParseError
+	if !errors.As(err, &pe) {
+		t.Fatalf("LIMIT 0: err = %v, want a *ParseError", err)
+	}
+	q, err := Parse("SELECT c.c_age FROM customer c LIMIT 1", cat)
+	if err != nil || q.Limit != 1 {
+		t.Fatalf("LIMIT 1: limit %v, err %v", q, err)
+	}
+}
+
 func TestParseJoinBothQualifications(t *testing.T) {
 	cat := testCat(t)
 	q, err := Parse(`SELECT o.o_orderkey FROM orders o, lineitem l WHERE o.o_orderkey = l.l_orderkey AND l_quantity >= 25`, cat)

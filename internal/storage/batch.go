@@ -411,17 +411,38 @@ func grow(n int) int {
 	return n
 }
 
-// Batch is a set of equal-length column vectors described by a Schema.
+// Batch is a set of equal-length columns described by a Schema. A
+// column is either eager, its Vec holding the rows, or deferred: a base
+// column read at the batch's row ids. Scans defer every column and
+// write the ids of the rows that pass their filter; each consumer
+// gathers only the columns it reads, and only for the rows still alive
+// when it reads them (late materialization). A pipeline streams one
+// base relation, so one id vector serves every deferred column. An id
+// names the same value for the life of the batch: base columns are
+// append-only, and appends never run concurrently with queries.
 type Batch struct {
 	Schema Schema
 	Cols   []*Vec
+
+	// ids are the base row ids of the batch's rows when hasIDs is set.
+	ids    []int32
+	hasIDs bool
+	// base[c] is column c's base column when it is deferred, else nil;
+	// gathered[c] records that Cols[c] already holds base[c] at ids.
+	base     []*Column
+	gathered []bool
 
 	scratch Scratch
 }
 
 // NewBatch allocates a batch matching the schema.
 func NewBatch(schema Schema) *Batch {
-	b := &Batch{Schema: schema, Cols: make([]*Vec, len(schema))}
+	b := &Batch{
+		Schema:   schema,
+		Cols:     make([]*Vec, len(schema)),
+		base:     make([]*Column, len(schema)),
+		gathered: make([]bool, len(schema)),
+	}
 	for i, m := range schema {
 		b.Cols[i] = NewVec(m.Kind)
 	}
@@ -432,17 +453,72 @@ func NewBatch(schema Schema) *Batch {
 // read the batch may use them for the duration of one call.
 func (b *Batch) Scratch() *Scratch { return &b.scratch }
 
-// Len reports the row count of the batch.
+// Len reports the row count of the batch: the id count when the batch
+// carries row ids, else the length of its first column.
 func (b *Batch) Len() int {
+	if b.hasIDs {
+		return len(b.ids)
+	}
 	if len(b.Cols) == 0 {
 		return 0
 	}
 	return b.Cols[0].Len()
 }
 
-// Reset truncates all vectors.
+// Reset truncates all vectors and clears the row ids and deferrals.
 func (b *Batch) Reset() {
-	for _, c := range b.Cols {
-		c.Reset()
+	for c, v := range b.Cols {
+		v.Reset()
+		b.base[c] = nil
+		b.gathered[c] = false
 	}
+	b.ids = b.ids[:0]
+	b.hasIDs = false
+}
+
+// IDs returns the base row ids of the batch's rows and whether the
+// batch carries any.
+func (b *Batch) IDs() ([]int32, bool) { return b.ids, b.hasIDs }
+
+// AppendIDs appends row ids.
+func (b *Batch) AppendIDs(ids []int32) {
+	b.ids = append(b.ids, ids...)
+	b.hasIDs = true
+}
+
+// AppendIDRange appends the consecutive row ids [lo, hi).
+func (b *Batch) AppendIDRange(lo, hi int32) {
+	for id := lo; id < hi; id++ {
+		b.ids = append(b.ids, id)
+	}
+	b.hasIDs = true
+}
+
+// AppendIDGather appends ids[sel[i]] for every i, in selection order: a
+// probe compacting (and, for multi-matches, repeating) its input's ids
+// with one int32 gather instead of one gather per column.
+func (b *Batch) AppendIDGather(ids, sel []int32) {
+	for _, i := range sel {
+		b.ids = append(b.ids, ids[i])
+	}
+	b.hasIDs = true
+}
+
+// Defer makes column c a deferred read of base column col at the
+// batch's row ids, which the caller appends.
+func (b *Batch) Defer(c int, col *Column) { b.base[c] = col }
+
+// Base returns column c's base column when the column is deferred, or
+// nil when it is eager. A consumer that reads a deferred column once
+// may read col at IDs directly instead of materializing it.
+func (b *Batch) Base(c int) *Column { return b.base[c] }
+
+// Materialize returns column c as a vector, gathering a deferred
+// column from its base column at the row ids on the first call.
+func (b *Batch) Materialize(c int) *Vec {
+	if col := b.base[c]; col != nil && !b.gathered[c] {
+		b.Cols[c].AppendColumnGather(col, b.ids)
+		b.gathered[c] = true
+	}
+	return b.Cols[c]
 }

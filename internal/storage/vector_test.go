@@ -188,3 +188,36 @@ func requireVecEqual(t *testing.T, got, want *Vec) {
 		}
 	}
 }
+
+// TestBatchDeferredColumns: a batch with row ids counts its rows by id,
+// gathers a deferred column at the ids once on Materialize, leaves an
+// eager column alone, and Reset clears ids and deferrals.
+func TestBatchDeferredColumns(t *testing.T) {
+	base := NewColumn("v", types.Int64)
+	for i := int64(0); i < 10; i++ {
+		base.Append(types.NewInt(i * 10))
+	}
+	b := NewBatch(Schema{{Ref: ColRef{Column: "v"}, Kind: types.Int64}, {Ref: ColRef{Column: "w"}, Kind: types.Int64}})
+	b.Defer(0, base)
+	b.AppendIDRange(2, 4)
+	b.AppendIDs([]int32{7})
+	b.Cols[1].Ints = append(b.Cols[1].Ints, 1, 2, 3)
+	if b.Len() != 3 || b.Base(0) != base || b.Base(1) != nil {
+		t.Fatalf("Len %d, bases %v/%v", b.Len(), b.Base(0), b.Base(1))
+	}
+	if b.Cols[0].Len() != 0 {
+		t.Fatal("a deferred column was gathered before Materialize")
+	}
+	for range 2 {
+		if got := b.Materialize(0).Ints; len(got) != 3 || got[0] != 20 || got[1] != 30 || got[2] != 70 {
+			t.Fatalf("materialized %v, want [20 30 70]", got)
+		}
+	}
+	if got := b.Materialize(1).Ints; len(got) != 3 || got[2] != 3 {
+		t.Fatalf("eager column %v changed", got)
+	}
+	b.Reset()
+	if _, ok := b.IDs(); ok || b.Len() != 0 || b.Base(0) != nil {
+		t.Fatal("Reset kept ids or a deferral")
+	}
+}
