@@ -44,8 +44,23 @@ func (db *DB) ExecContext(ctx context.Context, sql string) (*Result, error) {
 }
 
 // ExecParsed runs an already-parsed query under a context (the
-// parse-once, execute-many path).
+// parse-once, execute-many path). The answer comes back both as
+// columns (Result.Vecs) and boxed row by row (Result.Rows): every
+// library entry point that runs one query ends here, and this is where
+// its answer is boxed.
 func (db *DB) ExecParsed(ctx context.Context, q *Query) (*Result, error) {
+	res, err := db.ExecParsedColumnar(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	res.Box()
+	return res, nil
+}
+
+// ExecParsedColumnar is ExecParsed without the boxing: the answer is in
+// Result.Vecs only and Result.Rows is nil. The serving front-end runs
+// solo queries through it and encodes the columns straight to the wire.
+func (db *DB) ExecParsedColumnar(ctx context.Context, q *Query) (*Result, error) {
 	return contained(ctx, func(ctx context.Context) (*Result, error) {
 		return db.router.RunContext(ctx, q)
 	})
@@ -76,8 +91,23 @@ func (db *DB) ExecBatchContext(ctx context.Context, sqls []string) ([]*Result, e
 // (shard.Engine.RunBatchContext): each query's filter is closed and
 // routed as a solo query's is, queries routed to one shard merge into
 // shared plans where the cost model says sharing pays, and the rest
-// run as solo queries do.
+// run as solo queries do. Each answer is boxed into Result.Rows, as
+// ExecParsed boxes it.
 func (db *DB) ExecParsedBatch(ctx context.Context, queries []*Query) (*BatchResult, error) {
+	batch, err := db.ExecParsedBatchColumnar(ctx, queries)
+	if err != nil {
+		return nil, err
+	}
+	for _, res := range batch.Results {
+		res.Box()
+	}
+	return batch, nil
+}
+
+// ExecParsedBatchColumnar is ExecParsedBatch without the boxing: each
+// answer is in Result.Vecs only. The serving front-end runs dispatched
+// groups through it.
+func (db *DB) ExecParsedBatchColumnar(ctx context.Context, queries []*Query) (*BatchResult, error) {
 	return contained(ctx, func(ctx context.Context) (*BatchResult, error) {
 		return db.router.RunBatchContext(ctx, queries)
 	})

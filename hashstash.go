@@ -72,8 +72,9 @@ type Value = types.Value
 // Kind enumerates value kinds.
 type Kind = types.Kind
 
-// Result is an executed query's output (rows plus timing and reuse
-// decisions).
+// Result is an executed query's output: the answer as typed columns
+// (Vecs) and, from every library entry point, boxed row by row (Rows);
+// plus timing and reuse decisions.
 type Result = optimizer.Result
 
 // CacheStats summarizes the hash-table cache.

@@ -8,6 +8,19 @@ import (
 	"hashstash/internal/types"
 )
 
+// rowsOf is a finished collector's answer boxed row by row: the one way
+// tests read an answer as rows.
+func rowsOf(c *Collect) [][]types.Value {
+	rows := make([][]types.Value, c.Len())
+	for r := range rows {
+		rows[r] = make([]types.Value, len(c.Cols))
+		for i := range c.Cols {
+			rows[r][i] = c.Cols[i].Value(r)
+		}
+	}
+	return rows
+}
+
 // TestCollectOrder: a Collect's ORDER BY / LIMIT equals the prefix of a
 // stable sort of its unordered rows — exactly on one worker, where
 // arrival order is scan order, and on the order column (plus the row
@@ -26,7 +39,7 @@ func TestCollectOrder(t *testing.T) {
 		if err := RunParallel([]*Pipeline{{Source: src, Sink: collect}}, par); err != nil {
 			t.Fatal(err)
 		}
-		return collect.Rows
+		return rowsOf(collect)
 	}
 	all := run(Order{}, Parallelism{Workers: 1})
 	if len(all) != n {

@@ -93,10 +93,10 @@ func TestTableScanIndexAndFullAgree(t *testing.T) {
 	}
 	for name, src := range map[string]Source{"scan": scan, "index": idx} {
 		got := runToCollect(t, src)
-		if len(got.Rows) != 5 { // dates 30,40,50,60,70
-			t.Fatalf("%s: %d rows, want 5", name, len(got.Rows))
+		if len(rowsOf(got)) != 5 { // dates 30,40,50,60,70
+			t.Fatalf("%s: %d rows, want 5", name, len(rowsOf(got)))
 		}
-		for _, row := range got.Rows {
+		for _, row := range rowsOf(got) {
 			if row[1].I < 30 || row[1].I > 70 {
 				t.Fatalf("%s: date %d out of range", name, row[1].I)
 			}
@@ -113,8 +113,8 @@ func TestTableScanMultipleBoxes(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := runToCollect(t, src)
-	if len(got.Rows) != 4 { // keys 1,2,9,10
-		t.Fatalf("%d rows, want 4", len(got.Rows))
+	if len(rowsOf(got)) != 4 { // keys 1,2,9,10
+		t.Fatalf("%d rows, want 4", len(rowsOf(got)))
 	}
 	if src.RowsScanned() == 0 {
 		t.Error("RowsScanned not counted")
@@ -133,10 +133,10 @@ func TestTableScanResidualPredicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := runToCollect(t, src)
-	if len(got.Rows) != 4 { // custkey==1: orderkeys 1,4,7,10
-		t.Fatalf("%d rows, want 4", len(got.Rows))
+	if len(rowsOf(got)) != 4 { // custkey==1: orderkeys 1,4,7,10
+		t.Fatalf("%d rows, want 4", len(rowsOf(got)))
 	}
-	for _, row := range got.Rows {
+	for _, row := range rowsOf(got) {
 		if row[1].I != 1 {
 			t.Fatalf("custkey = %d", row[1].I)
 		}
@@ -150,8 +150,8 @@ func TestTableScanEmptyBoxSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := runToCollect(t, src); len(got.Rows) != 0 {
-		t.Fatalf("%d rows from empty box", len(got.Rows))
+	if got := runToCollect(t, src); len(rowsOf(got)) != 0 {
+		t.Fatalf("%d rows from empty box", len(rowsOf(got)))
 	}
 }
 
@@ -178,7 +178,7 @@ func TestScanBoxOnMissingColumn(t *testing.T) {
 			collect := NewCollect(src.Schema(), nil, Order{})
 			err = RunParallel([]*Pipeline{{Source: src, Sink: collect}}, Parallelism{Workers: workers, MorselRows: 1024})
 			if err == nil {
-				t.Fatalf("%s workers=%d: no error (%d rows)", name, workers, len(collect.Rows))
+				t.Fatalf("%s workers=%d: no error (%d rows)", name, workers, len(rowsOf(collect)))
 			}
 			if errors.Is(err, hashstasherr.ErrInternal) || !strings.Contains(err.Error(), "b_nope") {
 				t.Fatalf("%s workers=%d: want a resolution error naming b_nope, got %v", name, workers, err)
@@ -205,8 +205,8 @@ func TestFilterTransform(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := runToCollect(t, src, f)
-	if len(got.Rows) != 3 {
-		t.Fatalf("%d rows, want 3", len(got.Rows))
+	if len(rowsOf(got)) != 3 {
+		t.Fatalf("%d rows, want 3", len(rowsOf(got)))
 	}
 }
 
@@ -227,10 +227,10 @@ func TestComputeTransform(t *testing.T) {
 		R: &expr.Const{V: types.NewFloat(2)}}
 	c := NewCompute(double, storage.ColRef{Column: "dbl"}, src.Schema())
 	got := runToCollect(t, src, c)
-	if len(got.Rows) != 10 {
-		t.Fatalf("%d rows", len(got.Rows))
+	if len(rowsOf(got)) != 10 {
+		t.Fatalf("%d rows", len(rowsOf(got)))
 	}
-	for _, row := range got.Rows {
+	for _, row := range rowsOf(got) {
 		if row[1].F != row[0].F*2 {
 			t.Fatalf("dbl=%f price=%f", row[1].F, row[0].F)
 		}
@@ -303,8 +303,8 @@ func TestBuildAndProbeJoin(t *testing.T) {
 	}
 	got := runToCollect(t, src, probe)
 	// Each order joins its customer exactly once: 10 result rows.
-	if len(got.Rows) != 10 {
-		t.Fatalf("join produced %d rows, want 10", len(got.Rows))
+	if len(rowsOf(got)) != 10 {
+		t.Fatalf("join produced %d rows, want 10", len(rowsOf(got)))
 	}
 	if probe.Matches() != 10 {
 		t.Errorf("Matches = %d", probe.Matches())
@@ -312,7 +312,7 @@ func TestBuildAndProbeJoin(t *testing.T) {
 	// Verify the join is correct: orderkey%3 == custkey.
 	okeyIdx := got.Schema.MustIndexOf(storage.ColRef{Table: "o", Column: "o_orderkey"})
 	ckeyIdx := got.Schema.MustIndexOf(storage.ColRef{Table: "c", Column: "c_custkey"})
-	for _, row := range got.Rows {
+	for _, row := range rowsOf(got) {
 		if row[okeyIdx].I%3 != row[ckeyIdx].I {
 			t.Fatalf("bad join row: %v", row)
 		}
@@ -336,8 +336,8 @@ func TestProbePostFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := runToCollect(t, src, probe)
-	if len(got.Rows) != 5 {
-		t.Fatalf("post-filtered join produced %d rows, want 5", len(got.Rows))
+	if len(rowsOf(got)) != 5 {
+		t.Fatalf("post-filtered join produced %d rows, want 5", len(rowsOf(got)))
 	}
 	if probe.FilteredOut() != 5 {
 		t.Errorf("FilteredOut = %d, want 5", probe.FilteredOut())
@@ -369,8 +369,8 @@ func TestProbeStringKeyMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := runToCollect(t, src, probe)
-	if len(got.Rows) != 1 {
-		t.Fatalf("string probe rows = %d, want 1", len(got.Rows))
+	if len(rowsOf(got)) != 1 {
+		t.Fatalf("string probe rows = %d, want 1", len(rowsOf(got)))
 	}
 	if ht.Strings().Len() != heapBefore {
 		t.Error("probe mutated the string heap")
@@ -464,8 +464,8 @@ func TestHTScanWithPostFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := runToCollect(t, src)
-	if len(got.Rows) != 5 {
-		t.Fatalf("%d rows, want 5", len(got.Rows))
+	if len(rowsOf(got)) != 5 {
+		t.Fatalf("%d rows, want 5", len(rowsOf(got)))
 	}
 	if src.FilteredOut() != 5 {
 		t.Errorf("FilteredOut = %d", src.FilteredOut())
@@ -498,8 +498,8 @@ func TestMultiSink(t *testing.T) {
 	if err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if ht.Len() != 10 || len(collect.Rows) != 10 {
-		t.Fatalf("build=%d collect=%d", ht.Len(), len(collect.Rows))
+	if ht.Len() != 10 || len(rowsOf(collect)) != 10 {
+		t.Fatalf("build=%d collect=%d", ht.Len(), len(rowsOf(collect)))
 	}
 	if p.RowsIn != 10 || p.RowsOut != 10 {
 		t.Errorf("pipeline stats in=%d out=%d", p.RowsIn, p.RowsOut)
@@ -520,13 +520,13 @@ func TestSharedScanAndReTag(t *testing.T) {
 	}
 	got := runToCollect(t, src)
 	// Union covers orders 1-6, 9, 10 → 8 rows.
-	if len(got.Rows) != 8 {
-		t.Fatalf("shared scan rows = %d, want 8", len(got.Rows))
+	if len(rowsOf(got)) != 8 {
+		t.Fatalf("shared scan rows = %d, want 8", len(rowsOf(got)))
 	}
 	qidIdx := got.Schema.MustIndexOf(QidRef())
 	masks := map[int64]uint64{}
 	okIdx := got.Schema.MustIndexOf(storage.ColRef{Table: "o", Column: "o_orderkey"})
-	for _, row := range got.Rows {
+	for _, row := range rowsOf(got) {
 		masks[row[okIdx].I] = uint64(row[qidIdx].I)
 	}
 	if masks[3] != 0b011 { // order 3 (date 30) matches q0 and q1
@@ -552,7 +552,7 @@ func TestSharedScanAndReTag(t *testing.T) {
 		// Schema slice above relies on column order; rebuild explicitly.
 		t.Fatal(err)
 	}
-	for _, row := range got.Rows {
+	for _, row := range rowsOf(got) {
 		b := storage.NewBatch(got.Schema[1:])
 		b.Cols[0].Append(row[1])
 		b.Cols[1].Append(row[2])

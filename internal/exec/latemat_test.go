@@ -83,7 +83,7 @@ func lateCollect(t *testing.T, early bool, par Parallelism, src Source, tfs ...T
 	if err := RunParallel([]*Pipeline{p}, par); err != nil {
 		t.Fatal(err)
 	}
-	return sortedRows(collect.Rows)
+	return sortedRows(rowsOf(collect))
 }
 
 func mustScan(t *testing.T, boxes []expr.Box, cols ...string) *TableScan {
@@ -221,9 +221,9 @@ func TestLateMaterializationMatchesEarly(t *testing.T) {
 					t.Fatal(err)
 				}
 				if order.Sort {
-					out = append(out, fmt.Sprint(collect.Rows))
+					out = append(out, fmt.Sprint(rowsOf(collect)))
 				} else {
-					out = append(out, sortedRows(collect.Rows)...)
+					out = append(out, sortedRows(rowsOf(collect))...)
 				}
 			}
 			return out

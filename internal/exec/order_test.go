@@ -129,7 +129,7 @@ func TestProbeNeverStartsBeforeBuildFinishes(t *testing.T) {
 		if violation.Load() {
 			t.Fatal("a probe batch flowed before the build sink finished")
 		}
-		return collect.Rows
+		return rowsOf(collect)
 	}
 
 	serial := run(Parallelism{Workers: 1})
@@ -159,7 +159,7 @@ func TestRunParallelSerialFallbacks(t *testing.T) {
 		if err := RunParallel([]*Pipeline{p}, Parallelism{Workers: 4, MorselRows: 1024}); err != nil {
 			t.Fatal(err)
 		}
-		assertSameRows(t, serial.Rows, collect.Rows)
+		assertSameRows(t, rowsOf(serial), rowsOf(collect))
 	})
 
 	t.Run("noMergeSink", func(t *testing.T) {
@@ -172,11 +172,12 @@ func TestRunParallelSerialFallbacks(t *testing.T) {
 		if !gate.finished.Load() {
 			t.Fatal("fallback pipeline never finished its sink")
 		}
-		assertSameRows(t, serial.Rows, collect.Rows)
+		got, want := rowsOf(collect), rowsOf(serial)
+		assertSameRows(t, want, got)
 		// A whole-pipeline task preserves scan order exactly.
-		for i := range collect.Rows {
-			if collect.Rows[i][0].I != serial.Rows[i][0].I {
-				t.Fatalf("row %d out of order: %v vs %v", i, collect.Rows[i][0], serial.Rows[i][0])
+		for i := range got {
+			if got[i][0].I != want[i][0].I {
+				t.Fatalf("row %d out of order: %v vs %v", i, got[i][0], want[i][0])
 			}
 		}
 	})
@@ -187,7 +188,7 @@ func TestRunParallelSerialFallbacks(t *testing.T) {
 		if err := RunParallel([]*Pipeline{p}, Parallelism{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
-		assertSameRows(t, serial.Rows, collect.Rows)
+		assertSameRows(t, rowsOf(serial), rowsOf(collect))
 	})
 }
 
@@ -212,7 +213,7 @@ func TestMultiSinkSpineParallel(t *testing.T) {
 		if err := RunParallel([]*Pipeline{p}, par); err != nil {
 			t.Fatal(err)
 		}
-		return htRows(t, ht), collect.Rows
+		return htRows(t, ht), rowsOf(collect)
 	}
 
 	sRows, sCollected := run(Parallelism{Workers: 1})
@@ -253,7 +254,7 @@ func TestRebuildConsumerOrdering(t *testing.T) {
 		if err := RunParallel([]*Pipeline{aggP, rebuild, final}, par); err != nil {
 			t.Fatal(err)
 		}
-		return collect.Rows
+		return rowsOf(collect)
 	}
 
 	serial := run(Parallelism{Workers: 1})
@@ -289,12 +290,12 @@ func TestExecMorselStorm(t *testing.T) {
 	if err := RunParallel(pipelines, Parallelism{Workers: 8, MorselRows: 1024}); err != nil {
 		t.Fatal(err)
 	}
-	want := sortedRows(collects[0].Rows)
+	want := sortedRows(rowsOf(collects[0]))
 	if len(want) != 29 {
 		t.Fatalf("got %d groups, want 29", len(want))
 	}
 	for i, c := range collects[1:] {
-		got := sortedRows(c.Rows)
+		got := sortedRows(rowsOf(c))
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("readout %d diverged", i+1)
 		}

@@ -252,11 +252,11 @@ func mergeAggBits(a AggCell, dst, src uint64) uint64 {
 	panic("exec: cannot merge aggregate")
 }
 
-// parallelCollect gives each worker a private Collect and concatenates
-// their batch lists at merge; the target's Finish then orders and
-// boxes. Arrival order is worker-dependent (SQL result sets are
-// unordered; tests compare sorted rows), so rows tied on an ORDER BY key
-// may come out in another order than on one worker.
+// parallelCollect gives each worker a private Collect and appends
+// their columns at merge; the target's Finish then orders and cuts.
+// Arrival order is worker-dependent (SQL result sets are unordered;
+// tests compare sorted rows), so rows tied on an ORDER BY key may come
+// out in another order than on one worker.
 type parallelCollect struct {
 	target *Collect
 	parts  []*Collect
@@ -265,7 +265,7 @@ type parallelCollect struct {
 func newParallelCollect(t *Collect, nw int) *parallelCollect {
 	pc := &parallelCollect{target: t, parts: make([]*Collect, nw)}
 	for w := range pc.parts {
-		pc.parts[w] = NewCollect(t.Schema, t.cols, Order{})
+		pc.parts[w] = NewCollect(t.Schema, t.src, Order{})
 	}
 	return pc
 }
@@ -274,8 +274,7 @@ func (pc *parallelCollect) worker(w int) Sink { return pc.parts[w] }
 
 func (pc *parallelCollect) merge() {
 	for _, part := range pc.parts {
-		pc.target.batches = append(pc.target.batches, part.batches...)
-		pc.target.n += part.n
+		pc.target.absorb(part.Cols)
 	}
 }
 

@@ -204,7 +204,7 @@ func TestTableScanMorselsCoverAllRows(t *testing.T) {
 				if err := RunParallel([]*Pipeline{p}, Parallelism{Workers: workers, MorselRows: 1024}); err != nil {
 					t.Fatal(err)
 				}
-				got := ids(collect.Rows)
+				got := ids(rowsOf(collect))
 				if workers > 1 {
 					slices.Sort(got)
 					want := slices.Clone(want)
@@ -261,7 +261,7 @@ func htRows(t *testing.T, ht *hashtable.Table) [][]types.Value {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return runToCollect(t, src).Rows
+	return rowsOf(runToCollect(t, src))
 }
 
 func identityColsTest(n int) []int {
@@ -338,7 +338,7 @@ func TestParallelBuildProbeMatchesSerial(t *testing.T) {
 		if err := RunParallel([]*Pipeline{build, probeP}, par); err != nil {
 			t.Fatal(err)
 		}
-		return collect.Rows, build, probeP
+		return rowsOf(collect), build, probeP
 	}
 
 	serialRows, sb, _ := run(Parallelism{Workers: 1})
@@ -368,7 +368,7 @@ func TestParallelHTScan(t *testing.T) {
 	if err := RunParallel([]*Pipeline{scanP}, Parallelism{Workers: 4, MorselRows: 512}); err != nil {
 		t.Fatal(err)
 	}
-	assertSameRows(t, serial, collect.Rows)
+	assertSameRows(t, serial, rowsOf(collect))
 }
 
 // TestParallelFallbacks: unsplittable setups must still execute
@@ -395,7 +395,7 @@ func TestParallelFallbacks(t *testing.T) {
 	if err := RunParallel([]*Pipeline{{Source: src, Sink: collect}}, Parallelism{Workers: 4, MorselRows: 16}); err != nil {
 		t.Fatal(err)
 	}
-	if len(collect.Rows) != 100 {
-		t.Fatalf("collect has %d rows, want 100", len(collect.Rows))
+	if len(rowsOf(collect)) != 100 {
+		t.Fatalf("collect has %d rows, want 100", len(rowsOf(collect)))
 	}
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"hashstash/internal/expr"
 	"hashstash/internal/hashtable"
@@ -363,22 +364,51 @@ type Order struct {
 	Limit int
 }
 
-// Collect accumulates result rows as typed copies of the batches it
-// consumes and, at Finish, orders and cuts them per its Order and boxes
-// only the surviving rows into Rows — the public API's row-major shape.
+// Apply orders and cuts equal-length columns per the Order: under ORDER
+// BY a typed permutation (a bounded heap under a LIMIT) picks the
+// surviving rows and gathers them into new columns; without it a LIMIT
+// keeps the first rows. It never writes cols, but its result may share
+// their storage. This is the one ORDER BY / LIMIT implementation: the
+// collector and the shard gather both apply it.
+func (o Order) Apply(cols []storage.Vec) []storage.Vec {
+	if len(cols) == 0 {
+		return cols
+	}
+	n := cols[0].Len()
+	if !o.Sort {
+		if o.Limit <= 0 || o.Limit >= n {
+			return cols
+		}
+		out := slices.Clone(cols)
+		for c := range out {
+			out[c].Truncate(o.Limit)
+		}
+		return out
+	}
+	perm := storage.OrderPerm(n, o.Limit, cols[o.Col].RowOrder(o.Desc))
+	out := make([]storage.Vec, len(cols))
+	for c := range cols {
+		out[c].Kind = cols[c].Kind
+		out[c].Grow(len(perm))
+		out[c].AppendGather(&cols[c], perm)
+	}
+	return out
+}
+
+// Collect accumulates a query's answer column by column: each consumed
+// batch's collected columns append to one typed vector per column, and
+// Finish applies the Order. Nothing is boxed; the answer leaves as the
+// columns themselves (optimizer.Result.Vecs).
 type Collect struct {
 	Schema storage.Schema
 	Order  Order
-	// Rows is the result, valid after Finish.
-	Rows [][]types.Value
+	// Cols is the answer, one vector per schema column with the rows in
+	// final order; complete after Finish.
+	Cols []storage.Vec
 
-	// cols is the input column each collected column copies; nil
-	// copies every input column in order.
-	cols []int
-	// batches holds one exact-size copy of each consumed batch's
-	// collected columns, in arrival order; row ids count through them.
-	batches [][]storage.Vec
-	n       int
+	// src is the input column each collected column copies; nil copies
+	// every input column in order.
+	src []int
 }
 
 // NewCollect returns a collect sink whose columns, described by schema,
@@ -386,91 +416,68 @@ type Collect struct {
 // the rows are collected so that it needs no batch of its own. Nil cols
 // collects every input column.
 func NewCollect(schema storage.Schema, cols []int, order Order) *Collect {
-	return &Collect{Schema: schema, Order: order, cols: cols}
+	s := &Collect{Schema: schema, Order: order, src: cols, Cols: make([]storage.Vec, len(schema))}
+	for c, m := range schema {
+		s.Cols[c].Kind = m.Kind
+	}
+	return s
 }
 
-// Consume implements Sink: one bulk typed copy per collected column,
+// Len reports the rows collected so far.
+func (s *Collect) Len() int {
+	if len(s.Cols) == 0 {
+		return 0
+	}
+	return s.Cols[0].Len()
+}
+
+// Consume implements Sink: one bulk typed append per collected column,
 // gathered straight from the base column for a deferred input column.
-// A copy sized to the batch, rather than appends to growing columns,
-// allocates each collected value once and makes the per-worker merge a
-// list concat. The same input column may be collected more than once.
+// The same input column may be collected more than once. Under a LIMIT
+// without ORDER BY the rows past the limit are not copied.
 func (s *Collect) Consume(b *storage.Batch) {
 	n := b.Len()
+	if o := s.Order; !o.Sort && o.Limit > 0 {
+		n = min(n, o.Limit-s.Len())
+	}
+	if n <= 0 {
+		return
+	}
 	ids, _ := b.IDs()
-	copied := make([]storage.Vec, len(s.Schema))
-	for c, m := range s.Schema {
+	for c := range s.Cols {
 		ci := c
-		if s.cols != nil {
-			ci = s.cols[c]
+		if s.src != nil {
+			ci = s.src[c]
 		}
-		dst := &copied[c]
-		dst.Kind = m.Kind
+		dst := &s.Cols[c]
 		dst.Grow(n)
 		if base := b.Base(ci); base != nil {
-			dst.AppendColumnGather(base, ids)
+			dst.AppendColumnGather(base, ids[:n])
 		} else {
 			dst.AppendRange(b.Cols[ci], 0, n)
 		}
 	}
-	s.batches = append(s.batches, copied)
-	s.n += n
 }
 
-// Finish implements Sink. Without ORDER BY the first rows box straight
-// from the batches. With it, the columns concatenate and a typed
-// permutation (a bounded heap under a LIMIT) picks the surviving rows
-// in order. Either way the boxed rows take two exact-size allocations.
-func (s *Collect) Finish() {
-	o := s.Order
-	if !o.Sort {
-		m := s.n
-		if o.Limit > 0 && o.Limit < m {
-			m = o.Limit
-		}
-		s.Rows = newRows(m, len(s.Schema))
-		i := 0
-		for _, batch := range s.batches {
-			for r := 0; i < m && r < batch[0].Len(); r++ {
-				boxRow(s.Rows[i], batch, r)
-				i++
-			}
-		}
+// absorb appends another collector's columns: the first non-empty part
+// is adopted as is, later ones are copied after it.
+func (s *Collect) absorb(cols []storage.Vec) {
+	if len(cols) == 0 || cols[0].Len() == 0 {
 		return
 	}
-	flat := make([]storage.Vec, len(s.Schema))
-	for c, m := range s.Schema {
-		flat[c].Kind = m.Kind
-		flat[c].Grow(s.n)
-		for _, batch := range s.batches {
-			flat[c].AppendRange(&batch[c], 0, batch[c].Len())
-		}
+	if s.Len() == 0 {
+		copy(s.Cols, cols)
+		return
 	}
-	perm := storage.OrderPerm(s.n, o.Limit, flat[o.Col].RowOrder(o.Desc))
-	s.Rows = newRows(len(perm), len(s.Schema))
-	for i, r := range perm {
-		boxRow(s.Rows[i], flat, int(r))
+	for c := range s.Cols {
+		s.Cols[c].AppendRange(&cols[c], 0, cols[c].Len())
 	}
 }
 
-// newRows returns m rows of w cells backed by one cell array; nil when
-// m is 0.
-func newRows(m, w int) [][]types.Value {
-	if m == 0 {
-		return nil
-	}
-	cells := make([]types.Value, m*w)
-	rows := make([][]types.Value, m)
-	for i := range rows {
-		rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
-	}
-	return rows
-}
-
-// boxRow boxes row r of the columns into dst.
-func boxRow(dst []types.Value, cols []storage.Vec, r int) {
-	for c := range cols {
-		dst[c] = cols[c].Value(r)
-	}
+// Finish implements Sink: the collected columns are ordered and cut per
+// the Order.
+func (s *Collect) Finish() {
+	s.Cols = s.Order.Apply(s.Cols)
 }
 
 // Multi fans one pipeline out to several sinks (a shared plan's

@@ -29,7 +29,7 @@ type compiledPlan struct {
 	decisions []Decision
 }
 
-// output is one query's answer in a compiled plan: the rows collect
+// output is one query's answer in a compiled plan: the columns collect
 // gathers, or — for a member of a shared SPJ plan, whose spine is
 // collected once — the collected rows whose qid column (qid) carries
 // bit, projected onto sel.
@@ -41,23 +41,32 @@ type output struct {
 	sel     []int
 }
 
-// rows returns the output's rows once its pipelines ran.
-func (out *output) rows() [][]types.Value {
+// cols returns the output's answer columns once its pipelines ran. A
+// shared-plan member gathers the rows carrying its bit; when every row
+// does, it shares the spine's columns.
+func (out *output) cols() []storage.Vec {
+	spine := out.collect.Cols
 	if out.bit == 0 {
-		return out.collect.Rows
+		return spine
 	}
-	var rows [][]types.Value
-	for _, row := range out.collect.Rows {
-		if uint64(row[out.qid].I)&out.bit == 0 {
+	qids := spine[out.qid].Ints
+	var rows []int32
+	for r, m := range qids {
+		if uint64(m)&out.bit != 0 {
+			rows = append(rows, int32(r))
+		}
+	}
+	cols := make([]storage.Vec, len(out.sel))
+	for i, j := range out.sel {
+		if len(rows) == len(qids) {
+			cols[i] = spine[j]
 			continue
 		}
-		r := make([]types.Value, len(out.sel))
-		for i, j := range out.sel {
-			r[i] = row[j]
-		}
-		rows = append(rows, r)
+		cols[i].Kind = spine[j].Kind
+		cols[i].Grow(len(rows))
+		cols[i].AppendGather(&spine[j], rows)
 	}
-	return rows
+	return cols
 }
 
 // filterUpdate records one widening performed by the compiled plan: ht
@@ -498,7 +507,7 @@ func (c *compiler) compileSPJRoot(root *Node) error {
 	// order, cut to the LIMIT.
 	var order exec.Order
 	if !ordered {
-		order = resultOrder(c.q, names)
+		order = ResultOrder(c.q, names)
 	}
 	collect := exec.NewCollect(proj.OutSchema(), proj.Cols, order)
 	c.out.Pipelines = append(c.out.Pipelines, &exec.Pipeline{Source: src, Transforms: tfs, Sink: collect})
@@ -506,9 +515,10 @@ func (c *compiler) compileSPJRoot(root *Node) error {
 	return nil
 }
 
-// resultOrder is q's ORDER BY / LIMIT over its result columns. An
-// ORDER BY column that is not selected orders nothing.
-func resultOrder(q *plan.Query, names []string) exec.Order {
+// ResultOrder is q's ORDER BY / LIMIT over its result columns, named
+// by names. An ORDER BY column that is not selected orders nothing. The
+// result collector and the shard gather apply it.
+func ResultOrder(q *plan.Query, names []string) exec.Order {
 	order := exec.Order{Limit: q.Limit}
 	if ob := q.OrderBy; ob != nil {
 		if i := slices.Index(names, ob.Col.String()); i >= 0 {
@@ -817,7 +827,7 @@ func (c *compiler) compileReadout(q *plan.Query, ht *hashtable.Table, agg *AggCh
 	if err != nil {
 		return err
 	}
-	collect := exec.NewCollect(proj.OutSchema(), proj.Cols, resultOrder(q, names))
+	collect := exec.NewCollect(proj.OutSchema(), proj.Cols, ResultOrder(q, names))
 	c.out.Pipelines = append(c.out.Pipelines, &exec.Pipeline{Source: src, Transforms: tfs, Sink: collect})
 	c.out.outs = append(c.out.outs, output{collect: collect, columns: names})
 	return nil

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"hashstash/hashstasherr"
@@ -14,9 +13,16 @@ import (
 	"hashstash/internal/types"
 )
 
-// Result is a fully executed query.
+// Result is a fully executed query. Its answer is columnar: Vecs holds
+// one typed vector per name in Columns, rows in final order, exactly as
+// the result collector (exec.Collect) or the shard gather left them.
+// Rows is the same answer boxed row by row, filled only by Box: the
+// library entry points (hashstash.DB.ExecParsed and ExecParsedBatch)
+// box at their boundary, while the serving front-end encodes straight
+// from Vecs and never boxes.
 type Result struct {
 	Columns []string
+	Vecs    []storage.Vec
 	Rows    [][]types.Value
 
 	// PlanTime and ExecTime separate optimization from execution.
@@ -245,7 +251,7 @@ func (p *Prepared) result(i int, execTime time.Duration) *Result {
 	out := &p.compiled.outs[i]
 	res := &Result{
 		Columns:       out.columns,
-		Rows:          out.rows(),
+		Vecs:          out.cols(),
 		PlanTime:      p.planTime,
 		ExecTime:      execTime,
 		RowsIn:        rowsIn,
@@ -275,36 +281,31 @@ func (p *Prepared) Abort() {
 	p.o.discard(p.compiled)
 }
 
-// OrderAndLimit applies a query's ORDER BY / LIMIT to rows that are
-// already boxed — the shard aggregate merge. It picks rows with the same permutation selector the
-// result collector uses: the first Limit rows of a stable sort.
-func OrderAndLimit(rows [][]types.Value, columns []string, q *plan.Query) [][]types.Value {
-	idx := -1
-	if q.OrderBy != nil {
-		idx = slices.Index(columns, q.OrderBy.Col.String())
+// Len reports the answer's row count.
+func (r *Result) Len() int {
+	if len(r.Vecs) == 0 {
+		return 0
 	}
-	if idx < 0 {
-		if q.Limit > 0 && len(rows) > q.Limit {
-			rows = rows[:q.Limit]
-		}
-		return rows
+	return r.Vecs[0].Len()
+}
+
+// Box fills Rows from Vecs, every row's cells backed by one array (two
+// allocations); an empty answer leaves Rows nil. It is the one place an
+// answer is boxed, and boxing twice is a no-op.
+func (r *Result) Box() {
+	n, w := r.Len(), len(r.Vecs)
+	if r.Rows != nil || n == 0 {
+		return
 	}
-	desc := q.OrderBy.Desc
-	perm := storage.OrderPerm(len(rows), q.Limit, func(a, b int32) int {
-		c := rows[a][idx].Compare(rows[b][idx])
-		if desc {
-			c = -c
+	cells := make([]types.Value, n*w)
+	r.Rows = make([][]types.Value, n)
+	for i := range r.Rows {
+		row := cells[i*w : (i+1)*w : (i+1)*w]
+		for c := range r.Vecs {
+			row[c] = r.Vecs[c].Value(i)
 		}
-		if c != 0 {
-			return c
-		}
-		return int(a) - int(b)
-	})
-	out := make([][]types.Value, len(perm))
-	for i, r := range perm {
-		out[i] = rows[r]
+		r.Rows[i] = row
 	}
-	return out
 }
 
 // discard unwinds a compiled plan that will not publish its tables —

@@ -88,10 +88,18 @@ func spjQuery(lo, hi string) *plan.Query {
 	}
 }
 
+// rowsOf is a result's answer boxed row by row: the one way tests read
+// an answer as rows.
+func rowsOf(r *Result) [][]types.Value {
+	r.Box()
+	return r.Rows
+}
+
 // canonical renders result rows order-independently for comparison.
 func canonical(r *Result) []string {
-	out := make([]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
+	rows := rowsOf(r)
+	out := make([]string, 0, len(rows))
+	for _, row := range rows {
 		var parts []string
 		for _, v := range row {
 			if v.Kind == types.Float64 {
@@ -125,7 +133,7 @@ func TestSPJFreshExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) == 0 {
+	if len(rowsOf(res)) == 0 {
 		t.Fatal("no rows")
 	}
 	if len(res.Columns) != 2 || res.Columns[0] != "o.o_orderkey" {
@@ -168,8 +176,8 @@ func TestSPJAgainstNaiveJoin(t *testing.T) {
 		}
 	}
 	_ = dates
-	if len(res.Rows) != want {
-		t.Fatalf("join rows = %d, want %d", len(res.Rows), want)
+	if len(rowsOf(res)) != want {
+		t.Fatalf("join rows = %d, want %d", len(rowsOf(res)), want)
 	}
 }
 
@@ -180,7 +188,7 @@ func TestAggregateFreshMatchesManual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) == 0 {
+	if len(rowsOf(res)) == 0 {
 		t.Fatal("no rows")
 	}
 	if res.Columns[0] != "c.c_age" || res.Columns[1] != "revenue" {
@@ -211,10 +219,10 @@ func TestAggregateFreshMatchesManual(t *testing.T) {
 		age := ageByCust[custByOrder[lkeys[i]]]
 		wantRev[age] += lprice[i]
 	}
-	if len(res.Rows) != len(wantRev) {
-		t.Fatalf("groups = %d, want %d", len(res.Rows), len(wantRev))
+	if len(rowsOf(res)) != len(wantRev) {
+		t.Fatalf("groups = %d, want %d", len(rowsOf(res)), len(wantRev))
 	}
-	for _, row := range res.Rows {
+	for _, row := range rowsOf(res) {
 		age, rev := row[0].I, row[1].F
 		if math.Abs(rev-wantRev[age]) > 1e-6*math.Abs(wantRev[age])+1e-9 {
 			t.Fatalf("age %d revenue = %f, want %f", age, rev, wantRev[age])
@@ -606,13 +614,17 @@ func TestWideningQueryAcrossDemotion(t *testing.T) {
 	sameResults(t, "revived aggregate", again, wantAgain)
 }
 
-// TestOrderAndLimitMatchesStableSort: the boxed ORDER BY / LIMIT (shard
-// aggregate merge, materialized baseline) returns the prefix of a
-// stable sort, ties in input order.
-func TestOrderAndLimitMatchesStableSort(t *testing.T) {
+// TestResultOrderMatchesStableSort: a query's ORDER BY / LIMIT applied
+// to answer columns (the collector's and the shard gather's one
+// implementation) returns the prefix of a stable sort, ties in input
+// order.
+func TestResultOrderMatchesStableSort(t *testing.T) {
 	rows := make([][]types.Value, 200)
+	cols := []storage.Vec{{Kind: types.Int64}, {Kind: types.Float64}}
 	for i := range rows {
 		rows[i] = []types.Value{types.NewInt(int64(i)), types.NewFloat(float64(i*7%5) / 2)}
+		cols[0].Append(rows[i][0])
+		cols[1].Append(rows[i][1])
 	}
 	columns := []string{"k", "v"}
 	for _, desc := range []bool{false, true} {
@@ -629,8 +641,9 @@ func TestOrderAndLimitMatchesStableSort(t *testing.T) {
 			if limit > 0 && limit < len(want) {
 				cut = want[:limit]
 			}
-			if got := OrderAndLimit(slices.Clone(rows), columns, q); fmt.Sprint(got) != fmt.Sprint(cut) {
-				t.Fatalf("desc=%v limit=%d: got %v, want %v", desc, limit, got, cut)
+			got := &Result{Vecs: ResultOrder(q, columns).Apply(cols)}
+			if fmt.Sprint(rowsOf(got)) != fmt.Sprint(cut) {
+				t.Fatalf("desc=%v limit=%d: got %v, want %v", desc, limit, got.Rows, cut)
 			}
 		}
 	}

@@ -48,14 +48,14 @@ func TestStringGroupByWithReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 5 {
-		t.Fatalf("groups = %d, want 5", len(res.Rows))
+	if len(rowsOf(res)) != 5 {
+		t.Fatalf("groups = %d, want 5", len(rowsOf(res)))
 	}
-	if res.Rows[0][0].Kind != types.String {
-		t.Errorf("group key kind = %v", res.Rows[0][0].Kind)
+	if rowsOf(res)[0][0].Kind != types.String {
+		t.Errorf("group key kind = %v", rowsOf(res)[0][0].Kind)
 	}
 	// MIN over a date column must come back as a date-comparable int.
-	for _, row := range res.Rows {
+	for _, row := range rowsOf(res) {
 		if row[2].I < types.MustParseDate("1995-01-01") {
 			t.Errorf("MIN(first) = %v below the filter bound", row[2])
 		}

@@ -7,18 +7,21 @@ import (
 	"unicode/utf8"
 
 	"hashstash"
+	"hashstash/internal/storage"
 	"hashstash/internal/types"
 )
 
 // Query results reach the wire through appendResult, which writes the
 // JSON bytes encoding/json would write for the same response — same
 // field order, number formats and string escaping — straight from the
-// boxed rows, without reflection or per-cell interface values. A
-// non-finite float, which encoding/json refuses to encode, becomes null.
+// answer's typed columns (Result.Vecs), without reflection, per-cell
+// interface values or boxed types.Value cells. A non-finite float,
+// which encoding/json refuses to encode, becomes null.
 
 // appendResult appends a successful query response and its newline:
 // {"columns":…,"rows":…,"batched":…,"mode":…}. With omitEmpty (the line
-// protocol) empty columns, rows and mode are left out.
+// protocol) empty columns, rows and mode are left out. It reads only
+// res.Columns and res.Vecs.
 func appendResult(dst []byte, res *hashstash.Result, info QueryInfo, omitEmpty bool) []byte {
 	dst = append(dst, '{')
 	if !omitEmpty || len(res.Columns) > 0 {
@@ -37,18 +40,18 @@ func appendResult(dst []byte, res *hashstash.Result, info QueryInfo, omitEmpty b
 		}
 		dst = append(dst, ',')
 	}
-	if !omitEmpty || len(res.Rows) > 0 {
+	if n := res.Len(); !omitEmpty || n > 0 {
 		dst = append(dst, `"rows":[`...)
-		for i, row := range res.Rows {
-			if i > 0 {
+		for r := range n {
+			if r > 0 {
 				dst = append(dst, ',')
 			}
 			dst = append(dst, '[')
-			for j, v := range row {
-				if j > 0 {
+			for c := range res.Vecs {
+				if c > 0 {
 					dst = append(dst, ',')
 				}
-				dst = appendCell(dst, v)
+				dst = appendCell(dst, &res.Vecs[c], r)
 			}
 			dst = append(dst, ']')
 		}
@@ -63,18 +66,23 @@ func appendResult(dst []byte, res *hashstash.Result, info QueryInfo, omitEmpty b
 	return append(dst, "}\n"...)
 }
 
-// appendCell appends one value: integers and floats as JSON numbers,
-// strings and dates (in their canonical yyyy-mm-dd form) as strings.
-func appendCell(dst []byte, v types.Value) []byte {
+// appendCell appends row r of a column, with one switch on its kind:
+// integers and floats as JSON numbers, strings and dates (in their
+// canonical yyyy-mm-dd form) as strings.
+func appendCell(dst []byte, v *storage.Vec, r int) []byte {
 	switch v.Kind {
 	case types.Int64:
-		return strconv.AppendInt(dst, v.I, 10)
+		return strconv.AppendInt(dst, v.Ints[r], 10)
 	case types.Float64:
-		return appendFloat(dst, v.F)
+		return appendFloat(dst, v.Floats[r])
 	case types.String:
-		return appendString(dst, v.S)
+		return appendString(dst, v.Strs[r])
+	case types.Date:
+		dst = append(dst, '"')
+		dst = types.AppendDate(dst, v.Ints[r])
+		return append(dst, '"')
 	}
-	return appendString(dst, v.String())
+	return append(dst, "null"...)
 }
 
 // appendFloat formats f like encoding/json: the shortest representation

@@ -3,17 +3,19 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"strings"
 	"testing"
 
 	"hashstash"
+	"hashstash/internal/storage"
 	"hashstash/internal/types"
 )
 
 // refCell is a cell as encoding/json receives it: the engine value's
-// number or string form.
+// number or string form, a date formatted by fmt.
 func refCell(v types.Value) any {
 	switch v.Kind {
 	case types.Int64:
@@ -23,7 +25,8 @@ func refCell(v types.Value) any {
 	case types.String:
 		return v.S
 	}
-	return v.String()
+	y, m, d := types.CivilFromDays(v.I)
+	return fmt.Sprintf("%04d-%02d-%02d", y, m, d)
 }
 
 // refQuery and refLine are the POST /query and line-protocol success
@@ -96,19 +99,45 @@ func randFloat(rng *rand.Rand) float64 {
 }
 
 func randValue(rng *rand.Rand) types.Value {
-	switch rng.IntN(4) {
-	case 0:
+	return randValueOf(rng, []types.Kind{types.Int64, types.Float64, types.String, types.Date}[rng.IntN(4)])
+}
+
+func randValueOf(rng *rand.Rand, kind types.Kind) types.Value {
+	switch kind {
+	case types.Int64:
 		ints := []int64{math.MinInt64, math.MaxInt64, 0, -1, 1}
 		if rng.IntN(4) == 0 {
 			return types.NewInt(ints[rng.IntN(len(ints))])
 		}
 		return types.NewInt(rng.Int64() >> rng.IntN(64))
-	case 1:
+	case types.Float64:
 		return types.NewFloat(randFloat(rng))
-	case 2:
+	case types.String:
 		return types.NewString(randString(rng))
 	}
 	return types.NewDate(rng.Int64N(40000) - 10000)
+}
+
+// column returns a one-column vector of vals' kind holding vals.
+func column(kind types.Kind, vals ...types.Value) storage.Vec {
+	v := storage.Vec{Kind: kind}
+	for _, x := range vals {
+		v.Append(x)
+	}
+	return v
+}
+
+// boxed is the answer of res row by row, as encoding/json receives it.
+func boxed(res *hashstash.Result) [][]any {
+	res.Box()
+	rows := make([][]any, len(res.Rows))
+	for r, row := range res.Rows {
+		rows[r] = make([]any, len(row))
+		for c, v := range row {
+			rows[r][c] = refCell(v)
+		}
+	}
+	return rows
 }
 
 // TestAppendCellMatchesEncodingJSON: every finite cell encodes to the
@@ -122,52 +151,112 @@ func TestAppendCellMatchesEncodingJSON(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%#v: %v", v, err)
 		}
-		got = appendCell(got[:0], v)
+		col := column(v.Kind, v)
+		got = appendCell(got[:0], &col, 0)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%#v: got %s, want %s", v, got, want)
 		}
 	}
 }
 
+// checkEncoding compares appendResult's bytes for res with
+// encoding/json's over the same answer boxed, in both framings: the
+// POST /query body and the line protocol's omitempty form.
+func checkEncoding(t *testing.T, res *hashstash.Result, info QueryInfo) {
+	t.Helper()
+	http := appendResult(nil, res, info, false)
+	line := appendResult(nil, res, info, true)
+	rows := boxed(res)
+	if want := refEncode(t, refQuery{Columns: res.Columns, Rows: rows, Batched: info.Batched, Mode: info.Mode}); !bytes.Equal(http, want) {
+		t.Fatalf("http body:\n got %s\nwant %s", http, want)
+	}
+	if want := refEncode(t, refLine{Columns: res.Columns, Rows: rows, Batched: info.Batched, Mode: info.Mode}); !bytes.Equal(line, want) {
+		t.Fatalf("line:\n got %s\nwant %s", line, want)
+	}
+}
+
 // TestAppendResultMatchesEncodingJSON: whole responses of both protocols
-// match encoding/json, including empty results, nil columns and the
-// line protocol's omitempty fields.
+// match encoding/json over the same answer boxed, including empty
+// results, nil columns and the line protocol's omitempty fields.
 func TestAppendResultMatchesEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewPCG(23, 2))
 	modes := []string{"", "solo", "batched", "bypass-<shape>"}
+	kinds := []types.Kind{types.Int64, types.Float64, types.String, types.Date}
 	for i := 0; i < 2000; i++ {
 		res := &hashstash.Result{}
+		width := rng.IntN(4)
 		if rng.IntN(8) != 0 {
-			res.Columns = make([]string, rng.IntN(4))
+			res.Columns = make([]string, width)
 			for c := range res.Columns {
 				res.Columns[c] = randString(rng)
 			}
 		}
 		if rng.IntN(8) != 0 {
-			res.Rows = make([][]hashstash.Value, rng.IntN(6))
-			for r := range res.Rows {
-				res.Rows[r] = make([]hashstash.Value, rng.IntN(4))
-				for c := range res.Rows[r] {
-					res.Rows[r][c] = randValue(rng)
+			n := rng.IntN(6)
+			res.Vecs = make([]storage.Vec, width)
+			for c := range res.Vecs {
+				res.Vecs[c].Kind = kinds[rng.IntN(len(kinds))]
+				for range n {
+					res.Vecs[c].Append(randValueOf(rng, res.Vecs[c].Kind))
 				}
 			}
 		}
-		info := QueryInfo{Batched: rng.IntN(2) == 0, Mode: modes[rng.IntN(len(modes))]}
+		checkEncoding(t, res, QueryInfo{Batched: rng.IntN(2) == 0, Mode: modes[rng.IntN(len(modes))]})
+	}
+}
 
-		rows := make([][]any, len(res.Rows))
-		for r, row := range res.Rows {
-			rows[r] = make([]any, len(row))
-			for c, v := range row {
-				rows[r][c] = refCell(v)
-			}
+// TestEncoderDifferential: the columnar encoder against encoding/json
+// over the boxed rows, one column per kind, at the edge values: NaN and
+// ±Inf (null), -0, the 'f'/'e' cut-overs 1e-7 and 1e21, full-precision
+// doubles shaped like the generator's prices, dates across the year
+// range, and strings that need escaping or replacement.
+func TestEncoderDifferential(t *testing.T) {
+	floats := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+		1e-7, -1e-7, 1e-6, 1e21, -1e21, 1e20, 123456789012345678901,
+		0.1 + 0.2, 1.0 / 3, math.Pi * 1e5, math.MaxFloat64, math.SmallestNonzeroFloat64,
+		37541.97 * 1.0000001, 901.0 * (1 - 0.04) * (1 + 0.02), 104949.5 / 7,
+	}
+	strs := []string{
+		"", "plain", `a"quote`, `back\slash`, "<tag>&amp;", "line\nfeed\ttab\rcr",
+		"\x00\x01\x1f\x7f", "\b\f", "\xff\xfe", "ok\xc3", "\xed\xa0\x80", "sep\u2028par\u2029",
+		"é€\U0001d11e",
+	}
+	dates := []int64{
+		types.MustParseDate("1992-01-01"), types.MustParseDate("1998-12-31"),
+		types.MustParseDate("0001-01-01"), types.MustParseDate("9999-12-31"),
+		0, -1, -800_000, 3_000_000,
+	}
+	ints := []int64{0, -1, 1, math.MinInt64, math.MaxInt64, 1 << 53, -(1 << 53) - 1}
+	n := max(len(floats), len(strs), len(dates), len(ints))
+	res := &hashstash.Result{
+		Columns: []string{"i", "f", "s", "d"},
+		Vecs: []storage.Vec{
+			{Kind: types.Int64}, {Kind: types.Float64}, {Kind: types.String}, {Kind: types.Date},
+		},
+	}
+	for r := range n {
+		res.Vecs[0].Ints = append(res.Vecs[0].Ints, ints[r%len(ints)])
+		res.Vecs[1].Floats = append(res.Vecs[1].Floats, floats[r%len(floats)])
+		res.Vecs[2].Strs = append(res.Vecs[2].Strs, strs[r%len(strs)])
+		res.Vecs[3].Ints = append(res.Vecs[3].Ints, dates[r%len(dates)])
+	}
+	// encoding/json refuses non-finite floats; the server writes null,
+	// which is what encoding/json writes for a nil interface.
+	rows := boxed(res)
+	for _, row := range rows {
+		if f := row[1].(float64); math.IsNaN(f) || math.IsInf(f, 0) {
+			row[1] = nil
 		}
-		want := refEncode(t, refQuery{Columns: res.Columns, Rows: rows, Batched: info.Batched, Mode: info.Mode})
-		if got := appendResult(nil, res, info, false); !bytes.Equal(got, want) {
-			t.Fatalf("http body:\n got %s\nwant %s", got, want)
+	}
+	for _, info := range []QueryInfo{{Mode: "solo"}, {Batched: true, Mode: "batched"}, {}} {
+		http := appendResult(nil, res, info, false)
+		if want := refEncode(t, refQuery{Columns: res.Columns, Rows: rows, Batched: info.Batched, Mode: info.Mode}); !bytes.Equal(http, want) {
+			t.Fatalf("http body:\n got %s\nwant %s", http, want)
 		}
-		want = refEncode(t, refLine{Columns: res.Columns, Rows: rows, Batched: info.Batched, Mode: info.Mode})
-		if got := appendResult(nil, res, info, true); !bytes.Equal(got, want) {
-			t.Fatalf("line:\n got %s\nwant %s", got, want)
+		line := appendResult(nil, res, info, true)
+		if want := refEncode(t, refLine{Columns: res.Columns, Rows: rows, Batched: info.Batched, Mode: info.Mode}); !bytes.Equal(line, want) {
+			t.Fatalf("line:\n got %s\nwant %s", line, want)
 		}
 	}
 }
@@ -176,7 +265,8 @@ func TestAppendResultMatchesEncodingJSON(t *testing.T) {
 // encode as null.
 func TestAppendCellNonFinite(t *testing.T) {
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if got := appendCell(nil, types.NewFloat(f)); string(got) != "null" {
+		col := column(types.Float64, types.NewFloat(f))
+		if got := appendCell(nil, &col, 0); string(got) != "null" {
 			t.Errorf("%v encodes as %s, want null", f, got)
 		}
 	}

@@ -136,7 +136,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	res, info, err := s.Execute(ctx, tenant, req.SQL)
+	res, info, err := s.execute(ctx, tenant, req.SQL)
 	if err != nil {
 		var oe *hashstasherr.OverloadedError
 		if errors.As(err, &oe) && oe.RetryAfter > 0 {

@@ -122,7 +122,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		case line == "STATS":
 			_ = enc.Encode(s.Stats())
 		default:
-			res, info, err := s.Execute(context.Background(), tenant, line)
+			res, info, err := s.execute(context.Background(), tenant, line)
 			if err != nil {
 				_ = enc.Encode(lineError{Batched: info.Batched, Mode: info.Mode, Error: err.Error()})
 			} else {

@@ -326,8 +326,22 @@ func (s *Server) session(tenant string) *hashstash.Session {
 // dispatches and executes, honoring ctx: cancellation while still
 // queued withdraws the query and returns an error wrapping
 // hashstasherr.ErrCanceled; admission past the queue bounds returns
-// one wrapping hashstasherr.ErrOverloaded.
+// one wrapping hashstasherr.ErrOverloaded. The answer comes back boxed
+// into Result.Rows, as the library entry points return it; the wire
+// handlers take the same path without the boxing.
 func (s *Server) Execute(ctx context.Context, tenant, sql string) (*hashstash.Result, QueryInfo, error) {
+	res, info, err := s.execute(ctx, tenant, sql)
+	if res != nil {
+		res.Box()
+	}
+	return res, info, err
+}
+
+// execute is Execute with a columnar answer (Result.Vecs, Rows nil):
+// the engine is reached only through the non-boxing entry points
+// (DB.ExecParsedColumnar for a solo query, DB.ExecParsedBatchColumnar
+// for a dispatched group), and the wire handlers encode the columns.
+func (s *Server) execute(ctx context.Context, tenant, sql string) (*hashstash.Result, QueryInfo, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -431,7 +445,7 @@ func (s *Server) solo(ctx context.Context, q *hashstash.Query, info QueryInfo) (
 	}()
 	s.soloQueries.Add(1)
 	s.plansExecuted.Add(1)
-	res, err := s.db.ExecParsed(ctx, q)
+	res, err := s.db.ExecParsedColumnar(ctx, q)
 	return res, info, err
 }
 
@@ -644,7 +658,7 @@ func (s *Server) runBatch(shape string, batch []*pending) {
 		p := batch[0]
 		s.soloQueries.Add(1)
 		s.plansExecuted.Add(1)
-		p.res, p.err = s.db.ExecParsed(ctx, p.q)
+		p.res, p.err = s.db.ExecParsedColumnar(ctx, p.q)
 		close(p.done)
 		return
 	}
@@ -653,7 +667,7 @@ func (s *Server) runBatch(shape string, batch []*pending) {
 	for i, p := range batch {
 		qs[i] = p.q
 	}
-	br, err := s.db.ExecParsedBatch(ctx, qs)
+	br, err := s.db.ExecParsedBatchColumnar(ctx, qs)
 	s.noteShared(shape, err != nil)
 	if err != nil {
 		// Shared-plan failure degrades every member to solo execution
@@ -668,7 +682,7 @@ func (s *Server) runBatch(shape string, batch []*pending) {
 			s.soloQueries.Add(1)
 			s.plansExecuted.Add(1)
 			p.fallback = true
-			p.res, p.err = s.db.ExecParsed(mctx, p.q)
+			p.res, p.err = s.db.ExecParsedColumnar(mctx, p.q)
 			if cancel != nil {
 				cancel()
 			}

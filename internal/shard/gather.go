@@ -139,13 +139,10 @@ func (e *Engine) scatter(ctx context.Context, q *plan.Query) (*optimizer.Result,
 	}
 
 	var merged *optimizer.Result
-	switch {
-	case agg:
+	if agg {
 		merged, err = mergeAggregates(q, results, partials, srcIdx)
-	case q.OrderBy != nil:
-		merged = mergeOrdered(q, results)
-	default:
-		merged = mergeConcat(q, results)
+	} else {
+		merged = mergeRows(q, results)
 	}
 	if err != nil {
 		return nil, err
@@ -168,116 +165,108 @@ func foldStats(out *optimizer.Result, legs []*optimizer.Result, execTime time.Du
 	}
 }
 
-// mergeConcat splices unordered legs (any LIMIT is re-applied).
-func mergeConcat(q *plan.Query, legs []*optimizer.Result) *optimizer.Result {
-	out := &optimizer.Result{Columns: legs[0].Columns}
-	for _, r := range legs {
-		out.Rows = append(out.Rows, r.Rows...)
-	}
-	if q.Limit > 0 && len(out.Rows) > q.Limit {
-		out.Rows = out.Rows[:q.Limit]
-	}
+// mergeRows splices the legs and applies the query's ORDER BY / LIMIT
+// to the spliced columns. Under ORDER BY each leg is already sorted on
+// the order column (with LIMIT k, a top-k superset of its
+// contribution), and the stable sort of the splice keeps equal keys in
+// leg order — what a k-way merge that breaks ties to the lower leg
+// would emit.
+func mergeRows(q *plan.Query, legs []*optimizer.Result) *optimizer.Result {
+	out := &optimizer.Result{Columns: legs[0].Columns, Vecs: splice(legs)}
+	out.Vecs = optimizer.ResultOrder(q, out.Columns).Apply(out.Vecs)
 	return out
 }
 
-// mergeOrdered k-way merges legs that are each already sorted on the
-// ORDER BY column (each leg's collector ordered it, so with LIMIT k
-// each leg is a top-k superset of its contribution) and truncates to the
-// global limit.
-func mergeOrdered(q *plan.Query, legs []*optimizer.Result) *optimizer.Result {
-	out := &optimizer.Result{Columns: legs[0].Columns}
-	idx := -1
-	want := q.OrderBy.Col.String()
-	for i, c := range out.Columns {
-		if c == want {
-			idx = i
-			break
+// splice concatenates the legs' columns in leg order. A single leg
+// with rows is returned as is.
+func splice(legs []*optimizer.Result) []storage.Vec {
+	total, nonEmpty := 0, -1
+	for i, r := range legs {
+		if n := r.Len(); n > 0 {
+			total += n
+			nonEmpty = i
 		}
 	}
-	if idx < 0 {
-		return mergeConcat(q, legs)
+	if nonEmpty < 0 || total == legs[nonEmpty].Len() {
+		return legs[max(nonEmpty, 0)].Vecs
 	}
-	desc := q.OrderBy.Desc
-	cursors := make([]int, len(legs))
-	total := 0
-	for _, r := range legs {
-		total += len(r.Rows)
-	}
-	if q.Limit > 0 && q.Limit < total {
-		total = q.Limit
-	}
-	out.Rows = make([][]types.Value, 0, total)
-	for len(out.Rows) < total {
-		best := -1
-		for s, r := range legs {
-			if cursors[s] >= len(r.Rows) {
-				continue
-			}
-			if best < 0 {
-				best = s
-				continue
-			}
-			c := r.Rows[cursors[s]][idx].Compare(legs[best].Rows[cursors[best]][idx])
-			if (desc && c > 0) || (!desc && c < 0) {
-				best = s
-			}
+	cols := make([]storage.Vec, len(legs[0].Vecs))
+	for c := range cols {
+		cols[c].Kind = legs[0].Vecs[c].Kind
+		cols[c].Grow(total)
+		for _, r := range legs {
+			cols[c].AppendRange(&r.Vecs[c], 0, r.Len())
 		}
-		if best < 0 {
-			break
-		}
-		out.Rows = append(out.Rows, legs[best].Rows[cursors[best]])
-		cursors[best]++
 	}
-	return out
+	return cols
 }
 
-// groupKey encodes one group's key cells into a map key
-// (length-prefixed, kind-tagged — collision-free across kinds).
-func groupKey(buf []byte, vals []types.Value, n int) ([]byte, string) {
-	buf = buf[:0]
-	for _, v := range vals[:n] {
-		buf = append(buf, byte(v.Kind))
-		switch v.Kind {
+// groupKey appends row r's key cells (length-prefixed, kind-tagged —
+// collision-free across kinds) to buf.
+func groupKey(buf []byte, keys []storage.Vec, r int) []byte {
+	for c := range keys {
+		k := &keys[c]
+		buf = append(buf, byte(k.Kind))
+		switch k.Kind {
 		case types.String:
-			buf = binary.AppendUvarint(buf, uint64(len(v.S)))
-			buf = append(buf, v.S...)
+			buf = binary.AppendUvarint(buf, uint64(len(k.Strs[r])))
+			buf = append(buf, k.Strs[r]...)
+		case types.Float64:
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(k.Floats[r]))
 		default:
-			buf = binary.LittleEndian.AppendUint64(buf, v.Bits())
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(k.Ints[r]))
 		}
 	}
-	return buf, string(buf)
+	return buf
 }
 
-// foldCell merges two partial aggregate cells for an additive function,
-// mirroring the engine's own cross-partition merge semantics: counts
-// add as integers, sums add in the cell's kind, min/max compare.
-func foldCell(f expr.AggFunc, a, b types.Value) types.Value {
+// foldCell folds partial cell src[j] into acc[i] for an additive
+// function, mirroring the engine's own cross-partition merge semantics:
+// counts and sums add in the column's kind, min/max compare (a NaN
+// never replaces the accumulator, nor is it replaced).
+func foldCell(f expr.AggFunc, acc *storage.Vec, i int, src *storage.Vec, j int) {
+	switch acc.Kind {
+	case types.Float64:
+		foldOrdered(f, &acc.Floats[i], src.Floats[j])
+	case types.String:
+		foldOrdered(f, &acc.Strs[i], src.Strs[j])
+	default:
+		foldOrdered(f, &acc.Ints[i], src.Ints[j])
+	}
+}
+
+func foldOrdered[T int64 | float64 | string](f expr.AggFunc, acc *T, v T) {
 	switch f {
-	case expr.AggCount:
-		return types.NewInt(a.AsInt() + b.AsInt())
-	case expr.AggSum:
-		if a.Kind == types.Int64 && b.Kind == types.Int64 {
-			return types.NewInt(a.I + b.I)
-		}
-		return types.NewFloat(a.AsFloat() + b.AsFloat())
+	case expr.AggCount, expr.AggSum:
+		*acc += v
 	case expr.AggMin:
-		if a.Compare(b) <= 0 {
-			return a
+		if v < *acc {
+			*acc = v
 		}
-		return b
 	default: // max
-		if a.Compare(b) >= 0 {
-			return a
+		if v > *acc {
+			*acc = v
 		}
-		return b
 	}
 }
 
-// mergeAggregates folds the per-shard partial-aggregate legs: rows are
-// grouped by the full GROUP BY key, each additive partial folds across
-// shards, rewritten AVGs finalize as SUM/COUNT, and the surviving rows
-// project down to the original SELECT list before the original ORDER
-// BY/LIMIT applies.
+// floatAt reads cell i as a float (strings read NaN).
+func floatAt(v *storage.Vec, i int) float64 {
+	switch v.Kind {
+	case types.Float64:
+		return v.Floats[i]
+	case types.Int64, types.Date:
+		return float64(v.Ints[i])
+	}
+	return math.NaN()
+}
+
+// mergeAggregates folds the per-shard partial-aggregate legs column by
+// column: rows are grouped by the full GROUP BY key (groups in order of
+// first appearance, each keeping its first row's key cells), each
+// additive partial folds across shards, rewritten AVGs finalize as
+// SUM/COUNT, and the group columns project down to the original SELECT
+// list before the original ORDER BY/LIMIT applies.
 func mergeAggregates(q *plan.Query, legs []*optimizer.Result, partials []expr.AggSpec, srcIdx [][2]int) (*optimizer.Result, error) {
 	nGroup := len(q.GroupBy)
 
@@ -296,60 +285,64 @@ func mergeAggregates(q *plan.Query, legs []*optimizer.Result, partials []expr.Ag
 		}
 	}
 
-	groups := make(map[string][]types.Value)
-	var order []string // deterministic emission order: first appearance
-	var scratch []byte
+	// acc holds one row per group: its key cells, then its partials.
+	width := nGroup + len(partials)
+	acc := make([]storage.Vec, width)
+	for c := range acc {
+		if c < len(legs[0].Vecs) {
+			acc[c].Kind = legs[0].Vecs[c].Kind
+		}
+	}
+	groups := make(map[string]int)
+	var key []byte
 	for _, r := range legs {
-		for _, row := range r.Rows {
-			if len(row) != nGroup+len(partials) {
-				return nil, fmt.Errorf("shard: partial-aggregate leg row has %d cells, want %d", len(row), nGroup+len(partials))
+		if len(r.Vecs) != width {
+			return nil, fmt.Errorf("shard: partial-aggregate leg has %d columns, want %d", len(r.Vecs), width)
+		}
+		for c := range acc {
+			if r.Vecs[c].Kind != acc[c].Kind {
+				return nil, fmt.Errorf("shard: partial-aggregate leg column %d is %v, want %v", c, r.Vecs[c].Kind, acc[c].Kind)
 			}
-			var key string
-			scratch, key = groupKey(scratch, row, nGroup)
-			acc, ok := groups[key]
+		}
+		for row := range r.Len() {
+			key = groupKey(key[:0], r.Vecs[:nGroup], row)
+			g, ok := groups[string(key)]
 			if !ok {
-				groups[key] = append([]types.Value(nil), row...)
-				order = append(order, key)
+				groups[string(key)] = len(groups)
+				for c := range acc {
+					acc[c].AppendRange(&r.Vecs[c], row, row+1)
+				}
 				continue
 			}
 			for p := range partials {
-				ci := nGroup + p
-				acc[ci] = foldCell(partials[p].Func, acc[ci], row[ci])
+				foldCell(partials[p].Func, &acc[nGroup+p], g, &r.Vecs[nGroup+p], row)
 			}
 		}
 	}
 
 	columns := make([]string, 0, len(q.Select)+len(q.Aggs))
-	for _, sel := range q.Select {
+	cols := make([]storage.Vec, 0, cap(columns))
+	for i, sel := range q.Select {
 		columns = append(columns, sel.String())
+		cols = append(cols, acc[selPos[i]])
 	}
-	for _, a := range q.Aggs {
+	for i, a := range q.Aggs {
 		columns = append(columns, a.Name())
-	}
-
-	rows := make([][]types.Value, 0, len(order))
-	for _, key := range order {
-		acc := groups[key]
-		row := make([]types.Value, 0, len(columns))
-		for _, g := range selPos {
-			row = append(row, acc[g])
+		si, ci := srcIdx[i][0], srcIdx[i][1]
+		if a.Func != expr.AggAvg {
+			cols = append(cols, acc[nGroup+si])
+			continue
 		}
-		for i, a := range q.Aggs {
-			si, ci := srcIdx[i][0], srcIdx[i][1]
-			if a.Func == expr.AggAvg {
-				cnt := acc[nGroup+ci].AsFloat()
-				if cnt == 0 || math.IsNaN(cnt) {
-					row = append(row, types.NewFloat(0))
-				} else {
-					row = append(row, types.NewFloat(acc[nGroup+si].AsFloat()/cnt))
-				}
-				continue
+		sum, cnt := &acc[nGroup+si], &acc[nGroup+ci]
+		avg := storage.Vec{Kind: types.Float64, Floats: make([]float64, len(groups))}
+		for g := range avg.Floats {
+			if c := floatAt(cnt, g); c != 0 && !math.IsNaN(c) {
+				avg.Floats[g] = floatAt(sum, g) / c
 			}
-			row = append(row, acc[nGroup+si])
 		}
-		rows = append(rows, row)
+		cols = append(cols, avg)
 	}
 	out := &optimizer.Result{Columns: columns}
-	out.Rows = optimizer.OrderAndLimit(rows, columns, q)
+	out.Vecs = optimizer.ResultOrder(q, columns).Apply(cols)
 	return out, nil
 }

@@ -25,7 +25,10 @@ func newRouter(t *testing.T) (*catalog.Catalog, *optimizer.Optimizer, *shard.Eng
 	return cat, o, shard.New([]*shard.Shard{{Cat: cat, Cache: o.Cache, Opt: o}}, nil, exec.Parallelism{})
 }
 
+// canonicalRows renders a result's answer, boxed row by row,
+// order-independently.
 func canonicalRows(r *optimizer.Result) []string {
+	r.Box()
 	out := make([]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
 		var parts []string

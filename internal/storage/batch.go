@@ -43,6 +43,18 @@ func (v *Vec) Reset() {
 	v.Strs = v.Strs[:0]
 }
 
+// Truncate keeps the first n rows (n <= Len), keeping capacity.
+func (v *Vec) Truncate(n int) {
+	switch v.Kind {
+	case types.Int64, types.Date:
+		v.Ints = v.Ints[:n]
+	case types.Float64:
+		v.Floats = v.Floats[:n]
+	case types.String:
+		v.Strs = v.Strs[:n]
+	}
+}
+
 // Len reports the vector length.
 func (v *Vec) Len() int {
 	switch v.Kind {

@@ -77,6 +77,19 @@ func MustParseDate(s string) int64 {
 
 // FormatDate renders days since the epoch as yyyy-mm-dd.
 func FormatDate(days int64) string {
+	return string(AppendDate(nil, days))
+}
+
+// AppendDate appends days since the epoch as yyyy-mm-dd (the year
+// zero-padded to four digits, as fmt's %04d pads it) without
+// allocating for years 0 through 9999.
+func AppendDate(dst []byte, days int64) []byte {
 	y, m, d := CivilFromDays(days)
-	return fmt.Sprintf("%04d-%02d-%02d", y, m, d)
+	if y < 0 || y > 9999 {
+		return fmt.Appendf(dst, "%04d-%02d-%02d", y, m, d)
+	}
+	return append(dst,
+		byte('0'+y/1000), byte('0'+y/100%10), byte('0'+y/10%10), byte('0'+y%10), '-',
+		byte('0'+m/10), byte('0'+m%10), '-',
+		byte('0'+d/10), byte('0'+d%10))
 }
