@@ -253,7 +253,7 @@ func mergeAggBits(a AggCell, dst, src uint64) uint64 {
 }
 
 // parallelCollect gives each worker a private Collect and appends
-// their columns at merge; the target's Finish then orders and cuts.
+// their parts at merge; the target's Finish then joins, orders and cuts.
 // Arrival order is worker-dependent (SQL result sets are unordered;
 // tests compare sorted rows), so rows tied on an ORDER BY key may come
 // out in another order than on one worker.
@@ -274,7 +274,7 @@ func (pc *parallelCollect) worker(w int) Sink { return pc.parts[w] }
 
 func (pc *parallelCollect) merge() {
 	for _, part := range pc.parts {
-		pc.target.absorb(part.Cols)
+		pc.target.absorb(part)
 	}
 }
 

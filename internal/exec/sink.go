@@ -395,10 +395,10 @@ func (o Order) Apply(cols []storage.Vec) []storage.Vec {
 	return out
 }
 
-// Collect accumulates a query's answer column by column: each consumed
-// batch's collected columns append to one typed vector per column, and
-// Finish applies the Order. Nothing is boxed; the answer leaves as the
-// columns themselves (optimizer.Result.Vecs).
+// Collect accumulates a query's answer column by column and, at
+// Finish, joins it into one exact-size typed vector per column and
+// applies the Order. Nothing is boxed; the answer leaves as the columns
+// themselves (optimizer.Result.Vecs).
 type Collect struct {
 	Schema storage.Schema
 	Order  Order
@@ -409,6 +409,28 @@ type Collect struct {
 	// src is the input column each collected column copies; nil copies
 	// every input column in order.
 	src []int
+	// base is each collected column's base column when it is deferred,
+	// else nil. Deferral is a property of the plan — a source defers
+	// every batch's columns alike and transforms pass it through column
+	// by column — so it is taken from the first batch and every other
+	// batch, every worker's included, must match it.
+	base []*storage.Column
+	// parts holds the consumed batches in arrival order until Finish
+	// (backed by first while they fit); n counts their rows (after
+	// Finish, the answer's).
+	parts []collectPart
+	first [4]collectPart
+	n     int
+}
+
+// collectPart is one consumed batch as Finish will read it: one copy of
+// its row ids, read at Finish through base, and an exact-size copy of
+// each column that is not deferred. Deferred columns are thus gathered
+// once, at Finish, straight into the answer's exact-size vectors.
+type collectPart struct {
+	ids  []int32
+	cols []storage.Vec // nil when every column is deferred
+	n    int
 }
 
 // NewCollect returns a collect sink whose columns, described by schema,
@@ -417,67 +439,111 @@ type Collect struct {
 // collects every input column.
 func NewCollect(schema storage.Schema, cols []int, order Order) *Collect {
 	s := &Collect{Schema: schema, Order: order, src: cols, Cols: make([]storage.Vec, len(schema))}
+	s.parts = s.first[:0]
 	for c, m := range schema {
 		s.Cols[c].Kind = m.Kind
 	}
 	return s
 }
 
-// Len reports the rows collected so far.
-func (s *Collect) Len() int {
-	if len(s.Cols) == 0 {
-		return 0
-	}
-	return s.Cols[0].Len()
-}
+// Len reports the rows collected so far; after Finish, the answer's.
+func (s *Collect) Len() int { return s.n }
 
-// Consume implements Sink: one bulk typed append per collected column,
-// gathered straight from the base column for a deferred input column.
-// The same input column may be collected more than once. Under a LIMIT
-// without ORDER BY the rows past the limit are not copied.
+// Consume implements Sink: one copy of the row ids for the deferred
+// columns and one exact-size typed copy per other column. The same
+// input column may be collected more than once. Under a LIMIT without
+// ORDER BY the rows past the limit are not kept.
 func (s *Collect) Consume(b *storage.Batch) {
 	n := b.Len()
 	if o := s.Order; !o.Sort && o.Limit > 0 {
-		n = min(n, o.Limit-s.Len())
+		n = min(n, o.Limit-s.n)
 	}
 	if n <= 0 {
 		return
 	}
-	ids, _ := b.IDs()
+	if s.base == nil {
+		s.base = make([]*storage.Column, len(s.Cols))
+		for c := range s.Cols {
+			s.base[c] = b.Base(s.input(c))
+		}
+	}
+	p := collectPart{n: n}
 	for c := range s.Cols {
-		ci := c
-		if s.src != nil {
-			ci = s.src[c]
+		ci := s.input(c)
+		if b.Base(ci) != s.base[c] {
+			panic(fmt.Sprintf("exec: collected column %d changed deferral between batches", c))
+		}
+		if s.base[c] != nil {
+			if p.ids == nil {
+				ids, _ := b.IDs()
+				p.ids = slices.Clone(ids[:n])
+			}
+			continue
+		}
+		if p.cols == nil {
+			p.cols = make([]storage.Vec, len(s.Cols))
+		}
+		dst := &p.cols[c]
+		dst.Kind = s.Cols[c].Kind
+		dst.Grow(n)
+		dst.AppendRange(b.Cols[ci], 0, n)
+	}
+	s.parts = append(s.parts, p)
+	s.n += n
+}
+
+// input is the input column collected column c copies.
+func (s *Collect) input(c int) int {
+	if s.src != nil {
+		return s.src[c]
+	}
+	return c
+}
+
+// absorb appends another collector's parts after this one's.
+func (s *Collect) absorb(o *Collect) {
+	if s.base == nil {
+		s.base = o.base
+	} else if o.base != nil && !slices.Equal(o.base, s.base) {
+		panic("exec: worker collectors differ in deferral")
+	}
+	s.parts = append(s.parts, o.parts...)
+	s.n += o.n
+}
+
+// Finish implements Sink: the parts join into one exact-size vector per
+// column, stopping at a LIMIT without ORDER BY (a lone part's copy is
+// adopted as it is), and the Order is applied.
+func (s *Collect) Finish() {
+	m := s.n
+	if o := s.Order; !o.Sort && o.Limit > 0 {
+		m = min(m, o.Limit)
+	}
+	for c := range s.Cols {
+		if p := s.parts; len(p) == 1 && s.base[c] == nil {
+			s.Cols[c] = p[0].cols[c]
+			continue
 		}
 		dst := &s.Cols[c]
-		dst.Grow(n)
-		if base := b.Base(ci); base != nil {
-			dst.AppendColumnGather(base, ids[:n])
-		} else {
-			dst.AppendRange(b.Cols[ci], 0, n)
+		dst.Grow(m)
+		for _, p := range s.parts {
+			k := min(p.n, m-dst.Len())
+			if k <= 0 {
+				break
+			}
+			if base := s.base[c]; base != nil {
+				dst.AppendColumnGather(base, p.ids[:k])
+			} else {
+				dst.AppendRange(&p.cols[c], 0, k)
+			}
 		}
 	}
-}
-
-// absorb appends another collector's columns: the first non-empty part
-// is adopted as is, later ones are copied after it.
-func (s *Collect) absorb(cols []storage.Vec) {
-	if len(cols) == 0 || cols[0].Len() == 0 {
-		return
-	}
-	if s.Len() == 0 {
-		copy(s.Cols, cols)
-		return
-	}
-	for c := range s.Cols {
-		s.Cols[c].AppendRange(&cols[c], 0, cols[c].Len())
-	}
-}
-
-// Finish implements Sink: the collected columns are ordered and cut per
-// the Order.
-func (s *Collect) Finish() {
+	s.parts = nil
 	s.Cols = s.Order.Apply(s.Cols)
+	s.n = 0
+	if len(s.Cols) > 0 {
+		s.n = s.Cols[0].Len()
+	}
 }
 
 // Multi fans one pipeline out to several sinks (a shared plan's

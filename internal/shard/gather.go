@@ -250,15 +250,14 @@ func foldOrdered[T int64 | float64 | string](f expr.AggFunc, acc *T, v T) {
 	}
 }
 
-// floatAt reads cell i as a float (strings read NaN).
+// floatAt reads cell i of a numeric column as a float: AVG's partial
+// SUM and COUNT are integer or float columns (the parser refuses SUM
+// and AVG over strings).
 func floatAt(v *storage.Vec, i int) float64 {
-	switch v.Kind {
-	case types.Float64:
+	if v.Kind == types.Float64 {
 		return v.Floats[i]
-	case types.Int64, types.Date:
-		return float64(v.Ints[i])
 	}
-	return math.NaN()
+	return float64(v.Ints[i])
 }
 
 // mergeAggregates folds the per-shard partial-aggregate legs column by
@@ -287,18 +286,18 @@ func mergeAggregates(q *plan.Query, legs []*optimizer.Result, partials []expr.Ag
 
 	// acc holds one row per group: its key cells, then its partials.
 	width := nGroup + len(partials)
-	acc := make([]storage.Vec, width)
-	for c := range acc {
-		if c < len(legs[0].Vecs) {
-			acc[c].Kind = legs[0].Vecs[c].Kind
-		}
-	}
-	groups := make(map[string]int)
-	var key []byte
 	for _, r := range legs {
 		if len(r.Vecs) != width {
 			return nil, fmt.Errorf("shard: partial-aggregate leg has %d columns, want %d", len(r.Vecs), width)
 		}
+	}
+	acc := make([]storage.Vec, width)
+	for c := range acc {
+		acc[c].Kind = legs[0].Vecs[c].Kind
+	}
+	groups := make(map[string]int)
+	var key []byte
+	for _, r := range legs {
 		for c := range acc {
 			if r.Vecs[c].Kind != acc[c].Kind {
 				return nil, fmt.Errorf("shard: partial-aggregate leg column %d is %v, want %v", c, r.Vecs[c].Kind, acc[c].Kind)
@@ -336,7 +335,7 @@ func mergeAggregates(q *plan.Query, legs []*optimizer.Result, partials []expr.Ag
 		sum, cnt := &acc[nGroup+si], &acc[nGroup+ci]
 		avg := storage.Vec{Kind: types.Float64, Floats: make([]float64, len(groups))}
 		for g := range avg.Floats {
-			if c := floatAt(cnt, g); c != 0 && !math.IsNaN(c) {
+			if c := floatAt(cnt, g); c != 0 {
 				avg.Floats[g] = floatAt(sum, g) / c
 			}
 		}

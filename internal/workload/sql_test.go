@@ -67,6 +67,8 @@ func TestStepSQLRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s step %d: %v\n  %s", g.name, i, err, sql)
 			}
+			want.Box()
+			got.Box()
 			if err := sameRows(want.Rows, got.Rows); err != nil {
 				t.Fatalf("%s step %d: %v\n  %s", g.name, i, err, sql)
 			}
