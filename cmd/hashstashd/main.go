@@ -1,9 +1,7 @@
 // Command hashstashd is the HashStash server: it loads a TPC-H
 // instance and serves SQL over HTTP/JSON and a keep-alive line
-// protocol. Queries of one shape that arrive while that shape is
-// already running queue behind it and dispatch together as one shared
-// plan when it ends; a query whose shape is idle runs at once (see
-// internal/server).
+// protocol. Every query runs at once on its connection's goroutine
+// (see internal/server).
 //
 //	$ hashstashd -sf 0.01 -listen :8080 -line-listen :8081
 //	$ curl -s localhost:8080/query -d '{"sql":"SELECT ... "}'
@@ -13,11 +11,7 @@
 //
 //	-listen        HTTP address (default :8080)
 //	-line-listen   line-protocol address (empty = disabled)
-//	-max-queue     admission-queue bound (default 256)
-//	-max-batch     queries per dispatched group (default 32)
 //	-timeout       default per-query timeout (default 10s)
-//	-tenant-share  fraction of the queue one tenant may hold (default 0.5)
-//	-no-batching   serve every query solo (ablation)
 //	-mem-soft      soft memory watermark in bytes (0 = off): shed cache,
 //	               veto index builds
 //	-mem-hard      hard memory watermark in bytes (0 = off): refuse
@@ -26,9 +20,8 @@
 //	-sf, -cache, -parallel, -shards  engine knobs as in cmd/hashstash
 //
 // On SIGINT/SIGTERM the server drains gracefully: listeners close, new
-// admissions are refused with a retriable error, queued groups
-// dispatch, and in-flight queries finish (bounded by -drain). A second
-// signal exits immediately.
+// admissions are refused with a retriable error, and in-flight queries
+// finish (bounded by -drain). A second signal exits immediately.
 package main
 
 import (
@@ -48,20 +41,16 @@ import (
 
 func main() {
 	var (
-		listen      = flag.String("listen", ":8080", "HTTP listen address")
-		lineListen  = flag.String("line-listen", "", "line-protocol listen address (empty = disabled)")
-		maxQueue    = flag.Int("max-queue", 256, "admission queue bound")
-		maxBatch    = flag.Int("max-batch", 32, "maximum queries per dispatched group")
-		timeout     = flag.Duration("timeout", 10*time.Second, "default per-query timeout")
-		tenantShare = flag.Float64("tenant-share", 0.5, "fraction of the queue one tenant may hold")
-		noBatching  = flag.Bool("no-batching", false, "serve every query solo (ablation)")
-		memSoft     = flag.Int64("mem-soft", 0, "soft memory watermark in bytes (0 = off)")
-		memHard     = flag.Int64("mem-hard", 0, "hard memory watermark in bytes (0 = off)")
-		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain bound")
-		sf          = flag.Float64("sf", 0.01, "TPC-H scale factor")
-		budget      = flag.Int64("cache", 0, "hash table cache budget in bytes (0 = unlimited)")
-		parallel    = flag.Int("parallel", 0, "execution worker-pool size (0 = all CPUs, 1 = serial)")
-		shards      = flag.Int("shards", 1, "shard count; >1 partitions customer/orders/lineitem on their keys (a batch shares plans among the queries it routes to one shard)")
+		listen     = flag.String("listen", ":8080", "HTTP listen address")
+		lineListen = flag.String("line-listen", "", "line-protocol listen address (empty = disabled)")
+		timeout    = flag.Duration("timeout", 10*time.Second, "default per-query timeout")
+		memSoft    = flag.Int64("mem-soft", 0, "soft memory watermark in bytes (0 = off)")
+		memHard    = flag.Int64("mem-hard", 0, "hard memory watermark in bytes (0 = off)")
+		drain      = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain bound")
+		sf         = flag.Float64("sf", 0.01, "TPC-H scale factor")
+		budget     = flag.Int64("cache", 0, "hash table cache budget in bytes (0 = unlimited)")
+		parallel   = flag.Int("parallel", 0, "execution worker-pool size (0 = all CPUs, 1 = serial)")
+		shards     = flag.Int("shards", 1, "shard count; >1 partitions customer/orders/lineitem on their keys")
 	)
 	flag.Parse()
 
@@ -87,12 +76,8 @@ func main() {
 	fmt.Printf("done in %v\n", time.Since(start).Round(time.Millisecond))
 
 	srv := server.New(db, server.Config{
-		MaxQueue:        *maxQueue,
-		MaxBatch:        *maxBatch,
-		DefaultTimeout:  *timeout,
-		TenantShare:     *tenantShare,
-		DisableBatching: *noBatching,
-		DrainTimeout:    *drain,
+		DefaultTimeout: *timeout,
+		DrainTimeout:   *drain,
 	})
 
 	httpLn, err := net.Listen("tcp", *listen)
@@ -137,8 +122,8 @@ func main() {
 
 	// Stop accepting first, then drain in-flight work. httpSrv.Shutdown
 	// waits for active handlers (each holding an Execute call); the
-	// server's own Shutdown then drains queued groups and closes any
-	// idle line-protocol connections.
+	// server's own Shutdown then drains line-protocol queries in flight
+	// and closes any idle line-protocol connections.
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if lineLn != nil {
@@ -151,6 +136,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "drain:", err)
 	}
 	st := srv.Stats()
-	fmt.Printf("served %d queries: %d batched in %d shared plans, %d solo, %d plans total\n",
-		st.TotalQueries, st.BatchedQueries, st.SharedPlans, st.SoloQueries, st.PlansExecuted)
+	fmt.Printf("served %d queries: %d executed, %d refused overloaded, %d refused draining\n",
+		st.TotalQueries, st.PlansExecuted, st.Overloads, st.ShutdownRejects)
 }

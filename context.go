@@ -13,8 +13,8 @@ import (
 
 // Query is a parsed, validated logical query. Parse produces one; the
 // ExecParsed* entry points execute them without re-parsing (the serving
-// front-end parses once at admission and executes at dispatch). A
-// Query is immutable after Parse and safe to execute concurrently.
+// front-end's sessions parse each statement text once). A Query is
+// immutable after Parse and safe to execute concurrently.
 type Query = plan.Query
 
 // BatchResult is the outcome of a batch execution: per-query results
@@ -59,7 +59,7 @@ func (db *DB) ExecParsed(ctx context.Context, q *Query) (*Result, error) {
 
 // ExecParsedColumnar is ExecParsed without the boxing: the answer is in
 // Result.Vecs only and Result.Rows is nil. The serving front-end runs
-// solo queries through it and encodes the columns straight to the wire.
+// every query through it and encodes the columns straight to the wire.
 func (db *DB) ExecParsedColumnar(ctx context.Context, q *Query) (*Result, error) {
 	return contained(ctx, func(ctx context.Context) (*Result, error) {
 		return db.router.RunContext(ctx, q)
@@ -94,7 +94,9 @@ func (db *DB) ExecBatchContext(ctx context.Context, sqls []string) ([]*Result, e
 // run as solo queries do. Each answer is boxed into Result.Rows, as
 // ExecParsed boxes it.
 func (db *DB) ExecParsedBatch(ctx context.Context, queries []*Query) (*BatchResult, error) {
-	batch, err := db.ExecParsedBatchColumnar(ctx, queries)
+	batch, err := contained(ctx, func(ctx context.Context) (*BatchResult, error) {
+		return db.router.RunBatchContext(ctx, queries)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -104,37 +106,12 @@ func (db *DB) ExecParsedBatch(ctx context.Context, queries []*Query) (*BatchResu
 	return batch, nil
 }
 
-// ExecParsedBatchColumnar is ExecParsedBatch without the boxing: each
-// answer is in Result.Vecs only. The serving front-end runs dispatched
-// groups through it.
-func (db *DB) ExecParsedBatchColumnar(ctx context.Context, queries []*Query) (*BatchResult, error) {
-	return contained(ctx, func(ctx context.Context) (*BatchResult, error) {
-		return db.router.RunBatchContext(ctx, queries)
-	})
-}
-
-// BatchShape classifies a query for shared-plan admission: queries
+// BatchShape classifies a query for the query-batch interface: queries
 // with equal shapes (same table/join spine) are mergeable into one
 // shared plan. ok is false for queries that never merge (ORDER BY /
-// LIMIT). The serving front-end keys its admission queues on this.
+// LIMIT).
 func BatchShape(q *Query) (shape string, ok bool) {
 	return shared.ShapeKey(q)
-}
-
-// EstimateCost plans q (reuse-aware, against the current cache state
-// of the shard or shards it would run on) and returns the optimizer's
-// cost estimate in model nanoseconds without executing. Serving
-// admission uses it to judge whether a query fits inside a deadline.
-func (db *DB) EstimateCost(q *Query) (float64, error) {
-	return db.router.EstimateCost(q)
-}
-
-// EstimateSharingGain models the saving (model ns) of executing k
-// queries of q's shape as one shared plan instead of k solo plans on
-// the shard q routes to; <= 0 means modeled sharing does not pay, and a
-// query that scatters across shards always reports 0.
-func (db *DB) EstimateSharingGain(q *Query, k int) float64 {
-	return db.router.SharingGain(q, k)
 }
 
 // contained runs fn under ctx as the outermost panic boundary on the

@@ -233,7 +233,8 @@ func TestSharedPlansHonourStrategy(t *testing.T) {
 
 // TestBatchShapeAndGain: shape keys agree for batchable pairs, ORDER
 // BY disqualifies, and the cost model prices sharing of a heavy join
-// shape as profitable.
+// shape as profitable: on a cold cache the batch interface runs the
+// pair as one shared plan.
 func TestBatchShapeAndGain(t *testing.T) {
 	db := openTPCH(t)
 	q1, _ := db.Parse(q3SQL)
@@ -266,11 +267,12 @@ func TestBatchShapeAndGain(t *testing.T) {
 	if s3, ok := BatchShape(spj); !ok || s3 == s2 {
 		t.Fatalf("SPJ and SPJA queries of one spine share shape %q (batchable %v)", s3, ok)
 	}
-	if gain := db.EstimateSharingGain(q1, 2); gain <= 0 {
-		t.Fatalf("sharing gain for q3 pair = %v, want > 0", gain)
+	batch, err := db.ExecParsedBatch(context.Background(), []*Query{q1, q2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if gain := db.EstimateSharingGain(q1, 1); gain != 0 {
-		t.Fatalf("sharing gain for k=1 = %v, want 0", gain)
+	if len(batch.Groups) != 1 || len(batch.Groups[0]) != 2 {
+		t.Fatalf("q3 pair ran as groups %v, want one shared plan", batch.Groups)
 	}
 }
 

@@ -53,7 +53,8 @@ const (
 	ExecMorsel = "exec.morsel"
 	// ShardExchange fires while materializing exchange temporaries.
 	ShardExchange = "shard.exchange"
-	// ServerAdmit fires in server admission before queueing.
+	// ServerAdmit fires in server admission, before the statement is
+	// parsed.
 	ServerAdmit = "server.admit"
 	// SpillEncode fires while encoding a demoted artifact to its
 	// compact cold form.

@@ -44,8 +44,7 @@ func JoinClasses(q *Query) map[storage.ColRef]storage.ColRef {
 // constrains no join column comes back as is, without allocating.
 //
 // The engine applies it once, where a query enters: the router's
-// RunContext and EstimateCost, the materialized baseline and the batch
-// interface. It is a variable only so that tests can swap in the
+// RunContext and its batch interface. It is a variable only so that tests can swap in the
 // identity and compare the engine with and without it.
 var CloseFilter = closeFilter
 

@@ -14,26 +14,20 @@ import (
 	"hashstash/internal/workload"
 )
 
-// benchServe drives the serving front-end at saturation (open-loop
-// arrival order from the workload generator, replayed at max rate by
-// a fixed client pool) and reports per-query latency. The batching-on
-// vs batching-off pair is the serving layer's headline comparison:
-// same engine, same wire path, shared plans on or off.
-func benchServe(b *testing.B, disableBatching bool) {
+// BenchmarkServeSimilarSolo drives the serving front-end at saturation
+// (open-loop arrival order from the workload generator, replayed at max
+// rate by a fixed client pool) and reports per-query latency: the
+// similar mix, every query run solo on its caller's goroutine.
+func BenchmarkServeSimilarSolo(b *testing.B) {
 	// A one-byte cache budget turns hash-table reuse off: with reuse in
-	// play the repeated solo texts execute almost for free and the pair
-	// measures the caching subsystem (which has its own benchmarks),
-	// not the serving layer's share-vs-solo tradeoff.
+	// play the repeated texts execute almost for free and the benchmark
+	// measures the caching subsystem (which has its own benchmarks), not
+	// the serving layer.
 	db := hashstash.Open(hashstash.WithTuning(hashstash.Tuning{CacheBudget: 1}))
 	if err := db.LoadTPCH(0.002); err != nil {
 		b.Fatal(err)
 	}
-	srv := New(db, Config{
-		MaxBatch:        32,
-		MaxQueue:        1024,
-		DefaultTimeout:  60 * time.Second,
-		DisableBatching: disableBatching,
-	})
+	srv := New(db, Config{DefaultTimeout: 60 * time.Second})
 	defer srv.Close()
 
 	arrivals := workload.GenerateOpenLoop(b.N, 0, workload.MixSimilar, []string{"a", "b"}, 11)
@@ -66,12 +60,7 @@ func benchServe(b *testing.B, disableBatching bool) {
 		b.Fatal(err)
 	default:
 	}
-	st := srv.Stats()
-	b.Logf("%d queries: %d batched, %d plans executed", st.TotalQueries, st.BatchedQueries, st.PlansExecuted)
 }
-
-func BenchmarkServeSimilarBatched(b *testing.B) { benchServe(b, false) }
-func BenchmarkServeSimilarSolo(b *testing.B)    { benchServe(b, true) }
 
 // exportRows is the row count of an export-sized answer: a 1 %
 // lineitem range scan at SF 0.05.
@@ -99,7 +88,7 @@ func exportColumns(fullPrecision bool) (keys, prices *storage.Column) {
 // benchEncode encodes res into a pooled response buffer, as POST /query
 // does. Once the pool holds a grown buffer, an encode allocates nothing.
 func benchEncode(b *testing.B, res *hashstash.Result) {
-	info := QueryInfo{Mode: "bypass-shape"}
+	info := QueryInfo{Mode: "solo"}
 	b.ReportAllocs()
 	for b.Loop() {
 		buf := getBuf()
@@ -147,7 +136,7 @@ func BenchmarkCollectEncode(b *testing.B) {
 		batches = append(batches, batch)
 	}
 	columns := []string{"l.l_orderkey", "l.l_extendedprice"}
-	info := QueryInfo{Mode: "bypass-shape"}
+	info := QueryInfo{Mode: "solo"}
 	b.ReportAllocs()
 	for b.Loop() {
 		collect := exec.NewCollect(schema, nil, exec.Order{})

@@ -18,12 +18,11 @@ import (
 //	QUIT             close the connection
 //	<sql>            execute                             -> one JSON line
 //
-// A connection is a session: its tenant scopes fair admission and its
-// statement texts hit the per-tenant prepared cache. Connections carry
-// read and write deadlines (Config.ReadTimeout / WriteTimeout): a
-// half-open client that stops sending — or stops reading — is reaped
-// instead of pinning a goroutine forever. Shutdown closes tracked
-// connections after the drain.
+// A connection is a session: its statement texts hit its tenant's
+// prepared-statement cache. Connections carry read and write deadlines
+// (Config.ReadTimeout / WriteTimeout): a half-open client that stops
+// sending — or stops reading — is reaped instead of pinning a goroutine
+// forever. Shutdown closes tracked connections after the drain.
 func (s *Server) ServeLine(l net.Listener) error {
 	for {
 		conn, err := l.Accept()

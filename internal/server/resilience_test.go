@@ -162,121 +162,55 @@ func TestServerShutdownDuringStorm(t *testing.T) {
 	_ = srv.Stats()
 }
 
-// TestServerShutdownDrainsQueued: Shutdown with a running shape and
-// queued members waits for the running execution to end, then serves
-// every queued member before it returns, and leaks no goroutines.
-func TestServerShutdownDrainsQueued(t *testing.T) {
+// TestServerShutdownDrainsRunning: Shutdown while a query runs refuses
+// new admissions with the retriable shutdown error, waits for the
+// running query, which completes with its answer, and leaks no
+// goroutines.
+func TestServerShutdownDrainsRunning(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	db := openTPCH(t)
-	srv := New(db, Config{MaxBatch: 4, DefaultTimeout: 30 * time.Second})
+	srv := New(openSlow(t), Config{DefaultTimeout: 30 * time.Second})
+	const sql = `SELECT a.l_quantity, COUNT(*) AS n FROM lineitem a, lineitem b
+		WHERE a.l_quantity = b.l_quantity GROUP BY a.l_quantity`
 
-	shape := busyShape(t, srv, similarSQL(0))
-	const k = 6
-	var wg sync.WaitGroup
-	var returned, completed atomic.Int64
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer returned.Add(1)
-			if _, _, err := srv.Execute(context.Background(), "", similarSQL(i)); err != nil {
-				t.Errorf("queued query %d: %v", i, err)
-				return
-			}
-			completed.Add(1)
-		}(i)
+	type answer struct {
+		rows int
+		err  error
 	}
-	waitSettled(t, srv, &returned, k)
+	ran := make(chan answer, 1)
+	go func() {
+		res, _, err := srv.Execute(context.Background(), "", sql)
+		if err != nil {
+			ran <- answer{err: err}
+			return
+		}
+		ran <- answer{rows: len(res.Rows)}
+	}()
 
 	drained := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-		defer cancel()
-		drained <- srv.Shutdown(ctx)
-	}()
+	whenRunning(t, srv, func() {
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			drained <- srv.Shutdown(ctx)
+		}()
+	})
 	for closed := false; !closed; time.Sleep(time.Millisecond) {
 		srv.mu.Lock()
 		closed = srv.closed
 		srv.mu.Unlock()
 	}
-	select {
-	case err := <-drained:
-		t.Fatalf("Shutdown returned with %d queries queued: %v", srv.Stats().QueueDepth, err)
-	case <-time.After(50 * time.Millisecond):
-	}
 	if _, _, err := srv.Execute(context.Background(), "", similarSQL(0)); !errors.Is(err, hashstasherr.ErrShuttingDown) {
 		t.Fatalf("admission while draining = %v", err)
 	}
 
-	srv.release(shape) // the running execution ends
 	if err := <-drained; err != nil {
 		t.Fatalf("Shutdown did not drain: %v", err)
 	}
-	wg.Wait()
-	if completed.Load() != k {
-		t.Fatalf("%d of %d queued queries served", completed.Load(), k)
+	if a := <-ran; a.err != nil || a.rows == 0 {
+		t.Fatalf("running query: %d rows, err %v; want its answer", a.rows, a.err)
 	}
-	if st := srv.Stats(); st.QueueDepth != 0 || st.Batches != 2 {
-		t.Fatalf("after drain: %+v, want empty queue and 2 groups", st)
-	}
-}
-
-// TestCircuitBreaker: consecutive shared-plan failures open a shape's
-// breaker (queries bypass batching), the open interval backs off, and
-// a successful half-open trial closes it again.
-func TestCircuitBreaker(t *testing.T) {
-	db := openTPCH(t)
-	srv := New(db, Config{BreakerThreshold: 3, BreakerBackoff: 50 * time.Millisecond})
-	defer srv.Close()
-	const shape = "spine"
-	srv.mu.Lock()
-	srv.shape(shape)
-	srv.mu.Unlock()
-
-	// Two failures: under threshold, still closed.
-	srv.noteShared(shape, true)
-	srv.noteShared(shape, true)
-	srv.mu.Lock()
-	open := !srv.shapes[shape].openUntil.IsZero()
-	srv.mu.Unlock()
-	if open {
-		t.Fatal("breaker opened below threshold")
-	}
-
-	// Third failure trips it.
-	srv.noteShared(shape, true)
-	srv.mu.Lock()
-	sq := srv.shapes[shape]
-	open = !sq.openUntil.IsZero()
-	firstBackoff := sq.backoff
-	srv.mu.Unlock()
-	if !open {
-		t.Fatal("breaker did not open at threshold")
-	}
-	if got := srv.Stats().BreakerTrips; got != 1 {
-		t.Fatalf("BreakerTrips = %d, want 1", got)
-	}
-
-	// A failed half-open trial re-opens with doubled backoff.
-	srv.noteShared(shape, true)
-	srv.mu.Lock()
-	secondBackoff := sq.backoff
-	srv.mu.Unlock()
-	if secondBackoff != 2*firstBackoff {
-		t.Fatalf("backoff after failed trial = %v, want %v", secondBackoff, 2*firstBackoff)
-	}
-
-	// A successful trial closes and resets.
-	srv.noteShared(shape, false)
-	srv.mu.Lock()
-	open = !sq.openUntil.IsZero()
-	streak := sq.failStreak
-	srv.mu.Unlock()
-	if open || streak != 0 {
-		t.Fatalf("breaker not reset by success: open=%v streak=%d", open, streak)
-	}
-	if got := srv.Stats().BreakerResets; got != 1 {
-		t.Fatalf("BreakerResets = %d, want 1", got)
+	if st := srv.Stats(); st.PlansExecuted != 1 || st.ShutdownRejects != 1 {
+		t.Fatalf("after drain: %+v, want 1 plan and 1 shutdown reject", st)
 	}
 }
 
@@ -345,8 +279,8 @@ func TestGovernorAdmission(t *testing.T) {
 	if code, body := healthz(); code != http.StatusServiceUnavailable || !strings.Contains(body, "overloaded") {
 		t.Fatalf("healthz at Hard = %d %s", code, body)
 	}
-	if srv.Stats().MemRejects == 0 {
-		t.Fatal("MemRejects not counted")
+	if srv.Stats().Overloads == 0 {
+		t.Fatal("memory rejection not counted in Overloads")
 	}
 
 	// Soft: admission sheds what it can (1500 down to the 1200 floor,

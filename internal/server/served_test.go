@@ -109,34 +109,14 @@ func sameBody(t *testing.T, label string, q *hashstash.Query, served, library []
 	}
 }
 
-// serveBatch runs queries as one dispatched group through the server's
-// own group runner, the path a queued group takes, and returns the
-// members' handles.
-func serveBatch(srv *Server, qs []*hashstash.Query) []*pending {
-	shape, _ := hashstash.BatchShape(qs[0])
-	batch := make([]*pending, len(qs))
-	for i, q := range qs {
-		batch[i] = &pending{q: q, done: make(chan struct{})}
-	}
-	srv.mu.Lock()
-	srv.shape(shape).running = true
-	srv.inflight++
-	srv.mu.Unlock()
-	srv.runBatch(shape, batch)
-	return batch
-}
-
 // TestServedAnswersEqualLibrary: for each benchmark workload's queries,
 // on one and two shards, the body the server encodes from a served
 // query's columns equals the body encoding/json writes for the same
-// query's boxed rows from DB.ExecParsed — solo queries through the
-// server's solo runner, and members of dispatched groups (shared plans
-// among them) through its group runner against DB.ExecParsedBatch. The
-// groups run first, on cold caches, where sharing pays; then every
-// query runs solo. Each side runs on its own database fed the same
-// query sequence, so both plan against the same cache states.
+// query's boxed rows from DB.ExecParsed. Each side runs on its own
+// database fed the same query sequence, so both plan against the same
+// cache states.
 func TestServedAnswersEqualLibrary(t *testing.T) {
-	const n, groupSize = 40, 4
+	const n = 40
 	ctx := context.Background()
 	for _, shards := range []int{1, 2} {
 		for _, w := range servedWorkloads {
@@ -146,47 +126,8 @@ func TestServedAnswersEqualLibrary(t *testing.T) {
 				defer srv.Close()
 				steps := w.gen(n)
 
-				// Groups of same-shape queries, in trace order.
-				groups := map[string][][]*hashstash.Query{}
-				var shapes []string
-				for _, st := range steps {
-					shape, ok := hashstash.BatchShape(st.Query)
-					if !ok {
-						continue
-					}
-					gs := groups[shape]
-					if len(gs) == 0 {
-						shapes = append(shapes, shape)
-					}
-					if len(gs) == 0 || len(gs[len(gs)-1]) == groupSize {
-						gs = append(gs, nil)
-					}
-					gs[len(gs)-1] = append(gs[len(gs)-1], st.Query)
-					groups[shape] = gs
-				}
-				for _, shape := range shapes {
-					for g, qs := range groups[shape] {
-						members := serveBatch(srv, qs)
-						want, err := library.ExecParsedBatch(ctx, qs)
-						if err != nil {
-							t.Fatalf("library batch: %v", err)
-						}
-						for i, p := range members {
-							if p.err != nil {
-								t.Fatalf("group %d member %d: %v", g, i, p.err)
-							}
-							if p.res.Rows != nil {
-								t.Fatalf("group %d member %d: the served answer was boxed", g, i)
-							}
-							info := srv.infoOf(p)
-							sameBody(t, fmt.Sprintf("group %d member %d (%s)", g, i, info.Mode), qs[i],
-								appendResult(nil, p.res, info, false), libraryBody(t, want.Results[i], info))
-						}
-					}
-				}
-
 				for i, st := range steps {
-					res, info, err := srv.solo(ctx, st.Query, QueryInfo{Mode: "solo"})
+					res, info, err := srv.solo(ctx, st.Query)
 					if err != nil {
 						t.Fatalf("solo %d: %v", i, err)
 					}
@@ -199,9 +140,6 @@ func TestServedAnswersEqualLibrary(t *testing.T) {
 					}
 					sameBody(t, fmt.Sprintf("solo %d", i), st.Query,
 						appendResult(nil, res, info, false), libraryBody(t, want, info))
-				}
-				if shards == 1 && (w.name == "explore" || w.name == "dashboard") && srv.Stats().SharedPlans == 0 {
-					t.Error("no group ran as a shared plan")
 				}
 			})
 		}

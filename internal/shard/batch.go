@@ -85,14 +85,3 @@ func pick[T any](xs []T, idx []int) []T {
 	}
 	return out
 }
-
-// SharingGain models the saving (model ns) of running k queries of q's
-// shape as one shared plan instead of k solo plans on the shard q routes
-// to (shared.SharingGain). A scattering query never shares a plan: 0.
-func (e *Engine) SharingGain(q *plan.Query, k int) float64 {
-	q, s := e.route(q)
-	if s < 0 {
-		return 0
-	}
-	return shared.SharingGain(e.shards[s].Opt, q, k)
-}

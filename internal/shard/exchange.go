@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"sort"
 
+	"hashstash/internal/exec"
 	"hashstash/internal/expr"
 	"hashstash/internal/faultinject"
 	"hashstash/internal/plan"
 	"hashstash/internal/storage"
-	"hashstash/internal/types"
 )
 
 // placement is the exchange planner's verdict for one relation of a
@@ -193,31 +193,6 @@ func (e *Engine) planExchanges(q *plan.Query) []placement {
 	return best
 }
 
-// filterSel evaluates a conjunctive box over a table with the
-// vectorized constraint kernels and returns the surviving row ids.
-func filterSel(t *storage.Table, box expr.Box) []int32 {
-	n := t.NumRows()
-	sel := make([]int32, n)
-	for i := range sel {
-		sel[i] = int32(i)
-	}
-	for _, p := range box {
-		col := t.Column(p.Col.Column)
-		if col == nil {
-			return nil
-		}
-		switch col.Kind {
-		case types.Int64, types.Date:
-			sel = p.Con.FilterInts(col.Ints, sel)
-		case types.Float64:
-			sel = p.Con.FilterFloats(col.Floats, sel)
-		case types.String:
-			sel = p.Con.FilterStrings(col.Strs, sel)
-		}
-	}
-	return sel
-}
-
 // applyExchanges materializes every moved placement as a query-lifetime
 // temporary table per shard — the batched exchange. For each moved
 // relation the operator walks its source placements once, applies the
@@ -265,7 +240,10 @@ func (e *Engine) applyExchanges(q *plan.Query, pl []placement) (*plan.Query, []s
 
 		part := storage.NewPartitioner(len(e.shards))
 		for _, src := range srcs {
-			sel := filterSel(src, box)
+			sel, err := exec.FilterTable(src, box)
+			if err != nil {
+				return nil, temps, err
+			}
 			if len(sel) == 0 {
 				continue
 			}

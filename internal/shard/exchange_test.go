@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"hashstash/internal/exec"
 	"hashstash/internal/optimizer"
 	"hashstash/internal/plan"
 	"hashstash/internal/storage"
@@ -156,7 +157,11 @@ func TestApplyExchangesRowMultisets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := rowStrings(full, filterSel(full, q.FilterFor(rel.Alias)))
+			sel, err := exec.FilterTable(full, q.FilterFor(rel.Alias))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := rowStrings(full, sel)
 			sort.Strings(want)
 			var union []string
 			for s := 0; s < n; s++ {

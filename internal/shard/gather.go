@@ -35,29 +35,6 @@ func (e *Engine) run(ctx context.Context, q *plan.Query, s int) (*optimizer.Resu
 	return e.shards[s].Opt.RunContext(ctx, q)
 }
 
-// EstimateCost plans q (reuse-aware, against the current cache state)
-// where RunContext would run it and returns the optimizer's estimate in
-// model nanoseconds without executing: a single-partition query is
-// planned on its shard, a scattering query on every shard — the legs run
-// concurrently, so the largest estimate is the query's. The filter is
-// closed first, as RunContext closes it.
-func (e *Engine) EstimateCost(q *plan.Query) (float64, error) {
-	q, s := e.route(q)
-	shards := e.shards
-	if s >= 0 {
-		shards = shards[s : s+1]
-	}
-	var worst float64
-	for _, sh := range shards {
-		p, err := sh.Opt.PlanQuery(q)
-		if err != nil {
-			return 0, err
-		}
-		worst = max(worst, p.EstimatedCost)
-	}
-	return worst, nil
-}
-
 // scatter fans a query out to every shard and merges the legs. The
 // per-shard sub-query is the original query with three adjustments:
 // mismatched join sides are exchanged (planExchanges/applyExchanges),

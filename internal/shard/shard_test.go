@@ -181,65 +181,3 @@ func TestPlacementRoundTrip(t *testing.T) {
 		t.Errorf("InsertRows on an unknown table: %v, want ErrUnknownTable", err)
 	}
 }
-
-// TestEstimateCostFollowsRoute: the estimate is planned where the query
-// would run — on the pinned shard for a single-partition query, and as
-// the largest leg for a scattering one — not on shard 0 regardless.
-func TestEstimateCostFollowsRoute(t *testing.T) {
-	e := newEngine(3)
-	e.DeclarePartitionKey("pt", "k")
-	if err := e.LoadTable(newTable(0, 3000)); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	perShard := func(q *plan.Query) []float64 {
-		t.Helper()
-		out := make([]float64, e.Shards())
-		for s := range out {
-			p, err := e.Shard(s).Opt.PlanQuery(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[s] = p.EstimatedCost
-		}
-		return out
-	}
-
-	// A point query on a key that lives off shard 0; running it caches
-	// its aggregate table on that shard alone, so only there is the
-	// repeat an exact reuse.
-	k := 0
-	for storage.ShardOf(types.NewInt(int64(k)), 3) == 0 {
-		k++
-	}
-	home := storage.ShardOf(types.NewInt(int64(k)), 3)
-	pinned := mustParse(t, e, fmt.Sprintf(`SELECT p.g, COUNT(*) AS n FROM pt p WHERE p.k = %d GROUP BY p.g`, k))
-	if _, err := e.RunContext(ctx, pinned); err != nil {
-		t.Fatal(err)
-	}
-	legs := perShard(pinned)
-	if legs[home] >= legs[0] {
-		t.Fatalf("setup: warm shard %d estimates %v, cold shard 0 %v", home, legs[home], legs[0])
-	}
-	if got, err := e.EstimateCost(pinned); err != nil || got != legs[home] {
-		t.Errorf("pinned estimate = %v (%v), want shard %d's %v", got, err, home, legs[home])
-	}
-
-	// A scattering aggregate warmed on shard 0 only: the cold legs
-	// dominate the estimate.
-	scatter := mustParse(t, e, `SELECT p.g, SUM(p.v) AS s FROM pt p GROUP BY p.g`)
-	if _, s := e.route(scatter); s >= 0 {
-		t.Fatal("setup: unconstrained query over a partitioned table must scatter")
-	}
-	if _, err := e.Shard(0).Opt.RunContext(ctx, scatter); err != nil {
-		t.Fatal(err)
-	}
-	legs = perShard(scatter)
-	worst := max(legs[0], legs[1], legs[2])
-	if legs[0] >= worst {
-		t.Fatalf("setup: warm shard 0 estimates %v, not below the cold legs %v", legs[0], legs)
-	}
-	if got, err := e.EstimateCost(scatter); err != nil || got != worst {
-		t.Errorf("scatter estimate = %v (%v), want the largest leg %v of %v", got, err, worst, legs)
-	}
-}

@@ -41,8 +41,7 @@ func mergeable(a, b *plan.Query) bool {
 // aggregating or all not (a shared plan ends in grouping tables or in
 // one collected spine, never both). The second return is false for
 // queries that never merge (ORDER BY / LIMIT — ordering and truncation
-// are per-query properties the qid-tagged union cannot express). The
-// serving front-end keys its admission queues on this.
+// are per-query properties the qid-tagged union cannot express).
 func ShapeKey(q *plan.Query) (string, bool) {
 	if q.OrderBy != nil || q.Limit > 0 {
 		return "", false
@@ -51,28 +50,6 @@ func ShapeKey(q *plan.Query) (string, bool) {
 		return q.JoinGraphSignature() + "|agg", true
 	}
 	return q.JoinGraphSignature(), true
-}
-
-// SharingGain models the saving (ns) of executing k queries of q's
-// shape as one shared plan instead of k solo plans: k times the single
-// plan's estimated cost minus the shared plan's estimate over k copies.
-// Negative or zero means modeled sharing does not pay. The serving
-// front-end's admission policy gates queueing on it.
-func SharingGain(o *optimizer.Optimizer, q *plan.Query, k int) float64 {
-	if _, ok := ShapeKey(q); k < 2 || !ok {
-		return 0
-	}
-	p, err := o.PlanQuery(q)
-	if err != nil {
-		return 0
-	}
-	copies := make([]*plan.Query, k)
-	group := make([]int, k)
-	for i := range copies {
-		copies[i] = q
-		group[i] = i
-	}
-	return float64(k)*p.EstimatedCost - SharedPlanCost(o, copies, group)
 }
 
 // PlanBatch runs the dynamic-programming merge process of Section 4.2:

@@ -7,9 +7,9 @@ import (
 )
 
 // Session is a lightweight per-connection handle over a DB: it carries
-// a default tenant (the serving front-end's fairness scope), a
-// prepared-shape cache that memoizes Parse by SQL text, and
-// session-scoped counters. Sessions are cheap (create one per
+// a tenant identity (the serving front-end keeps one session, and so
+// one parse cache, per tenant), a cache that memoizes Parse by SQL
+// text, and session-scoped counters. Sessions are cheap (create one per
 // connection) and safe for concurrent use; the underlying DB is
 // shared.
 type Session struct {
@@ -33,7 +33,8 @@ const sessionPreparedCap = 1024
 type SessionOption func(*Session)
 
 // WithTenant sets the session's tenant identity (the serving
-// front-end's fair-admission scope). Empty means the default tenant.
+// front-end's scope for its prepared-statement cache). Empty means the
+// default tenant.
 func WithTenant(tenant string) SessionOption {
 	return func(s *Session) { s.tenant = tenant }
 }
