@@ -21,9 +21,9 @@ import (
 
 // chaosSpec arms every registered fault point at once: graceful-
 // degradation points (publish, revive, spill) at high rates, hard-
-// failure points (dispatch, exchange, admit) at low rates, and a rare
-// operator panic. Seeds are fixed so a failure replays under the same
-// hit schedule.
+// failure points (dispatch, whole-table rewrite, admit) at low rates,
+// and a rare operator panic. Seeds are fixed so a failure replays under
+// the same hit schedule.
 const chaosSpec = "htcache.publish=err:p:0.2:42," +
 	"htcache.revive=err:p:0.3:43," +
 	"sched.dispatch=err:p:0.02:44," +
@@ -121,8 +121,8 @@ func TestChaosStorm(t *testing.T) {
 	// 1-CPU CI box, and
 	// AlwaysReuse forces the partial/overlapping reuse paths whose
 	// widened publications htcache.publish guards. The sharded config
-	// declares TPC-H partition keys so the orders-lineitem join leg is
-	// mis-partitioned and must exchange.
+	// declares TPC-H partition keys so the orders-lineitem join is not
+	// co-partitioned and runs on the whole tables.
 	common := []hashstash.Option{
 		hashstash.WithTuning(hashstash.Tuning{Parallelism: 4, CacheBudget: 96 << 10, ColdTierBudget: 1 << 20}),
 		hashstash.WithStrategy(hashstash.AlwaysReuse),
@@ -231,10 +231,9 @@ func TestChaosStorm(t *testing.T) {
 			t.Logf("storm: %d ok, %d contained failures", ok.Load(), failed.Load())
 
 			// The storm must actually have exercised the engine points.
-			// htcache.publish (widened publication) is single-shard only:
-			// the sharded engine exchanges lineitem into per-query temps,
-			// so its snapshots are never reused, let alone widened — that
-			// leg asserts shard.exchange instead.
+			// The sharded leg asserts shard.exchange, the whole-table
+			// rewrite every lineitem join takes, in place of
+			// htcache.publish.
 			required := []string{"exec.morsel", "sched.dispatch"}
 			if cfg.name == "sharded" {
 				required = append(required, "shard.exchange")

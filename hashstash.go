@@ -228,7 +228,9 @@ func (db *DB) ShardCacheStats() []CacheStats {
 
 // ShardQueryCounts reports how many queries (or scatter legs) each
 // shard has executed — single-partition routing is observable here: a
-// partition-key point query increments exactly one shard's counter.
+// partition-key point query increments exactly one shard's counter, a
+// co-partitioned scatter every shard's, and a query that is not
+// co-partitioned runs on the whole tables and increments shard 0's.
 func (db *DB) ShardQueryCounts() []int64 { return db.router.QueryCounts() }
 
 // LoadTPCH generates and registers a TPC-H-style database at the given
@@ -281,7 +283,7 @@ func (db *DB) BuildIndex(table, column string) error {
 }
 
 // Tables lists the registered base tables.
-func (db *DB) Tables() []string { return db.router.Catalog().TableNames() }
+func (db *DB) Tables() []string { return db.router.Tables() }
 
 // Exec parses and runs one SQL query through the configured engine
 // (query-at-a-time interface). It is ExecContext under

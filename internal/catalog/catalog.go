@@ -38,10 +38,8 @@ func (ts TableStats) Col(name string) (storage.ColumnStats, bool) {
 }
 
 // Catalog is the registry of base tables. Methods are safe for
-// concurrent use: steady-state schema never changes while queries run,
-// but the sharded exchange operator registers (and later unregisters)
-// query-lifetime temporary tables concurrently with planning, so the
-// registry takes a read-write lock.
+// concurrent use: the registry takes a read-write lock, so a lookup
+// never races a registration.
 type Catalog struct {
 	mu     sync.RWMutex
 	tables map[string]*storage.Table
@@ -56,13 +54,6 @@ func New() *Catalog {
 func (c *Catalog) Register(t *storage.Table) {
 	c.mu.Lock()
 	c.tables[t.Name] = t
-	c.mu.Unlock()
-}
-
-// Unregister removes a table (the teardown of exchange temporaries).
-func (c *Catalog) Unregister(name string) {
-	c.mu.Lock()
-	delete(c.tables, name)
 	c.mu.Unlock()
 }
 

@@ -202,27 +202,8 @@ func (m *Model) IndexReviveCost(rows float64) float64 {
 // scaling terms: each shard's optimizer estimates against that shard's
 // own catalog statistics (≈ rows/N for a hash-partitioned table), so
 // every equation above scales down automatically. What the router has
-// to price itself is the work between shards: moving a join side
-// through the exchange, fanning a plan out, and merging the gathered
-// partials.
-
-// ExchangeCost estimates repartitioning rows of the given tuple width
-// through the batched exchange: one hash+scatter pass over the rows
-// plus a streaming write of the tuple bytes into the destination
-// fragments. A broadcast writes the tuple bytes once per shard.
-func (m *Model) ExchangeCost(rows float64, width, shards int, broadcast bool) float64 {
-	if rows < 0 {
-		rows = 0
-	}
-	copies := 1.0
-	if broadcast {
-		copies = float64(shards)
-	}
-	const nsPerHash = 1.0   // partition-hash + scatter bookkeeping per row
-	const nsPerByte = 0.25  // streaming column append
-	const nsPerStats = 0.75 // fragment re-registration (stats pass) per row-copy
-	return rows*nsPerHash + rows*copies*float64(width)*nsPerByte + rows*copies*nsPerStats
-}
+// to price itself is the work between shards: fanning a plan out and
+// merging the gathered partials.
 
 // GatherCost estimates the router's merge of per-shard results: every
 // gathered row pays one hash-map fold (aggregates) or heap step

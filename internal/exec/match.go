@@ -139,25 +139,6 @@ func (m *tableMatcher) filter(sel []int32) []int32 {
 	return sel
 }
 
-// FilterTable evaluates a conjunctive box over every row of a table
-// with the vectorized constraint kernels and returns the surviving row
-// ids in order. A constrained column missing from the table is an
-// error.
-func FilterTable(t *storage.Table, box expr.Box) ([]int32, error) {
-	m, err := newTableMatcher(box, t)
-	if err != nil {
-		return nil, err
-	}
-	sel := make([]int32, t.NumRows())
-	for i := range sel {
-		sel[i] = int32(i)
-	}
-	if m == nil {
-		return sel, nil
-	}
-	return m.filter(sel), nil
-}
-
 func (m *tableMatcher) match(row int32) bool {
 	for j, col := range m.cols {
 		con := m.cons[j]

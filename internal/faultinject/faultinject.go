@@ -3,7 +3,8 @@
 //
 // A fault point is a call to Inject (returns an error to propagate) at
 // a place where real failures are possible: cache publication, cold
-// revival, scheduler dispatch, shard exchange, admission, spilling.
+// revival, scheduler dispatch, a sharded query's run on the whole
+// tables, admission, spilling.
 // Points are zero-cost no-ops while disarmed — one relaxed atomic load
 // and a predictable branch, no allocation.
 //
@@ -51,7 +52,8 @@ const (
 	// ExecMorsel fires at the head of every morsel/pipeline stream —
 	// the highest-frequency point, used to simulate operator panics.
 	ExecMorsel = "exec.morsel"
-	// ShardExchange fires while materializing exchange temporaries.
+	// ShardExchange fires as the router retargets a query that is not
+	// co-partitioned at the whole tables, before it plans on shard 0.
 	ShardExchange = "shard.exchange"
 	// ServerAdmit fires in server admission, before the statement is
 	// parsed.

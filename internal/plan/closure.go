@@ -9,7 +9,8 @@ import (
 // each join column's class root. Two columns in the same class hold
 // equal values in every result tuple: a constraint on one holds for all
 // of them (CloseFilter), and hash-fragmenting on any of them yields the
-// same shard for all rows of one tuple (the router's exchange planning).
+// same shard for all rows of one tuple (the router's co-partitioning
+// test).
 func JoinClasses(q *Query) map[storage.ColRef]storage.ColRef {
 	parent := map[storage.ColRef]storage.ColRef{}
 	var find func(storage.ColRef) storage.ColRef

@@ -65,7 +65,9 @@ func (c Config) withDefaults() Config {
 // Stats are the server's cumulative counters (atomically maintained;
 // Stats() snapshots them).
 type Stats struct {
-	// TotalQueries counts every query admitted to Execute.
+	// TotalQueries counts every statement Execute receives, counted
+	// before it parses: statements refused as unparseable (400s) or by
+	// an admission fault are included.
 	TotalQueries int64
 	// BatchedQueries always reads 0.
 	//
@@ -190,6 +192,7 @@ func (s *Server) execute(ctx context.Context, tenant, sql string) (*hashstash.Re
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	s.total.Add(1)
 	if err := faultinject.Inject(faultinject.ServerAdmit); err != nil {
 		return nil, QueryInfo{}, err
 	}
@@ -197,7 +200,6 @@ func (s *Server) execute(ctx context.Context, tenant, sql string) (*hashstash.Re
 	if err != nil {
 		return nil, QueryInfo{}, err
 	}
-	s.total.Add(1)
 
 	// Memory-pressure governance at admission: Hard refuses with a
 	// computed Retry-After (retriable). Refresh itself sheds cache at

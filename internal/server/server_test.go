@@ -281,25 +281,33 @@ func TestServerHTTP(t *testing.T) {
 	if code, _ := post(`{"sql": "SELECT x.y FROM nope x"}`); code != http.StatusBadRequest {
 		t.Fatalf("unknown table status %d, want 400", code)
 	}
+	stats := func() Stats {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body struct {
+			Server Stats `json:"server"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		return body.Server
+	}
+	before := stats()
 	if code, _ := post(`{"sql": "SELECT FROM"}`); code != http.StatusBadRequest {
 		t.Fatalf("parse error status %d, want 400", code)
 	}
-
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	// A statement that fails to parse is counted, and runs no plan.
+	after := stats()
+	if after.TotalQueries != before.TotalQueries+1 || after.PlansExecuted != before.PlansExecuted {
+		t.Fatalf("a parse error moved TotalQueries %d -> %d and PlansExecuted %d -> %d; want +1 and +0",
+			before.TotalQueries, after.TotalQueries, before.PlansExecuted, after.PlansExecuted)
 	}
-	var stats struct {
-		Server Stats `json:"server"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if stats.Server.TotalQueries == 0 {
-		t.Fatal("stats endpoint reports no traffic")
-	}
-	if resp, err = http.Get(ts.URL + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %v %v", resp.StatusCode, err)
 	}
 	resp.Body.Close()
@@ -348,12 +356,26 @@ func TestServerLineProtocol(t *testing.T) {
 	if qr.Error != "" || len(qr.Rows) == 0 {
 		t.Fatalf("line query reply: %+v", qr)
 	}
-	var st Stats
-	if err := json.Unmarshal([]byte(send("STATS")), &st); err != nil {
-		t.Fatal(err)
+	stats := func() Stats {
+		t.Helper()
+		var st Stats
+		if err := json.Unmarshal([]byte(send("STATS")), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
-	if st.TotalQueries == 0 {
+	before := stats()
+	if before.TotalQueries == 0 {
 		t.Fatal("line STATS reports no traffic")
+	}
+	// A statement that fails to parse is counted, and runs no plan.
+	if err := json.Unmarshal([]byte(send("SELECT FROM")), &qr); err != nil || qr.Error == "" {
+		t.Fatalf("parse error reply: %+v, %v", qr, err)
+	}
+	after := stats()
+	if after.TotalQueries != before.TotalQueries+1 || after.PlansExecuted != before.PlansExecuted {
+		t.Fatalf("a parse error moved TotalQueries %d -> %d and PlansExecuted %d -> %d; want +1 and +0",
+			before.TotalQueries, after.TotalQueries, before.PlansExecuted, after.PlansExecuted)
 	}
 	if _, err := fmt.Fprintln(conn, "QUIT"); err != nil {
 		t.Fatal(err)

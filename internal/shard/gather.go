@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
 	"hashstash/internal/exec"
 	"hashstash/internal/expr"
+	"hashstash/internal/faultinject"
 	"hashstash/internal/optimizer"
 	"hashstash/internal/plan"
 	"hashstash/internal/storage"
@@ -18,49 +20,105 @@ import (
 
 // RunContext executes a query: it closes the filter over the join
 // classes (plan.CloseFilter), then a single-partition query — every
-// query, on a router of one — goes straight to its shard's optimizer,
-// everything else runs as scatter-gather. Cancellation aborts the routed
-// shard's (or every scatter leg's) morsel dispatch.
+// query, on a router of one — goes straight to its shard's optimizer, a
+// co-partitioned one runs as scatter-gather and any other runs on the
+// whole tables. Cancellation aborts the routed shard's (or every scatter
+// leg's) morsel dispatch.
 func (e *Engine) RunContext(ctx context.Context, q *plan.Query) (*optimizer.Result, error) {
 	q, s := e.route(q)
 	return e.run(ctx, q, s)
 }
 
-// run executes a closed query on shard s, or scatters it when s < 0.
+// run executes a closed query on shard s; when s < 0 it scatters a
+// co-partitioned query and runs any other on the whole tables.
 func (e *Engine) run(ctx context.Context, q *plan.Query, s int) (*optimizer.Result, error) {
-	if s < 0 {
+	switch {
+	case s >= 0:
+		e.shards[s].Queries.Add(1)
+		return e.shards[s].Opt.RunContext(ctx, q)
+	case countViolations(q, e.keys) == 0:
 		return e.scatter(ctx, q)
 	}
-	e.shards[s].Queries.Add(1)
-	return e.shards[s].Opt.RunContext(ctx, q)
+	return e.runWhole(ctx, q)
 }
 
-// scatter fans a query out to every shard and merges the legs. The
-// per-shard sub-query is the original query with three adjustments:
-// mismatched join sides are exchanged (planExchanges/applyExchanges),
-// aggregates are rewritten to additive partials over the full group-by
-// key, and ORDER BY/LIMIT stay per-shard only when the merge can
-// exploit them (top-k legs feeding a k-way merge). All shards' compiled
-// pipelines run under one scheduler invocation, one chain per leg,
-// their morsels sharing one queue.
-func (e *Engine) scatter(ctx context.Context, q *plan.Query) (*optimizer.Result, error) {
-	pl := e.planExchanges(q)
-	qr, temps, err := e.applyExchanges(q, pl)
-	defer e.dropTemps(temps)
+// countViolations scores a query's layout globally, not edge by edge: a
+// result tuple materializes shard-locally only if every partitioned
+// relation holding a piece of it lives on the same shard, which holds
+// exactly when all partitioned relations hash on columns of one join
+// equivalence class. (Edge-local co-partitioning is NOT sufficient — a
+// replica bridging two partitioned relations keyed on unrelated columns
+// silently drops every tuple whose two hashes disagree.) The score is
+// the number of partitioned relations outside the best anchor class;
+// zero means the query is co-partitioned and can scatter.
+func countViolations(q *plan.Query, keys map[string]string) int {
+	classes := plan.JoinClasses(q)
+	frag := 0
+	best := 1
+	counts := map[storage.ColRef]int{}
+	for _, rel := range q.Relations {
+		key, ok := keys[rel.Table]
+		if !ok {
+			continue
+		}
+		frag++
+		if root, ok := classes[storage.ColRef{Table: rel.Alias, Column: key}]; ok {
+			counts[root]++
+			best = max(best, counts[root])
+		}
+	}
+	if frag <= 1 {
+		return 0
+	}
+	return frag - best
+}
+
+// runWhole runs a query that is not co-partitioned as one plan on shard
+// 0: every partitioned relation is retargeted at its whole table, and
+// the plan runs under the engine's full worker pool. No row moves, and
+// the hash tables the plan builds stay in shard 0's cache for reuse.
+func (e *Engine) runWhole(ctx context.Context, q *plan.Query) (*optimizer.Result, error) {
+	if err := faultinject.Inject(faultinject.ShardExchange); err != nil {
+		return nil, err
+	}
+	qw := *q
+	qw.Relations = slices.Clone(q.Relations)
+	for i, rel := range qw.Relations {
+		if _, ok := e.keys[rel.Table]; ok {
+			qw.Relations[i].Table = wholeName(rel.Table)
+		}
+	}
+	sh := e.shards[0]
+	sh.Queries.Add(1)
+	p, err := sh.Opt.Prepare(&qw)
 	if err != nil {
 		return nil, err
 	}
+	par := e.par
+	par.Ctx = ctx
+	t0 := time.Now()
+	runErr := exec.RunParallel(p.Pipelines(), par)
+	return p.Finish(runErr, time.Since(t0))
+}
 
-	agg := qr.IsAggregate()
+// scatter fans a co-partitioned query out to every shard and merges the
+// legs. The per-shard sub-query is the original query with two
+// adjustments: aggregates are rewritten to additive partials over the
+// full group-by key, and ORDER BY/LIMIT stay per-shard only when the
+// merge can exploit them (top-k legs feeding a k-way merge). All shards'
+// compiled pipelines run under one scheduler invocation, one chain per
+// leg, their morsels sharing one queue.
+func (e *Engine) scatter(ctx context.Context, q *plan.Query) (*optimizer.Result, error) {
+	agg := q.IsAggregate()
 	var partials []expr.AggSpec
 	var srcIdx [][2]int
-	leg := *qr
+	leg := *q
 	if agg {
 		// Each leg computes additive partials over the full GROUP BY
 		// key (GroupBy may be a superset of Select; the merge needs
 		// every key column to fold groups across shards).
-		leg.Select = append([]storage.ColRef(nil), qr.GroupBy...)
-		partials, srcIdx = expr.RewriteAvg(qr.Aggs)
+		leg.Select = append([]storage.ColRef(nil), q.GroupBy...)
+		partials, srcIdx = expr.RewriteAvg(q.Aggs)
 		leg.Aggs = partials
 		leg.OrderBy = nil
 		leg.Limit = 0
@@ -117,12 +175,12 @@ func (e *Engine) scatter(ctx context.Context, q *plan.Query) (*optimizer.Result,
 
 	var merged *optimizer.Result
 	if agg {
-		merged, err = mergeAggregates(q, results, partials, srcIdx)
+		var err error
+		if merged, err = mergeAggregates(q, results, partials, srcIdx); err != nil {
+			return nil, err
+		}
 	} else {
 		merged = mergeRows(q, results)
-	}
-	if err != nil {
-		return nil, err
 	}
 	foldStats(merged, results, execTime)
 	return merged, nil

@@ -5,24 +5,29 @@
 // accumulator) — so the paper's reuse machinery composes per shard
 // instead of contending on one global cache.
 //
-// Tables declare at most one partition key. Declared tables are split
-// into per-shard fragments by partition-key hash (storage.Partitioner);
-// undeclared tables are replicated to every shard, which keeps them
-// join-compatible with any fragment. The router sends a query whose
-// partition-key equality constraints pin every partitioned relation to
-// one shard straight to that shard's optimizer; everything else
-// compiles to a scatter-gather plan — one per-shard sub-plan, fanned
-// out as one chain of jobs per shard in a single scheduler run,
-// gathered by a merge matched to the query shape (partial-aggregate
-// fold, sorted k-way merge for ORDER BY ... LIMIT, plain
-// concatenation). Joins whose sides are co-partitioned on the join
-// columns probe shard-locally; mismatched joins move the cheaper side
-// through a batched exchange (repartition when that aligns the join,
-// broadcast otherwise), priced by the cost model.
+// Tables declare at most one partition key. A declared table is stored
+// once, laid out in shard order by partition-key hash
+// (storage.PartitionTable): each shard's catalog registers its row range
+// as the table's fragment, and shard 0's catalog also registers the
+// whole table under a reserved name. Undeclared tables are replicated to
+// every shard, which keeps them join-compatible with any fragment. The
+// router sends a query whose partition-key equality constraints pin
+// every partitioned relation to one shard straight to that shard's
+// optimizer. A query whose partitioned relations all hash on columns of
+// one join equivalence class compiles to a scatter-gather plan — one
+// per-shard sub-plan, fanned out as one chain of jobs per shard in a
+// single scheduler run, gathered by a merge matched to the query shape
+// (partial-aggregate fold, sorted k-way merge for ORDER BY ... LIMIT,
+// plain concatenation). Any other query reads the whole tables instead
+// of the fragments and runs as one plan on shard 0 with the engine's
+// full worker pool; no row moves, and the hash tables it builds stay
+// cached in shard 0 for the next query.
 package shard
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync/atomic"
 
 	"hashstash/hashstasherr"
@@ -46,7 +51,7 @@ type Shard struct {
 
 	// Queries counts the queries (or scatter legs) this shard planned
 	// and executed — the per-shard scan counter routing tests assert
-	// on.
+	// on. A query run on the whole tables counts on shard 0.
 	Queries atomic.Int64
 }
 
@@ -54,16 +59,21 @@ type Shard struct {
 type Engine struct {
 	shards []*Shard
 	model  *costmodel.Model
-	// par is the execution budget of one scatter-gather run: one pool
-	// whose workers serve every leg's chain.
+	// par is the execution budget of one scatter-gather run (one pool
+	// whose workers serve every leg's chain) and of one run on the
+	// whole tables.
 	par exec.Parallelism
 	// keys maps table name → declared partition-key column. Undeclared
 	// tables are replicated.
 	keys map[string]string
-	// seq names exchange temporaries uniquely across concurrent
-	// queries.
-	seq atomic.Int64
 }
+
+// wholeSuffix marks the reserved name under which shard 0's catalog
+// registers a partitioned table's whole table. '#' is no identifier
+// character, so no SQL statement can name it.
+const wholeSuffix = "#whole"
+
+func wholeName(table string) string { return table + wholeSuffix }
 
 // New assembles an engine over pre-built shards. All shards must share
 // the hash layout (they do, by construction: storage.PartitionHash).
@@ -83,6 +93,14 @@ func (e *Engine) Shard(s int) *Shard { return e.shards[s] }
 // Catalog returns the catalog queries are parsed against: shard 0's,
 // which sees every table's schema whatever its placement.
 func (e *Engine) Catalog() *catalog.Catalog { return e.shards[0].Cat }
+
+// Tables lists the tables a query can name, without the reserved names
+// of the whole tables.
+func (e *Engine) Tables() []string {
+	return slices.DeleteFunc(e.Catalog().TableNames(), func(name string) bool {
+		return strings.HasSuffix(name, wholeSuffix)
+	})
+}
 
 // table returns shard 0's placement of a table: the replica itself, or
 // fragment 0 of a partitioned table.
@@ -106,15 +124,19 @@ func (e *Engine) PartitionKey(table string) (string, bool) {
 	return col, ok
 }
 
-// LoadTable places a table across the shards: declared tables split
-// into hash fragments, undeclared ones replicate (every shard catalog
-// registers the same underlying table).
+// LoadTable places a table across the shards. A declared table is laid
+// out in shard order once: every shard registers its row range as the
+// table's fragment, and shard 0 registers the whole table under its
+// reserved name. An undeclared table replicates: every shard catalog
+// registers the same underlying table.
 func (e *Engine) LoadTable(t *storage.Table) error {
 	if key, ok := e.keys[t.Name]; ok {
-		frags, err := storage.PartitionTable(t, key, len(e.shards))
+		whole, frags, err := storage.PartitionTable(t, key, len(e.shards))
 		if err != nil {
 			return err
 		}
+		whole.Name = wholeName(t.Name)
+		e.shards[0].Cat.Register(whole)
 		for s, sh := range e.shards {
 			sh.Cat.Register(frags[s])
 		}
@@ -127,9 +149,10 @@ func (e *Engine) LoadTable(t *storage.Table) error {
 }
 
 // Repartition converts an already-loaded table to hash-partitioned
-// form (or re-keys it): the current row set — replica or fragments —
-// is gathered, split by the new key, and re-registered; every shard's
-// cached artifacts over the table are dropped.
+// form (or re-keys it): the current row set — replica or whole table —
+// is laid out anew by the new key and re-registered; every shard's
+// cached artifacts over the table, and shard 0's over its whole table,
+// are dropped.
 func (e *Engine) Repartition(table, column string) error {
 	full, err := e.GatherTable(table)
 	if err != nil {
@@ -139,41 +162,33 @@ func (e *Engine) Repartition(table, column string) error {
 		return fmt.Errorf("shard: table %q has no partition-key column %q", table, column)
 	}
 	e.DeclarePartitionKey(table, column)
-	if err := e.LoadTable(full); err != nil {
+	if err := e.LoadTable(storage.NewTable(table, full.Cols...)); err != nil {
 		return err
 	}
 	for _, sh := range e.shards {
 		sh.Cache.InvalidateTable(table)
 	}
+	e.shards[0].Cache.InvalidateTable(wholeName(table))
 	return nil
 }
 
-// GatherTable reassembles the full row set of a table from its
-// placement (the replica, or the concatenation of every fragment).
+// GatherTable returns the full row set of a table without copying it:
+// the replica itself, or the whole table a partitioned table is stored
+// in, named with its reserved name.
 func (e *Engine) GatherTable(table string) (*storage.Table, error) {
-	t0, err := e.table(table)
-	if err != nil {
-		return nil, err
+	if w := e.shards[0].Cat.Table(wholeName(table)); w != nil {
+		return w, nil
 	}
-	if _, ok := e.keys[table]; !ok {
-		return t0, nil
-	}
-	full := t0.CloneSchema(table)
-	for _, sh := range e.shards {
-		frag := sh.Cat.Table(table)
-		for ci, col := range frag.Cols {
-			full.Cols[ci].AppendColumn(col)
-		}
-	}
-	return full, nil
+	return e.table(table)
 }
 
-// InsertRows appends rows to a table, routing each row to its hash
-// shard for partitioned tables. Only the shards whose fragments
-// actually received rows have their cached artifacts over the table
-// invalidated — an insert that lands on two shards leaves the other
-// shards' hash tables and indexes warm. Statistics need no refresh:
-// each column recounts on its next read because its length moved.
+// InsertRows appends rows to a table. A row of a partitioned table goes
+// to its hash shard's fragment and to the whole table; only the shards
+// whose fragments actually received rows have their cached artifacts
+// over the table invalidated — an insert that lands on two shards leaves
+// the other shards' hash tables and indexes warm — and shard 0 drops its
+// artifacts over the whole table. Statistics need no refresh: each
+// column recounts on its next read because its length moved.
 func (e *Engine) InsertRows(table string, rows [][]types.Value) error {
 	t0, err := e.table(table)
 	if err != nil {
@@ -193,16 +208,21 @@ func (e *Engine) InsertRows(table string, rows [][]types.Value) error {
 	if ki < 0 {
 		return fmt.Errorf("shard: table %q lost its partition-key column %q", table, key)
 	}
+	whole := e.shards[0].Cat.Table(wholeName(table))
 	touched := make([]bool, len(e.shards))
 	for _, row := range rows {
 		s := storage.ShardOf(row[ki], len(e.shards))
 		e.shards[s].Cat.Table(table).AppendRow(row...)
+		whole.AppendRow(row...)
 		touched[s] = true
 	}
 	for s, sh := range e.shards {
 		if touched[s] {
 			sh.Cache.InvalidateTable(table)
 		}
+	}
+	if len(rows) > 0 {
+		e.shards[0].Cache.InvalidateTable(wholeName(table))
 	}
 	return nil
 }

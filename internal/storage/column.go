@@ -143,13 +143,6 @@ func (c *Column) AppendVec(v *Vec) {
 	c.Ints, c.Floats, c.Strs = dst.Ints, dst.Floats, dst.Strs
 }
 
-// AppendColumn bulk-appends every row of another column of the same
-// kind (a partitioned table's fragments concatenate into one table).
-func (c *Column) AppendColumn(src *Column) {
-	v := src.view()
-	c.AppendVec(&v)
-}
-
 // Value returns the value at row i.
 func (c *Column) Value(i int) types.Value {
 	switch c.Kind {

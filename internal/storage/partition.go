@@ -7,11 +7,11 @@ import (
 	"hashstash/internal/types"
 )
 
-// Hash partitioning: the sharding layer splits every partitioned table
-// into N disjoint fragments by the hash of one declared partition-key
-// column. The same hash drives three places that must agree exactly —
-// the bulk table split at load time, the batched exchange operator that
-// repartitions a join side at query time, and the router's
+// Hash partitioning: the sharding layer lays every partitioned table
+// out in shard order by the hash of one declared partition-key column
+// and hands each shard its row range as a fragment. The same hash
+// drives the places that must agree exactly — the bulk layout at load
+// time, InsertRows' routing of new rows, and the router's
 // partition-key-equality shard resolution — so all of them go through
 // PartitionHash/ShardOf or the column-wise Partitioner kernel below.
 
@@ -133,55 +133,6 @@ func (p *Partitioner) Partition(key *Column, n int) {
 	}
 }
 
-// PartitionSel is Partition restricted to a selection: only the rows
-// listed in sel are hashed and scattered, and Rows(s) afterwards
-// returns the original row ids (sel entries) destined for shard s, in
-// sel order. The exchange operator uses it to repartition the rows
-// surviving a relation's filter without materializing them first.
-func (p *Partitioner) PartitionSel(key *Column, sel []int32) {
-	n := len(sel)
-	p.grow(n)
-	hashes := p.hashes
-	switch key.Kind {
-	case types.Int64, types.Date:
-		for i, r := range sel {
-			hashes[i] = types.Mix64(uint64(key.Ints[r]))
-		}
-	case types.Float64:
-		for i, r := range sel {
-			hashes[i] = types.Mix64(math.Float64bits(key.Floats[r]))
-		}
-	case types.String:
-		for i, r := range sel {
-			hashes[i] = types.HashString(key.Strs[r])
-		}
-	default:
-		panic(fmt.Sprintf("storage: cannot partition by %v column %q", key.Kind, key.Name))
-	}
-
-	ns := uint64(p.shards)
-	dest := p.dest
-	counts := p.counts
-	for i := range counts {
-		counts[i] = 0
-	}
-	for i, h := range hashes {
-		d := int32(h % ns)
-		dest[i] = d
-		counts[d]++
-	}
-	p.offsets[0] = 0
-	for s := 0; s < p.shards; s++ {
-		p.offsets[s+1] = p.offsets[s] + counts[s]
-		p.fill[s] = p.offsets[s]
-	}
-	for i := 0; i < n; i++ {
-		d := dest[i]
-		p.perm[p.fill[d]] = sel[i]
-		p.fill[d]++
-	}
-}
-
 // Rows returns the row indices of the last Partition call destined for
 // shard s, in ascending row order. The slice aliases kernel scratch and
 // is valid until the next Partition call.
@@ -194,49 +145,49 @@ func (p *Partitioner) Rows(s int) []int32 {
 func (p *Partitioner) Dest() []int32 { return p.dest }
 
 // AppendColumnGather appends the selected rows of src (same kind) to
-// the column — the scatter half of table partitioning and the exchange
-// operator's batched row movement.
+// the column: the scatter half of table partitioning.
 func (c *Column) AppendColumnGather(src *Column, sel []int32) {
 	dst := c.view()
 	dst.AppendColumnGather(src, sel)
 	c.Ints, c.Floats, c.Strs = dst.Ints, dst.Floats, dst.Strs
 }
 
-// CloneSchema returns an empty table with the same column names and
-// kinds and no rows.
-func (t *Table) CloneSchema(name string) *Table {
-	nt := NewTable(name)
-	for _, c := range t.Cols {
-		nt.AddColumn(NewColumn(c.Name, c.Kind))
-	}
-	return nt
-}
-
-// PartitionTable splits t into n fragment tables by the hash of the key
-// column. Fragment s holds exactly the rows whose key hashes to shard
-// s, in original row order.
-func PartitionTable(t *Table, key string, n int) ([]*Table, error) {
+// PartitionTable lays t out in shard order by the hash of the key
+// column: the returned whole table holds shard 0's rows, then shard
+// 1's, and so on, each shard's rows in original row order. Fragment s
+// is shard s's row range of the whole table and shares its storage;
+// its capacity is capped at its length, so an append to a fragment
+// copies it instead of writing into the next fragment's rows. Both the
+// whole table and the fragments are named t.Name.
+func PartitionTable(t *Table, key string, n int) (*Table, []*Table, error) {
 	kc := t.Column(key)
 	if kc == nil {
-		return nil, fmt.Errorf("storage: table %q has no partition-key column %q", t.Name, key)
-	}
-	frags := make([]*Table, n)
-	for s := range frags {
-		frags[s] = t.CloneSchema(t.Name)
-	}
-	if t.NumRows() == 0 {
-		return frags, nil
+		return nil, nil, fmt.Errorf("storage: table %q has no partition-key column %q", t.Name, key)
 	}
 	part := NewPartitioner(n)
 	part.Partition(kc, -1)
-	for s := 0; s < n; s++ {
-		rows := part.Rows(s)
-		if len(rows) == 0 {
-			continue
-		}
-		for ci, col := range t.Cols {
-			frags[s].Cols[ci].AppendColumnGather(col, rows)
+	whole := NewTable(t.Name)
+	for _, col := range t.Cols {
+		c := NewColumn(col.Name, col.Kind)
+		c.AppendColumnGather(col, part.perm)
+		whole.AddColumn(c)
+	}
+	frags := make([]*Table, n)
+	for s := range frags {
+		lo, hi := int(part.offsets[s]), int(part.offsets[s+1])
+		frags[s] = NewTable(t.Name)
+		for _, col := range whole.Cols {
+			c := NewColumn(col.Name, col.Kind)
+			switch col.Kind {
+			case types.Int64, types.Date:
+				c.Ints = col.Ints[lo:hi:hi]
+			case types.Float64:
+				c.Floats = col.Floats[lo:hi:hi]
+			case types.String:
+				c.Strs = col.Strs[lo:hi:hi]
+			}
+			frags[s].AddColumn(c)
 		}
 	}
-	return frags, nil
+	return whole, frags, nil
 }

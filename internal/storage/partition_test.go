@@ -56,54 +56,25 @@ func TestPartitionerMatchesShardOf(t *testing.T) {
 	}
 }
 
-// TestPartitionSel: the selection-aware kernel hashes only the selected
-// rows and reports original row ids.
-func TestPartitionSel(t *testing.T) {
-	col := intCol("k", 10, 11, 12, 13, 14, 15, 16, 17)
-	sel := []int32{1, 3, 5, 7}
-	p := NewPartitioner(3)
-	p.PartitionSel(col, sel)
-	total := 0
-	for s := 0; s < 3; s++ {
-		for _, r := range p.Rows(s) {
-			if r%2 == 0 {
-				t.Fatalf("unselected row %d scattered", r)
-			}
-			if got := ShardOf(col.Value(int(r)), 3); got != s {
-				t.Fatalf("row %d in shard %d, ShardOf says %d", r, s, got)
-			}
-			total++
-		}
-	}
-	if total != len(sel) {
-		t.Fatalf("%d rows scattered, want %d", total, len(sel))
-	}
-}
-
-// TestPartitionerZeroAlloc: steady-state partitioning — both kernels,
-// after the first warm-up call — allocates nothing.
+// TestPartitionerZeroAlloc: steady-state partitioning, after the first
+// warm-up call, allocates nothing.
 func TestPartitionerZeroAlloc(t *testing.T) {
 	col := NewColumn("k", types.Int64)
 	for i := 0; i < 4096; i++ {
 		col.Append(types.NewInt(int64(i) * 7919))
 	}
-	sel := make([]int32, 2048)
-	for i := range sel {
-		sel[i] = int32(i * 2)
-	}
 	p := NewPartitioner(4)
 	p.Partition(col, -1) // warm up scratch
-	p.PartitionSel(col, sel)
 	if allocs := testing.AllocsPerRun(20, func() { p.Partition(col, -1) }); allocs != 0 {
 		t.Errorf("Partition: %v allocs/run, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(20, func() { p.PartitionSel(col, sel) }); allocs != 0 {
-		t.Errorf("PartitionSel: %v allocs/run, want 0", allocs)
 	}
 }
 
 // TestPartitionTable: fragments preserve every row exactly once, in
-// original order, and route by the key hash.
+// original order, and route by the key hash. The whole table is the
+// fragments concatenated in shard order: fragment s is its row range
+// and shares its storage, and an append to a fragment copies it rather
+// than write into the next fragment's rows.
 func TestPartitionTable(t *testing.T) {
 	tab := NewTable("t")
 	tab.AddColumn(NewColumn("k", types.Int64))
@@ -112,17 +83,27 @@ func TestPartitionTable(t *testing.T) {
 	for i := 0; i < n; i++ {
 		tab.AppendRow(types.NewInt(int64(i)), types.NewString(string(rune('A'+i%26))))
 	}
-	frags, err := PartitionTable(tab, "k", 4)
+	whole, frags, err := PartitionTable(tab, "k", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if whole.Name != "t" || whole.NumRows() != n {
+		t.Fatalf("whole table %q holds %d rows, want %d", whole.Name, whole.NumRows(), n)
+	}
 	seen := make([]bool, n)
-	total := 0
+	lo := 0
 	for s, f := range frags {
 		if f.Name != "t" {
 			t.Fatalf("fragment %d named %q", s, f.Name)
 		}
+		hi := lo + f.NumRows()
 		kc, vc := f.Column("k"), f.Column("v")
+		if f.NumRows() > 0 && (&kc.Ints[0] != &whole.Column("k").Ints[lo] || &vc.Strs[0] != &whole.Column("v").Strs[lo]) {
+			t.Fatalf("fragment %d does not share rows [%d, %d) of the whole table", s, lo, hi)
+		}
+		if cap(kc.Ints) != f.NumRows() || cap(vc.Strs) != f.NumRows() {
+			t.Fatalf("fragment %d: capacity not capped at its %d rows", s, f.NumRows())
+		}
 		prev := int64(-1)
 		for i := 0; i < f.NumRows(); i++ {
 			k := kc.Value(i).I
@@ -140,14 +121,20 @@ func TestPartitionTable(t *testing.T) {
 				t.Fatalf("key %d appears twice", k)
 			}
 			seen[k] = true
-			total++
 		}
+		lo = hi
 	}
-	if total != n {
-		t.Fatalf("fragments hold %d rows, want %d", total, n)
+	if lo != n {
+		t.Fatalf("fragments hold %d rows, want %d", lo, n)
 	}
 
-	if _, err := PartitionTable(tab, "nope", 4); err == nil {
+	next := whole.Column("k").Value(frags[0].NumRows())
+	frags[0].AppendRow(types.NewInt(-1), types.NewString("x"))
+	if got := whole.Column("k").Value(frags[0].NumRows() - 1); got.Compare(next) != 0 {
+		t.Fatalf("an append to fragment 0 overwrote fragment 1's first key %v with %v", next, got)
+	}
+
+	if _, _, err := PartitionTable(tab, "nope", 4); err == nil {
 		t.Fatal("partitioning by a missing column must fail")
 	}
 }

@@ -74,7 +74,9 @@ type Tuning struct {
 	// catalog fragment, cache (an equal share of the byte budgets) and
 	// optimizer. A query routed to one shard runs on Parallelism/n
 	// workers; the legs of a scatter-gather query share one pool of
-	// Parallelism workers. <= 1 is one shard holding every table whole.
+	// Parallelism workers, as does a query that is not co-partitioned,
+	// which runs on shard 0 over the whole tables. <= 1 is one shard
+	// holding every table whole.
 	// Tables with a WithPartitionKey declaration split by key hash, the
 	// rest replicate. Applies to every Strategy.
 	Shards int

@@ -9,7 +9,7 @@ import (
 )
 
 // BenchmarkPartitionKernel measures the vectorized hash-partition split
-// that every table load and exchange runs through. Steady state must be
+// that every partitioned table load runs through. Steady state must be
 // 0 allocs/op: the partitioner reuses its histogram, destination and
 // permutation scratch across calls.
 func BenchmarkPartitionKernel(b *testing.B) {

@@ -22,8 +22,8 @@ import (
 // tpchPartitionKeys is the placement the sharded tests run under:
 // customer and orders co-partitioned on the customer key, lineitem
 // partitioned on its own join key (so ORDERS ⋈ LINEITEM joins are
-// deliberately mismatched and exercise the exchange); part and
-// supplier stay replicated.
+// deliberately not co-partitioned and run on the whole tables); part
+// and supplier stay replicated.
 func tpchPartitionKeys() []Option {
 	return []Option{
 		WithPartitionKey("customer", "c_custkey"),
@@ -56,8 +56,8 @@ func testShardCounts(t *testing.T) []int {
 	return counts
 }
 
-// shardGoldenQueries covers every scatter-gather merge shape plus both
-// exchange modes and single-shard routing.
+// shardGoldenQueries covers every scatter-gather merge shape plus
+// queries that run on the whole tables and single-shard routing.
 var shardGoldenQueries = []struct {
 	name string
 	sql  string
@@ -179,6 +179,16 @@ func TestShardedGoldenEquivalence(t *testing.T) {
 				assertSameRows(t, tc.name, got, want)
 			})
 		}
+	}
+}
+
+// TestShardedTablesHideWholeTables: a partitioned table's whole table is
+// registered under a reserved name, which Tables does not list: a
+// two-shard database lists exactly the tables a one-shard one does.
+func TestShardedTablesHideWholeTables(t *testing.T) {
+	want := openTPCH(t).Tables()
+	if got := openShardedTPCH(t, 2).Tables(); !slices.Equal(got, want) {
+		t.Fatalf("Tables() = %v at two shards, want %v", got, want)
 	}
 }
 
@@ -537,10 +547,10 @@ func TestShardedInsertInvalidation(t *testing.T) {
 	}
 }
 
-// TestShardedConcurrentStorm drives point, scatter and exchange
+// TestShardedConcurrentStorm drives point, scatter and whole-table
 // queries from many goroutines at once — the race-detector workout for
-// the router, the shared scheduler run, exchange temp registration and
-// per-shard cache lifecycles.
+// the router, the shared scheduler run, shard 0's cache shared by the
+// whole-table runs and per-shard cache lifecycles.
 func TestShardedConcurrentStorm(t *testing.T) {
 	db := openShardedTPCH(t, 4)
 	queries := []string{
