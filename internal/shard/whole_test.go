@@ -159,13 +159,21 @@ func sharesRow(frag, whole *storage.Column, r int) bool {
 	return &frag.Ints[0] == &whole.Ints[r]
 }
 
-// TestWholeLayoutMatchesOneShard runs the queries end to end: answers
-// match a one-shard engine's, and every shard's cache keeps its
-// invariants.
-func TestWholeLayoutMatchesOneShard(t *testing.T) {
+// TestScatterDropsTemps runs the queries end to end: answers match a
+// one-shard engine's, and no query leaves a temporary behind. After each
+// query every shard's catalog registers exactly the tables it held
+// before, every cached artifact is built over tables of its shard's
+// catalog, no artifact was evicted — a run over the whole tables leaves
+// its hash tables cached — and every shard's cache keeps its invariants.
+func TestScatterDropsTemps(t *testing.T) {
 	ctx := context.Background()
 	ref := exchangeEngine(t, 1, false)
 	forEachExchangeCase(t, func(t *testing.T, e *Engine, q *plan.Query) {
+		names := make([][]string, e.Shards())
+		for s := range names {
+			names[s] = e.Shard(s).Cat.TableNames()
+		}
+		before, _ := e.Stats()
 		got, err := e.RunContext(ctx, q)
 		if err != nil {
 			t.Fatal(err)
@@ -177,8 +185,26 @@ func TestWholeLayoutMatchesOneShard(t *testing.T) {
 		if a, b := canonicalRows(boxed(got)), canonicalRows(boxed(want)); !reflect.DeepEqual(a, b) {
 			t.Fatalf("sharded answer has %d rows, one shard %d", len(a), len(b))
 		}
+		if after, _ := e.Stats(); after.Evictions != before.Evictions {
+			t.Errorf("the query evicted %d cached artifacts", after.Evictions-before.Evictions)
+		}
 		for s := 0; s < e.Shards(); s++ {
-			if err := e.Shard(s).Cache.CheckInvariants(); err != nil {
+			sh := e.Shard(s)
+			if got := sh.Cat.TableNames(); !slices.Equal(got, names[s]) {
+				t.Errorf("shard %d registers %v after the query, %v before", s, got, names[s])
+			}
+			for id := range sh.Cache.Stats().Registered {
+				ent := sh.Cache.Get(id)
+				if ent == nil {
+					continue
+				}
+				for _, tbl := range ent.Lineage.Tables {
+					if sh.Cat.Table(tbl) == nil {
+						t.Errorf("shard %d caches entry %d over %q, which it does not register", s, id, tbl)
+					}
+				}
+			}
+			if err := sh.Cache.CheckInvariants(); err != nil {
 				t.Error(err)
 			}
 		}
