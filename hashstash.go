@@ -20,8 +20,7 @@
 // run or a cached hash table's entry arena, ~64K rows each) that go
 // into one FIFO queue every worker pops. A query's pipelines run in
 // compile order — a probe after its build sink, a hash-table readout
-// after its producer — while the legs of a sharded query run
-// concurrently. Pipeline breakers build per-worker partial hash tables
+// after its producer. Pipeline breakers build per-worker partial hash tables
 // that are merged into one immutable table at pipeline end, so probe
 // pipelines — and cross-query reuse — stay lock-free on the hot path.
 // Tuning.Parallelism sizes the pool; the default uses every available
@@ -226,11 +225,10 @@ func (db *DB) ShardCacheStats() []CacheStats {
 	return per
 }
 
-// ShardQueryCounts reports how many queries (or scatter legs) each
-// shard has executed — single-partition routing is observable here: a
-// partition-key point query increments exactly one shard's counter, a
-// co-partitioned scatter every shard's, and a query that is not
-// co-partitioned runs on the whole tables and increments shard 0's.
+// ShardQueryCounts reports how many queries each shard has executed —
+// single-partition routing is observable here: a partition-key point
+// query increments exactly one shard's counter, and any other query
+// runs on the whole tables and increments shard 0's.
 func (db *DB) ShardQueryCounts() []int64 { return db.router.QueryCounts() }
 
 // LoadTPCH generates and registers a TPC-H-style database at the given

@@ -390,8 +390,8 @@ func TestAblationOptions(t *testing.T) {
 
 // TestRepeatedSelectColumn: a column selected twice — bare, under two
 // aliases, or next to an aggregate — answers with both cells equal and
-// as many rows as selecting it once, solo and scattered over two
-// shards.
+// as many rows as selecting it once, on one shard and on the whole
+// tables of two.
 func TestRepeatedSelectColumn(t *testing.T) {
 	cases := []struct{ sql, once string }{
 		{"SELECT c.c_age, c.c_age FROM customer c LIMIT 2", ""},

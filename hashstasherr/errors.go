@@ -104,7 +104,7 @@ func Canceled(cause error) error {
 
 // InternalError is a recovered panic (or injected fault) converted to
 // an error at a containment boundary: the scheduler worker loop, a
-// serial exec path, a shard scatter leg. It carries the panic value,
+// serial exec path, the optimizer's planning and publishing. It carries the panic value,
 // the goroutine stack captured at the recover site and the operation
 // label, and unwraps to ErrInternal — plus the panic's own error when
 // the panic value was an error, so injected sentinel faults stay

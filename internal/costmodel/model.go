@@ -220,14 +220,15 @@ func (m *Model) GatherCost(rows float64, shards int) float64 {
 
 // RouteSingleShard is the routing crossover: should a query whose
 // partition-key constraints pin every matching row to one shard run on
-// that shard alone, or scatter anyway? The scatter alternative performs
-// the same fragment scan on the target shard, adds one provably-empty
-// fragment scan per non-target shard, and pays the gather — so routing
-// wins whenever that overhead is positive. The comparison lives in the
-// model (rather than being hard-coded in the router) so a future
-// placement-aware calibration — NUMA distance, warm per-shard caches —
-// can tip it. fragmentRows is the routed shard's estimated fragment
-// size.
+// that shard alone, or on the whole tables anyway? The whole-table
+// alternative scans the target fragment's rows and every other
+// fragment's, which cannot match — so routing wins whenever that
+// overhead is positive. (The GatherCost term prices a per-shard fan-out
+// no route pays any more; it only adds to the overhead.) The comparison
+// lives in the model (rather than being hard-coded in the router) so a
+// future placement-aware calibration — NUMA distance, warm per-shard
+// caches — can tip it. fragmentRows is the routed shard's estimated
+// fragment size.
 func (m *Model) RouteSingleShard(fragmentRows float64, shards int) bool {
 	if shards <= 1 {
 		return true

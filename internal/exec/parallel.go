@@ -22,8 +22,7 @@ import (
 // A query's pipelines form one chain and run in compile order — the
 // next pipeline is prepared only after the previous one's sink merged —
 // because compile order already puts every build before its probes and
-// every aggregation before its readout. The legs of a scatter-gather
-// query are separate chains of the same run.
+// every aggregation before its readout.
 
 // Parallelism configures the parallel runner.
 type Parallelism struct {
@@ -43,22 +42,11 @@ type Parallelism struct {
 // morsel scheduler: in compile order, each pipeline's morsels spread
 // across the pool.
 func RunParallel(pipelines []*Pipeline, par Parallelism) error {
-	return RunSharded([][]*Pipeline{pipelines}, par)
-}
-
-// RunSharded executes several legs' pipelines — one per shard of a
-// scatter-gather query — as one scheduler run: each leg is its own
-// chain in compile order, and the legs run concurrently over the shared
-// queue of a pool of par.Workers.
-func RunSharded(legs [][]*Pipeline, par Parallelism) error {
-	chains := make([][]*sched.Job, len(legs))
-	for i, ps := range legs {
-		chains[i] = make([]*sched.Job, len(ps))
-		for k, p := range ps {
-			chains[i][k] = p.job(par)
-		}
+	chain := make([]*sched.Job, len(pipelines))
+	for k, p := range pipelines {
+		chain[k] = p.job(par)
 	}
-	return sched.Run(chains, sched.Options{Workers: par.Workers, Ctx: par.Ctx})
+	return sched.Run(chain, sched.Options{Workers: par.Workers, Ctx: par.Ctx})
 }
 
 // job lowers one pipeline into a scheduler job. The split is deferred

@@ -44,7 +44,7 @@ func TestCancelStopsDispatch(t *testing.T) {
 		close(release)
 	}()
 
-	err := Run([][]*Job{{job}}, Options{Workers: workers, Ctx: ctx})
+	err := Run([]*Job{job}, Options{Workers: workers, Ctx: ctx})
 	if err == nil {
 		t.Fatal("Run returned nil after cancellation")
 	}
@@ -71,7 +71,7 @@ func TestCancelSerial(t *testing.T) {
 		NTasks: 8,
 		Run:    func(w, i int) error { ran.Add(1); return nil },
 	}
-	err := Run([][]*Job{{job}}, Options{Workers: 1, Ctx: ctx})
+	err := Run([]*Job{job}, Options{Workers: 1, Ctx: ctx})
 	if !errors.Is(err, hashstasherr.ErrCanceled) {
 		t.Fatalf("serial run under canceled ctx returned %v", err)
 	}
@@ -80,7 +80,7 @@ func TestCancelSerial(t *testing.T) {
 	}
 }
 
-// TestSingleWorkerInline: Workers 1 runs every chain on the calling
+// TestSingleWorkerInline: Workers 1 runs the chain on the calling
 // goroutine — no goroutine exists during or after the run that did not
 // exist before it, even when the context is canceled mid-run — and
 // still stops between tasks once the context is canceled.
@@ -104,7 +104,7 @@ func TestSingleWorkerInline(t *testing.T) {
 			},
 		}
 	}
-	err := Run([][]*Job{{job(), job()}, {job()}}, Options{Workers: 1, Ctx: ctx})
+	err := Run([]*Job{job(), job(), job()}, Options{Workers: 1, Ctx: ctx})
 	if !errors.Is(err, hashstasherr.ErrCanceled) {
 		t.Fatalf("got %v, want ErrCanceled", err)
 	}
@@ -151,7 +151,7 @@ func TestCancelWakesParkedWorkers(t *testing.T) {
 			return nil
 		},
 	}
-	err := Run([][]*Job{{job}}, Options{Workers: workers, Ctx: ctx})
+	err := Run([]*Job{job}, Options{Workers: workers, Ctx: ctx})
 	if !errors.Is(err, hashstasherr.ErrCanceled) {
 		t.Fatalf("got %v, want ErrCanceled", err)
 	}

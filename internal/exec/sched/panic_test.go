@@ -11,9 +11,9 @@ import (
 
 // TestPanicIsolation: a panic in any job hook — Prepare, Run, Finish —
 // is contained by the scheduler: Run returns a typed InternalError
-// carrying the panic value and stack, workers survive to drain the
-// remaining work, and the process never sees the panic. Exercised on
-// one worker and on a pool.
+// carrying the panic value and stack, the job before it in the chain
+// completed, and the process never sees the panic. Exercised on one
+// worker and on a pool.
 func TestPanicIsolation(t *testing.T) {
 	hooks := []struct {
 		name string
@@ -56,7 +56,10 @@ func TestPanicIsolation(t *testing.T) {
 						return nil
 					},
 				}
-				err := Run([][]*Job{{h.job()}, {bystander}}, Options{Workers: workers})
+				err := Run([]*Job{bystander, h.job()}, Options{Workers: workers})
+				if n := healthy.Load(); n != 8 {
+					t.Fatalf("the job before the panic ran %d of 8 tasks", n)
+				}
 				if err == nil {
 					t.Fatal("panicking job reported no error")
 				}
@@ -80,7 +83,7 @@ func TestPanicIsolation(t *testing.T) {
 // no double-fail crash).
 func TestPanicFirstErrorWins(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	jobs := [][]*Job{{{
+	jobs := []*Job{{
 		NTasks: 64,
 		Run: func(worker, task int) error {
 			if task%3 == 0 {
@@ -88,7 +91,7 @@ func TestPanicFirstErrorWins(t *testing.T) {
 			}
 			return nil
 		},
-	}}}
+	}}
 	err := Run(jobs, Options{Workers: 4})
 	if !errors.Is(err, hashstasherr.ErrInternal) {
 		t.Fatalf("err = %v, want ErrInternal", err)

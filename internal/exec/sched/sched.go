@@ -4,9 +4,8 @@
 // pops. Job k+1 of a chain is prepared and seeded only after job k's
 // Finish, so compile order is the only dependency order there is: a
 // probe never starts before its build sink merged, a hash-table
-// readout never before its producer. Several chains — the legs of a
-// scatter-gather query — share one run, and their ready jobs interleave
-// in the queue.
+// readout never before its producer. Since one job runs at a time, the
+// queue holds at most one ready job.
 package sched
 
 import (
@@ -58,7 +57,7 @@ type Job struct {
 
 // Options configures a scheduler run.
 type Options struct {
-	// Workers is the pool size; values <= 1 run every chain on the
+	// Workers is the pool size; values <= 1 run the chain on the
 	// calling goroutine and start no goroutine.
 	Workers int
 	// Ctx aborts the run when it is canceled or its deadline passes:
@@ -69,64 +68,51 @@ type Options struct {
 	Ctx context.Context
 }
 
-// chain is one chain's progress: its jobs, the index of the job being
-// seeded or run, and that job's tasks not yet completed.
-type chain struct {
-	jobs      []*Job
-	cur       int
-	remaining atomic.Int64
-}
-
-// ready is a seeded job in the queue; its tasks are handed out in index
-// order starting at next.
+// ready is the seeded job; its tasks are handed out in index order
+// starting at next. A nil job means no task is waiting.
 type ready struct {
-	c    *chain
 	job  *Job
 	next int
 }
 
 // task is one claimed unit of work.
 type task struct {
-	c   *chain
 	job *Job
 	idx int
 }
 
 type scheduler struct {
-	chains []chain
-	ctx    context.Context
+	jobs []*Job
+	ctx  context.Context
+	// cur is the index of the job being seeded or run, remaining its
+	// tasks not yet completed.
+	cur       int
+	remaining atomic.Int64
 
-	// mu guards queue/head/live/err; cond parks idle workers.
+	// mu guards queue/done/err; cond parks idle workers.
 	mu     sync.Mutex
 	cond   sync.Cond
-	queue  []ready // FIFO; entries before head are drained
-	head   int
-	live   int // chains not yet past their last job
+	queue  ready
+	done   bool // the chain is past its last job
 	err    error
 	failed atomic.Bool
 }
 
-// Run executes every chain — each chain's jobs strictly one after the
-// other, different chains concurrently — and blocks until all finished
-// or one hook failed (the first error is returned; queued work is
-// abandoned).
-func Run(chains [][]*Job, opts Options) error {
-	s := &scheduler{chains: make([]chain, len(chains)), ctx: opts.Ctx, live: len(chains)}
+// Run executes a chain's jobs strictly one after the other and blocks
+// until all finished or one hook failed (the first error is returned;
+// queued work is abandoned).
+func Run(chain []*Job, opts Options) error {
+	s := &scheduler{jobs: chain, ctx: opts.Ctx}
 	s.cond.L = &s.mu
-	for i, jobs := range chains {
-		s.chains[i].jobs = jobs
-	}
 	// A lone worker never parks — the task that completes a job seeds
-	// the chain's next one on the same goroutine — so only a pool needs
+	// the next one on the same goroutine — so only a pool needs
 	// cancellation to wake it; next() polls the context before every
 	// task either way.
 	if ctx := opts.Ctx; opts.Workers > 1 && ctx != nil && ctx.Done() != nil {
 		stop := context.AfterFunc(ctx, func() { s.fail(hashstasherr.Canceled(ctx.Err())) })
 		defer stop()
 	}
-	for i := range s.chains {
-		s.advance(&s.chains[i])
-	}
+	s.advance()
 
 	if opts.Workers <= 1 {
 		s.worker(0)
@@ -170,9 +156,9 @@ func (s *scheduler) worker(w int) {
 	}
 }
 
-// next claims the head task of the queue, parking while the queue is
-// empty and some chain still has work to seed. It reports false once
-// every chain is done or the run failed — including by cancellation,
+// next claims the next task of the ready job, parking while none is
+// waiting and the chain still has work to seed. It reports false once
+// the chain is done or the run failed — including by cancellation,
 // which it checks before handing out each task.
 func (s *scheduler) next() (task, bool) {
 	if s.ctx != nil {
@@ -182,15 +168,11 @@ func (s *scheduler) next() (task, bool) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.err == nil && s.live > 0 {
-		if s.head < len(s.queue) {
-			r := &s.queue[s.head]
-			t := task{c: r.c, job: r.job, idx: r.next}
+	for s.err == nil && !s.done {
+		if r := &s.queue; r.job != nil {
+			t := task{job: r.job, idx: r.next}
 			if r.next++; r.next == r.job.NTasks {
-				s.head++
-				if s.head == len(s.queue) {
-					s.queue, s.head = s.queue[:0], 0
-				}
+				*r = ready{}
 			}
 			return t, true
 		}
@@ -210,22 +192,22 @@ func (s *scheduler) exec(w int, t task) {
 	}
 	// The atomic decrement orders every worker's writes (per-worker
 	// sink state) before the finisher's merge.
-	if t.c.remaining.Add(-1) == 0 {
+	if s.remaining.Add(-1) == 0 {
 		if t.job.Finish == nil || s.call("sched.finish", t.job.Finish) {
-			t.c.cur++
-			s.advance(t.c)
+			s.cur++
+			s.advance()
 		}
 	}
 }
 
-// advance seeds chain c's current job — the dispatch fault point, then
-// Prepare (every earlier job of the chain has finished, so state they
-// produced, such as a built hash table's entry count, is visible), then
-// its tasks into the queue. Zero-task jobs finish on the spot; a chain
-// past its last job retires. Nothing advances after a failure.
-func (s *scheduler) advance(c *chain) {
-	for ; c.cur < len(c.jobs); c.cur++ {
-		j := c.jobs[c.cur]
+// advance seeds the chain's current job — the dispatch fault point,
+// then Prepare (every earlier job has finished, so state they produced,
+// such as a built hash table's entry count, is visible), then its tasks
+// into the queue. Zero-task jobs finish on the spot; past the last job
+// the run is done. Nothing advances after a failure.
+func (s *scheduler) advance() {
+	for ; s.cur < len(s.jobs); s.cur++ {
+		j := s.jobs[s.cur]
 		if !s.call("sched.dispatch", injectDispatch) {
 			return
 		}
@@ -233,9 +215,9 @@ func (s *scheduler) advance(c *chain) {
 			return
 		}
 		if j.NTasks > 0 {
-			c.remaining.Store(int64(j.NTasks))
+			s.remaining.Store(int64(j.NTasks))
 			s.mu.Lock()
-			s.queue = append(s.queue, ready{c: c, job: j})
+			s.queue = ready{job: j}
 			s.mu.Unlock()
 			s.cond.Broadcast()
 			return
@@ -245,10 +227,9 @@ func (s *scheduler) advance(c *chain) {
 		}
 	}
 	s.mu.Lock()
-	if s.live--; s.live == 0 {
-		s.cond.Broadcast()
-	}
+	s.done = true
 	s.mu.Unlock()
+	s.cond.Broadcast()
 }
 
 func injectDispatch() error { return faultinject.Inject(faultinject.SchedDispatch) }

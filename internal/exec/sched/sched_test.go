@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestJobCompletesAllTasks: every task of a single job runs exactly
@@ -25,7 +24,7 @@ func TestJobCompletesAllTasks(t *testing.T) {
 				},
 				Finish: func() error { finished.Add(1); return nil },
 			}
-			if err := Run([][]*Job{{job}}, Options{Workers: workers}); err != nil {
+			if err := Run([]*Job{job}, Options{Workers: workers}); err != nil {
 				t.Fatal(err)
 			}
 			for i := range ran {
@@ -61,7 +60,7 @@ func TestDependencyOrder(t *testing.T) {
 					return nil
 				},
 			}
-			if err := Run([][]*Job{{dep, cons}}, Options{Workers: workers}); err != nil {
+			if err := Run([]*Job{dep, cons}, Options{Workers: workers}); err != nil {
 				t.Fatal(err)
 			}
 			if v := violations.Load(); v != 0 {
@@ -71,95 +70,64 @@ func TestDependencyOrder(t *testing.T) {
 	}
 }
 
-// TestChainOrder: over 64 chains of random length and width sharing
-// one pool, no job is prepared before its predecessor's Finish, every
+// TestChainOrder: over one chain of 64 jobs of random width on a pool
+// of four, no job is prepared before its predecessor's Finish, every
 // task runs exactly once, and every Finish runs exactly once after its
 // job's last task. Meant for -race.
 func TestChainOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
-	const nChains = 64
+	const nJobs = 64
 	type jobState struct {
 		ran, finished atomic.Int64
 		prepared      atomic.Bool
 		tasks         int
 	}
 	var violations atomic.Int64
-	states := make([][]*jobState, nChains)
-	chains := make([][]*Job, nChains)
-	for c := range chains {
-		n := rng.Intn(6)
-		states[c] = make([]*jobState, n)
-		chains[c] = make([]*Job, n)
-		for k := 0; k < n; k++ {
-			st := &jobState{tasks: rng.Intn(24)}
-			states[c][k] = st
-			var prev *jobState
-			if k > 0 {
-				prev = states[c][k-1]
-			}
-			chains[c][k] = &Job{
-				Prepare: func(j *Job) error {
-					if prev != nil && prev.finished.Load() != 1 {
+	states := make([]*jobState, nJobs)
+	chain := make([]*Job, nJobs)
+	for k := range chain {
+		st := &jobState{tasks: rng.Intn(24)}
+		states[k] = st
+		var prev *jobState
+		if k > 0 {
+			prev = states[k-1]
+		}
+		chain[k] = &Job{
+			Prepare: func(j *Job) error {
+				if prev != nil && prev.finished.Load() != 1 {
+					violations.Add(1)
+				}
+				st.prepared.Store(true)
+				j.NTasks = st.tasks
+				j.Run = func(w, i int) error {
+					if !st.prepared.Load() || st.finished.Load() != 0 {
 						violations.Add(1)
 					}
-					st.prepared.Store(true)
-					j.NTasks = st.tasks
-					j.Run = func(w, i int) error {
-						if !st.prepared.Load() || st.finished.Load() != 0 {
-							violations.Add(1)
-						}
-						st.ran.Add(1)
-						return nil
-					}
+					st.ran.Add(1)
 					return nil
-				},
-				Finish: func() error {
-					if st.ran.Load() != int64(st.tasks) {
-						violations.Add(1)
-					}
-					st.finished.Add(1)
-					return nil
-				},
-			}
+				}
+				return nil
+			},
+			Finish: func() error {
+				if st.ran.Load() != int64(st.tasks) {
+					violations.Add(1)
+				}
+				st.finished.Add(1)
+				return nil
+			},
 		}
 	}
-	if err := Run(chains, Options{Workers: 4}); err != nil {
+	if err := Run(chain, Options{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if v := violations.Load(); v != 0 {
 		t.Fatalf("%d chain-order violations", v)
 	}
-	for c := range states {
-		for k, st := range states[c] {
-			if st.ran.Load() != int64(st.tasks) || st.finished.Load() != 1 {
-				t.Fatalf("chain %d job %d: ran %d/%d tasks, finished %d times",
-					c, k, st.ran.Load(), st.tasks, st.finished.Load())
-			}
+	for k, st := range states {
+		if st.ran.Load() != int64(st.tasks) || st.finished.Load() != 1 {
+			t.Fatalf("job %d: ran %d/%d tasks, finished %d times",
+				k, st.ran.Load(), st.tasks, st.finished.Load())
 		}
-	}
-}
-
-// TestChainsOverlap: two chains' tasks run at the same time on a pool
-// of two — each task waits for the other to arrive, which only a
-// concurrent schedule lets happen before the timeout.
-func TestChainsOverlap(t *testing.T) {
-	arrived := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
-	meet := func(me int) *Job {
-		return &Job{
-			NTasks: 1,
-			Run: func(w, i int) error {
-				close(arrived[me])
-				select {
-				case <-arrived[1-me]:
-					return nil
-				case <-time.After(5 * time.Second):
-					return fmt.Errorf("chain %d never overlapped with chain %d", me, 1-me)
-				}
-			},
-		}
-	}
-	if err := Run([][]*Job{{meet(0)}, {meet(1)}}, Options{Workers: 2}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -183,7 +151,7 @@ func TestErrorPropagation(t *testing.T) {
 				NTasks: 4,
 				Run:    func(w, i int) error { laterStarted.Store(true); return nil },
 			}
-			err := Run([][]*Job{{fail, after}}, Options{Workers: workers})
+			err := Run([]*Job{fail, after}, Options{Workers: workers})
 			if !errors.Is(err, boom) {
 				t.Fatalf("got %v, want boom", err)
 			}
@@ -202,7 +170,7 @@ func TestFinishError(t *testing.T) {
 		Run:    func(w, i int) error { return nil },
 		Finish: func() error { return boom },
 	}
-	if err := Run([][]*Job{{job}}, Options{Workers: 4}); !errors.Is(err, boom) {
+	if err := Run([]*Job{job}, Options{Workers: 4}); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want merge failure", err)
 	}
 }
@@ -219,7 +187,7 @@ func TestZeroTaskJob(t *testing.T) {
 			Finish: func() error { afterFinished.Add(1); return nil },
 		},
 	}
-	if err := Run([][]*Job{chain}, Options{Workers: 4}); err != nil {
+	if err := Run(chain, Options{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if finished.Load() != 1 || after.Load() != 1 || afterFinished.Load() != 1 {
@@ -242,7 +210,7 @@ func TestWorkerIndexInRange(t *testing.T) {
 			return nil
 		},
 	}
-	if err := Run([][]*Job{{job}}, Options{Workers: workers}); err != nil {
+	if err := Run([]*Job{job}, Options{Workers: workers}); err != nil {
 		t.Fatal(err)
 	}
 	if bad.Load() != 0 {

@@ -52,8 +52,8 @@ const (
 	// ExecMorsel fires at the head of every morsel/pipeline stream —
 	// the highest-frequency point, used to simulate operator panics.
 	ExecMorsel = "exec.morsel"
-	// ShardExchange fires as the router retargets a query that is not
-	// co-partitioned at the whole tables, before it plans on shard 0.
+	// ShardExchange fires as the router retargets a query it pins to no
+	// shard at the whole tables, before it plans on shard 0.
 	ShardExchange = "shard.exchange"
 	// ServerAdmit fires in server admission, before the statement is
 	// parsed.

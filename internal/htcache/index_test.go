@@ -365,8 +365,8 @@ func TestRollupVisitsOnlySupersetBuckets(t *testing.T) {
 	}
 }
 
-// TestShapeRuleSkipsUnusableShapes: the two lookups of a scatter query
-// on the sharded workload. Its join lookup needs c_mktsegment stored,
+// TestShapeRuleSkipsUnusableShapes: the two lookups of a cross-shard
+// query on the sharded workload. Its join lookup needs c_mktsegment stored,
 // which the point lookups' tables lack, so they are never returned; its
 // aggregate lookup constrains o_orderdate, which no aggregate stores, so
 // only cached aggregates the request covers (exact or partial reuse)

@@ -507,7 +507,7 @@ func (c *compiler) compileSPJRoot(root *Node) error {
 	// order, cut to the LIMIT.
 	var order exec.Order
 	if !ordered {
-		order = ResultOrder(c.q, names)
+		order = resultOrder(c.q, names)
 	}
 	collect := exec.NewCollect(proj.OutSchema(), proj.Cols, order)
 	c.out.Pipelines = append(c.out.Pipelines, &exec.Pipeline{Source: src, Transforms: tfs, Sink: collect})
@@ -515,10 +515,10 @@ func (c *compiler) compileSPJRoot(root *Node) error {
 	return nil
 }
 
-// ResultOrder is q's ORDER BY / LIMIT over its result columns, named
+// resultOrder is q's ORDER BY / LIMIT over its result columns, named
 // by names. An ORDER BY column that is not selected orders nothing. The
-// result collector and the shard gather apply it.
-func ResultOrder(q *plan.Query, names []string) exec.Order {
+// result collector applies it.
+func resultOrder(q *plan.Query, names []string) exec.Order {
 	order := exec.Order{Limit: q.Limit}
 	if ob := q.OrderBy; ob != nil {
 		if i := slices.Index(names, ob.Col.String()); i >= 0 {
@@ -827,7 +827,7 @@ func (c *compiler) compileReadout(q *plan.Query, ht *hashtable.Table, agg *AggCh
 	if err != nil {
 		return err
 	}
-	collect := exec.NewCollect(proj.OutSchema(), proj.Cols, ResultOrder(q, names))
+	collect := exec.NewCollect(proj.OutSchema(), proj.Cols, resultOrder(q, names))
 	c.out.Pipelines = append(c.out.Pipelines, &exec.Pipeline{Source: src, Transforms: tfs, Sink: collect})
 	c.out.outs = append(c.out.outs, output{collect: collect, columns: names})
 	return nil

@@ -123,11 +123,11 @@ func (p *Prepared) finishSafe(runErr error) (err error) {
 }
 
 // Prepared is a planned and compiled query whose pipelines have not run
-// yet. The sharded scatter-gather executor uses the split form: it
-// Prepares one sub-query per shard, fans every shard's pipelines into a
-// single scheduler run (one chain per shard), then Finishes
-// each to publish snapshots and collect results. The prepared query
-// holds its pins on its optimizer's cache until Finish or Abort.
+// yet. The sharded engine uses the split form for a query it runs on
+// the whole tables: it Prepares the query on shard 0, runs its
+// pipelines under the engine's worker pool, then Finishes it to publish
+// snapshots and collect the result. The prepared query holds its pins
+// on its optimizer's cache until Finish.
 type Prepared struct {
 	o        *Optimizer
 	planned  *Planned
@@ -138,10 +138,9 @@ type Prepared struct {
 
 // Prepare plans and compiles a query, pinning the cached entries it
 // reuses and registering the tables it builds. Every Prepare must be
-// paired with exactly one Finish or Abort. A panic while planning or
-// compiling (this boundary also covers the sharded executor's scatter
-// goroutines, which call Prepare directly) comes back as an internal
-// error with the compiler's pins and registrations already unwound.
+// paired with exactly one Finish. A panic while planning or compiling
+// comes back as an internal error with the compiler's pins and
+// registrations already unwound.
 func (o *Optimizer) Prepare(q *plan.Query) (*Prepared, error) {
 	return o.prepare(q, nil, 0)
 }
@@ -185,8 +184,7 @@ func (p *Prepared) Parallelism() exec.Parallelism { return p.o.Opts.Parallelism 
 // the runner's verdict): on success it publishes widened snapshots,
 // releases pins and assembles the Result; on failure it unwinds the
 // compiled state. A panic while publishing comes back as an internal
-// error with the state unwound, so a scatter finishing its legs in turn
-// still finishes the rest.
+// error with the state unwound.
 func (p *Prepared) Finish(runErr error, execTime time.Duration) (*Result, error) {
 	if err := p.finishSafe(runErr); err != nil {
 		return nil, err
@@ -269,16 +267,6 @@ func (p *Prepared) result(i int, execTime time.Duration) *Result {
 		res.Decisions = p.planned.Decisions()
 	}
 	return res
-}
-
-// Abort unwinds a prepared query whose pipelines never ran (a sibling
-// shard failed before the scatter launched).
-func (p *Prepared) Abort() {
-	if p.done {
-		return
-	}
-	p.done = true
-	p.o.discard(p.compiled)
 }
 
 // Len reports the answer's row count.

@@ -615,9 +615,8 @@ func TestWideningQueryAcrossDemotion(t *testing.T) {
 }
 
 // TestResultOrderMatchesStableSort: a query's ORDER BY / LIMIT applied
-// to answer columns (the collector's and the shard gather's one
-// implementation) returns the prefix of a stable sort, ties in input
-// order.
+// to answer columns (the collector's implementation) returns the prefix
+// of a stable sort, ties in input order.
 func TestResultOrderMatchesStableSort(t *testing.T) {
 	rows := make([][]types.Value, 200)
 	cols := []storage.Vec{{Kind: types.Int64}, {Kind: types.Float64}}
@@ -641,7 +640,7 @@ func TestResultOrderMatchesStableSort(t *testing.T) {
 			if limit > 0 && limit < len(want) {
 				cut = want[:limit]
 			}
-			got := &Result{Vecs: ResultOrder(q, columns).Apply(cols)}
+			got := &Result{Vecs: resultOrder(q, columns).Apply(cols)}
 			if fmt.Sprint(rowsOf(got)) != fmt.Sprint(cut) {
 				t.Fatalf("desc=%v limit=%d: got %v, want %v", desc, limit, got.Rows, cut)
 			}

@@ -5,13 +5,11 @@ import (
 	"hashstash/internal/storage"
 )
 
-// JoinClasses unions the two sides of every join equality and returns
+// joinClasses unions the two sides of every join equality and returns
 // each join column's class root. Two columns in the same class hold
-// equal values in every result tuple: a constraint on one holds for all
-// of them (CloseFilter), and hash-fragmenting on any of them yields the
-// same shard for all rows of one tuple (the router's co-partitioning
-// test).
-func JoinClasses(q *Query) map[storage.ColRef]storage.ColRef {
+// equal values in every result tuple, so a constraint on one holds for
+// all of them (CloseFilter).
+func joinClasses(q *Query) map[storage.ColRef]storage.ColRef {
 	parent := map[storage.ColRef]storage.ColRef{}
 	var find func(storage.ColRef) storage.ColRef
 	find = func(c storage.ColRef) storage.ColRef {
@@ -60,7 +58,7 @@ func closeFilter(q *Query) *Query {
 	if !constrained {
 		return q
 	}
-	classes := JoinClasses(q)
+	classes := joinClasses(q)
 	classCon := make(map[storage.ColRef]expr.Constraint, len(classes))
 	preds := make([]expr.Pred, 0, len(q.Filter)+len(classes))
 	for _, p := range q.Filter {

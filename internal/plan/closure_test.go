@@ -106,7 +106,7 @@ func TestCloseFilter(t *testing.T) {
 // root; unrelated join columns do not.
 func TestJoinClasses(t *testing.T) {
 	q := q3()
-	cls := JoinClasses(q)
+	cls := joinClasses(q)
 	if len(cls) != 4 {
 		t.Fatalf("%d join columns classed, want 4: %v", len(cls), cls)
 	}
@@ -117,7 +117,7 @@ func TestJoinClasses(t *testing.T) {
 		t.Error("o_custkey and o_orderkey share a class")
 	}
 	q.Joins = append(q.Joins, JoinPred{Left: ref("l", "l_orderkey"), Right: ref("c", "c_custkey")})
-	cls = JoinClasses(q)
+	cls = joinClasses(q)
 	if cls[ref("c", "c_custkey")] != cls[ref("o", "o_orderkey")] {
 		t.Error("a third edge did not merge the two classes")
 	}

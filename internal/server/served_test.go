@@ -16,7 +16,7 @@ const servedSF = 0.002
 
 // servedWorkloads are the benchmark's four trace generators at
 // servedSF: explore sessions, Zipf dashboard panels, export range scans
-// with top-k, and sharded point lookups with scatter-gather ranges.
+// with top-k, and sharded point lookups with whole-table ranges.
 var servedWorkloads = []struct {
 	name string
 	gen  func(n int) []workload.Step

@@ -24,7 +24,7 @@ type BatchResult struct {
 // order. Each query is closed and routed as RunContext closes and routes
 // it. The queries routed to one shard form a sub-batch that
 // shared.PlanBatch splits into groups over that shard's optimizer; a
-// scattering query is a group of one. Groups run in the order of their
+// query pinned to no shard is a group of one. Groups run in the order of their
 // first member: a group of one exactly as RunContext runs its query, a
 // larger group as one shared plan (optimizer.RunSharedContext).
 // Cancellation aborts the in-flight group's morsel dispatch.

@@ -27,7 +27,7 @@ func pointValue(c expr.Constraint) (types.Value, bool) {
 // (plan.CloseFilter) and decides whether q is a single-partition query:
 // one whose partition-key constraints pin every partitioned relation's
 // matching rows to the same shard. It returns the closed query with
-// that shard, or with -1 when the query scatters.
+// that shard, or with -1 when the query runs on the whole tables.
 //
 // The pins are read from the closed filter: a point constraint on any
 // member of a chain of key = key joins sits on every member, so the
@@ -37,8 +37,7 @@ func pointValue(c expr.Constraint) (types.Value, bool) {
 // shard, so one shard computes it.
 //
 // A query that references no partitioned table at all runs entirely on
-// replicas; it is pinned to shard 0 (scattering it would duplicate
-// rows).
+// replicas; it is pinned to shard 0.
 func (e *Engine) route(q *plan.Query) (*plan.Query, int) {
 	q = plan.CloseFilter(q)
 	n := len(e.shards)

@@ -13,15 +13,10 @@
 // every shard, which keeps them join-compatible with any fragment. The
 // router sends a query whose partition-key equality constraints pin
 // every partitioned relation to one shard straight to that shard's
-// optimizer. A query whose partitioned relations all hash on columns of
-// one join equivalence class compiles to a scatter-gather plan — one
-// per-shard sub-plan, fanned out as one chain of jobs per shard in a
-// single scheduler run, gathered by a merge matched to the query shape
-// (partial-aggregate fold, sorted k-way merge for ORDER BY ... LIMIT,
-// plain concatenation). Any other query reads the whole tables instead
-// of the fragments and runs as one plan on shard 0 with the engine's
-// full worker pool; no row moves, and the hash tables it builds stay
-// cached in shard 0 for the next query.
+// optimizer. Any other query reads the whole tables instead of the
+// fragments and runs as one plan on shard 0 with the engine's full
+// worker pool; no row moves, and the hash tables it builds stay cached
+// in shard 0 for the next query.
 package shard
 
 import (
@@ -49,9 +44,9 @@ type Shard struct {
 	Cache *htcache.Cache
 	Opt   *optimizer.Optimizer
 
-	// Queries counts the queries (or scatter legs) this shard planned
-	// and executed — the per-shard scan counter routing tests assert
-	// on. A query run on the whole tables counts on shard 0.
+	// Queries counts the queries this shard planned and executed — the
+	// per-shard counter routing tests assert on. A query run on the
+	// whole tables counts on shard 0.
 	Queries atomic.Int64
 }
 
@@ -59,9 +54,7 @@ type Shard struct {
 type Engine struct {
 	shards []*Shard
 	model  *costmodel.Model
-	// par is the execution budget of one scatter-gather run (one pool
-	// whose workers serve every leg's chain) and of one run on the
-	// whole tables.
+	// par is the execution budget of one run on the whole tables.
 	par exec.Parallelism
 	// keys maps table name → declared partition-key column. Undeclared
 	// tables are replicated.
@@ -230,9 +223,10 @@ func (e *Engine) InsertRows(table string, rows [][]types.Value) error {
 // BuildIndex builds a btree on every placement of the column and
 // registers it in the shard caches exactly as a lazy build does: the
 // entry is an ordinary cached artifact, evictable and invalidated by
-// InsertRows. A fragment's tree goes into its own shard's cache; a
-// replica's one tree goes into every shard's cache. A shard that already
-// caches an index on the column keeps it.
+// InsertRows. A fragment's tree goes into its own shard's cache, and the
+// whole table's tree into shard 0's, where the queries no shard holds
+// alone probe it; a replica's one tree goes into every shard's cache. A
+// shard that already caches an index on the placement keeps it.
 func (e *Engine) BuildIndex(table, column string) error {
 	t0, err := e.table(table)
 	if err != nil {
@@ -241,19 +235,30 @@ func (e *Engine) BuildIndex(table, column string) error {
 	if t0.Column(column) == nil {
 		return fmt.Errorf("shard: table %q has no column %q", table, column)
 	}
-	ref := storage.ColRef{Table: table, Column: column}
 	_, partitioned := e.keys[table]
 	var tree *btree.Tree
-	for _, sh := range e.shards {
+	build := func(sh *Shard, name string, fresh bool) error {
+		ref := storage.ColRef{Table: name, Column: column}
 		if len(sh.Cache.Candidates(htcache.IndexLineage(ref), nil)) > 0 {
-			continue
+			return nil
 		}
-		if partitioned || tree == nil {
-			if tree, err = btree.Build(sh.Cat.Table(table).Column(column)); err != nil {
+		if fresh || tree == nil {
+			t, err := btree.Build(sh.Cat.Table(name).Column(column))
+			if err != nil {
 				return err
 			}
+			tree = t
 		}
 		sh.Cache.Release(sh.Cache.RegisterIndex(tree, ref))
+		return nil
+	}
+	for _, sh := range e.shards {
+		if err := build(sh, table, partitioned); err != nil {
+			return err
+		}
+	}
+	if partitioned {
+		return build(e.shards[0], wholeName(table), true)
 	}
 	return nil
 }

@@ -57,10 +57,10 @@ var exchangeQueries = []string{
 	`SELECT c.z, SUM(a.v) AS sv FROM fa a, fc c WHERE a.x = c.y AND a.k < 500 GROUP BY c.z`,
 }
 
-// forEachExchangeCase runs f over every query at two and three shards,
-// with fc replicated and partitioned.
+// forEachExchangeCase runs f over every query at two, three and four
+// shards, with fc replicated and partitioned.
 func forEachExchangeCase(t *testing.T, f func(t *testing.T, e *Engine, q *plan.Query)) {
-	for _, n := range []int{2, 3} {
+	for _, n := range []int{2, 3, 4} {
 		for _, fcKey := range []bool{false, true} {
 			e := exchangeEngine(t, n, fcKey)
 			for qi, sql := range exchangeQueries {
@@ -72,40 +72,45 @@ func forEachExchangeCase(t *testing.T, f func(t *testing.T, e *Engine, q *plan.Q
 	}
 }
 
-// TestNotCoPartitionedRunsWhole: a query that countViolations finds
-// co-partitioned scatters, one leg per shard; any other runs as one plan
-// on shard 0 — only shard 0's query counter moves — and, run a second
-// time, reuses the hash tables its first run left in shard 0's cache.
+// TestNotCoPartitionedRunsWhole: every query the router does not pin,
+// co-partitioned or not, runs as one plan on shard 0 — only shard 0's
+// query counter moves — answers what a one-shard engine answers and,
+// run a second time, reuses the hash tables its first run left in shard
+// 0's cache.
 func TestNotCoPartitionedRunsWhole(t *testing.T) {
 	ctx := context.Background()
-	whole := 0
+	ref := exchangeEngine(t, 1, false)
 	forEachExchangeCase(t, func(t *testing.T, e *Engine, q *plan.Query) {
-		co := countViolations(q, e.keys) == 0
+		if _, s := e.route(q); s >= 0 {
+			t.Fatalf("routed to shard %d, want no pin", s)
+		}
+		want, err := ref.RunContext(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for run := 0; run < 2; run++ {
 			hits, counts := e.Shard(0).Cache.Stats().Hits, e.QueryCounts()
-			if _, err := e.RunContext(ctx, q); err != nil {
+			got, err := e.RunContext(ctx, q)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if a, b := canonicalRows(boxed(got)), canonicalRows(boxed(want)); !reflect.DeepEqual(a, b) {
+				t.Fatalf("run %d: %d rows, one shard %d", run, len(a), len(b))
 			}
 			for s, c := range e.QueryCounts() {
 				want := int64(0)
-				if co || s == 0 {
+				if s == 0 {
 					want = 1
 				}
 				if c-counts[s] != want {
-					t.Fatalf("run %d (co-partitioned %v): shard %d counted %d queries, want %d", run, co, s, c-counts[s], want)
+					t.Fatalf("run %d: shard %d counted %d queries, want %d", run, s, c-counts[s], want)
 				}
 			}
-			if !co && run == 1 && e.Shard(0).Cache.Stats().Hits == hits {
+			if run == 1 && e.Shard(0).Cache.Stats().Hits == hits {
 				t.Error("the second run on the whole tables hit no cached hash table")
 			}
 		}
-		if !co {
-			whole++
-		}
 	})
-	if whole == 0 {
-		t.Error("no case ran on the whole tables")
-	}
 }
 
 // TestWholeTableRows: every partitioned table a query reads is stored

@@ -12,9 +12,9 @@ import (
 // point lookups ("show customer K and their orders"), which a sharded
 // engine routes to exactly one shard, mixed with a configurable
 // fraction of cross-shard analytics (date-window scans over the same
-// join) that must scatter to every shard. The CrossShardFrac knob
-// sweeps between the two regimes, which is what the sharded-routing
-// experiments and the scatter-gather benchmarks vary.
+// join) that no shard holds alone, so the engine runs them on the whole
+// tables. The CrossShardFrac knob sweeps between the two regimes, which
+// is what the sharded-routing experiments and benchmarks vary.
 
 // PartitionedConfig controls partitioned workload generation. The
 // queries run over CUSTOMER ⋈ ORDERS on custkey — co-partitioned when
@@ -23,7 +23,8 @@ type PartitionedConfig struct {
 	// N is the number of queries (default 64).
 	N int
 	// CrossShardFrac is the fraction of queries that constrain no
-	// partition key and therefore scatter (default 0.25).
+	// partition key and therefore run on the whole tables (default
+	// 0.25).
 	CrossShardFrac float64
 	// CustKeys is the customer-key domain [1, CustKeys] point lookups
 	// draw from (default 1500, the tpch SF=0.01 customer count).
@@ -108,7 +109,7 @@ func pointQuery(key int64) *plan.Query {
 }
 
 // crossShardQuery constrains only a date window, so its matching rows
-// span every shard and the query scatters.
+// span every shard and the query runs on the whole tables.
 func crossShardQuery(lo, hi int64) *plan.Query {
 	return &plan.Query{
 		Relations: []plan.Rel{{Alias: "c", Table: "customer"}, {Alias: "o", Table: "orders"}},

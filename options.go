@@ -73,10 +73,9 @@ type Tuning struct {
 	// Shards partitions the engine into n shards, each with its own
 	// catalog fragment, cache (an equal share of the byte budgets) and
 	// optimizer. A query routed to one shard runs on Parallelism/n
-	// workers; the legs of a scatter-gather query share one pool of
-	// Parallelism workers, as does a query that is not co-partitioned,
-	// which runs on shard 0 over the whole tables. <= 1 is one shard
-	// holding every table whole.
+	// workers; any other query runs on shard 0 over the whole tables
+	// with a pool of Parallelism workers. <= 1 is one shard holding
+	// every table whole.
 	// Tables with a WithPartitionKey declaration split by key hash, the
 	// rest replicate. Applies to every Strategy.
 	Shards int

@@ -161,8 +161,8 @@ func TestCollectOrderGolden(t *testing.T) {
 }
 
 // TestSchedulerKnobsGolden: the sizing knobs that change how pipelines
-// are scheduled — pool size, and one query chain vs one chain per
-// scatter leg — change scheduling, never results.
+// are scheduled — pool size, and one shard or several — change
+// scheduling, never results.
 func TestSchedulerKnobsGolden(t *testing.T) {
 	queries := parallelQueries()
 	golden := openTPCH(t, WithTuning(Tuning{Parallelism: 1}))

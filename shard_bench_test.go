@@ -52,10 +52,10 @@ func benchShardedDB(b *testing.B, shards, workers int) *DB {
 	return db
 }
 
-// BenchmarkShardedScanAgg times a full-scan aggregation (Q1 shape) as
-// it scatters across shard-local caches and merges partial aggregates,
-// against the unsharded engine on the same worker budget. The cache is
-// cleared every iteration so the build pipelines run each time.
+// BenchmarkShardedScanAgg times a full-scan aggregation (Q1 shape),
+// which pins no shard and so runs on shard 0 over the whole lineitem
+// table, against the unsharded engine on the same worker budget. The
+// cache is cleared every iteration so the build pipelines run each time.
 func BenchmarkShardedScanAgg(b *testing.B) {
 	const sql = `
 		SELECT l.l_returnflag, SUM(l.l_extendedprice * (1 - l.l_discount)) AS revenue,
@@ -82,8 +82,8 @@ func BenchmarkShardedScanAgg(b *testing.B) {
 }
 
 // BenchmarkCoPartitionedJoin times the co-partitioned CUSTOMER ⋈ ORDERS
-// aggregation: each shard probes only its own fragments (no exchange),
-// and the gather merges the group partials.
+// aggregation. It pins no shard, so at four shards it runs as one plan
+// on shard 0 over the whole tables, like every unpinned query.
 func BenchmarkCoPartitionedJoin(b *testing.B) {
 	const sql = `
 		SELECT c.c_age, SUM(o.o_totalprice) AS spend

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -56,8 +57,9 @@ func testShardCounts(t *testing.T) []int {
 	return counts
 }
 
-// shardGoldenQueries covers every scatter-gather merge shape plus
-// queries that run on the whole tables and single-shard routing.
+// shardGoldenQueries covers aggregates, joins, ORDER BY ... LIMIT and
+// a partition-key point query: at more than one shard every query but
+// the point query pins no shard and runs on the whole tables.
 var shardGoldenQueries = []struct {
 	name string
 	sql  string
@@ -105,9 +107,9 @@ func sortRows(rows [][]Value) [][]Value {
 }
 
 // assertSameRows compares result row multisets with a relative float
-// tolerance: scatter legs sum partial aggregates in a different order
-// than one global aggregation, so float sums may differ in the last
-// few bits.
+// tolerance: a whole table is laid out in shard order, so a float sum
+// over it may add in another order than on one shard and differ in the
+// last few bits.
 func assertSameRows(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	if len(got.Rows) != len(want.Rows) {
@@ -196,8 +198,8 @@ func TestShardedTablesHideWholeTables(t *testing.T) {
 // one shard — observed through the per-shard query counters — whether
 // the pin sits on customer, on orders alone, or at the far end of a
 // three-relation chain of custkey joins, and answer as an unsharded
-// engine does; the key space spreads across shards; unconstrained
-// queries scatter to all of them.
+// engine does; the key space spreads across shards; an unconstrained
+// query runs whole on shard 0 alone.
 func TestShardedRouting(t *testing.T) {
 	const shards = 4
 	db := openShardedTPCH(t, shards)
@@ -231,7 +233,7 @@ func TestShardedRouting(t *testing.T) {
 					}
 					touched = s
 				default:
-					t.Fatalf("key %d: shard %d ran %d legs\n%s", key, s, after[s]-before[s], sql)
+					t.Fatalf("key %d: shard %d counted %d queries\n%s", key, s, after[s]-before[s], sql)
 				}
 			}
 			if touched < 0 {
@@ -252,17 +254,25 @@ func TestShardedRouting(t *testing.T) {
 		t.Fatalf("24 keys all routed to %d shard(s)", len(hit))
 	}
 
-	// An unconstrained aggregate must scatter: every shard runs a leg.
+	// An unconstrained aggregate pins no shard: it counts on shard 0
+	// only and answers as the unsharded engine does.
+	const unpinned = `SELECT c.c_age, COUNT(*) AS n FROM customer c GROUP BY c.c_age`
 	before := db.ShardQueryCounts()
-	if _, err := db.Exec(`SELECT c.c_age, COUNT(*) AS n FROM customer c GROUP BY c.c_age`); err != nil {
+	got, err := db.Exec(unpinned)
+	if err != nil {
 		t.Fatal(err)
 	}
 	after := db.ShardQueryCounts()
 	for s := range after {
-		if after[s]-before[s] != 1 {
-			t.Fatalf("scatter: shard %d ran %d legs, want 1", s, after[s]-before[s])
+		want := int64(0)
+		if s == 0 {
+			want = 1
+		}
+		if after[s]-before[s] != want {
+			t.Fatalf("unpinned: shard %d counted %d queries, want %d", s, after[s]-before[s], want)
 		}
 	}
+	assertSameRows(t, unpinned, got, mustExec(t, ref, unpinned))
 }
 
 // TestShardedBaselines: the two baselines are strategies like any
@@ -313,7 +323,7 @@ func TestShardedBaselines(t *testing.T) {
 							advanced += int(c - counts[sh])
 						}
 						if advanced != 1 {
-							t.Errorf("the lookup ran %d legs, want 1", advanced)
+							t.Errorf("the lookup counted %d queries, want 1", advanced)
 						}
 					}
 					if s != Materialized {
@@ -338,10 +348,11 @@ func TestShardedBaselines(t *testing.T) {
 
 // TestShardedBatch: a batch on a sharded database takes the router's
 // route. Customer ⋈ orders lookups pinned to one shard merge into one
-// shared plan there, scattering members stay groups of one, and every
-// answer equals NeverReuse solo. A routed member advances its shard's
-// query counter once and a scatter advances every shard's once. The
-// batch runs twice, so the second run meets the first one's tables.
+// shared plan there, unpinned members stay groups of one, and every
+// answer equals NeverReuse solo. Every member — pinned to shard 0 here,
+// or run whole — advances shard 0's query counter once and no other
+// shard's. The batch runs twice, so the second run meets the first
+// one's tables.
 func TestShardedBatch(t *testing.T) {
 	counts := []int{2}
 	for _, n := range testShardCounts(t) {
@@ -358,13 +369,13 @@ func TestShardedBatch(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			db := openShardedTPCH(t, n)
 			var sqls []string
-			var pinned, scattered []int
+			var pinned, unpinned []int
 			for key := int64(1); len(pinned) < 6; key++ {
 				if storage.ShardOf(types.NewInt(key), n) != 0 {
 					continue
 				}
 				if len(pinned) == 1 || len(pinned) == 4 {
-					scattered = append(scattered, len(sqls))
+					unpinned = append(unpinned, len(sqls))
 					sqls = append(sqls, fmt.Sprintf(window, 1993+len(pinned)))
 				}
 				pinned = append(pinned, len(sqls))
@@ -386,9 +397,9 @@ func TestShardedBatch(t *testing.T) {
 				}
 				after := db.ShardQueryCounts()
 				for s := range after {
-					want := int64(len(scattered))
+					want := int64(0)
 					if s == 0 {
-						want += int64(len(pinned))
+						want = int64(len(pinned) + len(unpinned))
 					}
 					if got := after[s] - before[s]; got != want {
 						t.Fatalf("run %d: shard %d counted %d queries, want %d", run, s, got, want)
@@ -405,9 +416,9 @@ func TestShardedBatch(t *testing.T) {
 						t.Fatalf("run %d: group %v holds more than pinned lookups %v", run, g, pinned)
 					}
 				}
-				for _, i := range scattered {
+				for _, i := range unpinned {
 					if !slices.ContainsFunc(br.Groups, func(g []int) bool { return slices.Equal(g, []int{i}) }) {
-						t.Fatalf("run %d: groups %v, scatter %d not alone", run, br.Groups, i)
+						t.Fatalf("run %d: groups %v, unpinned %d not alone", run, br.Groups, i)
 					}
 				}
 				for i, sql := range sqls {
@@ -466,7 +477,8 @@ func TestReplicatedInsertMovesEstimates(t *testing.T) {
 
 // TestShardedInsertInvalidation: inserting rows into a partitioned
 // table invalidates cached artifacts only on the shards whose
-// fragments received rows — the other shards' caches stay warm.
+// fragments received rows — the other shards' caches, warmed by queries
+// pinned to them, stay warm.
 func TestShardedInsertInvalidation(t *testing.T) {
 	const shards = 4
 	db := Open(WithTuning(Tuning{Shards: shards}), WithPartitionKey("pt", "k"))
@@ -485,9 +497,15 @@ func TestShardedInsertInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm := `SELECT p.g, SUM(p.v) AS total FROM pt p GROUP BY p.g`
-	for i := 0; i < 2; i++ {
-		if _, err := db.Exec(warm); err != nil {
+	// Warm every shard through a point query pinned to it.
+	pinnedOn := make([]string, shards)
+	for k := int64(0); slices.Contains(pinnedOn, ""); k++ {
+		if s := storage.ShardOf(types.NewInt(k), shards); pinnedOn[s] == "" {
+			pinnedOn[s] = fmt.Sprintf(`SELECT p.g, SUM(p.v) AS total FROM pt p WHERE p.k = %d GROUP BY p.g`, k)
+		}
+	}
+	for _, sql := range pinnedOn {
+		if _, err := db.Exec(sql); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -498,8 +516,11 @@ func TestShardedInsertInvalidation(t *testing.T) {
 		}
 	}
 
-	// One new row lands on exactly one shard.
+	// One new row lands on exactly one shard, not shard 0.
 	key := int64(999_983)
+	for storage.ShardOf(types.NewInt(key), shards) == 0 {
+		key++
+	}
 	target := storage.ShardOf(types.NewInt(key), shards)
 	err := db.InsertRows("pt", [][]Value{{types.NewInt(key), types.NewInt(3), types.NewFloat(1.5)}})
 	if err != nil {
@@ -518,8 +539,8 @@ func TestShardedInsertInvalidation(t *testing.T) {
 		}
 	}
 
-	// And the post-insert result is correct (the stale shard rebuilt).
-	res, err := db.Exec(warm)
+	// And the post-insert result over the whole table is correct.
+	res, err := db.Exec(`SELECT p.g, SUM(p.v) AS total FROM pt p GROUP BY p.g`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,10 +568,10 @@ func TestShardedInsertInvalidation(t *testing.T) {
 	}
 }
 
-// TestShardedConcurrentStorm drives point, scatter and whole-table
-// queries from many goroutines at once — the race-detector workout for
-// the router, the shared scheduler run, shard 0's cache shared by the
-// whole-table runs and per-shard cache lifecycles.
+// TestShardedConcurrentStorm drives pinned and whole-table queries from
+// many goroutines at once — the race-detector workout for the router,
+// shard 0's cache shared by the whole-table runs and per-shard cache
+// lifecycles.
 func TestShardedConcurrentStorm(t *testing.T) {
 	db := openShardedTPCH(t, 4)
 	queries := []string{
@@ -603,7 +624,7 @@ func TestShardedPostHocPartition(t *testing.T) {
 	}
 	after := db.ShardQueryCounts()
 	if after[0]-before[0] != 1 {
-		t.Fatalf("replicated-only query ran %d legs on shard 0", after[0]-before[0])
+		t.Fatalf("replicated-only query counted %d queries on shard 0", after[0]-before[0])
 	}
 
 	if err := db.PartitionTable("customer", "c_custkey"); err != nil {
@@ -619,12 +640,12 @@ func TestShardedPostHocPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	after = db.ShardQueryCounts()
-	legs := 0
+	ran := 0
 	for s := range after {
-		legs += int(after[s] - before[s])
+		ran += int(after[s] - before[s])
 	}
-	if legs != 1 {
-		t.Fatalf("point query after PartitionTable ran %d legs, want 1", legs)
+	if ran != 1 {
+		t.Fatalf("point query after PartitionTable counted %d queries, want 1", ran)
 	}
 	assertSameRows(t, "post-hoc", got, want)
 
@@ -650,11 +671,11 @@ func TestShardedPostHocPartition(t *testing.T) {
 	}
 }
 
-// TestShardedPublishPanicReleasesPins: a scatter finishes its legs one
-// after another, and a panic while leg 0 publishes its widened snapshot
-// must neither skip leg 1's finish nor leak either leg's pins. Both
-// shards end at rest — nothing pinned, invariants intact — and the
-// query answers correctly once the fault is disarmed.
+// TestShardedPublishPanicReleasesPins: a panic while a query publishes
+// its widened snapshot — one pinned to shard 1, and one run whole on
+// shard 0 — leaks none of its pins. Both shards end at rest — nothing
+// pinned, invariants intact — and both queries answer correctly once
+// the fault is disarmed.
 func TestShardedPublishPanicReleasesPins(t *testing.T) {
 	const seed = 1
 	db := openDiffDB(t, seed, WithStrategy(AlwaysReuse), WithTuning(Tuning{Shards: 2, Parallelism: 1}))
@@ -663,13 +684,24 @@ func TestShardedPublishPanicReleasesPins(t *testing.T) {
 		_, err := db.Exec(sql)
 		return err
 	}
+	key := int64(0)
+	for storage.ShardOf(types.NewInt(key), 2) != 1 {
+		key++
+	}
+	// pin adds a point constraint on fact's partition key, which routes
+	// the query to shard 1.
+	pin := func(sql string) string {
+		return strings.Replace(sql, " GROUP BY", fmt.Sprintf(" AND f.f_id = %d GROUP BY", key), 1)
+	}
 
-	// Unarmed, a wider window widens the cached aggregate on every
-	// shard, so the armed run below publishes on both legs.
+	// Unarmed, a wider window widens the cached aggregate on both
+	// shards, so the armed runs below publish there.
 	agg := shapeNamed("agg-int")
 	for _, sql := range []string{agg.render(0, 100), agg.render(0, 160)} {
-		if err := run(sql); err != nil {
-			t.Fatal(err)
+		for _, sql := range []string{sql, pin(sql)} {
+			if err := run(sql); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	for s, st := range db.ShardCacheStats() {
@@ -679,22 +711,27 @@ func TestShardedPublishPanicReleasesPins(t *testing.T) {
 	}
 
 	day := shapeNamed("agg-date")
-	narrow, wide := day.render(0, 40), day.render(0, 90)
-	if err := run(narrow); err != nil {
-		t.Fatal(err)
+	whole := func(sql string) string { return sql }
+	var wides []string
+	for _, place := range []func(string) string{pin, whole} {
+		narrow, wide := place(day.render(0, 40)), place(day.render(0, 90))
+		wides = append(wides, wide)
+		if err := run(narrow); err != nil {
+			t.Fatal(err)
+		}
+		if err := faultinject.Arm("htcache.publish=panic:once"); err != nil {
+			t.Fatal(err)
+		}
+		err := run(wide)
+		hits := faultinject.Fired(faultinject.HTCachePublish)
+		faultinject.Disarm()
+		if !errors.Is(err, hashstasherr.ErrInternal) {
+			t.Fatalf("panicking publication = %v, want ErrInternal", err)
+		}
+		if hits != 1 {
+			t.Fatalf("the publish point was hit %d times, want once", hits)
+		}
 	}
-	if err := faultinject.Arm("htcache.publish=panic:once"); err != nil {
-		t.Fatal(err)
-	}
-	defer faultinject.Disarm()
-	if err := run(wide); !errors.Is(err, hashstasherr.ErrInternal) {
-		t.Fatalf("panicking publication = %v, want ErrInternal", err)
-	}
-	// Leg 0's publication panics; leg 1 still reaches its own.
-	if hits := faultinject.Fired(faultinject.HTCachePublish); hits != 2 {
-		t.Fatalf("the publish point was hit %d times, want once per leg", hits)
-	}
-	faultinject.Disarm()
 
 	for s, st := range db.ShardCacheStats() {
 		if st.Pinned != 0 {
@@ -704,15 +741,17 @@ func TestShardedPublishPanicReleasesPins(t *testing.T) {
 			t.Errorf("shard %d: %v", s, err)
 		}
 	}
-	got, err := db.Exec(wide)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.Exec(wide)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sameAnswer(normalize(want), normalize(got)); err != nil {
-		t.Fatalf("answer after the contained panic: %v", err)
+	for _, sql := range wides {
+		got, err := db.Exec(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Exec(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameAnswer(normalize(want), normalize(got)); err != nil {
+			t.Fatalf("answer after the contained panic: %v", err)
+		}
 	}
 }
