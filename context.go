@@ -32,8 +32,9 @@ func (db *DB) Parse(sql string) (*Query, error) {
 
 // ExecContext parses and runs one SQL query under a context:
 // cancellation or deadline expiry aborts morsel dispatch (in-flight
-// morsels finish, queued ones are skipped) and returns an error
-// wrapping hashstasherr.ErrCanceled plus the context's own cause.
+// morsels stop at their next batch, queued ones are skipped) and
+// returns an error wrapping hashstasherr.ErrCanceled plus the
+// context's own cause.
 // Exec is the context.Background() shorthand.
 func (db *DB) ExecContext(ctx context.Context, sql string) (*Result, error) {
 	q, err := db.Parse(sql)

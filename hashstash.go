@@ -185,7 +185,7 @@ func Open(opts ...Option) *DB {
 		})
 		shards[s] = &shard.Shard{ID: s, Cat: cat, Cache: cache, Opt: opt}
 	}
-	router := shard.New(shards, model, par)
+	router := shard.New(shards, par)
 	if n > 1 {
 		// A one-shard database declares no keys, so its loads register
 		// the caller's table as is instead of copying it into a fragment.

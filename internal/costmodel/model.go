@@ -198,45 +198,6 @@ func (m *Model) IndexReviveCost(rows float64) float64 {
 	return rows * 2.5
 }
 
-// Sharded execution costs. Per-shard operator costs need no dedicated
-// scaling terms: each shard's optimizer estimates against that shard's
-// own catalog statistics (≈ rows/N for a hash-partitioned table), so
-// every equation above scales down automatically. What the router has
-// to price itself is the work between shards: fanning a plan out and
-// merging the gathered partials.
-
-// GatherCost estimates the router's merge of per-shard results: every
-// gathered row pays one hash-map fold (aggregates) or heap step
-// (ordered merge) — both land in the same few-tens-of-ns regime — plus
-// a constant fan-out/collection overhead per shard leg.
-func (m *Model) GatherCost(rows float64, shards int) float64 {
-	if rows < 0 {
-		rows = 0
-	}
-	const nsPerRow = 60
-	const nsPerShard = 20000 // plan fan-out + goroutine + result splice
-	return rows*nsPerRow + float64(shards)*nsPerShard
-}
-
-// RouteSingleShard is the routing crossover: should a query whose
-// partition-key constraints pin every matching row to one shard run on
-// that shard alone, or on the whole tables anyway? The whole-table
-// alternative scans the target fragment's rows and every other
-// fragment's, which cannot match — so routing wins whenever that
-// overhead is positive. (The GatherCost term prices a per-shard fan-out
-// no route pays any more; it only adds to the overhead.) The comparison
-// lives in the model (rather than being hard-coded in the router) so a
-// future placement-aware calibration — NUMA distance, warm per-shard
-// caches — can tip it. fragmentRows is the routed shard's estimated
-// fragment size.
-func (m *Model) RouteSingleShard(fragmentRows float64, shards int) bool {
-	if shards <= 1 {
-		return true
-	}
-	wasted := m.ScanCost(fragmentRows*float64(shards-1), 16) + m.GatherCost(0, shards)
-	return wasted > 0
-}
-
 func clamp01(v float64) float64 {
 	if v < 0 || math.IsNaN(v) {
 		return 0

@@ -6,6 +6,7 @@ package exec
 // BENCH_vectorize.json so the trajectory is visible across PRs.
 
 import (
+	"context"
 	"testing"
 
 	"hashstash/internal/expr"
@@ -316,7 +317,7 @@ func BenchmarkScanProbeAgg(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := p.stream(cursors, batches, agg); err != nil {
+		if err := p.stream(context.Background(), cursors, batches, agg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -33,8 +33,9 @@ type Parallelism struct {
 	// storage.DefaultMorselRows, rebalanced per source for the pool).
 	MorselRows int
 	// Ctx aborts the run on cancellation or deadline expiry: in-flight
-	// morsels finish, queued ones are skipped, and the runner returns
-	// an error wrapping hashstasherr.ErrCanceled. Nil never cancels.
+	// morsels stop at their next batch, queued ones are skipped, and the
+	// runner returns an error wrapping hashstasherr.ErrCanceled. Nil
+	// never cancels.
 	Ctx context.Context
 }
 
@@ -70,7 +71,7 @@ func (p *Pipeline) job(par Parallelism) *sched.Job {
 			}
 			if merge == nil {
 				j.NTasks = 1
-				j.Run = func(int, int) error { return p.runAll(cursors) }
+				j.Run = func(int, int) error { return p.runAll(par.Ctx, cursors) }
 				return nil
 			}
 			// Worker contexts are allocated eagerly, one per pool slot:
@@ -85,7 +86,7 @@ func (p *Pipeline) job(par Parallelism) *sched.Job {
 			j.Run = func(w, i int) error {
 				// Slot w is only ever touched by worker w.
 				c := ctxs[w]
-				return p.stream(cursors[i:i+1], c.batches, c.sink)
+				return p.stream(par.Ctx, cursors[i:i+1], c.batches, c.sink)
 			}
 			j.Finish = func() error {
 				merge.merge()

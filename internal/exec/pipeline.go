@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"context"
 	"sync/atomic"
 
+	"hashstash/hashstasherr"
 	"hashstash/internal/faultinject"
 	"hashstash/internal/storage"
 )
@@ -39,16 +41,28 @@ func (p *Pipeline) newBatches() []*storage.Batch {
 // stream drains cursors in order through the transform chain into
 // sink, reusing the per-stage batches. It is one task's work: a
 // whole-pipeline task (every cursor, the pipeline's sink) or a morsel
-// task (one cursor, a per-worker sink).
-func (p *Pipeline) stream(cursors []Cursor, batches []*storage.Batch, sink Sink) error {
+// task (one cursor, a per-worker sink). It polls ctx (nil never
+// cancels) before every source batch, so a deadline lands within one
+// batch's work rather than one task's, and returns an error wrapping
+// hashstasherr.ErrCanceled with the sink unfinished.
+func (p *Pipeline) stream(ctx context.Context, cursors []Cursor, batches []*storage.Batch, sink Sink) error {
 	// The highest-frequency fault point: one hit per task, where the
 	// chaos suite simulates operator panics.
 	if err := faultinject.Inject(faultinject.ExecMorsel); err != nil {
 		return err
 	}
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
+	}
 	for _, c := range cursors {
 		c.Open()
 		for {
+			select {
+			case <-done:
+				return hashstasherr.Canceled(ctx.Err())
+			default:
+			}
 			batches[0].Reset()
 			if !c.Next(batches[0]) {
 				break
@@ -77,13 +91,13 @@ func (p *Pipeline) Run() error {
 	if err != nil {
 		return err
 	}
-	return p.runAll(cursors)
+	return p.runAll(context.TODO(), cursors)
 }
 
-// runAll streams cursors in order into the pipeline's sink and
-// finishes it.
-func (p *Pipeline) runAll(cursors []Cursor) error {
-	if err := p.stream(cursors, p.newBatches(), p.Sink); err != nil {
+// runAll streams cursors in order into the pipeline's sink under ctx
+// and finishes it.
+func (p *Pipeline) runAll(ctx context.Context, cursors []Cursor) error {
+	if err := p.stream(ctx, cursors, p.newBatches(), p.Sink); err != nil {
 		return err
 	}
 	p.Sink.Finish()

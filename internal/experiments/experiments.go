@@ -205,7 +205,7 @@ func Exp4(env *Env, queriesTotal int) (*Exp4Result, error) {
 		noReuse := env.newOptimizer(optimizer.NeverReuse, 0)
 		reuse := env.newOptimizer(optimizer.CostModel, 0)
 		sharedOpt := env.newOptimizer(optimizer.CostModel, 0)
-		batcher := shard.New([]*shard.Shard{{Cat: env.Cat, Cache: sharedOpt.Cache, Opt: sharedOpt}}, nil, exec.Parallelism{})
+		batcher := shard.New([]*shard.Shard{{Cat: env.Cat, Cache: sharedOpt.Cache, Opt: sharedOpt}}, exec.Parallelism{})
 
 		for bi := 0; bi < nBatches; bi++ {
 			batch := steps[bi*size : (bi+1)*size]

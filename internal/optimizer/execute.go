@@ -55,10 +55,10 @@ func (o *Optimizer) Run(q *plan.Query) (*Result, error) {
 }
 
 // RunContext is Run under a context: cancellation or deadline expiry
-// aborts morsel dispatch (in-flight morsels finish, queued ones are
-// skipped) and the query unwinds through the normal failure path —
-// pins released, half-built tables abandoned — returning an error that
-// wraps hashstasherr.ErrCanceled and the context's own cause.
+// aborts morsel dispatch (in-flight morsels stop at their next batch,
+// queued ones are skipped) and the query unwinds through the normal
+// failure path — pins released, half-built tables abandoned — returning
+// an error that wraps hashstasherr.ErrCanceled and the context's own cause.
 func (o *Optimizer) RunContext(ctx context.Context, q *plan.Query) (*Result, error) {
 	p, execTime, err := o.run(ctx, q, nil, 0)
 	if err != nil {

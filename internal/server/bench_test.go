@@ -150,3 +150,19 @@ func BenchmarkCollectEncode(b *testing.B) {
 		putBuf(buf)
 	}
 }
+
+// BenchmarkAppendFloat formats one full-precision export price per op,
+// cycling through an export-sized answer's prices: the number kernel
+// alone, which allocates nothing.
+func BenchmarkAppendFloat(b *testing.B) {
+	_, prices := exportColumns(true)
+	dst := make([]byte, 0, 32)
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		dst = appendFloat(dst[:0], prices.Floats[i])
+		if i++; i == len(prices.Floats) {
+			i = 0
+		}
+	}
+}

@@ -72,7 +72,7 @@ func appendResult(dst []byte, res *hashstash.Result, info QueryInfo, omitEmpty b
 func appendCell(dst []byte, v *storage.Vec, r int) []byte {
 	switch v.Kind {
 	case types.Int64:
-		return strconv.AppendInt(dst, v.Ints[r], 10)
+		return appendInt(dst, v.Ints[r])
 	case types.Float64:
 		return appendFloat(dst, v.Floats[r])
 	case types.String:
@@ -88,8 +88,12 @@ func appendCell(dst []byte, v *storage.Vec, r int) []byte {
 // appendFloat formats f like encoding/json: the shortest representation
 // that round-trips, in 'f' notation for magnitudes in [1e-6, 1e21) and
 // 'e' notation (with a two-digit minimum exponent trimmed to one)
-// outside it. NaN and ±Inf have no JSON form and become null.
+// outside it. NaN and ±Inf have no JSON form and become null. The
+// doubles appendShortest covers skip strconv.
 func appendFloat(dst []byte, f float64) []byte {
+	if out, ok := appendShortest(dst, f); ok {
+		return out
+	}
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return append(dst, "null"...)
 	}

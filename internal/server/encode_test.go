@@ -208,7 +208,9 @@ func TestAppendResultMatchesEncodingJSON(t *testing.T) {
 // TestEncoderDifferential: the columnar encoder against encoding/json
 // over the boxed rows, one column per kind, at the edge values: NaN and
 // ±Inf (null), -0, the 'f'/'e' cut-overs 1e-7 and 1e21, full-precision
-// doubles shaped like the generator's prices, dates across the year
+// doubles shaped like the generator's prices, the number kernel's
+// boundaries (its exponent range 2^-11 … 2^53 and the doubles just
+// outside, a binade bottom, a tie, 2^53±1), dates across the year
 // range, and strings that need escaping or replacement.
 func TestEncoderDifferential(t *testing.T) {
 	floats := []float64{
@@ -216,6 +218,9 @@ func TestEncoderDifferential(t *testing.T) {
 		1e-7, -1e-7, 1e-6, 1e21, -1e21, 1e20, 123456789012345678901,
 		0.1 + 0.2, 1.0 / 3, math.Pi * 1e5, math.MaxFloat64, math.SmallestNonzeroFloat64,
 		37541.97 * 1.0000001, 901.0 * (1 - 0.04) * (1 + 0.02), 104949.5 / 7,
+		math.Ldexp(1, -11), math.Nextafter(math.Ldexp(1, -11), 1), -math.Nextafter(math.Ldexp(1, -11), 0),
+		math.Ldexp(3, -13), 0.0625, 1 << 52, 1<<52 - 0.5, -(1<<52 + 1), 1<<53 - 1, 1 << 53, -(1<<53 + 2),
+		8 + 1.0/65536, 0.04, 0.96, 1 - 0.07,
 	}
 	strs := []string{
 		"", "plain", `a"quote`, `back\slash`, "<tag>&amp;", "line\nfeed\ttab\rcr",

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"hashstash"
 	"hashstash/hashstasherr"
 	"hashstash/internal/memgov"
 	"hashstash/internal/testutil"
@@ -212,6 +213,27 @@ func TestServerShutdownDrainsRunning(t *testing.T) {
 	if st := srv.Stats(); st.PlansExecuted != 1 || st.ShutdownRejects != 1 {
 		t.Fatalf("after drain: %+v, want 1 plan and 1 shutdown reject", st)
 	}
+}
+
+// TestServerDeadlineInsideMorsel: a served query's deadline stops it at
+// the next batch of the morsel it is streaming. The query self-joins
+// lineitem on l_suppkey at SF 0.01 on one worker with default morsels
+// and NeverReuse: one ~60-batch morsel that fans out ~600-fold per
+// batch. It outlives a 300 ms deadline, and under a 30 ms one Execute
+// returns ErrCanceled within 100 ms.
+func TestServerDeadlineInsideMorsel(t *testing.T) {
+	db := hashstash.Open(hashstash.WithStrategy(hashstash.NeverReuse),
+		hashstash.WithTuning(hashstash.Tuning{Parallelism: 1}))
+	if err := db.LoadTPCH(0.01); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(db, Config{DefaultTimeout: 30 * time.Second})
+	defer srv.Close()
+	const sql = `SELECT COUNT(*) AS n FROM lineitem a, lineitem b WHERE a.l_suppkey = b.l_suppkey`
+	testutil.CheckDeadlineInsideMorsel(t, func(ctx context.Context) error {
+		_, _, err := srv.Execute(ctx, "", sql)
+		return err
+	})
 }
 
 // TestGovernorAdmission: the memory governor's grades act at

@@ -45,7 +45,6 @@ func (e *Engine) route(q *plan.Query) (*plan.Query, int) {
 		return q, 0
 	}
 	target := -1
-	var fragRows float64
 	for _, rel := range q.Relations {
 		key, ok := e.keys[rel.Table]
 		if !ok {
@@ -63,15 +62,6 @@ func (e *Engine) route(q *plan.Query) (*plan.Query, int) {
 			return q, -1
 		}
 		target = s
-		if st, ok := e.shards[s].Cat.Stats(rel.Table); ok {
-			fragRows += float64(st.Rows)
-		}
 	}
-	if target < 0 {
-		return q, 0
-	}
-	if !e.model.RouteSingleShard(fragRows, n) {
-		return q, -1
-	}
-	return q, target
+	return q, max(target, 0)
 }

@@ -28,7 +28,6 @@ import (
 	"hashstash/hashstasherr"
 	"hashstash/internal/btree"
 	"hashstash/internal/catalog"
-	"hashstash/internal/costmodel"
 	"hashstash/internal/exec"
 	"hashstash/internal/htcache"
 	"hashstash/internal/optimizer"
@@ -53,7 +52,6 @@ type Shard struct {
 // Engine is the sharding router above the per-shard optimizers.
 type Engine struct {
 	shards []*Shard
-	model  *costmodel.Model
 	// par is the execution budget of one run on the whole tables.
 	par exec.Parallelism
 	// keys maps table name → declared partition-key column. Undeclared
@@ -70,11 +68,8 @@ func wholeName(table string) string { return table + wholeSuffix }
 
 // New assembles an engine over pre-built shards. All shards must share
 // the hash layout (they do, by construction: storage.PartitionHash).
-func New(shards []*Shard, model *costmodel.Model, par exec.Parallelism) *Engine {
-	if model == nil {
-		model = costmodel.NewModel(nil)
-	}
-	return &Engine{shards: shards, model: model, par: par, keys: make(map[string]string)}
+func New(shards []*Shard, par exec.Parallelism) *Engine {
+	return &Engine{shards: shards, par: par, keys: make(map[string]string)}
 }
 
 // Shards returns the number of shards.

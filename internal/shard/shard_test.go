@@ -27,7 +27,7 @@ func newEngine(n int) *Engine {
 		shards[s] = &Shard{ID: s, Cat: cat, Cache: cache,
 			Opt: optimizer.New(cat, cache, nil, optimizer.Options{})}
 	}
-	return New(shards, nil, exec.Parallelism{})
+	return New(shards, exec.Parallelism{})
 }
 
 // newTable builds pt(k, g, v) with rows k = from..to-1.

@@ -22,7 +22,7 @@ import (
 func newRouter(t *testing.T) (*catalog.Catalog, *optimizer.Optimizer, *shard.Engine) {
 	t.Helper()
 	cat, o := shared.NewBatchEnv(t)
-	return cat, o, shard.New([]*shard.Shard{{Cat: cat, Cache: o.Cache, Opt: o}}, nil, exec.Parallelism{})
+	return cat, o, shard.New([]*shard.Shard{{Cat: cat, Cache: o.Cache, Opt: o}}, exec.Parallelism{})
 }
 
 // canonicalRows renders a result's answer, boxed row by row,
