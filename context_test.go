@@ -406,25 +406,20 @@ func mustExec(t *testing.T, db *DB, sql string) *Result {
 	return res
 }
 
-// longMorselSQL self-joins lineitem on l_suppkey. At SF 0.01 lineitem
-// (~60K rows) is one default-size morsel of ~60 source batches, and
-// every probe batch fans out ~600-fold into a count: cheap batches, but
-// a probe pipeline that runs for over a second as one task.
-const longMorselSQL = `SELECT COUNT(*) AS n FROM lineitem a, lineitem b
-	WHERE a.l_suppkey = b.l_suppkey`
-
 // TestExecContextDeadlineInsideMorsel: a deadline that expires while a
-// single morsel streams stops it at the next batch. On one worker with
-// default morsels and NeverReuse (every run repeats the whole join),
-// the query outlives a 300 ms deadline, and under a 30 ms one
-// ExecContext returns ErrCanceled within 100 ms.
+// single morsel streams stops it at the next batch, and one that
+// expires while a single source batch fans out stops it at the probe's
+// next output batch. On one worker with default morsels and NeverReuse
+// (every run repeats the whole join), each query outlives a 300 ms
+// deadline, and under a 30 ms one ExecContext returns ErrCanceled
+// within 100 ms.
 func TestExecContextDeadlineInsideMorsel(t *testing.T) {
 	db := Open(WithStrategy(NeverReuse), WithTuning(Tuning{Parallelism: 1}))
 	if err := db.LoadTPCH(0.01); err != nil {
 		t.Fatal(err)
 	}
-	testutil.CheckDeadlineInsideMorsel(t, func(ctx context.Context) error {
-		_, err := db.ExecContext(ctx, longMorselSQL)
+	testutil.CheckDeadlineInsideMorsel(t, func(ctx context.Context, sql string) error {
+		_, err := db.ExecContext(ctx, sql)
 		return err
 	})
 }

@@ -20,11 +20,12 @@ type materializeAll struct{ schema storage.Schema }
 
 func (m materializeAll) OutSchema() storage.Schema { return m.schema }
 
-func (m materializeAll) Apply(in, out *storage.Batch) {
+func (m materializeAll) Apply(in, out *storage.Batch) bool {
 	n := in.Len()
 	for c := range in.Cols {
 		out.Cols[c].AppendRange(in.Materialize(c), 0, n)
 	}
+	return false
 }
 
 // chain returns a pipeline's transforms over src: the

@@ -68,11 +68,11 @@ type checkedProbe struct {
 	violation *atomic.Bool
 }
 
-func (c *checkedProbe) Apply(in, out *storage.Batch) {
+func (c *checkedProbe) Apply(in, out *storage.Batch) bool {
 	if !c.built.Load() {
 		c.violation.Store(true)
 	}
-	c.Probe.Apply(in, out)
+	return c.Probe.Apply(in, out)
 }
 
 // tagJoinLayout is the b_tag -> b_val build layout used by the

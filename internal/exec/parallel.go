@@ -89,6 +89,9 @@ func (p *Pipeline) job(par Parallelism) *sched.Job {
 				return p.stream(par.Ctx, cursors[i:i+1], c.batches, c.sink)
 			}
 			j.Finish = func() error {
+				for _, c := range ctxs {
+					releaseBatches(c.batches)
+				}
 				merge.merge()
 				p.Sink.Finish()
 				return nil

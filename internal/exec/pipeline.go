@@ -27,8 +27,8 @@ type Pipeline struct {
 	RowsOut int64
 }
 
-// newBatches allocates one reusable batch per pipeline stage (the
-// parallel runner allocates an independent set per worker).
+// newBatches takes one batch per pipeline stage from the batch pool
+// (the parallel runner takes an independent set per worker).
 func (p *Pipeline) newBatches() []*storage.Batch {
 	batches := make([]*storage.Batch, len(p.Transforms)+1)
 	batches[0] = storage.NewBatch(p.Source.Schema())
@@ -38,13 +38,24 @@ func (p *Pipeline) newBatches() []*storage.Batch {
 	return batches
 }
 
+// releaseBatches hands a finished task set's batches back to the pool.
+// Only a run that succeeded releases: after a failure or a panic a
+// batch may still be in use, and the garbage collector takes it.
+func releaseBatches(batches []*storage.Batch) {
+	for _, b := range batches {
+		b.Release()
+	}
+}
+
 // stream drains cursors in order through the transform chain into
 // sink, reusing the per-stage batches. It is one task's work: a
 // whole-pipeline task (every cursor, the pipeline's sink) or a morsel
 // task (one cursor, a per-worker sink). It polls ctx (nil never
-// cancels) before every source batch, so a deadline lands within one
-// batch's work rather than one task's, and returns an error wrapping
-// hashstasherr.ErrCanceled with the sink unfinished.
+// cancels) before every source batch and before every further output
+// batch of a transform that fans one input out over several, so a
+// deadline lands within one batch's work rather than one task's, and
+// returns an error wrapping hashstasherr.ErrCanceled with the sink
+// unfinished.
 func (p *Pipeline) stream(ctx context.Context, cursors []Cursor, batches []*storage.Batch, sink Sink) error {
 	// The highest-frequency fault point: one hit per task, where the
 	// chaos suite simulates operator panics.
@@ -58,30 +69,56 @@ func (p *Pipeline) stream(ctx context.Context, cursors []Cursor, batches []*stor
 	for _, c := range cursors {
 		c.Open()
 		for {
-			select {
-			case <-done:
-				return hashstasherr.Canceled(ctx.Err())
-			default:
+			if err := canceled(ctx, done); err != nil {
+				return err
 			}
 			batches[0].Reset()
 			if !c.Next(batches[0]) {
 				break
 			}
 			atomic.AddInt64(&p.RowsIn, int64(batches[0].Len()))
-			cur := batches[0]
-			for i, t := range p.Transforms {
-				next := batches[i+1]
-				next.Reset()
-				t.Apply(cur, next)
-				cur = next
-			}
-			atomic.AddInt64(&p.RowsOut, int64(cur.Len()))
-			if cur.Len() > 0 {
-				sink.Consume(cur)
+			if err := p.push(ctx, done, 0, batches, sink); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
+}
+
+// push runs batches[k] through transforms k onwards into sink. A
+// transform that reports more output for its input is drained: each of
+// its output batches goes through the rest of the chain before the
+// next is made, so no stage ever holds more than one batch.
+func (p *Pipeline) push(ctx context.Context, done <-chan struct{}, k int, batches []*storage.Batch, sink Sink) error {
+	cur := batches[k]
+	if k == len(p.Transforms) {
+		atomic.AddInt64(&p.RowsOut, int64(cur.Len()))
+		if cur.Len() > 0 {
+			sink.Consume(cur)
+		}
+		return nil
+	}
+	t, next := p.Transforms[k], batches[k+1]
+	for {
+		next.Reset()
+		more := t.Apply(cur, next)
+		if err := p.push(ctx, done, k+1, batches, sink); err != nil || !more {
+			return err
+		}
+		if err := canceled(ctx, done); err != nil {
+			return err
+		}
+	}
+}
+
+// canceled polls done, ctx's done channel (nil never fires).
+func canceled(ctx context.Context, done <-chan struct{}) error {
+	select {
+	case <-done:
+		return hashstasherr.Canceled(ctx.Err())
+	default:
+		return nil
+	}
 }
 
 // Run streams the pipeline to completion on the calling goroutine: the
@@ -94,12 +131,14 @@ func (p *Pipeline) Run() error {
 	return p.runAll(context.TODO(), cursors)
 }
 
-// runAll streams cursors in order into the pipeline's sink under ctx
-// and finishes it.
+// runAll streams cursors in order into the pipeline's sink under ctx,
+// releases its batches and finishes the sink.
 func (p *Pipeline) runAll(ctx context.Context, cursors []Cursor) error {
-	if err := p.stream(ctx, cursors, p.newBatches(), p.Sink); err != nil {
+	batches := p.newBatches()
+	if err := p.stream(ctx, cursors, batches, p.Sink); err != nil {
 		return err
 	}
+	releaseBatches(batches)
 	p.Sink.Finish()
 	return nil
 }

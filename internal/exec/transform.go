@@ -10,17 +10,23 @@ import (
 	"hashstash/internal/types"
 )
 
-// Transform maps an input batch to an output batch. Transforms may drop
-// rows (filters) or multiply them (probes); the runner allocates one
-// output batch per transform and reuses it across calls. Transforms are
-// stateless with respect to the batches they process — working buffers
-// come from the input batch's scratch, so one transform instance is
-// safely shared by concurrent morsel workers over disjoint batches.
+// Transform maps an input batch to output batches. Transforms may drop
+// rows (filters) or multiply them (probes); the runner takes one output
+// batch per transform and reuses it across calls. No call emits more
+// than storage.BatchSize rows: a transform whose output for one input
+// batch could exceed that emits it over several calls, keeping its
+// place in the input batch's scratch (storage.Scratch.Resume).
+// Transforms are stateless with respect to the batches they process —
+// working buffers and resume points live in the input batch's scratch,
+// so one transform instance is safely shared by concurrent morsel
+// workers over disjoint batches.
 type Transform interface {
 	// OutSchema describes the batches the transform emits.
 	OutSchema() storage.Schema
-	// Apply consumes in and appends to out (already Reset by the runner).
-	Apply(in, out *storage.Batch)
+	// Apply consumes in and appends to out (already Reset by the
+	// runner). It reports more when in has output left: the runner then
+	// hands out on and calls Apply again with the same in.
+	Apply(in, out *storage.Batch) (more bool)
 }
 
 // Filter drops rows not satisfying a predicate box.
@@ -46,10 +52,10 @@ func (f *Filter) OutSchema() storage.Schema { return f.schema }
 // refines a selection vector (one typed kernel per constraint) and the
 // surviving rows materialize once per column via gather; no per-row
 // Value boxing.
-func (f *Filter) Apply(in, out *storage.Batch) {
+func (f *Filter) Apply(in, out *storage.Batch) bool {
 	n := in.Len()
 	if n == 0 {
-		return
+		return false
 	}
 	for c := range in.Cols {
 		in.Materialize(c)
@@ -66,6 +72,7 @@ func (f *Filter) Apply(in, out *storage.Batch) {
 			out.Cols[c].AppendGather(in.Cols[c], sel)
 		}
 	}
+	return false
 }
 
 // Compute appends one computed column to each row.
@@ -94,10 +101,10 @@ func (c *Compute) OutSchema() storage.Schema { return c.schema }
 // copy wholesale. The computed column evaluates columnar via
 // expr.EvalVec (typed loops over whole vectors, scratch intermediates
 // from the input batch).
-func (c *Compute) Apply(in, out *storage.Batch) {
+func (c *Compute) Apply(in, out *storage.Batch) bool {
 	n := in.Len()
 	if n == 0 {
-		return
+		return false
 	}
 	for _, ci := range c.reads {
 		in.Materialize(ci)
@@ -113,6 +120,7 @@ func (c *Compute) Apply(in, out *storage.Batch) {
 		out.Cols[ci].AppendRange(v, 0, n)
 	}
 	expr.EvalVec(c.Expr, in, out.Cols[len(in.Cols)])
+	return false
 }
 
 // Project reorders/subsets the columns of a batch and may rename them.
@@ -143,11 +151,12 @@ func (p *Project) OutSchema() storage.Schema { return p.schema }
 
 // Apply implements Transform: deferred columns materialize on entry,
 // then one bulk column copy per projected column.
-func (p *Project) Apply(in, out *storage.Batch) {
+func (p *Project) Apply(in, out *storage.Batch) bool {
 	n := in.Len()
 	for oi, ci := range p.Cols {
 		out.Cols[oi].AppendRange(in.Materialize(ci), 0, n)
 	}
+	return false
 }
 
 // Probe is the probe phase of a (reuse-aware) hash join: each input row
@@ -233,13 +242,19 @@ func (p *Probe) OutSchema() storage.Schema { return p.schema }
 // scratch columns and returns them plus the per-row miss mask (nil when
 // no key column is a string). String keys resolve through one bulk heap
 // lookup pass; a string never interned on the build side marks its row
-// as missed (it cannot match any entry).
-func (p *Probe) encodeKeys(in *storage.Batch, n int) (enc [][]uint64, miss []bool) {
+// as missed (it cannot match any entry). When the probe resumes a batch
+// it stopped in, the keys are already encoded: it returns the same
+// scratch buffers unchanged.
+func (p *Probe) encodeKeys(in *storage.Batch, n int, resumed bool) (enc [][]uint64, miss []bool) {
 	sc := in.Scratch()
 	enc = sc.Enc(len(p.KeyCols), n)
 	if p.hasStr {
 		miss = sc.Miss(n)
 	}
+	if resumed {
+		return enc, miss
+	}
+	clear(miss)
 	for k, ci := range p.KeyCols {
 		if strs := encodeCol(enc[k], in, ci); strs != nil {
 			p.HT.Strings().LookupBulk(enc[k], miss, strs)
@@ -250,32 +265,46 @@ func (p *Probe) encodeKeys(in *storage.Batch, n int) (enc [][]uint64, miss []boo
 
 // Apply implements Transform. It is safe to call concurrently from
 // several workers over disjoint batches: the probe only reads the
-// (immutable) hash table, its working buffers come from the input
-// batch's scratch, and its stat counters are folded in atomically.
+// (immutable) hash table, its working buffers and resume point come
+// from the input batch's scratch, and its stat counters are folded in
+// atomically.
 //
 // The probe is batch-at-a-time end to end: keys encode column-wise, the
 // hash vector for the whole batch computes in one pass (HashColumns),
-// the chain walks run inside hashtable.ProbeHashedColumn (chain heads
-// for the whole batch resolve up front, stored hashes screen candidates
+// chain heads for the whole batch resolve up front and the chain walks
+// run inside hashtable.ProbeHashedFrom (stored hashes screen candidates
 // before any key compare), the post-filter and qid mask refine the
 // match pairs with one typed kernel per constraint, and the surviving
 // pairs materialize once per column via gather kernels. Of the input,
 // only the key columns (and a qid column) are read: the row ids compact
 // by the match selection with one int32 gather, deferred columns pass
 // through deferred, and the emitted hash-table columns are eager.
-func (p *Probe) Apply(in, out *storage.Batch) {
+//
+// One call walks at most storage.BatchSize matches. A batch that fans
+// out further stops at its next (input row, chain entry) — the row in
+// the scratch's resume point, the entry in its chain cursors — reports
+// more, and continues there on the next call, so no output batch
+// outgrows one batch however many entries its keys match.
+func (p *Probe) Apply(in, out *storage.Batch) bool {
 	n := in.Len()
 	if n == 0 {
-		return
+		return false
 	}
 	sc := in.Scratch()
-	enc, miss := p.encodeKeys(in, n)
+	from, resumed := sc.Resume()
+	enc, miss := p.encodeKeys(in, n, resumed)
 	hashes := sc.Hash(n)
-	hashtable.HashColumns(hashes, enc)
+	cur := sc.Cur(n)
+	if !resumed {
+		hashtable.HashColumns(hashes, enc)
+		p.HT.ProbeHeads(cur, hashes)
+	}
 
 	sel := sc.Sel(n)[:0] // input row of each match
 	ents := sc.Ents(n)   // entry of each match
-	sel, ents = p.HT.ProbeHashedColumn(sc.Cur(n), hashes, enc, miss, sel, ents)
+	sel, ents, next := p.HT.ProbeHashedFrom(cur, hashes, enc, miss, from, storage.BatchSize, sel, ents)
+	more := next < n
+	sc.SetResume(next, more)
 	var filtered int64
 	sel, ents, filtered = p.filterPairs(sel, ents)
 	var masks []int64 // AND-ed qid mask of each match (shared plans)
@@ -314,8 +343,8 @@ func (p *Probe) Apply(in, out *storage.Batch) {
 	for oi, ci := range p.EmitCols {
 		p.HT.AppendColumn(out.Cols[len(in.Cols)+oi], ci, ents)
 	}
-	// High-fanout probes grow the match buffers past their initial
-	// capacity; hand them back so later batches reuse the larger ones.
+	// Probes that fan out grow the match buffers past the input's row
+	// count; hand them back so later calls reuse the larger ones.
 	sc.AdoptSel(sel)
 	sc.AdoptEnts(ents)
 	if qid {
@@ -327,6 +356,7 @@ func (p *Probe) Apply(in, out *storage.Batch) {
 	if filtered > 0 {
 		atomic.AddInt64(&p.filtered, filtered)
 	}
+	return more
 }
 
 // filterPairs refines the (row, entry) match pairs through the

@@ -301,6 +301,14 @@ func refProbe(p *Probe, in, out *storage.Batch) {
 	}
 }
 
+// applyAll applies t to in until it reports no more output, appending
+// every call's rows to out: the whole output of one input batch, which
+// a probe emits over several calls once it passes storage.BatchSize.
+func applyAll(t Transform, in, out *storage.Batch) {
+	for t.Apply(in, out) {
+	}
+}
+
 func TestGoldenProbeVsRowAtATime(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	schema := goldenSchema("p")
@@ -339,7 +347,7 @@ func TestGoldenProbeVsRowAtATime(t *testing.T) {
 					}
 					in := randBatch(rng, schema, 1+rng.Intn(storage.BatchSize))
 					got := storage.NewBatch(probe.OutSchema())
-					probe.Apply(in, got)
+					applyAll(probe, in, got)
 					want := storage.NewBatch(probe.OutSchema())
 					refProbe(probe, in, want)
 					requireBatchEqual(t, got, want)
@@ -389,7 +397,7 @@ func TestGoldenQidMaskedProbeVsRowAtATime(t *testing.T) {
 			in.Cols[1].Ints = append(in.Cols[1].Ints, rng.Int63n(16))
 		}
 		got := storage.NewBatch(probe.OutSchema())
-		probe.Apply(in, got)
+		applyAll(probe, in, got)
 		want := storage.NewBatch(probe.OutSchema())
 		refProbe(probe, in, want)
 		requireBatchEqual(t, got, want)

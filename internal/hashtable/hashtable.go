@@ -434,25 +434,48 @@ func (t *Table) ProbeStats() ProbeStats {
 //
 // cur is caller-owned scratch of len(hashes) (storage.Scratch.Cur):
 // chain heads for the whole batch resolve in one pass over the slot
-// array before any chain is walked, so the random slot loads stream
-// independently of the chain walks. Per visited node the walk checks
-// the stored hash before the key cells.
-// One atomic fold of the probe counters per batch keeps the loop
-// allocation- and contention-free.
+// array before any chain is walked (ProbeHeads), so the random slot
+// loads stream independently of the chain walks. It is ProbeHeads
+// followed by one unbounded ProbeHashedFrom.
 func (t *Table) ProbeHashedColumn(cur []int32, hashes []uint64, keyCols [][]uint64, miss []bool, rows, ents []int32) ([]int32, []int32) {
-	n := len(hashes)
+	t.ProbeHeads(cur, hashes)
+	rows, ents, _ = t.ProbeHashedFrom(cur, hashes, keyCols, miss, 0, 0, rows, ents)
+	return rows, ents
+}
+
+// ProbeHeads resolves the chain head of every row's hash into cur, in
+// one pass over the slot array: the start of a batched probe.
+func (t *Table) ProbeHeads(cur []int32, hashes []uint64) {
 	heads := t.heads
 	mask := uint64(len(heads) - 1)
-	for i := 0; i < n; i++ {
-		cur[i] = heads[hashes[i]&mask]
+	for i, h := range hashes {
+		cur[i] = heads[h&mask]
 	}
+}
+
+// ProbeHashedFrom walks the chains of rows [from, len(hashes)) from
+// cur — each row's chain position, its head after ProbeHeads — and
+// appends the matches to rows/ents like ProbeHashedColumn. With limit >
+// 0 it appends at most limit matches: on finding one more it stops and
+// returns that match's row, with cur[row] its entry, so a later call
+// from that row continues the walk exactly where this one stopped. It
+// returns len(hashes) once every row is walked. Per visited node the
+// walk checks the stored hash before the key cells; one atomic fold of
+// the probe counters per call keeps the loop allocation- and
+// contention-free, and a row counts as one probe when its walk ends.
+func (t *Table) ProbeHashedFrom(cur []int32, hashes []uint64, keyCols [][]uint64, miss []bool, from, limit int, rows, ents []int32) ([]int32, []int32, int) {
+	n := len(hashes)
 	next, stored := t.next, t.hashes
+	stop := -1
+	if limit > 0 {
+		stop = len(ents) + limit
+	}
 	var probes, nodes int64
-	for i := 0; i < n; i++ {
+	i := from
+	for ; i < n; i++ {
 		if miss != nil && miss[i] {
 			continue
 		}
-		probes++
 		h := hashes[i]
 		for e := cur[i]; e != -1; e = next[e] {
 			nodes++
@@ -468,14 +491,22 @@ func (t *Table) ProbeHashedColumn(cur []int32, hashes []uint64, keyCols [][]uint
 				}
 			}
 			if match {
+				if len(ents) == stop {
+					// Resume at this match; its node is visited again.
+					cur[i] = e
+					t.probes.Add(probes)
+					t.probeNodes.Add(nodes - 1)
+					return rows, ents, i
+				}
 				rows = append(rows, int32(i))
 				ents = append(ents, e)
 			}
 		}
+		probes++
 	}
 	t.probes.Add(probes)
 	t.probeNodes.Add(nodes)
-	return rows, ents
+	return rows, ents, i
 }
 
 // Upsert finds the entry with the given key or creates it with the key

@@ -188,7 +188,9 @@ func (o *Optimizer) planAggregate(q *plan.Query) (*Planned, error) {
 	}
 	options = append(options, aggOption{agg: freshAgg, root: root, totalCost: root.Cost + freshOp})
 
-	if o.Opts.Strategy != NeverReuse {
+	// A self-join's aggregate is never cached (its lineage cannot say
+	// which instance a column belongs to), so nothing can serve it.
+	if o.Opts.Strategy != NeverReuse && !q.RepeatsTable(fullMask) {
 		for _, cand := range o.candidates(probeLin, probeCols, true) {
 			opt, ok := o.aggReuseOption(q, cand, reqFilter, freshAgg, root)
 			if !ok {

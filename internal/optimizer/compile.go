@@ -255,12 +255,12 @@ func (c *compiler) newLayout(keys []storage.ColRef, others ...[]storage.ColRef) 
 }
 
 // feedRefs maps a fresh table's base-qualified layout onto the stream
-// columns that feed it: the query's aliases (the qid column, which has
-// no table, passes through).
-func (c *compiler) feedRefs(layout hashtable.Layout) []storage.ColRef {
+// columns that feed it: the aliases of the masked relations the table
+// is built from (the qid column, which has no table, passes through).
+func (c *compiler) feedRefs(layout hashtable.Layout, mask int) []storage.ColRef {
 	feed := make([]storage.ColRef, len(layout.Cols))
 	for i, m := range layout.Cols {
-		feed[i] = storage.ColRef{Table: aliasForTable(c.q, m.Ref.Table), Column: m.Ref.Column}
+		feed[i] = storage.ColRef{Table: aliasIn(c.q, mask, m.Ref.Table), Column: m.Ref.Column}
 	}
 	return feed
 }
@@ -279,7 +279,7 @@ func (c *compiler) freshBuildHT(n *Node) (*hashtable.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sink, err := exec.NewBuildHT(ht, bschema, c.feedRefs(layout))
+	sink, err := exec.NewBuildHT(ht, bschema, c.feedRefs(layout, n.BuildMask))
 	if err != nil {
 		return nil, err
 	}
@@ -410,7 +410,7 @@ func (c *compiler) obtainBuildHT(n *Node) (*hashtable.Table, expr.Box, []int, []
 			return nil, nil, nil, nil, fmt.Errorf("optimizer: column %v missing from build table layout", ref)
 		}
 		emitCols = append(emitCols, ci)
-		emitRefs = append(emitRefs, storage.ColRef{Table: aliasForTable(q, ref.Table), Column: ref.Column})
+		emitRefs = append(emitRefs, storage.ColRef{Table: aliasIn(q, n.BuildMask, ref.Table), Column: ref.Column})
 	}
 	return ht, postFilter, emitCols, emitRefs, nil
 }
@@ -551,9 +551,10 @@ func (c *compiler) aggLayout(agg *AggChoice) (hashtable.Layout, error) {
 
 // attachAggInput sinks one input stream (a full or residual plan, or a
 // shared plan member's grouping-table entries) into the aggregation
-// table, computing aggregate arguments on the way. specs lists the
-// table's cell specs in layout order (base-qualified).
-func (c *compiler) attachAggInput(src exec.Source, tfs []exec.Transform, schema storage.Schema, ht *hashtable.Table, groupBase []storage.ColRef, specs []expr.AggSpec) error {
+// table, computing aggregate arguments on the way. groupBy names the
+// stream columns feeding the table's keys, in layout order; specs lists
+// the table's cell specs in layout order (base-qualified).
+func (c *compiler) attachAggInput(src exec.Source, tfs []exec.Transform, schema storage.Schema, ht *hashtable.Table, groupBy []storage.ColRef, specs []expr.AggSpec) error {
 	q := c.q
 	cells := make([]exec.AggCell, len(specs))
 	for i, s := range specs {
@@ -577,11 +578,7 @@ func (c *compiler) attachAggInput(src exec.Source, tfs []exec.Transform, schema 
 		schema = comp.OutSchema()
 		cells[i] = exec.AggCell{Func: s.Func, InCol: schema.IndexOf(ref), Kind: kind}
 	}
-	groupAlias := make([]storage.ColRef, len(groupBase))
-	for i, ref := range groupBase {
-		groupAlias[i] = storage.ColRef{Table: aliasForTable(q, ref.Table), Column: ref.Column}
-	}
-	sink, err := exec.NewAggHT(ht, groupAlias, cells, schema)
+	sink, err := exec.NewAggHT(ht, groupBy, cells, schema)
 	if err != nil {
 		return err
 	}
@@ -618,7 +615,7 @@ func (c *compiler) compileAggRoot(p *Planned) error {
 		if err != nil {
 			return err
 		}
-		if err := c.attachAggInput(src, tfs, schema, widened, agg.GroupBase, choice.Entry.Lineage.Aggs); err != nil {
+		if err := c.attachAggInput(src, tfs, schema, widened, c.q.GroupBy, choice.Entry.Lineage.Aggs); err != nil {
 			return err
 		}
 	}
@@ -674,10 +671,12 @@ func (c *compiler) compileFreshAgg(root *Node, agg *AggChoice) error {
 	if err != nil {
 		return err
 	}
-	if err := c.attachAggInput(src, tfs, schema, ht, agg.GroupBase, agg.Specs); err != nil {
+	if err := c.attachAggInput(src, tfs, schema, ht, c.q.GroupBy, agg.Specs); err != nil {
 		return err
 	}
-	if c.register {
+	// A self-join's lineage cannot say which instance its filter and
+	// group-by columns belong to: its table is not cached.
+	if c.register && !c.q.RepeatsTable(1<<uint(len(c.q.Relations))-1) {
 		c.out.created = append(c.out.created, c.o.Cache.Register(ht, c.aggLineage(agg, c.q.BaseQualify(c.q.Filter))))
 	}
 	return c.compileReadout(c.q, ht, agg, identitySpecIdx(len(agg.Specs)), nil, false)

@@ -65,6 +65,12 @@ func (o *Optimizer) bestPlan(ctx *planContext, mask int) *Node {
 		if !q.ConnectedSubgraph(sub) || !q.ConnectedSubgraph(comp) {
 			continue
 		}
+		// A build side over two instances of one table would merge
+		// their columns in its base-qualified layout. Single-relation
+		// builds always remain: the probe side may repeat tables.
+		if q.RepeatsTable(sub) {
+			continue
+		}
 		crossing := q.CrossingJoins(sub, comp)
 		if len(crossing) == 0 {
 			continue

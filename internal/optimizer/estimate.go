@@ -132,7 +132,7 @@ func (o *Optimizer) neededColsOf(q *plan.Query, members []*plan.Query, filters b
 			}
 			alias := ref.Table
 			if m != q {
-				alias = aliasForTable(q, rel.Table)
+				alias = aliasIn(q, 1<<uint(len(q.Relations))-1, rel.Table)
 			}
 			if set[alias] == nil {
 				set[alias] = make(map[string]bool)

@@ -49,14 +49,30 @@ func baseQualifyRefs(q *plan.Query, refs []storage.ColRef) []storage.ColRef {
 	return out
 }
 
-// aliasForTable finds the alias of a base table in the query.
-func aliasForTable(q *plan.Query, table string) string {
-	for _, r := range q.Relations {
-		if r.Table == table {
+// aliasIn returns the alias of the relation of the masked set that
+// reads the base table: the relation instance that a base-qualified
+// column of a plan fragment over those relations stands for. The
+// instance is unique because no fragment the optimizer builds, caches
+// or merges repeats a table (plan.Query.RepeatsTable). A column with no
+// table (the qid column) keeps its empty table.
+func aliasIn(q *plan.Query, mask int, table string) string {
+	for i, r := range q.Relations {
+		if mask&(1<<uint(i)) != 0 && r.Table == table {
 			return r.Alias
 		}
 	}
 	return table
+}
+
+// aliasQualifyIn translates a base-qualified box onto the instances of
+// the masked relations (plan.Query.AliasQualify picks a table's first
+// alias, which a self-join's other instance does not answer to).
+func aliasQualifyIn(q *plan.Query, mask int, box expr.Box) expr.Box {
+	out := make(expr.Box, 0, len(box))
+	for _, p := range box {
+		out = append(out, expr.Pred{Col: storage.ColRef{Table: aliasIn(q, mask, p.Col.Table), Column: p.Col.Column}, Con: p.Con})
+	}
+	return expr.NewBox(out...)
 }
 
 // requiredBuildCols lists the base-qualified columns the probe must be
@@ -212,7 +228,7 @@ func (o *Optimizer) classify(q *plan.Query, mask int, cand candidate, req expr.B
 			choice.Mode = ModePartial
 		}
 		for _, rb := range residual {
-			choice.ResidualBoxes = append(choice.ResidualBoxes, q.AliasQualify(rb))
+			choice.ResidualBoxes = append(choice.ResidualBoxes, aliasQualifyIn(q, mask, rb))
 		}
 		choice.NewFilter = newFilter
 		choice.Contr = o.contributionRatio(q, mask, cand, req)
@@ -229,8 +245,8 @@ func (r *ReuseChoice) widens() bool { return r.Mode == ModePartial || r.Mode == 
 // contributionRatio estimates |cand ∩ req| / |req| over the masked
 // relations.
 func (o *Optimizer) contributionRatio(q *plan.Query, mask int, cand candidate, req expr.Box) float64 {
-	reqRows := o.maskRows(q, mask, q.AliasQualify(req))
-	interRows := o.maskRows(q, mask, q.AliasQualify(req.Intersect(cand.filter)))
+	reqRows := o.maskRows(q, mask, aliasQualifyIn(q, mask, req))
+	interRows := o.maskRows(q, mask, aliasQualifyIn(q, mask, req.Intersect(cand.filter)))
 	if reqRows <= 0 {
 		return 1
 	}
@@ -243,7 +259,7 @@ func (o *Optimizer) overheadRatio(q *plan.Query, mask int, cand candidate, req e
 	if cand.rows <= 0 {
 		return 0
 	}
-	interRows := o.maskRows(q, mask, q.AliasQualify(req.Intersect(cand.filter)))
+	interRows := o.maskRows(q, mask, aliasQualifyIn(q, mask, req.Intersect(cand.filter)))
 	return min(max(1-interRows/cand.rows, 0), 1)
 }
 
@@ -273,7 +289,7 @@ func (o *Optimizer) joinBuildOptions(ctx *planContext, mask int, buildKeys []sto
 	probeLin.Filter = probeBox
 	o.historyNote(probeLin.StructKey())
 
-	builderRows := o.maskRows(q, mask, q.AliasQualify(reqFilter))
+	builderRows := o.maskRows(q, mask, aliasQualifyIn(q, mask, reqFilter))
 	width := o.freshJoinWidth(buildKeys, reqCols)
 
 	var opts []buildOption

@@ -123,6 +123,7 @@ func (c *compiler) compileSharedRoot(tree *Node) error {
 		return c.compileSharedAgg(tree)
 	}
 	// One collected spine, split by qid once the plan ran.
+	full := 1<<uint(len(c.q.Relations)) - 1
 	src, tfs, schema, err := c.compileStream(tree)
 	if err != nil {
 		return err
@@ -134,7 +135,7 @@ func (c *compiler) compileSharedRoot(tree *Node) error {
 		out := output{collect: collect, bit: 1 << uint(i), qid: qid}
 		for _, ref := range m.Select {
 			base := baseQualifyRefs(m, []storage.ColRef{ref})[0]
-			j := schema.IndexOf(storage.ColRef{Table: aliasForTable(c.q, base.Table), Column: ref.Column})
+			j := schema.IndexOf(storage.ColRef{Table: aliasIn(c.q, full, base.Table), Column: ref.Column})
 			if j < 0 {
 				return fmt.Errorf("optimizer: select column %v not in shared spine output", ref)
 			}
@@ -214,7 +215,7 @@ func (c *compiler) compileSharedAgg(tree *Node) error {
 				return err
 			}
 			g.ht = hashtable.New(layout)
-			if sinks[i], err = exec.NewBuildHT(g.ht, schema, c.feedRefs(layout)); err != nil {
+			if sinks[i], err = exec.NewBuildHT(g.ht, schema, c.feedRefs(layout, full)); err != nil {
 				return err
 			}
 			lin.KeyCols, lin.GroupBy = g.keys, g.keys
@@ -237,8 +238,11 @@ func (c *compiler) compileSharedAgg(tree *Node) error {
 		var cols []int
 		var refs []storage.ColRef
 		var missing error
+		alias := func(ref storage.ColRef) storage.ColRef {
+			return storage.ColRef{Table: aliasIn(c.q, full, ref.Table), Column: ref.Column}
+		}
 		read := func(ref storage.ColRef) {
-			alias := storage.ColRef{Table: aliasForTable(c.q, ref.Table), Column: ref.Column}
+			alias := alias(ref)
 			if slices.Contains(refs, alias) {
 				return
 			}
@@ -271,7 +275,11 @@ func (c *compiler) compileSharedAgg(tree *Node) error {
 			return err
 		}
 		ht := hashtable.New(aggLayout)
-		if err := c.attachAggInput(src, nil, src.Schema(), ht, groupBase, specs); err != nil {
+		groupBy := make([]storage.ColRef, len(groupBase))
+		for k, ref := range groupBase {
+			groupBy[k] = alias(ref)
+		}
+		if err := c.attachAggInput(src, nil, src.Schema(), ht, groupBy, specs); err != nil {
 			return err
 		}
 		if err := c.compileReadout(m, ht, agg, identitySpecIdx(len(specs)), nil, false); err != nil {

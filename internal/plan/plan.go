@@ -354,6 +354,23 @@ func (q *Query) AliasQualify(box expr.Box) expr.Box {
 	return expr.NewBox(out...)
 }
 
+// RepeatsTable reports whether two relations of the masked set read the
+// same base table (a self-join). Base-qualified names — cache lineage
+// and cached layouts — cannot tell such relations apart.
+func (q *Query) RepeatsTable(mask int) bool {
+	for i, r := range q.Relations {
+		if mask&(1<<uint(i)) == 0 {
+			continue
+		}
+		for j := i + 1; j < len(q.Relations); j++ {
+			if mask&(1<<uint(j)) != 0 && q.Relations[j].Table == r.Table {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // Connectivity helpers for the top-down partitioning enumerator.
 
 // ConnectedSubgraph reports whether the masked relations form a

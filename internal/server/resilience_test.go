@@ -216,11 +216,12 @@ func TestServerShutdownDrainsRunning(t *testing.T) {
 }
 
 // TestServerDeadlineInsideMorsel: a served query's deadline stops it at
-// the next batch of the morsel it is streaming. The query self-joins
-// lineitem on l_suppkey at SF 0.01 on one worker with default morsels
-// and NeverReuse: one ~60-batch morsel that fans out ~600-fold per
-// batch. It outlives a 300 ms deadline, and under a 30 ms one Execute
-// returns ErrCanceled within 100 ms.
+// the next batch of the morsel it is streaming, or at the next output
+// batch of a probe fanning one source batch out. The queries
+// (testutil.LongMorselSQL and FanoutBatchSQL) self-join lineitem at SF
+// 0.01 on one worker with default morsels and NeverReuse. Each outlives
+// a 300 ms deadline, and under a 30 ms one Execute returns ErrCanceled
+// within 100 ms.
 func TestServerDeadlineInsideMorsel(t *testing.T) {
 	db := hashstash.Open(hashstash.WithStrategy(hashstash.NeverReuse),
 		hashstash.WithTuning(hashstash.Tuning{Parallelism: 1}))
@@ -229,8 +230,7 @@ func TestServerDeadlineInsideMorsel(t *testing.T) {
 	}
 	srv := New(db, Config{DefaultTimeout: 30 * time.Second})
 	defer srv.Close()
-	const sql = `SELECT COUNT(*) AS n FROM lineitem a, lineitem b WHERE a.l_suppkey = b.l_suppkey`
-	testutil.CheckDeadlineInsideMorsel(t, func(ctx context.Context) error {
+	testutil.CheckDeadlineInsideMorsel(t, func(ctx context.Context, sql string) error {
 		_, _, err := srv.Execute(ctx, "", sql)
 		return err
 	})

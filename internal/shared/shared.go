@@ -40,10 +40,12 @@ func mergeable(a, b *plan.Query) bool {
 // keys are mergeable into one shared plan — one join graph, and all
 // aggregating or all not (a shared plan ends in grouping tables or in
 // one collected spine, never both). The second return is false for
-// queries that never merge (ORDER BY / LIMIT — ordering and truncation
-// are per-query properties the qid-tagged union cannot express).
+// queries that never merge: ORDER BY / LIMIT — ordering and truncation
+// are per-query properties the qid-tagged union cannot express — and
+// self-joins, whose members' relations a shared plan could not match
+// instance for instance by base table.
 func ShapeKey(q *plan.Query) (string, bool) {
-	if q.OrderBy != nil || q.Limit > 0 {
+	if q.OrderBy != nil || q.Limit > 0 || q.RepeatsTable(1<<uint(len(q.Relations))-1) {
 		return "", false
 	}
 	if q.IsAggregate() {

@@ -3,14 +3,56 @@ package storage
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"hashstash/internal/types"
 )
 
-// BatchSize is the number of rows processed per pipeline step. 1024 rows
+// BatchSize is the most rows a batch inside a pipeline holds. 1024 rows
 // keeps per-batch column vectors inside the L1/L2 caches for typical
-// widths, mirroring vectorized engines.
+// widths, mirroring vectorized engines. Sources fill at most BatchSize
+// rows per batch, and a transform that multiplies rows (a join probe)
+// spreads one input batch's output over several calls, so every vector
+// and scratch buffer of a pipeline stays within it.
 const BatchSize = 1024
+
+// minCap is the first capacity of a growing vector or scratch buffer:
+// buffers start empty and double from here, up to the rows they
+// receive.
+const minCap = 16
+
+// growCap is the capacity a buffer of capacity old grows to when it
+// must hold n elements: double old, at least minCap and n, and no more
+// than BatchSize while n fits in one batch.
+func growCap(old, n int) int {
+	c := max(n, 2*old, minCap)
+	if n <= BatchSize {
+		c = min(c, BatchSize)
+	}
+	return c
+}
+
+// extend returns s with room for n more elements, growing by growCap.
+func extend[T any](s []T, n int) []T {
+	need := len(s) + n
+	if need <= cap(s) {
+		return s
+	}
+	out := make([]T, len(s), growCap(cap(s), need))
+	copy(out, s)
+	return out
+}
+
+// gather appends src[i] for every i in sel to dst.
+func gather[T any](dst, src []T, sel []int32) []T {
+	n := len(dst)
+	dst = extend(dst, len(sel))[:n+len(sel)]
+	out := dst[n:]
+	for k, i := range sel {
+		out[k] = src[i]
+	}
+	return dst
+}
 
 // Vec is a column vector of intermediate results. Unlike Column it is a
 // transient, reusable buffer.
@@ -21,19 +63,10 @@ type Vec struct {
 	Strs   []string
 }
 
-// NewVec returns an empty vector of the given kind with capacity for one
-// batch.
+// NewVec returns an empty vector of the given kind. It allocates no
+// storage: the vector grows with the rows appended to it.
 func NewVec(kind types.Kind) *Vec {
-	v := &Vec{Kind: kind}
-	switch kind {
-	case types.Int64, types.Date:
-		v.Ints = make([]int64, 0, BatchSize)
-	case types.Float64:
-		v.Floats = make([]float64, 0, BatchSize)
-	case types.String:
-		v.Strs = make([]string, 0, BatchSize)
-	}
-	return v
+	return &Vec{Kind: kind}
 }
 
 // Reset truncates the vector to zero length, keeping capacity.
@@ -98,11 +131,11 @@ func (v *Vec) AppendFrom(c *Column, i int32) {
 func (v *Vec) AppendRange(src *Vec, start, end int) {
 	switch v.Kind {
 	case types.Int64, types.Date:
-		v.Ints = append(v.Ints, src.Ints[start:end]...)
+		v.Ints = append(extend(v.Ints, end-start), src.Ints[start:end]...)
 	case types.Float64:
-		v.Floats = append(v.Floats, src.Floats[start:end]...)
+		v.Floats = append(extend(v.Floats, end-start), src.Floats[start:end]...)
 	case types.String:
-		v.Strs = append(v.Strs, src.Strs[start:end]...)
+		v.Strs = append(extend(v.Strs, end-start), src.Strs[start:end]...)
 	}
 }
 
@@ -113,20 +146,11 @@ func (v *Vec) AppendRange(src *Vec, start, end int) {
 func (v *Vec) AppendGather(src *Vec, sel []int32) {
 	switch v.Kind {
 	case types.Int64, types.Date:
-		data := src.Ints
-		for _, i := range sel {
-			v.Ints = append(v.Ints, data[i])
-		}
+		v.Ints = gather(v.Ints, src.Ints, sel)
 	case types.Float64:
-		data := src.Floats
-		for _, i := range sel {
-			v.Floats = append(v.Floats, data[i])
-		}
+		v.Floats = gather(v.Floats, src.Floats, sel)
 	case types.String:
-		data := src.Strs
-		for _, i := range sel {
-			v.Strs = append(v.Strs, data[i])
-		}
+		v.Strs = gather(v.Strs, src.Strs, sel)
 	}
 }
 
@@ -148,21 +172,25 @@ func (v *Vec) AppendColumnGather(c *Column, sel []int32) {
 func (v *Vec) AppendRepeat(val types.Value, n int) {
 	switch v.Kind {
 	case types.Int64, types.Date:
+		v.Ints = extend(v.Ints, n)
 		for i := 0; i < n; i++ {
 			v.Ints = append(v.Ints, val.I)
 		}
 	case types.Float64:
+		v.Floats = extend(v.Floats, n)
 		for i := 0; i < n; i++ {
 			v.Floats = append(v.Floats, val.F)
 		}
 	case types.String:
+		v.Strs = extend(v.Strs, n)
 		for i := 0; i < n; i++ {
 			v.Strs = append(v.Strs, val.S)
 		}
 	}
 }
 
-// Grow makes room for n more rows without reallocating.
+// Grow makes room for exactly n more rows without reallocating (the
+// bulk appends grow by growCap instead).
 func (v *Vec) Grow(n int) {
 	switch v.Kind {
 	case types.Int64, types.Date:
@@ -276,7 +304,10 @@ func (s Schema) MustIndexOf(ref ColRef) int {
 // Scratch holds the reusable working buffers of vectorized operators:
 // selection vectors, hash vectors, encoded key columns and expression
 // intermediates. Each buffer is valid only for the duration of one
-// operator call — the next operator touching the batch may reuse it.
+// operator call — the next operator touching the batch may reuse it —
+// except while a resumable transform spreads the batch's output over
+// several calls (Resume): its buffers then keep their contents until it
+// finishes. Buffers start empty and grow with the rows asked for.
 // Scratch is owned by its batch, and batches are owned by one worker at
 // a time, so none of this synchronizes.
 type Scratch struct {
@@ -288,15 +319,27 @@ type Scratch struct {
 	miss  []bool
 	enc   [][]uint64
 	f64   [][]float64
+
+	// resumeRow is the input row a resumable transform continues at
+	// when resuming is set.
+	resumeRow int
+	resuming  bool
+}
+
+// sized returns buf with length n, growing it by growCap when its
+// capacity is short (contents unspecified; kept while capacity
+// suffices).
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n, growCap(cap(buf), n))
+	}
+	return buf[:n]
 }
 
 // Sel returns the selection-vector buffer with length n (contents
 // unspecified).
 func (s *Scratch) Sel(n int) []int32 {
-	if cap(s.sel) < n {
-		s.sel = make([]int32, n, grow(n))
-	}
-	s.sel = s.sel[:n]
+	s.sel = sized(s.sel, n)
 	return s.sel
 }
 
@@ -313,9 +356,7 @@ func (s *Scratch) SeqSel(n int) []int32 {
 // Ents returns a second int32 buffer (entry indices of probe matches),
 // independent of Sel, with length 0 and capacity ≥ n.
 func (s *Scratch) Ents(n int) []int32 {
-	if cap(s.ents) < n {
-		s.ents = make([]int32, 0, grow(n))
-	}
+	s.ents = sized(s.ents, n)
 	return s.ents[:0]
 }
 
@@ -323,53 +364,35 @@ func (s *Scratch) Ents(n int) []int32 {
 // hash-table probes), independent of Sel and Ents, with length n
 // (contents unspecified).
 func (s *Scratch) Cur(n int) []int32 {
-	if cap(s.cur) < n {
-		s.cur = make([]int32, n, grow(n))
-	}
-	s.cur = s.cur[:n]
+	s.cur = sized(s.cur, n)
 	return s.cur
 }
 
-// Hash returns the per-row hash buffer with length n.
+// Hash returns the per-row hash buffer with length n (contents
+// unspecified).
 func (s *Scratch) Hash(n int) []uint64 {
-	if cap(s.hash) < n {
-		s.hash = make([]uint64, n, grow(n))
-	}
-	s.hash = s.hash[:n]
+	s.hash = sized(s.hash, n)
 	return s.hash
 }
 
 // Masks returns an int64 buffer (qid bitmasks) with length 0 and
 // capacity ≥ n.
 func (s *Scratch) Masks(n int) []int64 {
-	if cap(s.masks) < n {
-		s.masks = make([]int64, 0, grow(n))
-	}
+	s.masks = sized(s.masks, n)
 	return s.masks[:0]
 }
 
 // MasksN returns the qid bitmask buffer with length n, zeroed.
 func (s *Scratch) MasksN(n int) []int64 {
-	if cap(s.masks) < n {
-		s.masks = make([]int64, n, grow(n))
-	}
-	s.masks = s.masks[:n]
-	for i := range s.masks {
-		s.masks[i] = 0
-	}
+	s.masks = sized(s.masks, n)
+	clear(s.masks)
 	return s.masks
 }
 
-// Miss returns the string-key miss buffer with length n, cleared to
-// false.
+// Miss returns the string-key miss buffer with length n (contents
+// unspecified).
 func (s *Scratch) Miss(n int) []bool {
-	if cap(s.miss) < n {
-		s.miss = make([]bool, n, grow(n))
-	}
-	s.miss = s.miss[:n]
-	for i := range s.miss {
-		s.miss[i] = false
-	}
+	s.miss = sized(s.miss, n)
 	return s.miss
 }
 
@@ -381,10 +404,7 @@ func (s *Scratch) Enc(k, n int) [][]uint64 {
 		s.enc = append(s.enc, nil)
 	}
 	for i := 0; i < k; i++ {
-		if cap(s.enc[i]) < n {
-			s.enc[i] = make([]uint64, n, grow(n))
-		}
-		s.enc[i] = s.enc[i][:n]
+		s.enc[i] = sized(s.enc[i], n)
 	}
 	return s.enc[:k]
 }
@@ -396,16 +416,12 @@ func (s *Scratch) Floats(depth, n int) []float64 {
 	for len(s.f64) <= depth {
 		s.f64 = append(s.f64, nil)
 	}
-	if cap(s.f64[depth]) < n {
-		s.f64[depth] = make([]float64, n, grow(n))
-	}
-	s.f64[depth] = s.f64[depth][:n]
+	s.f64[depth] = sized(s.f64[depth], n)
 	return s.f64[depth]
 }
 
 // AdoptSel hands a grown selection buffer back to the scratch so its
-// capacity is kept for subsequent batches (probes can emit more matches
-// than input rows, growing the buffer past its initial capacity).
+// capacity is kept for subsequent batches.
 func (s *Scratch) AdoptSel(sel []int32) { s.sel = sel }
 
 // AdoptEnts hands a grown entry buffer back to the scratch.
@@ -414,13 +430,19 @@ func (s *Scratch) AdoptEnts(ents []int32) { s.ents = ents }
 // AdoptMasks hands a grown mask buffer back to the scratch.
 func (s *Scratch) AdoptMasks(masks []int64) { s.masks = masks }
 
-// grow rounds scratch capacities up to at least one batch so steady-state
-// pipelines never reallocate.
-func grow(n int) int {
-	if n < BatchSize {
-		return BatchSize
+// Resume reports where a resumable transform stopped in this batch: the
+// input row it continues at, and whether it stopped before the batch's
+// end.
+func (s *Scratch) Resume() (row int, ok bool) { return s.resumeRow, s.resuming }
+
+// SetResume records that a resumable transform stopped before the
+// batch's end and continues at row (ok true), or that it finished (ok
+// false; Resume then reports row 0).
+func (s *Scratch) SetResume(row int, ok bool) {
+	if !ok {
+		row = 0
 	}
-	return n
+	s.resumeRow, s.resuming = row, ok
 }
 
 // Batch is a set of equal-length columns described by a Schema. A
@@ -447,18 +469,60 @@ type Batch struct {
 	scratch Scratch
 }
 
-// NewBatch allocates a batch matching the schema.
+// batchPool recycles batch shells across pipelines and queries. A
+// pooled shell holds no rows, deferrals or pointers into data (Release
+// clears them); it keeps the capacity of its vectors, of its column
+// slices and of its scratch buffers.
+var batchPool = sync.Pool{New: func() any { return new(Batch) }}
+
+// NewBatch returns an empty batch matching the schema. It reuses a
+// pooled shell when one is free: its column kinds are reset to the
+// schema's, and its vectors and scratch buffers keep whatever capacity
+// earlier batches grew them to. Otherwise nothing is allocated up
+// front beyond the column slices; vectors and buffers grow with the
+// rows they receive. Hand the batch back with Release once nothing
+// reads it.
 func NewBatch(schema Schema) *Batch {
-	b := &Batch{
-		Schema:   schema,
-		Cols:     make([]*Vec, len(schema)),
-		base:     make([]*Column, len(schema)),
-		gathered: make([]bool, len(schema)),
-	}
-	for i, m := range schema {
-		b.Cols[i] = NewVec(m.Kind)
-	}
+	b := batchPool.Get().(*Batch)
+	b.reshape(schema)
 	return b
+}
+
+// reshape empties a batch shell and lays it out for schema, reusing its
+// vectors and column slices.
+func (b *Batch) reshape(schema Schema) {
+	n := len(schema)
+	if cap(b.Cols) < n {
+		b.Cols = append(b.Cols[:cap(b.Cols)], make([]*Vec, n-cap(b.Cols))...)
+	}
+	if cap(b.base) < n {
+		b.base = make([]*Column, n)
+		b.gathered = make([]bool, n)
+	}
+	b.Schema = schema
+	b.Cols, b.base, b.gathered = b.Cols[:n], b.base[:n], b.gathered[:n]
+	for i, m := range schema {
+		v := b.Cols[i]
+		if v == nil {
+			v = &Vec{}
+			b.Cols[i] = v
+		}
+		v.Kind = m.Kind
+	}
+	b.Reset()
+}
+
+// Release hands the batch back to the pool for a later NewBatch. It
+// first clears every string slot, base-column pointer and row id, so a
+// pooled shell pins no table or string. The caller must not touch the
+// batch afterwards.
+func (b *Batch) Release() {
+	for _, v := range b.Cols {
+		clear(v.Strs[:cap(v.Strs)])
+	}
+	b.Reset()
+	b.Schema = nil
+	batchPool.Put(b)
 }
 
 // Scratch returns the batch's reusable working buffers. Operators that
@@ -477,7 +541,8 @@ func (b *Batch) Len() int {
 	return b.Cols[0].Len()
 }
 
-// Reset truncates all vectors and clears the row ids and deferrals.
+// Reset truncates all vectors and clears the row ids, deferrals and any
+// resume point.
 func (b *Batch) Reset() {
 	for c, v := range b.Cols {
 		v.Reset()
@@ -486,6 +551,7 @@ func (b *Batch) Reset() {
 	}
 	b.ids = b.ids[:0]
 	b.hasIDs = false
+	b.scratch.SetResume(0, false)
 }
 
 // IDs returns the base row ids of the batch's rows and whether the
@@ -494,12 +560,13 @@ func (b *Batch) IDs() ([]int32, bool) { return b.ids, b.hasIDs }
 
 // AppendIDs appends row ids.
 func (b *Batch) AppendIDs(ids []int32) {
-	b.ids = append(b.ids, ids...)
+	b.ids = append(extend(b.ids, len(ids)), ids...)
 	b.hasIDs = true
 }
 
 // AppendIDRange appends the consecutive row ids [lo, hi).
 func (b *Batch) AppendIDRange(lo, hi int32) {
+	b.ids = extend(b.ids, int(hi-lo))
 	for id := lo; id < hi; id++ {
 		b.ids = append(b.ids, id)
 	}
@@ -510,9 +577,7 @@ func (b *Batch) AppendIDRange(lo, hi int32) {
 // probe compacting (and, for multi-matches, repeating) its input's ids
 // with one int32 gather instead of one gather per column.
 func (b *Batch) AppendIDGather(ids, sel []int32) {
-	for _, i := range sel {
-		b.ids = append(b.ids, ids[i])
-	}
+	b.ids = gather(b.ids, ids, sel)
 	b.hasIDs = true
 }
 

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -219,5 +220,117 @@ func TestBatchDeferredColumns(t *testing.T) {
 	b.Reset()
 	if _, ok := b.IDs(); ok || b.Len() != 0 || b.Base(0) != nil {
 		t.Fatal("Reset kept ids or a deferral")
+	}
+}
+
+// TestReleasedBatchPinsNothing: Release clears every string slot,
+// base-column pointer, row id and resume point of a batch before
+// pooling it, and a released shell laid out for another schema carries
+// no rows or deferrals from its previous one.
+func TestReleasedBatchPinsNothing(t *testing.T) {
+	strCol := NewColumn("s", types.String)
+	intCol := NewColumn("i", types.Int64)
+	for i := 0; i < 8; i++ {
+		strCol.Strs = append(strCol.Strs, fmt.Sprintf("v%d", i))
+		intCol.Ints = append(intCol.Ints, int64(i))
+	}
+	b := NewBatch(Schema{
+		{Ref: ColRef{Column: "s"}, Kind: types.String},
+		{Ref: ColRef{Column: "i"}, Kind: types.Int64},
+		{Ref: ColRef{Column: "e"}, Kind: types.String},
+	})
+	b.AppendIDs([]int32{1, 3, 5})
+	b.Defer(0, strCol)
+	b.Defer(1, intCol)
+	b.Materialize(0)
+	b.Materialize(1)
+	b.Cols[2].Strs = append(b.Cols[2].Strs, "x", "y", "z")
+	b.Cols[2].Truncate(1) // "y" and "z" stay in the backing array
+	b.Scratch().SetResume(2, true)
+
+	b.Release() // single goroutine: nothing else takes the shell meanwhile
+	if b.Schema != nil {
+		t.Fatal("released batch keeps its schema")
+	}
+	for c, v := range b.Cols[:cap(b.Cols)] {
+		if v == nil {
+			continue
+		}
+		for _, s := range v.Strs[:cap(v.Strs)] {
+			if s != "" {
+				t.Fatalf("column %d pins string %q after Release", c, s)
+			}
+		}
+	}
+	for c, col := range b.base[:cap(b.base)] {
+		if col != nil {
+			t.Fatalf("column %d pins base column %q after Release", c, col.Name)
+		}
+	}
+	if ids, ok := b.IDs(); ok || len(ids) != 0 {
+		t.Fatalf("released batch keeps %d row ids (hasIDs %v)", len(ids), ok)
+	}
+	if _, ok := b.Scratch().Resume(); ok {
+		t.Fatal("released batch keeps a resume point")
+	}
+
+	// Lay the shell out again for a schema of other kinds and widths.
+	next := Schema{
+		{Ref: ColRef{Column: "f"}, Kind: types.Float64},
+		{Ref: ColRef{Column: "d"}, Kind: types.Date},
+	}
+	b.reshape(next)
+	if b.Len() != 0 {
+		t.Fatalf("reused shell holds %d rows", b.Len())
+	}
+	if len(b.Cols) != len(next) {
+		t.Fatalf("reused shell has %d columns, want %d", len(b.Cols), len(next))
+	}
+	for c, m := range next {
+		if v := b.Cols[c]; v.Kind != m.Kind || v.Len() != 0 || len(v.Ints)+len(v.Floats)+len(v.Strs) != 0 {
+			t.Fatalf("column %d: kind %v with %d/%d/%d rows, want empty %v", c, v.Kind, len(v.Ints), len(v.Floats), len(v.Strs), m.Kind)
+		}
+		if b.Base(c) != nil {
+			t.Fatalf("column %d still deferred", c)
+		}
+	}
+	b.Cols[0].Floats = append(b.Cols[0].Floats, 1.5)
+	b.Cols[1].Ints = append(b.Cols[1].Ints, 9000)
+	if got := b.Materialize(0).Floats; len(got) != 1 || got[0] != 1.5 {
+		t.Fatalf("reused shell column 0 = %v", got)
+	}
+	if b.Len() != 1 {
+		t.Fatalf("reused shell Len = %d, want 1", b.Len())
+	}
+}
+
+// TestScratchGrowsWithRows: a fresh batch allocates no vector or
+// scratch storage up front, and buffers grow to the rows asked for
+// (doubling from a small floor) but never past one batch while the rows
+// fit in one.
+func TestScratchGrowsWithRows(t *testing.T) {
+	v := NewVec(types.Int64)
+	if cap(v.Ints) != 0 {
+		t.Fatalf("NewVec preallocated %d rows", cap(v.Ints))
+	}
+	var sc Scratch
+	if got := cap(sc.Sel(2)); got > minCap {
+		t.Fatalf("two-row selection got capacity %d, want <= %d", got, minCap)
+	}
+	for n := 1; n <= BatchSize; n = n*3 + 1 {
+		sc.Hash(n)
+		sc.Enc(2, n)
+	}
+	sc.Hash(BatchSize)
+	if got := cap(sc.Hash(BatchSize)); got != BatchSize {
+		t.Fatalf("hash scratch capacity %d after one batch, want %d", got, BatchSize)
+	}
+	for n := 1; n <= BatchSize; n = n*2 + 3 {
+		v.AppendGather(&Vec{Kind: types.Int64, Ints: make([]int64, n)}, make([]int32, n))
+		v.Reset()
+	}
+	v.AppendRange(&Vec{Kind: types.Int64, Ints: make([]int64, BatchSize)}, 0, BatchSize)
+	if got := cap(v.Ints); got != BatchSize {
+		t.Fatalf("vector capacity %d after one batch, want %d", got, BatchSize)
 	}
 }
