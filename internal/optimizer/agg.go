@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 
 	"hashstash/internal/costmodel"
 	"hashstash/internal/expr"
@@ -79,25 +80,46 @@ func specCellKind(s expr.AggSpec, argKind types.Kind) types.Kind {
 }
 
 // argKind resolves an aggregate argument's result kind against the
-// catalog (base-qualified arg).
-func (o *Optimizer) argKind(s expr.AggSpec) types.Kind {
+// catalog (the arg named as in q's aggregation table, see aggRequest).
+func (o *Optimizer) argKind(q *plan.Query, s expr.AggSpec) types.Kind {
 	if s.Arg == nil {
 		return types.Int64
 	}
 	kind := types.Float64
 	if col, ok := s.Arg.(*expr.Col); ok {
-		if k, err := o.Cat.Resolve(col.Ref.Table, col.Ref.Column); err == nil {
+		if k, err := o.aggColKind(q, col.Ref); err == nil {
 			kind = k
 		}
 	}
 	return kind
 }
 
-// aggRequest is what q's aggregation table must hold: the
-// base-qualified group-by columns and AVG-rewritten aggregates, plus
-// each original aggregate's cells (see AggChoice.SrcIdx).
+// aggColKind resolves a column named as in q's aggregation table
+// against the catalog.
+func (o *Optimizer) aggColKind(q *plan.Query, ref storage.ColRef) (types.Kind, error) {
+	if selfJoin(q) {
+		ref = baseQualifyRefs(q, []storage.ColRef{ref})[0]
+	}
+	return o.Cat.Resolve(ref.Table, ref.Column)
+}
+
+// selfJoin reports whether two of q's relations read one base table.
+func selfJoin(q *plan.Query) bool {
+	return q.RepeatsTable(1<<uint(len(q.Relations)) - 1)
+}
+
+// aggRequest is what q's aggregation table must hold: the group-by
+// columns and AVG-rewritten aggregates, plus each original aggregate's
+// cells (see AggChoice.SrcIdx). They are base-qualified, so that a
+// later query over any aliases can reuse the table, except in a
+// self-join: a base name cannot tell its instances apart, so the
+// query's own aliases name them. A self-join's aggregate is never
+// cached, so no other query reads those names.
 func aggRequest(q *plan.Query) (groupBase []storage.ColRef, specs []expr.AggSpec, srcIdx [][2]int) {
 	specs, srcIdx = expr.RewriteAvg(q.Aggs)
+	if selfJoin(q) {
+		return slices.Clone(q.GroupBy), specs, srcIdx
+	}
 	for i, s := range specs {
 		specs[i] = baseQualifySpec(q, s)
 	}
@@ -190,7 +212,7 @@ func (o *Optimizer) planAggregate(q *plan.Query) (*Planned, error) {
 
 	// A self-join's aggregate is never cached (its lineage cannot say
 	// which instance a column belongs to), so nothing can serve it.
-	if o.Opts.Strategy != NeverReuse && !q.RepeatsTable(fullMask) {
+	if o.Opts.Strategy != NeverReuse && !selfJoin(q) {
 		for _, cand := range o.candidates(probeLin, probeCols, true) {
 			opt, ok := o.aggReuseOption(q, cand, reqFilter, freshAgg, root)
 			if !ok {

@@ -537,14 +537,14 @@ func aggCellRef(s expr.AggSpec) storage.ColRef {
 func (c *compiler) aggLayout(agg *AggChoice) (hashtable.Layout, error) {
 	var cols []storage.ColMeta
 	for _, ref := range agg.GroupBase {
-		kind, err := c.o.Cat.Resolve(ref.Table, ref.Column)
+		kind, err := c.o.aggColKind(c.q, ref)
 		if err != nil {
 			return hashtable.Layout{}, err
 		}
 		cols = append(cols, storage.ColMeta{Ref: ref, Kind: kind})
 	}
 	for _, s := range agg.Specs {
-		cols = append(cols, storage.ColMeta{Ref: aggCellRef(s), Kind: specCellKind(s, c.o.argKind(s))})
+		cols = append(cols, storage.ColMeta{Ref: aggCellRef(s), Kind: specCellKind(s, c.o.argKind(c.q, s))})
 	}
 	return hashtable.Layout{Cols: cols, KeyCols: len(agg.GroupBase)}, nil
 }
@@ -558,7 +558,7 @@ func (c *compiler) attachAggInput(src exec.Source, tfs []exec.Transform, schema 
 	q := c.q
 	cells := make([]exec.AggCell, len(specs))
 	for i, s := range specs {
-		kind := specCellKind(s, c.o.argKind(s))
+		kind := specCellKind(s, c.o.argKind(q, s))
 		if s.Arg == nil {
 			cells[i] = exec.AggCell{Func: s.Func, InCol: -1, Kind: kind}
 			continue
@@ -676,7 +676,7 @@ func (c *compiler) compileFreshAgg(root *Node, agg *AggChoice) error {
 	}
 	// A self-join's lineage cannot say which instance its filter and
 	// group-by columns belong to: its table is not cached.
-	if c.register && !c.q.RepeatsTable(1<<uint(len(c.q.Relations))-1) {
+	if c.register && !selfJoin(c.q) {
 		c.out.created = append(c.out.created, c.o.Cache.Register(ht, c.aggLineage(agg, c.q.BaseQualify(c.q.Filter))))
 	}
 	return c.compileReadout(c.q, ht, agg, identitySpecIdx(len(agg.Specs)), nil, false)
@@ -759,7 +759,7 @@ func (c *compiler) compileReadout(q *plan.Query, ht *hashtable.Table, agg *AggCh
 			cells[i] = exec.AggCell{
 				Func:  mergeFunc(s.Func),
 				InCol: schema.MustIndexOf(aggCellRef(s)),
-				Kind:  specCellKind(s, c.o.argKind(s)),
+				Kind:  specCellKind(s, c.o.argKind(q, s)),
 			}
 		}
 		sink, err := exec.NewAggHT(merged, agg.GroupBase, cells, schema)
@@ -804,8 +804,11 @@ func (c *compiler) compileReadout(q *plan.Query, ht *hashtable.Table, agg *AggCh
 	var names []string
 	var renames []storage.ColRef
 	for _, sel := range q.Select {
-		base := baseQualifyRefs(q, []storage.ColRef{sel})[0]
-		i := schema.IndexOf(base)
+		named := sel // named as in the aggregation table (aggRequest)
+		if !selfJoin(q) {
+			named = baseQualifyRefs(q, []storage.ColRef{sel})[0]
+		}
+		i := schema.IndexOf(named)
 		if i < 0 {
 			return fmt.Errorf("optimizer: select column %v not in readout", sel)
 		}

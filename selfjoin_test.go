@@ -58,6 +58,36 @@ func (c selfJoinCase) want(t *testing.T, db *DB) map[string]int64 {
 	return out
 }
 
+// bothInstancesSQL groups a self-join by, and sums, the same columns of
+// both instances.
+const bothInstancesSQL = `SELECT a.l_returnflag, b.l_returnflag, COUNT(*) AS n,
+	SUM(a.l_quantity) AS qa, SUM(b.l_quantity) AS qb FROM lineitem a, lineitem b
+	WHERE a.l_orderkey = b.l_orderkey AND b.l_quantity < 10
+	GROUP BY a.l_returnflag, b.l_returnflag`
+
+// bothInstancesWant computes bothInstancesSQL's answer straight from
+// the table, one "flagA|flagB" key per group: count, then the two sums.
+func bothInstancesWant(db *DB) map[string][3]int64 {
+	tbl := db.router.Shard(0).Cat.Table("lineitem")
+	okeys := tbl.Column("l_orderkey").Ints
+	flags := tbl.Column("l_returnflag").Strs
+	qty := tbl.Column("l_quantity").Ints
+	byOrder := map[int64][]int{}
+	for j, k := range okeys {
+		if qty[j] < 10 {
+			byOrder[k] = append(byOrder[k], j)
+		}
+	}
+	out := map[string][3]int64{}
+	for i, k := range okeys {
+		for _, j := range byOrder[k] {
+			g := out[flags[i]+"|"+flags[j]]
+			out[flags[i]+"|"+flags[j]] = [3]int64{g[0] + 1, g[1] + qty[i], g[2] + qty[j]}
+		}
+	}
+	return out
+}
+
 // TestSelfJoinAnswers: a self-join answers whichever instance is built
 // or grouped by, under every strategy at one worker and at GOMAXPROCS.
 // Counts are checked against the table itself. The l_suppkey cases are
@@ -66,9 +96,10 @@ func (c selfJoinCase) want(t *testing.T, db *DB) map[string]int64 {
 // when b grouped. The filtered l_partkey cases run twice in a row, so
 // later ones meet cached builds of lineitem filtered for the other
 // instance: a build filtered for one alias must not serve the other
-// alias's differently filtered side. The scale factor is small because
-// join rows grow with its square: lineitem has ~3K rows, and its five
-// suppliers make the l_suppkey join ~2M rows.
+// alias's differently filtered side. bothInstancesSQL groups by, and
+// sums, the same columns of both instances. The scale factor is small
+// because join rows grow with its square: lineitem has ~3K rows, and
+// its five suppliers make the l_suppkey join ~2M rows.
 func TestSelfJoinAnswers(t *testing.T) {
 	cases := []selfJoinCase{
 		{on: "l_suppkey"},
@@ -106,6 +137,20 @@ func TestSelfJoinAnswers(t *testing.T) {
 						if fmt.Sprint(got) != fmt.Sprint(want) {
 							t.Fatalf("round %d case %d: got %v, want %v\n%s", round, i, got, want, c.sql())
 						}
+					}
+				}
+				want := bothInstancesWant(db)
+				for round := 0; round < 2; round++ {
+					res, err := db.Exec(bothInstancesSQL)
+					if err != nil {
+						t.Fatalf("both instances, round %d: %v", round, err)
+					}
+					got := map[string][3]int64{}
+					for _, row := range res.Rows {
+						got[row[0].S+"|"+row[1].S] = [3]int64{row[2].I, int64(row[3].F), int64(row[4].F)}
+					}
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("both instances, round %d: got %v, want %v", round, got, want)
 					}
 				}
 				if err := checkAtRest(db); err != nil {
