@@ -32,6 +32,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -73,6 +74,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "load:", err)
 		os.Exit(1)
 	}
+	// The generator's and the partitioner's transient copies are garbage
+	// now. Collect them before serving, so that the collector paces the
+	// serving heap from the loaded tables: otherwise its first goal is
+	// twice whatever the load's last cycle happened to find live, and
+	// the server's peak memory depends on when that cycle ran.
+	runtime.GC()
 	fmt.Printf("done in %v\n", time.Since(start).Round(time.Millisecond))
 
 	srv := server.New(db, server.Config{
