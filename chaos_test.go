@@ -21,13 +21,12 @@ import (
 
 // chaosSpec arms every registered fault point at once: graceful-
 // degradation points (publish, revive, spill) at high rates, hard-
-// failure points (dispatch, whole-table rewrite, admit) at low rates,
+// failure points (dispatch, admit) at low rates,
 // and a rare operator panic. Seeds are fixed so a failure replays under
 // the same hit schedule.
 const chaosSpec = "htcache.publish=err:p:0.2:42," +
 	"htcache.revive=err:p:0.3:43," +
 	"sched.dispatch=err:p:0.02:44," +
-	"shard.exchange=err:p:0.1:45," +
 	"server.admit=err:p:0.05:46," +
 	"spill.encode=err:p:0.3:47," +
 	"exec.morsel=panic:p:0.005:48"
@@ -117,150 +116,120 @@ func chaosEqual(got, want []string) bool {
 // classified errors, and (d) leak neither goroutines nor epoch
 // readers. Run under -race at GOMAXPROCS 1 and 4 in CI.
 func TestChaosStorm(t *testing.T) {
+	testutil.CheckGoroutines(t)
 	// Parallelism 4 forces a worker pool and morsel splits even on a
-	// 1-CPU CI box, and
-	// AlwaysReuse forces the partial/overlapping reuse paths whose
-	// widened publications htcache.publish guards. The sharded config
-	// declares TPC-H partition keys so the orders-lineitem join is not
-	// co-partitioned and runs on the whole tables.
-	common := []hashstash.Option{
+	// 1-CPU CI box, and AlwaysReuse forces the partial/overlapping reuse
+	// paths whose widened publications htcache.publish guards.
+	opts := []hashstash.Option{
 		hashstash.WithTuning(hashstash.Tuning{Parallelism: 4, CacheBudget: 96 << 10, ColdTierBudget: 1 << 20}),
 		hashstash.WithStrategy(hashstash.AlwaysReuse),
 	}
-	configs := []struct {
-		name string
-		opts []hashstash.Option
-	}{
-		{"single-shard", common},
-		{"sharded", append([]hashstash.Option{
-			hashstash.WithTuning(hashstash.Tuning{Shards: 2}),
-			hashstash.WithPartitionKey("customer", "c_custkey"),
-			hashstash.WithPartitionKey("orders", "o_custkey"),
-			hashstash.WithPartitionKey("lineitem", "l_orderkey"),
-		}, common...)},
+
+	// Control answers come from an unarmed twin — computed before arming
+	// so they cannot be poisoned.
+	control := hashstash.Open(opts...)
+	if err := control.LoadTPCH(0.002); err != nil {
+		t.Fatal(err)
 	}
-	for _, cfg := range configs {
-		t.Run(cfg.name, func(t *testing.T) {
-			testutil.CheckGoroutines(t)
+	want := make([][]string, len(chaosQueries))
+	for i, sql := range chaosQueries {
+		res, err := control.Exec(sql)
+		if err != nil {
+			t.Fatalf("control query %d: %v", i, err)
+		}
+		want[i] = chaosCanonical(res)
+	}
 
-			// Control answers come from an unarmed twin — computed
-			// before arming so they cannot be poisoned.
-			control := hashstash.Open(cfg.opts...)
-			if err := control.LoadTPCH(0.002); err != nil {
-				t.Fatal(err)
+	db := hashstash.Open(opts...)
+	if err := db.LoadTPCH(0.002); err != nil {
+		t.Fatal(err)
+	}
+	if err := faultinject.Arm(chaosSpec); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Disarm()
+
+	var ok, failed atomic.Int64
+	// run executes one query under faults and checks the outcome: a
+	// contained failure must be classified, a survivor must match the
+	// control answer.
+	run := func(db *hashstash.DB, qi int, where string) {
+		res, err := db.ExecContext(context.Background(), chaosQueries[qi])
+		if err != nil {
+			failed.Add(1)
+			if !errors.Is(err, hashstasherr.ErrInternal) &&
+				!hashstasherr.IsRetriable(err) &&
+				!errors.Is(err, hashstasherr.ErrCanceled) {
+				t.Errorf("unclassified chaos error: %v", err)
 			}
-			want := make([][]string, len(chaosQueries))
-			for i, sql := range chaosQueries {
-				res, err := control.Exec(sql)
-				if err != nil {
-					t.Fatalf("control query %d: %v", i, err)
+			return
+		}
+		ok.Add(1)
+		if !chaosEqual(chaosCanonical(res), want[qi]) {
+			t.Errorf("%s query %d: result diverged under faults", where, qi)
+		}
+	}
+
+	// Whether the storm's interleaving ever runs the wide cut against a
+	// cached narrow table is up to the scheduler, so seed the widening
+	// deterministically: the narrow→wide pair on one goroutine, from a
+	// cold cache, until a widened snapshot reaches htcache.publish (an
+	// attempt can lose a query to the other armed faults). Each attempt
+	// opens its own database: a panic blamed on the narrow table strikes
+	// its lineage, and a struck lineage never publishes again in that
+	// database.
+	for attempt := 0; attempt < 20 && faultinject.Fired("htcache.publish") == 0; attempt++ {
+		warm := hashstash.Open(opts...)
+		if err := warm.LoadTPCH(0.002); err != nil {
+			t.Fatal(err)
+		}
+		run(warm, 0, "warm-up")
+		run(warm, 1, "warm-up")
+	}
+
+	const goroutines, iters = 8, 24
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				if g == 0 && i%9 == 8 {
+					// Periodic cache wipes force rebuilds, demotions and
+					// revivals mid-storm.
+					db.ClearCache()
 				}
-				want[i] = chaosCanonical(res)
+				run(db, (g*iters+i)%len(chaosQueries), fmt.Sprintf("goroutine %d iter %d", g, i))
 			}
+		}(g)
+	}
+	wg.Wait()
 
-			db := hashstash.Open(cfg.opts...)
-			if err := db.LoadTPCH(0.002); err != nil {
-				t.Fatal(err)
-			}
-			if err := faultinject.Arm(chaosSpec); err != nil {
-				t.Fatal(err)
-			}
-			defer faultinject.Disarm()
+	if ok.Load() == 0 {
+		t.Fatal("no query survived the storm — fault rates drown the engine")
+	}
+	t.Logf("storm: %d ok, %d contained failures", ok.Load(), failed.Load())
 
-			var ok, failed atomic.Int64
-			// run executes one query under faults and checks the outcome:
-			// a contained failure must be classified, a survivor must match
-			// the control answer.
-			run := func(db *hashstash.DB, qi int, where string) {
-				res, err := db.ExecContext(context.Background(), chaosQueries[qi])
-				if err != nil {
-					failed.Add(1)
-					if !errors.Is(err, hashstasherr.ErrInternal) &&
-						!hashstasherr.IsRetriable(err) &&
-						!errors.Is(err, hashstasherr.ErrCanceled) {
-						t.Errorf("unclassified chaos error: %v", err)
-					}
-					return
-				}
-				ok.Add(1)
-				if !chaosEqual(chaosCanonical(res), want[qi]) {
-					t.Errorf("%s query %d: result diverged under faults", where, qi)
-				}
-			}
+	// The storm must actually have exercised the engine points.
+	for _, point := range []string{"exec.morsel", "sched.dispatch", "htcache.publish"} {
+		if faultinject.Fired(point) == 0 {
+			t.Errorf("fault point %s never hit during the storm", point)
+		}
+	}
 
-			// Whether the storm's interleaving ever runs the wide cut
-			// against a cached narrow table is up to the scheduler, so
-			// seed the widening deterministically: the narrow→wide pair on
-			// one goroutine, from a cold cache, until a widened snapshot
-			// reaches htcache.publish (an attempt can lose a query to the
-			// other armed faults). Each attempt opens its own database: a
-			// panic blamed on the narrow table strikes its lineage, and a
-			// struck lineage never publishes again in that database.
-			if cfg.name == "single-shard" {
-				for attempt := 0; attempt < 20 && faultinject.Fired("htcache.publish") == 0; attempt++ {
-					warm := hashstash.Open(cfg.opts...)
-					if err := warm.LoadTPCH(0.002); err != nil {
-						t.Fatal(err)
-					}
-					run(warm, 0, "warm-up")
-					run(warm, 1, "warm-up")
-				}
-			}
-
-			const goroutines, iters = 8, 24
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := 0; i < iters; i++ {
-						if g == 0 && i%9 == 8 {
-							// Periodic cache wipes force rebuilds, demotions
-							// and revivals mid-storm.
-							db.ClearCache()
-						}
-						run(db, (g*iters+i)%len(chaosQueries), fmt.Sprintf("goroutine %d iter %d", g, i))
-					}
-				}(g)
-			}
-			wg.Wait()
-
-			if ok.Load() == 0 {
-				t.Fatal("no query survived the storm — fault rates drown the engine")
-			}
-			t.Logf("storm: %d ok, %d contained failures", ok.Load(), failed.Load())
-
-			// The storm must actually have exercised the engine points.
-			// The sharded leg asserts shard.exchange, the whole-table
-			// rewrite every lineitem join takes, in place of
-			// htcache.publish.
-			required := []string{"exec.morsel", "sched.dispatch"}
-			if cfg.name == "sharded" {
-				required = append(required, "shard.exchange")
-			} else {
-				required = append(required, "htcache.publish")
-			}
-			for _, point := range required {
-				if faultinject.Fired(point) == 0 {
-					t.Errorf("fault point %s never hit during the storm", point)
-				}
-			}
-
-			// Full recovery after disarm: every query answers correctly
-			// and no epoch reader is pinned open by a contained failure.
-			faultinject.Disarm()
-			for i, sql := range chaosQueries {
-				res, err := db.Exec(sql)
-				if err != nil {
-					t.Fatalf("post-storm query %d: %v", i, err)
-				}
-				if !chaosEqual(chaosCanonical(res), want[i]) {
-					t.Errorf("post-storm query %d diverged", i)
-				}
-			}
-			if pinned := db.CacheStats().Pinned; pinned != 0 {
-				t.Errorf("%d pins leaked through the storm", pinned)
-			}
-		})
+	// Full recovery after disarm: every query answers correctly and no
+	// contained failure left a pin behind.
+	faultinject.Disarm()
+	for i, sql := range chaosQueries {
+		res, err := db.Exec(sql)
+		if err != nil {
+			t.Fatalf("post-storm query %d: %v", i, err)
+		}
+		if !chaosEqual(chaosCanonical(res), want[i]) {
+			t.Errorf("post-storm query %d diverged", i)
+		}
+	}
+	if pinned := db.CacheStats().Pinned; pinned != 0 {
+		t.Errorf("%d pins leaked through the storm", pinned)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"hashstash/internal/htcache"
 	"hashstash/internal/plan"
 	"hashstash/internal/storage"
-	"hashstash/internal/types"
 )
 
 // The join-closure differential harness. Seeded query sequences over
@@ -17,7 +16,7 @@ import (
 // filters on either side of a join edge — repeated keys, pins that only
 // the closure carries across an edge, and now and then pins that
 // contradict each other — and run under CostModel, AlwaysReuse and
-// NeverReuse at shards {1, 2} × Parallelism {1, 4}. The reference is the
+// NeverReuse at Parallelism {1, 4}. The reference is the
 // same engine with plan.CloseFilter replaced by the identity: answers
 // must be equal as row multisets (floats within 1e-9), and after every
 // step the caches hold their invariants with no entry left pinned.
@@ -105,133 +104,78 @@ func withoutClosure(f func()) {
 	f()
 }
 
-// hasCustkeyIndex reports whether some shard caches a secondary index
+// hasCustkeyIndex reports whether the cache holds a secondary index
 // over orders.o_custkey.
 func hasCustkeyIndex(db *DB) bool {
 	lin := htcache.IndexLineage(storage.ColRef{Table: "orders", Column: "o_custkey"})
-	for s := 0; s < db.Shards(); s++ {
-		if len(db.router.Shard(s).Cache.Candidates(lin, nil)) > 0 {
-			return true
-		}
-	}
-	return false
+	return len(db.cache.Candidates(lin, nil)) > 0
 }
 
 func TestJoinClosureDifferential(t *testing.T) {
-	var indexed, exactAggs, pins int
+	var indexed, exactAggs int
 	for _, seed := range []int64{1, 2} {
 		steps := closureSequence(rand.New(rand.NewSource(seed)), 70)
 		for _, strategy := range []Strategy{CostModel, AlwaysReuse, NeverReuse} {
-			for _, shards := range []int{1, 2} {
-				for _, par := range []int{1, 4} {
-					name := fmt.Sprintf("seed=%d/%v/shards=%d/par=%d", seed, strategy, shards, par)
-					opts := []Option{WithStrategy(strategy), WithTuning(Tuning{Parallelism: par, MorselRows: 256})}
-					db := openShardedTPCH(t, shards, opts...)
-					ref := openShardedTPCH(t, shards, opts...)
-					for i, st := range steps {
-						fail := func(format string, args ...any) {
-							t.Helper()
-							t.Fatalf("%s step %d (%s): %s\n%s", name, i, st.shape, fmt.Sprintf(format, args...), strings.Join(st.sqls, "\n"))
+			for _, par := range []int{1, 4} {
+				name := fmt.Sprintf("seed=%d/%v/par=%d", seed, strategy, par)
+				opts := []Option{WithStrategy(strategy), WithTuning(Tuning{Parallelism: par, MorselRows: 256})}
+				db := openTPCH(t, opts...)
+				ref := openTPCH(t, opts...)
+				for i, st := range steps {
+					fail := func(format string, args ...any) {
+						t.Helper()
+						t.Fatalf("%s step %d (%s): %s\n%s", name, i, st.shape, fmt.Sprintf(format, args...), strings.Join(st.sqls, "\n"))
+					}
+					got, _, err := runStep(db, st)
+					if err != nil {
+						fail("%v", err)
+					}
+					var want []*Result
+					withoutClosure(func() { want, _, err = runStep(ref, st) })
+					if err != nil {
+						fail("reference: %v", err)
+					}
+					for j := range got {
+						if err := sameAnswer(normalize(want[j]), normalize(got[j])); err != nil {
+							fail("query %d: %v", j, err)
 						}
-						counts := db.ShardQueryCounts()
-						got, _, err := runStep(db, st)
-						if err != nil {
+						for _, d := range got[j].Decisions {
+							if d.Operator == "agg" && d.Mode.String() == "exact" {
+								exactAggs++
+							}
+						}
+					}
+					for _, d := range []*DB{db, ref} {
+						if err := checkAtRest(d); err != nil {
 							fail("%v", err)
 						}
-						var want []*Result
-						refCounts := ref.ShardQueryCounts()
-						withoutClosure(func() { want, _, err = runStep(ref, st) })
-						if err != nil {
-							fail("reference: %v", err)
-						}
-						// A step counted on a shard past 0 was pinned there;
-						// the reference, counted on shard 0 alone, ran it
-						// whole (an unclosed pin that agrees on shard 0
-						// closes to the same pin or to an empty filter,
-						// which routes to shard 0 too).
-						if awayFromShard0(counts, db.ShardQueryCounts()) && !awayFromShard0(refCounts, ref.ShardQueryCounts()) {
-							pins++
-						}
-						for j := range got {
-							if err := sameAnswer(normalize(want[j]), normalize(got[j])); err != nil {
-								fail("query %d: %v", j, err)
-							}
-							for _, d := range got[j].Decisions {
-								if d.Operator == "agg" && d.Mode.String() == "exact" {
-									exactAggs++
-								}
-							}
-						}
-						for _, d := range []*DB{db, ref} {
-							if err := checkAtRest(d); err != nil {
-								fail("%v", err)
-							}
-						}
 					}
-					if hasCustkeyIndex(db) {
-						indexed++
-					}
+				}
+				if hasCustkeyIndex(db) {
+					indexed++
 				}
 			}
 		}
 	}
-	t.Logf("configurations with an o_custkey index: %d of 24; exact aggregate reuses: %d; steps pinned where the reference runs whole: %d", indexed, exactAggs, pins)
-	if indexed != 24 {
-		t.Errorf("%d of 24 configurations built an o_custkey index, want all", indexed)
+	t.Logf("configurations with an o_custkey index: %d of 12; exact aggregate reuses: %d", indexed, exactAggs)
+	if indexed != 12 {
+		t.Errorf("%d of 12 configurations built an o_custkey index, want all", indexed)
 	}
 	if exactAggs == 0 {
 		t.Error("no aggregate was ever reused exactly")
 	}
-	if pins == 0 {
-		t.Error("the closure never pinned a step to one shard where the reference runs whole")
-	}
-}
-
-// awayFromShard0 reports whether a shard other than 0 counted a query
-// between two snapshots of the per-shard query counters.
-func awayFromShard0(before, after []int64) bool {
-	for s := 1; s < len(after); s++ {
-		if after[s] != before[s] {
-			return true
-		}
-	}
-	return false
-}
-
-func sumCounts(counts []int64) int64 {
-	var n int64
-	for _, c := range counts {
-		n += c
-	}
-	return n
 }
 
 // TestShardedContradictoryPins: pins that disagree across the custkey
-// join close to an empty filter, which runs on one shard and answers no
-// rows, at every shard count.
+// join close to an empty filter, and the query answers no rows, cold
+// and warm.
 func TestShardedContradictoryPins(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
-		// Two keys on different shards at two and at four shards.
-		a, b := int64(5), int64(6)
-		for storage.ShardOf(types.NewInt(a), 2) == storage.ShardOf(types.NewInt(b), 2) ||
-			storage.ShardOf(types.NewInt(a), 4) == storage.ShardOf(types.NewInt(b), 4) {
-			b++
-		}
-		db := openShardedTPCH(t, shards)
-		sql := fmt.Sprintf(`SELECT c.c_age, SUM(o.o_totalprice) AS spend FROM customer c, orders o
-			WHERE c.c_custkey = o.o_custkey AND c.c_custkey = %d AND o.o_custkey = %d GROUP BY c.c_age`, a, b)
-		for run := 0; run < 2; run++ {
-			before := sumCounts(db.ShardQueryCounts())
-			res, err := db.Exec(sql)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ran := sumCounts(db.ShardQueryCounts()) - before; ran != 1 {
-				t.Errorf("shards=%d run %d: counted %d queries, want 1", shards, run, ran)
-			}
-			if len(res.Rows) != 0 {
-				t.Errorf("shards=%d run %d: %d rows, want none", shards, run, len(res.Rows))
-			}
+	db := openTPCH(t)
+	const sql = `SELECT c.c_age, SUM(o.o_totalprice) AS spend FROM customer c, orders o
+		WHERE c.c_custkey = o.o_custkey AND c.c_custkey = 5 AND o.o_custkey = 6 GROUP BY c.c_age`
+	for run := 0; run < 2; run++ {
+		if res := mustExec(t, db, sql); len(res.Rows) != 0 {
+			t.Errorf("run %d: %d rows, want none", run, len(res.Rows))
 		}
 	}
 }

@@ -9,8 +9,7 @@
 //	           WHERE c.c_custkey = o.o_custkey AND o.o_orderkey = l.l_orderkey
 //	             AND l.l_shipdate >= DATE '1995-03-15' GROUP BY c.c_age
 //
-// Meta commands: \cache (cache statistics), \shards (per-shard query
-// and cache breakdown under -shards N), \tables, \q.
+// Meta commands: \cache (cache statistics), \tables, \q.
 package main
 
 import (
@@ -32,23 +31,16 @@ func main() {
 		lru      = flag.Bool("lru", false, "use LRU eviction instead of benefit-per-byte (ablation)")
 		maxRow   = flag.Int("rows", 20, "maximum result rows to print")
 		parallel = flag.Int("parallel", 0, "execution worker-pool size (0 = all CPUs, 1 = serial)")
-		shards   = flag.Int("shards", 1, "shard count; >1 partitions customer/orders/lineitem on their keys")
 	)
 	flag.Parse()
 
-	// The partition keys take effect only when -shards > 1; one shard
-	// loads every table whole.
 	db := hashstash.Open(
 		hashstash.WithTuning(hashstash.Tuning{
 			CacheBudget:    *budget,
 			ColdTierBudget: *cold,
 			Parallelism:    *parallel,
-			Shards:         *shards,
 		}),
-		hashstash.WithAblations(hashstash.Ablations{LRUEviction: *lru}),
-		hashstash.WithPartitionKey("customer", "c_custkey"),
-		hashstash.WithPartitionKey("orders", "o_custkey"),
-		hashstash.WithPartitionKey("lineitem", "l_orderkey"))
+		hashstash.WithAblations(hashstash.Ablations{LRUEviction: *lru}))
 	fmt.Printf("loading TPC-H SF=%.3f... ", *sf)
 	start := time.Now()
 	if err := db.LoadTPCH(*sf); err != nil {
@@ -73,13 +65,6 @@ func main() {
 			return
 		case line == `\tables`:
 			fmt.Println(strings.Join(db.Tables(), ", "))
-			continue
-		case line == `\shards`:
-			counts := db.ShardQueryCounts()
-			for s, cs := range db.ShardCacheStats() {
-				fmt.Printf("shard %d: queries=%d cache entries=%d bytes=%d hits=%d\n",
-					s, counts[s], cs.Entries, cs.Bytes, cs.Hits)
-			}
 			continue
 		case line == `\cache`:
 			s := db.CacheStats()

@@ -17,7 +17,8 @@
 //	-mem-hard      hard memory watermark in bytes (0 = off): refuse
 //	               admission with 429 + Retry-After
 //	-drain         graceful-shutdown drain bound (default 10s)
-//	-sf, -cache, -parallel, -shards  engine knobs as in cmd/hashstash
+//	-sf, -cache, -parallel  engine knobs as in cmd/hashstash
+//	-shards        deprecated and ignored: the engine has no shards
 //
 // On SIGINT/SIGTERM the server drains gracefully: listeners close, new
 // admissions are refused with a retriable error, and in-flight queries
@@ -51,34 +52,30 @@ func main() {
 		sf         = flag.Float64("sf", 0.01, "TPC-H scale factor")
 		budget     = flag.Int64("cache", 0, "hash table cache budget in bytes (0 = unlimited)")
 		parallel   = flag.Int("parallel", 0, "execution worker-pool size (0 = all CPUs, 1 = serial)")
-		shards     = flag.Int("shards", 1, "shard count; >1 partitions customer/orders/lineitem on their keys")
 	)
+	// Deprecated: -shards is parsed and ignored. It stays only until the
+	// benchmark stops passing it.
+	flag.Int("shards", 1, "deprecated and ignored")
 	flag.Parse()
 
-	// The partition keys take effect only when -shards > 1; one shard
-	// loads every table whole.
 	db := hashstash.Open(
 		hashstash.WithTuning(hashstash.Tuning{
 			CacheBudget:     *budget,
 			Parallelism:     *parallel,
-			Shards:          *shards,
 			SoftMemoryLimit: *memSoft,
 			HardMemoryLimit: *memHard,
-		}),
-		hashstash.WithPartitionKey("customer", "c_custkey"),
-		hashstash.WithPartitionKey("orders", "o_custkey"),
-		hashstash.WithPartitionKey("lineitem", "l_orderkey"))
+		}))
 	fmt.Printf("loading TPC-H SF=%.3f... ", *sf)
 	start := time.Now()
 	if err := db.LoadTPCH(*sf); err != nil {
 		fmt.Fprintln(os.Stderr, "load:", err)
 		os.Exit(1)
 	}
-	// The generator's and the partitioner's transient copies are garbage
-	// now. Collect them before serving, so that the collector paces the
-	// serving heap from the loaded tables: otherwise its first goal is
-	// twice whatever the load's last cycle happened to find live, and
-	// the server's peak memory depends on when that cycle ran.
+	// The generator's transient copies are garbage now. Collect them
+	// before serving, so that the collector paces the serving heap from
+	// the loaded tables: otherwise its first goal is twice whatever the
+	// load's last cycle happened to find live, and the server's peak
+	// memory depends on when that cycle ran.
 	runtime.GC()
 	fmt.Printf("done in %v\n", time.Since(start).Round(time.Millisecond))
 

@@ -6,7 +6,6 @@ import (
 
 	"hashstash/hashstasherr"
 	"hashstash/internal/plan"
-	"hashstash/internal/shard"
 	"hashstash/internal/shared"
 	"hashstash/internal/sqlparser"
 )
@@ -20,14 +19,14 @@ type Query = plan.Query
 // BatchResult is the outcome of a batch execution: per-query results
 // in input order plus the merge configuration (which queries shared a
 // plan).
-type BatchResult = shard.BatchResult
+type BatchResult = shared.BatchResult
 
 // Parse compiles SQL into a Query, resolving and validating every
 // reference against the catalog. Failures are typed: parse failures
 // are *hashstasherr.ParseError, unresolvable references wrap
 // hashstasherr.ErrUnknownTable / ErrUnknownColumn.
 func (db *DB) Parse(sql string) (*Query, error) {
-	return sqlparser.Parse(sql, db.router.Catalog())
+	return sqlparser.Parse(sql, db.cat)
 }
 
 // ExecContext parses and runs one SQL query under a context:
@@ -61,9 +60,12 @@ func (db *DB) ExecParsed(ctx context.Context, q *Query) (*Result, error) {
 // ExecParsedColumnar is ExecParsed without the boxing: the answer is in
 // Result.Vecs only and Result.Rows is nil. The serving front-end runs
 // every query through it and encodes the columns straight to the wire.
+// The query's filter is closed over its join classes (plan.CloseFilter)
+// before it plans, so a pin on one side of a key join filters the other
+// side's scan too.
 func (db *DB) ExecParsedColumnar(ctx context.Context, q *Query) (*Result, error) {
 	return contained(ctx, func(ctx context.Context) (*Result, error) {
-		return db.router.RunContext(ctx, q)
+		return db.opt.RunContext(ctx, plan.CloseFilter(q))
 	})
 }
 
@@ -88,15 +90,13 @@ func (db *DB) ExecBatchContext(ctx context.Context, sqls []string) ([]*Result, e
 
 // ExecParsedBatch runs a batch of already-parsed queries through the
 // query-batch interface, returning per-query results plus the merge
-// configuration. Every engine and shard count takes the same route
-// (shard.Engine.RunBatchContext): each query's filter is closed and
-// routed as a solo query's is, queries routed to one shard merge into
-// shared plans where the cost model says sharing pays, and the rest
-// run as solo queries do. Each answer is boxed into Result.Rows, as
-// ExecParsed boxes it.
+// configuration (shared.Run): each query's filter is closed as a solo
+// query's is, queries merge into shared plans where the cost model says
+// sharing pays, and the rest run as solo queries do. Each answer is
+// boxed into Result.Rows, as ExecParsed boxes it.
 func (db *DB) ExecParsedBatch(ctx context.Context, queries []*Query) (*BatchResult, error) {
 	batch, err := contained(ctx, func(ctx context.Context) (*BatchResult, error) {
-		return db.router.RunBatchContext(ctx, queries)
+		return shared.Run(ctx, db.opt, queries)
 	})
 	if err != nil {
 		return nil, err
@@ -118,7 +118,7 @@ func BatchShape(q *Query) (shape string, ok bool) {
 // contained runs fn under ctx as the outermost panic boundary on the
 // query path: the engines' own recover sites (scheduler hooks, serial
 // exec, optimizer prepare/finish) unwind their cache state precisely,
-// so anything reaching here is merge/route bookkeeping — converted to a
+// so anything reaching here is batch or closure bookkeeping — converted to a
 // typed InternalError so one query's failure never unwinds the caller.
 func contained[T any](ctx context.Context, fn func(context.Context) (*T, error)) (res *T, err error) {
 	defer func() {

@@ -187,18 +187,6 @@ func testExecParsedBatchGroups(t *testing.T, strategy Strategy) {
 	}
 }
 
-// TestBatchCountsShardQueries: every member of a batch counts as one
-// query on its shard, whether it ran inside a shared plan or solo.
-func TestBatchCountsShardQueries(t *testing.T) {
-	db := openTPCH(t)
-	if _, err := db.ExecBatch([]string{q3SQL, q3SQL, q3SQL + " ORDER BY c.c_age"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.ShardQueryCounts(); !reflect.DeepEqual(got, []int64{3}) {
-		t.Fatalf("ShardQueryCounts = %v after a three-query batch, want [3]", got)
-	}
-}
-
 // TestSharedPlansHonourStrategy: the strategies that never reuse a hash
 // table in place build every shared table fresh, so a second run of a
 // batch re-tags nothing its first run cached.
@@ -337,22 +325,20 @@ func TestOptionComposition(t *testing.T) {
 		{"partial literals compose",
 			[]Option{
 				WithTuning(Tuning{CacheBudget: 1 << 20}),
-				WithTuning(Tuning{Shards: 2, MorselRows: 512}),
+				WithTuning(Tuning{MorselRows: 512}),
 				WithAblations(Ablations{NoPartialReuse: true}),
 				WithAblations(Ablations{NoSecondaryIndexes: true}),
 			},
 			config{
-				tuning:    Tuning{CacheBudget: 1 << 20, Shards: 2, MorselRows: 512},
+				tuning:    Tuning{CacheBudget: 1 << 20, MorselRows: 512},
 				ablations: Ablations{NoPartialReuse: true, NoSecondaryIndexes: true},
 			}},
 		{"later wins",
 			[]Option{
 				WithTuning(Tuning{CacheBudget: 1 << 20, Parallelism: 4}),
 				WithStrategy(AlwaysReuse),
-				WithPartitionKey("orders", "o_orderkey"),
 				WithTuning(Tuning{CacheBudget: 2 << 20}),
 				WithStrategy(NeverReuse),
-				WithPartitionKey("orders", "o_custkey"),
 				WithAblations(Ablations{Faults: "a"}),
 				WithAblations(Ablations{Faults: "b"}),
 			},
@@ -360,7 +346,6 @@ func TestOptionComposition(t *testing.T) {
 				tuning:    Tuning{CacheBudget: 2 << 20, Parallelism: 4},
 				ablations: Ablations{Faults: "b"},
 				strategy:  NeverReuse,
-				partKeys:  [][2]string{{"orders", "o_orderkey"}, {"orders", "o_custkey"}},
 			}},
 		{"zero fields leave earlier values",
 			[]Option{
@@ -385,14 +370,9 @@ func TestOptionComposition(t *testing.T) {
 		}
 	}
 
-	// The engine sees what the config says: the last partition key for a
-	// table is the one in force, and an unset Parallelism means all CPUs.
-	db := Open(WithTuning(Tuning{Shards: 2}),
-		WithPartitionKey("customer", "c_nationkey"), WithPartitionKey("customer", "c_custkey"))
-	if key, _ := db.router.PartitionKey("customer"); key != "c_custkey" {
-		t.Errorf("partition key in force = %q, want the later declaration", key)
-	}
-	if got, want := Open().router.Shard(0).Opt.Opts.Workers, runtime.GOMAXPROCS(0); got != want {
+	// The engine sees what the config says: an unset Parallelism means
+	// all CPUs.
+	if got, want := Open().opt.Opts.Workers, runtime.GOMAXPROCS(0); got != want {
 		t.Errorf("default workers = %d, want GOMAXPROCS %d", got, want)
 	}
 }

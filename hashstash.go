@@ -52,6 +52,8 @@ import (
 	"os"
 	"runtime"
 
+	"hashstash/hashstasherr"
+	"hashstash/internal/btree"
 	"hashstash/internal/catalog"
 	"hashstash/internal/costmodel"
 	"hashstash/internal/exec"
@@ -59,7 +61,6 @@ import (
 	"hashstash/internal/htcache"
 	"hashstash/internal/memgov"
 	"hashstash/internal/optimizer"
-	"hashstash/internal/shard"
 	"hashstash/internal/storage"
 	"hashstash/internal/tpch"
 	"hashstash/internal/types"
@@ -83,7 +84,7 @@ type CacheStats = htcache.Stats
 type Strategy = optimizer.Strategy
 
 // Reuse strategies: the paper's system and its two baselines are each
-// one strategy, and every strategy runs on any shard count.
+// one strategy of the one optimizer.
 const (
 	// CostModel is the HashStash default: reuse when the reuse-aware
 	// cost model says it is cheaper.
@@ -110,14 +111,14 @@ const EngineMaterialized = Materialized
 
 // DB is a HashStash database instance. Exec and ExecBatch are safe for
 // concurrent use; schema changes — LoadTPCH, CreateTable, InsertRows,
-// BuildIndex — must not run concurrently with queries. Every strategy
-// and shard count runs solo queries and batches through one router, so
-// a batch merges the queries it routes to one shard into shared plans.
+// BuildIndex — must not run concurrently with queries. Every table is
+// stored once in one catalog, every hash table and index is cached in
+// one cache under the whole budget, and one optimizer plans solo queries
+// and batches alike over the whole worker pool.
 type DB struct {
-	// router is the engine: every data and query path, solo or batched,
-	// goes through it. It holds one shard unless Tuning.Shards > 1, and
-	// a router of one routes every query straight to its only optimizer.
-	router *shard.Engine
+	cat   *catalog.Catalog
+	cache *htcache.Cache
+	opt   *optimizer.Optimizer
 	// gov is the memory-pressure governor (nil unless Tuning sets a
 	// watermark). The serving front-end refreshes it at admission.
 	gov *memgov.Governor
@@ -133,7 +134,6 @@ func Open(opts ...Option) *DB {
 	if t.Parallelism == 0 {
 		t.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	model := costmodel.NewModel(cfg.calibration)
 	// Deterministic fault injection for resilience testing; a bad spec
 	// is a programming error in the test harness.
 	spec := a.Faults
@@ -150,54 +150,26 @@ func Open(opts ...Option) *DB {
 		gov = memgov.New(t.SoftMemoryLimit, t.HardMemoryLimit)
 	}
 
-	n := max(1, t.Shards)
-	// Every shard gets an equal share of the worker pool and of the
-	// byte budgets (0 stays "unlimited").
-	split := func(b int64) int64 {
-		if b <= 0 {
-			return b
-		}
-		return max(1, b/int64(n))
+	cat := catalog.New()
+	cache := htcache.New(t.CacheBudget)
+	if a.LRUEviction {
+		cache.SetPolicy(htcache.PolicyLRU)
 	}
-	par := exec.Parallelism{Workers: t.Parallelism, MorselRows: t.MorselRows}
-	shardPar := par
-	shardPar.Workers = max(1, t.Parallelism/n)
-	shards := make([]*shard.Shard, n)
-	for s := range shards {
-		cat := catalog.New()
-		cache := htcache.New(split(t.CacheBudget))
-		if a.LRUEviction {
-			cache.SetPolicy(htcache.PolicyLRU)
-		}
-		if t.ColdTierBudget > 0 {
-			cache.SetColdBudget(split(t.ColdTierBudget))
-		}
-		gov.AddSource(cache)
-		opt := optimizer.New(cat, cache, model, optimizer.Options{
-			Strategy:               cfg.strategy,
-			NoBenefitOptimizations: a.NoBenefitOptimizations,
-			NoPartialReuse:         a.NoPartialReuse,
-			NoOverlappingReuse:     a.NoOverlappingReuse,
-			NoSecondaryIndexes:     a.NoSecondaryIndexes,
-			Parallelism:            shardPar,
-			IndexBuildBudget:       split(t.IndexBuildBudget),
-			MemGov:                 gov,
-		})
-		shards[s] = &shard.Shard{ID: s, Cat: cat, Cache: cache, Opt: opt}
+	if t.ColdTierBudget > 0 {
+		cache.SetColdBudget(t.ColdTierBudget)
 	}
-	router := shard.New(shards, par)
-	if n > 1 {
-		// A one-shard database declares no keys, so its loads register
-		// the caller's table as is instead of copying it into a fragment.
-		for _, kv := range cfg.partKeys {
-			router.DeclarePartitionKey(kv[0], kv[1])
-		}
-	}
-
-	return &DB{
-		router: router,
-		gov:    gov,
-	}
+	gov.AddSource(cache)
+	opt := optimizer.New(cat, cache, costmodel.NewModel(cfg.calibration), optimizer.Options{
+		Strategy:               cfg.strategy,
+		NoBenefitOptimizations: a.NoBenefitOptimizations,
+		NoPartialReuse:         a.NoPartialReuse,
+		NoOverlappingReuse:     a.NoOverlappingReuse,
+		NoSecondaryIndexes:     a.NoSecondaryIndexes,
+		Parallelism:            exec.Parallelism{Workers: t.Parallelism, MorselRows: t.MorselRows},
+		IndexBuildBudget:       t.IndexBuildBudget,
+		MemGov:                 gov,
+	})
+	return &DB{cat: cat, cache: cache, opt: opt, gov: gov}
 }
 
 // MemoryGovernor returns the memory-pressure governor, or nil when no
@@ -206,30 +178,12 @@ func Open(opts ...Option) *DB {
 // methods are nil-receiver-safe.
 func (db *DB) MemoryGovernor() *memgov.Governor { return db.gov }
 
-// Shards reports the number of shards (1 unless Tuning.Shards > 1).
-func (db *DB) Shards() int { return db.router.Shards() }
-
-// PartitionTable hash-partitions (or re-keys) an already-loaded table
-// by column across the shards, invalidating cached artifacts over it.
-// Requires Tuning.Shards > 1.
-func (db *DB) PartitionTable(table, column string) error {
-	if db.Shards() == 1 {
-		return fmt.Errorf("hashstash: PartitionTable requires Tuning.Shards > 1")
-	}
-	return db.router.Repartition(table, column)
-}
-
-// ShardCacheStats reports each shard's cache statistics.
-func (db *DB) ShardCacheStats() []CacheStats {
-	_, per := db.router.Stats()
-	return per
-}
-
-// ShardQueryCounts reports how many queries each shard has executed —
-// single-partition routing is observable here: a partition-key point
-// query increments exactly one shard's counter, and any other query
-// runs on the whole tables and increments shard 0's.
-func (db *DB) ShardQueryCounts() []int64 { return db.router.QueryCounts() }
+// ShardQueryCounts returns nil: the engine has no shards, and a nil
+// count reads as one engine that ran every query.
+//
+// Deprecated: it counts nothing and stays only until the benchmark
+// stops calling it.
+func (db *DB) ShardQueryCounts() []int64 { return nil }
 
 // LoadTPCH generates and registers a TPC-H-style database at the given
 // scale factor (1.0 = the full TPC-H size; benchmarks typically use
@@ -240,16 +194,14 @@ func (db *DB) LoadTPCH(sf float64) error {
 		return err
 	}
 	for _, t := range data.Tables() {
-		if err := db.router.LoadTable(t); err != nil {
-			return err
-		}
+		db.cat.Register(t)
 	}
 	return nil
 }
 
 // CreateTable registers a new empty table with the given columns.
 func (db *DB) CreateTable(name string, cols map[string]Kind, order []string) error {
-	if db.router.Catalog().Table(name) != nil {
+	if db.cat.Table(name) != nil {
 		return fmt.Errorf("hashstash: table %q exists", name)
 	}
 	t := storage.NewTable(name)
@@ -260,28 +212,70 @@ func (db *DB) CreateTable(name string, cols map[string]Kind, order []string) err
 		}
 		t.AddColumn(storage.NewColumn(cn, kind))
 	}
-	return db.router.LoadTable(t)
+	db.cat.Register(t)
+	return nil
 }
 
-// InsertRows appends rows (values in column order). Rows of a
-// partitioned table route to their hash shards; only the shards that
-// received rows drop their cached artifacts — hash tables and
-// secondary indexes alike — over the table. Statistics need no
-// refresh: a column recounts on its next read once its length moves.
+// table returns the named base table or an error wrapping
+// hashstasherr.ErrUnknownTable.
+func (db *DB) table(name string) (*storage.Table, error) {
+	if t := db.cat.Table(name); t != nil {
+		return t, nil
+	}
+	return nil, fmt.Errorf("hashstash: %w %q", hashstasherr.ErrUnknownTable, name)
+}
+
+// InsertRows appends rows (values in column order) and drops the cached
+// artifacts — hash tables and secondary indexes alike — over the table.
+// Every row is checked before any is appended: a row of the wrong arity
+// or a value of the wrong kind fails the whole call and leaves the
+// table as it was. Statistics need no refresh: a column recounts on its
+// next read once its length moves.
 func (db *DB) InsertRows(table string, rows [][]Value) error {
-	return db.router.InsertRows(table, rows)
+	t, err := db.table(table)
+	if err != nil {
+		return err
+	}
+	for i, row := range rows {
+		if err := t.CheckRow(row); err != nil {
+			return fmt.Errorf("hashstash: insert into %q, row %d: %w", table, i, err)
+		}
+	}
+	for _, row := range rows {
+		t.AppendRow(row...)
+	}
+	db.cache.InvalidateTable(table)
+	return nil
 }
 
 // BuildIndex builds a btree index on a column now instead of waiting
 // for the optimizer's ski-rental gate to build it. The tree is an
 // ordinary cache entry: the cost model decides per query whether to use
 // it, the cache may evict it, and InsertRows into the table drops it.
+// A column that already has a cached index keeps it.
 func (db *DB) BuildIndex(table, column string) error {
-	return db.router.BuildIndex(table, column)
+	t, err := db.table(table)
+	if err != nil {
+		return err
+	}
+	col := t.Column(column)
+	if col == nil {
+		return fmt.Errorf("hashstash: table %q has no column %q", table, column)
+	}
+	ref := storage.ColRef{Table: table, Column: column}
+	if len(db.cache.Candidates(htcache.IndexLineage(ref), nil)) > 0 {
+		return nil
+	}
+	tree, err := btree.Build(col)
+	if err != nil {
+		return err
+	}
+	db.cache.Release(db.cache.RegisterIndex(tree, ref))
+	return nil
 }
 
 // Tables lists the registered base tables.
-func (db *DB) Tables() []string { return db.router.Tables() }
+func (db *DB) Tables() []string { return db.cat.TableNames() }
 
 // Exec parses and runs one SQL query through the configured engine
 // (query-at-a-time interface). It is ExecContext under
@@ -299,17 +293,12 @@ func (db *DB) ExecBatch(sqls []string) ([]*Result, error) {
 	return db.ExecBatchContext(context.Background(), sqls)
 }
 
-// CacheStats reports hash-table cache statistics summed over the
-// shards.
-func (db *DB) CacheStats() CacheStats {
-	total, _ := db.router.Stats()
-	return total
-}
+// CacheStats reports hash-table cache statistics.
+func (db *DB) CacheStats() CacheStats { return db.cache.Stats() }
 
 // ClearCache evicts every unpinned cached hash table.
-func (db *DB) ClearCache() { db.router.Clear() }
+func (db *DB) ClearCache() { db.cache.Clear() }
 
 // SetCacheBudget adjusts the garbage collector's memory budget at
-// runtime and triggers collection immediately (split evenly across the
-// shard caches).
-func (db *DB) SetCacheBudget(bytes int64) { db.router.SetBudget(bytes) }
+// runtime and triggers collection immediately.
+func (db *DB) SetCacheBudget(bytes int64) { db.cache.SetBudget(bytes) }

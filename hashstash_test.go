@@ -169,9 +169,8 @@ func TestEnginesAgree(t *testing.T) {
 }
 
 // TestMaterializedBaselineTracksTheCache: the baseline caches in the
-// shard cache like every strategy, so an insert drops its stale
-// aggregate, ClearCache empties it and each query advances the one
-// shard's query counter.
+// engine's one cache like every strategy, so an insert drops its stale
+// aggregate and ClearCache empties it.
 func TestMaterializedBaselineTracksTheCache(t *testing.T) {
 	rows := make([][]Value, 20)
 	for i := range rows {
@@ -217,13 +216,6 @@ func TestMaterializedBaselineTracksTheCache(t *testing.T) {
 	mat.ClearCache()
 	if n := mat.CacheStats().Entries; n != 0 {
 		t.Fatalf("ClearCache left %d entries", n)
-	}
-	before := mat.ShardQueryCounts()
-	if _, err := mat.Exec(sql); err != nil {
-		t.Fatal(err)
-	}
-	if after := mat.ShardQueryCounts(); len(after) != 1 || after[0] != before[0]+1 {
-		t.Fatalf("shard query counts %v → %v, want one more on the one shard", before, after)
 	}
 }
 
@@ -390,8 +382,7 @@ func TestAblationOptions(t *testing.T) {
 
 // TestRepeatedSelectColumn: a column selected twice — bare, under two
 // aliases, or next to an aggregate — answers with both cells equal and
-// as many rows as selecting it once, on one shard and on the whole
-// tables of two.
+// as many rows as selecting it once.
 func TestRepeatedSelectColumn(t *testing.T) {
 	cases := []struct{ sql, once string }{
 		{"SELECT c.c_age, c.c_age FROM customer c LIMIT 2", ""},
@@ -399,29 +390,27 @@ func TestRepeatedSelectColumn(t *testing.T) {
 		{"SELECT c.c_age, c.c_age, COUNT(*) AS n FROM customer c GROUP BY c.c_age",
 			"SELECT c.c_age, COUNT(*) AS n FROM customer c GROUP BY c.c_age"},
 	}
-	for _, shards := range []int{1, 2} {
-		db := openShardedTPCH(t, shards)
-		for _, tc := range cases {
-			res, err := db.Exec(tc.sql)
+	db := openTPCH(t)
+	for _, tc := range cases {
+		res, err := db.Exec(tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		want := 2
+		if tc.once != "" {
+			once, err := db.Exec(tc.once)
 			if err != nil {
-				t.Fatalf("shards=%d %s: %v", shards, tc.sql, err)
+				t.Fatalf("%s: %v", tc.once, err)
 			}
-			want := 2
-			if tc.once != "" {
-				once, err := db.Exec(tc.once)
-				if err != nil {
-					t.Fatalf("shards=%d %s: %v", shards, tc.once, err)
-				}
-				want = len(once.Rows)
-			}
-			if len(res.Rows) != want {
-				t.Errorf("shards=%d %s: %d rows, want %d", shards, tc.sql, len(res.Rows), want)
-			}
-			for _, row := range res.Rows {
-				if len(row) != len(res.Columns) || row[0] != row[1] {
-					t.Errorf("shards=%d %s: row %v for columns %v", shards, tc.sql, row, res.Columns)
-					break
-				}
+			want = len(once.Rows)
+		}
+		if len(res.Rows) != want {
+			t.Errorf("%s: %d rows, want %d", tc.sql, len(res.Rows), want)
+		}
+		for _, row := range res.Rows {
+			if len(row) != len(res.Columns) || row[0] != row[1] {
+				t.Errorf("%s: row %v for columns %v", tc.sql, row, res.Columns)
+				break
 			}
 		}
 	}

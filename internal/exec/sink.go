@@ -369,7 +369,7 @@ type Order struct {
 // surviving rows and gathers them into new columns; without it a LIMIT
 // keeps the first rows. It never writes cols, but its result may share
 // their storage. This is the one ORDER BY / LIMIT implementation: the
-// collector and the shard gather both apply it.
+// collector applies it.
 func (o Order) Apply(cols []storage.Vec) []storage.Vec {
 	if len(cols) == 0 {
 		return cols

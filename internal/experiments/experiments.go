@@ -13,11 +13,10 @@ import (
 
 	"hashstash/internal/catalog"
 	"hashstash/internal/costmodel"
-	"hashstash/internal/exec"
 	"hashstash/internal/htcache"
 	"hashstash/internal/optimizer"
 	"hashstash/internal/plan"
-	"hashstash/internal/shard"
+	"hashstash/internal/shared"
 	"hashstash/internal/tpch"
 	"hashstash/internal/workload"
 )
@@ -205,7 +204,6 @@ func Exp4(env *Env, queriesTotal int) (*Exp4Result, error) {
 		noReuse := env.newOptimizer(optimizer.NeverReuse, 0)
 		reuse := env.newOptimizer(optimizer.CostModel, 0)
 		sharedOpt := env.newOptimizer(optimizer.CostModel, 0)
-		batcher := shard.New([]*shard.Shard{{Cat: env.Cat, Cache: sharedOpt.Cache, Opt: sharedOpt}}, exec.Parallelism{})
 
 		for bi := 0; bi < nBatches; bi++ {
 			batch := steps[bi*size : (bi+1)*size]
@@ -231,7 +229,7 @@ func Exp4(env *Env, queriesTotal int) (*Exp4Result, error) {
 			tReuse += time.Since(t0)
 
 			t0 = time.Now()
-			res, err := batcher.RunBatchContext(context.Background(), queries)
+			res, err := shared.Run(context.Background(), sharedOpt, queries)
 			if err != nil {
 				return nil, err
 			}

@@ -3,8 +3,7 @@
 //
 // A fault point is a call to Inject (returns an error to propagate) at
 // a place where real failures are possible: cache publication, cold
-// revival, scheduler dispatch, a sharded query's run on the whole
-// tables, admission, spilling.
+// revival, scheduler dispatch, admission, spilling.
 // Points are zero-cost no-ops while disarmed — one relaxed atomic load
 // and a predictable branch, no allocation.
 //
@@ -52,9 +51,6 @@ const (
 	// ExecMorsel fires at the head of every morsel/pipeline stream —
 	// the highest-frequency point, used to simulate operator panics.
 	ExecMorsel = "exec.morsel"
-	// ShardExchange fires as the router retargets a query it pins to no
-	// shard at the whole tables, before it plans on shard 0.
-	ShardExchange = "shard.exchange"
 	// ServerAdmit fires in server admission, before the statement is
 	// parsed.
 	ServerAdmit = "server.admit"
@@ -67,7 +63,7 @@ const (
 func Catalog() []string {
 	return []string{
 		HTCachePublish, HTCacheRevive, SchedDispatch, ExecMorsel,
-		ShardExchange, ServerAdmit, SpillEncode,
+		ServerAdmit, SpillEncode,
 	}
 }
 

@@ -985,45 +985,3 @@ func (c *Cache) Stats() Stats {
 	}
 	return s
 }
-
-// Add folds another cache's statistics into this snapshot field by
-// field — the sharded engine's aggregate view over its per-shard
-// caches. Every counter and gauge sums; HitRatio is recomputed from the
-// summed hits and registrations rather than averaged.
-func (s Stats) Add(o Stats) Stats {
-	s.Entries += o.Entries
-	s.Bytes += o.Bytes
-	s.Hits += o.Hits
-	s.Evictions += o.Evictions
-	s.Registered += o.Registered
-	s.EvictedBytes += o.EvictedBytes
-	s.WidenPublished += o.WidenPublished
-	s.WidenLost += o.WidenLost
-	s.Probes += o.Probes
-	s.ProbeChainNodes += o.ProbeChainNodes
-	s.Quarantines += o.Quarantines
-	s.QuarantinedLineages += o.QuarantinedLineages
-	s.PressureEvictions += o.PressureEvictions
-	s.Pinned += o.Pinned
-	s.Index.Builds += o.Index.Builds
-	s.Index.RangeProbes += o.Index.RangeProbes
-	s.Index.RowsGathered += o.Index.RowsGathered
-	s.Index.Invalidations += o.Index.Invalidations
-	s.Tiering.Demotions += o.Tiering.Demotions
-	s.Tiering.Spills += o.Tiering.Spills
-	s.Tiering.Revivals += o.Tiering.Revivals
-	s.Tiering.ColdEntries += o.Tiering.ColdEntries
-	s.Tiering.ColdBytes += o.Tiering.ColdBytes
-	s.Tiering.BloomProbes += o.Tiering.BloomProbes
-	s.Tiering.BloomNegatives += o.Tiering.BloomNegatives
-	s.Tiering.BloomFalsePositives += o.Tiering.BloomFalsePositives
-	s.Tiering.BenefitEvictions += o.Tiering.BenefitEvictions
-	s.Tiering.LRUEvictions += o.Tiering.LRUEvictions
-	s.Tiering.ColdEvictions += o.Tiering.ColdEvictions
-	s.Tiering.SavedNS += o.Tiering.SavedNS
-	s.HitRatio = 0
-	if s.Registered > 0 {
-		s.HitRatio = float64(s.Hits) / float64(s.Registered)
-	}
-	return s
-}

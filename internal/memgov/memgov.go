@@ -45,7 +45,7 @@ func (l Level) String() string {
 	}
 }
 
-// Source is one accounted memory consumer (each shard's htcache).
+// Source is one accounted memory consumer (the engine's htcache).
 // FootprintBytes must be O(1); Shed releases up to the given bytes and
 // returns what it actually freed.
 type Source interface {

@@ -15,7 +15,7 @@ import (
 
 // Result is a fully executed query. Its answer is columnar: Vecs holds
 // one typed vector per name in Columns, rows in final order, exactly as
-// the result collector (exec.Collect) or the shard gather left them.
+// the result collector (exec.Collect) left them.
 // Rows is the same answer boxed row by row, filled only by Box: the
 // library entry points (hashstash.DB.ExecParsed and ExecParsedBatch)
 // box at their boundary, while the serving front-end encodes straight
@@ -97,10 +97,10 @@ func (o *Optimizer) run(ctx context.Context, q *plan.Query, members []*plan.Quer
 	if err != nil {
 		return nil, 0, err
 	}
-	par := p.Parallelism()
+	par := o.Opts.Parallelism
 	par.Ctx = ctx
 	t1 := time.Now()
-	runErr := exec.RunParallel(p.Pipelines(), par)
+	runErr := exec.RunParallel(p.compiled.Pipelines, par)
 	execTime := time.Since(t1)
 	return p, execTime, p.finishSafe(runErr)
 }
@@ -123,11 +123,7 @@ func (p *Prepared) finishSafe(runErr error) (err error) {
 }
 
 // Prepared is a planned and compiled query whose pipelines have not run
-// yet. The sharded engine uses the split form for a query it runs on
-// the whole tables: it Prepares the query on shard 0, runs its
-// pipelines under the engine's worker pool, then Finishes it to publish
-// snapshots and collect the result. The prepared query holds its pins
-// on its optimizer's cache until Finish.
+// yet. It holds its pins on its optimizer's cache until it finishes.
 type Prepared struct {
 	o        *Optimizer
 	planned  *Planned
@@ -136,18 +132,13 @@ type Prepared struct {
 	done     bool
 }
 
-// Prepare plans and compiles a query, pinning the cached entries it
-// reuses and registering the tables it builds. Every Prepare must be
-// paired with exactly one Finish. A panic while planning or compiling
-// comes back as an internal error with the compiler's pins and
-// registrations already unwound.
-func (o *Optimizer) Prepare(q *plan.Query) (*Prepared, error) {
-	return o.prepare(q, nil, 0)
-}
-
-// prepare is Prepare; with members (q the first) it prepares one shared
-// plan for them, its spine q's best join tree with every build fresh
-// and cost its estimate.
+// prepare plans and compiles a query, pinning the cached entries it
+// reuses and registering the tables it builds; every prepare must be
+// paired with exactly one finish. With members (q the first) it
+// prepares one shared plan for them, its spine q's best join tree with
+// every build fresh and cost its estimate. A panic while planning or
+// compiling comes back as an internal error with the compiler's pins
+// and registrations already unwound.
 func (o *Optimizer) prepare(q *plan.Query, members []*plan.Query, cost float64) (p *Prepared, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -173,30 +164,11 @@ func (o *Optimizer) prepare(q *plan.Query, members []*plan.Query, cost float64) 
 	return &Prepared{o: o, planned: planned, compiled: compiled, planTime: time.Since(t0)}, nil
 }
 
-// Pipelines exposes the compiled pipelines for an external runner.
-func (p *Prepared) Pipelines() []*exec.Pipeline { return p.compiled.Pipelines }
-
-// Parallelism is the execution configuration the optimizer would run
-// the pipelines under.
-func (p *Prepared) Parallelism() exec.Parallelism { return p.o.Opts.Parallelism }
-
-// Finish completes a prepared query after its pipelines ran (runErr is
-// the runner's verdict): on success it publishes widened snapshots,
-// releases pins and assembles the Result; on failure it unwinds the
-// compiled state. A panic while publishing comes back as an internal
-// error with the state unwound.
-func (p *Prepared) Finish(runErr error, execTime time.Duration) (*Result, error) {
-	if err := p.finishSafe(runErr); err != nil {
-		return nil, err
-	}
-	return p.result(0, execTime), nil
-}
-
 // finish publishes and releases (or, on runErr, unwinds) the plan's
 // cache state.
 func (p *Prepared) finish(runErr error) error {
 	if p.done {
-		return fmt.Errorf("optimizer: Finish on completed query")
+		return fmt.Errorf("optimizer: finish on completed query")
 	}
 	p.done = true
 

@@ -576,10 +576,10 @@ func TestWideningQueryAcrossDemotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &Prepared{o: env.opt, planned: planned, compiled: compiled}
-	got, err := p.Finish(exec.RunParallel(p.Pipelines(), p.Parallelism()), 0)
-	if err != nil {
+	if err := p.finishSafe(exec.RunParallel(compiled.Pipelines, env.opt.Opts.Parallelism)); err != nil {
 		t.Fatal(err)
 	}
+	got := p.result(0, 0)
 	want, err := never.Run(q)
 	if err != nil {
 		t.Fatal(err)

@@ -37,14 +37,15 @@ func joinClasses(q *Query) map[storage.ColRef]storage.ColRef {
 // constraints, and every member carries it. The closed filter selects
 // exactly the result tuples the original does, so a point pin on
 // c_custkey reaches o_custkey across c_custkey = o_custkey: the orders
-// scan reads only the pinned rows, the router reads the pin off the
-// orders side too, and the registered tables' lineage records both.
+// scan reads only the pinned rows (through an o_custkey index once the
+// optimizer has built one), and the registered tables' lineage records
+// both.
 // Pins that disagree within a class close to an empty box. A query that
 // constrains no join column comes back as is, without allocating.
 //
-// The engine applies it once, where a query enters: the router's
-// RunContext and its batch interface. It is a variable only so that tests can swap in the
-// identity and compare the engine with and without it.
+// The engine applies it once, where a query enters: the solo entry
+// point and the batch interface. It is a variable only so that tests
+// can swap in the identity and compare the engine with and without it.
 var CloseFilter = closeFilter
 
 func closeFilter(q *Query) *Query {

@@ -16,7 +16,8 @@ const servedSF = 0.002
 
 // servedWorkloads are the benchmark's four trace generators at
 // servedSF: explore sessions, Zipf dashboard panels, export range scans
-// with top-k, and sharded point lookups with whole-table ranges.
+// with top-k, and customer-key point lookups with date windows (the
+// sharded workload).
 var servedWorkloads = []struct {
 	name string
 	gen  func(n int) []workload.Step
@@ -42,20 +43,12 @@ var servedWorkloads = []struct {
 	}},
 }
 
-// openServed opens a database loaded at servedSF on n shards, keyed the
-// way the sharded benchmark daemon keys its tables. It runs each
-// pipeline on one worker: float sums then add in one order, so two
-// databases fed the same queries answer bit for bit alike.
-func openServed(t *testing.T, shards int) *hashstash.DB {
+// openServed opens a database loaded at servedSF. It runs each pipeline
+// on one worker: float sums then add in one order, so two databases fed
+// the same queries answer bit for bit alike.
+func openServed(t *testing.T) *hashstash.DB {
 	t.Helper()
-	opts := []hashstash.Option{hashstash.WithTuning(hashstash.Tuning{Shards: shards, Parallelism: 1})}
-	if shards > 1 {
-		opts = append(opts,
-			hashstash.WithPartitionKey("customer", "c_custkey"),
-			hashstash.WithPartitionKey("orders", "o_custkey"),
-			hashstash.WithPartitionKey("lineitem", "l_orderkey"))
-	}
-	return openTPCH(t, opts...)
+	return openTPCH(t, hashstash.WithTuning(hashstash.Tuning{Parallelism: 1}))
 }
 
 // wireBody splits a POST /query success body into its rows (each row's
@@ -110,7 +103,7 @@ func sameBody(t *testing.T, label string, q *hashstash.Query, served, library []
 }
 
 // TestServedAnswersEqualLibrary: for each benchmark workload's queries,
-// on one and two shards, the body the server encodes from a served
+// the body the server encodes from a served
 // query's columns equals the body encoding/json writes for the same
 // query's boxed rows from DB.ExecParsed. Each side runs on its own
 // database fed the same query sequence, so both plan against the same
@@ -118,30 +111,28 @@ func sameBody(t *testing.T, label string, q *hashstash.Query, served, library []
 func TestServedAnswersEqualLibrary(t *testing.T) {
 	const n = 40
 	ctx := context.Background()
-	for _, shards := range []int{1, 2} {
-		for _, w := range servedWorkloads {
-			t.Run(fmt.Sprintf("%s/shards=%d", w.name, shards), func(t *testing.T) {
-				served, library := openServed(t, shards), openServed(t, shards)
-				srv := New(served, Config{})
-				defer srv.Close()
-				steps := w.gen(n)
+	for _, w := range servedWorkloads {
+		t.Run(w.name, func(t *testing.T) {
+			served, library := openServed(t), openServed(t)
+			srv := New(served, Config{})
+			defer srv.Close()
+			steps := w.gen(n)
 
-				for i, st := range steps {
-					res, info, err := srv.solo(ctx, st.Query)
-					if err != nil {
-						t.Fatalf("solo %d: %v", i, err)
-					}
-					want, err := library.ExecParsed(ctx, st.Query)
-					if err != nil {
-						t.Fatalf("library %d: %v", i, err)
-					}
-					if res.Rows != nil {
-						t.Fatalf("solo %d: the served answer was boxed", i)
-					}
-					sameBody(t, fmt.Sprintf("solo %d", i), st.Query,
-						appendResult(nil, res, info, false), libraryBody(t, want, info))
+			for i, st := range steps {
+				res, info, err := srv.solo(ctx, st.Query)
+				if err != nil {
+					t.Fatalf("solo %d: %v", i, err)
 				}
-			})
-		}
+				want, err := library.ExecParsed(ctx, st.Query)
+				if err != nil {
+					t.Fatalf("library %d: %v", i, err)
+				}
+				if res.Rows != nil {
+					t.Fatalf("solo %d: the served answer was boxed", i)
+				}
+				sameBody(t, fmt.Sprintf("solo %d", i), st.Query,
+					appendResult(nil, res, info, false), libraryBody(t, want, info))
+			}
+		})
 	}
 }

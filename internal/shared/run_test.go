@@ -1,4 +1,4 @@
-package shared_test
+package shared
 
 import (
 	"context"
@@ -8,22 +8,11 @@ import (
 	"testing"
 
 	"hashstash/internal/catalog"
-	"hashstash/internal/exec"
 	"hashstash/internal/htcache"
 	"hashstash/internal/optimizer"
 	"hashstash/internal/plan"
-	"hashstash/internal/shard"
-	"hashstash/internal/shared"
 	"hashstash/internal/types"
 )
-
-// The batch-run tests drive batches through a one-shard router, the
-// route every DB batch takes, over NewBatchEnv's optimizer.
-func newRouter(t *testing.T) (*catalog.Catalog, *optimizer.Optimizer, *shard.Engine) {
-	t.Helper()
-	cat, o := shared.NewBatchEnv(t)
-	return cat, o, shard.New([]*shard.Shard{{Cat: cat, Cache: o.Cache, Opt: o}}, exec.Parallelism{})
-}
 
 // canonicalRows renders a result's answer, boxed row by row,
 // order-independently.
@@ -45,12 +34,12 @@ func canonicalRows(r *optimizer.Result) []string {
 	return out
 }
 
-// assertBatchMatchesSingles runs a batch through the router and each
+// assertBatchMatchesSingles runs a batch through Run on o and each
 // query individually through a never-reuse optimizer, and compares
 // results.
-func assertBatchMatchesSingles(t *testing.T, cat *catalog.Catalog, e *shard.Engine, queries []*plan.Query) *shard.BatchResult {
+func assertBatchMatchesSingles(t *testing.T, cat *catalog.Catalog, o *optimizer.Optimizer, queries []*plan.Query) *BatchResult {
 	t.Helper()
-	batch, err := e.RunBatchContext(context.Background(), queries)
+	batch, err := Run(context.Background(), o, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,35 +67,35 @@ func assertBatchMatchesSingles(t *testing.T, cat *catalog.Catalog, e *shard.Engi
 }
 
 func TestSharedAggBatchCorrect(t *testing.T) {
-	cat, _, e := newRouter(t)
+	cat, o := newBatchEnv(t)
 	queries := []*plan.Query{
-		shared.AggQuery("1995-01-01", "1995-07-01"),
-		shared.AggQuery("1995-03-01", "1995-09-01"),
-		shared.AggQuery("1995-02-01", "1995-06-01"),
+		aggQuery("1995-01-01", "1995-07-01"),
+		aggQuery("1995-03-01", "1995-09-01"),
+		aggQuery("1995-02-01", "1995-06-01"),
 	}
-	batch := assertBatchMatchesSingles(t, cat, e, queries)
+	batch := assertBatchMatchesSingles(t, cat, o, queries)
 	if len(batch.Groups) >= 3 {
 		t.Logf("note: no merging chosen (groups=%v)", batch.Groups)
 	}
 }
 
 func TestSharedSPJBatchCorrect(t *testing.T) {
-	cat, _, e := newRouter(t)
+	cat, o := newBatchEnv(t)
 	queries := []*plan.Query{
-		shared.SPJQuery("1995-01-01", "1995-03-01"),
-		shared.SPJQuery("1995-02-01", "1995-04-01"),
+		spjQuery("1995-01-01", "1995-03-01"),
+		spjQuery("1995-02-01", "1995-04-01"),
 	}
-	assertBatchMatchesSingles(t, cat, e, queries)
+	assertBatchMatchesSingles(t, cat, o, queries)
 }
 
 func TestSharedMixedShapesSplit(t *testing.T) {
-	cat, _, e := newRouter(t)
+	cat, o := newBatchEnv(t)
 	queries := []*plan.Query{
-		shared.AggQuery("1995-01-01", "1995-07-01"),
-		shared.SPJQuery("1995-01-01", "1995-02-01"),
-		shared.AggQuery("1995-02-01", "1995-08-01"),
+		aggQuery("1995-01-01", "1995-07-01"),
+		spjQuery("1995-01-01", "1995-02-01"),
+		aggQuery("1995-02-01", "1995-08-01"),
 	}
-	batch := assertBatchMatchesSingles(t, cat, e, queries)
+	batch := assertBatchMatchesSingles(t, cat, o, queries)
 	// The SPJ query must sit in its own group.
 	for _, g := range batch.Groups {
 		hasSPJ, hasAgg := false, false
@@ -124,22 +113,22 @@ func TestSharedMixedShapesSplit(t *testing.T) {
 }
 
 func TestSharedGroupingReuseAcrossBatches(t *testing.T) {
-	cat, o, e := newRouter(t)
+	cat, o := newBatchEnv(t)
 	queries := []*plan.Query{
-		shared.AggQuery("1995-01-01", "1995-07-01"),
-		shared.AggQuery("1995-02-01", "1995-08-01"),
+		aggQuery("1995-01-01", "1995-07-01"),
+		aggQuery("1995-02-01", "1995-08-01"),
 	}
-	assertBatchMatchesSingles(t, cat, e, queries)
+	assertBatchMatchesSingles(t, cat, o, queries)
 	before := o.Cache.Stats().Hits
 
 	// A second batch whose predicates are covered by the first batch's
 	// hull ([01-01, 08-01)) — the grouping table should be re-tagged and
 	// reused.
 	queries2 := []*plan.Query{
-		shared.AggQuery("1995-02-01", "1995-05-01"),
-		shared.AggQuery("1995-03-01", "1995-06-01"),
+		aggQuery("1995-02-01", "1995-05-01"),
+		aggQuery("1995-03-01", "1995-06-01"),
 	}
-	assertBatchMatchesSingles(t, cat, e, queries2)
+	assertBatchMatchesSingles(t, cat, o, queries2)
 	if o.Cache.Stats().Hits <= before {
 		t.Error("no shared-table reuse across batches")
 	}
@@ -150,18 +139,18 @@ func TestQueryIDRecyclingIsSafe(t *testing.T) {
 	// between batches. Batch 1 tags with queries A0,A1; batch 2 reuses
 	// the table with different predicates under the same bit positions.
 	// Results must reflect ONLY the new batch's predicates.
-	cat, _, e := newRouter(t)
+	cat, o := newBatchEnv(t)
 	b1 := []*plan.Query{
-		shared.AggQuery("1995-01-01", "1995-09-01"),
-		shared.AggQuery("1995-02-01", "1995-08-01"),
+		aggQuery("1995-01-01", "1995-09-01"),
+		aggQuery("1995-02-01", "1995-08-01"),
 	}
-	assertBatchMatchesSingles(t, cat, e, b1)
+	assertBatchMatchesSingles(t, cat, o, b1)
 	// Swap the bit-position semantics: bit 0 now has a *narrower* range.
 	b2 := []*plan.Query{
-		shared.AggQuery("1995-04-01", "1995-05-01"),
-		shared.AggQuery("1995-03-01", "1995-07-01"),
+		aggQuery("1995-04-01", "1995-05-01"),
+		aggQuery("1995-03-01", "1995-07-01"),
 	}
-	assertBatchMatchesSingles(t, cat, e, b2)
+	assertBatchMatchesSingles(t, cat, o, b2)
 }
 
 // TestSharedResultsReportDecisions: a shared plan's results report what
@@ -169,10 +158,10 @@ func TestQueryIDRecyclingIsSafe(t *testing.T) {
 // decision per shared join and grouping table — and a covered second
 // batch names the grouping table it re-tagged.
 func TestSharedResultsReportDecisions(t *testing.T) {
-	cat, o, e := newRouter(t)
+	cat, o := newBatchEnv(t)
 	run := func(queries ...*plan.Query) []*optimizer.Result {
 		t.Helper()
-		batch := assertBatchMatchesSingles(t, cat, e, queries)
+		batch := assertBatchMatchesSingles(t, cat, o, queries)
 		if len(batch.Groups) != 1 {
 			t.Fatalf("groups %v, want one shared plan", batch.Groups)
 		}
@@ -183,7 +172,7 @@ func TestSharedResultsReportDecisions(t *testing.T) {
 		}
 		return batch.Results
 	}
-	for _, res := range run(shared.AggQuery("1995-01-01", "1995-07-01"), shared.AggQuery("1995-02-01", "1995-08-01")) {
+	for _, res := range run(aggQuery("1995-01-01", "1995-07-01"), aggQuery("1995-02-01", "1995-08-01")) {
 		d := res.Decisions
 		if len(d) != 3 || d[2].Operator != "agg" {
 			t.Fatalf("first batch decisions %+v, want two builds then agg", d)
@@ -194,7 +183,7 @@ func TestSharedResultsReportDecisions(t *testing.T) {
 			}
 		}
 	}
-	for _, res := range run(shared.AggQuery("1995-02-01", "1995-05-01"), shared.AggQuery("1995-03-01", "1995-06-01")) {
+	for _, res := range run(aggQuery("1995-02-01", "1995-05-01"), aggQuery("1995-03-01", "1995-06-01")) {
 		d := res.Decisions
 		if len(d) != 1 || d[0].Operator != "agg" || d[0].Action != 'S' {
 			t.Fatalf("covered batch decisions %+v, want the grouping table re-tagged", d)

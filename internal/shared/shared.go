@@ -6,11 +6,10 @@
 // query-id bitmasks, shared reuse-aware hash joins (SRHJ) carry the tags
 // through qid-aware probes, and shared reuse-aware hash aggregates
 // (SRHA) materialize the grouping phase as tagged tuples so each query's
-// aggregates are computed from the shared grouping table. The
-// optimizer's compiler lowers and runs the shared plans
-// (optimizer.RunSharedContext) and the shard router decides which
-// queries reach one optimizer together (shard.Engine.RunBatchContext);
-// this package only forms the groups.
+// aggregates are computed from the shared grouping table. PlanBatch
+// forms the groups and Run executes a batch group by group on one
+// optimizer: the optimizer's compiler lowers and runs each shared plan
+// (optimizer.RunSharedContext), and a group of one runs as a solo query.
 //
 // Cached shared tables are reused after re-tagging every stored tuple
 // against the new batch's predicates (the correctness requirement the

@@ -13,13 +13,9 @@ import (
 	"hashstash/internal/types"
 )
 
-// NewBatchEnv, AggQuery and SPJQuery are exported for the batch-run
-// tests of package shared_test, which drive a shard.Engine (a package
-// that imports this one).
-
-// NewBatchEnv loads TPC-H at SF 0.002 and returns its catalog with a
+// newBatchEnv loads TPC-H at SF 0.002 and returns its catalog with a
 // cost-model optimizer over an unlimited cache.
-func NewBatchEnv(t *testing.T) (*catalog.Catalog, *optimizer.Optimizer) {
+func newBatchEnv(t *testing.T) (*catalog.Catalog, *optimizer.Optimizer) {
 	t.Helper()
 	db, err := tpch.Generate(tpch.Config{SF: 0.002})
 	if err != nil {
@@ -45,9 +41,9 @@ func dateFilter(lo, hi string) expr.Box {
 	return expr.NewBox(expr.Pred{Col: ref("l", "l_shipdate"), Con: expr.IntervalConstraint(types.Date, iv)})
 }
 
-// AggQuery is a customer ⋈ orders ⋈ lineitem revenue-by-age aggregate
+// aggQuery is a customer ⋈ orders ⋈ lineitem revenue-by-age aggregate
 // over l_shipdate in [lo, hi) (an empty bound is open).
-func AggQuery(lo, hi string) *plan.Query {
+func aggQuery(lo, hi string) *plan.Query {
 	return &plan.Query{
 		Relations: []plan.Rel{
 			{Alias: "c", Table: "customer"},
@@ -67,9 +63,9 @@ func AggQuery(lo, hi string) *plan.Query {
 	}
 }
 
-// SPJQuery is an orders ⋈ lineitem projection over l_shipdate in
+// spjQuery is an orders ⋈ lineitem projection over l_shipdate in
 // [lo, hi).
-func SPJQuery(lo, hi string) *plan.Query {
+func spjQuery(lo, hi string) *plan.Query {
 	return &plan.Query{
 		Relations: []plan.Rel{{Alias: "o", Table: "orders"}, {Alias: "l", Table: "lineitem"}},
 		Joins:     []plan.JoinPred{{Left: ref("o", "o_orderkey"), Right: ref("l", "l_orderkey")}},
@@ -79,14 +75,14 @@ func SPJQuery(lo, hi string) *plan.Query {
 }
 
 func TestMergeableAndConfigKey(t *testing.T) {
-	a, b := AggQuery("1995-01-01", ""), AggQuery("1995-06-01", "")
+	a, b := aggQuery("1995-01-01", ""), aggQuery("1995-06-01", "")
 	if !mergeable(a, b) {
 		t.Error("same-join-graph queries should be mergeable")
 	}
-	if mergeable(a, SPJQuery("1995-01-01", "")) {
+	if mergeable(a, spjQuery("1995-01-01", "")) {
 		t.Error("different join graphs should not be mergeable")
 	}
-	ordered := AggQuery("1995-01-01", "")
+	ordered := aggQuery("1995-01-01", "")
 	ordered.Limit = 10
 	if mergeable(a, ordered) {
 		t.Error("a LIMIT query should never merge")
@@ -94,12 +90,12 @@ func TestMergeableAndConfigKey(t *testing.T) {
 }
 
 func TestPlanBatchMergesSameShape(t *testing.T) {
-	_, o := NewBatchEnv(t)
+	_, o := newBatchEnv(t)
 	queries := []*plan.Query{
-		AggQuery("1995-01-01", "1995-07-01"),
-		AggQuery("1995-03-01", "1995-09-01"),
-		AggQuery("1995-05-01", "1995-11-01"),
-		AggQuery("1995-02-01", "1995-08-01"),
+		aggQuery("1995-01-01", "1995-07-01"),
+		aggQuery("1995-03-01", "1995-09-01"),
+		aggQuery("1995-05-01", "1995-11-01"),
+		aggQuery("1995-02-01", "1995-08-01"),
 	}
 	groups, err := PlanBatch(o, queries)
 	if err != nil {
@@ -120,13 +116,13 @@ func TestPlanBatchMergesSameShape(t *testing.T) {
 }
 
 func TestPlanBatchRejectsBadInput(t *testing.T) {
-	_, o := NewBatchEnv(t)
+	_, o := newBatchEnv(t)
 	if _, err := PlanBatch(o, nil); err == nil {
 		t.Error("empty batch accepted")
 	}
 	big := make([]*plan.Query, 65)
 	for i := range big {
-		big[i] = AggQuery("1995-01-01", "")
+		big[i] = aggQuery("1995-01-01", "")
 	}
 	if _, err := PlanBatch(o, big); err == nil {
 		t.Error("65-query batch accepted")
@@ -135,8 +131,8 @@ func TestPlanBatchRejectsBadInput(t *testing.T) {
 
 func TestHullFilterEstimation(t *testing.T) {
 	queries := []*plan.Query{
-		AggQuery("1995-01-01", "1995-03-01"),
-		AggQuery("1995-02-01", "1995-05-01"),
+		aggQuery("1995-01-01", "1995-03-01"),
+		aggQuery("1995-02-01", "1995-05-01"),
 	}
 	hull := hullFilter(queries, []int{0, 1})
 	con, ok := hull.Constraint(storage.ColRef{Table: "l", Column: "l_shipdate"})

@@ -70,9 +70,15 @@ func (c *Column) Len() int {
 	return 0
 }
 
+// Accepts reports whether Append takes a value of kind k: its own kind,
+// or Int64 for a Date column (dates are day numbers).
+func (c *Column) Accepts(k types.Kind) bool {
+	return k == c.Kind || (c.Kind == types.Date && k == types.Int64)
+}
+
 // Append adds one value; its kind must match the column kind.
 func (c *Column) Append(v types.Value) {
-	if v.Kind != c.Kind && !(c.Kind == types.Date && v.Kind == types.Int64) {
+	if !c.Accepts(v.Kind) {
 		panic(fmt.Sprintf("storage: append %v value to %v column %q", v.Kind, c.Kind, c.Name))
 	}
 	switch c.Kind {

@@ -56,7 +56,22 @@ func (t *Table) NumRows() int {
 	return t.Cols[0].Len()
 }
 
+// CheckRow reports whether AppendRow would accept vals: one value per
+// column, each of a kind its column accepts (Column.Accepts).
+func (t *Table) CheckRow(vals []types.Value) error {
+	if len(vals) != len(t.Cols) {
+		return fmt.Errorf("storage: %d values for the %d columns of table %q", len(vals), len(t.Cols), t.Name)
+	}
+	for i, v := range vals {
+		if c := t.Cols[i]; !c.Accepts(v.Kind) {
+			return fmt.Errorf("storage: %v value for %v column %q", v.Kind, c.Kind, c.Name)
+		}
+	}
+	return nil
+}
+
 // AppendRow adds one row; values must match the column kinds in order.
+// A caller that must not panic checks the row with CheckRow first.
 func (t *Table) AppendRow(vals ...types.Value) {
 	if len(vals) != len(t.Cols) {
 		panic(fmt.Sprintf("storage: AppendRow got %d values for %d columns", len(vals), len(t.Cols)))

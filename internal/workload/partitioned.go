@@ -8,22 +8,20 @@ import (
 )
 
 // Partitioned workloads: GeneratePartitioned models the operational
-// side of a sharded deployment — a stream dominated by partition-key
-// point lookups ("show customer K and their orders"), which a sharded
-// engine routes to exactly one shard, mixed with a configurable
-// fraction of cross-shard analytics (date-window scans over the same
-// join) that no shard holds alone, so the engine runs them on the whole
-// tables. The CrossShardFrac knob sweeps between the two regimes, which
-// is what the sharded-routing experiments and benchmarks vary.
+// side of a deployment keyed by customer — a stream dominated by
+// customer-key point lookups ("show customer K and their orders"),
+// which read only the pinned rows once the filter closure carries the
+// pin to orders, mixed with a configurable fraction of date-window
+// analytics over the same join that read every customer. The
+// CrossShardFrac knob sweeps between the two regimes.
 
 // PartitionedConfig controls partitioned workload generation. The
-// queries run over CUSTOMER ⋈ ORDERS on custkey — co-partitioned when
-// both tables are hash-partitioned by their customer key.
+// queries run over CUSTOMER ⋈ ORDERS on custkey.
 type PartitionedConfig struct {
 	// N is the number of queries (default 64).
 	N int
 	// CrossShardFrac is the fraction of queries that constrain no
-	// partition key and therefore run on the whole tables (default
+	// customer key and therefore read the whole tables (default
 	// 0.25).
 	CrossShardFrac float64
 	// CustKeys is the customer-key domain [1, CustKeys] point lookups
@@ -50,10 +48,10 @@ func (cfg *PartitionedConfig) defaults() {
 
 // GeneratePartitioned produces a workload of cfg.N queries. Point
 // queries (Shape = 0) carry a c_custkey equality, pinning every
-// partitioned relation of the co-partitioned join to one shard;
-// cross-shard queries (Shape = 1) filter on the o_orderdate window
-// instead and aggregate across the whole key domain. Step.Lo/Hi carry
-// the point key or the date window respectively.
+// relation of the join to one customer; cross-shard queries (Shape = 1)
+// filter on the o_orderdate window instead and aggregate across the
+// whole key domain. Step.Lo/Hi carry the point key or the date window
+// respectively.
 func GeneratePartitioned(cfg PartitionedConfig) []Step {
 	cfg.defaults()
 	r := &rng{state: cfg.Seed}
@@ -84,9 +82,9 @@ func GeneratePartitioned(cfg PartitionedConfig) []Step {
 	return steps
 }
 
-// pointQuery pins the co-partitioned CUSTOMER ⋈ ORDERS join to one
-// customer key: the c_custkey equality routes to a single shard, and
-// the o_custkey side inherits the pin through the join edge.
+// pointQuery pins the CUSTOMER ⋈ ORDERS join to one customer key: the
+// o_custkey side inherits the c_custkey equality through the join edge
+// (plan.CloseFilter).
 func pointQuery(key int64) *plan.Query {
 	return &plan.Query{
 		Relations: []plan.Rel{{Alias: "c", Table: "customer"}, {Alias: "o", Table: "orders"}},
@@ -109,7 +107,7 @@ func pointQuery(key int64) *plan.Query {
 }
 
 // crossShardQuery constrains only a date window, so its matching rows
-// span every shard and the query runs on the whole tables.
+// span the whole key domain and the query reads the whole tables.
 func crossShardQuery(lo, hi int64) *plan.Query {
 	return &plan.Query{
 		Relations: []plan.Rel{{Alias: "c", Table: "customer"}, {Alias: "o", Table: "orders"}},

@@ -12,9 +12,6 @@ type config struct {
 	ablations   Ablations
 	strategy    Strategy
 	calibration *costmodel.Calibration
-	// partKeys are the declared (table, column) partition keys in
-	// declaration order; a later declaration for the same table wins.
-	partKeys [][2]string
 }
 
 // merge overwrites *dst with src unless src is the zero value — the
@@ -39,12 +36,11 @@ func WithCalibration(cal *costmodel.Calibration) Option {
 	return func(c *config) { c.calibration = cal }
 }
 
-// WithPartitionKey declares, before data loads, that table is
-// hash-partitioned by column when Tuning.Shards > 1. Tables without a
-// declared key are replicated to every shard.
-func WithPartitionKey(table, column string) Option {
-	return func(c *config) { c.partKeys = append(c.partKeys, [2]string{table, column}) }
-}
+// WithPartitionKey does nothing: every table is stored whole, once.
+//
+// Deprecated: it is ignored and stays only until the benchmark stops
+// passing it.
+func WithPartitionKey(table, column string) Option { return func(*config) {} }
 
 // Tuning groups the capacity and execution-sizing knobs. Zero values
 // leave the engine defaults untouched, so partial literals compose:
@@ -70,14 +66,12 @@ type Tuning struct {
 	Parallelism int
 	// MorselRows overrides the morsel granularity (0 = storage default).
 	MorselRows int
-	// Shards partitions the engine into n shards, each with its own
-	// catalog fragment, cache (an equal share of the byte budgets) and
-	// optimizer. A query routed to one shard runs on Parallelism/n
-	// workers; any other query runs on shard 0 over the whole tables
-	// with a pool of Parallelism workers. <= 1 is one shard holding
-	// every table whole.
-	// Tables with a WithPartitionKey declaration split by key hash, the
-	// rest replicate. Applies to every Strategy.
+	// Shards does nothing: one catalog, one cache with the whole byte
+	// budgets and one optimizer with the whole worker pool serve every
+	// query.
+	//
+	// Deprecated: it is ignored and stays only until the benchmark stops
+	// setting it.
 	Shards int
 	// SoftMemoryLimit is the memory governor's soft watermark (bytes):
 	// above it the engine sheds cache and vetoes new index builds.
@@ -99,7 +93,6 @@ func WithTuning(t Tuning) Option {
 		merge(&d.IndexBuildBudget, t.IndexBuildBudget)
 		merge(&d.Parallelism, t.Parallelism)
 		merge(&d.MorselRows, t.MorselRows)
-		merge(&d.Shards, t.Shards)
 		merge(&d.SoftMemoryLimit, t.SoftMemoryLimit)
 		merge(&d.HardMemoryLimit, t.HardMemoryLimit)
 	}

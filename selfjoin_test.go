@@ -33,7 +33,7 @@ func (c selfJoinCase) sql() string {
 // want counts the join's rows per group straight from the table.
 func (c selfJoinCase) want(t *testing.T, db *DB) map[string]int64 {
 	t.Helper()
-	tbl := db.router.Shard(0).Cat.Table("lineitem")
+	tbl := db.cat.Table("lineitem")
 	keys := tbl.Column(c.on).Ints
 	flags := tbl.Column("l_returnflag").Strs
 	qty := tbl.Column("l_quantity").Ints
@@ -68,7 +68,7 @@ const bothInstancesSQL = `SELECT a.l_returnflag, b.l_returnflag, COUNT(*) AS n,
 // bothInstancesWant computes bothInstancesSQL's answer straight from
 // the table, one "flagA|flagB" key per group: count, then the two sums.
 func bothInstancesWant(db *DB) map[string][3]int64 {
-	tbl := db.router.Shard(0).Cat.Table("lineitem")
+	tbl := db.cat.Table("lineitem")
 	okeys := tbl.Column("l_orderkey").Ints
 	flags := tbl.Column("l_returnflag").Strs
 	qty := tbl.Column("l_quantity").Ints

@@ -19,12 +19,12 @@ import (
 // columns, plus shared-plan batches whose second batch re-tags the
 // first one's cached tables. Each sequence runs under AlwaysReuse (every
 // partial or overlapping candidate widens a cached table) and
-// NeverReuse, at Parallelism {1, 4} × shards {1, 2}, and on the
-// materialized baseline (one shard; it must never widen, and must reuse
-// some table exactly or subsumingly) at Parallelism {1, 4}. Every
-// answer must equal the reference engine's — NeverReuse, serial, one
-// shard — within float tolerance, and after every step the cache and
-// table invariants hold and no entry is left pinned.
+// NeverReuse, at Parallelism {1, 4}, and on the materialized baseline
+// (it must never widen, and must reuse some table exactly or
+// subsumingly) at Parallelism {1, 4}. Every answer must equal the
+// reference engine's — NeverReuse, serial — within float tolerance, and
+// after every step the cache and table invariants hold and no entry is
+// left pinned.
 
 // Table sizes, and the d_day/f_day domain: diffDays days from diffDay0
 // (1995-01-01 in days since the epoch).
@@ -36,8 +36,7 @@ const (
 )
 
 // diffData generates the two tables of one seed: dim (the build side of
-// every join shape, replicated across shards) and fact (the probe side,
-// partitioned by f_id when sharded).
+// every join shape) and fact (the probe side).
 func diffData(seed int64) (dim, fact [][]Value) {
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < diffDims; i++ {
@@ -64,7 +63,7 @@ func diffData(seed int64) (dim, fact [][]Value) {
 
 func openDiffDB(t *testing.T, seed int64, opts ...Option) *DB {
 	t.Helper()
-	db := Open(append(opts, WithPartitionKey("fact", "f_id"))...)
+	db := Open(opts...)
 	dim, fact := diffData(seed)
 	must := func(err error) {
 		t.Helper()
@@ -224,8 +223,7 @@ func normalize(res *Result) diffAnswer {
 }
 
 // sameAnswer compares row multisets: exact cells exactly, floats within
-// a relative 1e-9 (serial, parallel and sharded runs add in different
-// orders).
+// a relative 1e-9 (serial and parallel runs add in different orders).
 func sameAnswer(want, got diffAnswer) error {
 	if len(want) != len(got) {
 		return fmt.Errorf("%d rows, want %d", len(got), len(want))
@@ -245,13 +243,11 @@ func sameAnswer(want, got diffAnswer) error {
 	return nil
 }
 
-// checkAtRest runs the invariant checks of every shard cache and
-// asserts no query left a pin behind.
+// checkAtRest runs the cache's invariant checks and asserts no query
+// left a pin behind.
 func checkAtRest(db *DB) error {
-	for s := 0; s < db.Shards(); s++ {
-		if err := db.router.Shard(s).Cache.CheckInvariants(); err != nil {
-			return fmt.Errorf("shard %d: %w", s, err)
-		}
+	if err := db.cache.CheckInvariants(); err != nil {
+		return err
 	}
 	if p := db.CacheStats().Pinned; p != 0 {
 		return fmt.Errorf("%d entries pinned at rest", p)
@@ -281,7 +277,7 @@ func runStep(db *DB, st diffStep) ([]*Result, bool, error) {
 }
 
 // TestWidenDifferential is the harness entry point: three seeds, each
-// run under every strategy × Parallelism {1, 4} × shards {1, 2}.
+// run under every strategy × Parallelism {1, 4}.
 func TestWidenDifferential(t *testing.T) {
 	type tally struct{ partialBuild, overlapBuild, partialAgg, overlapAgg, published, retagHits int64 }
 	var total tally
@@ -299,23 +295,21 @@ func TestWidenDifferential(t *testing.T) {
 			}
 		}
 		type config struct {
-			strategy    Strategy
-			par, shards int
+			strategy Strategy
+			par      int
 		}
 		var configs []config
 		for _, strategy := range []Strategy{CostModel, AlwaysReuse, NeverReuse, Materialized} {
 			for _, par := range []int{1, 4} {
-				for _, shards := range []int{1, 2} {
-					configs = append(configs, config{strategy, par, shards})
-				}
+				configs = append(configs, config{strategy, par})
 			}
 		}
 		for _, cfg := range configs {
-			name := fmt.Sprintf("seed=%d/%v/par=%d/shards=%d", seed, cfg.strategy, cfg.par, cfg.shards)
+			name := fmt.Sprintf("seed=%d/%v/par=%d", seed, cfg.strategy, cfg.par)
 			materialized := cfg.strategy == Materialized
 			reused := 0
 			db := openDiffDB(t, seed, WithStrategy(cfg.strategy),
-				WithTuning(Tuning{Parallelism: cfg.par, MorselRows: 256, Shards: cfg.shards}))
+				WithTuning(Tuning{Parallelism: cfg.par, MorselRows: 256}))
 			for i, st := range steps {
 				before := db.CacheStats()
 				results, shared, err := runStep(db, st)
