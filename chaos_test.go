@@ -116,120 +116,140 @@ func chaosEqual(got, want []string) bool {
 // classified errors, and (d) leak neither goroutines nor epoch
 // readers. Run under -race at GOMAXPROCS 1 and 4 in CI.
 func TestChaosStorm(t *testing.T) {
-	testutil.CheckGoroutines(t)
 	// Parallelism 4 forces a worker pool and morsel splits even on a
 	// 1-CPU CI box, and AlwaysReuse forces the partial/overlapping reuse
-	// paths whose widened publications htcache.publish guards.
-	opts := []hashstash.Option{
-		hashstash.WithTuning(hashstash.Tuning{Parallelism: 4, CacheBudget: 96 << 10, ColdTierBudget: 1 << 20}),
-		hashstash.WithStrategy(hashstash.AlwaysReuse),
+	// paths whose widened publications htcache.publish guards. The
+	// sharded config adds the options the sharded benchmark passes —
+	// two shards and TPC-H partition keys — which are ignored, so it
+	// must weather the storm exactly as the single-shard one does.
+	tuning := hashstash.Tuning{Parallelism: 4, CacheBudget: 96 << 10, ColdTierBudget: 1 << 20}
+	sharded := tuning
+	sharded.Shards = 2
+	configs := []struct {
+		name string
+		opts []hashstash.Option
+	}{
+		{"single-shard", []hashstash.Option{hashstash.WithTuning(tuning), hashstash.WithStrategy(hashstash.AlwaysReuse)}},
+		{"sharded", []hashstash.Option{
+			hashstash.WithTuning(sharded),
+			hashstash.WithStrategy(hashstash.AlwaysReuse),
+			hashstash.WithPartitionKey("customer", "c_custkey"),
+			hashstash.WithPartitionKey("orders", "o_custkey"),
+			hashstash.WithPartitionKey("lineitem", "l_orderkey"),
+		}},
 	}
+	for _, cfg := range configs {
+		t.Run(cfg.name, func(t *testing.T) {
+			testutil.CheckGoroutines(t)
+			opts := cfg.opts
 
-	// Control answers come from an unarmed twin — computed before arming
-	// so they cannot be poisoned.
-	control := hashstash.Open(opts...)
-	if err := control.LoadTPCH(0.002); err != nil {
-		t.Fatal(err)
-	}
-	want := make([][]string, len(chaosQueries))
-	for i, sql := range chaosQueries {
-		res, err := control.Exec(sql)
-		if err != nil {
-			t.Fatalf("control query %d: %v", i, err)
-		}
-		want[i] = chaosCanonical(res)
-	}
-
-	db := hashstash.Open(opts...)
-	if err := db.LoadTPCH(0.002); err != nil {
-		t.Fatal(err)
-	}
-	if err := faultinject.Arm(chaosSpec); err != nil {
-		t.Fatal(err)
-	}
-	defer faultinject.Disarm()
-
-	var ok, failed atomic.Int64
-	// run executes one query under faults and checks the outcome: a
-	// contained failure must be classified, a survivor must match the
-	// control answer.
-	run := func(db *hashstash.DB, qi int, where string) {
-		res, err := db.ExecContext(context.Background(), chaosQueries[qi])
-		if err != nil {
-			failed.Add(1)
-			if !errors.Is(err, hashstasherr.ErrInternal) &&
-				!hashstasherr.IsRetriable(err) &&
-				!errors.Is(err, hashstasherr.ErrCanceled) {
-				t.Errorf("unclassified chaos error: %v", err)
+			// Control answers come from an unarmed twin — computed before arming
+			// so they cannot be poisoned.
+			control := hashstash.Open(opts...)
+			if err := control.LoadTPCH(0.002); err != nil {
+				t.Fatal(err)
 			}
-			return
-		}
-		ok.Add(1)
-		if !chaosEqual(chaosCanonical(res), want[qi]) {
-			t.Errorf("%s query %d: result diverged under faults", where, qi)
-		}
-	}
-
-	// Whether the storm's interleaving ever runs the wide cut against a
-	// cached narrow table is up to the scheduler, so seed the widening
-	// deterministically: the narrow→wide pair on one goroutine, from a
-	// cold cache, until a widened snapshot reaches htcache.publish (an
-	// attempt can lose a query to the other armed faults). Each attempt
-	// opens its own database: a panic blamed on the narrow table strikes
-	// its lineage, and a struck lineage never publishes again in that
-	// database.
-	for attempt := 0; attempt < 20 && faultinject.Fired("htcache.publish") == 0; attempt++ {
-		warm := hashstash.Open(opts...)
-		if err := warm.LoadTPCH(0.002); err != nil {
-			t.Fatal(err)
-		}
-		run(warm, 0, "warm-up")
-		run(warm, 1, "warm-up")
-	}
-
-	const goroutines, iters = 8, 24
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				if g == 0 && i%9 == 8 {
-					// Periodic cache wipes force rebuilds, demotions and
-					// revivals mid-storm.
-					db.ClearCache()
+			want := make([][]string, len(chaosQueries))
+			for i, sql := range chaosQueries {
+				res, err := control.Exec(sql)
+				if err != nil {
+					t.Fatalf("control query %d: %v", i, err)
 				}
-				run(db, (g*iters+i)%len(chaosQueries), fmt.Sprintf("goroutine %d iter %d", g, i))
+				want[i] = chaosCanonical(res)
 			}
-		}(g)
-	}
-	wg.Wait()
 
-	if ok.Load() == 0 {
-		t.Fatal("no query survived the storm — fault rates drown the engine")
-	}
-	t.Logf("storm: %d ok, %d contained failures", ok.Load(), failed.Load())
+			db := hashstash.Open(opts...)
+			if err := db.LoadTPCH(0.002); err != nil {
+				t.Fatal(err)
+			}
+			if err := faultinject.Arm(chaosSpec); err != nil {
+				t.Fatal(err)
+			}
+			defer faultinject.Disarm()
 
-	// The storm must actually have exercised the engine points.
-	for _, point := range []string{"exec.morsel", "sched.dispatch", "htcache.publish"} {
-		if faultinject.Fired(point) == 0 {
-			t.Errorf("fault point %s never hit during the storm", point)
-		}
-	}
+			var ok, failed atomic.Int64
+			// run executes one query under faults and checks the outcome: a
+			// contained failure must be classified, a survivor must match the
+			// control answer.
+			run := func(db *hashstash.DB, qi int, where string) {
+				res, err := db.ExecContext(context.Background(), chaosQueries[qi])
+				if err != nil {
+					failed.Add(1)
+					if !errors.Is(err, hashstasherr.ErrInternal) &&
+						!hashstasherr.IsRetriable(err) &&
+						!errors.Is(err, hashstasherr.ErrCanceled) {
+						t.Errorf("unclassified chaos error: %v", err)
+					}
+					return
+				}
+				ok.Add(1)
+				if !chaosEqual(chaosCanonical(res), want[qi]) {
+					t.Errorf("%s query %d: result diverged under faults", where, qi)
+				}
+			}
 
-	// Full recovery after disarm: every query answers correctly and no
-	// contained failure left a pin behind.
-	faultinject.Disarm()
-	for i, sql := range chaosQueries {
-		res, err := db.Exec(sql)
-		if err != nil {
-			t.Fatalf("post-storm query %d: %v", i, err)
-		}
-		if !chaosEqual(chaosCanonical(res), want[i]) {
-			t.Errorf("post-storm query %d diverged", i)
-		}
-	}
-	if pinned := db.CacheStats().Pinned; pinned != 0 {
-		t.Errorf("%d pins leaked through the storm", pinned)
+			// Whether the storm's interleaving ever runs the wide cut against a
+			// cached narrow table is up to the scheduler, so seed the widening
+			// deterministically: the narrow→wide pair on one goroutine, from a
+			// cold cache, until a widened snapshot reaches htcache.publish (an
+			// attempt can lose a query to the other armed faults). Each attempt
+			// opens its own database: a panic blamed on the narrow table strikes
+			// its lineage, and a struck lineage never publishes again in that
+			// database.
+			for attempt := 0; attempt < 20 && faultinject.Fired("htcache.publish") == 0; attempt++ {
+				warm := hashstash.Open(opts...)
+				if err := warm.LoadTPCH(0.002); err != nil {
+					t.Fatal(err)
+				}
+				run(warm, 0, "warm-up")
+				run(warm, 1, "warm-up")
+			}
+
+			const goroutines, iters = 8, 24
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < iters; i++ {
+						if g == 0 && i%9 == 8 {
+							// Periodic cache wipes force rebuilds, demotions and
+							// revivals mid-storm.
+							db.ClearCache()
+						}
+						run(db, (g*iters+i)%len(chaosQueries), fmt.Sprintf("goroutine %d iter %d", g, i))
+					}
+				}(g)
+			}
+			wg.Wait()
+
+			if ok.Load() == 0 {
+				t.Fatal("no query survived the storm — fault rates drown the engine")
+			}
+			t.Logf("storm: %d ok, %d contained failures", ok.Load(), failed.Load())
+
+			// The storm must actually have exercised the engine points.
+			for _, point := range []string{"exec.morsel", "sched.dispatch", "htcache.publish"} {
+				if faultinject.Fired(point) == 0 {
+					t.Errorf("fault point %s never hit during the storm", point)
+				}
+			}
+
+			// Full recovery after disarm: every query answers correctly and no
+			// contained failure left a pin behind.
+			faultinject.Disarm()
+			for i, sql := range chaosQueries {
+				res, err := db.Exec(sql)
+				if err != nil {
+					t.Fatalf("post-storm query %d: %v", i, err)
+				}
+				if !chaosEqual(chaosCanonical(res), want[i]) {
+					t.Errorf("post-storm query %d diverged", i)
+				}
+			}
+			if pinned := db.CacheStats().Pinned; pinned != 0 {
+				t.Errorf("%d pins leaked through the storm", pinned)
+			}
+		})
 	}
 }

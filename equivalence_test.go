@@ -47,6 +47,27 @@ var goldenQueries = []struct {
 		  AND c.c_custkey = 42 GROUP BY c.c_age`},
 }
 
+// tpchPartitionKeys is the placement the sharded benchmark declares:
+// customer and orders on the customer key, lineitem on its order key.
+func tpchPartitionKeys() []Option {
+	return []Option{
+		WithPartitionKey("customer", "c_custkey"),
+		WithPartitionKey("orders", "o_custkey"),
+		WithPartitionKey("lineitem", "l_orderkey"),
+	}
+}
+
+// openShimmedTPCH opens a TPC-H database through the deprecated
+// sharding options — Tuning.Shards = shards and tpchPartitionKeys —
+// which are ignored. Tests that keep a shards= case run through it, so
+// each such case also checks that the options change no answer. A
+// WithTuning in opts replaces the whole Tuning, so it sets Shards too.
+func openShimmedTPCH(t *testing.T, shards int, opts ...Option) *DB {
+	t.Helper()
+	all := append([]Option{WithTuning(Tuning{Shards: shards})}, tpchPartitionKeys()...)
+	return openTPCH(t, append(all, opts...)...)
+}
+
 // sortRows orders rows by their full canonical rendering so two row
 // multisets can be compared pairwise.
 func sortRows(rows [][]Value) [][]Value {
@@ -97,43 +118,46 @@ func assertSameRows(t *testing.T, label string, got, want *Result) {
 }
 
 // TestShardedGoldenEquivalence: the engine must return exactly the rows
-// of a NeverReuse reference for every merge shape. Each query runs
-// twice so the second run exercises reuse of the cached artifacts.
+// of a NeverReuse reference for every merge shape, opened with the
+// ignored shard counts 1 and 4. Each query runs twice so the second run
+// exercises reuse of the cached artifacts.
 func TestShardedGoldenEquivalence(t *testing.T) {
 	ref := openTPCH(t, WithStrategy(NeverReuse))
-	db := openTPCH(t)
-	for _, tc := range goldenQueries {
-		t.Run(tc.name, func(t *testing.T) {
-			want, err := ref.Exec(tc.sql)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := db.Exec(tc.sql); err != nil {
-				t.Fatal(err)
-			}
-			got, err := db.Exec(tc.sql) // reuse pass
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got.Columns) != len(want.Columns) {
-				t.Fatalf("columns %v, want %v", got.Columns, want.Columns)
-			}
-			for i := range got.Columns {
-				if got.Columns[i] != want.Columns[i] {
+	for _, shards := range []int{1, 4} {
+		db := openShimmedTPCH(t, shards)
+		for _, tc := range goldenQueries {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, tc.name), func(t *testing.T) {
+				want, err := ref.Exec(tc.sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := db.Exec(tc.sql); err != nil {
+					t.Fatal(err)
+				}
+				got, err := db.Exec(tc.sql) // reuse pass
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got.Columns) != len(want.Columns) {
 					t.Fatalf("columns %v, want %v", got.Columns, want.Columns)
 				}
-			}
-			// Ordered queries must agree row-for-row before the
-			// canonical multiset comparison.
-			if tc.name == "order-by-limit" || tc.name == "agg-order-by-limit" {
-				for i := range got.Rows {
-					if got.Rows[i][0].Compare(want.Rows[i][0]) != 0 {
-						t.Fatalf("row %d out of order: %v vs %v", i, got.Rows[i][0], want.Rows[i][0])
+				for i := range got.Columns {
+					if got.Columns[i] != want.Columns[i] {
+						t.Fatalf("columns %v, want %v", got.Columns, want.Columns)
 					}
 				}
-			}
-			assertSameRows(t, tc.name, got, want)
-		})
+				// Ordered queries must agree row-for-row before the
+				// canonical multiset comparison.
+				if tc.name == "order-by-limit" || tc.name == "agg-order-by-limit" {
+					for i := range got.Rows {
+						if got.Rows[i][0].Compare(want.Rows[i][0]) != 0 {
+							t.Fatalf("row %d out of order: %v vs %v", i, got.Rows[i][0], want.Rows[i][0])
+						}
+					}
+				}
+				assertSameRows(t, tc.name, got, want)
+			})
+		}
 	}
 }
 
@@ -165,9 +189,10 @@ func TestPinnedLookupAnswers(t *testing.T) {
 
 // TestShardedBaselines: each baseline answers q3, a customer ⋈ orders
 // window, the window widened (partial reuse under the cost model), its
-// rerun and a customer-key lookup as a NeverReuse database does. The
-// materialized baseline never widens a cached table, reuses one on the
-// rerun, and leaves the cache consistent.
+// rerun and a customer-key lookup as a NeverReuse database does, opened
+// with the ignored four-shard layout. The materialized baseline never
+// widens a cached table, reuses one on the rerun, and leaves the cache
+// consistent.
 func TestShardedBaselines(t *testing.T) {
 	const window = `SELECT c.c_age, SUM(o.o_totalprice) AS spend FROM customer c, orders o
 		WHERE c.c_custkey = o.o_custkey AND o.o_orderdate >= DATE '%s' GROUP BY c.c_age`
@@ -182,8 +207,8 @@ func TestShardedBaselines(t *testing.T) {
 		want[i] = mustExec(t, ref, sql)
 	}
 	for _, s := range []Strategy{NeverReuse, Materialized} {
-		t.Run(s.String(), func(t *testing.T) {
-			db := openTPCH(t, WithStrategy(s))
+		t.Run(fmt.Sprintf("%v/shards=4", s), func(t *testing.T) {
+			db := openShimmedTPCH(t, 4, WithStrategy(s))
 			for i, sql := range sqls {
 				hits := db.CacheStats().Hits
 				got, err := db.Exec(sql)
@@ -212,54 +237,58 @@ func TestShardedBaselines(t *testing.T) {
 
 // TestShardedBatch: a batch of customer ⋈ orders lookups and date
 // windows answers as NeverReuse solo does, runs at most as many plans as
-// it has members, and leaves the cache at rest. On a cold cache the six
-// lookups share one plan. The batch runs twice, so the second run meets
-// the first one's tables.
+// it has members, and leaves the cache at rest, opened with the ignored
+// shard counts 2 and 4. On a cold cache the six lookups share one plan.
+// The batch runs twice, so the second run meets the first one's tables.
 func TestShardedBatch(t *testing.T) {
 	const lookup = `SELECT c.c_name, o.o_totalprice FROM customer c, orders o
 		WHERE c.c_custkey = o.o_custkey AND c.c_custkey = %d AND o.o_orderdate >= DATE '1995-01-01'`
 	const window = `SELECT c.c_name, o.o_totalprice FROM customer c, orders o
 		WHERE c.c_custkey = o.o_custkey AND o.o_orderdate >= DATE '%d-01-01'`
 	ref := openTPCH(t, WithStrategy(NeverReuse))
-	db := openTPCH(t)
-	var sqls []string
-	var lookups []int
-	for key := int64(1); len(lookups) < 6; key += 7 {
-		if len(lookups) == 1 || len(lookups) == 4 {
-			sqls = append(sqls, fmt.Sprintf(window, 1993+len(lookups)))
-		}
-		lookups = append(lookups, len(sqls))
-		sqls = append(sqls, fmt.Sprintf(lookup, key))
-	}
-	queries := make([]*Query, len(sqls))
-	for i, sql := range sqls {
-		q, err := db.Parse(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		queries[i] = q
-	}
-	for run := 0; run < 2; run++ {
-		br, err := db.ExecParsedBatch(context.Background(), queries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		members := 0
-		for _, g := range br.Groups {
-			members += len(g)
-		}
-		if members != len(queries) {
-			t.Fatalf("run %d: groups %v cover %d of %d queries", run, br.Groups, members, len(queries))
-		}
-		if run == 0 && !slicesContainAll(br.Groups, lookups) {
-			t.Fatalf("groups %v, want the lookups %v in one shared plan", br.Groups, lookups)
-		}
-		for i, sql := range sqls {
-			assertSameRows(t, fmt.Sprintf("run %d query %d", run, i), br.Results[i], mustExec(t, ref, sql))
-		}
-		if err := checkAtRest(db); err != nil {
-			t.Fatalf("run %d: %v", run, err)
-		}
+	for _, shards := range []int{2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			db := openShimmedTPCH(t, shards)
+			var sqls []string
+			var lookups []int
+			for key := int64(1); len(lookups) < 6; key += 7 {
+				if len(lookups) == 1 || len(lookups) == 4 {
+					sqls = append(sqls, fmt.Sprintf(window, 1993+len(lookups)))
+				}
+				lookups = append(lookups, len(sqls))
+				sqls = append(sqls, fmt.Sprintf(lookup, key))
+			}
+			queries := make([]*Query, len(sqls))
+			for i, sql := range sqls {
+				q, err := db.Parse(sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				queries[i] = q
+			}
+			for run := 0; run < 2; run++ {
+				br, err := db.ExecParsedBatch(context.Background(), queries)
+				if err != nil {
+					t.Fatal(err)
+				}
+				members := 0
+				for _, g := range br.Groups {
+					members += len(g)
+				}
+				if members != len(queries) {
+					t.Fatalf("run %d: groups %v cover %d of %d queries", run, br.Groups, members, len(queries))
+				}
+				if run == 0 && !slicesContainAll(br.Groups, lookups) {
+					t.Fatalf("groups %v, want the lookups %v in one shared plan", br.Groups, lookups)
+				}
+				for i, sql := range sqls {
+					assertSameRows(t, fmt.Sprintf("run %d query %d", run, i), br.Results[i], mustExec(t, ref, sql))
+				}
+				if err := checkAtRest(db); err != nil {
+					t.Fatalf("run %d: %v", run, err)
+				}
+			}
+		})
 	}
 }
 

@@ -191,10 +191,10 @@ func TestIndexBuildBudget(t *testing.T) {
 }
 
 // openEvents opens a database holding an events table of 4096 rows,
-// ev_temp = ev_id % 100.
+// ev_temp = ev_id % 100, declared (and ignored) as partitioned by ev_id.
 func openEvents(t *testing.T, opts ...Option) *DB {
 	t.Helper()
-	db := Open(opts...)
+	db := Open(append(opts, WithPartitionKey("events", "ev_id"))...)
 	if err := db.CreateTable("events", map[string]Kind{
 		"ev_id": types.Int64, "ev_temp": types.Int64,
 	}, []string{"ev_id", "ev_temp"}); err != nil {
@@ -213,8 +213,8 @@ func openEvents(t *testing.T, opts ...Option) *DB {
 // TestInsertInvalidatesIndexes checks that a range scan sees inserted
 // rows under every index kind — a lazily built index, one declared with
 // BuildIndex, and TPC-H data with no index set up — for both a reusing
-// and a non-reusing strategy. An insert evicts the cached indexes over
-// its table.
+// and a non-reusing strategy, opened with the ignored shard counts 1
+// and 4. An insert evicts the cached indexes over its table.
 func TestInsertInvalidatesIndexes(t *testing.T) {
 	const eventsCount = `SELECT COUNT(*) AS n FROM events e WHERE e.ev_temp = 7`
 	legs := []struct {
@@ -253,7 +253,7 @@ func TestInsertInvalidatesIndexes(t *testing.T) {
 			return db
 		}, eventsCount, "events", []Value{types.NewInt(90001), types.NewInt(7)}, true},
 		{"tpch", func(t *testing.T, opts ...Option) *DB {
-			return openTPCH(t, opts...)
+			return openTPCH(t, append(opts, tpchPartitionKeys()...)...)
 		}, `SELECT COUNT(*) AS n FROM orders o
 		     WHERE o.o_orderdate >= DATE '1995-03-01' AND o.o_orderdate < DATE '1995-03-15'`,
 			"orders", []Value{types.NewInt(90001), types.NewInt(1), types.NewDate(types.MustParseDate("1995-03-07")),
@@ -269,19 +269,21 @@ func TestInsertInvalidatesIndexes(t *testing.T) {
 	}
 	for _, leg := range legs {
 		for _, strategy := range []Strategy{CostModel, NeverReuse} {
-			t.Run(fmt.Sprintf("%s/strategy=%v", leg.name, strategy), func(t *testing.T) {
-				db := leg.open(t, WithStrategy(strategy))
-				before := count(t, db, leg.count)
-				if err := db.InsertRows(leg.table, [][]Value{leg.row}); err != nil {
-					t.Fatal(err)
-				}
-				if inv := db.CacheStats().Index.Invalidations; leg.index && inv == 0 {
-					t.Error("insert did not invalidate the cached index")
-				}
-				if after := count(t, db, leg.count); after != before+1 {
-					t.Errorf("count %d after the insert, want %d", after, before+1)
-				}
-			})
+			for _, shards := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/strategy=%v/shards=%d", leg.name, strategy, shards), func(t *testing.T) {
+					db := leg.open(t, WithStrategy(strategy), WithTuning(Tuning{Shards: shards}))
+					before := count(t, db, leg.count)
+					if err := db.InsertRows(leg.table, [][]Value{leg.row}); err != nil {
+						t.Fatal(err)
+					}
+					if inv := db.CacheStats().Index.Invalidations; leg.index && inv == 0 {
+						t.Error("insert did not invalidate the cached index")
+					}
+					if after := count(t, db, leg.count); after != before+1 {
+						t.Errorf("count %d after the insert, want %d", after, before+1)
+					}
+				})
+			}
 		}
 	}
 }

@@ -43,12 +43,21 @@ var servedWorkloads = []struct {
 	}},
 }
 
-// openServed opens a database loaded at servedSF. It runs each pipeline
-// on one worker: float sums then add in one order, so two databases fed
-// the same queries answer bit for bit alike.
-func openServed(t *testing.T) *hashstash.DB {
+// openServed opens a database loaded at servedSF with the options the
+// sharded benchmark daemon passes: Tuning.Shards and, above one shard,
+// its partition keys. Both are deprecated and ignored. It runs each
+// pipeline on one worker: float sums then add in one order, so two
+// databases fed the same queries answer bit for bit alike.
+func openServed(t *testing.T, shards int) *hashstash.DB {
 	t.Helper()
-	return openTPCH(t, hashstash.WithTuning(hashstash.Tuning{Parallelism: 1}))
+	opts := []hashstash.Option{hashstash.WithTuning(hashstash.Tuning{Shards: shards, Parallelism: 1})}
+	if shards > 1 {
+		opts = append(opts,
+			hashstash.WithPartitionKey("customer", "c_custkey"),
+			hashstash.WithPartitionKey("orders", "o_custkey"),
+			hashstash.WithPartitionKey("lineitem", "l_orderkey"))
+	}
+	return openTPCH(t, opts...)
 }
 
 // wireBody splits a POST /query success body into its rows (each row's
@@ -103,36 +112,38 @@ func sameBody(t *testing.T, label string, q *hashstash.Query, served, library []
 }
 
 // TestServedAnswersEqualLibrary: for each benchmark workload's queries,
-// the body the server encodes from a served
-// query's columns equals the body encoding/json writes for the same
-// query's boxed rows from DB.ExecParsed. Each side runs on its own
-// database fed the same query sequence, so both plan against the same
-// cache states.
+// opened with the ignored shard counts 1 and 2, the body the server
+// encodes from a served query's columns equals the body encoding/json
+// writes for the same query's boxed rows from DB.ExecParsed. Each side
+// runs on its own database fed the same query sequence, so both plan
+// against the same cache states.
 func TestServedAnswersEqualLibrary(t *testing.T) {
 	const n = 40
 	ctx := context.Background()
-	for _, w := range servedWorkloads {
-		t.Run(w.name, func(t *testing.T) {
-			served, library := openServed(t), openServed(t)
-			srv := New(served, Config{})
-			defer srv.Close()
-			steps := w.gen(n)
+	for _, shards := range []int{1, 2} {
+		for _, w := range servedWorkloads {
+			t.Run(fmt.Sprintf("%s/shards=%d", w.name, shards), func(t *testing.T) {
+				served, library := openServed(t, shards), openServed(t, shards)
+				srv := New(served, Config{})
+				defer srv.Close()
+				steps := w.gen(n)
 
-			for i, st := range steps {
-				res, info, err := srv.solo(ctx, st.Query)
-				if err != nil {
-					t.Fatalf("solo %d: %v", i, err)
+				for i, st := range steps {
+					res, info, err := srv.solo(ctx, st.Query)
+					if err != nil {
+						t.Fatalf("solo %d: %v", i, err)
+					}
+					want, err := library.ExecParsed(ctx, st.Query)
+					if err != nil {
+						t.Fatalf("library %d: %v", i, err)
+					}
+					if res.Rows != nil {
+						t.Fatalf("solo %d: the served answer was boxed", i)
+					}
+					sameBody(t, fmt.Sprintf("solo %d", i), st.Query,
+						appendResult(nil, res, info, false), libraryBody(t, want, info))
 				}
-				want, err := library.ExecParsed(ctx, st.Query)
-				if err != nil {
-					t.Fatalf("library %d: %v", i, err)
-				}
-				if res.Rows != nil {
-					t.Fatalf("solo %d: the served answer was boxed", i)
-				}
-				sameBody(t, fmt.Sprintf("solo %d", i), st.Query,
-					appendResult(nil, res, info, false), libraryBody(t, want, info))
-			}
-		})
+			})
+		}
 	}
 }

@@ -161,8 +161,8 @@ func TestCollectOrderGolden(t *testing.T) {
 }
 
 // TestSchedulerKnobsGolden: the sizing knobs that change how pipelines
-// are scheduled — pool size and morsel size — change scheduling, never
-// results.
+// are scheduled — pool size and morsel size, and the ignored shard
+// count — change scheduling, never results.
 func TestSchedulerKnobsGolden(t *testing.T) {
 	queries := parallelQueries()
 	golden := openTPCH(t, WithTuning(Tuning{Parallelism: 1}))
@@ -180,6 +180,12 @@ func TestSchedulerKnobsGolden(t *testing.T) {
 	}{
 		{"parallelism=4", func(t *testing.T) *DB {
 			return openTPCH(t, WithTuning(Tuning{Parallelism: 4, MorselRows: 512}))
+		}},
+		{"shards=2", func(t *testing.T) *DB {
+			return openShimmedTPCH(t, 2, WithTuning(Tuning{Shards: 2, Parallelism: 4, MorselRows: 512}))
+		}},
+		{"shards=2,parallelism=1", func(t *testing.T) *DB {
+			return openShimmedTPCH(t, 2, WithTuning(Tuning{Shards: 2, Parallelism: 1}))
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
