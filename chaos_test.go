@@ -116,13 +116,16 @@ func chaosEqual(got, want []string) bool {
 // classified errors, and (d) leak neither goroutines nor epoch
 // readers. Run under -race at GOMAXPROCS 1 and 4 in CI.
 func TestChaosStorm(t *testing.T) {
-	// Parallelism 4 forces a worker pool and morsel splits even on a
-	// 1-CPU CI box, and AlwaysReuse forces the partial/overlapping reuse
-	// paths whose widened publications htcache.publish guards. The
+	// Parallelism 4 with 1,024-row morsels forces a worker pool and
+	// morsel splits even on a 1-CPU CI box (at SF 0.002 every table is
+	// under the default morsels' spread floor, so without them every
+	// pipeline would run on the caller), and AlwaysReuse forces the
+	// partial/overlapping reuse paths whose widened publications
+	// htcache.publish guards. The
 	// sharded config adds the options the sharded benchmark passes —
 	// two shards and TPC-H partition keys — which are ignored, so it
 	// must weather the storm exactly as the single-shard one does.
-	tuning := hashstash.Tuning{Parallelism: 4, CacheBudget: 96 << 10, ColdTierBudget: 1 << 20}
+	tuning := hashstash.Tuning{Parallelism: 4, MorselRows: 1024, CacheBudget: 96 << 10, ColdTierBudget: 1 << 20}
 	sharded := tuning
 	sharded.Shards = 2
 	configs := []struct {

@@ -32,9 +32,11 @@ func TestExecContextPreCanceled(t *testing.T) {
 
 // TestExecContextCancelInFlight: canceling while queries run either
 // lands a typed cancellation or the query finishes first — never a
-// different error, never a corrupt result.
+// different error, never a corrupt result. Fine morsels make the
+// pipelines spread over both workers and merge their partials: at SF
+// 0.002 the default morsels keep every table under the spread floor.
 func TestExecContextCancelInFlight(t *testing.T) {
-	db := openTPCH(t, WithTuning(Tuning{Parallelism: 2}))
+	db := openTPCH(t, WithTuning(Tuning{Parallelism: 2, MorselRows: 1024}))
 	want := canonical(mustExec(t, db, q3SQL))
 
 	var canceled, completed int

@@ -17,7 +17,9 @@ import (
 // are merged into the pipeline's real sink when the job's last morsel
 // drains, so the published table is immutable and later probes stay
 // lock-free. A serial pipeline is the same job with one task streaming
-// every cursor in order into the real sink.
+// every cursor in order into the real sink; so is a pipeline whose
+// source is under the spread floor (storage.MinSpreadRows) and yields
+// one cursor, which then runs on the calling goroutine.
 //
 // A query's pipelines form one chain and run in compile order — the
 // next pipeline is prepared only after the previous one's sink merged —
@@ -26,11 +28,15 @@ import (
 
 // Parallelism configures the parallel runner.
 type Parallelism struct {
-	// Workers is the worker-pool size; values <= 1 run every pipeline
-	// as one task on the calling goroutine.
+	// Workers is the worker-pool size. The calling goroutine runs the
+	// chain; the rest of the pool starts only at the first pipeline that
+	// splits into two or more morsels, so values <= 1 — or a chain of
+	// one-morsel pipelines — run every pipeline as one task on the
+	// caller.
 	Workers int
 	// MorselRows is the morsel granularity (<= 0 uses
-	// storage.DefaultMorselRows, rebalanced per source for the pool).
+	// storage.DefaultMorselRows, rebalanced per source for the pool; a
+	// source shorter than storage.MinSpreadRows then stays one morsel).
 	MorselRows int
 	// Ctx aborts the run on cancellation or deadline expiry: in-flight
 	// morsels stop at their next batch, queued ones are skipped, and the

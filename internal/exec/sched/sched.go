@@ -6,6 +6,13 @@
 // probe never starts before its build sink merged, a hash-table
 // readout never before its producer. Since one job runs at a time, the
 // queue holds at most one ready job.
+//
+// Every run takes one path, whatever its pool size: the calling
+// goroutine is worker 0 and runs the chain. The other workers start
+// the first time a job with two or more tasks is seeded, and stay
+// until the chain ends; a chain of one-task jobs — a point lookup's
+// pipelines under the spread floor (storage.MinSpreadRows) — starts no
+// goroutine and registers no cancellation hook.
 package sched
 
 import (
@@ -57,8 +64,11 @@ type Job struct {
 
 // Options configures a scheduler run.
 type Options struct {
-	// Workers is the pool size; values <= 1 run the chain on the
-	// calling goroutine and start no goroutine.
+	// Workers is the pool size. The calling goroutine runs the chain
+	// as worker 0; the other Workers-1 start only when a job with two
+	// or more tasks is seeded, so a chain of one-task jobs — or any
+	// chain with Workers <= 1 — runs on the caller and starts no
+	// goroutine.
 	Workers int
 	// Ctx aborts the run when it is canceled or its deadline passes:
 	// cancellation rides the first-error-wins path (fail), so queued
@@ -82,12 +92,20 @@ type task struct {
 }
 
 type scheduler struct {
-	jobs []*Job
-	ctx  context.Context
+	jobs    []*Job
+	ctx     context.Context
+	workers int
 	// cur is the index of the job being seeded or run, remaining its
 	// tasks not yet completed.
 	cur       int
 	remaining atomic.Int64
+
+	// pool holds the workers 1..workers-1 once started; stop undoes the
+	// cancellation hook registered with them. Both are written once, by
+	// the caller, before any other goroutine exists.
+	pool    sync.WaitGroup
+	started bool
+	stop    func() bool
 
 	// mu guards queue/done/err; cond parks idle workers.
 	mu     sync.Mutex
@@ -102,37 +120,46 @@ type scheduler struct {
 // until all finished or one hook failed (the first error is returned;
 // queued work is abandoned).
 func Run(chain []*Job, opts Options) error {
-	s := &scheduler{jobs: chain, ctx: opts.Ctx}
+	s := &scheduler{jobs: chain, ctx: opts.Ctx, workers: opts.Workers}
 	s.cond.L = &s.mu
-	// A lone worker never parks — the task that completes a job seeds
-	// the next one on the same goroutine — so only a pool needs
-	// cancellation to wake it; next() polls the context before every
-	// task either way.
-	if ctx := opts.Ctx; opts.Workers > 1 && ctx != nil && ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, func() { s.fail(hashstasherr.Canceled(ctx.Err())) })
-		defer stop()
-	}
 	s.advance()
-
-	if opts.Workers <= 1 {
-		s.worker(0)
-	} else {
-		// The caller only waits: run as worker 0 it measured ~30 %
-		// slower on a 4-worker scan-aggregate over 2 vCPUs.
-		var wg sync.WaitGroup
-		for w := 0; w < opts.Workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				s.worker(w)
-			}(w)
-		}
-		wg.Wait()
+	s.worker(0)
+	s.pool.Wait()
+	if s.stop != nil {
+		s.stop()
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err
+}
+
+// spread starts the rest of the pool, workers 1..workers-1, beside the
+// caller's worker 0. advance calls it when it seeds a job of two or more
+// tasks; only the caller can get there first, since no other worker
+// exists yet, so the pool is added to before Run waits on it. Only a
+// pool parks, so only a pool needs cancellation to wake it; next()
+// polls the context before every task either way. The caller keeps
+// working as worker 0 after the start rather than only waiting on a
+// pool of Workers: over six alternating `explore` triples on 2 vCPUs
+// the median latency_p50_ms read 4.39 ms with the caller working,
+// 4.50 ms with it waiting, and 4.61 ms when every run started the
+// whole pool up front.
+func (s *scheduler) spread() {
+	if s.started || s.workers <= 1 {
+		return
+	}
+	s.started = true
+	if ctx := s.ctx; ctx != nil && ctx.Done() != nil {
+		s.stop = context.AfterFunc(ctx, func() { s.fail(hashstasherr.Canceled(ctx.Err())) })
+	}
+	s.pool.Add(s.workers - 1)
+	for w := 1; w < s.workers; w++ {
+		go func(w int) {
+			defer s.pool.Done()
+			s.worker(w)
+		}(w)
+	}
 }
 
 // worker is one pool member's loop: claim the next task, run it, until
@@ -220,6 +247,9 @@ func (s *scheduler) advance() {
 			s.queue = ready{job: j}
 			s.mu.Unlock()
 			s.cond.Broadcast()
+			if j.NTasks >= 2 {
+				s.spread()
+			}
 			return
 		}
 		if j.Finish != nil && !s.call("sched.finish", j.Finish) {

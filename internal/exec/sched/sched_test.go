@@ -4,9 +4,36 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"hashstash/internal/testutil"
 )
+
+// mode is one of the two ways a run executes on a pool: with one task
+// per job the pool never starts and the chain runs on the calling
+// goroutine; with several, the pool starts when the first job is
+// seeded.
+type mode struct {
+	name  string
+	tasks int // tasks per job
+}
+
+var modes = []mode{{"caller", 1}, {"pool", 8}}
+
+// chainOf splits n tasks into a chain of jobs of per tasks each; run
+// gets the task's index across the whole chain.
+func chainOf(n, per int, run func(id int) error) []*Job {
+	var chain []*Job
+	for base := 0; base < n; base += per {
+		chain = append(chain, &Job{
+			NTasks: min(per, n-base),
+			Run:    func(w, i int) error { return run(base + i) },
+		})
+	}
+	return chain
+}
 
 // TestJobCompletesAllTasks: every task of a single job runs exactly
 // once, then Finish runs once.
@@ -215,5 +242,103 @@ func TestWorkerIndexInRange(t *testing.T) {
 	}
 	if bad.Load() != 0 {
 		t.Fatalf("%d tasks saw an out-of-range worker index", bad.Load())
+	}
+}
+
+// TestOneTaskChainStartsNoGoroutine: on a pool of four, a chain of
+// one-task jobs runs every task on the caller as worker 0 and starts no
+// goroutine: inside each task the goroutine count equals its value
+// before Run.
+func TestOneTaskChainStartsNoGoroutine(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	before := runtime.NumGoroutine()
+	var ran, off, extra atomic.Int64
+	chain := make([]*Job, 6)
+	for k := range chain {
+		chain[k] = &Job{NTasks: 1, Run: func(w, i int) error {
+			ran.Add(1)
+			if w != 0 {
+				off.Add(1)
+			}
+			if n := runtime.NumGoroutine(); n != before {
+				extra.Store(int64(n - before))
+			}
+			return nil
+		}}
+	}
+	if err := Run(chain, Options{Workers: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if ran.Load() != 6 {
+		t.Fatalf("%d of 6 tasks ran", ran.Load())
+	}
+	if off.Load() != 0 {
+		t.Fatalf("%d tasks ran off worker 0", off.Load())
+	}
+	if n := extra.Load(); n != 0 {
+		t.Fatalf("goroutine count moved by %d inside a one-task chain", n)
+	}
+}
+
+// TestPoolStartsAtFirstSpread: a one-task, multi-task, one-task chain
+// on a pool of four runs its first job on the caller alone and starts
+// the pool when the multi-task job is seeded. Every task runs exactly
+// once, tasks running at the same time see distinct worker indices,
+// and Finish sees every task's plain (unsynchronized) write. Meant for
+// -race.
+func TestPoolStartsAtFirstSpread(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	const workers, n = 4, 256
+	before := runtime.NumGoroutine()
+	var busy [workers]atomic.Int32
+	var clashes, ran, firstExtra, spreadShort atomic.Int64
+	out := make([]int, n)
+	chain := []*Job{
+		{NTasks: 1, Run: func(w, i int) error {
+			if got := runtime.NumGoroutine(); got != before || w != 0 {
+				firstExtra.Add(1)
+			}
+			return nil
+		}},
+		{
+			NTasks: n,
+			Run: func(w, i int) error {
+				if busy[w].Add(1) != 1 {
+					clashes.Add(1)
+				}
+				if runtime.NumGoroutine() < before+workers-1 {
+					spreadShort.Add(1)
+				}
+				out[i] = i + 1
+				ran.Add(1)
+				runtime.Gosched()
+				busy[w].Add(-1)
+				return nil
+			},
+			Finish: func() error {
+				for i, v := range out {
+					if v != i+1 {
+						return fmt.Errorf("Finish saw out[%d] = %d, want %d", i, v, i+1)
+					}
+				}
+				return nil
+			},
+		},
+		{NTasks: 1, Run: func(w, i int) error { ran.Add(1); return nil }},
+	}
+	if err := Run(chain, Options{Workers: workers}); err != nil {
+		t.Fatal(err)
+	}
+	if firstExtra.Load() != 0 {
+		t.Fatal("the first one-task job did not run on the caller alone")
+	}
+	if spreadShort.Load() != 0 {
+		t.Fatal("the multi-task job ran before the pool started")
+	}
+	if clashes.Load() != 0 {
+		t.Fatalf("%d tasks shared a worker index with a running task", clashes.Load())
+	}
+	if ran.Load() != n+1 {
+		t.Fatalf("%d tasks ran, want %d", ran.Load(), n+1)
 	}
 }

@@ -23,8 +23,9 @@ type Source interface {
 	// most rows positions each (rows <= 0 uses
 	// storage.DefaultMorselRows), re-balanced for a pool of workers via
 	// storage.BalancedMorselRows so short scans still split into several
-	// morsels per worker. Draining the cursors in order yields the
-	// source's rows in source order.
+	// morsels per worker — except, under the default, a source below
+	// storage.MinSpreadRows, which stays whole. Draining the cursors in
+	// order yields the source's rows in source order.
 	Morsels(rows, workers int) ([]Cursor, error)
 }
 

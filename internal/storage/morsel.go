@@ -55,6 +55,15 @@ const MinMorselRows = 1024
 // overhead stays negligible.
 const morselsPerWorker = 4
 
+// MinSpreadRows is the spread floor: under the default granularity a
+// source of fewer positions is not split (one morsel per run), so a
+// one-run source's pipeline runs as one task on the calling goroutine,
+// straight into its real sink, and the scheduler starts no pool for it. Below the floor the pool's
+// start-up, the per-worker partial sinks and their merge cost more than
+// a second core saves; BenchmarkSpreadFloor (internal/exec) is the
+// sweep that places it.
+const MinSpreadRows = 16 * 1024
+
 // BalancedMorselRows is the load-balancing partitioning hint: the
 // configured morsel size when [0, n) already yields enough morsels to
 // keep a pool of workers busy, otherwise a finer granularity targeting
@@ -62,10 +71,15 @@ const morselsPerWorker = 4
 // MinMorselRows; an explicitly smaller configured size is respected
 // (tests and benchmarks force fine morsels that way). Sources pass
 // their row counts through this before chunking so short scans — a
-// selective residual box, a small index run — still split into several
-// morsels per worker instead of one morsel per core.
+// selective residual box, a mid-sized index run — still split into
+// several morsels per worker instead of one morsel per core. Under the
+// default granularity (size <= 0) a source shorter than MinSpreadRows
+// is not split at all; an explicit size keeps splitting it.
 func BalancedMorselRows(n, size, workers int) int {
 	if size <= 0 {
+		if n < MinSpreadRows {
+			return DefaultMorselRows
+		}
 		size = DefaultMorselRows
 	}
 	if workers <= 1 || n <= 0 {

@@ -57,9 +57,14 @@ func benchCold(b *testing.B, sql string) {
 // BenchmarkPointLookup times a customer-key point query end to end,
 // cycling over 64 keys so that plans reuse the cached artifacts (and,
 // once the optimizer has built it, the o_custkey index) across
-// iterations.
+// iterations. It runs as hashstashd does on two CPUs: two workers at
+// the default morsels, so the spread floor keeps the lookup's short
+// pipelines on the calling goroutine.
 func BenchmarkPointLookup(b *testing.B) {
-	db := benchTPCH(b, 4)
+	db := Open(WithTuning(Tuning{Parallelism: 2}))
+	if err := db.LoadTPCH(0.02); err != nil {
+		b.Fatal(err)
+	}
 	mk := func(key int) string {
 		return fmt.Sprintf(`SELECT c.c_age, SUM(o.o_totalprice) AS spend
 			FROM customer c, orders o

@@ -62,9 +62,13 @@ type Tuning struct {
 	// indexes (0 = unlimited).
 	IndexBuildBudget int64
 	// Parallelism is the morsel-driven worker-pool size (0 = all CPUs,
-	// 1 = serial).
+	// 1 = serial). A query takes the pool only for a pipeline with two
+	// or more morsels; until then it runs on the calling goroutine.
 	Parallelism int
 	// MorselRows overrides the morsel granularity (0 = storage default).
+	// Under the default a source shorter than 16K rows is one morsel, so
+	// its pipeline runs on the calling goroutine; an explicit size
+	// splits every source.
 	MorselRows int
 	// Shards does nothing: one catalog, one cache with the whole byte
 	// budgets and one optimizer with the whole worker pool serve every
