@@ -21,8 +21,8 @@ type IndexOrderScan struct {
 
 	cols    []*storage.Column
 	schema  storage.Schema
-	matcher *tableMatcher // the query's full predicate on the table
-	pos     int           // positions consumed from the walk end
+	matcher *matcher // the query's full predicate on the table
+	pos     int      // positions consumed from the walk end
 	emitted int
 }
 
@@ -33,7 +33,7 @@ func NewIndexOrderScan(t *storage.Table, alias string, tree *btree.Tree, desc bo
 	if err != nil {
 		return nil, err
 	}
-	m, err := newTableMatcher(box, t)
+	m, err := bindTable(box, t)
 	if err != nil {
 		return nil, err
 	}
@@ -73,9 +73,7 @@ func (s *IndexOrderScan) Next(out *storage.Batch) bool {
 		} else {
 			copy(sel, perm[s.pos:s.pos+chunk])
 		}
-		if s.matcher != nil {
-			sel = s.matcher.filter(sel)
-		}
+		sel, _ = s.matcher.refine(nil, sel, nil)
 		if s.limit > 0 && s.emitted+len(sel) > s.limit {
 			sel = sel[:s.limit-s.emitted]
 		}

@@ -17,66 +17,139 @@
 // permutation runs. The scan hands row ids downstream with every column
 // deferred (storage.Batch), and each operator gathers only the columns
 // it reads, for the rows still alive when it reads them.
+//
+// Every predicate box is evaluated on one path, in this file: a binder
+// resolves the box once against the column form it reads — a batch
+// schema (Filter), a base table (the scans' residuals and SharedScan's
+// per-query boxes) or a hash-table layout (the HTScan and Probe
+// post-filters and ReTag) — and matcher.refine narrows a selection
+// through it with filterSel's typed kernels: batch and table columns
+// directly, hash-table cells after keepCells decodes them a chunk at a
+// time, compacting the probe's input rows together with the entries. So a
+// reused table's post-filter and a re-tagged table's masks keep exactly
+// the rows a scan under the same box keeps.
 package exec
 
 import (
 	"fmt"
+	"math"
 
 	"hashstash/internal/expr"
+	"hashstash/internal/hashtable"
 	"hashstash/internal/storage"
 	"hashstash/internal/types"
 )
 
-// batchMatcher evaluates a predicate box against rows of a batch with a
-// fixed schema; constraints are pre-bound to column positions.
-type batchMatcher struct {
-	cols []int
-	cons []expr.Constraint
+// boundCon is one constraint of a box bound to a column of its
+// matcher's form: a batch position, an index into the table's Cols or
+// a layout position.
+type boundCon struct {
+	pos  int
+	kind types.Kind
+	con  expr.Constraint
 }
 
-// newBatchMatcher binds a box against a schema. Every constrained column
-// must be present in the schema.
-func newBatchMatcher(box expr.Box, schema storage.Schema) (*batchMatcher, error) {
-	m := &batchMatcher{}
-	for _, p := range box {
-		i := schema.IndexOf(p.Col)
-		if i < 0 {
-			return nil, fmt.Errorf("exec: predicate column %v not in schema %v", p.Col, schema)
+// matcher is a predicate box bound once against one column form: a
+// batch schema (table and ht nil), a base table or a hash table. A box
+// without predicates binds to a nil matcher, which keeps every row.
+// Matchers are read-only after binding, so morsel workers share them.
+type matcher struct {
+	cons  []boundCon
+	table *storage.Table
+	ht    *hashtable.Table
+}
+
+// bind resolves every constraint of box through find, which returns
+// the position and kind of a column reference or -1; where names the
+// form in the error for an unresolved column.
+func bind(box expr.Box, where string, find func(storage.ColRef) (int, types.Kind)) (*matcher, error) {
+	if len(box) == 0 {
+		return nil, nil
+	}
+	m := &matcher{cons: make([]boundCon, len(box))}
+	for i, p := range box {
+		pos, kind := find(p.Col)
+		if pos < 0 {
+			return nil, fmt.Errorf("exec: predicate column %v not in %s", p.Col, where)
 		}
-		m.cols = append(m.cols, i)
-		m.cons = append(m.cons, p.Con)
+		m.cons[i] = boundCon{pos: pos, kind: kind, con: p.Con}
 	}
 	return m, nil
 }
 
-// match reports whether row i of the batch satisfies the box.
-func (m *batchMatcher) match(b *storage.Batch, i int) bool {
-	for j, ci := range m.cols {
-		vec := b.Cols[ci]
-		con := m.cons[j]
-		switch vec.Kind {
-		case types.Int64, types.Date:
-			if !con.MatchInt(vec.Ints[i]) {
-				return false
-			}
-		case types.Float64:
-			if !con.MatchFloat(vec.Floats[i]) {
-				return false
-			}
-		case types.String:
-			if !con.MatchString(vec.Strs[i]) {
-				return false
-			}
+// bindSchema binds a box against the batches of a schema.
+func bindSchema(box expr.Box, schema storage.Schema) (*matcher, error) {
+	return bind(box, "schema", func(ref storage.ColRef) (int, types.Kind) {
+		if i := schema.IndexOf(ref); i >= 0 {
+			return i, schema[i].Kind
+		}
+		return -1, 0
+	})
+}
+
+// bindTable binds a box against a base table's rows. Predicates use
+// alias-qualified references whose Column names must exist in the table.
+func bindTable(box expr.Box, t *storage.Table) (*matcher, error) {
+	m, err := bind(box, "table", func(ref storage.ColRef) (int, types.Kind) {
+		if i := t.ColumnIndex(ref.Column); i >= 0 {
+			return i, t.Cols[i].Kind
+		}
+		return -1, 0
+	})
+	if m != nil {
+		m.table = t
+	}
+	return m, err
+}
+
+// bindHT binds a box against a hash table's entries. Every predicate
+// column must be stored in the layout (the optimizer's "additional
+// attributes" add selection attributes to payloads for exactly this).
+func bindHT(box expr.Box, ht *hashtable.Table) (*matcher, error) {
+	layout := ht.Layout()
+	m, err := bind(box, "hash table layout", func(ref storage.ColRef) (int, types.Kind) {
+		if i := layout.ColIndex(ref); i >= 0 {
+			return i, layout.Cols[i].Kind
+		}
+		return -1, 0
+	})
+	if m != nil {
+		m.ht = ht
+	}
+	return m, err
+}
+
+// refine narrows sel to the rows that satisfy every constraint: in the
+// batch form sel holds positions of b, in the table form row ids, in
+// the hash-table form entries, with aligned (nil or as long as sel,
+// the probe's input row of each entry) compacted in step. The
+// constraint kind dispatch happens once per constraint, not per row.
+func (m *matcher) refine(b *storage.Batch, sel, aligned []int32) ([]int32, []int32) {
+	if m == nil {
+		return sel, aligned
+	}
+	for i := range m.cons {
+		if len(sel) == 0 {
+			break
+		}
+		c := &m.cons[i]
+		switch {
+		case m.ht != nil:
+			sel, aligned = c.keepCells(m.ht, sel, aligned)
+		case m.table != nil:
+			col := m.table.Cols[c.pos]
+			sel = filterSel(&c.con, c.kind, col.Ints, col.Floats, col.Strs, sel)
+		default:
+			vec := b.Cols[c.pos]
+			sel = filterSel(&c.con, c.kind, vec.Ints, vec.Floats, vec.Strs, sel)
 		}
 	}
-	return true
+	return sel, aligned
 }
 
 // filterSel refines a selection through one constraint over raw column
-// data — the kind dispatch shared by the batch and base-table matchers;
-// it happens once per constraint, then a tight typed kernel drops the
-// non-matching positions.
-func filterSel(con expr.Constraint, kind types.Kind, ints []int64, floats []float64, strs []string, sel []int32) []int32 {
+// data with the typed kernel of the column's kind.
+func filterSel(con *expr.Constraint, kind types.Kind, ints []int64, floats []float64, strs []string, sel []int32) []int32 {
 	switch kind {
 	case types.Int64, types.Date:
 		return con.FilterInts(ints, sel)
@@ -88,74 +161,63 @@ func filterSel(con expr.Constraint, kind types.Kind, ints []int64, floats []floa
 	return sel
 }
 
-// filter refines a selection vector over the batch and returns the
-// shortened selection.
-func (m *batchMatcher) filter(b *storage.Batch, sel []int32) []int32 {
-	for j, ci := range m.cols {
-		if len(sel) == 0 {
-			return sel
-		}
-		vec := b.Cols[ci]
-		sel = filterSel(m.cons[j], vec.Kind, vec.Ints, vec.Floats, vec.Strs, sel)
-	}
-	return sel
-}
+// cellChunk is how many entries keepCells decodes at a time.
+const cellChunk = 128
 
-// tableMatcher evaluates a box against base-table rows; constraints are
-// pre-bound to columns. Predicates use alias-qualified references whose
-// Column names must exist in the table.
-type tableMatcher struct {
-	cols []*storage.Column
-	cons []expr.Constraint
-}
-
-// newTableMatcher binds a box against a table. A box without predicates
-// yields a nil matcher: there is nothing to filter.
-func newTableMatcher(box expr.Box, t *storage.Table) (*tableMatcher, error) {
-	if len(box) == 0 {
-		return nil, nil
-	}
-	m := &tableMatcher{}
-	for _, p := range box {
-		col := t.Column(p.Col.Column)
-		if col == nil {
-			return nil, fmt.Errorf("exec: predicate column %v not in table %q", p.Col, t.Name)
-		}
-		m.cols = append(m.cols, col)
-		m.cons = append(m.cons, p.Con)
-	}
-	return m, nil
-}
-
-// filter refines a selection of table row ids, dropping rows that fail
-// any constraint — the base-table counterpart of batchMatcher.filter.
-func (m *tableMatcher) filter(sel []int32) []int32 {
-	for j, col := range m.cols {
-		if len(sel) == 0 {
-			return sel
-		}
-		sel = filterSel(m.cons[j], col.Kind, col.Ints, col.Floats, col.Strs, sel)
-	}
-	return sel
-}
-
-func (m *tableMatcher) match(row int32) bool {
-	for j, col := range m.cols {
-		con := m.cons[j]
-		switch col.Kind {
+// keepCells keeps the entries whose cell in c's layout column satisfies
+// c, compacting aligned (when non-nil) in step with them. It decodes the
+// cells of a chunk of entries into stack vectors, the way
+// hashtable.Table.AppendColumn does, and runs the filterSel kernel a
+// scan of those values would.
+func (c *boundCon) keepCells(ht *hashtable.Table, ents, aligned []int32) ([]int32, []int32) {
+	var (
+		ints   [cellChunk]int64
+		floats [cellChunk]float64
+		strs   [cellChunk]string
+		pos    [cellChunk]int32
+	)
+	kept := 0
+	for lo := 0; lo < len(ents); lo += cellChunk {
+		chunk := ents[lo:min(lo+cellChunk, len(ents))]
+		switch c.kind {
 		case types.Int64, types.Date:
-			if !con.MatchInt(col.Ints[row]) {
-				return false
+			for i, e := range chunk {
+				ints[i] = int64(ht.Cell(e, c.pos))
 			}
 		case types.Float64:
-			if !con.MatchFloat(col.Floats[row]) {
-				return false
+			for i, e := range chunk {
+				floats[i] = math.Float64frombits(ht.Cell(e, c.pos))
 			}
 		case types.String:
-			if !con.MatchString(col.Strs[row]) {
-				return false
+			heap := ht.Strings()
+			for i, e := range chunk {
+				strs[i] = heap.At(ht.Cell(e, c.pos))
 			}
 		}
+		for _, p := range filterSel(&c.con, c.kind, ints[:], floats[:], strs[:], fillRange(pos[:len(chunk)], 0)) {
+			ents[kept] = chunk[p]
+			if aligned != nil {
+				aligned[kept] = aligned[lo+int(p)]
+			}
+			kept++
+		}
 	}
-	return true
+	if aligned != nil {
+		aligned = aligned[:kept]
+	}
+	return ents[:kept], aligned
+}
+
+// tagRows ORs query q's bit into masks[r-start] for every row r of
+// [start, start+len(masks)) that ms[q] keeps: the table rows of a
+// SharedScan chunk or the entries of a ReTag chunk. sel is scratch at
+// least as long as masks.
+func tagRows[M int64 | uint64](masks []M, ms []*matcher, start int32, sel []int32) {
+	for q, m := range ms {
+		kept, _ := m.refine(nil, fillRange(sel[:len(masks)], start), nil)
+		bit := M(1) << uint(q)
+		for _, r := range kept {
+			masks[r-start] |= bit
+		}
+	}
 }

@@ -9,7 +9,6 @@ import (
 	"hashstash/internal/expr"
 	"hashstash/internal/hashtable"
 	"hashstash/internal/storage"
-	"hashstash/internal/types"
 )
 
 // Source produces batches for a pipeline. A source is iterated only
@@ -144,7 +143,7 @@ type TableScan struct {
 // residual). Read-only once built, so its morsels share it.
 type rowRun struct {
 	scan   *TableScan
-	m      *tableMatcher
+	m      *matcher
 	tree   *btree.Tree
 	lo, hi int32
 }
@@ -175,7 +174,7 @@ func NewIndexScan(t *storage.Table, alias string, tree *btree.Tree, driving expr
 	if err != nil {
 		return nil, err
 	}
-	m, err := newTableMatcher(residual, t)
+	m, err := bindTable(residual, t)
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +206,7 @@ func (s *TableScan) Morsels(rows, workers int) ([]Cursor, error) {
 		if box.Empty() {
 			continue
 		}
-		m, err := newTableMatcher(box, s.table)
+		m, err := bindTable(box, s.table)
 		if err != nil {
 			return nil, err
 		}
@@ -249,7 +248,7 @@ func (r *rowRun) emit(out *storage.Batch, lo, hi int32) int {
 		} else {
 			copy(sel, ids)
 		}
-		ids = r.m.filter(sel)
+		ids, _ = r.m.refine(nil, sel, nil)
 	}
 	out.AppendIDs(ids)
 	return len(ids)
@@ -268,35 +267,39 @@ func (r *rowRun) account(consumed int64) {
 func (s *TableScan) RowsScanned() int64 { return s.rowsScanned.Load() }
 
 // HTScan iterates the entries of a cached hash table, decoding a subset
-// of its layout columns, optionally post-filtering (subsuming-reuse) and
-// optionally keeping only entries whose qid-mask cell intersects a mask
-// (shared plans).
+// of its layout columns, optionally post-filtering (subsuming and
+// overlapping reuse) and optionally keeping only entries whose qid-mask
+// cell intersects a mask (shared plans).
 type HTScan struct {
 	HT *hashtable.Table
 	// OutCols lists layout column positions to emit.
 	OutCols []int
-	// PostFilter is evaluated against decoded entry values; nil means no
-	// filtering. Its predicates reference layout column refs.
-	PostFilter expr.Box
 	// QidCol is the layout position of the query-id bitmask column, or
 	// -1; QidMask selects entries with any overlapping bit.
 	QidCol  int
 	QidMask uint64
 
-	schema   storage.Schema
-	pfCols   []int
-	pfCons   []expr.Constraint
-	pfKinds  []types.Kind
+	schema storage.Schema
+	// post is the post-filter box bound to the layout (nil: no
+	// filtering); it drops the entries outside the request, the false
+	// positives of the reused table.
+	post     *matcher
 	filtered atomic.Int64
 }
 
 // NewHTScan constructs a hash-table scan. outRefs (optional, aligned
-// with outCols) renames emitted columns.
+// with outCols) renames emitted columns. postFilter (layout refs, nil
+// for none) binds here; every column it constrains must be stored in
+// the layout.
 func NewHTScan(ht *hashtable.Table, outCols []int, outRefs []storage.ColRef, postFilter expr.Box) (*HTScan, error) {
 	if outRefs != nil && len(outRefs) != len(outCols) {
 		return nil, fmt.Errorf("exec: outRefs has %d entries for %d out columns", len(outRefs), len(outCols))
 	}
-	s := &HTScan{HT: ht, OutCols: outCols, PostFilter: postFilter, QidCol: -1}
+	post, err := bindHT(postFilter, ht)
+	if err != nil {
+		return nil, err
+	}
+	s := &HTScan{HT: ht, OutCols: outCols, QidCol: -1, post: post}
 	layout := ht.Layout()
 	for oi, ci := range outCols {
 		if ci < 0 || ci >= len(layout.Cols) {
@@ -307,15 +310,6 @@ func NewHTScan(ht *hashtable.Table, outCols []int, outRefs []storage.ColRef, pos
 			m.Ref = outRefs[oi]
 		}
 		s.schema = append(s.schema, m)
-	}
-	for _, p := range postFilter {
-		ci := layout.ColIndex(p.Col)
-		if ci < 0 {
-			return nil, fmt.Errorf("exec: post-filter column %v not in hash table layout", p.Col)
-		}
-		s.pfCols = append(s.pfCols, ci)
-		s.pfCons = append(s.pfCons, p.Con)
-		s.pfKinds = append(s.pfKinds, layout.Cols[ci].Kind)
 	}
 	return s, nil
 }
@@ -336,9 +330,8 @@ func (s *HTScan) Morsels(rows, workers int) ([]Cursor, error) {
 
 // emit filters the candidate entry range [start, end) through the qid
 // mask and the post-filter, and appends the survivors' columns to out.
-// The qid test and each post-filter column refine an entry selection
-// vector with the kind dispatch hoisted out of the entry loop;
-// surviving entries decode once per output column.
+// Both refine an entry selection vector; surviving entries decode once
+// per output column.
 func (s *HTScan) emit(out *storage.Batch, start, end int32) int {
 	ents := fillRange(out.Scratch().Sel(int(end-start)), start)
 	if s.QidCol >= 0 {
@@ -350,12 +343,10 @@ func (s *HTScan) emit(out *storage.Batch, start, end int32) int {
 		}
 		ents = kept
 	}
-	if len(s.pfCols) > 0 {
-		before := len(ents)
-		ents = s.filterEntries(ents)
-		if f := before - len(ents); f > 0 {
-			s.filtered.Add(int64(f))
-		}
+	before := len(ents)
+	ents, _ = s.post.refine(nil, ents, nil)
+	if f := before - len(ents); f > 0 {
+		s.filtered.Add(int64(f))
 	}
 	for i, ci := range s.OutCols {
 		s.HT.AppendColumn(out.Cols[i], ci, ents)
@@ -364,42 +355,6 @@ func (s *HTScan) emit(out *storage.Batch, start, end int32) int {
 }
 
 func (s *HTScan) account(int64) {}
-
-// filterEntries refines an entry selection through the post-filter, one
-// typed loop per constrained layout column.
-func (s *HTScan) filterEntries(ents []int32) []int32 {
-	ht := s.HT
-	for j, ci := range s.pfCols {
-		if len(ents) == 0 {
-			return ents
-		}
-		con := s.pfCons[j]
-		kept := ents[:0]
-		switch s.pfKinds[j] {
-		case types.Int64, types.Date:
-			for _, e := range ents {
-				if con.MatchInt(int64(ht.Cell(e, ci))) {
-					kept = append(kept, e)
-				}
-			}
-		case types.Float64:
-			for _, e := range ents {
-				if con.MatchFloat(types.FromBits(types.Float64, ht.Cell(e, ci)).F) {
-					kept = append(kept, e)
-				}
-			}
-		case types.String:
-			strs := ht.Strings()
-			for _, e := range ents {
-				if con.MatchString(strs.At(ht.Cell(e, ci))) {
-					kept = append(kept, e)
-				}
-			}
-		}
-		ents = kept
-	}
-	return ents
-}
 
 // FilteredOut reports how many entries the post-filter rejected (the
 // false positives of subsuming reuse). Morsel workers update the

@@ -31,13 +31,13 @@ type Transform interface {
 
 // Filter drops rows not satisfying a predicate box.
 type Filter struct {
-	matcher *batchMatcher
+	matcher *matcher
 	schema  storage.Schema
 }
 
 // NewFilter binds a box against the input schema.
 func NewFilter(box expr.Box, in storage.Schema) (*Filter, error) {
-	m, err := newBatchMatcher(box, in)
+	m, err := bindSchema(box, in)
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +60,7 @@ func (f *Filter) Apply(in, out *storage.Batch) bool {
 	for c := range in.Cols {
 		in.Materialize(c)
 	}
-	sel := f.matcher.filter(in, in.Scratch().SeqSel(n))
+	sel, _ := f.matcher.refine(in, in.Scratch().SeqSel(n), nil)
 	switch len(sel) {
 	case 0:
 	case n:
@@ -160,9 +160,10 @@ func (p *Project) Apply(in, out *storage.Batch) bool {
 }
 
 // Probe is the probe phase of a (reuse-aware) hash join: each input row
-// probes the hash table and joins with every matching entry. PostFilter
-// eliminates false positives when the table is reused subsumingly, and
-// QidCol/QidMask restricts matches in shared plans.
+// probes the hash table and joins with every matching entry. The
+// post-filter eliminates false positives when the table is reused
+// subsumingly or overlappingly, and QidCol/QidInCol restrict matches in
+// shared plans.
 type Probe struct {
 	HT *hashtable.Table
 	// KeyCols are input positions forming the probe key, ordered to
@@ -170,8 +171,6 @@ type Probe struct {
 	KeyCols []int
 	// EmitCols lists layout positions appended to each output row.
 	EmitCols []int
-	// PostFilter rejects entries (layout refs); nil accepts all.
-	PostFilter expr.Box
 	// QidCol is the layout position of the qid bitmask, or -1.
 	QidCol int
 	// QidInCol is the input position of the probe side's qid mask, or -1.
@@ -180,10 +179,11 @@ type Probe struct {
 	// EmitCols or present on the input to be re-emitted.
 	QidInCol int
 
-	schema   storage.Schema
-	pfCols   []int
-	pfCons   []expr.Constraint
-	pfKinds  []types.Kind
+	schema storage.Schema
+	// post is the post-filter box bound to the layout (nil accepts
+	// every entry). It narrows the match pairs, entries and input rows
+	// together, before the qid masks and the gathers.
+	post     *matcher
 	hasStr   bool
 	matches  int64
 	filtered int64
@@ -193,6 +193,8 @@ type Probe struct {
 // schema followed by the emitted hash-table columns; emitRefs (optional,
 // aligned with emitCols) renames emitted columns — cached tables store
 // base-qualified layouts, while pipelines flow alias-qualified columns.
+// postFilter (layout refs, nil for none) binds here; every column it
+// constrains must be stored in the layout.
 func NewProbe(ht *hashtable.Table, keyCols []storage.ColRef, emitCols []int, emitRefs []storage.ColRef, postFilter expr.Box, in storage.Schema) (*Probe, error) {
 	layout := ht.Layout()
 	if len(keyCols) != layout.KeyCols {
@@ -201,7 +203,11 @@ func NewProbe(ht *hashtable.Table, keyCols []storage.ColRef, emitCols []int, emi
 	if emitRefs != nil && len(emitRefs) != len(emitCols) {
 		return nil, fmt.Errorf("exec: emitRefs has %d entries for %d emit columns", len(emitRefs), len(emitCols))
 	}
-	p := &Probe{HT: ht, EmitCols: emitCols, PostFilter: postFilter, QidCol: -1, QidInCol: -1}
+	post, err := bindHT(postFilter, ht)
+	if err != nil {
+		return nil, err
+	}
+	p := &Probe{HT: ht, EmitCols: emitCols, QidCol: -1, QidInCol: -1, post: post}
 	for _, ref := range keyCols {
 		i := in.IndexOf(ref)
 		if i < 0 {
@@ -222,15 +228,6 @@ func NewProbe(ht *hashtable.Table, keyCols []storage.ColRef, emitCols []int, emi
 			m.Ref = emitRefs[ei]
 		}
 		p.schema = append(p.schema, m)
-	}
-	for _, pr := range postFilter {
-		ci := layout.ColIndex(pr.Col)
-		if ci < 0 {
-			return nil, fmt.Errorf("exec: probe post-filter column %v not in layout", pr.Col)
-		}
-		p.pfCols = append(p.pfCols, ci)
-		p.pfCons = append(p.pfCons, pr.Con)
-		p.pfKinds = append(p.pfKinds, layout.Cols[ci].Kind)
 	}
 	return p, nil
 }
@@ -273,8 +270,8 @@ func (p *Probe) encodeKeys(in *storage.Batch, n int, resumed bool) (enc [][]uint
 // hash vector for the whole batch computes in one pass (HashColumns),
 // chain heads for the whole batch resolve up front and the chain walks
 // run inside hashtable.ProbeHashedFrom (stored hashes screen candidates
-// before any key compare), the post-filter and qid mask refine the
-// match pairs with one typed kernel per constraint, and the surviving
+// before any key compare), the post-filter (matcher.refine) and the qid
+// mask refine the match pairs, and the surviving
 // pairs materialize once per column via gather kernels. Of the input,
 // only the key columns (and a qid column) are read: the row ids compact
 // by the match selection with one int32 gather, deferred columns pass
@@ -305,8 +302,9 @@ func (p *Probe) Apply(in, out *storage.Batch) bool {
 	sel, ents, next := p.HT.ProbeHashedFrom(cur, hashes, enc, miss, from, storage.BatchSize, sel, ents)
 	more := next < n
 	sc.SetResume(next, more)
-	var filtered int64
-	sel, ents, filtered = p.filterPairs(sel, ents)
+	filtered := int64(len(ents))
+	ents, sel = p.post.refine(nil, ents, sel)
+	filtered -= int64(len(ents))
 	var masks []int64 // AND-ed qid mask of each match (shared plans)
 	qid := p.QidCol >= 0 && p.QidInCol >= 0
 	if qid {
@@ -357,49 +355,6 @@ func (p *Probe) Apply(in, out *storage.Batch) bool {
 		atomic.AddInt64(&p.filtered, filtered)
 	}
 	return more
-}
-
-// filterPairs refines the (row, entry) match pairs through the
-// post-filter, one typed in-place compaction per constrained layout
-// column (the pair-aligned counterpart of HTScan.filterEntries), and
-// reports how many pairs it rejected.
-func (p *Probe) filterPairs(sel, ents []int32) ([]int32, []int32, int64) {
-	var filtered int64
-	ht := p.HT
-	for j, ci := range p.pfCols {
-		if len(ents) == 0 {
-			break
-		}
-		con := p.pfCons[j]
-		kept := 0
-		switch p.pfKinds[j] {
-		case types.Int64, types.Date:
-			for i, e := range ents {
-				if con.MatchInt(int64(ht.Cell(e, ci))) {
-					sel[kept], ents[kept] = sel[i], e
-					kept++
-				}
-			}
-		case types.Float64:
-			for i, e := range ents {
-				if con.MatchFloat(types.FromBits(types.Float64, ht.Cell(e, ci)).F) {
-					sel[kept], ents[kept] = sel[i], e
-					kept++
-				}
-			}
-		case types.String:
-			strs := ht.Strings()
-			for i, e := range ents {
-				if con.MatchString(strs.At(ht.Cell(e, ci))) {
-					sel[kept], ents[kept] = sel[i], e
-					kept++
-				}
-			}
-		}
-		filtered += int64(len(ents) - kept)
-		sel, ents = sel[:kept], ents[:kept]
-	}
-	return sel, ents, filtered
 }
 
 // Matches reports the number of join matches produced; morsel workers

@@ -132,10 +132,10 @@ func randBox(rng *rand.Rand, schema storage.Schema) expr.Box {
 	return expr.NewBox(preds...)
 }
 
-// refFilter is the seed's row-at-a-time filter.
-func refFilter(m *batchMatcher, in, out *storage.Batch) {
+// refFilter is the row-at-a-time filter: refKeeps per row.
+func refFilter(box expr.Box, schema storage.Schema, in, out *storage.Batch) {
 	for i := 0; i < in.Len(); i++ {
-		if !m.match(in, i) {
+		if !refKeeps(box, func(ref storage.ColRef) types.Value { return in.Cols[schema.MustIndexOf(ref)].Value(i) }) {
 			continue
 		}
 		for c := range in.Cols {
@@ -157,7 +157,7 @@ func TestGoldenFilterVsRowAtATime(t *testing.T) {
 		got := storage.NewBatch(schema)
 		f.Apply(in, got)
 		want := storage.NewBatch(schema)
-		refFilter(f.matcher, in, want)
+		refFilter(box, schema, in, want)
 		requireBatchEqual(t, got, want)
 	}
 }
@@ -223,33 +223,16 @@ func buildGoldenHT(rng *rand.Rand, stringKey bool, n int) *hashtable.Table {
 	return ht
 }
 
-// refEntryMatches is the row-at-a-time post-filter (one kind dispatch
-// per entry), the golden reference for Probe.filterPairs.
-func refEntryMatches(p *Probe, e int32) bool {
-	for j, ci := range p.pfCols {
-		con := p.pfCons[j]
-		bits := p.HT.Cell(e, ci)
-		switch p.pfKinds[j] {
-		case types.Int64, types.Date:
-			if !con.MatchInt(int64(bits)) {
-				return false
-			}
-		case types.Float64:
-			if !con.MatchFloat(types.FromBits(types.Float64, bits).F) {
-				return false
-			}
-		case types.String:
-			if !con.MatchString(p.HT.Strings().At(bits)) {
-				return false
-			}
-		}
-	}
-	return true
+// refEntryKeeps is the row-at-a-time post-filter over one entry's
+// cells, the golden reference for the probe's post-filter.
+func refEntryKeeps(pf expr.Box, ht *hashtable.Table, e int32) bool {
+	layout := ht.Layout()
+	return refKeeps(pf, func(ref storage.ColRef) types.Value { return ht.CellValue(e, layout.ColIndex(ref)) })
 }
 
-// refProbe is the seed's row-at-a-time probe (including post-filter and
-// qid-mask semantics), used as the golden reference.
-func refProbe(p *Probe, in, out *storage.Batch) {
+// refProbe is the seed's row-at-a-time probe (including post-filter pf
+// and qid-mask semantics), used as the golden reference.
+func refProbe(p *Probe, pf expr.Box, in, out *storage.Batch) {
 	n := in.Len()
 	key := make([]uint64, len(p.KeyCols))
 	for i := 0; i < n; i++ {
@@ -277,7 +260,7 @@ func refProbe(p *Probe, in, out *storage.Batch) {
 		}
 		it := p.HT.Probe(key)
 		for e := it.Next(); e != -1; e = it.Next() {
-			if !refEntryMatches(p, e) {
+			if !refEntryKeeps(pf, p.HT, e) {
 				continue
 			}
 			var mask uint64
@@ -349,7 +332,7 @@ func TestGoldenProbeVsRowAtATime(t *testing.T) {
 					got := storage.NewBatch(probe.OutSchema())
 					applyAll(probe, in, got)
 					want := storage.NewBatch(probe.OutSchema())
-					refProbe(probe, in, want)
+					refProbe(probe, pf, in, want)
 					requireBatchEqual(t, got, want)
 					if got.Len() == 0 && trial == 0 {
 						t.Log("warning: empty probe result in first trial")
@@ -399,7 +382,7 @@ func TestGoldenQidMaskedProbeVsRowAtATime(t *testing.T) {
 		got := storage.NewBatch(probe.OutSchema())
 		applyAll(probe, in, got)
 		want := storage.NewBatch(probe.OutSchema())
-		refProbe(probe, in, want)
+		refProbe(probe, nil, in, want)
 		requireBatchEqual(t, got, want)
 	}
 }
@@ -429,18 +412,12 @@ func TestGoldenSharedScanVsRowAtATime(t *testing.T) {
 	}
 	all := drainSource(t, src)
 
-	// Reference: per-row matcher evaluation.
-	matchers := make([]*tableMatcher, len(boxes))
-	for q, box := range boxes {
-		if matchers[q], err = newTableMatcher(box, tbl); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// Reference: per-row box evaluation.
 	want := storage.NewBatch(src.Schema())
 	for row := int32(0); row < int32(tbl.NumRows()); row++ {
 		var mask uint64
-		for q, m := range matchers {
-			if m == nil || m.match(row) {
+		for q, box := range boxes {
+			if refKeeps(box, func(ref storage.ColRef) types.Value { return tbl.Column(ref.Column).Value(int(row)) }) {
 				mask |= 1 << uint(q)
 			}
 		}
@@ -588,7 +565,7 @@ func TestProbeWideKey(t *testing.T) {
 	got := storage.NewBatch(probe.OutSchema())
 	probe.Apply(in, got)
 	want := storage.NewBatch(probe.OutSchema())
-	refProbe(probe, in, want)
+	refProbe(probe, nil, in, want)
 	requireBatchEqual(t, got, want)
 	if got.Len() == 0 {
 		t.Fatal("wide-key probe matched nothing")

@@ -417,18 +417,26 @@ func UnionIfBox(a, b Box) (Box, bool) {
 // ConstraintHull returns the exact union of two overlapping constraints
 // on the same column, or ok=false when the hull would include a gap.
 func ConstraintHull(a, b Constraint) (Constraint, bool) {
-	if a.Kind == types.String {
-		merged := append(append([]string{}, a.Set...), b.Set...)
-		return SetConstraint(merged...), true
-	}
-	if !a.Intersects(b) {
+	if a.Kind != types.String && !a.Intersects(b) {
 		return Constraint{}, false
 	}
-	return Constraint{Kind: a.Kind, Iv: hullInterval(a.Iv, b.Iv)}, true
+	return Hull(a, b), true
+}
+
+// Hull returns the smallest constraint of a's kind containing both
+// constraints: the merged set for strings, the interval hull otherwise. It
+// may include a gap between disjoint intervals, so outside ConstraintHull
+// it is for estimation only.
+func Hull(a, b Constraint) Constraint {
+	if a.Kind == types.String {
+		return SetConstraint(append(append([]string{}, a.Set...), b.Set...)...)
+	}
+	return Constraint{Kind: a.Kind, Iv: hullInterval(a.Iv, b.Iv)}
 }
 
 // hullInterval returns the smallest interval containing both inputs;
-// exact as a union when the inputs intersect.
+// exact as a union when the inputs intersect. At equal bounds it keeps
+// the bound inclusive when either input includes it.
 func hullInterval(x, y Interval) Interval {
 	out := x
 	if !y.HasLo {

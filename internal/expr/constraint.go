@@ -270,22 +270,16 @@ func SetConstraint(vals ...string) Constraint {
 	return Constraint{Kind: types.String, Set: out}
 }
 
-// Match reports whether value v satisfies the constraint.
-func (c Constraint) Match(v types.Value) bool {
-	if c.Kind == types.String {
-		i := sort.SearchStrings(c.Set, v.S)
-		return i < len(c.Set) && c.Set[i] == v.S
-	}
-	return c.Iv.Contains(v)
-}
-
-// MatchString is Match specialised to string columns.
+// MatchString reports whether a string column value satisfies the
+// constraint. MatchString, MatchInt and MatchFloat are the scalar
+// matches; they agree with the Filter kernels on every value.
 func (c Constraint) MatchString(s string) bool {
 	i := sort.SearchStrings(c.Set, s)
 	return i < len(c.Set) && c.Set[i] == s
 }
 
-// MatchInt is Match specialised to int/date columns.
+// MatchInt reports whether an int or date column value satisfies the
+// constraint.
 func (c Constraint) MatchInt(v int64) bool {
 	if c.Iv.HasLo {
 		lo := c.Iv.Lo.AsInt()
@@ -302,7 +296,9 @@ func (c Constraint) MatchInt(v int64) bool {
 	return true
 }
 
-// MatchFloat is Match specialised to float columns.
+// MatchFloat reports whether a float column value satisfies the
+// constraint. Its comparisons are in reject form, like FilterFloats:
+// NaN fails every comparison and is therefore kept by every interval.
 func (c Constraint) MatchFloat(v float64) bool {
 	if c.Iv.HasLo {
 		lo := c.Iv.Lo.AsFloat()

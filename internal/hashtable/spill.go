@@ -100,34 +100,3 @@ func (s *Spill) Restore() *Table {
 	}
 	return t.Freeze()
 }
-
-// StableKeyHashes emits one content hash per row's key, computed
-// from the key cells' values rather than their heap encoding: string
-// cells hash the string bytes, numeric cells their stored bits. The
-// same scheme is used by cold-tier bloom filters and by probe-side
-// membership tests, so it must stay stable across spill/restore cycles
-// (heap ids do not). A single-column key hashes to exactly
-// htcache.StableValueHash of its value — HashString for strings,
-// Mix64 of the stored bits otherwise — so point and IN probes can test
-// membership without knowing the layout; multi-column keys chain
-// per-cell hashes with HashCombine.
-func (t *Table) StableKeyHashes(emit func(uint64)) {
-	kc := t.layout.KeyCols
-	cellHash := func(e int32, c int) uint64 {
-		cell := t.Cell(e, c)
-		if t.layout.Cols[c].Kind == types.String {
-			return types.HashString(t.strs.At(cell))
-		}
-		return types.Mix64(cell)
-	}
-	for e := range int32(t.Len()) {
-		h := uint64(0x9e3779b97f4a7c15) // keyless layout (global aggregate)
-		if kc > 0 {
-			h = cellHash(e, 0)
-			for c := 1; c < kc; c++ {
-				h = types.HashCombine(h, cellHash(e, c))
-			}
-		}
-		emit(h)
-	}
-}

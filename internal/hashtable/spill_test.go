@@ -63,23 +63,6 @@ func TestSpillRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSpillStableKeyHashes verifies the content hashes the cold tier's
-// bloom filters are built on survive the spill/restore cycle — string
-// keys re-intern into new heap ids, so the hashes must derive from
-// content, never from ids.
-func TestSpillStableKeyHashes(t *testing.T) {
-	tbl, _ := spillTestTable(300)
-	counts := map[uint64]int{}
-	tbl.StableKeyHashes(func(h uint64) { counts[h]++ })
-	restored := tbl.Spill().Restore()
-	restored.StableKeyHashes(func(h uint64) { counts[h]-- })
-	for h, n := range counts {
-		if n != 0 {
-			t.Fatalf("hash %x unbalanced by %d after round trip", h, n)
-		}
-	}
-}
-
 // TestSpillCompact checks the spill is a compact form: no hash array,
 // no bucket directory — strictly smaller than the live table.
 func TestSpillCompact(t *testing.T) {

@@ -4,7 +4,8 @@ import "hashstash/internal/types"
 
 // bloomFilter is a plain blocked-free bloom filter over 64-bit content
 // hashes, sized at build time for ~1% false positives (10 bits per
-// key, 6 probe positions). Filters are built once at demotion and
+// key, 6 probe positions). Filters are built once when an index
+// demotes and
 // read-only afterwards, so concurrent membership tests need no
 // synchronization. The k positions derive from the input hash by
 // double hashing: position_i = h1 + i·h2, with h2 forced odd so the
@@ -46,6 +47,3 @@ func (b *bloomFilter) mayContain(h uint64) bool {
 	}
 	return true
 }
-
-// byteSize reports the filter's footprint.
-func (b *bloomFilter) byteSize() int64 { return int64(len(b.bits)) * 8 }

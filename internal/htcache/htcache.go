@@ -5,9 +5,9 @@
 // lifecycle (see tiering.go): entries carry a decaying benefit
 // accumulator fed by reuse hits and the optimizer's modeled savings,
 // eviction removes the lowest benefit density first, and — when a cold
-// budget is configured — victims demote to a compact spill format with
-// a bloom filter over key contents instead of being dropped, revivable
-// for a fraction of a rebuild. The seed LRU policy survives as an
+// budget is configured — victims demote to a compact spill format
+// instead of being dropped (an index with a bloom filter over its
+// values), revivable for a fraction of a rebuild. The seed LRU policy survives as an
 // ablation (PolicyLRU).
 //
 // The cache is safe for concurrent queries and safe for concurrent

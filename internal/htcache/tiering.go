@@ -26,7 +26,8 @@ import (
 //
 // With a cold budget configured, a benefit victim is demoted instead
 // of dropped, in one step: demoteLocked unlists the entry from the hot
-// registry, captures the compact spill + bloom filter and swaps the
+// registry, captures the compact spill (plus a bloom filter over an
+// index's distinct values) and swaps the
 // entry's snapshot for a spilled placeholder. A victim is unpinned by
 // construction, so no query is using it; a query that resolved the
 // live snapshot just before the demotion (between Candidates and its
@@ -34,9 +35,11 @@ import (
 // and the collector frees it when the query finishes.
 //
 // Revival is the reverse: the entry rebuilds from its spill outside
-// the lock and republishes through its snapshot pointer. The bloom
-// filter (built over stable value hashes, not heap ids) lets point/IN
-// probes skip revival of artifacts that cannot contain their key.
+// the lock and republishes through its snapshot pointer. Only cold
+// secondary indexes carry a bloom filter (built over stable value
+// hashes, not heap ids): it lets an index range scan skip reviving an
+// index that cannot hold its point or IN values. Cold hash tables are
+// revived without one.
 
 // Policy selects the eviction victim order.
 type Policy uint8
@@ -143,11 +146,11 @@ type coldEntry struct {
 	filter expr.Box
 	layout hashtable.Layout
 	rows   int
-	isIdx  bool
 }
 
 // demoteLocked moves a GC victim to the cold tier: unlist it, capture
-// classification metadata, bloom filter and compact spill, and install
+// classification metadata, compact spill and (for an index) bloom
+// filter, and install
 // the spilled placeholder as the entry's snapshot.
 func (c *Cache) demoteLocked(e *Entry) {
 	c.demotions++
@@ -165,11 +168,9 @@ func (c *Cache) demoteLocked(e *Entry) {
 	case snap.HT != nil:
 		ce.layout = snap.HT.Layout()
 		ce.rows = snap.HT.Len()
-		ce.bloom = bloomFromTable(snap.HT)
 		ce.htSpill = snap.HT.Spill()
 		ce.bytes = ce.htSpill.ByteSize()
 	case snap.Idx != nil:
-		ce.isIdx = true
 		ce.rows = snap.Idx.Len()
 		ce.bloom = bloomFromTree(snap.Idx)
 		ce.idxSpill = snap.Idx.Spill()
@@ -314,7 +315,7 @@ func (c *Cache) Revive(e *Entry, col *storage.Column) *Snapshot {
 
 // ColdArtifact describes a demoted entry to the optimizer: enough
 // metadata to classify and cost revive-vs-rebuild without touching the
-// artifact, plus the bloom membership test.
+// artifact, plus an index's bloom membership test.
 type ColdArtifact struct {
 	Entry  *Entry
 	Filter expr.Box
@@ -322,17 +323,15 @@ type ColdArtifact struct {
 	Bytes  int64
 	// Layout is the hash-table column layout (zero value for indexes).
 	Layout hashtable.Layout
-	// IsIndex marks secondary-index entries.
-	IsIndex bool
 
 	bloom *bloomFilter
 	c     *Cache
 }
 
 // MayContain tests the artifact's bloom filter against a stable value
-// hash (StableValueHash / hashtable.StableKeyHashes scheme). False
-// proves the key absent — the probe can skip revival entirely. Filters
-// are built at demotion; an artifact without one answers true.
+// hash (StableValueHash). False proves the value absent — the probe can
+// skip revival entirely. Filters are built when an index demotes; an
+// artifact without one (every hash table) answers true.
 func (ca *ColdArtifact) MayContain(h uint64) bool {
 	ca.c.bloomProbes.Add(1)
 	if ca.bloom == nil {
@@ -360,14 +359,13 @@ func (c *Cache) ColdCandidates(probe Lineage) []*ColdArtifact {
 	out := make([]*ColdArtifact, 0, len(list))
 	for _, ce := range list {
 		out = append(out, &ColdArtifact{
-			Entry:   ce.e,
-			Filter:  ce.filter,
-			Rows:    ce.rows,
-			Bytes:   ce.bytes,
-			Layout:  ce.layout,
-			IsIndex: ce.isIdx,
-			bloom:   ce.bloom,
-			c:       c,
+			Entry:  ce.e,
+			Filter: ce.filter,
+			Rows:   ce.rows,
+			Bytes:  ce.bytes,
+			Layout: ce.layout,
+			bloom:  ce.bloom,
+			c:      c,
 		})
 	}
 	slices.SortFunc(out, func(a, b *ColdArtifact) int { return cmp.Compare(b.Entry.LastUsed, a.Entry.LastUsed) })
@@ -383,21 +381,13 @@ func (c *Cache) ColdCandidate(probe Lineage) *ColdArtifact {
 }
 
 // StableValueHash hashes a constant the way cold-tier bloom filters
-// hash artifact contents: string bytes for strings, stored bits for
+// hash index contents: string bytes for strings, stored bits for
 // numerics — stable across spill/restore cycles, unlike heap ids.
 func StableValueHash(v types.Value) uint64 {
 	if v.Kind == types.String {
 		return types.HashString(v.S)
 	}
 	return types.Mix64(v.Bits())
-}
-
-// bloomFromTable builds the demotion-time filter over a hash table's
-// key contents.
-func bloomFromTable(t *hashtable.Table) *bloomFilter {
-	b := newBloom(t.Len())
-	t.StableKeyHashes(b.add)
-	return b
 }
 
 // bloomFromTree builds the demotion-time filter over an index's

@@ -7,7 +7,9 @@ import (
 	"sync"
 	"testing"
 
+	"hashstash/internal/btree"
 	"hashstash/internal/expr"
+	"hashstash/internal/storage"
 	"hashstash/internal/types"
 )
 
@@ -132,13 +134,23 @@ func TestDemoteSpillsAtOnce(t *testing.T) {
 	}
 }
 
-// TestBloomMembership: present keys always pass; absent keys are
-// rejected at roughly the configured false-positive rate — and a
-// rejection is exactly the signal that makes revival skippable.
+// TestBloomMembership: a demoted index's present values always pass;
+// absent values are rejected at roughly the configured false-positive
+// rate, and a rejection is exactly the signal that makes revival
+// skippable.
 func TestBloomMembership(t *testing.T) {
 	c := New(0)
 	c.SetColdBudget(1 << 30)
-	e1 := c.Register(makeHT(1000), lin(100)) // keys 0..999
+	col := storage.NewColumn("k", types.Int64)
+	for k := int64(0); k < 1000; k++ {
+		col.Append(types.NewInt(k))
+	}
+	tree, err := btree.Build(col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := storage.ColRef{Table: "t", Column: "k"}
+	e1 := c.RegisterIndex(tree, ref) // values 0..999, never reused
 	c.Release(e1)
 	e2 := c.Register(makeHT(1000), lin(200))
 	c.Release(e2)
@@ -147,7 +159,7 @@ func TestBloomMembership(t *testing.T) {
 	c.Budget = c.TotalBytes() - 1
 	c.GC()
 
-	ca := c.ColdCandidate(lin(0))
+	ca := c.ColdCandidate(IndexLineage(ref))
 	if ca == nil {
 		t.Fatal("no cold candidate after demotion")
 	}
@@ -326,19 +338,13 @@ func stormOnce(t *testing.T) {
 		}
 	}()
 
-	// Reviver: pulls cold entries back, guarded by a bloom probe the
-	// way the optimizer is — a negative must never revive.
+	// Reviver: pulls cold hash tables back, the way the optimizer
+	// revives a cold candidate it chose.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
 			for _, ca := range c.ColdCandidates(lin(0)) {
-				if ca.IsIndex {
-					continue
-				}
-				if !ca.MayContain(StableValueHash(types.NewInt(int64(i % 250)))) {
-					continue // bloom negative: skip revival
-				}
 				c.Revive(ca.Entry, nil)
 			}
 		}

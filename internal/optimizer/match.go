@@ -147,7 +147,8 @@ type candidate struct {
 // order their options are costed: the hot entries matching probe, then
 // with rollups the hot entries grouped by a superset of probe.GroupBy,
 // then the cold-tier artifacts of probe's structure. Hot entries
-// demoted since the lookup and cold secondary indexes are skipped.
+// demoted since the lookup are skipped; cold secondary indexes never
+// match, because the structural key names the artifact kind.
 func (o *Optimizer) candidates(probe htcache.Lineage, stored []storage.ColRef, rollups bool) []candidate {
 	var out []candidate
 	addHot := func(entries []*htcache.Entry, rollup bool) {
@@ -163,10 +164,8 @@ func (o *Optimizer) candidates(probe htcache.Lineage, stored []storage.ColRef, r
 		addHot(o.Cache.RollupCandidates(probe, stored), true)
 	}
 	for _, ca := range o.Cache.ColdCandidates(probe) {
-		if !ca.IsIndex {
-			out = append(out, candidate{entry: ca.Entry, cold: ca, filter: ca.Filter,
-				layout: ca.Layout, rows: float64(ca.Rows)})
-		}
+		out = append(out, candidate{entry: ca.Entry, cold: ca, filter: ca.Filter,
+			layout: ca.Layout, rows: float64(ca.Rows)})
 	}
 	return out
 }

@@ -24,7 +24,6 @@ import (
 	"hashstash/internal/optimizer"
 	"hashstash/internal/plan"
 	"hashstash/internal/storage"
-	"hashstash/internal/types"
 )
 
 // mergeable reports whether two queries may share a plan: both have a
@@ -165,41 +164,17 @@ func hullFilter(queries []*plan.Query, group []int) expr.Box {
 			continue // some query leaves the column unconstrained
 		}
 		hull := cons[0]
-		exact := true
+		sameKind := true
 		for _, c := range cons[1:] {
-			h, ok := hullConstraint(hull, c)
-			if !ok {
-				exact = false
+			if c.Kind != hull.Kind {
+				sameKind = false
 				break
 			}
-			hull = h
+			hull = expr.Hull(hull, c)
 		}
-		if exact {
+		if sameKind {
 			preds = append(preds, expr.Pred{Col: col, Con: hull})
 		}
 	}
 	return expr.NewBox(preds...)
-}
-
-// hullConstraint is a permissive hull for estimation purposes.
-func hullConstraint(a, b expr.Constraint) (expr.Constraint, bool) {
-	if a.Kind != b.Kind {
-		return expr.Constraint{}, false
-	}
-	if a.Kind == types.String {
-		return expr.SetConstraint(append(append([]string{}, a.Set...), b.Set...)...), true
-	}
-	iv := a.Iv
-	o := b.Iv
-	if !o.HasLo {
-		iv.HasLo = false
-	} else if iv.HasLo && o.Lo.Compare(iv.Lo) < 0 {
-		iv.Lo, iv.LoIncl = o.Lo, o.LoIncl
-	}
-	if !o.HasHi {
-		iv.HasHi = false
-	} else if iv.HasHi && o.Hi.Compare(iv.Hi) > 0 {
-		iv.Hi, iv.HiIncl = o.Hi, o.HiIncl
-	}
-	return expr.Constraint{Kind: a.Kind, Iv: iv}, true
 }

@@ -147,7 +147,8 @@ func benchLin() htcache.Lineage {
 //     two eviction policies.
 //   - revive=hashtable / revive=btree: full demote→spill→revive cycle
 //     latency for both artifact kinds.
-//   - bloom=probe: cold-tier membership test; must stay 0 allocs/op.
+//   - bloom=probe: a cold index's membership test; must stay 0
+//     allocs/op.
 //   - hotprobe=restored: steady-state probe against a revived table;
 //     must stay 0 allocs/op (revival cannot degrade the probe path).
 func BenchmarkCacheTiering(b *testing.B) {
@@ -222,12 +223,21 @@ func BenchmarkCacheTiering(b *testing.B) {
 	})
 
 	b.Run("bloom=probe", func(b *testing.B) {
+		col := storage.NewColumn("o_custkey", types.Int64)
+		for i := 0; i < 1<<14; i++ {
+			col.Append(types.NewInt(int64(i)))
+		}
+		tree, err := btree.Build(col)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ref := storage.ColRef{Table: "orders", Column: "o_custkey"}
 		c := htcache.New(0)
 		c.SetColdBudget(1 << 30)
-		e := c.Register(benchHT(1<<14), benchLin())
+		e := c.RegisterIndex(tree, ref)
 		c.Release(e)
 		c.SetBudget(1) // demote + spill
-		ca := c.ColdCandidate(benchLin())
+		ca := c.ColdCandidate(htcache.IndexLineage(ref))
 		if ca == nil {
 			b.Fatal("no cold candidate after demotion")
 		}
