@@ -189,7 +189,7 @@ func (db *DB) ShardQueryCounts() []int64 { return nil }
 // scale factor (1.0 = the full TPC-H size; benchmarks typically use
 // 0.01-0.1).
 func (db *DB) LoadTPCH(sf float64) error {
-	data, err := tpch.Generate(tpch.Config{SF: sf})
+	data, err := tpch.Generate(tpch.Config{SF: sf, Dict: db.cat.Dict()})
 	if err != nil {
 		return err
 	}

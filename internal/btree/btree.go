@@ -70,9 +70,8 @@ type Tree struct {
 // Build bulk-loads a tree from the column: one stable sort producing
 // the permutation (storage.SortedPerm), one gather of the keys into
 // leaf order, then the internal levels bottom-up. Float columns
-// containing NaN are rejected — NaN has no place in a total order, and
-// the engine's filter kernels keep NaN rows, which an index-driven
-// range scan could not reproduce.
+// containing NaN are rejected: the range descent compares keys with
+// Go's operators, under which NaN is unordered.
 func Build(col *storage.Column) (*Tree, error) {
 	t := &Tree{kind: col.Kind}
 	switch col.Kind {
@@ -110,10 +109,11 @@ func (t *Tree) gather(col *storage.Column) {
 		}
 		t.floatLevels = buildLevels(t.floats)
 	case types.String:
+		// The permutation orders rows by their strings, so each run of
+		// equal codes is one value.
 		for i, r := range t.perm {
-			s := col.Strs[r]
-			if i == 0 || s != t.strVals[len(t.strVals)-1] {
-				t.strVals = append(t.strVals, s)
+			if code := col.Strs[r]; i == 0 || code != col.Strs[t.perm[i-1]] {
+				t.strVals = append(t.strVals, col.Dict.At(code))
 				t.strStarts = append(t.strStarts, int32(i))
 			}
 		}

@@ -117,7 +117,7 @@ func TestTreeMatchesSortedSliceModel(t *testing.T) {
 			vocab := []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"}
 			col := storage.NewColumn("s", types.String)
 			for i := 0; i < n; i++ {
-				col.Strs = append(col.Strs, vocab[rng.Intn(len(vocab))])
+				col.Append(types.NewString(vocab[rng.Intn(len(vocab))]))
 			}
 			tree, err := Build(col)
 			if err != nil {
@@ -137,7 +137,7 @@ func TestTreeMatchesSortedSliceModel(t *testing.T) {
 				con := expr.SetConstraint(vals...)
 				want := make(map[int32]bool)
 				for i := 0; i < n; i++ {
-					if set[col.Strs[i]] {
+					if set[col.Value(i).S] {
 						want[int32(i)] = true
 					}
 				}

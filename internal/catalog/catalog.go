@@ -6,6 +6,9 @@
 // the table's current row count and the min/max/NDV each column
 // computes and caches itself (storage.Column.Stats), so registering a
 // table counts nothing and an append needs no re-registration.
+//
+// A catalog owns the one string dictionary (storage.Dict) that every
+// string column registered in it is coded against.
 package catalog
 
 import (
@@ -39,19 +42,31 @@ func (ts TableStats) Col(name string) (storage.ColumnStats, bool) {
 
 // Catalog is the registry of base tables. Methods are safe for
 // concurrent use: the registry takes a read-write lock, so a lookup
-// never races a registration.
+// never races a registration. The dictionary is not under that lock:
+// it grows only in schema changes, which never run while queries do.
 type Catalog struct {
 	mu     sync.RWMutex
 	tables map[string]*storage.Table
+	dict   *storage.Dict
 }
 
 // New returns an empty catalog.
 func New() *Catalog {
-	return &Catalog{tables: make(map[string]*storage.Table)}
+	return &Catalog{tables: make(map[string]*storage.Table), dict: storage.NewDict()}
 }
 
-// Register adds (or replaces) a table.
+// Dict returns the catalog's string dictionary.
+func (c *Catalog) Dict() *storage.Dict { return c.dict }
+
+// Register adds (or replaces) a table. String columns coded against
+// another dictionary are re-coded against the catalog's first
+// (storage.Column.Recode), so every registered string column shares it.
+// A table belongs to one catalog: registering it in a second would
+// re-code its columns away from the first's dictionary.
 func (c *Catalog) Register(t *storage.Table) {
+	for _, col := range t.Cols {
+		col.Recode(c.dict)
+	}
 	c.mu.Lock()
 	c.tables[t.Name] = t
 	c.mu.Unlock()

@@ -16,9 +16,9 @@ func makeTable() *storage.Table {
 	for i := 0; i < 100; i++ {
 		age.Ints = append(age.Ints, int64(i%50)) // NDV 50, range 0..49
 		if i%2 == 0 {
-			seg.Strs = append(seg.Strs, "A")
+			seg.Append(types.NewString("A"))
 		} else {
-			seg.Strs = append(seg.Strs, "B")
+			seg.Append(types.NewString("B"))
 		}
 		bal.Floats = append(bal.Floats, float64(i))
 	}

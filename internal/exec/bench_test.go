@@ -33,7 +33,7 @@ func benchBatch(n int) *storage.Batch {
 	for i := 0; i < n; i++ {
 		b.Cols[0].Ints = append(b.Cols[0].Ints, int64(i))
 		b.Cols[1].Floats = append(b.Cols[1].Floats, float64(i%100))
-		b.Cols[2].Strs = append(b.Cols[2].Strs, flags[i%len(flags)])
+		b.Cols[2].Append(types.NewString(flags[i%len(flags)]))
 		b.Cols[3].Ints = append(b.Cols[3].Ints, int64(9000+i%365))
 	}
 	return b
@@ -52,7 +52,7 @@ func BenchmarkFilterProject(b *testing.B) {
 		expr.Pred{Col: schema[3].Ref, Con: expr.IntervalConstraint(types.Date,
 			expr.Interval{HasLo: true, Lo: types.NewDate(9100), LoIncl: true})},
 	)
-	filter, err := NewFilter(box, schema)
+	filter, err := NewFilter(box, schema, in.Cols[2].Dict)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -92,12 +92,13 @@ func BenchmarkProbeJoin(b *testing.B) {
 			{Ref: storage.ColRef{Table: "orders", Column: "prio"}, Kind: types.String},
 		},
 		KeyCols: 1,
+		Dict:    storage.NewDict(),
 	}
 	const nBuild = 1 << 16
 	ht := hashtable.New(layout)
 	prios := []string{"1-URGENT", "2-HIGH", "3-MEDIUM"}
 	for i := 0; i < nBuild; i++ {
-		ht.Insert([]uint64{uint64(i), types.NewFloat(float64(i)).Bits(), ht.Strings().Intern(prios[i%len(prios)])})
+		ht.Insert([]uint64{uint64(i), types.NewFloat(float64(i)).Bits(), ht.EncodeValue(types.NewString(prios[i%len(prios)]))})
 	}
 
 	in := benchBatch(storage.BatchSize)
@@ -247,6 +248,7 @@ func BenchmarkBuildAgg(b *testing.B) {
 			{Ref: storage.ColRef{Table: "", Column: "n"}, Kind: types.Int64},
 		},
 		KeyCols: 1,
+		Dict:    in.Cols[2].Dict,
 	}
 	aggs := []AggCell{
 		{Func: expr.AggSum, InCol: 1, Kind: types.Float64},

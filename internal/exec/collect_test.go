@@ -99,7 +99,10 @@ func TestCollectParts(t *testing.T) {
 	}
 	out := append(slices.Clone(schema), schema[0])
 	keys := &storage.Column{Name: "k", Kind: types.Int64, Ints: []int64{10, 11, 12, 13, 14}}
-	tags := &storage.Column{Name: "s", Kind: types.String, Strs: []string{"a", "b", "c", "d", "e"}}
+	tags := storage.NewColumn("s", types.String)
+	for _, s := range []string{"a", "b", "c", "d", "e"} {
+		tags.Append(types.NewString(s))
+	}
 	deferred := func(ids ...int32) *storage.Batch {
 		b := storage.NewBatch(schema)
 		b.AppendIDs(ids)
@@ -111,7 +114,7 @@ func TestCollectParts(t *testing.T) {
 		b := storage.NewBatch(schema)
 		for _, id := range ids {
 			b.Cols[0].Ints = append(b.Cols[0].Ints, keys.Ints[id])
-			b.Cols[1].Strs = append(b.Cols[1].Strs, tags.Strs[id])
+			b.Cols[1].AppendFrom(tags, id)
 		}
 		return b
 	}

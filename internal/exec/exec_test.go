@@ -200,7 +200,7 @@ func TestFilterTransform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewFilter(dateBox("o", 40, 60), src.Schema())
+	f, err := NewFilter(dateBox("o", 40, 60), src.Schema(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestFilterTransform(t *testing.T) {
 }
 
 func TestFilterBadColumn(t *testing.T) {
-	if _, err := NewFilter(dateBox("x", 1, 2), storage.Schema{}); err == nil {
+	if _, err := NewFilter(dateBox("x", 1, 2), storage.Schema{}, nil); err == nil {
 		t.Error("unbound filter accepted")
 	}
 }
@@ -278,7 +278,7 @@ func custTable() *storage.Table {
 	name := storage.NewColumn("c_name", types.String)
 	for i := int64(0); i <= 2; i++ {
 		ckey.Ints = append(ckey.Ints, i)
-		name.Strs = append(name.Strs, "cust"+string(rune('A'+i)))
+		name.Append(types.NewString("cust" + string(rune('A'+i))))
 	}
 	return storage.NewTable("customer", ckey, name)
 }
@@ -344,21 +344,25 @@ func TestProbePostFilter(t *testing.T) {
 	}
 }
 
+// TestProbeStringKeyMiss: a probe key string that no build row holds
+// matches nothing, and probing adds nothing to the dictionary.
 func TestProbeStringKeyMiss(t *testing.T) {
+	dict := storage.NewDict()
 	layout := hashtable.Layout{
 		Cols: []storage.ColMeta{
 			{Ref: storage.ColRef{Table: "p", Column: "p_brand"}, Kind: types.String},
 			{Ref: storage.ColRef{Table: "p", Column: "p_partkey"}, Kind: types.Int64},
 		},
 		KeyCols: 1,
+		Dict:    dict,
 	}
 	ht := hashtable.New(layout)
 	ht.Insert([]uint64{ht.EncodeValue(types.NewString("Brand#11")), 1})
-	heapBefore := ht.Strings().Len()
 
-	// Probe with strings not in the heap: no matches, no heap growth.
-	seg := storage.NewColumn("p_brand", types.String)
-	seg.Strs = []string{"Brand#99", "Brand#11"}
+	seg := &storage.Column{Name: "p_brand", Kind: types.String, Dict: dict}
+	seg.Append(types.NewString("Brand#99"))
+	seg.Append(types.NewString("Brand#11"))
+	before := dict.Len()
 	tbl := storage.NewTable("probe", seg)
 	src, err := NewTableScan(tbl, "x", nil, []string{"p_brand"})
 	if err != nil {
@@ -372,8 +376,8 @@ func TestProbeStringKeyMiss(t *testing.T) {
 	if len(rowsOf(got)) != 1 {
 		t.Fatalf("string probe rows = %d, want 1", len(rowsOf(got)))
 	}
-	if ht.Strings().Len() != heapBefore {
-		t.Error("probe mutated the string heap")
+	if dict.Len() != before {
+		t.Error("probe grew the dictionary")
 	}
 }
 
@@ -708,6 +712,7 @@ func TestEndToEndJoinAggregate(t *testing.T) {
 			{Ref: storage.ColRef{Column: "sum"}, Kind: types.Float64},
 		},
 		KeyCols: 1,
+		Dict:    cust.Column("c_name").Dict,
 	}
 	aggHT := hashtable.New(aggLayout)
 	aggSink, err := NewAggHT(aggHT,

@@ -72,7 +72,7 @@ func siteTable(rng *rand.Rand, n int) *storage.Table {
 		tbl.Cols[1].Ints = append(tbl.Cols[1].Ints, siteInts[rng.Intn(len(siteInts))])
 		tbl.Cols[2].Ints = append(tbl.Cols[2].Ints, 100+siteInts[rng.Intn(len(siteInts))])
 		tbl.Cols[3].Floats = append(tbl.Cols[3].Floats, siteFloats[rng.Intn(len(siteFloats))])
-		tbl.Cols[4].Strs = append(tbl.Cols[4].Strs, siteStrings[rng.Intn(len(siteStrings))])
+		tbl.Cols[4].Append(types.NewString(siteStrings[rng.Intn(len(siteStrings))]))
 	}
 	return tbl
 }
@@ -143,7 +143,7 @@ func siteHT(tbl *storage.Table, key string) (ht *hashtable.Table, rCol, qidCol i
 		}
 	}
 	var layout hashtable.Layout
-	layout.KeyCols = 1
+	layout.KeyCols, layout.Dict = 1, tableDict(tbl)
 	for _, name := range names {
 		layout.Cols = append(layout.Cols, storage.ColMeta{Ref: siteRef(name), Kind: tbl.Column(name).Kind})
 	}
@@ -206,7 +206,7 @@ func checkFilterSites(t *testing.T, rng *rand.Rand) {
 		}
 
 		// Filter, over the table in batches.
-		f, err := NewFilter(box, schema)
+		f, err := NewFilter(box, schema, tableDict(tbl))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,17 +221,13 @@ func checkFilterSites(t *testing.T, rng *rand.Rand) {
 		checkSite(t, "Filter", box, rowIDs(got, 0), want)
 
 		// TableScan residual over table runs. A box the algebra calls
-		// empty makes no run, so the scan drops the NaN rows that the
-		// float kernels keep under an interval whose bounds cross.
+		// empty makes no run; the kernels keep no row under it either,
+		// NaN rows included.
 		scan, err := NewTableScan(tbl, "t", []expr.Box{box}, []string{"r"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		scanWant := want
-		if box.Empty() {
-			scanWant = nil
-		}
-		checkSite(t, "TableScan", box, rowIDs(drainSource(t, scan), 0), scanWant)
+		checkSite(t, "TableScan", box, rowIDs(drainSource(t, scan), 0), want)
 
 		// HTScan post-filter: entry e holds row e.
 		hts, err := NewHTScan(ht, []int{rCol}, nil, box)
@@ -316,6 +312,7 @@ func checkProbe(t *testing.T, rng *rand.Rand, tbl *storage.Table, ht *hashtable.
 		{Ref: storage.ColRef{Table: "p", Column: key}, Kind: kind},
 		{Ref: storage.ColRef{Table: "p", Column: "pr"}, Kind: types.Int64},
 	})
+	in.Cols[0].Dict = ht.Layout().Dict // probe keys code like the table's
 	var keys []types.Value
 	for i := range 1 + rng.Intn(64) {
 		var v types.Value
@@ -352,11 +349,11 @@ func checkProbe(t *testing.T, rng *rand.Rand, tbl *storage.Table, ht *hashtable.
 	cell := make([]uint64, 1)
 	for i, v := range keys {
 		if v.Kind == types.String {
-			id, ok := ht.Strings().Lookup(v.S)
+			code, ok := ht.Layout().Dict.Lookup(v.S)
 			if !ok {
 				continue
 			}
-			cell[0] = id
+			cell[0] = uint64(code)
 		} else {
 			cell[0] = v.Bits()
 		}

@@ -77,7 +77,7 @@ func floorBenchTable(n int) *storage.Table {
 	day := storage.NewColumn("f_day", types.Date)
 	for i := 0; i < n; i++ {
 		key.Ints = append(key.Ints, int64(i))
-		seg.Strs = append(seg.Strs, fmt.Sprintf("segment-%02d", i%25))
+		seg.Append(types.NewString(fmt.Sprintf("segment-%02d", i%25)))
 		price.Floats = append(price.Floats, float64(i%1000)*0.5)
 		day.Ints = append(day.Ints, int64(i/2))
 	}
@@ -105,6 +105,7 @@ func floorAggPipeline(b *testing.B, tbl *storage.Table) *Pipeline {
 			{Ref: storage.ColRef{Column: "cnt"}, Kind: types.Int64},
 		},
 		KeyCols: 1,
+		Dict:    tbl.Column("f_seg").Dict,
 	}), []storage.ColRef{segRef}, []AggCell{
 		{Func: expr.AggSum, InCol: 1, Kind: types.Float64},
 		{Func: expr.AggCount, InCol: -1, Kind: types.Int64},

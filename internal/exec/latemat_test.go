@@ -55,7 +55,7 @@ func lateBuildHT(t *testing.T, early bool, par Parallelism, box expr.Box, key st
 	if err != nil {
 		t.Fatal(err)
 	}
-	ht := hashtable.New(hashtable.Layout{Cols: src.Schema(), KeyCols: 1})
+	ht := hashtable.New(hashtable.Layout{Cols: src.Schema(), KeyCols: 1, Dict: bigDict})
 	sink, err := NewBuildHT(ht, src.Schema(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -144,8 +144,8 @@ func TestLateMaterializationMatchesEarly(t *testing.T) {
 			return lateCollect(t, early, par, src, mustProbe(t, ht, bRef("b_key"), []int{1}, nil, src.Schema()))
 		}},
 		{"string-key probe", func(t *testing.T, early bool, par Parallelism) []string {
-			// Only the tags of the first three build rows are interned:
-			// the other probe tags miss in the string heap.
+			// Only the tags of the first three build rows are in the
+			// table: the other probe tags match no entry.
 			ht := lateBuildHT(t, early, par, expr.NewBox(expr.Pred{Col: dRef("b_key"),
 				Con: expr.IntervalConstraint(types.Int64, expr.Interval{HasHi: true, Hi: types.NewInt(3)})}), "b_tag", "b_key")
 			src := mustScan(t, nil, "b_key", "b_tag")
@@ -179,7 +179,7 @@ func TestLateMaterializationMatchesEarly(t *testing.T) {
 			in := x.OutSchema()
 			// BuildHT keyed on a deferred string column, carrying
 			// deferred, eager and computed columns.
-			built := hashtable.New(hashtable.Layout{Cols: storage.Schema{in[2], in[0], in[4], in[5]}, KeyCols: 1})
+			built := hashtable.New(hashtable.Layout{Cols: storage.Schema{in[2], in[0], in[4], in[5]}, KeyCols: 1, Dict: bigDict})
 			build, err := NewBuildHT(built, in, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -191,7 +191,7 @@ func TestLateMaterializationMatchesEarly(t *testing.T) {
 				{Ref: storage.ColRef{Column: "min_key"}, Kind: types.Int64},
 				{Ref: storage.ColRef{Column: "max_val"}, Kind: types.Float64},
 				{Ref: storage.ColRef{Column: "n"}, Kind: types.Int64},
-			}, KeyCols: 1})
+			}, KeyCols: 1, Dict: bigDict})
 			aggSink, err := NewAggHT(agg, []storage.ColRef{in[2].Ref}, []AggCell{
 				{Func: expr.AggSum, InCol: 5, Kind: types.Float64},
 				{Func: expr.AggMin, InCol: 0, Kind: types.Int64},
@@ -294,7 +294,8 @@ func TestScanDefersEveryColumn(t *testing.T) {
 			t.Errorf("probe output column %d is not deferred", c)
 		}
 	}
-	if got := out.Materialize(2).Strs; !slices.Equal(got, []string{"t3", "t0", "t0"}) {
+	tags := out.Materialize(2)
+	if got := []string{tags.Value(0).S, tags.Value(1).S, tags.Value(2).S}; tags.Len() != 3 || !slices.Equal(got, []string{"t3", "t0", "t0"}) {
 		t.Errorf("materialized tags %v", got)
 	}
 }

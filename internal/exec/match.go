@@ -27,12 +27,16 @@
 // directly, hash-table cells after keepCells decodes them a chunk at a
 // time, compacting the probe's input rows together with the entries. So a
 // reused table's post-filter and a re-tagged table's masks keep exactly
-// the rows a scan under the same box keeps.
+// the rows a scan under the same box keeps. A string constraint's set
+// resolves to dictionary codes at binding, and a literal that no column
+// holds has no code, so it matches nothing; the kernels then compare
+// integers only.
 package exec
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"hashstash/internal/expr"
 	"hashstash/internal/hashtable"
@@ -42,11 +46,13 @@ import (
 
 // boundCon is one constraint of a box bound to a column of its
 // matcher's form: a batch position, an index into the table's Cols or
-// a layout position.
+// a layout position. codes is a string constraint's set as sorted
+// dictionary codes.
 type boundCon struct {
-	pos  int
-	kind types.Kind
-	con  expr.Constraint
+	pos   int
+	kind  types.Kind
+	con   expr.Constraint
+	codes []uint32
 }
 
 // matcher is a predicate box bound once against one column form: a
@@ -60,9 +66,10 @@ type matcher struct {
 }
 
 // bind resolves every constraint of box through find, which returns
-// the position and kind of a column reference or -1; where names the
-// form in the error for an unresolved column.
-func bind(box expr.Box, where string, find func(storage.ColRef) (int, types.Kind)) (*matcher, error) {
+// the position and kind of a column reference or -1, and every string
+// set through dict, the dictionary of the form's string columns; where
+// names the form in the error for an unresolved column.
+func bind(box expr.Box, where string, dict *storage.Dict, find func(storage.ColRef) (int, types.Kind)) (*matcher, error) {
 	if len(box) == 0 {
 		return nil, nil
 	}
@@ -73,13 +80,33 @@ func bind(box expr.Box, where string, find func(storage.ColRef) (int, types.Kind
 			return nil, fmt.Errorf("exec: predicate column %v not in %s", p.Col, where)
 		}
 		m.cons[i] = boundCon{pos: pos, kind: kind, con: p.Con}
+		if kind == types.String {
+			m.cons[i].codes = setCodes(p.Con.Set, dict)
+		}
 	}
 	return m, nil
 }
 
-// bindSchema binds a box against the batches of a schema.
-func bindSchema(box expr.Box, schema storage.Schema) (*matcher, error) {
-	return bind(box, "schema", func(ref storage.ColRef) (int, types.Kind) {
+// setCodes resolves a string set to the sorted codes of its members
+// that dict holds; the others are in no column and match nothing.
+func setCodes(set []string, dict *storage.Dict) []uint32 {
+	if dict == nil {
+		return nil
+	}
+	codes := make([]uint32, 0, len(set))
+	for _, s := range set {
+		if code, ok := dict.Lookup(s); ok {
+			codes = append(codes, code)
+		}
+	}
+	slices.Sort(codes)
+	return codes
+}
+
+// bindSchema binds a box against the batches of a schema whose string
+// columns are codes of dict.
+func bindSchema(box expr.Box, schema storage.Schema, dict *storage.Dict) (*matcher, error) {
+	return bind(box, "schema", dict, func(ref storage.ColRef) (int, types.Kind) {
 		if i := schema.IndexOf(ref); i >= 0 {
 			return i, schema[i].Kind
 		}
@@ -90,7 +117,7 @@ func bindSchema(box expr.Box, schema storage.Schema) (*matcher, error) {
 // bindTable binds a box against a base table's rows. Predicates use
 // alias-qualified references whose Column names must exist in the table.
 func bindTable(box expr.Box, t *storage.Table) (*matcher, error) {
-	m, err := bind(box, "table", func(ref storage.ColRef) (int, types.Kind) {
+	m, err := bind(box, "table", tableDict(t), func(ref storage.ColRef) (int, types.Kind) {
 		if i := t.ColumnIndex(ref.Column); i >= 0 {
 			return i, t.Cols[i].Kind
 		}
@@ -102,12 +129,24 @@ func bindTable(box expr.Box, t *storage.Table) (*matcher, error) {
 	return m, err
 }
 
+// tableDict returns the dictionary of t's string columns (nil when it
+// has none). A registered table's string columns all share its
+// catalog's.
+func tableDict(t *storage.Table) *storage.Dict {
+	for _, c := range t.Cols {
+		if c.Dict != nil {
+			return c.Dict
+		}
+	}
+	return nil
+}
+
 // bindHT binds a box against a hash table's entries. Every predicate
 // column must be stored in the layout (the optimizer's "additional
 // attributes" add selection attributes to payloads for exactly this).
 func bindHT(box expr.Box, ht *hashtable.Table) (*matcher, error) {
 	layout := ht.Layout()
-	m, err := bind(box, "hash table layout", func(ref storage.ColRef) (int, types.Kind) {
+	m, err := bind(box, "hash table layout", layout.Dict, func(ref storage.ColRef) (int, types.Kind) {
 		if i := layout.ColIndex(ref); i >= 0 {
 			return i, layout.Cols[i].Kind
 		}
@@ -138,25 +177,25 @@ func (m *matcher) refine(b *storage.Batch, sel, aligned []int32) ([]int32, []int
 			sel, aligned = c.keepCells(m.ht, sel, aligned)
 		case m.table != nil:
 			col := m.table.Cols[c.pos]
-			sel = filterSel(&c.con, c.kind, col.Ints, col.Floats, col.Strs, sel)
+			sel = c.filterSel(col.Ints, col.Floats, col.Strs, sel)
 		default:
 			vec := b.Cols[c.pos]
-			sel = filterSel(&c.con, c.kind, vec.Ints, vec.Floats, vec.Strs, sel)
+			sel = c.filterSel(vec.Ints, vec.Floats, vec.Strs, sel)
 		}
 	}
 	return sel, aligned
 }
 
-// filterSel refines a selection through one constraint over raw column
+// filterSel refines a selection through the constraint over raw column
 // data with the typed kernel of the column's kind.
-func filterSel(con *expr.Constraint, kind types.Kind, ints []int64, floats []float64, strs []string, sel []int32) []int32 {
-	switch kind {
+func (c *boundCon) filterSel(ints []int64, floats []float64, codes []uint32, sel []int32) []int32 {
+	switch c.kind {
 	case types.Int64, types.Date:
-		return con.FilterInts(ints, sel)
+		return c.con.FilterInts(ints, sel)
 	case types.Float64:
-		return con.FilterFloats(floats, sel)
+		return c.con.FilterFloats(floats, sel)
 	case types.String:
-		return con.FilterStrings(strs, sel)
+		return expr.FilterCodes(c.codes, codes, sel)
 	}
 	return sel
 }
@@ -173,7 +212,7 @@ func (c *boundCon) keepCells(ht *hashtable.Table, ents, aligned []int32) ([]int3
 	var (
 		ints   [cellChunk]int64
 		floats [cellChunk]float64
-		strs   [cellChunk]string
+		codes  [cellChunk]uint32
 		pos    [cellChunk]int32
 	)
 	kept := 0
@@ -189,12 +228,11 @@ func (c *boundCon) keepCells(ht *hashtable.Table, ents, aligned []int32) ([]int3
 				floats[i] = math.Float64frombits(ht.Cell(e, c.pos))
 			}
 		case types.String:
-			heap := ht.Strings()
 			for i, e := range chunk {
-				strs[i] = heap.At(ht.Cell(e, c.pos))
+				codes[i] = uint32(ht.Cell(e, c.pos))
 			}
 		}
-		for _, p := range filterSel(&c.con, c.kind, ints[:], floats[:], strs[:], fillRange(pos[:len(chunk)], 0)) {
+		for _, p := range c.filterSel(ints[:], floats[:], codes[:], fillRange(pos[:len(chunk)], 0)) {
 			ents[kept] = chunk[p]
 			if aligned != nil {
 				aligned[kept] = aligned[lo+int(p)]

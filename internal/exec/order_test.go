@@ -84,6 +84,7 @@ func tagJoinLayout() hashtable.Layout {
 			{Ref: storage.ColRef{Table: "b", Column: "b_val"}, Kind: types.Float64},
 		},
 		KeyCols: 1,
+		Dict:    bigDict,
 	}
 }
 

@@ -13,18 +13,29 @@ import (
 	"hashstash/internal/types"
 )
 
+// bigDict codes the tag column of every bigTable, as one catalog's
+// dictionary would, so tables built apart join on their tags. It holds
+// every tag before any test runs: building a table only reads it.
+var bigDict = func() *storage.Dict {
+	d := storage.NewDict()
+	for i := range 7 {
+		d.Intern(fmt.Sprintf("t%d", i))
+	}
+	return d
+}()
+
 // bigTable builds an n-row table: key 0..n-1, grp = key%groups,
 // val = key*0.5, tag = "t<key%7>".
 func bigTable(n, groups int) *storage.Table {
 	key := storage.NewColumn("b_key", types.Int64)
 	grp := storage.NewColumn("b_grp", types.Int64)
 	val := storage.NewColumn("b_val", types.Float64)
-	tag := storage.NewColumn("b_tag", types.String)
+	tag := &storage.Column{Name: "b_tag", Kind: types.String, Dict: bigDict}
 	for i := 0; i < n; i++ {
 		key.Ints = append(key.Ints, int64(i))
 		grp.Ints = append(grp.Ints, int64(i%groups))
 		val.Floats = append(val.Floats, float64(i)*0.5)
-		tag.Strs = append(tag.Strs, fmt.Sprintf("t%d", i%7))
+		tag.Append(types.NewString(fmt.Sprintf("t%d", i%7)))
 	}
 	return storage.NewTable("big", key, grp, val, tag)
 }
@@ -81,7 +92,7 @@ func refRowIDs(tbl *storage.Table, boxes []expr.Box) []int64 {
 			for _, p := range box {
 				col := tbl.Column(p.Col.Column)
 				if col.Kind == types.String {
-					ok = ok && p.Con.MatchString(col.Strs[row])
+					ok = ok && p.Con.MatchString(col.Value(row).S)
 				} else {
 					ok = ok && p.Con.MatchInt(col.Ints[row])
 				}
@@ -135,7 +146,7 @@ func TestTableScanMorselsCoverAllRows(t *testing.T) {
 				col := tbl.Column(tc.drive)
 				sort.SliceStable(want, func(i, j int) bool {
 					if col.Kind == types.String {
-						return col.Strs[want[i]] < col.Strs[want[j]]
+						return col.Value(int(want[i])).S < col.Value(int(want[j])).S
 					}
 					return col.Ints[want[i]] < col.Ints[want[j]]
 				})
@@ -297,8 +308,8 @@ func TestParallelScanAggMatchesSerial(t *testing.T) {
 }
 
 // TestParallelBuildProbeMatchesSerial parallelizes a join build over a
-// string-keyed table (exercising per-worker string heaps and their
-// re-interning merge) and probes it from a parallel pipeline.
+// string-keyed table (per-worker partials whose string codes merge as
+// they are) and probes it from a parallel pipeline.
 func TestParallelBuildProbeMatchesSerial(t *testing.T) {
 	tbl := bigTable(20_000, 11)
 
@@ -315,6 +326,7 @@ func TestParallelBuildProbeMatchesSerial(t *testing.T) {
 				{Ref: valRef, Kind: types.Float64},
 			},
 			KeyCols: 1,
+			Dict:    bigDict,
 		}
 		ht := hashtable.New(layout)
 		bsink, err := NewBuildHT(ht, bsrc.Schema(), nil)

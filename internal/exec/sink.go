@@ -20,56 +20,54 @@ type Sink interface {
 	Finish()
 }
 
-// encodeSinkCols encodes the given input columns of b cell-wise into the
+// encodeCols encodes the given input columns of b cell-wise into the
 // batch's scratch columns: enc[k][i] is the 8-byte cell of row i's k-th
-// column. Strings intern into the heap in one bulk pass per column. The
-// kind dispatch happens once per column per batch.
-func encodeSinkCols(b *storage.Batch, cols []int, heap *hashtable.StringHeap, n int) [][]uint64 {
+// column, a string's cell being its dictionary code. The kind dispatch
+// happens once per column per batch. A deferred column encodes
+// straight from its base column at the row ids: gather and encode are
+// one pass.
+func encodeCols(b *storage.Batch, cols []int, n int) [][]uint64 {
 	enc := b.Scratch().Enc(len(cols), n)
 	for k, ci := range cols {
-		if strs := encodeCol(enc[k], b, ci); strs != nil {
-			heap.InternBulk(enc[k], strs)
+		dst := enc[k]
+		if col := b.Base(ci); col != nil {
+			ids, _ := b.IDs()
+			switch col.Kind {
+			case types.Int64, types.Date:
+				data := col.Ints
+				for i, id := range ids {
+					dst[i] = uint64(data[id])
+				}
+			case types.Float64:
+				data := col.Floats
+				for i, id := range ids {
+					dst[i] = math.Float64bits(data[id])
+				}
+			case types.String:
+				data := col.Strs
+				for i, id := range ids {
+					dst[i] = uint64(data[id])
+				}
+			}
+			continue
+		}
+		vec := b.Materialize(ci)
+		switch vec.Kind {
+		case types.Int64, types.Date:
+			for i, v := range vec.Ints[:n] {
+				dst[i] = uint64(v)
+			}
+		case types.Float64:
+			for i, v := range vec.Floats[:n] {
+				dst[i] = math.Float64bits(v)
+			}
+		case types.String:
+			for i, v := range vec.Strs[:n] {
+				dst[i] = uint64(v)
+			}
 		}
 	}
 	return enc
-}
-
-// encodeCol encodes numeric column ci of b cell-wise into dst (one cell
-// per row) and returns nil; a string column it returns materialized
-// instead, for the caller's heap pass (interning on the build side,
-// lookup on the probe side). A deferred numeric column encodes straight
-// from its base column at the row ids: gather and encode are one pass.
-func encodeCol(dst []uint64, b *storage.Batch, ci int) []string {
-	if col := b.Base(ci); col != nil && col.Kind != types.String {
-		ids, _ := b.IDs()
-		switch col.Kind {
-		case types.Int64, types.Date:
-			data := col.Ints
-			for i, id := range ids {
-				dst[i] = uint64(data[id])
-			}
-		case types.Float64:
-			data := col.Floats
-			for i, id := range ids {
-				dst[i] = math.Float64bits(data[id])
-			}
-		}
-		return nil
-	}
-	vec := b.Materialize(ci)
-	switch vec.Kind {
-	case types.Int64, types.Date:
-		for i, v := range vec.Ints[:len(dst)] {
-			dst[i] = uint64(v)
-		}
-	case types.Float64:
-		for i, v := range vec.Floats[:len(dst)] {
-			dst[i] = math.Float64bits(v)
-		}
-	case types.String:
-		return vec.Strs[:len(dst)]
-	}
-	return nil
 }
 
 // BuildHT inserts every row into a hash table — the build phase of a
@@ -115,15 +113,15 @@ func NewBuildHT(ht *hashtable.Table, in storage.Schema, feed []storage.ColRef) (
 }
 
 // Consume implements Sink. The whole batch encodes column-wise into
-// scratch cells (strings intern in one bulk pass per column), the key
-// hash vector computes in one pass, and the insert loop only gathers
-// each row's pre-encoded cells — no per-row kind dispatch or re-hashing.
+// scratch cells, the key hash vector computes in one pass, and the
+// insert loop only gathers each row's pre-encoded cells — no per-row
+// kind dispatch or re-hashing.
 func (s *BuildHT) Consume(b *storage.Batch) {
 	n := b.Len()
 	if n == 0 {
 		return
 	}
-	enc := encodeSinkCols(b, s.InCols, s.HT.Strings(), n)
+	enc := encodeCols(b, s.InCols, n)
 	hashes := b.Scratch().Hash(n)
 	hashtable.HashColumns(hashes, enc[:s.HT.Layout().KeyCols])
 	row := s.row
@@ -208,7 +206,7 @@ func (s *AggHT) Consume(b *storage.Batch) {
 		return
 	}
 	nKeys := len(s.GroupCols)
-	enc := encodeSinkCols(b, s.GroupCols, s.HT.Strings(), n)
+	enc := encodeCols(b, s.GroupCols, n)
 	sc := b.Scratch()
 	hashes := sc.Hash(n)
 	hashtable.HashColumns(hashes, enc)

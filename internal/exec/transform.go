@@ -7,7 +7,6 @@ import (
 	"hashstash/internal/expr"
 	"hashstash/internal/hashtable"
 	"hashstash/internal/storage"
-	"hashstash/internal/types"
 )
 
 // Transform maps an input batch to output batches. Transforms may drop
@@ -35,9 +34,10 @@ type Filter struct {
 	schema  storage.Schema
 }
 
-// NewFilter binds a box against the input schema.
-func NewFilter(box expr.Box, in storage.Schema) (*Filter, error) {
-	m, err := bindSchema(box, in)
+// NewFilter binds a box against the input schema, whose string columns
+// are codes of dict.
+func NewFilter(box expr.Box, in storage.Schema, dict *storage.Dict) (*Filter, error) {
+	m, err := bindSchema(box, in, dict)
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +184,6 @@ type Probe struct {
 	// every entry). It narrows the match pairs, entries and input rows
 	// together, before the qid masks and the gathers.
 	post     *matcher
-	hasStr   bool
 	matches  int64
 	filtered int64
 }
@@ -214,9 +213,6 @@ func NewProbe(ht *hashtable.Table, keyCols []storage.ColRef, emitCols []int, emi
 			return nil, fmt.Errorf("exec: probe key column %v not in input schema", ref)
 		}
 		p.KeyCols = append(p.KeyCols, i)
-		if in[i].Kind == types.String {
-			p.hasStr = true
-		}
 	}
 	p.schema = append(storage.Schema{}, in...)
 	for ei, ci := range emitCols {
@@ -234,31 +230,6 @@ func NewProbe(ht *hashtable.Table, keyCols []storage.ColRef, emitCols []int, emi
 
 // OutSchema implements Transform.
 func (p *Probe) OutSchema() storage.Schema { return p.schema }
-
-// encodeKeys encodes the probe-key columns of the batch cell-wise into
-// scratch columns and returns them plus the per-row miss mask (nil when
-// no key column is a string). String keys resolve through one bulk heap
-// lookup pass; a string never interned on the build side marks its row
-// as missed (it cannot match any entry). When the probe resumes a batch
-// it stopped in, the keys are already encoded: it returns the same
-// scratch buffers unchanged.
-func (p *Probe) encodeKeys(in *storage.Batch, n int, resumed bool) (enc [][]uint64, miss []bool) {
-	sc := in.Scratch()
-	enc = sc.Enc(len(p.KeyCols), n)
-	if p.hasStr {
-		miss = sc.Miss(n)
-	}
-	if resumed {
-		return enc, miss
-	}
-	clear(miss)
-	for k, ci := range p.KeyCols {
-		if strs := encodeCol(enc[k], in, ci); strs != nil {
-			p.HT.Strings().LookupBulk(enc[k], miss, strs)
-		}
-	}
-	return enc, miss
-}
 
 // Apply implements Transform. It is safe to call concurrently from
 // several workers over disjoint batches: the probe only reads the
@@ -288,18 +259,22 @@ func (p *Probe) Apply(in, out *storage.Batch) bool {
 		return false
 	}
 	sc := in.Scratch()
+	// A resumed batch's keys, hashes and chain cursors are still in the
+	// scratch from the call that stopped.
 	from, resumed := sc.Resume()
-	enc, miss := p.encodeKeys(in, n, resumed)
-	hashes := sc.Hash(n)
-	cur := sc.Cur(n)
-	if !resumed {
+	hashes, cur := sc.Hash(n), sc.Cur(n)
+	var enc [][]uint64
+	if resumed {
+		enc = sc.Enc(len(p.KeyCols), n)
+	} else {
+		enc = encodeCols(in, p.KeyCols, n)
 		hashtable.HashColumns(hashes, enc)
 		p.HT.ProbeHeads(cur, hashes)
 	}
 
 	sel := sc.Sel(n)[:0] // input row of each match
 	ents := sc.Ents(n)   // entry of each match
-	sel, ents, next := p.HT.ProbeHashedFrom(cur, hashes, enc, miss, from, storage.BatchSize, sel, ents)
+	sel, ents, next := p.HT.ProbeHashedFrom(cur, hashes, enc, from, storage.BatchSize, sel, ents)
 	more := next < n
 	sc.SetResume(next, more)
 	filtered := int64(len(ents))

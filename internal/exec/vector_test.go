@@ -21,6 +21,17 @@ import (
 
 var goldenStrings = []string{"A", "N", "R", "F", "URGENT", "HIGH", "LOW", "zz-top"}
 
+// goldenDict codes every golden batch and hash table, as a catalog's
+// dictionary codes all of its tables. It holds every golden string
+// before any test runs, so no test writes it.
+var goldenDict = func() *storage.Dict {
+	d := storage.NewDict()
+	for _, s := range goldenStrings {
+		d.Intern(s)
+	}
+	return d
+}()
+
 func goldenSchema(prefix string) storage.Schema {
 	return storage.Schema{
 		{Ref: storage.ColRef{Table: prefix, Column: "i"}, Kind: types.Int64},
@@ -33,6 +44,7 @@ func goldenSchema(prefix string) storage.Schema {
 func randBatch(rng *rand.Rand, schema storage.Schema, n int) *storage.Batch {
 	b := storage.NewBatch(schema)
 	for _, vec := range b.Cols {
+		vec.Dict = goldenDict
 		for i := 0; i < n; i++ {
 			switch vec.Kind {
 			case types.Int64:
@@ -40,8 +52,8 @@ func randBatch(rng *rand.Rand, schema storage.Schema, n int) *storage.Batch {
 			case types.Date:
 				vec.Ints = append(vec.Ints, 9000+rng.Int63n(365))
 			case types.Float64:
-				// Sprinkle NaN and infinities: MatchFloat keeps NaN (every
-				// comparison fails) and the typed kernels must agree.
+				// Sprinkle NaN and infinities: MatchFloat orders NaN above
+				// +Inf and the typed kernels must agree.
 				switch rng.Intn(40) {
 				case 0:
 					vec.Floats = append(vec.Floats, math.NaN())
@@ -51,7 +63,7 @@ func randBatch(rng *rand.Rand, schema storage.Schema, n int) *storage.Batch {
 					vec.Floats = append(vec.Floats, rng.Float64()*100-50)
 				}
 			case types.String:
-				vec.Strs = append(vec.Strs, goldenStrings[rng.Intn(len(goldenStrings))])
+				vec.Append(types.NewString(goldenStrings[rng.Intn(len(goldenStrings))]))
 			}
 		}
 	}
@@ -84,8 +96,9 @@ func requireBatchEqual(t *testing.T, got, want *storage.Batch) {
 					t.Fatalf("col %d row %d: got %v, want %v (bits differ)", c, i, g.Floats[i], w.Floats[i])
 				}
 			case types.String:
-				if g.Strs[i] != w.Strs[i] {
-					t.Fatalf("col %d row %d: got %q, want %q", c, i, g.Strs[i], w.Strs[i])
+				// The batches may code against different dictionaries.
+				if gs, ws := g.Value(i).S, w.Value(i).S; gs != ws {
+					t.Fatalf("col %d row %d: got %q, want %q", c, i, gs, ws)
 				}
 			}
 		}
@@ -150,7 +163,7 @@ func TestGoldenFilterVsRowAtATime(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		in := randBatch(rng, schema, 1+rng.Intn(2*storage.BatchSize))
 		box := randBox(rng, schema)
-		f, err := NewFilter(box, schema)
+		f, err := NewFilter(box, schema, goldenDict)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,13 +219,13 @@ func buildGoldenHT(rng *rand.Rand, stringKey bool, n int) *hashtable.Table {
 		cols[0], cols[2] = cols[2], cols[0]
 		keyCols = 2
 	}
-	ht := hashtable.New(hashtable.Layout{Cols: cols, KeyCols: keyCols})
+	ht := hashtable.New(hashtable.Layout{Cols: cols, KeyCols: keyCols, Dict: goldenDict})
 	row := make([]uint64, len(cols))
 	for r := 0; r < n; r++ {
 		vals := map[string]types.Value{
 			"i": types.NewInt(rng.Int63n(150) - 75),
 			"f": types.NewFloat(rng.Float64() * 100),
-			"s": types.NewString(goldenStrings[rng.Intn(len(goldenStrings)-2)]), // leave some strings un-interned
+			"s": types.NewString(goldenStrings[rng.Intn(len(goldenStrings)-2)]), // leave some strings in no entry
 			"d": types.NewDate(9000 + rng.Int63n(365)),
 		}
 		for c, m := range cols {
@@ -236,7 +249,6 @@ func refProbe(p *Probe, pf expr.Box, in, out *storage.Batch) {
 	n := in.Len()
 	key := make([]uint64, len(p.KeyCols))
 	for i := 0; i < n; i++ {
-		ok := true
 		for k, ci := range p.KeyCols {
 			vec := in.Cols[ci]
 			switch vec.Kind {
@@ -245,18 +257,8 @@ func refProbe(p *Probe, pf expr.Box, in, out *storage.Batch) {
 			case types.Float64:
 				key[k] = types.NewFloat(vec.Floats[i]).Bits()
 			case types.String:
-				id, found := p.HT.Strings().Lookup(vec.Strs[i])
-				if !found {
-					ok = false
-				}
-				key[k] = id
+				key[k] = uint64(vec.Strs[i])
 			}
-			if !ok {
-				break
-			}
-		}
-		if !ok {
-			continue
 		}
 		it := p.HT.Probe(key)
 		for e := it.Next(); e != -1; e = it.Next() {
@@ -398,7 +400,7 @@ func TestGoldenSharedScanVsRowAtATime(t *testing.T) {
 	for r := 0; r < 3*storage.BatchSize+17; r++ {
 		tbl.Cols[0].Ints = append(tbl.Cols[0].Ints, rng.Int63n(200)-100)
 		tbl.Cols[1].Floats = append(tbl.Cols[1].Floats, rng.Float64()*100-50)
-		tbl.Cols[2].Strs = append(tbl.Cols[2].Strs, goldenStrings[rng.Intn(len(goldenStrings))])
+		tbl.Cols[2].Append(types.NewString(goldenStrings[rng.Intn(len(goldenStrings))]))
 		tbl.Cols[3].Ints = append(tbl.Cols[3].Ints, 9000+rng.Int63n(365))
 	}
 	schema := goldenSchema("g")
@@ -446,6 +448,7 @@ func TestGoldenAggVsRowAtATime(t *testing.T) {
 			{Ref: storage.ColRef{Table: "", Column: "max_i"}, Kind: types.Int64},
 		},
 		KeyCols: 1,
+		Dict:    goldenDict,
 	}
 	aggs := []AggCell{
 		{Func: expr.AggSum, InCol: 1, Kind: types.Float64},
@@ -472,7 +475,7 @@ func TestGoldenAggVsRowAtATime(t *testing.T) {
 		in := randBatch(rng, schema, 1+rng.Intn(storage.BatchSize))
 		sink.Consume(in)
 		for i := 0; i < in.Len(); i++ {
-			g := in.Cols[2].Strs[i]
+			g := in.Cols[2].Value(i).S
 			a := ref[g]
 			if a == nil {
 				a = &acc{minI: math.MaxInt64, maxI: math.MinInt64, maxF: math.Inf(-1), minF: math.Inf(1)}
@@ -499,7 +502,7 @@ func TestGoldenAggVsRowAtATime(t *testing.T) {
 		t.Fatalf("group count: got %d, want %d", ht.Len(), len(ref))
 	}
 	for e := int32(0); e < int32(ht.Len()); e++ {
-		g := ht.Strings().At(ht.Cell(e, 0))
+		g := ht.CellValue(e, 0).S
 		a := ref[g]
 		if a == nil {
 			t.Fatalf("unexpected group %q", g)
@@ -590,7 +593,7 @@ func TestGoldenHTScanVsRowAtATime(t *testing.T) {
 	all := drainSource(t, scan)
 	want := storage.NewBatch(scan.Schema())
 	for e := int32(0); e < int32(ht.Len()); e++ {
-		s := ht.Strings().At(ht.Cell(e, layout.ColIndex(storage.ColRef{Table: "b", Column: "s"})))
+		s := ht.CellValue(e, layout.ColIndex(storage.ColRef{Table: "b", Column: "s"})).S
 		if s != "A" && s != "N" && s != "URGENT" {
 			continue
 		}

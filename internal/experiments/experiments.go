@@ -29,11 +29,11 @@ type Env struct {
 
 // NewEnv generates a TPC-H database at the scale factor.
 func NewEnv(sf float64) (*Env, error) {
-	db, err := tpch.Generate(tpch.Config{SF: sf})
+	cat := catalog.New()
+	db, err := tpch.Generate(tpch.Config{SF: sf, Dict: cat.Dict()})
 	if err != nil {
 		return nil, err
 	}
-	cat := catalog.New()
 	for _, t := range db.Tables() {
 		cat.Register(t)
 	}

@@ -272,7 +272,8 @@ func SetConstraint(vals ...string) Constraint {
 
 // MatchString reports whether a string column value satisfies the
 // constraint. MatchString, MatchInt and MatchFloat are the scalar
-// matches; they agree with the Filter kernels on every value.
+// matches; they agree with the Filter kernels on every value (for
+// strings, FilterCodes over the set's codes).
 func (c Constraint) MatchString(s string) bool {
 	i := sort.SearchStrings(c.Set, s)
 	return i < len(c.Set) && c.Set[i] == s
@@ -297,18 +298,17 @@ func (c Constraint) MatchInt(v int64) bool {
 }
 
 // MatchFloat reports whether a float column value satisfies the
-// constraint. Its comparisons are in reject form, like FilterFloats:
-// NaN fails every comparison and is therefore kept by every interval.
+// constraint, in types.CompareNum's order: NaN lies above every other
+// value, so a lower bound (> or >=) keeps it and an upper bound (< or
+// <=) drops it, exactly as Interval.Contains decides.
 func (c Constraint) MatchFloat(v float64) bool {
 	if c.Iv.HasLo {
-		lo := c.Iv.Lo.AsFloat()
-		if v < lo || (v == lo && !c.Iv.LoIncl) {
+		if x := types.CompareNum(v, c.Iv.Lo.AsFloat()); x < 0 || (x == 0 && !c.Iv.LoIncl) {
 			return false
 		}
 	}
 	if c.Iv.HasHi {
-		hi := c.Iv.Hi.AsFloat()
-		if v > hi || (v == hi && !c.Iv.HiIncl) {
+		if x := types.CompareNum(v, c.Iv.Hi.AsFloat()); x > 0 || (x == 0 && !c.Iv.HiIncl) {
 			return false
 		}
 	}
@@ -354,39 +354,41 @@ func (c Constraint) FilterInts(data []int64, sel []int32) []int32 {
 	return out
 }
 
-// FilterFloats is FilterInts over float64 data.
+// FilterFloats is FilterInts over float64 data, deciding exactly as
+// MatchFloat: a NaN row passes a lower bound and fails an upper one. A
+// NaN bound (never a parsed literal) takes MatchFloat row by row.
 func (c Constraint) FilterFloats(data []float64, sel []int32) []int32 {
+	lo, hi := c.Iv.Lo.AsFloat(), c.Iv.Hi.AsFloat()
+	loIncl, hiIncl := c.Iv.LoIncl, c.Iv.HiIncl
 	out := sel[:0]
 	switch {
+	case (c.Iv.HasLo && lo != lo) || (c.Iv.HasHi && hi != hi):
+		for _, i := range sel {
+			if c.MatchFloat(data[i]) {
+				out = append(out, i)
+			}
+		}
 	case c.Iv.HasLo && c.Iv.HasHi:
-		lo, hi := c.Iv.Lo.AsFloat(), c.Iv.Hi.AsFloat()
-		loIncl, hiIncl := c.Iv.LoIncl, c.Iv.HiIncl
+		// NaN fails the upper bound's comparisons: dropped.
 		for _, i := range sel {
 			v := data[i]
-			if v < lo || (v == lo && !loIncl) || v > hi || (v == hi && !hiIncl) {
-				continue
+			if (v > lo || (v == lo && loIncl)) && (v < hi || (v == hi && hiIncl)) {
+				out = append(out, i)
 			}
-			out = append(out, i)
 		}
 	case c.Iv.HasLo:
-		// Reject-form comparisons, exactly as MatchFloat: NaN fails every
-		// comparison and is therefore KEPT, on either path.
-		lo, loIncl := c.Iv.Lo.AsFloat(), c.Iv.LoIncl
 		for _, i := range sel {
 			v := data[i]
-			if v < lo || (v == lo && !loIncl) {
-				continue
+			if v > lo || (v == lo && loIncl) || v != v {
+				out = append(out, i)
 			}
-			out = append(out, i)
 		}
 	case c.Iv.HasHi:
-		hi, hiIncl := c.Iv.Hi.AsFloat(), c.Iv.HiIncl
 		for _, i := range sel {
 			v := data[i]
-			if v > hi || (v == hi && !hiIncl) {
-				continue
+			if v < hi || (v == hi && hiIncl) {
+				out = append(out, i)
 			}
-			out = append(out, i)
 		}
 	default:
 		return sel
@@ -394,33 +396,30 @@ func (c Constraint) FilterFloats(data []float64, sel []int32) []int32 {
 	return out
 }
 
-// FilterStrings refines a selection vector against a string IN-set. The
-// overwhelmingly common single-value set becomes one equality compare
-// per row; larger sets binary-search the sorted set.
-func (c Constraint) FilterStrings(data []string, sel []int32) []int32 {
-	switch len(c.Set) {
+// FilterCodes refines a selection vector against a string IN-set
+// resolved to dictionary codes (set sorted ascending; a string no
+// column holds has no code, so it is simply absent). The overwhelmingly
+// common single-value set becomes one integer compare per row; larger
+// sets binary-search the codes.
+func FilterCodes(set, data []uint32, sel []int32) []int32 {
+	out := sel[:0]
+	switch len(set) {
 	case 0:
-		return sel[:0]
 	case 1:
-		want := c.Set[0]
-		out := sel[:0]
+		want := set[0]
 		for _, i := range sel {
 			if data[i] == want {
 				out = append(out, i)
 			}
 		}
-		return out
 	default:
-		out := sel[:0]
 		for _, i := range sel {
-			s := data[i]
-			j := sort.SearchStrings(c.Set, s)
-			if j < len(c.Set) && c.Set[j] == s {
+			if _, ok := slices.BinarySearch(set, data[i]); ok {
 				out = append(out, i)
 			}
 		}
-		return out
 	}
+	return out
 }
 
 // Empty reports whether the constraint matches no values.

@@ -72,7 +72,7 @@ func BenchmarkWidenedProbe(b *testing.B) {
 					probe[j] = (base + uint64(j)) % keys
 				}
 				HashColumns(hashes, enc)
-				rows, ents = v.tbl.ProbeHashedColumn(cur, hashes, enc, nil, rows[:0], ents[:0])
+				rows, ents = v.tbl.ProbeHashedColumn(cur, hashes, enc, rows[:0], ents[:0])
 				if len(rows) != batch {
 					b.Fatalf("batch %d: %d matches, want %d", i, len(rows), batch)
 				}

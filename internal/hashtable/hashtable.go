@@ -14,8 +14,11 @@
 //
 //   - Entries live in flat, append-only arenas (hash array, chain-link
 //     array, one contiguous payload array of fixed-width rows). There is
-//     no per-entry allocation: Go's GC never traverses entries. Strings
-//     are interned into a StringHeap and stored as 8-byte ids.
+//     no per-entry allocation: Go's GC never traverses entries. A string
+//     cell is the string's code in the catalog's dictionary
+//     (Layout.Dict), the same code its base column stores, so builds,
+//     probes, merges and revivals move strings as integers and no table
+//     keeps strings of its own.
 //
 //   - A row is len(Layout.Cols) 8-byte cells; the first KeyCols cells
 //     form the equality key. Join tables use Insert (duplicate keys
@@ -26,16 +29,16 @@
 //
 // Cached tables are published as immutable snapshots (Freeze): every
 // later mutation panics, so any number of queries probe a published
-// table lock-free. Partial and overlapping reuse — the paper's "insert
-// the missing tuples into the cached table" — widen a snapshot through
-// Widen, which returns a private deep copy: the slot array and entry
-// arenas are pointer-free and copy in bulk, the string heap clones its
-// slice and index. The widening query inserts and upserts into the copy
-// in place and the cache publishes it with a compare-and-swap; queries
-// still probing the source are untouched, and the garbage collector
-// frees the source once the last of them finishes. Every table, widened
-// or not, therefore has the same flat layout and the same probe cost as
-// a freshly built one.
+// table lock-free. Partial and overlapping reuse — the paper's
+// "insert the missing tuples into the cached table" — widen a
+// snapshot through Widen, which returns a private deep copy: the slot
+// array and entry arenas are pointer-free and copy in bulk. The
+// widening query inserts and upserts into the copy in place and the
+// cache publishes it with a compare-and-swap; queries still probing
+// the source are untouched, and the garbage collector frees the
+// source once the last of them finishes. Every table, widened or not,
+// therefore has the same flat layout and the same probe cost as a
+// freshly built one.
 //
 // Shared plans re-tag a cached table's query-id column per batch.
 // WithColumn serves that as a read-only view sharing every arena of the
@@ -59,6 +62,9 @@ type Layout struct {
 	Cols []storage.ColMeta
 	// KeyCols is the number of leading columns forming the equality key.
 	KeyCols int
+	// Dict is the dictionary the string cells are codes of; a layout
+	// with a string column must have one.
+	Dict *storage.Dict
 }
 
 // RowWidthBytes reports the row width in bytes (the cost model's tWidth).
@@ -85,6 +91,9 @@ func (l Layout) Validate() error {
 			return fmt.Errorf("hashtable: duplicate column %v in layout", m.Ref)
 		}
 		seen[m.Ref] = true
+		if m.Kind == types.String && l.Dict == nil {
+			return fmt.Errorf("hashtable: string column %v in a layout without a dictionary", m.Ref)
+		}
 	}
 	return nil
 }
@@ -105,7 +114,6 @@ type Table struct {
 	overrideCol int
 	override    []uint64
 
-	strs    *StringHeap
 	resizes int // slot-array relinks (Resizes)
 	// frozen marks a published snapshot: every mutation panics. Atomic
 	// because concurrent queries may Widen (and hence re-Freeze) the
@@ -130,7 +138,6 @@ func New(layout Layout) *Table {
 		layout:      layout,
 		nCols:       len(layout.Cols),
 		heads:       emptyHeads(minSlots),
-		strs:        NewStringHeap(),
 		overrideCol: -1,
 	}
 }
@@ -163,9 +170,6 @@ func (t *Table) Len() int { return len(t.hashes) }
 // snapshot.
 func (t *Table) Frozen() bool { return t.frozen.Load() }
 
-// Strings returns the table's string heap.
-func (t *Table) Strings() *StringHeap { return t.strs }
-
 // Resizes reports how many times the slot array has been resized (every
 // resize relinks all entries).
 func (t *Table) Resizes() int { return t.resizes }
@@ -173,16 +177,16 @@ func (t *Table) Resizes() int { return t.resizes }
 // Slots reports the current slot count.
 func (t *Table) Slots() int { return len(t.heads) }
 
-// ByteSize estimates the memory footprint of the table: slot array,
-// entry arenas and string heap. This is the htSize input of the
-// reuse-aware cost model.
+// ByteSize estimates the memory footprint of the table: slot array and
+// entry arenas (strings are codes of the catalog's dictionary, which
+// the table does not own). This is the htSize input of the reuse-aware
+// cost model.
 func (t *Table) ByteSize() int64 {
 	return int64(len(t.heads))*4 +
 		int64(len(t.hashes))*8 +
 		int64(len(t.next))*4 +
 		int64(len(t.payload))*8 +
-		int64(len(t.override))*8 +
-		t.strs.ByteSize()
+		int64(len(t.override))*8
 }
 
 // Freeze marks the table as a published, immutable snapshot. Every
@@ -191,18 +195,17 @@ func (t *Table) ByteSize() int64 {
 // snapshot all freeze it).
 func (t *Table) Freeze() *Table {
 	t.frozen.Store(true)
-	t.strs.freeze()
 	return t
 }
 
 // Widen returns a private, mutable deep copy of the table and freezes
-// the source. The arenas copy in bulk and the string heap clones, so
-// inserts, upserts and cell updates on the copy never touch memory a
-// query probing the source can see. headroom is the number of entries
-// the caller expects to add (the optimizer's estimate of the missing
-// tuples): the entry arenas and the slot array are sized for that many
-// more entries, up to the source's own size, so the delta appends
-// without regrowing or relinking the copy.
+// the source. The arenas copy in bulk, so inserts, upserts and cell
+// updates on the copy never touch memory a query probing the source
+// can see. headroom is the number of entries the caller expects to
+// add (the optimizer's estimate of the missing tuples): the entry
+// arenas and the slot array are sized for that many more entries, up
+// to the source's own size, so the delta appends without regrowing or
+// relinking the copy.
 func (t *Table) Widen(headroom int) *Table {
 	t.Freeze()
 	n := len(t.hashes)
@@ -214,7 +217,6 @@ func (t *Table) Widen(headroom int) *Table {
 		next:        append(make([]int32, 0, c), t.next...),
 		payload:     append(make([]uint64, 0, c*t.nCols), t.payload...),
 		overrideCol: -1,
-		strs:        t.strs.clone(),
 		resizes:     t.resizes,
 	}
 	if s := slotsFor(c); s <= len(t.heads) {
@@ -227,8 +229,8 @@ func (t *Table) Widen(headroom int) *Table {
 
 // WithColumn returns a frozen read-only view of the table in which
 // layout column col of entry e reads vals[e] instead of the stored
-// cell (len(vals) == Len()). The view shares the arenas and string heap
-// of t, which is frozen: a shared plan installs its batch's qid masks
+// cell (len(vals) == Len()). The view shares the arenas of t, which
+// is frozen: a shared plan installs its batch's qid masks
 // on a published snapshot this way without copying it or disturbing
 // the queries probing it. Probe statistics of the view stay on the
 // view.
@@ -249,7 +251,6 @@ func (t *Table) WithColumn(col int, vals []uint64) *Table {
 		payload:     t.payload,
 		overrideCol: col,
 		override:    vals,
-		strs:        t.strs,
 		resizes:     t.resizes,
 	}
 	v.frozen.Store(true)
@@ -426,9 +427,8 @@ func (t *Table) ProbeStats() ProbeStats {
 
 // ProbeHashedColumn probes a whole batch of keys at once — the batched
 // counterpart of ProbeHashed. hashes holds the per-row key hashes
-// (HashColumns output), keyCols the encoded key cells column-wise, and
-// miss (optional) marks rows that cannot match (string keys absent from
-// the heap). Matches append to rows/ents as (input row, entry) pairs in
+// (HashColumns output) and keyCols the encoded key cells column-wise.
+// Matches append to rows/ents as (input row, entry) pairs in
 // row-major, chain-walk order — identical to iterating ProbeHashed row
 // by row — and the grown slices are returned for the caller to adopt.
 //
@@ -437,9 +437,9 @@ func (t *Table) ProbeStats() ProbeStats {
 // array before any chain is walked (ProbeHeads), so the random slot
 // loads stream independently of the chain walks. It is ProbeHeads
 // followed by one unbounded ProbeHashedFrom.
-func (t *Table) ProbeHashedColumn(cur []int32, hashes []uint64, keyCols [][]uint64, miss []bool, rows, ents []int32) ([]int32, []int32) {
+func (t *Table) ProbeHashedColumn(cur []int32, hashes []uint64, keyCols [][]uint64, rows, ents []int32) ([]int32, []int32) {
 	t.ProbeHeads(cur, hashes)
-	rows, ents, _ = t.ProbeHashedFrom(cur, hashes, keyCols, miss, 0, 0, rows, ents)
+	rows, ents, _ = t.ProbeHashedFrom(cur, hashes, keyCols, 0, 0, rows, ents)
 	return rows, ents
 }
 
@@ -463,7 +463,7 @@ func (t *Table) ProbeHeads(cur []int32, hashes []uint64) {
 // walk checks the stored hash before the key cells; one atomic fold of
 // the probe counters per call keeps the loop allocation- and
 // contention-free, and a row counts as one probe when its walk ends.
-func (t *Table) ProbeHashedFrom(cur []int32, hashes []uint64, keyCols [][]uint64, miss []bool, from, limit int, rows, ents []int32) ([]int32, []int32, int) {
+func (t *Table) ProbeHashedFrom(cur []int32, hashes []uint64, keyCols [][]uint64, from, limit int, rows, ents []int32) ([]int32, []int32, int) {
 	n := len(hashes)
 	next, stored := t.next, t.hashes
 	stop := -1
@@ -473,9 +473,6 @@ func (t *Table) ProbeHashedFrom(cur []int32, hashes []uint64, keyCols [][]uint64
 	var probes, nodes int64
 	i := from
 	for ; i < n; i++ {
-		if miss != nil && miss[i] {
-			continue
-		}
 		h := hashes[i]
 		for e := cur[i]; e != -1; e = next[e] {
 			nodes++
@@ -557,12 +554,12 @@ func (t *Table) SetCell(e int32, col int, v uint64) {
 }
 
 // CellValue decodes cell col of entry e as a typed value using the
-// layout's kind (strings resolve through the heap).
+// layout's kind (strings decode through the layout's dictionary).
 func (t *Table) CellValue(e int32, col int) types.Value {
 	bits := t.Cell(e, col)
 	kind := t.layout.Cols[col].Kind
 	if kind == types.String {
-		return types.NewString(t.strs.At(bits))
+		return types.NewString(t.layout.Dict.At(uint32(bits)))
 	}
 	return types.FromBits(kind, bits)
 }
@@ -593,18 +590,20 @@ func (t *Table) AppendColumn(dst *storage.Vec, col int, entries []int32) {
 			dst.Floats = append(dst.Floats, types.FromBits(types.Float64, cells[int(e)*w]).F)
 		}
 	case types.String:
-		strs := t.strs
+		dst.UseDict(t.layout.Dict)
 		for _, e := range entries {
-			dst.Strs = append(dst.Strs, strs.At(cells[int(e)*w]))
+			dst.Strs = append(dst.Strs, uint32(cells[int(e)*w]))
 		}
 	}
 }
 
-// EncodeValue encodes a typed value into its 8-byte cell representation,
-// interning strings into the table's heap.
+// EncodeValue encodes a typed value into its 8-byte cell representation:
+// a string's cell is its code, interned into the layout's dictionary.
+// Interning writes the dictionary, so, like every dictionary write, it
+// must not run while queries read it.
 func (t *Table) EncodeValue(v types.Value) uint64 {
 	if v.Kind == types.String {
-		return t.strs.Intern(v.S)
+		return uint64(t.layout.Dict.Intern(v.S))
 	}
 	return v.Bits()
 }

@@ -175,6 +175,10 @@ func TestUpsertWrongArityPanics(t *testing.T) {
 	New(joinLayout()).Upsert([]uint64{1, 2, 3})
 }
 
+// TestStringInterning: a string cell is the string's code in the
+// layout's dictionary, stable across encodings, probed by code and
+// decoded back through the dictionary; the table holds no strings of
+// its own.
 func TestStringInterning(t *testing.T) {
 	layout := Layout{
 		Cols: []storage.ColMeta{
@@ -182,6 +186,7 @@ func TestStringInterning(t *testing.T) {
 			meta("", "count", types.Int64),
 		},
 		KeyCols: 1,
+		Dict:    storage.NewDict(),
 	}
 	ht := New(layout)
 	idA := ht.EncodeValue(types.NewString("BUILDING"))
@@ -201,11 +206,16 @@ func TestStringInterning(t *testing.T) {
 	if v := ht.CellValue(e, 0); v.S != "BUILDING" {
 		t.Errorf("decoded string = %q", v.S)
 	}
-	if ht.Strings().Len() != 2 {
-		t.Errorf("heap size = %d", ht.Strings().Len())
+	if layout.Dict.Len() != 2 {
+		t.Errorf("dictionary size = %d", layout.Dict.Len())
 	}
-	if ht.Strings().ByteSize() <= 0 {
-		t.Error("heap ByteSize")
+	if got, want := ht.ByteSize(), New(layout).ByteSize()+8+4+16; got != want {
+		t.Errorf("ByteSize = %d, want %d: one entry's hash, link and two cells", got, want)
+	}
+	nodict := layout
+	nodict.Dict = nil
+	if err := nodict.Validate(); err == nil {
+		t.Error("a layout with a string column and no dictionary validated")
 	}
 }
 
@@ -402,20 +412,5 @@ func TestHashKeyDistribution(t *testing.T) {
 	}
 	if len(seen) < 200 {
 		t.Errorf("only %d of 256 low-bit patterns seen", len(seen))
-	}
-}
-
-func TestStringHeap(t *testing.T) {
-	h := NewStringHeap()
-	a := h.Intern("x")
-	b := h.Intern("y")
-	if a == b || h.Intern("x") != a {
-		t.Error("interning broken")
-	}
-	if h.At(a) != "x" || h.At(b) != "y" {
-		t.Error("At broken")
-	}
-	if h.Len() != 2 {
-		t.Errorf("Len = %d", h.Len())
 	}
 }

@@ -2,19 +2,19 @@ package hashtable
 
 import (
 	"fmt"
-
-	"hashstash/internal/types"
 )
 
 // Merge support for parallel builds: a morsel-driven pipeline gives each
-// worker a private partial table (its own arenas and string heap) and
-// merges the partials into one immutable table at the pipeline breaker.
-// Probes never see a table under construction, so the hot probe path
-// stays lock-free.
+// worker a private partial table (its own arenas) and merges the
+// partials into one immutable table at the pipeline breaker. Probes
+// never see a table under construction, so the hot probe path stays
+// lock-free. Every partial codes its strings against the same
+// dictionary, so a merge copies cells and hashes as they are.
 
 // checkMergeLayouts panics unless src's layout is cell-compatible with
-// t's (same column count, kinds and key width). Column refs may differ
-// (worker partials clone the target layout, so in practice they match).
+// t's (same column count, kinds, key width and dictionary). Column refs
+// may differ (worker partials clone the target layout, so in practice
+// they match).
 func (t *Table) checkMergeLayouts(src *Table) {
 	if len(src.layout.Cols) != t.nCols || src.layout.KeyCols != t.layout.KeyCols {
 		panic(fmt.Sprintf("hashtable: merge layout mismatch: %d/%d cols vs %d/%d keys",
@@ -25,33 +25,15 @@ func (t *Table) checkMergeLayouts(src *Table) {
 			panic(fmt.Sprintf("hashtable: merge column %d kind %v != %v", i, m.Kind, t.layout.Cols[i].Kind))
 		}
 	}
-}
-
-// reencodeRow copies entry e of src into row, translating string cells
-// from src's heap into t's. It reports whether any key cell changed
-// (forcing a rehash).
-func (t *Table) reencodeRow(src *Table, e int32, row []uint64) bool {
-	keyChanged := false
-	for i := 0; i < src.nCols; i++ {
-		bits := src.Cell(e, i)
-		if src.layout.Cols[i].Kind == types.String {
-			old := bits
-			bits = t.strs.Intern(src.strs.At(bits))
-			if i < t.layout.KeyCols && bits != old {
-				keyChanged = true
-			}
-		}
-		row[i] = bits
+	if src.layout.Dict != t.layout.Dict {
+		panic("hashtable: merge of tables coded against different dictionaries")
 	}
-	return keyChanged
 }
 
 // MergeFrom inserts every entry of the srcs into t (duplicate keys
 // chain, as in Insert) — the merge step of a parallel join build. t is
-// sized for the merged count first, so the merge relinks at most once.
-// String cells are re-interned into t's heap; hashes of string-free
-// keys are reused from the srcs so the merge does not re-hash what it
-// does not have to.
+// sized for the merged count first, so the merge relinks at most once,
+// and each entry keeps the hash its source computed.
 func (t *Table) MergeFrom(srcs ...*Table) {
 	t.mustMutate("MergeFrom")
 	n := t.Len()
@@ -60,15 +42,9 @@ func (t *Table) MergeFrom(srcs ...*Table) {
 		n += src.Len()
 	}
 	t.reserve(n)
-	row := make([]uint64, t.nCols)
 	for _, src := range srcs {
 		for e := range int32(src.Len()) {
-			changed := t.reencodeRow(src, e, row)
-			h := src.hashes[e]
-			if changed {
-				h = HashKey(row[:t.layout.KeyCols])
-			}
-			t.insertHashed(h, row)
+			t.insertHashed(src.hashes[e], src.row(e))
 		}
 	}
 }
@@ -77,15 +53,14 @@ func (t *Table) MergeFrom(srcs ...*Table) {
 // of a parallel aggregation. New keys copy their cells; existing
 // keys fold each non-key cell through fold(col, dstBits, srcBits),
 // which the caller derives from the aggregate functions (SUM adds,
-// COUNT adds, MIN/MAX compare). String cells are re-interned into t's
-// heap. It returns how many new groups the merge created in t.
+// COUNT adds, MIN/MAX compare). It returns how many new groups the
+// merge created in t.
 func (t *Table) MergeGroupsFrom(src *Table, fold func(col int, dst, src uint64) uint64) (created int64) {
 	t.checkMergeLayouts(src)
-	row := make([]uint64, t.nCols)
 	nKeys := t.layout.KeyCols
 	for e := range int32(src.Len()) {
-		t.reencodeRow(src, e, row)
-		dst, found := t.Upsert(row[:nKeys])
+		row := src.row(e)
+		dst, found := t.UpsertHashed(src.hashes[e], row[:nKeys])
 		if !found {
 			created++
 			for c := nKeys; c < t.nCols; c++ {

@@ -46,22 +46,25 @@ func TestMergeFromIntKeys(t *testing.T) {
 	}
 }
 
-func TestMergeFromReinternsStrings(t *testing.T) {
+// TestMergeFromKeepsStringCodes: partials code their strings against
+// the one dictionary they share with the target, so a merge carries
+// string cells and their hashes over as they are and the merged table
+// probes and decodes them like the partial did.
+func TestMergeFromKeepsStringCodes(t *testing.T) {
 	layout := Layout{
 		Cols: []storage.ColMeta{
 			{Ref: storage.ColRef{Table: "t", Column: "s"}, Kind: types.String},
 			{Ref: storage.ColRef{Table: "t", Column: "v"}, Kind: types.Int64},
 		},
 		KeyCols: 1,
+		Dict:    storage.NewDict(),
 	}
 	target := New(layout)
-	target.Insert([]uint64{target.Strings().Intern("zulu"), 0})
+	target.Insert([]uint64{target.EncodeValue(types.NewString("zulu")), 0})
 
-	// Build the partial with a different intern order so ids differ
-	// between heaps.
 	part := New(layout)
 	for i := 0; i < 100; i++ {
-		part.Insert([]uint64{part.Strings().Intern(fmt.Sprintf("s%d", i%10)), uint64(i)})
+		part.Insert([]uint64{part.EncodeValue(types.NewString(fmt.Sprintf("s%d", i%10))), uint64(i)})
 	}
 	target.MergeFrom(part)
 
@@ -71,7 +74,7 @@ func TestMergeFromReinternsStrings(t *testing.T) {
 	if got, want := target.Len(), 101; got != want {
 		t.Fatalf("Len = %d, want %d", got, want)
 	}
-	// Every merged entry must decode through the TARGET's heap.
+	// Every merged entry decodes through the shared dictionary.
 	counts := map[string]int{}
 	for e := int32(0); e < int32(target.Len()); e++ {
 		counts[target.CellValue(e, 0).S]++
@@ -84,13 +87,13 @@ func TestMergeFromReinternsStrings(t *testing.T) {
 			t.Fatalf("s%d count = %d, want 10", i, got)
 		}
 	}
-	// Probing by string must find re-interned entries.
-	id, ok := target.Strings().Lookup("s3")
+	// Probing by the string's code finds the merged entries.
+	id, ok := layout.Dict.Lookup("s3")
 	if !ok {
-		t.Fatal("s3 not interned in target heap")
+		t.Fatal("s3 not in the dictionary")
 	}
 	n := 0
-	it := target.Probe([]uint64{id})
+	it := target.Probe([]uint64{uint64(id)})
 	for e := it.Next(); e != -1; e = it.Next() {
 		n++
 	}

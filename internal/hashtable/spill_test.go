@@ -16,11 +16,12 @@ func spillTestTable(rows int) (*Table, Layout) {
 			{Ref: storage.ColRef{Table: "t", Column: "f"}, Kind: types.Float64},
 		},
 		KeyCols: 1,
+		Dict:    storage.NewDict(),
 	}
 	tbl := New(layout)
 	for i := 0; i < rows; i++ {
 		tbl.Insert([]uint64{
-			tbl.Strings().Intern(fmt.Sprintf("key-%d", i%53)),
+			tbl.EncodeValue(types.NewString(fmt.Sprintf("key-%d", i%53))),
 			uint64(i),
 			types.NewFloat(float64(i) / 3).Bits(),
 		})

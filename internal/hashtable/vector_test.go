@@ -160,6 +160,7 @@ func TestAppendColumnDecodes(t *testing.T) {
 			{Ref: storage.ColRef{Table: "t", Column: "d"}, Kind: types.Date},
 		},
 		KeyCols: 1,
+		Dict:    storage.NewDict(),
 	}
 	ht := New(layout)
 	rng := rand.New(rand.NewSource(3))
@@ -168,7 +169,7 @@ func TestAppendColumnDecodes(t *testing.T) {
 		ht.Insert([]uint64{
 			uint64(i),
 			types.NewFloat(rng.NormFloat64()).Bits(),
-			ht.Strings().Intern(strs[rng.Intn(len(strs))]),
+			ht.EncodeValue(types.NewString(strs[rng.Intn(len(strs))])),
 			uint64(9000 + rng.Int63n(365)),
 		})
 	}
@@ -189,31 +190,5 @@ func TestAppendColumnDecodes(t *testing.T) {
 				t.Fatalf("col %d row %d: got %v, want %v", col, i, got, want)
 			}
 		}
-	}
-}
-
-// TestStringHeapBulkOps: LookupBulk marks misses without growing the
-// heap; InternBulk matches Intern ids.
-func TestStringHeapBulkOps(t *testing.T) {
-	h := NewStringHeap()
-	ids := make([]uint64, 4)
-	h.InternBulk(ids, []string{"a", "b", "a", "c"})
-	if ids[0] != ids[2] {
-		t.Fatal("InternBulk: duplicate string got distinct ids")
-	}
-	if h.Len() != 3 {
-		t.Fatalf("heap has %d strings, want 3", h.Len())
-	}
-	dst := make([]uint64, 3)
-	miss := make([]bool, 3)
-	h.LookupBulk(dst, miss, []string{"b", "nope", "c"})
-	if miss[0] || !miss[1] || miss[2] {
-		t.Fatalf("miss flags wrong: %v", miss)
-	}
-	if dst[0] != ids[1] || dst[2] != ids[3] {
-		t.Fatal("LookupBulk ids disagree with InternBulk")
-	}
-	if h.Len() != 3 {
-		t.Fatal("LookupBulk grew the heap")
 	}
 }

@@ -12,6 +12,10 @@ import (
 	"hashstash/internal/types"
 )
 
+// widenDict codes the string cells of every widenLayout table, the way
+// one catalog's dictionary codes all of a database's tables.
+var widenDict = storage.NewDict()
+
 func widenLayout() Layout {
 	return Layout{
 		Cols: []storage.ColMeta{
@@ -20,13 +24,19 @@ func widenLayout() Layout {
 			{Ref: storage.ColRef{Table: "t", Column: "v"}, Kind: types.Float64},
 		},
 		KeyCols: 1,
+		Dict:    widenDict,
 	}
 }
+
+// code returns the string cell of s, interning it into widenDict.
+// Interning writes the dictionary: concurrent tests call it before they
+// start their goroutines.
+func code(s string) uint64 { return uint64(widenDict.Intern(s)) }
 
 func buildWidenBase(n int) *Table {
 	t := New(widenLayout())
 	for i := 0; i < n; i++ {
-		t.Insert([]uint64{uint64(i), t.strs.Intern(fmt.Sprintf("s%d", i%7)), types.NewFloat(float64(i)).Bits()})
+		t.Insert([]uint64{uint64(i), code(fmt.Sprintf("s%d", i%7)), types.NewFloat(float64(i)).Bits()})
 	}
 	return t
 }
@@ -49,7 +59,7 @@ func batchProbe(tbl *Table, keys []uint64) (rows, ents []int32) {
 	hashes := make([]uint64, n)
 	HashColumns(hashes, enc)
 	cur := make([]int32, n)
-	return tbl.ProbeHashedColumn(cur, hashes, enc, nil, nil, nil)
+	return tbl.ProbeHashedColumn(cur, hashes, enc, nil, nil)
 }
 
 func TestFreezePanicsOnMutation(t *testing.T) {
@@ -62,36 +72,34 @@ func TestFreezePanicsOnMutation(t *testing.T) {
 	ht.Insert([]uint64{99, 0, 0})
 }
 
-// image is a deep copy of every arena and the string heap of a table,
-// for bit-identity checks.
+// image is a deep copy of every arena of a table, for bit-identity
+// checks.
 type image struct {
 	heads   []int32
 	hashes  []uint64
 	next    []int32
 	payload []uint64
-	strs    []string
 }
 
 func imageOf(t *Table) image {
 	return image{
 		heads:  slices.Clone(t.heads),
 		hashes: slices.Clone(t.hashes), next: slices.Clone(t.next),
-		payload: slices.Clone(t.payload), strs: slices.Clone(t.strs.strs),
+		payload: slices.Clone(t.payload),
 	}
 }
 
 func (im image) same(t *Table) bool {
 	return slices.Equal(im.heads, t.heads) &&
 		slices.Equal(im.hashes, t.hashes) && slices.Equal(im.next, t.next) &&
-		slices.Equal(im.payload, t.payload) && slices.Equal(im.strs, t.strs.strs) &&
-		len(t.strs.index) == len(im.strs)
+		slices.Equal(im.payload, t.payload)
 }
 
 // joinRows decodes the matches of key k, sorted for multiset comparison.
 func joinRows(tbl *Table, k uint64) []string {
 	var out []string
 	for _, e := range probeAll(tbl, k) {
-		out = append(out, fmt.Sprintf("%d|%s|%v", int64(tbl.Cell(e, 0)), tbl.Strings().At(tbl.Cell(e, 1)), tbl.CellValue(e, 2)))
+		out = append(out, fmt.Sprintf("%d|%s|%v", int64(tbl.Cell(e, 0)), tbl.CellValue(e, 1).S, tbl.CellValue(e, 2)))
 	}
 	sort.Strings(out)
 	return out
@@ -100,8 +108,8 @@ func joinRows(tbl *Table, k uint64) []string {
 // TestWidenSharesBaseAndAppendsDelta: a widened copy carries every
 // entry of its source under the same entry id and appends the delta
 // after them. Base entries are visible through the copy, delta entries
-// are invisible through the frozen source, and cells decode through
-// both string heaps.
+// are invisible through the frozen source, and string cells decode
+// through the shared dictionary from both.
 func TestWidenSharesBaseAndAppendsDelta(t *testing.T) {
 	base := buildWidenBase(1000)
 	baseLen := base.Len()
@@ -114,7 +122,7 @@ func TestWidenSharesBaseAndAppendsDelta(t *testing.T) {
 	}
 	before := imageOf(base)
 	for i := 1000; i < 1200; i++ {
-		w.Insert([]uint64{uint64(i), w.strs.Intern("new"), types.NewFloat(float64(i)).Bits()})
+		w.Insert([]uint64{uint64(i), code("new"), types.NewFloat(float64(i)).Bits()})
 	}
 	if !before.same(base) {
 		t.Fatal("appending the delta changed the frozen base")
@@ -144,8 +152,8 @@ func TestWidenSharesBaseAndAppendsDelta(t *testing.T) {
 	if v := w.CellValue(int32(w.Len()-1), 1); v.S != "new" {
 		t.Fatalf("delta string cell = %q", v.S)
 	}
-	if _, ok := base.Strings().Lookup("new"); ok {
-		t.Fatal("a string interned by the copy reached the base heap")
+	if v := base.CellValue(42, 1); v.S != "s0" {
+		t.Fatalf("base string cell through the source = %q", v.S)
 	}
 	if err := w.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -271,7 +279,7 @@ func TestRehashEquivalenceProperty(t *testing.T) {
 	root := New(widenLayout())
 	gens := []gen{{root, map[uint64][]string{}}}
 	insert := func(g gen, k uint64, s string, f float64) {
-		g.tbl.Insert([]uint64{k, g.tbl.Strings().Intern(s), types.NewFloat(f).Bits()})
+		g.tbl.Insert([]uint64{k, code(s), types.NewFloat(f).Bits()})
 		g.model[k] = append(g.model[k], fmt.Sprintf("%d|%s|%v", int64(k), s, f))
 	}
 	for i := 0; i < 200; i++ {
@@ -354,7 +362,7 @@ func TestWidenedCopyGrows(t *testing.T) {
 	for b := 0; b < batches; b++ {
 		for i := 0; i < perBatch; i++ {
 			k := uint64(100000 + b*perBatch + i)
-			w.Insert([]uint64{k, w.Strings().Intern("x"), 0})
+			w.Insert([]uint64{k, code("x"), 0})
 		}
 	}
 	// Headroom is capped at the source's 256 entries: 512 → 8192 slots.
@@ -383,7 +391,7 @@ func TestSizedOnceWhenCountKnown(t *testing.T) {
 	}
 	resizes := w.Resizes()
 	for i := 0; i < 300; i++ {
-		w.Insert([]uint64{uint64(5000 + i), w.strs.Intern("x"), 0})
+		w.Insert([]uint64{uint64(5000 + i), code("x"), 0})
 	}
 	if w.Resizes() != resizes {
 		t.Fatalf("delta within the headroom regrew the copy %d times", w.Resizes()-resizes)
@@ -425,7 +433,7 @@ func TestWidenChainAndCompaction(t *testing.T) {
 		w := cur.Widen(16)
 		for i := 0; i < 16; i++ {
 			k := uint64(total + i)
-			w.Insert([]uint64{k, w.strs.Intern("x"), types.NewFloat(float64(k)).Bits()})
+			w.Insert([]uint64{k, code("x"), types.NewFloat(float64(k)).Bits()})
 		}
 		total += 16
 		if w.Len() != total {
@@ -443,7 +451,7 @@ func TestWidenChainAndCompaction(t *testing.T) {
 	}
 	fresh := New(widenLayout())
 	for k := 0; k < total; k++ {
-		fresh.Insert([]uint64{uint64(k), fresh.strs.Intern("x"), 0})
+		fresh.Insert([]uint64{uint64(k), code("x"), 0})
 	}
 	keys := make([]uint64, total)
 	for i := range keys {
@@ -462,6 +470,7 @@ func TestWidenChainAndCompaction(t *testing.T) {
 // each widener's copy private.
 func TestConcurrentWidenOfOneSnapshot(t *testing.T) {
 	base := buildWidenBase(256).Freeze()
+	cell := code("w")
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -470,7 +479,7 @@ func TestConcurrentWidenOfOneSnapshot(t *testing.T) {
 			wt := base.Widen(64)
 			for i := 0; i < 64; i++ {
 				k := uint64(1000 + w*100 + i)
-				wt.Insert([]uint64{k, wt.strs.Intern("w"), types.NewFloat(float64(k)).Bits()})
+				wt.Insert([]uint64{k, cell, types.NewFloat(float64(k)).Bits()})
 			}
 			if err := wt.CheckInvariants(); err != nil {
 				t.Error(err)
@@ -576,28 +585,6 @@ func TestWidenMergeGroupsPromotes(t *testing.T) {
 		}
 		if v := base.CellValue(got[0], 1).F; v != float64(i) {
 			t.Fatalf("base group %d mutated: %v", i, v)
-		}
-	}
-}
-
-// TestProbeHashedColumnMissRows: rows flagged missed (string keys never
-// interned on the build side) are skipped without walking any chain.
-func TestProbeHashedColumnMissRows(t *testing.T) {
-	tbl := buildWidenBase(64)
-	keys := []uint64{1, 2, 3, 4}
-	enc := [][]uint64{keys}
-	hashes := make([]uint64, len(keys))
-	HashColumns(hashes, enc)
-	miss := []bool{false, true, false, true}
-	before := tbl.ProbeStats()
-	rows, _ := tbl.ProbeHashedColumn(make([]int32, len(keys)), hashes, enc, miss, nil, nil)
-	after := tbl.ProbeStats()
-	if after.Probes-before.Probes != 2 {
-		t.Fatalf("counted %d probes, want 2", after.Probes-before.Probes)
-	}
-	for _, r := range rows {
-		if miss[r] {
-			t.Fatalf("missed row %d produced a match", r)
 		}
 	}
 }

@@ -147,7 +147,7 @@ func TestPublishFoldsSupersededProbes(t *testing.T) {
 	enc := [][]uint64{keys}
 	hashes := make([]uint64, len(keys))
 	hashtable.HashColumns(hashes, enc)
-	prev.HT.ProbeHashedColumn(make([]int32, len(keys)), hashes, enc, nil, nil, nil)
+	prev.HT.ProbeHashedColumn(make([]int32, len(keys)), hashes, enc, nil, nil)
 	before := c.Stats().Probes
 	if before == 0 {
 		t.Fatal("probes of the published snapshot not counted")
@@ -205,7 +205,7 @@ func TestWidenInvisibleToConcurrentReaders(t *testing.T) {
 		enc := [][]uint64{probeKeys}
 		hashes := make([]uint64, keys)
 		hashtable.HashColumns(hashes, enc)
-		rows, ents := snap.HT.ProbeHashedColumn(make([]int32, keys), hashes, enc, nil, nil, nil)
+		rows, ents := snap.HT.ProbeHashedColumn(make([]int32, keys), hashes, enc, nil, nil)
 		if len(rows) != keys {
 			return fmt.Errorf("version %d: %d matches for %d keys", snap.Version, len(rows), keys)
 		}

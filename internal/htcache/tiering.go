@@ -37,7 +37,7 @@ import (
 // Revival is the reverse: the entry rebuilds from its spill outside
 // the lock and republishes through its snapshot pointer. Only cold
 // secondary indexes carry a bloom filter (built over stable value
-// hashes, not heap ids): it lets an index range scan skip reviving an
+// hashes of the strings and numbers themselves): it lets an index range scan skip reviving an
 // index that cannot hold its point or IN values. Cold hash tables are
 // revived without one.
 
@@ -382,7 +382,8 @@ func (c *Cache) ColdCandidate(probe Lineage) *ColdArtifact {
 
 // StableValueHash hashes a constant the way cold-tier bloom filters
 // hash index contents: string bytes for strings, stored bits for
-// numerics — stable across spill/restore cycles, unlike heap ids.
+// numerics — stable across spill/restore cycles and independent of
+// dictionary codes.
 func StableValueHash(v types.Value) uint64 {
 	if v.Kind == types.String {
 		return types.HashString(v.S)

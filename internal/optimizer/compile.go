@@ -251,7 +251,7 @@ func (c *compiler) newLayout(keys []storage.ColRef, others ...[]storage.ColRef) 
 	if c.members != nil {
 		cols = append(cols, storage.ColMeta{Ref: exec.QidRef(), Kind: types.Int64})
 	}
-	return hashtable.Layout{Cols: cols, KeyCols: nKeys}, nil
+	return hashtable.Layout{Cols: cols, KeyCols: nKeys, Dict: c.o.Cat.Dict()}, nil
 }
 
 // feedRefs maps a fresh table's base-qualified layout onto the stream
@@ -546,7 +546,7 @@ func (c *compiler) aggLayout(agg *AggChoice) (hashtable.Layout, error) {
 	for _, s := range agg.Specs {
 		cols = append(cols, storage.ColMeta{Ref: aggCellRef(s), Kind: specCellKind(s, c.o.argKind(c.q, s))})
 	}
-	return hashtable.Layout{Cols: cols, KeyCols: len(agg.GroupBase)}, nil
+	return hashtable.Layout{Cols: cols, KeyCols: len(agg.GroupBase), Dict: c.o.Cat.Dict()}, nil
 }
 
 // attachAggInput sinks one input stream (a full or residual plan, or a

@@ -76,7 +76,7 @@ func appendCell(dst []byte, v *storage.Vec, r int) []byte {
 	case types.Float64:
 		return appendFloat(dst, v.Floats[r])
 	case types.String:
-		return appendString(dst, v.Strs[r])
+		return appendString(dst, v.Dict.At(v.Strs[r]))
 	case types.Date:
 		dst = append(dst, '"')
 		dst = types.AppendDate(dst, v.Ints[r])

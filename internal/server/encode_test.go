@@ -243,7 +243,7 @@ func TestEncoderDifferential(t *testing.T) {
 	for r := range n {
 		res.Vecs[0].Ints = append(res.Vecs[0].Ints, ints[r%len(ints)])
 		res.Vecs[1].Floats = append(res.Vecs[1].Floats, floats[r%len(floats)])
-		res.Vecs[2].Strs = append(res.Vecs[2].Strs, strs[r%len(strs)])
+		res.Vecs[2].Append(types.NewString(strs[r%len(strs)]))
 		res.Vecs[3].Ints = append(res.Vecs[3].Ints, dates[r%len(dates)])
 	}
 	// encoding/json refuses non-finite floats; the server writes null,

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 
 	"hashstash/internal/types"
@@ -55,12 +56,36 @@ func gather[T any](dst, src []T, sel []int32) []T {
 }
 
 // Vec is a column vector of intermediate results. Unlike Column it is a
-// transient, reusable buffer.
+// transient, reusable buffer. A string vector holds codes of Dict in
+// Strs; it takes the dictionary of the rows it receives.
 type Vec struct {
 	Kind   types.Kind
 	Ints   []int64
 	Floats []float64
-	Strs   []string
+	Strs   []uint32
+	Dict   *Dict
+}
+
+// UseDict points a string vector at d, the dictionary of the rows it
+// is about to receive. Rows coded against two dictionaries cannot share
+// a vector.
+func (v *Vec) UseDict(d *Dict) {
+	if v.Dict != d {
+		if v.Dict != nil && len(v.Strs) > 0 {
+			panic("storage: string vector mixes two dictionaries")
+		}
+		v.Dict = d
+	}
+}
+
+// intern returns s's code in the vector's dictionary, giving the vector
+// a dictionary of its own when it has none. It writes the dictionary,
+// so it must not run while queries read it.
+func (v *Vec) intern(s string) uint32 {
+	if v.Dict == nil {
+		v.Dict = NewDict()
+	}
+	return v.Dict.Intern(s)
 }
 
 // NewVec returns an empty vector of the given kind. It allocates no
@@ -101,7 +126,8 @@ func (v *Vec) Len() int {
 	return 0
 }
 
-// Append adds one value of the vector's kind.
+// Append adds one value of the vector's kind. A string is interned
+// into the vector's dictionary (see intern).
 func (v *Vec) Append(val types.Value) {
 	switch v.Kind {
 	case types.Int64, types.Date:
@@ -109,7 +135,7 @@ func (v *Vec) Append(val types.Value) {
 	case types.Float64:
 		v.Floats = append(v.Floats, val.F)
 	case types.String:
-		v.Strs = append(v.Strs, val.S)
+		v.Strs = append(v.Strs, v.intern(val.S))
 	}
 }
 
@@ -121,6 +147,7 @@ func (v *Vec) AppendFrom(c *Column, i int32) {
 	case types.Float64:
 		v.Floats = append(v.Floats, c.Floats[i])
 	case types.String:
+		v.UseDict(c.Dict)
 		v.Strs = append(v.Strs, c.Strs[i])
 	}
 }
@@ -135,6 +162,7 @@ func (v *Vec) AppendRange(src *Vec, start, end int) {
 	case types.Float64:
 		v.Floats = append(extend(v.Floats, end-start), src.Floats[start:end]...)
 	case types.String:
+		v.UseDict(src.Dict)
 		v.Strs = append(extend(v.Strs, end-start), src.Strs[start:end]...)
 	}
 }
@@ -150,6 +178,7 @@ func (v *Vec) AppendGather(src *Vec, sel []int32) {
 	case types.Float64:
 		v.Floats = gather(v.Floats, src.Floats, sel)
 	case types.String:
+		v.UseDict(src.Dict)
 		v.Strs = gather(v.Strs, src.Strs, sel)
 	}
 }
@@ -182,9 +211,10 @@ func (v *Vec) AppendRepeat(val types.Value, n int) {
 			v.Floats = append(v.Floats, val.F)
 		}
 	case types.String:
+		code := v.intern(val.S)
 		v.Strs = extend(v.Strs, n)
 		for i := 0; i < n; i++ {
-			v.Strs = append(v.Strs, val.S)
+			v.Strs = append(v.Strs, code)
 		}
 	}
 }
@@ -204,8 +234,9 @@ func (v *Vec) Grow(n int) {
 
 // RowOrder returns a total order over the vector's row ids: by value,
 // descending when desc, ties to the lower row id — the order a stable
-// sort leaves rows in. Values compare like types.Value.Compare (so a
-// NaN ties with everything and falls back to its row id).
+// sort leaves rows in. Values compare like types.Value.Compare: a NaN
+// sorts above +Inf and ties only with NaN, and strings compare by
+// their text, never by their codes.
 func (v *Vec) RowOrder(desc bool) func(a, b int32) int {
 	switch v.Kind {
 	case types.Int64, types.Date:
@@ -213,18 +244,21 @@ func (v *Vec) RowOrder(desc bool) func(a, b int32) int {
 	case types.Float64:
 		return rowOrder(v.Floats, desc)
 	case types.String:
-		return rowOrder(v.Strs, desc)
+		return codeOrder(v.Strs, v.Dict, desc)
 	}
 	panic("storage: bad vec kind")
 }
 
-func rowOrder[T int64 | float64 | string](keys []T, desc bool) func(a, b int32) int {
+// rowOrder is RowOrder over numeric keys. The comparisons are
+// types.CompareNum's, written out so that the sort's closure calls
+// nothing: x != x holds only for NaN, and never for an integer.
+func rowOrder[T int64 | float64](keys []T, desc bool) func(a, b int32) int {
 	if desc {
 		return func(a, b int32) int {
 			switch x, y := keys[a], keys[b]; {
-			case x > y:
+			case x > y, x != x && y == y:
 				return -1
-			case x < y:
+			case x < y, y != y && x == x:
 				return 1
 			}
 			return int(a) - int(b)
@@ -232,10 +266,27 @@ func rowOrder[T int64 | float64 | string](keys []T, desc bool) func(a, b int32) 
 	}
 	return func(a, b int32) int {
 		switch x, y := keys[a], keys[b]; {
-		case x < y:
+		case x < y, y != y && x == x:
 			return -1
-		case x > y:
+		case x > y, x != x && y == y:
 			return 1
+		}
+		return int(a) - int(b)
+	}
+}
+
+// codeOrder is rowOrder over string codes: equal codes tie without a
+// lookup, others compare their strings.
+func codeOrder(codes []uint32, d *Dict, desc bool) func(a, b int32) int {
+	sign := 1
+	if desc {
+		sign = -1
+	}
+	return func(a, b int32) int {
+		if x, y := codes[a], codes[b]; x != y {
+			if c := strings.Compare(d.At(x), d.At(y)); c != 0 {
+				return sign * c
+			}
 		}
 		return int(a) - int(b)
 	}
@@ -251,7 +302,7 @@ func (v *Vec) Value(i int) types.Value {
 	case types.Float64:
 		return types.NewFloat(v.Floats[i])
 	case types.String:
-		return types.NewString(v.Strs[i])
+		return types.NewString(v.Dict.At(v.Strs[i]))
 	}
 	panic("storage: bad vec kind")
 }
@@ -316,7 +367,6 @@ type Scratch struct {
 	cur   []int32
 	hash  []uint64
 	masks []int64
-	miss  []bool
 	enc   [][]uint64
 	f64   [][]float64
 
@@ -387,13 +437,6 @@ func (s *Scratch) MasksN(n int) []int64 {
 	s.masks = sized(s.masks, n)
 	clear(s.masks)
 	return s.masks
-}
-
-// Miss returns the string-key miss buffer with length n (contents
-// unspecified).
-func (s *Scratch) Miss(n int) []bool {
-	s.miss = sized(s.miss, n)
-	return s.miss
 }
 
 // Enc returns k encoded-cell columns of length n each (contents
@@ -513,12 +556,12 @@ func (b *Batch) reshape(schema Schema) {
 }
 
 // Release hands the batch back to the pool for a later NewBatch. It
-// first clears every string slot, base-column pointer and row id, so a
-// pooled shell pins no table or string. The caller must not touch the
-// batch afterwards.
+// first clears every dictionary, base-column pointer and row id, so a
+// pooled shell pins no table or dictionary. The caller must not touch
+// the batch afterwards.
 func (b *Batch) Release() {
 	for _, v := range b.Cols {
-		clear(v.Strs[:cap(v.Strs)])
+		v.Dict = nil
 	}
 	b.Reset()
 	b.Schema = nil

@@ -9,10 +9,17 @@
 // NDV, computed in one pass on the first read and kept while the row
 // count holds.
 //
+// Strings are dictionary-coded: a string column, a string batch vector
+// and a hash-table string cell all hold uint32 codes of one Dict (a
+// catalog's), so strings move, hash and compare for equality as
+// integers, and the garbage collector scans no per-row pointer. A
+// string is decoded only where its text matters: ordering, statistics
+// and output.
+//
 // Apart from that statistics cache, none of these structures
-// synchronize internally: tables are immutable while queries run,
-// batches are owned by one worker at a time, and the execution layer
-// coordinates everything else.
+// synchronize internally: tables and dictionaries are immutable while
+// queries run, batches are owned by one worker at a time, and the
+// execution layer coordinates everything else.
 package storage
 
 import (
@@ -25,13 +32,15 @@ import (
 )
 
 // Column is a typed base-table column. Exactly one of the data slices is
-// populated, selected by Kind (Ints also backs Date columns).
+// populated, selected by Kind (Ints also backs Date columns). A string
+// column holds codes of Dict in Strs.
 type Column struct {
 	Name   string
 	Kind   types.Kind
 	Ints   []int64
 	Floats []float64
-	Strs   []string
+	Strs   []uint32
+	Dict   *Dict
 
 	// statsMu guards stats, the cached result of Stats; concurrent
 	// first reads share one pass.
@@ -52,9 +61,37 @@ type colStats struct {
 	rows int
 }
 
-// NewColumn returns an empty column of the given kind.
+// NewColumn returns an empty column of the given kind. A string column
+// gets a dictionary of its own until a catalog registers it
+// (Column.Recode).
 func NewColumn(name string, kind types.Kind) *Column {
-	return &Column{Name: name, Kind: kind}
+	c := &Column{Name: name, Kind: kind}
+	if kind == types.String {
+		c.Dict = NewDict()
+	}
+	return c
+}
+
+// Recode re-codes a string column against d and makes d its
+// dictionary: the step that moves a column built on its own dictionary
+// into a catalog's. Each distinct code is interned once; a column
+// already on d, or not a string column, is left as it is.
+func (c *Column) Recode(d *Dict) {
+	if c.Kind != types.String || c.Dict == d {
+		return
+	}
+	const unset = ^uint32(0)
+	trans := make([]uint32, c.Dict.Len())
+	for i := range trans {
+		trans[i] = unset
+	}
+	for i, code := range c.Strs {
+		if trans[code] == unset {
+			trans[code] = d.Intern(c.Dict.At(code))
+		}
+		c.Strs[i] = trans[code]
+	}
+	c.Dict = d
 }
 
 // Len reports the number of rows in the column.
@@ -87,7 +124,7 @@ func (c *Column) Append(v types.Value) {
 	case types.Float64:
 		c.Floats = append(c.Floats, v.F)
 	case types.String:
-		c.Strs = append(c.Strs, v.S)
+		c.Strs = append(c.Strs, c.Dict.Intern(v.S))
 	}
 }
 
@@ -109,7 +146,7 @@ func (c *Column) Stats() ColumnStats {
 		case types.Float64:
 			s.ColumnStats = summarize(c.Floats, types.NewFloat)
 		case types.String:
-			s.ColumnStats = summarize(c.Strs, types.NewString)
+			s.ColumnStats = summarizeCodes(c.Strs, c.Dict)
 		}
 		c.stats = s
 	}
@@ -135,18 +172,32 @@ func summarize[T cmp.Ordered](vals []T, value func(T) types.Value) ColumnStats {
 	return ColumnStats{Min: value(lo), Max: value(hi), NDV: int64(len(distinct))}
 }
 
+// summarizeCodes is summarize over a string column's codes: NDV counts
+// distinct codes, and only a code's first occurrence decodes its string
+// for the min/max compare.
+func summarizeCodes(codes []uint32, d *Dict) ColumnStats {
+	if len(codes) == 0 {
+		return ColumnStats{}
+	}
+	seen := make([]bool, d.Len())
+	lo, hi := d.At(codes[0]), d.At(codes[0])
+	var ndv int64
+	for _, code := range codes {
+		if seen[code] {
+			continue
+		}
+		seen[code] = true
+		ndv++
+		s := d.At(code)
+		lo, hi = min(lo, s), max(hi, s)
+	}
+	return ColumnStats{Min: types.NewString(lo), Max: types.NewString(hi), NDV: ndv}
+}
+
 // view returns a Vec aliasing the column's data slices; Column and Vec
 // share the same layout, so the Vec bulk kernels serve both.
 func (c *Column) view() Vec {
-	return Vec{Kind: c.Kind, Ints: c.Ints, Floats: c.Floats, Strs: c.Strs}
-}
-
-// AppendVec bulk-appends every row of a batch vector of the same kind —
-// the kind dispatch happens once per batch instead of once per row.
-func (c *Column) AppendVec(v *Vec) {
-	dst := c.view()
-	dst.AppendRange(v, 0, v.Len())
-	c.Ints, c.Floats, c.Strs = dst.Ints, dst.Floats, dst.Strs
+	return Vec{Kind: c.Kind, Ints: c.Ints, Floats: c.Floats, Strs: c.Strs, Dict: c.Dict}
 }
 
 // Value returns the value at row i.
@@ -159,7 +210,7 @@ func (c *Column) Value(i int) types.Value {
 	case types.Float64:
 		return types.NewFloat(c.Floats[i])
 	case types.String:
-		return types.NewString(c.Strs[i])
+		return types.NewString(c.Dict.At(c.Strs[i]))
 	}
 	panic("storage: bad column kind")
 }

@@ -97,7 +97,7 @@ func randDupColumn(r *rand.Rand, kind types.Kind, n, distinct int) *Column {
 		case types.Float64:
 			c.Floats = append(c.Floats, float64(d)/4-1)
 		case types.String:
-			c.Strs = append(c.Strs, fmt.Sprintf("s%03d", d))
+			c.Append(types.NewString(fmt.Sprintf("s%03d", d)))
 		}
 	}
 	return c

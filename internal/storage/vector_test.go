@@ -19,7 +19,7 @@ func fillRandVec(rng *rand.Rand, v *Vec, n int) {
 		case types.Float64:
 			v.Floats = append(v.Floats, rng.NormFloat64())
 		case types.String:
-			v.Strs = append(v.Strs, strs[rng.Intn(len(strs))])
+			v.Append(types.NewString(strs[rng.Intn(len(strs))]))
 		}
 	}
 }
@@ -91,9 +91,8 @@ func TestColumnKernels(t *testing.T) {
 		col := NewColumn("c", kind)
 		vec := NewVec(kind)
 		fillRandVec(rng, vec, 400)
-		col.AppendVec(vec)
-		if col.Len() != 400 {
-			t.Fatalf("AppendVec: column has %d rows, want 400", col.Len())
+		for i := range vec.Len() {
+			col.Append(vec.Value(i))
 		}
 
 		sel := make([]int32, 100)
@@ -124,7 +123,6 @@ func TestScratchBuffersIndependent(t *testing.T) {
 	ents := sc.Ents(64)
 	hash := sc.Hash(64)
 	masks := sc.MasksN(64)
-	miss := sc.Miss(64)
 	enc := sc.Enc(2, 64)
 	f0 := sc.Floats(0, 64)
 	f1 := sc.Floats(1, 64)
@@ -139,7 +137,6 @@ func TestScratchBuffersIndependent(t *testing.T) {
 	enc[0][0], enc[1][0] = 11, 22
 	f0[0], f1[0] = 1.5, 2.5
 	masks[0] = 99
-	miss[0] = true
 
 	if sel[0] != 0 || sel[63] != 63 {
 		t.Fatal("sel clobbered")
@@ -156,8 +153,8 @@ func TestScratchBuffersIndependent(t *testing.T) {
 	if f0[0] != 1.5 || f1[0] != 2.5 {
 		t.Fatal("float scratch depths alias")
 	}
-	if masks[0] != 99 || !miss[0] {
-		t.Fatal("masks/miss clobbered")
+	if masks[0] != 99 {
+		t.Fatal("masks clobbered")
 	}
 	// Re-obtaining a buffer with the same size returns the same memory
 	// (no steady-state allocation).
@@ -183,8 +180,9 @@ func requireVecEqual(t *testing.T, got, want *Vec) {
 				t.Fatalf("row %d: got %v, want %v", i, got.Floats[i], want.Floats[i])
 			}
 		case types.String:
-			if got.Strs[i] != want.Strs[i] {
-				t.Fatalf("row %d: got %q, want %q", i, got.Strs[i], want.Strs[i])
+			// The vectors may code against different dictionaries.
+			if g, w := got.Value(i).S, want.Value(i).S; g != w {
+				t.Fatalf("row %d: got %q, want %q", i, g, w)
 			}
 		}
 	}
@@ -223,7 +221,7 @@ func TestBatchDeferredColumns(t *testing.T) {
 	}
 }
 
-// TestReleasedBatchPinsNothing: Release clears every string slot,
+// TestReleasedBatchPinsNothing: Release clears every dictionary,
 // base-column pointer, row id and resume point of a batch before
 // pooling it, and a released shell laid out for another schema carries
 // no rows or deferrals from its previous one.
@@ -231,7 +229,7 @@ func TestReleasedBatchPinsNothing(t *testing.T) {
 	strCol := NewColumn("s", types.String)
 	intCol := NewColumn("i", types.Int64)
 	for i := 0; i < 8; i++ {
-		strCol.Strs = append(strCol.Strs, fmt.Sprintf("v%d", i))
+		strCol.Append(types.NewString(fmt.Sprintf("v%d", i)))
 		intCol.Ints = append(intCol.Ints, int64(i))
 	}
 	b := NewBatch(Schema{
@@ -244,8 +242,9 @@ func TestReleasedBatchPinsNothing(t *testing.T) {
 	b.Defer(1, intCol)
 	b.Materialize(0)
 	b.Materialize(1)
-	b.Cols[2].Strs = append(b.Cols[2].Strs, "x", "y", "z")
-	b.Cols[2].Truncate(1) // "y" and "z" stay in the backing array
+	for _, s := range []string{"x", "y", "z"} {
+		b.Cols[2].Append(types.NewString(s))
+	}
 	b.Scratch().SetResume(2, true)
 
 	b.Release() // single goroutine: nothing else takes the shell meanwhile
@@ -256,10 +255,8 @@ func TestReleasedBatchPinsNothing(t *testing.T) {
 		if v == nil {
 			continue
 		}
-		for _, s := range v.Strs[:cap(v.Strs)] {
-			if s != "" {
-				t.Fatalf("column %d pins string %q after Release", c, s)
-			}
+		if v.Dict != nil {
+			t.Fatalf("column %d pins a dictionary after Release", c)
 		}
 	}
 	for c, col := range b.base[:cap(b.base)] {

@@ -73,6 +73,9 @@ type Config struct {
 	SF float64
 	// Seed perturbs all random streams; 0 selects the default seed.
 	Seed uint64
+	// Dict is the dictionary the string columns are coded against (a
+	// catalog's); nil gives the database a dictionary of its own.
+	Dict *storage.Dict
 }
 
 // DB bundles the generated tables.
@@ -111,14 +114,18 @@ func Generate(cfg Config) (*DB, error) {
 	nOrd := scale(baseOrders)
 	nPart := scale(baseParts)
 	nSupp := scale(baseSuppliers)
+	d := cfg.Dict
+	if d == nil {
+		d = storage.NewDict()
+	}
 
 	db := &DB{
-		Customer: genCustomer(nCust, seed^1),
-		Part:     genPart(nPart, seed^2),
-		Supplier: genSupplier(nSupp, seed^3),
+		Customer: genCustomer(d, nCust, seed^1),
+		Part:     genPart(d, nPart, seed^2),
+		Supplier: genSupplier(d, nSupp, seed^3),
 	}
-	db.Orders = genOrders(nOrd, nCust, seed^4)
-	db.Lineitem = genLineitem(db.Orders, nPart, nSupp, seed^5)
+	db.Orders = genOrders(d, nOrd, nCust, seed^4)
+	db.Lineitem = genLineitem(d, db.Orders, nPart, nSupp, seed^5)
 
 	for _, t := range db.Tables() {
 		if err := t.Check(); err != nil {
@@ -128,33 +135,50 @@ func Generate(cfg Config) (*DB, error) {
 	return db, nil
 }
 
-func genCustomer(n int, seed uint64) *storage.Table {
+// stringColumn returns an empty string column coded against d.
+func stringColumn(d *storage.Dict, name string) *storage.Column {
+	return &storage.Column{Name: name, Kind: types.String, Dict: d}
+}
+
+// internAll interns a fixed vocabulary once: a row then appends the
+// code of the word its draw picks, with no dictionary lookup.
+func internAll(d *storage.Dict, words []string) []uint32 {
+	codes := make([]uint32, len(words))
+	for i, w := range words {
+		codes[i] = d.Intern(w)
+	}
+	return codes
+}
+
+func genCustomer(d *storage.Dict, n int, seed uint64) *storage.Table {
 	r := newRNG(seed)
 	key := storage.NewColumn("c_custkey", types.Int64)
-	name := storage.NewColumn("c_name", types.String)
+	name := stringColumn(d, "c_name")
 	age := storage.NewColumn("c_age", types.Int64)
-	seg := storage.NewColumn("c_mktsegment", types.String)
+	seg := stringColumn(d, "c_mktsegment")
 	nat := storage.NewColumn("c_nationkey", types.Int64)
 	bal := storage.NewColumn("c_acctbal", types.Float64)
+	segs := internAll(d, mktSegments)
 	for i := 0; i < n; i++ {
 		key.Ints = append(key.Ints, int64(i+1))
-		name.Strs = append(name.Strs, fmt.Sprintf("Customer#%09d", i+1))
+		name.Strs = append(name.Strs, d.Intern(fmt.Sprintf("Customer#%09d", i+1)))
 		age.Ints = append(age.Ints, r.rangeInt(18, 92))
-		seg.Strs = append(seg.Strs, mktSegments[r.intn(int64(len(mktSegments)))])
+		seg.Strs = append(seg.Strs, segs[r.intn(int64(len(segs)))])
 		nat.Ints = append(nat.Ints, r.intn(25))
 		bal.Floats = append(bal.Floats, -999.99+r.float()*(9999.99+999.99))
 	}
 	return storage.NewTable("customer", key, name, age, seg, nat, bal)
 }
 
-func genOrders(n, nCust int, seed uint64) *storage.Table {
+func genOrders(d *storage.Dict, n, nCust int, seed uint64) *storage.Table {
 	r := newRNG(seed)
 	key := storage.NewColumn("o_orderkey", types.Int64)
 	cust := storage.NewColumn("o_custkey", types.Int64)
 	date := storage.NewColumn("o_orderdate", types.Date)
 	price := storage.NewColumn("o_totalprice", types.Float64)
 	prio := storage.NewColumn("o_shippriority", types.Int64)
-	status := storage.NewColumn("o_orderstatus", types.String)
+	status := stringColumn(d, "o_orderstatus")
+	statuses := internAll(d, orderStatus)
 	span := orderDateHi - orderDateLo + 1
 	for i := 0; i < n; i++ {
 		key.Ints = append(key.Ints, int64(i+1))
@@ -162,12 +186,12 @@ func genOrders(n, nCust int, seed uint64) *storage.Table {
 		date.Ints = append(date.Ints, orderDateLo+r.intn(span))
 		price.Floats = append(price.Floats, 1000+r.float()*450000)
 		prio.Ints = append(prio.Ints, 0)
-		status.Strs = append(status.Strs, orderStatus[r.intn(int64(len(orderStatus)))])
+		status.Strs = append(status.Strs, statuses[r.intn(int64(len(statuses)))])
 	}
 	return storage.NewTable("orders", key, cust, date, price, prio, status)
 }
 
-func genLineitem(orders *storage.Table, nPart, nSupp int, seed uint64) *storage.Table {
+func genLineitem(d *storage.Dict, orders *storage.Table, nPart, nSupp int, seed uint64) *storage.Table {
 	r := newRNG(seed)
 	okey := storage.NewColumn("l_orderkey", types.Int64)
 	pkey := storage.NewColumn("l_partkey", types.Int64)
@@ -177,7 +201,8 @@ func genLineitem(orders *storage.Table, nPart, nSupp int, seed uint64) *storage.
 	eprice := storage.NewColumn("l_extendedprice", types.Float64)
 	disc := storage.NewColumn("l_discount", types.Float64)
 	ship := storage.NewColumn("l_shipdate", types.Date)
-	rflag := storage.NewColumn("l_returnflag", types.String)
+	rflag := stringColumn(d, "l_returnflag")
+	flags := internAll(d, returnFlags)
 
 	orderKeys := orders.Column("o_orderkey").Ints
 	orderDates := orders.Column("o_orderdate").Ints
@@ -193,42 +218,52 @@ func genLineitem(orders *storage.Table, nPart, nSupp int, seed uint64) *storage.
 			eprice.Floats = append(eprice.Floats, float64(q)*(900+r.float()*1100))
 			disc.Floats = append(disc.Floats, float64(r.intn(11))/100)
 			ship.Ints = append(ship.Ints, orderDates[i]+r.rangeInt(1, 121))
-			rflag.Strs = append(rflag.Strs, returnFlags[r.intn(int64(len(returnFlags)))])
+			rflag.Strs = append(rflag.Strs, flags[r.intn(int64(len(flags)))])
 		}
 	}
 	return storage.NewTable("lineitem", okey, pkey, skey, lnum, qty, eprice, disc, ship, rflag)
 }
 
-func genPart(n int, seed uint64) *storage.Table {
+func genPart(d *storage.Dict, n int, seed uint64) *storage.Table {
 	r := newRNG(seed)
 	key := storage.NewColumn("p_partkey", types.Int64)
-	name := storage.NewColumn("p_name", types.String)
-	mfgr := storage.NewColumn("p_mfgr", types.String)
-	brand := storage.NewColumn("p_brand", types.String)
-	ptype := storage.NewColumn("p_type", types.String)
+	name := stringColumn(d, "p_name")
+	mfgr := stringColumn(d, "p_mfgr")
+	brand := stringColumn(d, "p_brand")
+	ptype := stringColumn(d, "p_type")
 	size := storage.NewColumn("p_size", types.Int64)
+	// Manufacturer m is 1..5 and brand b is m*10 + 1..5.
+	var mfgrs [6]uint32
+	var brands [56]uint32
+	for m := 1; m <= 5; m++ {
+		mfgrs[m] = d.Intern(fmt.Sprintf("Manufacturer#%d", m))
+		for k := 1; k <= 5; k++ {
+			brands[m*10+k] = d.Intern(fmt.Sprintf("Brand#%d", m*10+k))
+		}
+	}
+	ptypes := internAll(d, partTypes)
 	for i := 0; i < n; i++ {
 		m := r.rangeInt(1, 5)
 		b := m*10 + r.rangeInt(1, 5)
 		key.Ints = append(key.Ints, int64(i+1))
-		name.Strs = append(name.Strs, fmt.Sprintf("part %06d", i+1))
-		mfgr.Strs = append(mfgr.Strs, fmt.Sprintf("Manufacturer#%d", m))
-		brand.Strs = append(brand.Strs, fmt.Sprintf("Brand#%d", b))
-		ptype.Strs = append(ptype.Strs, partTypes[r.intn(int64(len(partTypes)))])
+		name.Strs = append(name.Strs, d.Intern(fmt.Sprintf("part %06d", i+1)))
+		mfgr.Strs = append(mfgr.Strs, mfgrs[m])
+		brand.Strs = append(brand.Strs, brands[b])
+		ptype.Strs = append(ptype.Strs, ptypes[r.intn(int64(len(ptypes)))])
 		size.Ints = append(size.Ints, r.rangeInt(1, 50))
 	}
 	return storage.NewTable("part", key, name, mfgr, brand, ptype, size)
 }
 
-func genSupplier(n int, seed uint64) *storage.Table {
+func genSupplier(d *storage.Dict, n int, seed uint64) *storage.Table {
 	r := newRNG(seed)
 	key := storage.NewColumn("s_suppkey", types.Int64)
-	name := storage.NewColumn("s_name", types.String)
+	name := stringColumn(d, "s_name")
 	nat := storage.NewColumn("s_nationkey", types.Int64)
 	bal := storage.NewColumn("s_acctbal", types.Float64)
 	for i := 0; i < n; i++ {
 		key.Ints = append(key.Ints, int64(i+1))
-		name.Strs = append(name.Strs, fmt.Sprintf("Supplier#%09d", i+1))
+		name.Strs = append(name.Strs, d.Intern(fmt.Sprintf("Supplier#%09d", i+1)))
 		nat.Ints = append(nat.Ints, r.intn(25))
 		bal.Floats = append(bal.Floats, -999.99+r.float()*(9999.99+999.99))
 	}

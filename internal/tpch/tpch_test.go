@@ -126,8 +126,9 @@ func TestValueDomains(t *testing.T) {
 		}
 	}
 	segs := map[string]bool{}
-	for _, s := range db.Customer.Column("c_mktsegment").Strs {
-		segs[s] = true
+	seg := db.Customer.Column("c_mktsegment")
+	for i := range seg.Len() {
+		segs[seg.Value(i).S] = true
 	}
 	if len(segs) != 5 {
 		t.Errorf("mktsegment cardinality = %d, want 5", len(segs))

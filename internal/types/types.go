@@ -3,8 +3,8 @@
 // functions used by the chained hash tables.
 //
 // All fixed-width payload encodings in the system store one column in
-// exactly 8 bytes (strings are stored as 8-byte references into a string
-// heap), so Kind.Width is constant; it exists to keep the tuple-width
+// exactly 8 bytes (a string is stored as its code in the catalog's
+// dictionary, storage.Dict), so Kind.Width is constant; it exists to keep the tuple-width
 // arithmetic of the cost model explicit at call sites.
 package types
 
@@ -22,7 +22,8 @@ const (
 	Int64 Kind = iota
 	// Float64 is a double-precision floating point column.
 	Float64
-	// String is a variable-length string column (interned in payloads).
+	// String is a variable-length string column (dictionary-coded in
+	// columns, vectors and payloads).
 	String
 	// Date is a calendar date stored as days since 1970-01-01.
 	Date
@@ -91,7 +92,8 @@ func (v Value) AsInt() int64 {
 }
 
 // Compare orders two values of the same kind. It returns -1, 0 or +1.
-// Comparing values of different numeric kinds compares them as floats.
+// Comparing values of different numeric kinds compares them as floats,
+// in CompareNum's order (NaN above +Inf).
 func (v Value) Compare(o Value) int {
 	if v.Kind == String || o.Kind == String {
 		switch {
@@ -103,22 +105,30 @@ func (v Value) Compare(o Value) int {
 		return 0
 	}
 	if v.Kind == Float64 || o.Kind == Float64 {
-		a, b := v.AsFloat(), o.AsFloat()
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
+		return CompareNum(v.AsFloat(), o.AsFloat())
 	}
+	return CompareNum(v.I, o.I)
+}
+
+// CompareNum is the engine's one numeric order, returning -1, 0 or +1.
+// It is total: NaN sorts above +Inf and equals every NaN, as in
+// PostgreSQL. Value.Compare, the sort orders and the float filter
+// kernels all follow it, so an interval the box algebra finds empty
+// keeps no row anywhere.
+func CompareNum[T int64 | float64](a, b T) int {
 	switch {
-	case v.I < o.I:
+	case a < b:
 		return -1
-	case v.I > o.I:
+	case a > b:
+		return 1
+	case a == b:
+		return 0
+	case a != a && b != b:
+		return 0
+	case a != a:
 		return 1
 	}
-	return 0
+	return -1
 }
 
 // Equal reports value equality under Compare semantics.
@@ -140,7 +150,7 @@ func (v Value) String() string {
 }
 
 // Bits returns the 8-byte payload encoding of the value. Strings must be
-// interned by the caller; Bits panics on String values to catch misuse.
+// coded by the caller; Bits panics on String values to catch misuse.
 func (v Value) Bits() uint64 {
 	switch v.Kind {
 	case Int64, Date:
@@ -148,7 +158,7 @@ func (v Value) Bits() uint64 {
 	case Float64:
 		return math.Float64bits(v.F)
 	}
-	panic("types: Bits called on string value; intern it first")
+	panic("types: Bits called on string value; code it first")
 }
 
 // FromBits decodes an 8-byte payload encoding produced by Bits.

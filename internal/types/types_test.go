@@ -62,6 +62,12 @@ func TestValueCompare(t *testing.T) {
 		{NewString("b"), NewString("b"), 0},
 		{NewString("c"), NewString("b"), 1},
 		{NewDate(10), NewDate(20), -1},
+		// NaN sorts above +Inf and equals only NaN.
+		{NewFloat(math.NaN()), NewFloat(math.Inf(1)), 1},
+		{NewFloat(math.Inf(1)), NewFloat(math.NaN()), -1},
+		{NewInt(math.MaxInt64), NewFloat(math.NaN()), -1},
+		{NewFloat(math.NaN()), NewFloat(math.NaN()), 0},
+		{NewFloat(math.Copysign(0, -1)), NewFloat(0), 0},
 	}
 	for _, tc := range tests {
 		if got := tc.a.Compare(tc.b); got != tc.want {

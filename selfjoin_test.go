@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"hashstash/internal/storage"
 )
 
 // selfJoinCase is one lineitem self-join a ⋈ b on an equal column,
@@ -35,7 +37,7 @@ func (c selfJoinCase) want(t *testing.T, db *DB) map[string]int64 {
 	t.Helper()
 	tbl := db.cat.Table("lineitem")
 	keys := tbl.Column(c.on).Ints
-	flags := tbl.Column("l_returnflag").Strs
+	flags := columnStrings(tbl.Column("l_returnflag"))
 	qty := tbl.Column("l_quantity").Ints
 	keep := func(i int, ceiling int64) bool { return ceiling <= 0 || qty[i] <= ceiling }
 	// perKey[k] counts the other instance's surviving rows with key k.
@@ -58,6 +60,15 @@ func (c selfJoinCase) want(t *testing.T, db *DB) map[string]int64 {
 	return out
 }
 
+// columnStrings decodes a string column.
+func columnStrings(c *storage.Column) []string {
+	out := make([]string, c.Len())
+	for i := range out {
+		out[i] = c.Value(i).S
+	}
+	return out
+}
+
 // bothInstancesSQL groups a self-join by, and sums, the same columns of
 // both instances.
 const bothInstancesSQL = `SELECT a.l_returnflag, b.l_returnflag, COUNT(*) AS n,
@@ -70,7 +81,7 @@ const bothInstancesSQL = `SELECT a.l_returnflag, b.l_returnflag, COUNT(*) AS n,
 func bothInstancesWant(db *DB) map[string][3]int64 {
 	tbl := db.cat.Table("lineitem")
 	okeys := tbl.Column("l_orderkey").Ints
-	flags := tbl.Column("l_returnflag").Strs
+	flags := columnStrings(tbl.Column("l_returnflag"))
 	qty := tbl.Column("l_quantity").Ints
 	byOrder := map[int64][]int{}
 	for j, k := range okeys {
