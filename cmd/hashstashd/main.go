@@ -71,11 +71,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "load:", err)
 		os.Exit(1)
 	}
-	// The generator's transient copies are garbage now. Collect them
-	// before serving, so that the collector paces the serving heap from
-	// the loaded tables: otherwise its first goal is twice whatever the
-	// load's last cycle happened to find live, and the server's peak
-	// memory depends on when that cycle ran.
+	// The load allocates each column once at its final size, so it
+	// leaves next to no garbage. The collection stays so that the
+	// serving heap's first goal is set from the loaded tables: without
+	// it, that goal is twice whatever the load's last cycle happened to
+	// find live, and the server's peak memory depends on when that
+	// cycle ran.
 	runtime.GC()
 	fmt.Printf("done in %v\n", time.Since(start).Round(time.Millisecond))
 

@@ -153,8 +153,9 @@ func constraintSelectivity(cs *storage.ColumnStats, con expr.Constraint) float64
 	}
 	lo, hi := cs.Min.AsFloat(), cs.Max.AsFloat()
 	width := hi - lo
-	if width <= 0 {
-		// Single-valued column: constraint either admits it or not.
+	if !(width > 0) {
+		// Single-valued column (an all-NaN one too, whose width is
+		// NaN): the constraint either admits the value or not.
 		if con.Iv.Contains(cs.Min) {
 			return 1
 		}

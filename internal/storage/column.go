@@ -154,22 +154,32 @@ func (c *Column) Stats() ColumnStats {
 }
 
 // summarize is the one min/max/NDV pass, generic over the column kinds.
+// NaN, a float column's only value unequal to itself, is left out of
+// Min and Max and counted as one distinct value however many rows hold
+// it; a column holding only NaN has Min and Max NaN and NDV 1.
 func summarize[T cmp.Ordered](vals []T, value func(T) types.Value) ColumnStats {
 	if len(vals) == 0 {
 		return ColumnStats{}
 	}
 	distinct := make(map[T]struct{}, 1024)
 	lo, hi := vals[0], vals[0]
+	nan := false
 	for _, v := range vals {
-		if v < lo {
-			lo = v
+		if v != v {
+			nan = true
+			continue
 		}
-		if v > hi {
-			hi = v
+		if lo != lo { // a leading NaN gives way to the first number
+			lo, hi = v, v
 		}
+		lo, hi = min(lo, v), max(hi, v)
 		distinct[v] = struct{}{}
 	}
-	return ColumnStats{Min: value(lo), Max: value(hi), NDV: int64(len(distinct))}
+	ndv := int64(len(distinct))
+	if nan {
+		ndv++
+	}
+	return ColumnStats{Min: value(lo), Max: value(hi), NDV: ndv}
 }
 
 // summarizeCodes is summarize over a string column's codes: NDV counts

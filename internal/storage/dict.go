@@ -1,5 +1,7 @@
 package storage
 
+import "slices"
+
 // Dict is an append-only string dictionary: it hands every distinct
 // string a dense uint32 code, in first-seen order, and never changes or
 // drops a code once handed out. A catalog owns one; every string column
@@ -29,6 +31,22 @@ func (d *Dict) Intern(s string) uint32 {
 	d.strs = append(d.strs, s)
 	d.index[s] = code
 	return code
+}
+
+// Grow makes room for n more strings: interning up to n new strings
+// after it neither regrows the code slice nor rehashes the index. A
+// loader that knows how many names it adds calls it once, before the
+// first of them. The index is rebuilt at its new size, so Grow costs
+// one pass over the strings already held.
+func (d *Dict) Grow(n int) {
+	if n <= 0 {
+		return
+	}
+	d.strs = slices.Grow(d.strs, n)
+	d.index = make(map[string]uint32, len(d.strs)+n)
+	for code, s := range d.strs {
+		d.index[s] = uint32(code)
+	}
 }
 
 // Lookup returns the code of s without adding it; ok is false when s

@@ -1,10 +1,12 @@
 package storage_test
 
 import (
+	"math"
 	"sync"
 	"testing"
 
 	"hashstash/internal/catalog"
+	"hashstash/internal/expr"
 	"hashstash/internal/storage"
 	"hashstash/internal/types"
 )
@@ -85,5 +87,50 @@ func TestColumnStatsConcurrentFirstRead(t *testing.T) {
 	}
 	if want.NDV != 3 || want.Min.S != "a" || want.Max.S != "c" {
 		t.Errorf("b = %+v", want)
+	}
+}
+
+// TestColumnStatsNaN: NaN is left out of Min and Max and counted as one
+// distinct value, wherever it sits and however many rows hold it; an
+// all-NaN column is single-valued (Min and Max NaN, NDV 1). The
+// optimizer's selectivity over each column is a finite fraction.
+func TestColumnStatsNaN(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		name     string
+		vals     []float64
+		min, max float64 // NaN when the column holds only NaN
+		ndv      int64
+	}{
+		{"leading NaN", []float64{nan, 1, 5, 3}, 1, 5, 4},
+		{"NaN twice inside", []float64{1, nan, 5, 3, nan}, 1, 5, 4},
+		{"only NaN", []float64{nan, nan, nan}, nan, nan, 1},
+	}
+	same := func(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+	for _, tc := range cases {
+		c := storage.NewColumn("v", types.Float64)
+		for _, v := range tc.vals {
+			c.Append(types.NewFloat(v))
+		}
+		cs := c.Stats()
+		if !same(cs.Min.F, tc.min) || !same(cs.Max.F, tc.max) || cs.NDV != tc.ndv {
+			t.Errorf("%s: stats = %+v, want min %v, max %v, NDV %d", tc.name, cs, tc.min, tc.max, tc.ndv)
+		}
+		cat := catalog.New()
+		cat.Register(storage.NewTable("t", c))
+		ts, _ := cat.Stats("t")
+		for _, iv := range []expr.Interval{
+			{HasLo: true, Lo: types.NewFloat(2), LoIncl: true},
+			{HasHi: true, Hi: types.NewFloat(4), HiIncl: true},
+			expr.PointInterval(types.NewFloat(3)),
+		} {
+			box := expr.NewBox(expr.Pred{
+				Col: storage.ColRef{Table: "t", Column: "v"},
+				Con: expr.IntervalConstraint(types.Float64, iv),
+			})
+			if s := ts.Selectivity(box); math.IsNaN(s) || s < 0 || s > 1 {
+				t.Errorf("%s: selectivity of %v = %v", tc.name, iv, s)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"encoding/binary"
+	"hash"
 	"hash/fnv"
 	"math"
 	"testing"
@@ -9,6 +10,14 @@ import (
 	"hashstash/internal/storage"
 	"hashstash/internal/types"
 )
+
+// hashString feeds s to h behind its length, as columnChecksum does.
+func hashString(h hash.Hash64, s string) {
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], uint64(len(s)))
+	h.Write(buf[:])
+	h.Write([]byte(s))
+}
 
 // columnChecksum hashes a column's decoded values in row order: FNV-1a
 // over each value's 8 payload bytes, or a string's bytes behind its
@@ -21,9 +30,7 @@ func columnChecksum(c *storage.Column) uint64 {
 		v := c.Value(i)
 		switch v.Kind {
 		case types.String:
-			binary.LittleEndian.PutUint64(buf[:], uint64(len(v.S)))
-			h.Write(buf[:])
-			h.Write([]byte(v.S))
+			hashString(h, v.S)
 			continue
 		case types.Float64:
 			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.F))
@@ -126,6 +133,61 @@ func TestLoaderChecksums(t *testing.T) {
 		}
 		if len(got) != len(want[sf]) {
 			t.Errorf("SF %v: %d columns, want %d", sf, len(got), len(want[sf]))
+		}
+	}
+}
+
+// TestDictOrderChecksum pins the dictionary the loader fills, string by
+// string in code order, at two scale factors. The constants were
+// recorded at commit e0cb6d7, when every name was formatted on its own
+// and every column grown by append, so a loader that interns in another
+// order (and so hands out other codes) fails here even where every
+// column decodes to the same values.
+func TestDictOrderChecksum(t *testing.T) {
+	want := map[float64]struct {
+		n   int
+		sum uint64
+	}{
+		0.002: {767, 0x93c05f4f8b8501e2},
+		0.01:  {3647, 0x2f9ff1dc89d2e71c},
+	}
+	for sf, w := range want {
+		db, err := Generate(Config{SF: sf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := db.Customer.Column("c_name").Dict
+		h := fnv.New64a()
+		for code := range d.Len() {
+			hashString(h, d.At(uint32(code)))
+		}
+		if d.Len() != w.n || h.Sum64() != w.sum {
+			t.Errorf("SF %v: %d strings, checksum %#x; want %d, %#x", sf, d.Len(), h.Sum64(), w.n, w.sum)
+		}
+	}
+}
+
+// TestColumnsExactSize: every generated column is allocated at its
+// table's row count, with no spare capacity.
+func TestColumnsExactSize(t *testing.T) {
+	db, err := Generate(Config{SF: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tbl := range db.Tables() {
+		for _, c := range tbl.Cols {
+			var capacity int
+			switch c.Kind {
+			case types.Float64:
+				capacity = cap(c.Floats)
+			case types.String:
+				capacity = cap(c.Strs)
+			default:
+				capacity = cap(c.Ints)
+			}
+			if c.Len() != tbl.NumRows() || capacity != c.Len() {
+				t.Errorf("%s.%s: len %d, cap %d, table rows %d", tbl.Name, c.Name, c.Len(), capacity, tbl.NumRows())
+			}
 		}
 	}
 }

@@ -173,3 +173,16 @@ func TestRNGHelpers(t *testing.T) {
 	}()
 	r.intn(0)
 }
+
+// BenchmarkLoadTPCH generates the database at the benchmark's scale
+// factor. Its allocs/op counts columns and tables, not rows: a return of
+// per-row allocation (a name formatted per row, a column grown by
+// append) multiplies it.
+func BenchmarkLoadTPCH(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Generate(Config{SF: 0.05}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
